@@ -37,37 +37,33 @@ ENGINES = ("spatialspark", "isp-mc", "isp-standalone")
 
 def _scale_or_mode(value: str):
     """Positional argument: a float scale factor, or a named bench mode."""
-    if value in ("kernels", "parallel", "monitor", "chaos", "cache",
-                 "columnar", "regress"):
+    if value in ("parallel", "monitor", "chaos", "cache", "regress"):
         return value
     try:
         return float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a scale factor, 'kernels', 'parallel', 'monitor', "
-            f"'chaos', 'cache', 'columnar' or 'regress', got {value!r}"
+            f"expected a scale factor, 'parallel', 'monitor', 'chaos', "
+            f"'cache' or 'regress', got {value!r}"
         ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Reproduce the paper's tables and figures, profile "
-        "a single spatial-join query, or (with 'kernels') measure the "
-        "columnar batch kernels' wall-clock against the scalar path.",
+        description="Reproduce the paper's tables and figures, or "
+        "profile a single spatial-join query.",
     )
     parser.add_argument(
         "scale",
         nargs="?",
         type=_scale_or_mode,
         default=DEFAULT_SCALE,
-        help=f"dataset scale factor (default {DEFAULT_SCALE}), 'kernels' "
-        "for the columnar-kernels microbenchmark, 'parallel' for the "
-        "process-pool runtime benchmark, 'monitor' to replay an "
+        help=f"dataset scale factor (default {DEFAULT_SCALE}), 'parallel' "
+        "for the process-pool runtime benchmark, 'monitor' to replay an "
         "events.jsonl file as per-worker timelines, 'chaos' for the "
         "fault-injection equivalence sweep, 'cache' for the "
-        "cross-query cache cold-vs-warm benchmark, 'columnar' for "
-        "the packed-buffer data plane vs object path benchmark, or "
+        "cross-query cache cold-vs-warm benchmark, or "
         "'regress' to gate a fresh run against the committed "
         "BENCH_*.json baselines (exits nonzero on regression)",
     )
@@ -81,43 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--points",
         type=int,
         default=100_000,
-        help="probe points for the kernels/parallel/columnar benchmarks "
-        "(default 100000)",
-    )
-    parser.add_argument(
-        "--polygons",
-        type=int,
-        default=2000,
-        help="build-side polygons for the columnar benchmark (default 2000)",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="for columnar mode: repetitions per arm, best-of reported "
-        "(default 3)",
-    )
-    parser.add_argument(
-        "--assert-bytes-ratio",
-        type=float,
-        metavar="RATIO",
-        default=None,
-        help="for columnar mode: exit nonzero unless both the shuffle "
-        "bucket and the broadcast index ship at least RATIOx fewer bytes "
-        "than the pickled object path",
+        help="probe points for the parallel benchmark (default 100000)",
     )
     parser.add_argument(
         "--out",
         metavar="PATH",
         default=None,
-        help="for kernels/parallel modes: also write the JSON document "
-        "to PATH",
-    )
-    parser.add_argument(
-        "--assert-not-slower",
-        action="store_true",
-        help="for kernels mode: exit nonzero if the batch path is slower "
-        "than the scalar path or any equivalence check fails",
+        help="for parallel/chaos/cache/regress modes: also write the JSON "
+        "document to PATH",
     )
     parser.add_argument(
         "--executors",
@@ -308,41 +275,6 @@ def _profile_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kernels_run(args: argparse.Namespace) -> int:
-    from repro.bench.kernels import (
-        render_kernels,
-        run_kernels_benchmark,
-        write_kernels_json,
-    )
-
-    doc = run_kernels_benchmark(points=args.points)
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(render_kernels(doc))
-    if args.out:
-        write_kernels_json(doc, args.out)
-        print(f"wrote kernels benchmark to {args.out}", file=sys.stderr)
-    identical = all(k["identical"] for k in doc["kernels"].values())
-    identical = identical and doc["equivalence"]["all_identical"]
-    if not identical:
-        print("FAIL: batch and scalar results differ", file=sys.stderr)
-        return 1
-    if args.assert_not_slower:
-        slower = [
-            k["kernel"]
-            for k in doc["kernels"].values()
-            if k["batch_seconds"] > k["scalar_seconds"]
-        ]
-        if slower:
-            print(
-                f"FAIL: batch path slower than scalar for {', '.join(slower)}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _parallel_run(args: argparse.Namespace) -> int:
     from repro.bench.parallel import (
         render_parallel,
@@ -469,48 +401,6 @@ def _cache_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _columnar_run(args: argparse.Namespace) -> int:
-    from repro.bench.columnar_study import (
-        render_columnar,
-        run_columnar_benchmark,
-        write_columnar_json,
-    )
-
-    doc = run_columnar_benchmark(
-        points=args.points, polygons=args.polygons, repeat=args.repeat
-    )
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(render_columnar(doc))
-    if args.out:
-        write_columnar_json(doc, args.out)
-        print(f"wrote columnar benchmark to {args.out}", file=sys.stderr)
-    if not doc["all_identical"]:
-        print("FAIL: columnar and object results differ", file=sys.stderr)
-        return 1
-    if args.assert_speedup is not None and doc["speedup"] < args.assert_speedup:
-        print(
-            f"FAIL: columnar speedup {doc['speedup']:.2f}x < "
-            f"{args.assert_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if args.assert_bytes_ratio is not None:
-        worst = min(
-            doc["shipping"]["shuffle_bytes_ratio"],
-            doc["shipping"]["index_bytes_ratio"],
-        )
-        if worst < args.assert_bytes_ratio:
-            print(
-                f"FAIL: shipped-bytes reduction {worst:.2f}x < "
-                f"{args.assert_bytes_ratio:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _monitor_run(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.obs.events import read_events
@@ -545,8 +435,6 @@ def _regress_run(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.scale == "kernels":
-        return _kernels_run(args)
     if args.scale == "parallel":
         return _parallel_run(args)
     if args.scale == "monitor":
@@ -555,8 +443,6 @@ def main(argv: list[str] | None = None) -> int:
         return _chaos_run(args)
     if args.scale == "cache":
         return _cache_run(args)
-    if args.scale == "columnar":
-        return _columnar_run(args)
     if args.scale == "regress":
         return _regress_run(args)
     if args.method == "auto":

@@ -1,7 +1,7 @@
 """Parallel-runtime benchmark: serial vs process-pool wall clock.
 
-Like the kernels microbenchmark, this measures the one thing the
-simulation model deliberately does *not* capture: real Python wall-clock.
+This measures the one thing the simulation model deliberately does *not*
+capture: real Python wall-clock.
 It times the 100k-point probe workload (taxi pickups against the NYC
 census blocks / LION indexes) executed chunk-by-chunk serially and on
 :class:`~repro.runtime.pool.ProcessBackend` pools of increasing size,
@@ -28,12 +28,11 @@ import os
 import time
 from typing import Any
 
-from repro.bench.kernels import _probe_points
 from repro.bench.runner import run_engine
 from repro.bench.workloads import WORKLOADS, materialize
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
-from repro.data.catalog import load_dataset
+from repro.data.catalog import DATASETS, load_dataset
 from repro.errors import BenchError
 from repro.obs.registry import collecting
 from repro.runtime.pool import ProcessBackend
@@ -52,6 +51,19 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _probe_points(num_points: int) -> list:
+    """Taxi pickup points, at whatever scale yields ``num_points``."""
+    full = DATASETS["taxi"].count_at(1.0)
+    scale = num_points / full
+    dataset = load_dataset("taxi", scale)
+    points = [geometry for _, geometry in dataset.records][:num_points]
+    if len(points) < num_points:
+        raise BenchError(
+            f"taxi at scale {scale} yields {len(points)} < {num_points} points"
+        )
+    return points
 
 
 def _time_probe_workload(

@@ -6,21 +6,19 @@ Partition slices are O(1) index arrays into the shared buffers; the
 versioned binary encoding (``to_bytes``/``from_bytes``) is what ships
 across simulated shuffles and process pools.
 
-The object path remains the reference oracle: every columnar code path
-is required to produce byte-identical results (pairs, order, counters,
-simulated seconds, profiles, events) and is gated by the ``columnar=``
-knob on ``JoinConfig``/``RuntimeConfig``.
+Every join runs on this plane whenever its input converts; inputs the
+column cannot hold (``GeometryCollection``, ``None`` geometries) take the
+object constructors instead, chosen from the input, never by an option.
+Results (pairs, order, counters, simulated seconds, profiles, events) are
+pinned in tier-1 to what the object data plane produced.
 """
 
 from .block import ColumnBlock
 from .column import GeometryColumn
 from .io import column_from_wkt
-from .stats import COLUMNAR_STATS, ColumnarStats
 
 __all__ = [
-    "COLUMNAR_STATS",
     "ColumnBlock",
-    "ColumnarStats",
     "GeometryColumn",
     "column_from_wkt",
 ]

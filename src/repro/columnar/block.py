@@ -9,8 +9,8 @@ graph.
 
 ``charge_bytes`` is the exact total the per-record ``estimate_bytes``
 walk would have produced — the simulated ``SHUFFLE_BYTES`` charges stay
-byte-identical to the object path, while the honest encoded size is
-tracked in :data:`repro.columnar.stats.COLUMNAR_STATS`.
+byte-identical to the object path; the honest encoded size is
+``nbytes``.
 """
 
 from __future__ import annotations

@@ -581,8 +581,6 @@ class GeometryColumn:
         """Versioned binary encoding: raw nbytes-exact buffer dumps."""
         if self._sel is not None:
             return self.compact().to_bytes()
-        from repro.columnar.stats import COLUMNAR_STATS
-
         data = self._data
         n = data.count
         kind, payload_blob = _encode_payloads(self._payloads)
@@ -604,10 +602,7 @@ class GeometryColumn:
         out += np.ascontiguousarray(data.coords, dtype="<f8").tobytes()
         out += struct.pack("<I", len(payload_blob))
         out += payload_blob
-        encoded = bytes(out)
-        COLUMNAR_STATS.columns_encoded += 1
-        COLUMNAR_STATS.encoded_bytes += len(encoded)
-        return encoded
+        return bytes(out)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "GeometryColumn":

@@ -33,12 +33,12 @@ from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic
 from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
-from repro.core.probe import BroadcastIndex, naive_spatial_join
+from repro.core.probe import BroadcastIndex, join_tile, naive_spatial_join
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry.wkt import loads as wkt_loads
 from repro.obs.events import EventLog, get_event_log, install_event_log
-from repro.obs.tracer import get_tracer
+from repro.obs.tracer import NULL_SPAN, get_tracer
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.pool import (
     SerialBackend,
@@ -69,11 +69,9 @@ class JoinConfig:
     ``num_tiles``/``skew_factor``/``sample_size`` tune the partitioned
     plan's skew-aware tiling.
 
-    ``batch_refine`` toggles the columnar batch execution path (bulk
-    index probes + vectorized refinement kernels); results are identical
-    either way.  ``batch_size`` is the row-batch granularity shared with
-    the Impala substrate (how many probes each batched kernel dispatch
-    covers); it must be positive.
+    ``batch_size`` is the row-batch granularity shared with the Impala
+    substrate (how many probes each bulk index probe + batched kernel
+    dispatch covers); it must be positive.
 
     ``executors`` is the *real*-parallelism knob: ``"serial"`` (default)
     runs everything inline; an int >= 1 dispatches probe chunks / tile
@@ -94,14 +92,6 @@ class JoinConfig:
     rule: an explicit ``runtime`` wins over the loose ``executors`` /
     ``events_out`` fields; when ``runtime`` is ``None`` those fields are
     packed into an implicit one and behave exactly as before.
-
-    ``columnar`` (default on) runs the packed-buffer geometry data plane
-    (DESIGN.md §13): bulk column construction, array-sorted STR builds,
-    coordinate-buffer probe kernels.  ``columnar=False`` selects the
-    object path, which is the byte-identical reference oracle — pairs,
-    counters, profiles, simulated seconds and events match exactly either
-    way.  An explicit ``runtime`` carries its own ``columnar`` flag, which
-    wins (same precedence as ``executors``).
 
     ``explain`` selects the plan-introspection surface (DESIGN.md §15):
     ``"off"`` (default) adds nothing; ``"plan"`` attaches an estimate-only
@@ -127,11 +117,9 @@ class JoinConfig:
     skew_factor: float = 2.0
     sample_size: int | None = None
     batch_size: int = 1024
-    batch_refine: bool = True
     executors: int | str = "serial"
     events_out: str | None = None
     runtime: RuntimeConfig | None = None
-    columnar: bool = True
     explain: str = "off"
     explain_ratio: float = 4.0
     calibration_out: str | None = None
@@ -154,18 +142,12 @@ class JoinConfig:
             raise ReproError(
                 f"runtime must be a RuntimeConfig, got {type(self.runtime).__name__}"
             )
-        if not isinstance(self.columnar, bool):
-            raise ReproError(f"columnar must be a bool, got {self.columnar!r}")
 
     def resolved_runtime(self) -> RuntimeConfig:
         """The effective runtime policy (explicit ``runtime`` wins)."""
         if self.runtime is not None:
             return self.runtime
-        return RuntimeConfig(
-            executors=self.executors,
-            events_out=self.events_out,
-            columnar=self.columnar,
-        )
+        return RuntimeConfig(executors=self.executors, events_out=self.events_out)
 
     def with_(self, **changes) -> "JoinConfig":
         """A copy with the given fields replaced."""
@@ -325,27 +307,6 @@ def _broadcast_index_key(right_entries, op, cfg):
     )
 
 
-def _use_columnar(cfg: JoinConfig) -> bool:
-    """The effective ``columnar`` knob (explicit runtime wins)."""
-    return cfg.resolved_runtime().columnar
-
-
-def _make_index(right_entries, op, cfg):
-    """One broadcast index, via the columnar bulk path when enabled.
-
-    Both constructors produce byte-identical indexes (tree structure,
-    entry order, counters); the column path only changes how the build
-    runs (array STR sort, no per-entry envelope walking).
-    """
-    if _use_columnar(cfg):
-        column = GeometryColumn.from_entries(right_entries)
-        if column is not None:
-            return BroadcastIndex.from_column(
-                column, op, radius=cfg.radius, engine=cfg.engine
-            )
-    return BroadcastIndex(right_entries, op, radius=cfg.radius, engine=cfg.engine)
-
-
 def _build_broadcast_index(right_entries, op, cfg, cache, key=None):
     """Build the broadcast index, or reuse a cache-resident one.
 
@@ -354,16 +315,19 @@ def _build_broadcast_index(right_entries, op, cfg, cache, key=None):
     counters, profiles and pairs are byte-identical either way; only the
     STR-tree construction wall-clock is saved.
     """
-    if cache is None:
-        return _make_index(right_entries, op, cfg)
-    if key is None:
-        key = _broadcast_index_key(right_entries, op, cfg)
-    index = cache.get(key, "broadcast-index")
+    index = None
+    if cache is not None:
+        if key is None:
+            key = _broadcast_index_key(right_entries, op, cfg)
+        index = cache.get(key, "broadcast-index")
     if index is None:
-        index = _make_index(right_entries, op, cfg)
-        cache.put(key, "broadcast-index", index,
-                  size_bytes=estimate_index_bytes(index),
-                  build_cost=sum(index.build_cost_units().values()))
+        index = BroadcastIndex.from_entries(
+            right_entries, op, radius=cfg.radius, engine=cfg.engine
+        )
+        if cache is not None:
+            cache.put(key, "broadcast-index", index,
+                      size_bytes=estimate_index_bytes(index),
+                      build_cost=sum(index.build_cost_units().values()))
     return index
 
 
@@ -735,108 +699,95 @@ def _emit_task_end(log, events_ctx, index, label, partition, sim_seconds, counte
     )
 
 
-def _totals_seconds(totals, model) -> float:
-    """Simulated seconds of one probe chunk's cost-unit totals."""
-    task = TaskMetrics()
-    for resource, amount in totals.items():
-        task.add(resource, amount)
-    return task.seconds(model)
+def _phase(query, name: str):
+    """The span of one billed phase; only profiled runs trace them."""
+    if query is None:
+        return NULL_SPAN
+    return get_tracer().span(name, category="phase")
 
 
-def _probe_pool(cfg: JoinConfig, recovery: RecoveryContext | None = None):
-    """The probe-chunk pool, or None when the serial path should run.
+def _dispatch_pool(cfg: JoinConfig, num_tasks: int):
+    """The pool probe chunks and tile joins are dispatched through.
 
-    Pooled probing needs the batch path (chunks are the task granularity)
-    and fork-style closure dispatch (the index rides into workers free).
-    With a fault plan active, chunked dispatch *always* runs — a
-    :class:`SerialBackend` stands in when no real pool is available — so
-    the injection/recovery logic exercises the same code path at every
-    executor count.  (Chaos only applies to the chunked paths; the
-    row-at-a-time ``batch_refine=False`` loop has no task granularity to
-    fault and runs normally.)
+    Real workers need more than one task and fork-style closure dispatch
+    (the index rides into workers free); otherwise an inline
+    :class:`SerialBackend` runs the same thunks on the driver, so serial,
+    pooled and fault-injected runs share one code path.
     """
-    if not cfg.batch_refine:
-        return None
     pool = make_pool(cfg.resolved_runtime().executors)
-    if pool.is_serial or not pool.supports_closures:
-        if recovery is not None and recovery.active:
-            return SerialBackend()
-        return None
+    if num_tasks < 2 or pool.is_serial or not pool.supports_closures:
+        return SerialBackend()
     return pool
 
 
-def _probe_chunks_pooled(
-    pool, index, left_entries, cfg, model=None, events_ctx=None, recovery=None,
-    left_column=None,
-):
-    """Probe ``batch_size`` chunks on the pool; (pairs, totals, capture)
-    per chunk.
+def _submit_stage(events_query, name: str, num_tasks: int):
+    """Emit StageSubmitted; returns the tasks' ``(query, stage)`` event
+    context, or None with the event log off."""
+    log = get_event_log()
+    if events_query is None or not log.enabled:
+        return None
+    events_stage = log.next_id("stage")
+    log.emit(
+        "StageSubmitted",
+        query=events_query,
+        stage=events_stage,
+        name=name,
+        num_tasks=num_tasks,
+    )
+    return (events_query, events_stage)
 
-    Pure fan-out: each task reads the fork-inherited index and its chunk,
-    returning the chunk's matching pairs plus its cost-unit totals.  The
-    caller consumes the ordered results exactly as the serial chunk loop
-    would have produced them.  With the event log on (``events_ctx`` is a
-    ``(query, stage)`` pair) the worker frames its chunk in TaskStart /
-    TaskEnd and ships the buffered events back in an :class:`ObsCapture`;
-    otherwise the capture slot is ``None`` and nothing changes.  With a
-    ``left_column`` the probe reads a zero-copy column slice instead of
-    the chunk's geometry objects (identical matches and totals).
+
+def _run_tasks(pool, tasks, model, events_ctx, recovery, scope):
+    """Run ``(label, partition, body)`` tasks on ``pool``; returns each
+    body's ``(pairs, TaskMetrics)`` in task order.
+
+    Pure fan-out: a body reads the (fork-inherited) index and its slice of
+    the inputs and touches no driver-global state.  With the event log on
+    (``events_ctx`` is a ``(query, stage)`` pair) each task frames itself
+    in TaskStart / TaskEnd inside an :class:`ObsCapture` that ships back
+    with its result and is replayed here in task order — workers never
+    write the driver's sink, and a losing speculative attempt's capture
+    is simply dropped.  With a fault plan active the same thunks run under
+    :func:`run_recovered`.
     """
-    starts = list(range(0, len(left_entries), cfg.batch_size))
-    chunks = [left_entries[start : start + cfg.batch_size] for start in starts]
 
-    def make_task(task_index, chunk):
-        if left_column is not None:
-            start = starts[task_index]
-            probe_input = left_column.slice(start, start + cfg.batch_size)
-        else:
-            probe_input = None
-
-        def probe_chunk():
-            if probe_input is not None:
-                matches_per_row, totals = index.probe_batch(probe_input)
-            else:
-                matches_per_row, totals = index.probe_batch(g for _, g in chunk)
-            chunk_pairs = []
-            for (left_id, _), matches in zip(chunk, matches_per_row):
-                chunk_pairs.extend((left_id, right_id) for right_id in matches)
-            return chunk_pairs, totals
-
+    def make_thunk(task_index, label, partition, body):
         if events_ctx is None:
-
-            def run_plain():
-                chunk_pairs, totals = probe_chunk()
-                return chunk_pairs, totals, None
-
-            return run_plain
+            return lambda: (*body(), None)
 
         def run_with_events():
             capture = ObsCapture()
             with capture_observability(capture):
                 log = get_event_log()
-                label = f"chunk-{task_index}"
-                _emit_task_start(log, events_ctx, task_index, label, task_index)
-                chunk_pairs, totals = probe_chunk()
+                _emit_task_start(log, events_ctx, task_index, label, partition)
+                pairs, task = body()
                 _emit_task_end(
-                    log, events_ctx, task_index, label, task_index,
-                    _totals_seconds(totals, model), dict(totals),
+                    log, events_ctx, task_index, label, partition,
+                    task.seconds(model), dict(task.counts),
                 )
-            return chunk_pairs, totals, capture
+            return pairs, task, capture
 
         return run_with_events
 
-    thunks = [make_task(task_index, chunk) for task_index, chunk in enumerate(chunks)]
+    thunks = [make_thunk(index, *task) for index, task in enumerate(tasks)]
     if recovery is not None and recovery.active:
         outcomes = run_recovered(
             pool,
             thunks,
             recovery,
-            scope="spatial-join:probe",
+            scope=scope,
             events=events_ctx,
-            sim_seconds=lambda index_, value: _totals_seconds(value[1], model),
+            sim_seconds=lambda index_, value: value[1].seconds(model),
         )
-        return [outcome.value for outcome in outcomes]
-    return pool.run(thunks)
+        shipments = [outcome.value for outcome in outcomes]
+    else:
+        shipments = pool.run(thunks)
+    results = []
+    for pairs, task, capture in shipments:
+        if capture is not None:
+            apply_capture(capture)
+        results.append((pairs, task))
+    return results
 
 
 def _broadcast_join(
@@ -844,69 +795,16 @@ def _broadcast_join(
     recovery=None, cache=None, cache_key=None,
 ):
     """The paper's broadcast join: index the right side, probe with the
-    left.  With profiling on, build/probe become exactly-billed stages."""
-    tracer = get_tracer()
-    pairs: list[tuple[Any, Any]] = []
-    pool = _probe_pool(cfg, recovery)
-    left_column = None
-    if cfg.batch_refine and _use_columnar(cfg):
-        # One packed column over the probe side; every chunk below is a
-        # zero-copy slice of it.
-        left_column = GeometryColumn.from_entries(left_entries)
-    log = get_event_log()
-    events_ctx = None
-    if events_query is not None and log.enabled and cfg.batch_refine:
-        num_chunks = (len(left_entries) + cfg.batch_size - 1) // cfg.batch_size
-        events_stage = log.next_id("stage")
-        log.emit(
-            "StageSubmitted",
-            query=events_query,
-            stage=events_stage,
-            name="probe",
-            num_tasks=num_chunks,
-        )
-        events_ctx = (events_query, events_stage)
-    if query is None:
-        index = _build_broadcast_index(right_entries, op, cfg, cache, cache_key)
-        if pool is not None:
-            for chunk_pairs, _, capture in _probe_chunks_pooled(
-                pool, index, left_entries, cfg, model, events_ctx, recovery,
-                left_column=left_column,
-            ):
-                if capture is not None:
-                    apply_capture(capture)
-                pairs.extend(chunk_pairs)
-        elif cfg.batch_refine:
-            for task_index, start in enumerate(
-                range(0, len(left_entries), cfg.batch_size)
-            ):
-                chunk = left_entries[start : start + cfg.batch_size]
-                if events_ctx is not None:
-                    _emit_task_start(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index
-                    )
-                if left_column is not None:
-                    matches_per_row, totals = index.probe_batch(
-                        left_column.slice(start, start + cfg.batch_size)
-                    )
-                else:
-                    matches_per_row, totals = index.probe_batch(g for _, g in chunk)
-                if events_ctx is not None:
-                    _emit_task_end(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index,
-                        _totals_seconds(totals, model), dict(totals),
-                    )
-                for (left_id, _), matches in zip(chunk, matches_per_row):
-                    pairs.extend((left_id, right_id) for right_id in matches)
-        else:
-            for left_id, geometry in left_entries:
-                pairs.extend(
-                    (left_id, right_id) for right_id in index.probe(geometry)
-                )
-        return pairs
+    left in ``batch_size`` chunks.  With profiling on, build/probe become
+    exactly-billed stages."""
+    # One packed column over the probe side; every chunk below is a
+    # zero-copy slice of it.
+    left_column = GeometryColumn.from_entries(left_entries)
+    starts = range(0, len(left_entries), cfg.batch_size)
+    events_ctx = _submit_stage(events_query, "probe", len(starts))
 
     build_metrics = TaskMetrics()
-    with tracer.span("build", category="phase") as span:
+    with _phase(query, "build") as span:
         # The build stage charges index.build_cost_units() whether the
         # index was rebuilt or reused — a warm query simulates the same
         # cluster, it just skips the real STR-tree construction.
@@ -915,53 +813,40 @@ def _broadcast_join(
             build_metrics.add(resource, amount)
         span.add_sim(build_metrics.seconds(model))
         span.set_attr("index_entries", len(index))
-    _add_stage(query, "build", [build_metrics], model)
 
+    def chunk_task(task_index, start):
+        def probe_chunk():
+            stop = start + cfg.batch_size
+            chunk = left_entries[start:stop]
+            matches_per_row, totals = index.probe_batch(
+                left_column.slice(start, stop)
+                if left_column is not None
+                else [geometry for _, geometry in chunk]
+            )
+            chunk_pairs = [
+                (left_id, right_id)
+                for (left_id, _), matches in zip(chunk, matches_per_row)
+                for right_id in matches
+            ]
+            return chunk_pairs, TaskMetrics(counts=totals)
+
+        return f"chunk-{task_index}", task_index, probe_chunk
+
+    pairs: list[tuple[Any, Any]] = []
     probe_metrics = TaskMetrics()
-    with tracer.span("probe", category="phase") as span:
-        if pool is not None:
-            for chunk_pairs, totals, capture in _probe_chunks_pooled(
-                pool, index, left_entries, cfg, model, events_ctx, recovery,
-                left_column=left_column,
-            ):
-                if capture is not None:
-                    apply_capture(capture)
-                for resource, amount in totals.items():
-                    probe_metrics.add(resource, amount)
-                pairs.extend(chunk_pairs)
-        elif cfg.batch_refine:
-            for task_index, start in enumerate(
-                range(0, len(left_entries), cfg.batch_size)
-            ):
-                chunk = left_entries[start : start + cfg.batch_size]
-                if events_ctx is not None:
-                    _emit_task_start(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index
-                    )
-                if left_column is not None:
-                    matches_per_row, totals = index.probe_batch(
-                        left_column.slice(start, start + cfg.batch_size)
-                    )
-                else:
-                    matches_per_row, totals = index.probe_batch(g for _, g in chunk)
-                if events_ctx is not None:
-                    _emit_task_end(
-                        log, events_ctx, task_index, f"chunk-{task_index}", task_index,
-                        _totals_seconds(totals, model), dict(totals),
-                    )
-                for resource, amount in totals.items():
-                    probe_metrics.add(resource, amount)
-                for (left_id, _), matches in zip(chunk, matches_per_row):
-                    pairs.extend((left_id, right_id) for right_id in matches)
-        else:
-            for left_id, geometry in left_entries:
-                matches, units = index.probe_with_cost(geometry)
-                for resource, amount in units.items():
-                    probe_metrics.add(resource, amount)
-                pairs.extend((left_id, right_id) for right_id in matches)
+    with _phase(query, "probe") as span:
+        for chunk_pairs, task in _run_tasks(
+            _dispatch_pool(cfg, len(starts)),
+            [chunk_task(task_index, start) for task_index, start in enumerate(starts)],
+            model, events_ctx, recovery, "spatial-join:probe",
+        ):
+            probe_metrics.merge(task)
+            pairs.extend(chunk_pairs)
         span.add_sim(probe_metrics.seconds(model))
         span.set_attr("rows_out", len(pairs))
-    _add_stage(query, "probe", [probe_metrics], model)
+    if query is not None:
+        _add_stage(query, "build", [build_metrics], model)
+        _add_stage(query, "probe", [probe_metrics], model)
     return pairs
 
 
@@ -1022,65 +907,6 @@ def _dual_tree_join(left_entries, right_entries, op, cfg, model, query):
 
 def _record_bytes(geometry: Geometry) -> float:
     return 48.0 + 16.0 * geometry.num_points
-
-
-def _join_one_tile(
-    tile_id, tile_left, tile_right, tiles, op, cfg, task, expand,
-    tile_left_column=None, tile_right_column=None,
-):
-    """Index-join one tile, owner-rule deduped; accrues costs into ``task``.
-
-    This is the partitioned join's task granularity — the unit the
-    executors pool fans out — so it must stay free of driver-global side
-    effects (it only touches its own ``TaskMetrics``).  The optional tile
-    columns are zero-copy slices of the whole-side columns; with them the
-    build and probe read packed buffers instead of the per-tile object
-    lists (identical pairs and charges).
-    """
-    if tile_right_column is not None:
-        index = BroadcastIndex.from_column(
-            tile_right_column, op, radius=cfg.radius, engine=cfg.engine
-        )
-    else:
-        index = BroadcastIndex(
-            ((pair, pair[1]) for pair in tile_right),
-            op,
-            radius=cfg.radius,
-            engine=cfg.engine,
-        )
-    task.add(Resource.INDEX_BUILD, float(len(index)))
-    if cfg.batch_refine:
-        if tile_left_column is not None:
-            matches_per_row, totals = index.probe_batch(tile_left_column)
-        else:
-            matches_per_row, totals = index.probe_batch(g for _, g in tile_left)
-        for resource, amount in totals.items():
-            task.add(resource, amount)
-    else:
-        matches_per_row = None
-    tile_pairs: list[tuple[Any, Any]] = []
-    for row, (left_id, geometry) in enumerate(tile_left):
-        if matches_per_row is not None:
-            matches = matches_per_row[row]
-        else:
-            matches, units = index.probe_with_cost(geometry)
-            for resource, amount in units.items():
-                task.add(resource, amount)
-        left_tiles = None
-        for right_id, right_geometry in matches:
-            if left_tiles is None:
-                left_tiles = tiles.route(geometry.envelope)
-            if len(left_tiles) == 1:
-                owner = left_tiles[0]
-            else:
-                right_tiles = tiles.route(
-                    right_geometry.envelope.expand_by(expand)
-                )
-                common = set(left_tiles) & set(right_tiles)
-                owner = min(common) if common else tile_id
-            if owner == tile_id:
-                tile_pairs.append((left_id, right_id))
-    return tile_pairs
 
 
 def _partitioned_join_local(
@@ -1148,17 +974,15 @@ def _partitioned_join_local(
     shuffle_metrics = TaskMetrics() if query is not None else None
     left_by_tile: dict[int, list] = {}
     right_by_tile: dict[int, list] = {}
-    left_column = right_column = None
     left_rows_by_tile: dict[int, list[int]] = {}
     right_rows_by_tile: dict[int, list[int]] = {}
-    if cfg.batch_refine and _use_columnar(cfg):
-        # Whole-side columns built once; each tile gets zero-copy slices
-        # (row-index arrays into the shared buffers) instead of fresh
-        # object lists for build and probe.
-        left_column = GeometryColumn.from_entries(left_entries)
-        right_column = GeometryColumn.from_entries(
-            (pair, pair[1]) for pair in right_entries
-        )
+    # Whole-side columns built once; each tile gets zero-copy slices
+    # (row-index arrays into the shared buffers) instead of fresh
+    # object lists for build and probe.
+    left_column = GeometryColumn.from_entries(left_entries)
+    right_column = GeometryColumn.from_entries(
+        (pair, pair[1]) for pair in right_entries
+    )
     with tracer.span("route", category="phase"):
         for row, (left_id, geometry) in enumerate(left_entries):
             if geometry.is_empty:
@@ -1185,123 +1009,50 @@ def _partitioned_join_local(
     if shuffle_metrics is not None:
         _add_stage(query, "shuffle", [shuffle_metrics], model)
 
-    def _tile_columns(tile_id):
-        tile_left_column = tile_right_column = None
-        if left_column is not None:
-            tile_left_column = left_column.take(left_rows_by_tile[tile_id])
-        if right_column is not None:
-            tile_right_column = right_column.take(right_rows_by_tile[tile_id])
-        return tile_left_column, tile_right_column
+    def tile_task(tile_id):
+        """Index-join one tile, owner-rule deduped — the partitioned
+        join's task granularity, the unit the executors pool fans out."""
+
+        def join():
+            tile_left = left_by_tile[tile_id]
+            if right_column is not None:
+                index = BroadcastIndex.from_column(
+                    right_column.take(right_rows_by_tile[tile_id]),
+                    op, radius=cfg.radius, engine=cfg.engine,
+                )
+            else:
+                index = BroadcastIndex.from_entries(
+                    [(pair, pair[1]) for pair in right_by_tile[tile_id]],
+                    op, radius=cfg.radius, engine=cfg.engine,
+                )
+            task = TaskMetrics()
+            task.add(Resource.INDEX_BUILD, float(len(index)))
+            tile_pairs, totals = join_tile(
+                index, tile_left, tiles, tile_id, expand,
+                left_column=left_column.take(left_rows_by_tile[tile_id])
+                if left_column is not None
+                else None,
+            )
+            for resource, amount in totals.items():
+                task.add(resource, amount)
+            return tile_pairs, task
+
+        return f"tile-{tile_id}", tile_id, join
 
     pairs: list[tuple[Any, Any]] = []
     tile_tasks: list[TaskMetrics] = []
     joinable = [
         tile_id for tile_id in sorted(left_by_tile) if right_by_tile.get(tile_id)
     ]
-    pool = make_pool(cfg.resolved_runtime().executors)
-    log = get_event_log()
-    events_ctx = None
-    if events_query is not None and log.enabled:
-        events_stage = log.next_id("stage")
-        log.emit(
-            "StageSubmitted",
-            query=events_query,
-            stage=events_stage,
-            name="join",
-            num_tasks=len(joinable),
-        )
-        events_ctx = (events_query, events_stage)
-    chaos = recovery is not None and recovery.active
-    use_pool = not pool.is_serial and pool.supports_closures and len(joinable) > 1
-    if chaos and not use_pool:
-        # Chaos always routes tile joins through the task-dispatch path,
-        # with an inline SerialBackend standing in for a real pool.
-        pool = SerialBackend()
-        use_pool = True
+    events_ctx = _submit_stage(events_query, "join", len(joinable))
     with tracer.span("join", category="phase") as span:
-        if use_pool:
-
-            def make_tile_task(task_index, tile_id):
-                # Slice driver-side so a process pool ships only this
-                # tile's buffers, not the whole column, with each task.
-                tile_left_column, tile_right_column = _tile_columns(tile_id)
-
-                def join_tile():
-                    task = TaskMetrics()
-                    tile_pairs = _join_one_tile(
-                        tile_id, left_by_tile[tile_id], right_by_tile[tile_id],
-                        tiles, op, cfg, task, expand,
-                        tile_left_column=tile_left_column,
-                        tile_right_column=tile_right_column,
-                    )
-                    return tile_pairs, task
-
-                if events_ctx is None:
-
-                    def run_plain():
-                        tile_pairs, task = join_tile()
-                        return tile_pairs, task, None
-
-                    return run_plain
-
-                def run_with_events():
-                    capture = ObsCapture()
-                    with capture_observability(capture):
-                        wlog = get_event_log()
-                        label = f"tile-{tile_id}"
-                        _emit_task_start(wlog, events_ctx, task_index, label, tile_id)
-                        tile_pairs, task = join_tile()
-                        _emit_task_end(
-                            wlog, events_ctx, task_index, label, tile_id,
-                            task.seconds(model), dict(task.counts),
-                        )
-                    return tile_pairs, task, capture
-
-                return run_with_events
-
-            tile_thunks = [
-                make_tile_task(task_index, tile_id)
-                for task_index, tile_id in enumerate(joinable)
-            ]
-            if chaos:
-                outcomes = run_recovered(
-                    pool,
-                    tile_thunks,
-                    recovery,
-                    scope="spatial-join:join",
-                    events=events_ctx,
-                    sim_seconds=lambda index_, value: value[1].seconds(model),
-                )
-                shipments = [outcome.value for outcome in outcomes]
-            else:
-                shipments = pool.run(tile_thunks)
-            for tile_pairs, task, capture in shipments:
-                if capture is not None:
-                    apply_capture(capture)
-                pairs.extend(tile_pairs)
-                tile_tasks.append(task)
-        else:
-            for task_index, tile_id in enumerate(joinable):
-                task = TaskMetrics()
-                if events_ctx is not None:
-                    _emit_task_start(
-                        log, events_ctx, task_index, f"tile-{tile_id}", tile_id
-                    )
-                tile_left_column, tile_right_column = _tile_columns(tile_id)
-                pairs.extend(
-                    _join_one_tile(
-                        tile_id, left_by_tile[tile_id], right_by_tile[tile_id],
-                        tiles, op, cfg, task, expand,
-                        tile_left_column=tile_left_column,
-                        tile_right_column=tile_right_column,
-                    )
-                )
-                if events_ctx is not None:
-                    _emit_task_end(
-                        log, events_ctx, task_index, f"tile-{tile_id}", tile_id,
-                        task.seconds(model), dict(task.counts),
-                    )
-                tile_tasks.append(task)
+        for tile_pairs, task in _run_tasks(
+            _dispatch_pool(cfg, len(joinable)),
+            [tile_task(tile_id) for tile_id in joinable],
+            model, events_ctx, recovery, "spatial-join:join",
+        ):
+            pairs.extend(tile_pairs)
+            tile_tasks.append(task)
         span.set_attr("rows_out", len(pairs))
         span.set_attr("tiles_joined", len(tile_tasks))
     if query is not None and tile_tasks:

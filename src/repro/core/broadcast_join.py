@@ -24,7 +24,6 @@ from typing import Any
 
 from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
-from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.errors import ReproError
@@ -32,6 +31,7 @@ from repro.geometry.base import Geometry
 from repro.geometry import wkb as wkb_mod
 from repro.geometry.wkt import WKTReader
 from repro.obs.events import install_event_log
+from repro.obs.registry import REGISTRY
 from repro.obs.tracer import get_tracer
 from repro.spark.context import SparkContext
 from repro.spark.rdd import RDD
@@ -58,12 +58,14 @@ def read_geometry_pairs(
     This is the pre-processing block of Fig 2: split each line on the
     separator, pair it with its global index, parse the geometry column,
     and *drop* rows whose WKT fails to parse (the ``Try``/``isSuccess``
-    filter) instead of failing the job.
+    filter) instead of failing the job.  Every dropped row is counted
+    in ``spark.rows_skipped``.
     """
 
     def parse(pair: tuple[list[str], int]):
         fields, record_id = pair
         if geometry_index >= len(fields):
+            REGISTRY.inc("spark.rows_skipped")
             return []
         text = fields[geometry_index]
         task = current_task()
@@ -72,6 +74,7 @@ def read_geometry_pairs(
         task.add(Resource.RDD_RECORDS, 2.0)
         geometry = WKTReader().try_read(text)
         if geometry is None:
+            REGISTRY.inc("spark.rows_skipped")
             return []
         return [(record_id, geometry)]
 
@@ -97,7 +100,8 @@ def read_geometry_pairs_wkb(
     binary on HDFS (paged record files) and in memory (numpy coordinate
     buffers), skipping string parsing entirely.  Decode cost is charged
     per WKB byte — roughly an order of magnitude below the WKT rate.
-    Corrupt records are dropped, mirroring the WKT dirty-row filter.
+    Corrupt records are dropped and counted, mirroring the WKT dirty-row
+    filter.
     """
     from repro.errors import WKBParseError
 
@@ -107,6 +111,7 @@ def read_geometry_pairs_wkb(
         try:
             geometry = wkb_mod.loads(payload)
         except WKBParseError:
+            REGISTRY.inc("spark.rows_skipped")
             return []
         return [(record_id, geometry)]
 
@@ -124,7 +129,6 @@ def broadcast_spatial_join(
     radius: float = 0.0,
     engine: str = "fast",
     build_cost_weight: float = 1.0,
-    batch_refine: bool = True,
 ) -> RDD[tuple[Any, Any]]:
     """Join two (id, geometry) RDDs, returning matching (left_id, right_id).
 
@@ -132,12 +136,9 @@ def broadcast_spatial_join(
     with dynamic Spark scheduling; passing ``engine="slow"`` isolates the
     geometry-library axis for the ablation benchmarks.
 
-    With ``batch_refine`` (the default) each task gathers its partition's
-    probes into coordinate arrays and runs the columnar filter+refine
-    pipeline — one bulk index probe, one batch kernel call per build
-    geometry.  Pairs, their order, and every accrued task/engine counter
-    are identical to the per-row path (``batch_refine=False``); only
-    wall-clock changes.
+    Each task gathers its partition's probes into coordinate arrays and
+    runs the batched filter+refine pipeline — one bulk index probe, one
+    batch kernel call per build geometry.
     """
     if operator.needs_radius and radius <= 0.0:
         raise ReproError(f"{operator} requires a positive radius")
@@ -168,19 +169,9 @@ def broadcast_spatial_join(
                 else None
             )
             if index is None:
-                column = (
-                    GeometryColumn.from_entries(right_local)
-                    if getattr(sc.runtime, "columnar", False)
-                    else None
+                index = BroadcastIndex.from_entries(
+                    right_local, operator, radius=radius, engine=engine
                 )
-                if column is not None:
-                    index = BroadcastIndex.from_column(
-                        column, operator, radius=radius, engine=engine
-                    )
-                else:
-                    index = BroadcastIndex(
-                        right_local, operator, radius=radius, engine=engine
-                    )
                 if cache is not None:
                     cache.put(
                         cache_key, "spark-broadcast-index", index,
@@ -204,14 +195,6 @@ def broadcast_spatial_join(
         )
         bc_span.add_sim(sc.broadcast_overhead_seconds - ship_before)
 
-    def query_rtree(pair: tuple[Any, Geometry]):
-        left_id, geometry = pair
-        matches, units = index_broadcast.value.probe_with_cost(geometry)
-        task = current_task()
-        for resource, amount in units.items():
-            task.add(resource, amount)
-        return [(left_id, right_id) for right_id in matches]
-
     def query_rtree_partition(rows):
         rows = list(rows)
         if not rows:
@@ -228,9 +211,7 @@ def broadcast_spatial_join(
             for right_id in matches
         ]
 
-    if batch_refine:
-        return left.map_partitions(query_rtree_partition)
-    return left.flat_map(query_rtree)
+    return left.map_partitions(query_rtree_partition)
 
 
 # The paper's object name, for Fig 2-style call sites.

@@ -14,14 +14,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.cluster.model import Resource
-from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.geometry.wkt import WKTReader
 from repro.impala.exec_nodes import BlockingJoinNode, ExecNode, InstanceContext
 from repro.impala.rowbatch import BATCH_SIZE, RowBatch
 
-__all__ = ["build_spatial_index", "SpatialJoinNode"]
+__all__ = ["build_spatial_index", "probe_wkt_rows", "SpatialJoinNode"]
 
 _READER = WKTReader()
 
@@ -32,7 +31,6 @@ def build_spatial_index(
     operator: SpatialOperator,
     radius: float,
     engine: str = "slow",
-    columnar: bool = False,
 ) -> tuple[BroadcastIndex, int, int]:
     """Build the broadcast R-tree over the right side's WKT geometry column.
 
@@ -41,11 +39,6 @@ def build_spatial_index(
     The paper notes this parse ("building an R-Tree for all tuples of the
     table on the right side") is one of ISP-MC's three string-parsing
     costs — the byte count lets the coordinator charge it per instance.
-
-    With ``columnar`` the parsed geometries are packed into a
-    :class:`~repro.columnar.column.GeometryColumn` and the tree is
-    bulk-loaded from its bbox arrays — same tree, same counters, and the
-    resulting index ships to pool workers as the compact binary column.
     """
     entries = []
     wkt_bytes = 0
@@ -61,16 +54,40 @@ def build_spatial_index(
             dropped += 1
             continue
         entries.append((row, geometry))
-    index = None
-    if columnar:
-        column = GeometryColumn.from_entries(entries)
-        if column is not None:
-            index = BroadcastIndex.from_column(
-                column, operator, radius=radius, engine=engine
-            )
-    if index is None:
-        index = BroadcastIndex(entries, operator, radius=radius, engine=engine)
+    index = BroadcastIndex.from_entries(entries, operator, radius=radius, engine=engine)
     return index, wkt_bytes, dropped
+
+
+def probe_wkt_rows(
+    index: BroadcastIndex, texts: Iterable[object]
+) -> tuple[list[list | None], list[dict[str, float]]]:
+    """Probe one row batch's WKT column: parse, bulk-probe, batch-refine.
+
+    Returns ``(matches_per_row, units_per_row)``.  A row whose value is
+    not a string or fails to parse is dropped: its matches slot is
+    ``None`` and its units hold only the parse charge.  Each unit dict is
+    keyed ``WKT_BYTES, INDEX_VISIT, ROWS_OUT, REFINE_*`` in that order —
+    exactly what parsing the row and calling ``probe_with_cost`` on it
+    charges — so per-row simulated seconds, and with them the OpenMP
+    static-chunk makespans behind Tables 1-2, are those of the row loop.
+    """
+    units_per_row: list[dict[str, float]] = []
+    geometries = []
+    for text in texts:
+        units: dict[str, float] = {}
+        geometry = None
+        if isinstance(text, str):
+            units[Resource.WKT_BYTES] = float(len(text))
+            geometry = _READER.try_read(text)
+        units_per_row.append(units)
+        geometries.append(geometry)
+    matches_per_row, probe_units = index.probe_batch(geometries, per_row=True)
+    for row, geometry in enumerate(geometries):
+        if geometry is None:
+            matches_per_row[row] = None
+        else:
+            units_per_row[row].update(probe_units[row])
+    return matches_per_row, units_per_row
 
 
 class SpatialJoinNode(BlockingJoinNode):
@@ -79,10 +96,10 @@ class SpatialJoinNode(BlockingJoinNode):
     The build side arrives pre-indexed (the coordinator builds one
     :class:`~repro.core.probe.BroadcastIndex` and charges every instance
     for its own copy, as each real Impala instance builds its own tree
-    from the broadcast stream).  Probing walks each probe batch row by
-    row: parse the left WKT, query the R-tree, refine with the engine —
-    with per-row costs recorded so the batch's duration reflects OpenMP
-    *static* chunking across the node's cores.
+    from the broadcast stream).  Each probe batch is consumed whole —
+    parse the left WKT column, bulk-query the R-tree, refine with the
+    engine's batch kernels — with per-row costs recorded so the batch's
+    duration reflects OpenMP *static* chunking across the node's cores.
     """
 
     def __init__(
@@ -92,14 +109,12 @@ class SpatialJoinNode(BlockingJoinNode):
         index: BroadcastIndex,
         probe_geometry_slot: int,
         build_cost_weight: float = 1.0,
-        batch_refine: bool = True,
         batch_size: int = BATCH_SIZE,
     ):
         super().__init__(ctx, probe, build_rows=[], batch_size=batch_size)
         self.index = index
         self.probe_geometry_slot = probe_geometry_slot
         self.build_cost_weight = build_cost_weight
-        self.batch_refine = batch_refine
         self.rows_dropped = 0
 
     def build(self) -> None:
@@ -109,69 +124,15 @@ class SpatialJoinNode(BlockingJoinNode):
         )
 
     def probe_batch(self, batch: RowBatch) -> list[tuple]:
-        if self.batch_refine:
-            return self._probe_batch_columnar(batch)
-        return self._probe_batch_scalar(batch)
-
-    def _probe_batch_columnar(self, batch: RowBatch) -> list[tuple]:
-        """Consume the whole batch as a geometry column: parse, bulk-probe,
-        refine with batched kernels.  The per-row unit dicts handed to
-        ``charge_batch`` equal the scalar path's exactly, so the OpenMP
-        static-chunk makespans (and with them Table 1/2) are unchanged."""
-        slot = self.probe_geometry_slot
-        rows = batch.rows
-        base_units: list[dict[str, float]] = []
-        geometries = []
-        for text in batch.column(slot):
-            units: dict[str, float] = {}
-            if isinstance(text, str):
-                units[Resource.WKT_BYTES] = float(len(text))
-                geometry = _READER.try_read(text)
-            else:
-                geometry = None
-            base_units.append(units)
-            geometries.append(geometry)
-        matches_per_row, probe_units = self.index.probe_batch(
-            geometries, per_row=True
+        matches_per_row, units_per_row = probe_wkt_rows(
+            self.index, batch.column(self.probe_geometry_slot)
         )
         joined: list[tuple] = []
-        per_row_units: list[dict[str, float]] = []
-        for left_row, units, geometry, matches, row_units in zip(
-            rows, base_units, geometries, matches_per_row, probe_units
-        ):
-            if geometry is None:
+        for left_row, matches in zip(batch.rows, matches_per_row):
+            if matches is None:
                 self.rows_dropped += 1
-                per_row_units.append(units)
                 continue
-            for resource, amount in row_units.items():
-                units[resource] = units.get(resource, 0.0) + amount
-            per_row_units.append(units)
             for right_row in matches:
                 joined.append(left_row + right_row)
-        self.ctx.charge_batch(per_row_units)
-        return joined
-
-    def _probe_batch_scalar(self, batch: RowBatch) -> list[tuple]:
-        joined: list[tuple] = []
-        per_row_units: list[dict[str, float]] = []
-        slot = self.probe_geometry_slot
-        for left_row in batch:
-            text = left_row[slot]
-            units: dict[str, float] = {}
-            if isinstance(text, str):
-                units[Resource.WKT_BYTES] = float(len(text))
-                geometry = _READER.try_read(text)
-            else:
-                geometry = None
-            if geometry is None:
-                self.rows_dropped += 1
-                per_row_units.append(units)
-                continue
-            matches, probe_units = self.index.probe_with_cost(geometry)
-            for resource, amount in probe_units.items():
-                units[resource] = units.get(resource, 0.0) + amount
-            per_row_units.append(units)
-            for right_row in matches:
-                joined.append(left_row + right_row)
-        self.ctx.charge_batch(per_row_units)
+        self.ctx.charge_batch(units_per_row)
         return joined

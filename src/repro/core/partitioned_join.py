@@ -14,9 +14,8 @@ from typing import Any
 
 from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
-from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
-from repro.core.probe import BroadcastIndex
+from repro.core.probe import BroadcastIndex, join_tile
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
@@ -91,7 +90,6 @@ def partitioned_spatial_join(
     engine: str = "fast",
     partitioning: SpatialPartitioning | None = None,
     skew_factor: float | None = 2.0,
-    batch_refine: bool = True,
 ) -> RDD[tuple[Any, Any]]:
     """Join two (id, geometry) RDDs via spatial partitioning + shuffle.
 
@@ -99,9 +97,7 @@ def partitioned_spatial_join(
     join's output (tests assert the two plans agree).  Unless an explicit
     ``partitioning`` is supplied, the tile layout is skew-aware by
     default: hot tiles are split per ``skew_factor`` (pass ``None`` to
-    restore the plain sort-tile layout).  ``batch_refine`` (default on)
-    switches each tile task to the columnar bulk-probe/batch-kernel path;
-    results and accrued counters are identical either way.
+    restore the plain sort-tile layout).
     """
     if operator.needs_radius and radius <= 0.0:
         raise ReproError(f"{operator} requires a positive radius")
@@ -150,9 +146,8 @@ def partitioned_spatial_join(
     )
 
     cache = sc.cache
-    use_columnar = getattr(sc.runtime, "columnar", False)
 
-    def join_tile(entry):
+    def tile_task(entry):
         tile_id, (left_entries, right_entries) = entry
         if not left_entries or not right_entries:
             REGISTRY.inc("partitioned.tiles_empty")
@@ -165,33 +160,19 @@ def partitioned_spatial_join(
         # way, so the simulated cluster cannot tell (pooled workers see a
         # fork-inherited snapshot of the cache — hits there save worker
         # wall-clock, and their puts die with the worker process).
+        build_entries = [(pair, pair[1]) for pair in right_entries]
         index = None
         tile_key = None
         if cache is not None:
             tile_key = fingerprint_entries(
-                ((pair, pair[1]) for pair in right_entries),
-                "spark-tile-index", operator.value, float(radius), engine,
+                build_entries, "spark-tile-index", operator.value,
+                float(radius), engine,
             )
             index = cache.get(tile_key, "spark-tile-index")
         if index is None:
-            column = (
-                GeometryColumn.from_entries(
-                    (pair, pair[1]) for pair in right_entries
-                )
-                if use_columnar
-                else None
+            index = BroadcastIndex.from_entries(
+                build_entries, operator, radius=radius, engine=engine
             )
-            if column is not None:
-                index = BroadcastIndex.from_column(
-                    column, operator, radius=radius, engine=engine
-                )
-            else:
-                index = BroadcastIndex(
-                    ((pair, pair[1]) for pair in right_entries),
-                    operator,
-                    radius=radius,
-                    engine=engine,
-                )
             if cache is not None:
                 cache.put(
                     tile_key, "spark-tile-index", index,
@@ -200,44 +181,9 @@ def partitioned_spatial_join(
                 )
         task = current_task()
         task.add(Resource.INDEX_BUILD, len(index))
-        if batch_refine:
-            left_column = (
-                GeometryColumn.from_entries(left_entries) if use_columnar else None
-            )
-            matches_per_row, totals = index.probe_batch(
-                left_column
-                if left_column is not None
-                else (geometry for _, geometry in left_entries)
-            )
-            for resource, amount in totals.items():
-                task.add(resource, amount)
-        else:
-            matches_per_row = None
-        results = []
-        for row, (left_id, geometry) in enumerate(left_entries):
-            if matches_per_row is not None:
-                matches = matches_per_row[row]
-            else:
-                matches, units = index.probe_with_cost(geometry)
-                for resource, amount in units.items():
-                    task.add(resource, amount)
-            left_tiles = None
-            for right_id, right_geometry in matches:
-                # Owner rule: a replicated pair is produced in every tile
-                # both sides reach; only the lowest-indexed common tile
-                # emits it, so results carry no duplicates and lose no pair.
-                if left_tiles is None:
-                    left_tiles = tiles.route(geometry.envelope)
-                if len(left_tiles) == 1:
-                    owner = left_tiles[0]
-                else:
-                    right_tiles = tiles.route(
-                        right_geometry.envelope.expand_by(expand)
-                    )
-                    common = set(left_tiles) & set(right_tiles)
-                    owner = min(common) if common else tile_id
-                if owner == tile_id:
-                    results.append((left_id, right_id))
-        return results
+        pairs, totals = join_tile(index, left_entries, tiles, tile_id, expand)
+        for resource, amount in totals.items():
+            task.add(resource, amount)
+        return pairs
 
-    return grouped.flat_map(join_tile)
+    return grouped.flat_map(tile_task)

@@ -17,7 +17,7 @@ batches and fragment instances.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.geometry.algorithms import predicates
 from repro.index.rtree import STRtree
 from repro.core.operators import SpatialOperator
 
-__all__ = ["BroadcastIndex", "refine_pair", "naive_spatial_join"]
+__all__ = ["BroadcastIndex", "refine_pair", "join_tile", "naive_spatial_join"]
 
 
 def refine_pair(
@@ -105,6 +105,27 @@ class BroadcastIndex:
             self.build_entries += 1
             self.build_vertex_total += geometry.num_points
         self._tree.build()
+
+    @classmethod
+    def from_entries(
+        cls,
+        entries: Sequence[tuple[Any, Geometry]],
+        operator: SpatialOperator,
+        radius: float = 0.0,
+        engine: GeometryEngine | str = "fast",
+    ) -> "BroadcastIndex":
+        """Build from ``(payload, geometry)`` pairs, packed when possible.
+
+        Entries the column model can hold are packed and bulk-loaded
+        (:meth:`from_column`); inputs it cannot (``GeometryCollection``,
+        ``None`` geometries) take the object constructor.  Both yield the
+        same tree, entry order and counters — the input decides, never an
+        option.
+        """
+        column = GeometryColumn.from_entries(entries)
+        if column is None:
+            return cls(entries, operator, radius=radius, engine=engine)
+        return cls.from_column(column, operator, radius=radius, engine=engine)
 
     @classmethod
     def from_column(
@@ -471,6 +492,49 @@ def _index_from_column(column, operator, radius, engine, node_capacity):
     return BroadcastIndex.from_column(
         column, operator, radius=radius, engine=engine, node_capacity=node_capacity
     )
+
+
+def join_tile(
+    index: BroadcastIndex,
+    left_entries: Sequence[tuple[Any, Geometry]],
+    tiles,
+    tile_id: int,
+    expand: float,
+    left_column: GeometryColumn | None = None,
+) -> tuple[list[tuple[Any, Any]], dict[str, float]]:
+    """Probe one tile's left rows; keep only the pairs this tile owns.
+
+    ``index`` holds the tile's right side with whole ``(id, geometry)``
+    pairs as payloads, so a matched geometry can be re-routed;
+    ``left_column`` is the packed form of ``left_entries`` when the
+    caller already has it (else it is derived here, when the column model
+    can hold them).  Owner rule: a replicated pair is
+    produced in every tile both sides reach, and only the lowest-indexed
+    common tile emits it, so results carry no duplicates and lose no
+    pair.  Returns the owned pairs and the probe's cost-unit totals.
+    """
+    if left_column is None:
+        left_column = GeometryColumn.from_entries(left_entries)
+    matches_per_row, totals = index.probe_batch(
+        left_column
+        if left_column is not None
+        else [geometry for _, geometry in left_entries]
+    )
+    pairs: list[tuple[Any, Any]] = []
+    for (left_id, geometry), matches in zip(left_entries, matches_per_row):
+        left_tiles = None
+        for right_id, right_geometry in matches:
+            if left_tiles is None:
+                left_tiles = tiles.route(geometry.envelope)
+            if len(left_tiles) == 1:
+                owner = left_tiles[0]
+            else:
+                right_tiles = tiles.route(right_geometry.envelope.expand_by(expand))
+                common = set(left_tiles) & set(right_tiles)
+                owner = min(common) if common else tile_id
+            if owner == tile_id:
+                pairs.append((left_id, right_id))
+    return pairs, totals
 
 
 def naive_spatial_join(

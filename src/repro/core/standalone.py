@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic, simulate_static_chunked
-from repro.core.isp import build_spatial_index
+from repro.core.isp import build_spatial_index, probe_wkt_rows
 from repro.core.operators import SpatialOperator
 from repro.errors import ReproError
-from repro.geometry.wkt import WKTReader
 from repro.hdfs import SimulatedHDFS, read_lines
 from repro.impala.rowbatch import BATCH_SIZE
 from repro.obs.profile import ProfileNode, QueryProfile
@@ -32,8 +31,6 @@ from repro.obs.tracer import get_tracer
 from repro.spark.taskcontext import task_scope
 
 __all__ = ["StandaloneResult", "standalone_spatial_join"]
-
-_READER = WKTReader()
 
 
 @dataclass
@@ -150,32 +147,26 @@ def standalone_spatial_join(
         with tracer.span("probe", category="phase") as span:
             for start in range(0, len(left_rows), batch_size):
                 batch = left_rows[start : start + batch_size]
-                per_row_seconds: list[float] = []
-                for row in batch:
-                    text = (
+                matches_per_row, units_per_row = probe_wkt_rows(
+                    index,
+                    (
                         row[left_geometry_index]
                         if len(row) > left_geometry_index
                         else None
-                    )
-                    units: dict[str, float] = {}
-                    geometry = None
-                    if isinstance(text, str):
-                        units[Resource.WKT_BYTES] = float(len(text))
-                        geometry = _READER.try_read(text)
-                    if geometry is None:
+                        for row in batch
+                    ),
+                )
+                for row, matches, units in zip(batch, matches_per_row, units_per_row):
+                    if matches is None:
                         rows_dropped += 1
-                        per_row_seconds.append(model.task_seconds(units))
                         continue
-                    matches, probe_units = index.probe_with_cost(geometry)
-                    for resource, amount in probe_units.items():
-                        units[resource] = units.get(resource, 0.0) + amount
                     for resource, amount in units.items():
                         metrics.add(resource, amount)
-                    per_row_seconds.append(model.task_seconds(units))
                     left_id = _coerce_id(row[0])
                     pairs.extend(
                         (left_id, _coerce_id(match[0])) for match in matches
                     )
+                per_row_seconds = [model.task_seconds(u) for u in units_per_row]
                 if scheduling == "static":
                     parallel_seconds += simulate_static_chunked(
                         per_row_seconds, cores

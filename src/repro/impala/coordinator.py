@@ -169,7 +169,6 @@ class ImpalaBackend:
         assignment: str = "round_robin",
         build_cost_weight: float = 1.0,
         batch_size: int | None = None,
-        batch_refine: bool = True,
         executors: int | str | None = None,
         events_out: str | None = None,
         runtime: RuntimeConfig | None = None,
@@ -192,7 +191,6 @@ class ImpalaBackend:
         self.engine_name = engine
         self.assignment = assignment
         self.batch_size = batch_size
-        self.batch_refine = batch_refine
         # Representativity correction for right-side work at reduced
         # benchmark scale; see MaterializedWorkload.build_cost_weight.
         self.build_cost_weight = build_cost_weight
@@ -712,8 +710,7 @@ class ImpalaBackend:
         )
         if bundle is None:
             index, wkt_bytes, _ = build_spatial_index(
-                all_rows, geometry_slot, operator, radius, self.engine_name,
-                columnar=self.runtime.columnar,
+                all_rows, geometry_slot, operator, radius, self.engine_name
             )
             raw_build_bytes = sum(estimate_bytes(r) for r in all_rows)
             if bundle_key is not None:
@@ -779,18 +776,13 @@ class ImpalaBackend:
                     shared_index,
                     probe_slot,
                     build_cost_weight=self.build_cost_weight,
-                    batch_refine=self.batch_refine,
                     batch_size=self.batch_size,
                 )
             else:
                 # Naive fallback: Impala's single-core cross join + UDF filter.
                 root = self._cross_join(plan, instance, root, shared_index)
         if residual_eval is not None:
-            vector_residual = (
-                vectorize_conjuncts(plan.residual, plan.row_descriptor)
-                if self.batch_refine
-                else None
-            )
+            vector_residual = vectorize_conjuncts(plan.residual, plan.row_descriptor)
             root = FilterNode(
                 instance, root, residual_eval, vector_predicate=vector_residual
             )

@@ -65,9 +65,12 @@ class ObsCapture:
 def capture_observability(capture: ObsCapture) -> Iterator[ObsCapture]:
     """Redirect spans, registry writes and events into ``capture``.
 
-    Used on both the worker (always) and, crucially, never on the serial
-    path — the serial backends run tasks inline against the real driver
-    state, which is what the equivalence suite pins the pool path to.
+    Used on the worker (always) and never by the substrates' serial
+    schedulers — those run tasks inline against the real driver state,
+    which is what the equivalence suite pins the pool path to.  The core
+    join API is the exception: with the event log on it frames every
+    task in a capture, inline or pooled, so a dropped attempt (chaos,
+    speculation) leaves no events behind.
     """
     global _TASKS_DONE
     from repro.runtime.pool import current_worker_id

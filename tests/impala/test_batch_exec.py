@@ -1,10 +1,11 @@
-"""Vectorized Impala execution: same rows, same bills, batch or scalar.
+"""Vectorized Impala execution: reference rows, pinned bills.
 
-``batch_refine`` switches the spatial join node and filter node onto the
-columnar path; these tests pin down that rows, row order, and simulated
-seconds are identical either way, that ``batch_size`` plumbs through the
-exec nodes, and that conjunct vectorization falls back to the scalar
-interpreter whenever it cannot reproduce its semantics exactly.
+The spatial join and filter nodes consume whole row batches; these tests
+pin down that rows are ``naive_spatial_join``'s, that their order and
+simulated seconds are those of the last commit that still carried the
+row-at-a-time nodes, that ``batch_size`` plumbs through the exec nodes,
+and that conjunct vectorization falls back to the scalar interpreter
+whenever it cannot reproduce its semantics exactly.
 """
 
 from __future__ import annotations
@@ -14,13 +15,17 @@ import random
 import pytest
 
 from repro.cluster import ClusterSpec, CostModel
+from repro.core.operators import SpatialOperator
+from repro.core.probe import naive_spatial_join
 from repro.errors import ImpalaError
-from repro.hdfs import SimulatedHDFS, write_text
+from repro.geometry import wkt_loads
+from repro.hdfs import SimulatedHDFS, read_lines, write_text
 from repro.impala import ColumnType, ImpalaBackend
 from repro.impala.ast_nodes import BinaryOp, ColumnRef, Literal
 from repro.impala.exec_nodes import FilterNode, InstanceContext
 from repro.impala.exprs import Slot, TupleDescriptor, vectorize_conjuncts
 from repro.impala.rowbatch import BATCH_SIZE, RowBatch, batches_of
+from tests.columnar.test_byte_identity import digest
 
 
 @pytest.fixture
@@ -69,22 +74,47 @@ QUERIES = [
 ]
 
 
-class TestBatchScalarEquivalence:
-    @pytest.mark.parametrize("sql", QUERIES)
-    @pytest.mark.parametrize("engine", ["fast", "slow"])
-    def test_rows_and_runtime_identical(self, city, sql, engine):
-        batch = make_backend(city, engine=engine, batch_refine=True).execute(sql)
-        scalar = make_backend(city, engine=engine, batch_refine=False).execute(sql)
-        assert batch.rows == scalar.rows  # values AND order
-        assert batch.simulated_seconds == scalar.simulated_seconds
+# Per query: the join it states as (operator, radius, poly.zone filter), and
+# the digest of its rows in emission order (one for both engines) with its
+# (fast, slow) engine simulated seconds before the scalar nodes' deletion.
+PINNED = [
+    ((SpatialOperator.WITHIN, 0.0, None),
+     ("c3c9277d41372472", (17.1355106, 19.154743399999997))),
+    ((SpatialOperator.NEAREST_D, 5.0, None),
+     ("4cb074aac3ea1571", (17.775158599999997, 21.327512599999995))),
+    ((SpatialOperator.WITHIN, 0.0, 1),
+     ("81c91a7ae66c9de6", (12.218383640000004, 13.078427240000003))),
+    (None, ("c0d582a331a1ce45", (2.3483183999999997, 2.3483183999999997))),
+]
 
-    def test_custom_cost_model_still_identical(self, city):
+
+def naive_rows(city, operator, radius, zone):
+    pnt = [line.split("\t") for line in read_lines(city, "/pnt.txt")]
+    poly = [line.split("\t") for line in read_lines(city, "/poly.txt")]
+    return naive_spatial_join(
+        [(int(i), wkt_loads(g)) for i, g in pnt],
+        [(int(i), wkt_loads(g)) for i, g, z in poly if zone in (None, int(z))],
+        operator,
+        radius,
+    )
+
+
+class TestRowsAndRuntimePinned:
+    @pytest.mark.parametrize("query", range(len(QUERIES)))
+    @pytest.mark.parametrize("engine", ["fast", "slow"])
+    def test_rows_match_naive_and_runtime_pinned(self, city, query, engine):
+        join, (rows, seconds) = PINNED[query]
+        result = make_backend(city, engine=engine).execute(QUERIES[query])
+        expected = naive_rows(city, *join) if join else [(i,) for i in range(25)]
+        assert sorted(result.rows) == sorted(expected)
+        assert digest(result.rows) == rows  # values AND order
+        assert result.simulated_seconds == seconds[engine == "slow"]
+
+    def test_custom_cost_model_runtime_pinned(self, city):
         model = CostModel(work_scale=72_000.0)
-        sql = QUERIES[0]
-        batch = make_backend(city, cost_model=model, batch_refine=True).execute(sql)
-        scalar = make_backend(city, cost_model=model, batch_refine=False).execute(sql)
-        assert batch.rows == scalar.rows
-        assert batch.simulated_seconds == scalar.simulated_seconds
+        result = make_backend(city, cost_model=model).execute(QUERIES[0])
+        assert digest(result.rows) == PINNED[0][1][0]  # the cost model moves no row
+        assert result.simulated_seconds == 36.8072768
 
 
 class TestBatchSizePlumbing:
