@@ -15,10 +15,11 @@ pinned in tier-1 to what the object data plane produced.
 
 from .block import ColumnBlock
 from .column import GeometryColumn
-from .io import column_from_wkt
+from .io import column_from_wkt, parse_wkt_column
 
 __all__ = [
     "ColumnBlock",
     "GeometryColumn",
     "column_from_wkt",
+    "parse_wkt_column",
 ]

@@ -32,6 +32,7 @@ from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
 from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic
 from repro.columnar.column import GeometryColumn
+from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex, join_tile, naive_spatial_join
 from repro.errors import ReproError
@@ -248,22 +249,46 @@ class JoinResult(_SequenceABC):
 def _normalise(
     entries: Iterable[tuple[Any, Geometry | str]],
     metrics: TaskMetrics | None = None,
-) -> list[tuple[Any, Geometry]]:
+) -> tuple[list[tuple[Any, Geometry]], GeometryColumn | None]:
+    """Turn ``(payload, Geometry | WKT)`` rows into ``(payload, Geometry)``.
+
+    WKT strings are parsed in one bulk pass
+    (:func:`~repro.columnar.io.parse_wkt_column`), charged per row; a
+    malformed one raises the scalar reader's own error.  When every row
+    was a WKT point the packed column comes back beside the entries (its
+    ``geometry(i)`` *is* entry ``i``'s object), so index build and probe
+    take it as it is instead of re-packing the entries; else ``None``.
+    """
+    entries = list(entries)
+    rows = [i for i, (_, geometry) in enumerate(entries) if isinstance(geometry, str)]
+    column = None
+    if rows:
+        texts = [entries[i][1] for i in rows]
+        if metrics is not None:
+            for text in texts:
+                metrics.add(Resource.WKT_BYTES, float(len(text)))
+        parsed, dropped = parse_wkt_column(texts, [entries[i][0] for i in rows])
+        if dropped:
+            wkt_loads(texts[dropped[0]])  # raises
+        if isinstance(parsed, GeometryColumn):
+            if len(rows) == len(entries):
+                column = parsed
+            parsed = parsed.entries()
+        for i, entry in zip(rows, parsed):
+            entries[i] = entry
     normalised = []
     for payload, geometry in entries:
-        if isinstance(geometry, str):
-            if metrics is not None:
-                metrics.add(Resource.WKT_BYTES, float(len(geometry)))
-            geometry = wkt_loads(geometry)
         if not isinstance(geometry, Geometry):
             raise ReproError(
                 f"expected Geometry or WKT string, got {type(geometry).__name__}"
             )
         normalised.append((payload, geometry))
-    return normalised
+    return normalised, column
 
 
-def _normalise_cached(entries, metrics, cache) -> list[tuple[Any, Geometry]]:
+def _normalise_cached(
+    entries, metrics, cache
+) -> tuple[list[tuple[Any, Geometry]], GeometryColumn | None]:
     """`_normalise` through the cross-query parsed-column cache.
 
     The key is a content fingerprint of the *raw* rows (payloads plus WKT
@@ -286,18 +311,18 @@ def _normalise_cached(entries, metrics, cache) -> list[tuple[Any, Geometry]]:
         return _normalise(entries, metrics)
     cached = cache.get(key, "parsed-column")
     if cached is not None:
-        normalised, wkt_chars = cached
+        normalised, column, wkt_chars = cached
         if metrics is not None and wkt_chars:
             metrics.add(Resource.WKT_BYTES, wkt_chars)
-        return list(normalised)
+        return list(normalised), column
     parse_metrics = TaskMetrics()
-    normalised = _normalise(entries, parse_metrics)
+    normalised, column = _normalise(entries, parse_metrics)
     wkt_chars = parse_metrics.counts.get(Resource.WKT_BYTES, 0.0)
     if metrics is not None and wkt_chars:
         metrics.add(Resource.WKT_BYTES, wkt_chars)
-    cache.put(key, "parsed-column", (normalised, wkt_chars),
+    cache.put(key, "parsed-column", (normalised, column, wkt_chars),
               build_cost=float(wkt_chars))
-    return list(normalised)
+    return list(normalised), column
 
 
 def _broadcast_index_key(right_entries, op, cfg):
@@ -307,13 +332,15 @@ def _broadcast_index_key(right_entries, op, cfg):
     )
 
 
-def _build_broadcast_index(right_entries, op, cfg, cache, key=None):
+def _build_broadcast_index(right_entries, column, op, cfg, cache, key=None):
     """Build the broadcast index, or reuse a cache-resident one.
 
     A hit returns the very same index object a cold build would have
     produced from equal content — probes charge delta-based units, so
     counters, profiles and pairs are byte-identical either way; only the
-    STR-tree construction wall-clock is saved.
+    STR-tree construction wall-clock is saved.  ``column`` is the packed
+    form of ``right_entries`` when the parse already produced it, else
+    ``None``.
     """
     index = None
     if cache is not None:
@@ -321,9 +348,14 @@ def _build_broadcast_index(right_entries, op, cfg, cache, key=None):
             key = _broadcast_index_key(right_entries, op, cfg)
         index = cache.get(key, "broadcast-index")
     if index is None:
-        index = BroadcastIndex.from_entries(
-            right_entries, op, radius=cfg.radius, engine=cfg.engine
-        )
+        if column is not None:
+            index = BroadcastIndex.from_column(
+                column, op, radius=cfg.radius, engine=cfg.engine
+            )
+        else:
+            index = BroadcastIndex.from_entries(
+                right_entries, op, radius=cfg.radius, engine=cfg.engine
+            )
         if cache is not None:
             cache.put(key, "broadcast-index", index,
                       size_bytes=estimate_index_bytes(index),
@@ -484,13 +516,13 @@ def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
     if query is not None:
         parse_metrics = TaskMetrics()
         with tracer.span("parse", category="phase") as span:
-            left_entries = _normalise_cached(left, parse_metrics, cache)
-            right_entries = _normalise_cached(right, parse_metrics, cache)
+            left_entries, left_column = _normalise_cached(left, parse_metrics, cache)
+            right_entries, right_column = _normalise_cached(right, parse_metrics, cache)
             span.add_sim(parse_metrics.seconds(model))
         _add_stage(query, "parse", [parse_metrics], model)
     else:
-        left_entries = _normalise_cached(left, None, cache)
-        right_entries = _normalise_cached(right, None, cache)
+        left_entries, left_column = _normalise_cached(left, None, cache)
+        right_entries, right_column = _normalise_cached(right, None, cache)
 
     method = "broadcast" if cfg.method == "index" else cfg.method
     plan = None
@@ -534,15 +566,15 @@ def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
         pairs = _naive_join(left_entries, right_entries, op, cfg, model, query)
     elif method == "broadcast":
         pairs = _broadcast_join(
-            left_entries, right_entries, op, cfg, model, query, events_query,
-            recovery, cache=cache, cache_key=bindex_key,
+            left_entries, right_entries, left_column, right_column, op, cfg,
+            model, query, events_query, recovery, cache=cache, cache_key=bindex_key,
         )
     elif method == "dual-tree":
         pairs = _dual_tree_join(left_entries, right_entries, op, cfg, model, query)
     elif method == "partitioned":
         pairs = _partitioned_join_local(
-            left_entries, right_entries, op, cfg, model, query, plan, events_query,
-            recovery, cache=cache,
+            left_entries, right_entries, left_column, op, cfg, model, query, plan,
+            events_query, recovery, cache=cache,
         )
     else:  # pragma: no cover - guarded by the _METHODS check above
         raise ReproError(f"unhandled method {method!r}")
@@ -791,15 +823,18 @@ def _run_tasks(pool, tasks, model, events_ctx, recovery, scope):
 
 
 def _broadcast_join(
-    left_entries, right_entries, op, cfg, model, query, events_query=None,
-    recovery=None, cache=None, cache_key=None,
+    left_entries, right_entries, left_column, right_column, op, cfg, model, query,
+    events_query=None, recovery=None, cache=None, cache_key=None,
 ):
     """The paper's broadcast join: index the right side, probe with the
     left in ``batch_size`` chunks.  With profiling on, build/probe become
-    exactly-billed stages."""
+    exactly-billed stages.  ``left_column`` / ``right_column`` are the
+    sides' packed forms when the parse already produced them, else
+    ``None``."""
     # One packed column over the probe side; every chunk below is a
     # zero-copy slice of it.
-    left_column = GeometryColumn.from_entries(left_entries)
+    if left_column is None:
+        left_column = GeometryColumn.from_entries(left_entries)
     starts = range(0, len(left_entries), cfg.batch_size)
     events_ctx = _submit_stage(events_query, "probe", len(starts))
 
@@ -808,7 +843,9 @@ def _broadcast_join(
         # The build stage charges index.build_cost_units() whether the
         # index was rebuilt or reused — a warm query simulates the same
         # cluster, it just skips the real STR-tree construction.
-        index = _build_broadcast_index(right_entries, op, cfg, cache, cache_key)
+        index = _build_broadcast_index(
+            right_entries, right_column, op, cfg, cache, cache_key
+        )
         for resource, amount in index.build_cost_units().items():
             build_metrics.add(resource, amount)
         span.add_sim(build_metrics.seconds(model))
@@ -910,8 +947,8 @@ def _record_bytes(geometry: Geometry) -> float:
 
 
 def _partitioned_join_local(
-    left_entries, right_entries, op, cfg, model, query, plan, events_query=None,
-    recovery=None, cache=None,
+    left_entries, right_entries, left_column, op, cfg, model, query, plan,
+    events_query=None, recovery=None, cache=None,
 ):
     """Skew-aware tiled join over in-memory collections.
 
@@ -979,7 +1016,8 @@ def _partitioned_join_local(
     # Whole-side columns built once; each tile gets zero-copy slices
     # (row-index arrays into the shared buffers) instead of fresh
     # object lists for build and probe.
-    left_column = GeometryColumn.from_entries(left_entries)
+    if left_column is None:
+        left_column = GeometryColumn.from_entries(left_entries)
     right_column = GeometryColumn.from_entries(
         (pair, pair[1]) for pair in right_entries
     )

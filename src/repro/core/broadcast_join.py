@@ -10,7 +10,7 @@ Fig 2 (Scala)                          here
 =====================================  =====================================
 ``sc.textFile(...).map(_.split)``      :func:`read_geometry_pairs`
 ``.zipWithIndex()``                    ``.zip_with_index()``
-``Try(new WKTReader().read(...))``     ``WKTReader.try_read`` + filter
+``Try(new WKTReader().read(...))``     ``parse_wkt_column`` (drops counted)
 ``val strtree = new STRtree()``        :class:`~repro.core.probe.BroadcastIndex`
 ``y.expandBy(radius)``                 ``BroadcastIndex(radius=...)``
 ``sc.broadcast(strtree)``              ``sc.broadcast(index)``
@@ -24,12 +24,13 @@ from typing import Any
 
 from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
+from repro.columnar.column import GeometryColumn
+from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry import wkb as wkb_mod
-from repro.geometry.wkt import WKTReader
 from repro.obs.events import install_event_log
 from repro.obs.registry import REGISTRY
 from repro.obs.tracer import get_tracer
@@ -60,23 +61,36 @@ def read_geometry_pairs(
     and *drop* rows whose WKT fails to parse (the ``Try``/``isSuccess``
     filter) instead of failing the job.  Every dropped row is counted
     in ``spark.rows_skipped``.
+
+    Each partition is parsed in one bulk pass
+    (:func:`~repro.columnar.io.parse_wkt_column`); the charges stay per
+    row.  A partition of points comes back as :class:`ColumnRecords` — it
+    iterates as ``(record_id, geometry)`` records for any RDD operator,
+    and :func:`broadcast_spatial_join` probes its column directly.
     """
 
-    def parse(pair: tuple[list[str], int]):
-        fields, record_id = pair
-        if geometry_index >= len(fields):
-            REGISTRY.inc("spark.rows_skipped")
-            return []
-        text = fields[geometry_index]
+    def parse_partition(pairs):
         task = current_task()
-        task.add(Resource.WKT_BYTES, len(text) * cost_weight)
-        # Two pipeline hops per record (zipWithIndex pass + parse pass).
-        task.add(Resource.RDD_RECORDS, 2.0)
-        geometry = WKTReader().try_read(text)
-        if geometry is None:
-            REGISTRY.inc("spark.rows_skipped")
-            return []
-        return [(record_id, geometry)]
+        texts: list[str] = []
+        record_ids: list[int] = []
+        skipped = 0
+        for fields, record_id in pairs:
+            if geometry_index >= len(fields):
+                skipped += 1
+                continue
+            text = fields[geometry_index]
+            task.add(Resource.WKT_BYTES, len(text) * cost_weight)
+            # Two pipeline hops per record (zipWithIndex pass + parse pass).
+            task.add(Resource.RDD_RECORDS, 2.0)
+            texts.append(text)
+            record_ids.append(record_id)
+        parsed, dropped = parse_wkt_column(texts, record_ids)
+        skipped += len(dropped)
+        if skipped:
+            REGISTRY.inc("spark.rows_skipped", skipped)
+        if isinstance(parsed, GeometryColumn):
+            return ColumnRecords(parsed)
+        return parsed
 
     if num_partitions is None:
         # Spark's rule of thumb: ~2 tasks per core keeps the dynamic
@@ -85,7 +99,29 @@ def read_geometry_pairs(
     data = sc.text_file(path, num_partitions).map(
         lambda line: line.split(separator)
     ).zip_with_index()
-    return data.flat_map(parse)
+    return data.map_partitions(parse_partition)
+
+
+class ColumnRecords:
+    """A parsed partition: ``(record_id, geometry)`` records over a column.
+
+    It is its own iterator, so it survives ``MapPartitionsRDD.compute``'s
+    ``iter()`` and reaches the next operator as itself: one that wants
+    the rows packed reads ``column`` (the whole partition), any other
+    just iterates, and gets one ``Point`` built per record consumed.
+    """
+
+    __slots__ = ("column", "_records")
+
+    def __init__(self, column: GeometryColumn):
+        self.column = column
+        self._records = column.entries()
+
+    def __iter__(self) -> "ColumnRecords":
+        return self
+
+    def __next__(self) -> tuple[int, Geometry]:
+        return next(self._records)
 
 
 def read_geometry_pairs_wkb(
@@ -196,18 +232,24 @@ def broadcast_spatial_join(
         bc_span.add_sim(sc.broadcast_overhead_seconds - ship_before)
 
     def query_rtree_partition(rows):
-        rows = list(rows)
-        if not rows:
+        if isinstance(rows, ColumnRecords):
+            # A freshly parsed partition: probe the packed coordinates,
+            # no Point is ever built.
+            probes = rows.column
+            left_ids = probes.payloads()
+        else:
+            rows = list(rows)
+            probes = [geometry for _, geometry in rows]
+            left_ids = [left_id for left_id, _ in rows]
+        if not left_ids:
             return []
-        matches_per_row, totals = index_broadcast.value.probe_batch(
-            geometry for _, geometry in rows
-        )
+        matches_per_row, totals = index_broadcast.value.probe_batch(probes)
         task = current_task()
         for resource, amount in totals.items():
             task.add(resource, amount)
         return [
             (left_id, right_id)
-            for (left_id, _), matches in zip(rows, matches_per_row)
+            for left_id, matches in zip(left_ids, matches_per_row)
             for right_id in matches
         ]
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.cluster.model import Resource
+from repro.columnar.column import GeometryColumn
+from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.geometry.wkt import WKTReader
@@ -61,7 +63,7 @@ def build_spatial_index(
 def probe_wkt_rows(
     index: BroadcastIndex, texts: Iterable[object]
 ) -> tuple[list[list | None], list[dict[str, float]]]:
-    """Probe one row batch's WKT column: parse, bulk-probe, batch-refine.
+    """Probe one row batch's WKT column: bulk-parse, bulk-probe, batch-refine.
 
     Returns ``(matches_per_row, units_per_row)``.  A row whose value is
     not a string or fails to parse is dropped: its matches slot is
@@ -71,22 +73,24 @@ def probe_wkt_rows(
     charges — so per-row simulated seconds, and with them the OpenMP
     static-chunk makespans behind Tables 1-2, are those of the row loop.
     """
-    units_per_row: list[dict[str, float]] = []
-    geometries = []
-    for text in texts:
-        units: dict[str, float] = {}
-        geometry = None
-        if isinstance(text, str):
-            units[Resource.WKT_BYTES] = float(len(text))
-            geometry = _READER.try_read(text)
-        units_per_row.append(units)
-        geometries.append(geometry)
-    matches_per_row, probe_units = index.probe_batch(geometries, per_row=True)
-    for row, geometry in enumerate(geometries):
-        if geometry is None:
-            matches_per_row[row] = None
-        else:
-            units_per_row[row].update(probe_units[row])
+    texts = list(texts)
+    units_per_row: list[dict[str, float]] = [
+        {Resource.WKT_BYTES: float(len(text))} if isinstance(text, str) else {}
+        for text in texts
+    ]
+    # Row positions ride along as payloads, so the kept rows say where
+    # they came from.
+    parsed, _ = parse_wkt_column(texts, range(len(texts)))
+    if isinstance(parsed, GeometryColumn):
+        kept, probes = parsed.payloads(), parsed
+    else:
+        kept = [row for row, _ in parsed]
+        probes = [geometry for _, geometry in parsed]
+    matches, probe_units = index.probe_batch(probes, per_row=True)
+    matches_per_row: list[list | None] = [None] * len(texts)
+    for row, row_matches, units in zip(kept, matches, probe_units):
+        matches_per_row[row] = row_matches
+        units_per_row[row].update(units)
     return matches_per_row, units_per_row
 
 

@@ -12,17 +12,30 @@ We reproduce that axis with two engines over the *same* geometry model:
   right-side geometries are prepared once (strip-indexed edge tables,
   contiguous segment buffers) and probed with vectorised kernels.
 
-* :class:`SlowGeometryEngine` — models GEOS's behaviour: every predicate
-  call rebuilds fresh per-call coordinate objects (the small-object churn)
-  and walks them with a scalar loop, discarding all work afterwards.
+* :class:`SlowGeometryEngine` — models GEOS's behaviour: every scalar
+  predicate call rebuilds fresh per-call coordinate objects (the
+  small-object churn) and walks them with a scalar loop, discarding all
+  work afterwards.
 
 Both engines produce identical predicate results; only cost differs — so
 swapping engines in a join changes Table 1/2 runtimes but never results.
+
+Modelled work is *charged*, not *performed*, on the query paths.  The
+cost model bills the library the paper ran — JTS's full edge scan for the
+fast engine (whose strip index does less), GEOS's clone-and-walk for the
+slow one — through the ``vertex_ops`` / ``allocations`` counters, and the
+batch kernels every join calls advance those counters arithmetically
+around vectorised numpy code.  The slow engine's churn is acted out only
+by its scalar predicates (``point_within``, ``point_within_distance``,
+``point_distance``): they are the reference its batch kernels are tested
+against, counter for counter, and the engine the Section V.B wall-clock
+micro-benchmark (``benchmarks/test_geometry_engines.py``) measures.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -35,8 +48,11 @@ from repro.geometry.multi import MultiLineString, MultiPolygon
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.prepared import (
+    _BATCH_CELL_BUDGET,
     PreparedLineString,
     PreparedPolygon,
+    _edges_contain_batch,
+    _envelope_within_distance,
     prepare_cached,
 )
 from repro.geometry.algorithms import distance as distance_mod
@@ -360,12 +376,13 @@ class _Coordinate:
 class SlowGeometryEngine:
     """Object-churning engine (the GEOS-like slow path).
 
-    ``prepare`` returns the raw geometry; every predicate call then
+    ``prepare`` returns the raw geometry; every scalar predicate call then
     materialises throwaway Python-level coordinate objects before running
     a scalar loop — reproducing the allocate/compute/destroy pattern the
     paper identified as GEOS's bottleneck.  The churn factor is real work
     (not a sleep), so wall-clock microbenchmarks show the same 3-4x gap
-    the paper measured.
+    the paper measured.  The batch kernels the joins call charge that
+    work (same counters, same per-point shares) without performing it.
     """
 
     name = "slow"
@@ -509,16 +526,22 @@ class SlowGeometryEngine:
 
     # -- batch kernels ----------------------------------------------------
     #
-    # GEOS has no columnar path: the slow engine satisfies the batch
-    # interface with a per-point scalar loop, preserving the JTS/GEOS cost
-    # axis (churn and all) while recording each point's counter share.
+    # GEOS has no columnar path, and the cost model does not need one acted
+    # out: the two kernels the query paths call (Within on polygons,
+    # NearestD on polylines) evaluate the churn loop's *own* IEEE
+    # expressions over arrays and advance the counters arithmetically, so
+    # results, per-point charges and totals are those of N scalar calls
+    # while no ``_Coordinate`` is ever built.  The scalar predicates above
+    # stay the reference (and the engine the Section V.B micro-benchmark
+    # times); every other handle type, and ``distance_batch``, keeps the
+    # per-point scalar loop.  The handle's type picks the route.
 
     def contains_batch(self, handle: object, xs, ys) -> np.ndarray:
-        """Batched :meth:`point_within` via the scalar churn loop."""
+        """Batched :meth:`point_within` returning a boolean array."""
         return self.contains_batch_counted(handle, xs, ys)[0]
 
     def within_distance_batch(self, handle: object, xs, ys, d: float) -> np.ndarray:
-        """Batched :meth:`point_within_distance` via the scalar churn loop."""
+        """Batched :meth:`point_within_distance` returning a boolean array."""
         return self.within_distance_batch_counted(handle, xs, ys, d)[0]
 
     def distance_batch(self, handle: object, xs, ys) -> np.ndarray:
@@ -526,19 +549,48 @@ class SlowGeometryEngine:
         return self.distance_batch_counted(handle, xs, ys)[0]
 
     def contains_batch_counted(self, handle, xs, ys):
-        return self._scalar_batch(
-            lambda point: self.point_within(point, handle), xs, ys, bool
-        )
+        if isinstance(handle, Polygon):
+            parts = (handle,)
+        elif isinstance(handle, MultiPolygon):
+            parts = handle.parts
+        else:
+            return self._scalar_batch(
+                lambda point: self.point_within(point, handle), xs, ys, bool
+            )
+        results, churned, _ = _first_hit_over_parts(parts, xs, ys, _polygon_hits)
+        return self._charged(len(results), results, churned)
 
     def within_distance_batch_counted(self, handle, xs, ys, d):
-        return self._scalar_batch(
-            lambda point: self.point_within_distance(point, handle, d), xs, ys, bool
+        multi = isinstance(handle, MultiLineString)
+        if not multi and (not isinstance(handle, LineString) or handle.is_empty):
+            return self._scalar_batch(
+                lambda point: self.point_within_distance(point, handle, d), xs, ys, bool
+            )
+        results, churned, reached = _first_hit_over_parts(
+            handle.parts if multi else (handle,),
+            xs,
+            ys,
+            lambda part, px, py: _line_hits(part, px, py, d),
         )
+        # The scalar any() re-enters point_within_distance once per part
+        # a point reaches.
+        calls = len(results) + (reached if multi else 0)
+        return self._charged(calls, results, churned)
 
     def distance_batch_counted(self, handle, xs, ys):
         return self._scalar_batch(
             lambda point: self.point_distance(point, handle), xs, ys, np.float64
         )
+
+    def _charged(self, calls: int, results: np.ndarray, churned: np.ndarray):
+        """Advance the counters as the churn loop would have — one vertex
+        op and one allocation per cloned coordinate — and shape the
+        ``*_counted`` return value."""
+        total = int(churned.sum())
+        self.counters.predicate_calls += calls
+        self.counters.vertex_ops += total
+        self.counters.allocations += total
+        return results, churned, churned.copy()
 
     def _scalar_batch(self, call, xs, ys, dtype):
         n = len(xs)
@@ -553,6 +605,141 @@ class SlowGeometryEngine:
             vertex[i] = counters.vertex_ops - vertex_before
             alloc[i] = counters.allocations - alloc_before
         return results, vertex, alloc
+
+
+def _first_hit_over_parts(parts, xs, ys, part_hits):
+    """``any(hit(point, part) for part in parts if not part.is_empty)``
+    for many points, with any()'s early exit.
+
+    ``part_hits(part, px, py)`` answers one part for the points still
+    active and says what the churn loop would have cloned for each (a
+    count, or an array of counts); a point leaves the active set at its
+    first hit, so later parts neither test nor charge it.  Returns
+    ``(results, churned per point, part evaluations summed over points)``.
+    """
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    results = np.zeros(len(xs), dtype=bool)
+    churned = np.zeros(len(xs), dtype=np.int64)
+    reached = 0
+    active = np.arange(len(xs))
+    for part in parts:
+        if active.size == 0:
+            break
+        if part.is_empty:
+            continue
+        reached += len(active)
+        hit, cloned = part_hits(part, xs[active], ys[active])
+        churned[active] += cloned
+        results[active[hit]] = True
+        active = active[~hit]
+    return results, churned, reached
+
+
+def _polygon_hits(polygon: Polygon, px: np.ndarray, py: np.ndarray):
+    """``_point_in_churned_polygon`` for many points: every ring is
+    cloned for every point, then the shell's envelope gates the edge walk."""
+    table, num_vertices, (min_x, min_y, max_x, max_y) = _churn_tables(polygon)
+    inside = np.flatnonzero((min_x <= px) & (px <= max_x) & (min_y <= py) & (py <= max_y))
+    hit = np.zeros(len(px), dtype=bool)
+    hit[inside] = _edges_contain_batch(table, px[inside], py[inside])
+    return hit, num_vertices
+
+
+def _line_hits(line: LineString, px: np.ndarray, py: np.ndarray, d: float):
+    """``point_within_distance`` against one polyline for many points: an
+    envelope-pruned line is never cloned, so it charges nothing."""
+    near = _envelope_within_distance(line.envelope, px, py, d)
+    hit = np.zeros(len(px), dtype=bool)
+    hit[near] = _segments_within(_churn_tables(line), px[near], py[near], d)
+    return hit, near * len(line.coords)
+
+
+# Edge / segment tables behind the slow engine's vector kernels, memoised
+# per process by geometry identity (the entry pins its geometry, so an id
+# cannot be recycled while it is a key; coordinate buffers are read-only).
+_CHURN_TABLE_CAPACITY = 4096
+_churn_table_cache: OrderedDict[int, tuple[Geometry, tuple]] = OrderedDict()
+
+
+def _churn_tables(part: Polygon | LineString) -> tuple:
+    entry = _churn_table_cache.get(id(part))
+    if entry is not None and entry[0] is part:
+        _churn_table_cache.move_to_end(id(part))
+        return entry[1]
+    tables = _polygon_tables(part) if isinstance(part, Polygon) else _line_tables(part)
+    _churn_table_cache[id(part)] = (part, tables)
+    while len(_churn_table_cache) > _CHURN_TABLE_CAPACITY:
+        _churn_table_cache.popitem(last=False)
+    return tables
+
+
+def _polygon_tables(polygon: Polygon) -> tuple:
+    """``(edge table, ring-vertex count, shell envelope)`` of one polygon.
+
+    One *unstripped* table over every ring's edges, with the constants of
+    ``_point_in_churned_polygon``: an unscaled +-1e-12 box and a
+    ``1e-12 * scale`` cross bound per edge.
+    """
+    edges = np.concatenate(
+        [np.hstack([ring.coords[:-1], ring.coords[1:]]) for ring in polygon.rings]
+    )
+    shell = polygon.rings[0].coords
+    envelope = (
+        float(shell[:, 0].min()),
+        float(shell[:, 1].min()),
+        float(shell[:, 0].max()),
+        float(shell[:, 1].max()),
+    )
+    num_vertices = sum(len(ring.coords) for ring in polygon.rings)
+    return PreparedPolygon._numpy_strip_table(edges), num_vertices, envelope
+
+
+def _line_tables(line: LineString) -> tuple:
+    """``(x1, y1, dx, dy, seg_len_sq)`` per segment of one (non-empty,
+    so two-or-more-vertex) polyline."""
+    coords = line.coords
+    x1 = np.ascontiguousarray(coords[:-1, 0])
+    y1 = np.ascontiguousarray(coords[:-1, 1])
+    dx = coords[1:, 0] - x1
+    dy = coords[1:, 1] - y1
+    return x1, y1, dx, dy, dx * dx + dy * dy
+
+
+def _segments_within(tables: tuple, px: np.ndarray, py: np.ndarray, d: float) -> np.ndarray:
+    """``_churned_line_distance(px, py, line) <= d`` for many points.
+
+    Everything up to the hypot is the loop's own arithmetic, elementwise;
+    np.hypot and math.hypot may differ in the last ulp, so a point whose
+    minimum lands within rounding reach of ``d`` is re-decided with
+    math.hypot over the same hypot arguments.
+    """
+    x1, y1, dx, dy, seg_len_sq = tables
+    degenerate = seg_len_sq == 0.0
+    out = np.empty(len(px), dtype=bool)
+    chunk = max(1, _BATCH_CELL_BUDGET // len(x1))
+    tolerance = 1e-9 * max(abs(d), 1.0)
+    for lo in range(0, len(px), chunk):
+        X = px[lo : lo + chunk, None]
+        Y = py[lo : lo + chunk, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = ((X - x1) * dx + (Y - y1) * dy) / seg_len_sq
+        # A zero-length segment measures to its start point: x1 + 0 * dx.
+        t = np.where(degenerate, 0.0, np.clip(t, 0.0, 1.0))
+        off_x = X - (x1 + t * dx)
+        off_y = Y - (y1 + t * dy)
+        # fmin skips NaN candidates, as the loop's ``candidate < best`` does.
+        best = np.fmin.reduce(np.hypot(off_x, off_y), axis=1, initial=np.inf)
+        within = best <= d
+        for i in np.flatnonzero(np.abs(best - d) <= tolerance):
+            exact = math.inf
+            for a, b in zip(off_x[i].tolist(), off_y[i].tolist()):
+                candidate = math.hypot(a, b)
+                if candidate < exact:
+                    exact = candidate
+            within[i] = exact <= d
+        out[lo : lo + chunk] = within
+    return out
 
 
 _ENGINES = {

@@ -317,6 +317,24 @@ def _edges_contain_batch(table: np.ndarray, px: np.ndarray, py: np.ndarray) -> n
     return out
 
 
+def _envelope_within_distance(envelope, xs: np.ndarray, ys: np.ndarray, d: float) -> np.ndarray:
+    """Mask of the points a scalar ``envelope.distance_to_point(x, y) > d``
+    prune lets through.
+
+    np.hypot and math.hypot may round differently in the last ulp, so
+    borderline points are re-decided with math.hypot, which is what the
+    scalar prune uses — the mask agrees with N scalar tests exactly.
+    """
+    dxe = np.maximum(np.maximum(envelope.min_x - xs, xs - envelope.max_x), 0.0)
+    dye = np.maximum(np.maximum(envelope.min_y - ys, ys - envelope.max_y), 0.0)
+    env_d = np.hypot(dxe, dye)
+    live = env_d <= d
+    borderline = np.flatnonzero(np.abs(env_d - d) <= 1e-9 * max(abs(d), 1.0))
+    for i in borderline:
+        live[i] = math.hypot(float(dxe[i]), float(dye[i])) <= d
+    return live
+
+
 class PreparedLineString:
     """A polyline preprocessed for fast repeated distance queries."""
 
@@ -510,20 +528,7 @@ class PreparedLineString:
         examined = np.ones(n, dtype=np.int64)
         if n == 0:
             return within, examined
-        env = self.envelope
-        dxe = np.maximum(np.maximum(env.min_x - xs, xs - env.max_x), 0.0)
-        dye = np.maximum(np.maximum(env.min_y - ys, ys - env.max_y), 0.0)
-        env_d = np.hypot(dxe, dye)
-        live = env_d <= d
-        # np.hypot and math.hypot may round differently in the last ulp;
-        # re-decide borderline prunes with math.hypot, which is what the
-        # scalar path uses, so the examined counts agree exactly.
-        borderline = np.flatnonzero(
-            np.abs(env_d - d) <= 1e-9 * max(abs(d), 1.0)
-        )
-        for i in borderline:
-            live[i] = math.hypot(float(dxe[i]), float(dye[i])) <= d
-        idx = np.flatnonzero(live)
+        idx = np.flatnonzero(_envelope_within_distance(self.envelope, xs, ys, d))
         if len(idx) == 0:
             return within, examined
         d_sq = d * d

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable
 
-from repro.errors import WKTParseError
+from repro.errors import GeometryError, WKTParseError
 from repro.geometry.base import Geometry, GeometryType
 from repro.geometry.linestring import LineString
 from repro.geometry.multi import (
@@ -214,11 +214,15 @@ class WKTReader:
 
         This is the Python analogue of ``Try(new WKTReader().read(...))``
         followed by ``.filter(_._2.isSuccess)`` in the paper's Fig 2 —
-        dirty rows are dropped rather than failing the job.
+        dirty rows are dropped rather than failing the job.  A row that
+        tokenizes but cannot be constructed (``POINT (nan 2)``, an
+        unclosed ring, a one-coordinate line) is as dirty as one that
+        does not tokenize, so the whole :class:`GeometryError` family
+        counts as failure.
         """
         try:
             return self.read(text)
-        except WKTParseError:
+        except GeometryError:
             return None
 
     # -- grammar ----------------------------------------------------------

@@ -49,7 +49,7 @@ from repro.runtime.faults import InjectedFaultError
 from repro.runtime.pool import current_worker_id, make_pool, picklable_error
 from repro.runtime.recovery import RecoveryContext, resolve_faults
 from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
-from repro.spark.shuffle import estimate_bytes
+from repro.spark.shuffle import estimate_bytes, records_bytes
 from repro.spark.taskcontext import task_scope
 
 __all__ = ["QueryResult", "ImpalaBackend"]
@@ -544,7 +544,7 @@ class ImpalaBackend:
                     (tuple(fn(row) for fn in order_key_fns), projector(row))
                     for row in root.rows()
                 ]
-                exchange = sum(estimate_bytes(r) for r in keyed)
+                exchange = records_bytes(keyed)
                 payload = ("rows", keyed)
             # Result exchange crosses the network only on a real
             # cluster; single-node results land in a local buffer.

@@ -564,8 +564,8 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     parse_wkt = any(isinstance(g, str) for _, g in left) or any(
         isinstance(g, str) for _, g in right
     )
-    left_entries = _normalise(left, None)
-    right_entries = _normalise(right, None)
+    left_entries, _ = _normalise(left)
+    right_entries, _ = _normalise(right)
     model = cfg.cost_model or CostModel()
     cache = cache_for(cfg.resolved_runtime())
     cached_build = False

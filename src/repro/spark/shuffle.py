@@ -73,10 +73,27 @@ def estimate_bytes(record: Any) -> int:
 _SCALAR_TYPES = (int, float, bool)
 
 
-def records_bytes(records) -> int:
-    """Bulk :func:`estimate_bytes` over one shuffle bucket.
+def _flat_tuple_bytes(values: tuple) -> int | None:
+    """:func:`estimate_bytes` of a tuple of scalars / ``None`` / strings,
+    without the stack walk; ``None`` when it holds anything else."""
+    total = 8
+    for value in values:
+        kind = type(value)
+        if kind in _SCALAR_TYPES:
+            total += 8
+        elif value is None:
+            total += 1
+        elif kind is str:
+            total += len(value) if value.isascii() else len(value.encode("utf-8"))
+        else:
+            return None
+    return total
 
-    Three cases, cheapest first:
+
+def records_bytes(records) -> int:
+    """Bulk :func:`estimate_bytes` over one shuffle bucket or exchange.
+
+    Four cases, cheapest first:
 
     * a :class:`~repro.columnar.block.ColumnBlock` carries its exact
       object-path total in ``charge_bytes`` — return it directly;
@@ -84,6 +101,8 @@ def records_bytes(records) -> int:
       with scalar key/id sizes to ``56 + 16 * num_points`` without
       walking the container (byte-for-byte what the generic walk
       produces for that shape);
+    * the result-exchange shape ``(order_key_tuple, row_tuple)`` — two
+      flat tuples of scalars, ``None`` and strings — sizes arithmetically;
     * anything else falls back to the per-record estimator.
 
     The returned total is identical to ``sum(estimate_bytes(r) for r in
@@ -95,18 +114,24 @@ def records_bytes(records) -> int:
         return int(charge)
     total = 0
     for record in records:
-        if (
-            type(record) is tuple
-            and len(record) == 2
-            and type(record[0]) in _SCALAR_TYPES
-            and type(record[1]) is tuple
-            and len(record[1]) == 2
-            and type(record[1][0]) in _SCALAR_TYPES
-        ):
-            num_points = getattr(record[1][1], "num_points", None)
-            if num_points is not None:
-                total += 56 + 16 * int(num_points)
-                continue
+        if type(record) is tuple and len(record) == 2:
+            key, value = record
+            if type(value) is tuple:
+                if type(key) is tuple:
+                    key_bytes = _flat_tuple_bytes(key)
+                    value_bytes = _flat_tuple_bytes(value)
+                    if key_bytes is not None and value_bytes is not None:
+                        total += 8 + key_bytes + value_bytes
+                        continue
+                elif (
+                    type(key) in _SCALAR_TYPES
+                    and len(value) == 2
+                    and type(value[0]) in _SCALAR_TYPES
+                ):
+                    num_points = getattr(value[1], "num_points", None)
+                    if num_points is not None:
+                        total += 56 + 16 * int(num_points)
+                        continue
         total += estimate_bytes(record)
     return total
 

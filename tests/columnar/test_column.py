@@ -13,13 +13,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.columnar import GeometryColumn, column_from_wkt
+from repro.columnar import GeometryColumn, column_from_wkt, parse_wkt_column
+from repro.errors import GeometryError, WKTParseError
 from repro.geometry.linestring import LineString
 from repro.geometry.multi import MultiLineString, MultiPoint, MultiPolygon
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.wkt import dumps, loads
+from repro.geometry.wkt import WKTReader, dumps, loads
 
 
 def square(x, y, side=1.0):
@@ -287,3 +289,143 @@ class TestBulkWKT:
     def test_payload_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             column_from_wkt(["POINT (1 2)"], payloads=[1, 2])
+
+    # Strings numpy's (= Python's) float() reads more liberally than the
+    # WKT tokenizer, or refuses: a `\S+` capture took the first two for
+    # (10, 2) and (1, 2), and let the last three abort the whole batch
+    # with a bare ValueError.
+    @pytest.mark.parametrize(
+        "bad",
+        ["POINT (1_0 2)", "POINT (\uff11 2)", "POINT (1,5 2)", "POINT (0x10 2)", "POINT (1e 2)"],
+    )
+    def test_number_capture_is_the_tokenizer_s(self, bad):
+        with pytest.raises(WKTParseError):
+            loads(bad)
+        texts = ["POINT (0 0.5)", bad, "POINT (3 4)"]
+        with pytest.raises(WKTParseError):
+            column_from_wkt(texts)
+        parsed, dropped = parse_wkt_column(texts, ["a", "b", "c"])
+        assert dropped == [1]
+        assert isinstance(parsed, GeometryColumn)  # its neighbours still parse
+        assert list(parsed.entries()) == [("a", Point(0, 0.5)), ("c", Point(3, 4))]
+
+    def test_non_point_batch_comes_back_as_entries(self):
+        texts = ["POINT (1 2)", dumps(square(5, 5)), "LINESTRING (0 0", "POINT EMPTY"]
+        parsed, dropped = parse_wkt_column(texts, [10, 11, 12, 13])
+        assert dropped == [2]
+        assert [payload for payload, _ in parsed] == [10, 11, 13]
+        assert [type(g) for _, g in parsed] == [Point, Polygon, Point]
+        assert parsed[2][1].is_empty
+
+    def test_empty_batch(self):
+        parsed, dropped = parse_wkt_column([])
+        assert len(parsed) == 0 and dropped == []
+
+
+_GOOD_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(
+        ["1", "+1", "-1", "1.", ".5", "-.5", "+.5e1", "1e5", "1E5", "1e+5", "1E-5",
+         "-0.0", "-0", "0", "1e999", "-1e999", "1e-999", "00012.50"]
+    ),
+)
+_ODD_NUMBERS = st.sampled_from(
+    ["inf", "-inf", "Infinity", "infinity", "nan", "NaN", "1_0", "\uff11", "1,5", "0x10",
+     "1e", "e5", "E", "+-1", "--1", "1.2.3", ".", "-", "+", "1e5.5", "1 2", "", "1d5", "\u0661"]
+)
+_NUMBERS = st.one_of(_GOOD_NUMBERS, _GOOD_NUMBERS, _ODD_NUMBERS)
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n", "\u00a0", "\x1c", "\u2003"])
+# (what the grammar takes, what it might be handed instead) per slot of
+# ``<ws>POINT<ws>(<ws>x<ws+>y<ws>)<ws>``.
+_SLOTS = [
+    (_SPACE, st.sampled_from(["x", "("])),
+    (st.sampled_from(["POINT", "point", "Point", "pOiNt", "PO\u0131NT"]),
+     st.sampled_from(["POINTZ", "POINT Z", "P\u0130NT", "POINT EMPTY", "POIN",
+                      "MULTIPOINT", "LINESTRING", ""])),
+    (_SPACE, st.sampled_from(["_", "EMPTY"])),
+    (st.just("("), st.sampled_from(["((", "", "[", "()"])),
+    (_SPACE, st.just("+ ")),
+    (_GOOD_NUMBERS, _ODD_NUMBERS),
+    (st.sampled_from([" ", "  ", "\t", "\n ", "\u00a0"]), st.sampled_from(["", ",", ", "])),
+    (_GOOD_NUMBERS, _ODD_NUMBERS),
+    (_SPACE, st.sampled_from([" 3", ", 3 4", " z"])),
+    (st.just(")"), st.sampled_from(["))", "", "]"])),
+    (_SPACE, st.sampled_from(["x", " POINT (1 2)", ")", " 7", ","])),
+]
+
+
+@st.composite
+def _point_rows(draw):
+    """A point row in any accepted spelling, with at most one slot odd."""
+    odd = draw(st.integers(-len(_SLOTS), len(_SLOTS) - 1))  # negative: none
+    return "".join(
+        draw(oddity if slot == odd else accepted)
+        for slot, (accepted, oddity) in enumerate(_SLOTS)
+    )
+
+
+_POINT_ROWS = _point_rows()
+_OTHER_ROWS = st.sampled_from(
+    [
+        "POINT (1 2)", "POINT(-73.98765432109876 40.12345678901234)",
+        "POINT EMPTY", "POINT (1 2 3)", "POINT Z (1 2 3)", "POINT (nan 2)", "POINT (inf 2)",
+        "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))", "POLYGON ((0 0, 1 1, 0 0))",
+        "LINESTRING (0 0, 1 1)", "LINESTRING (0 0, 1", "LINESTRING (0 0)",
+        "MULTIPOINT (1 2, 3 4)", "GEOMETRYCOLLECTION (POINT (1 2))", "garbage", "",
+        None, 7, 2.5, b"POINT (1 2)", ("POINT (1 2)",),
+    ]
+)
+
+
+def _same_geometry(a, b) -> bool:
+    if type(a) is not type(b) or a.is_empty != b.is_empty:
+        return False
+    if isinstance(a, Point) and not a.is_empty:
+        return (a.x.hex(), a.y.hex()) == (b.x.hex(), b.y.hex())
+    return a == b
+
+
+class TestBulkParserAgainstScalarReader:
+    """`parse_wkt_column` == `WKTReader.try_read` applied row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_POINT_ROWS, _POINT_ROWS, _OTHER_ROWS), max_size=12))
+    def test_accepts_rejects_and_coordinates(self, rows):
+        reader = WKTReader()
+        scalar = [reader.try_read(row) for row in rows]
+        parsed, dropped = parse_wkt_column(rows, list(range(len(rows))))
+        assert dropped == [i for i, geometry in enumerate(scalar) if geometry is None]
+        kept = [(i, geometry) for i, geometry in enumerate(scalar) if geometry is not None]
+        if isinstance(parsed, GeometryColumn):
+            # The point-only column: every kept row is a plain point.
+            assert all(type(g) is Point and not g.is_empty for _, g in kept)
+            got = list(parsed.entries())
+        else:
+            got = parsed
+        assert [payload for payload, _ in got] == [i for i, _ in kept]
+        for (_, geometry), (_, want) in zip(got, kept):
+            assert _same_geometry(geometry, want)
+        # The strict wrapper: raises the scalar reader's error iff a row
+        # was dropped, None iff the column model cannot hold a kept geometry.
+        if dropped:
+            with pytest.raises(GeometryError):
+                column_from_wkt(rows)
+        else:
+            column = column_from_wkt(rows)
+            holdable = GeometryColumn.from_entries(kept) is not None
+            assert (column is not None) == holdable
+            if column is not None:
+                assert len(column) == len(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_NUMBERS, _NUMBERS), min_size=1, max_size=20))
+    def test_number_forms_bit_identical(self, pairs):
+        rows = [f"POINT ({x} {y})" for x, y in pairs]
+        reader = WKTReader()
+        scalar = [reader.try_read(row) for row in rows]
+        parsed, dropped = parse_wkt_column(rows)
+        assert dropped == [i for i, geometry in enumerate(scalar) if geometry is None]
+        got = list(parsed.entries()) if isinstance(parsed, GeometryColumn) else parsed
+        for (_, geometry), want in zip(got, [g for g in scalar if g is not None]):
+            assert _same_geometry(geometry, want)

@@ -49,6 +49,30 @@ class TestRecordsBytes:
             estimate_bytes(record) for record in records
         )
 
+    def test_result_exchange_rows_size_arithmetically(self, monkeypatch):
+        # The Impala coordinator's keyed result rows: (ORDER BY key tuple,
+        # projected row tuple) of ints, floats, bools, None and strings.
+        import repro.spark.shuffle as shuffle
+
+        rows = [
+            ((), (17, 4)),
+            ((3, 2.5), (17, 4.25, None, "cell-3", True)),
+            ((), (None, "", "h\u00e9llo \u4e16\u754c")),  # UTF-8 length, not len()
+            (("zone", None), (1,)),
+            ((), ()),
+        ]
+        nested = ((1,), (1, (2, 3)))  # a nested value: the generic walk
+        want = sum(estimate_bytes(row) for row in rows)
+        walked = []
+        real = shuffle.estimate_bytes
+        monkeypatch.setattr(
+            shuffle, "estimate_bytes", lambda record: walked.append(record) or real(record)
+        )
+        assert records_bytes(rows) == want
+        assert walked == []  # none of them took the stack walk
+        assert records_bytes(rows + [nested]) == want + real(nested)
+        assert walked == [nested]
+
     def test_column_block_charges_object_path_total(self):
         records = routed_records(120)
         block = ColumnBlock.from_records(records)

@@ -225,3 +225,67 @@ class TestProbeBatchModes:
         matches, totals = index.probe_batch([])
         assert matches == []
         assert totals == {}
+
+
+class TestSlowEngineChargedNotPerformed:
+    """GEOS-modelled work is charged on the query paths, never acted out."""
+
+    @pytest.mark.parametrize("operator", ["within", "nearestd"])
+    def test_per_row_units_are_the_churn_loop_s(
+        self, operator, point_records, cell_records, line_records
+    ):
+        if operator == "within":
+            build, op, radius = cell_records, SpatialOperator.WITHIN, 0.0
+        else:
+            build, op, radius = line_records, SpatialOperator.NEAREST_D, 5.0
+        geometries = [g for _, g in point_records]
+        reference = BroadcastIndex(build, op, radius=radius, engine="slow")
+        scalar = [reference.probe_with_cost(g) for g in geometries]
+        index = BroadcastIndex(build, op, radius=radius, engine="slow")
+        matches, per_row = index.probe_batch(geometries, per_row=True)
+        assert matches == [m for m, _ in scalar]
+        assert per_row == [u for _, u in scalar]
+        assert index.engine.counters == reference.engine.counters
+        assert index.engine.counters.allocations > 0
+
+    def test_query_paths_never_churn(
+        self, monkeypatch, point_records, cell_records, line_records
+    ):
+        from repro.geometry import engine as engine_mod
+        from repro.hdfs import SimulatedHDFS, write_text
+        from repro.impala import ColumnType
+
+        def churned(self, x, y):
+            raise AssertionError("a query path churned a _Coordinate")
+
+        monkeypatch.setattr(engine_mod._Coordinate, "__init__", churned)
+        geometries = [g for _, g in point_records]
+        for build, op, radius in (
+            (cell_records, SpatialOperator.WITHIN, 0.0),
+            (line_records, SpatialOperator.NEAREST_D, 5.0),
+        ):
+            index = BroadcastIndex(build, op, radius=radius, engine="slow")
+            matches, totals = index.probe_batch(geometries)
+            assert sum(map(len, matches)) > 0
+            assert totals["refine_alloc"] == totals["refine_vertex_slow"] > 0
+
+        fs = SimulatedHDFS(block_size=4096)
+        write_text(fs, "/pnt.txt", [f"{i}\t{g.wkt()}" for i, g in point_records])
+        write_text(
+            fs, "/poly.txt", [f"{i}\t{g.wkt()}" for i, (_, g) in enumerate(cell_records)]
+        )
+        backend = ImpalaBackend(ClusterSpec(2, 2), hdfs=fs)  # engine="slow" is its default
+        schema = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
+        backend.metastore.create_table("pnt", schema, "/pnt.txt")
+        backend.metastore.create_table("poly", schema, "/poly.txt")
+        result = backend.execute(
+            "SELECT pnt.id, poly.id FROM pnt SPATIAL JOIN poly "
+            "WHERE ST_WITHIN(pnt.geom, poly.geom)"
+        )
+        assert sorted(result.rows) == sorted(
+            naive_spatial_join(
+                point_records,
+                [(i, g) for i, (_, g) in enumerate(cell_records)],
+                SpatialOperator.WITHIN,
+            )
+        )

@@ -89,6 +89,40 @@ class TestInMemoryAPI:
         )
         assert got == [(0, "cell")]
 
+    @pytest.mark.parametrize("method", ["auto", "broadcast", "partitioned", "naive"])
+    def test_wkt_and_object_inputs_agree(self, scenario, method):
+        # All-WKT sides are bulk-parsed into the column the probe runs on;
+        # sides mixing strings and objects fall back to entries.
+        points, polys = scenario["points"][:120], scenario["polys"]
+        as_wkt = [(i, g.wkt()) for i, g in points]
+        mixed = [(i, g.wkt() if i % 3 else g) for i, g in points]
+        right_wkt = [(i, g.wkt()) for i, g in polys]
+        truth = sorted(naive_spatial_join(points, polys, SpatialOperator.WITHIN))
+        for left, right in ((as_wkt, right_wkt), (mixed, polys), (as_wkt, polys)):
+            assert sorted(spatial_join(left, right, method=method)) == truth
+        # A point right side arrives packed too (NearestD against points).
+        near = spatial_join(as_wkt, as_wkt[:40], "nearestd", radius=3.0, method=method)
+        assert sorted(near) == sorted(
+            naive_spatial_join(points, points[:40], SpatialOperator.NEAREST_D, radius=3.0)
+        )
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [("POINT (1 x)", "expected a number"), ("POINT (nan 2)", "may not be NaN"),
+         ("POINT (1_0 2)", "unexpected character")],
+    )
+    def test_malformed_wkt_raises_the_scalar_reader_s_error(self, bad, error):
+        from repro.errors import GeometryError
+        from repro.geometry import wkt_loads
+
+        rows = [(0, "POINT (1 1)"), (1, bad), (2, "POINT (2 2)"), (3, "ALSO BAD")]
+        with pytest.raises(GeometryError, match=error) as raised:
+            spatial_join(rows, [("cell", "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")])
+        with pytest.raises(GeometryError) as reference:
+            wkt_loads(bad)
+        assert type(raised.value) is type(reference.value)
+        assert str(raised.value) == str(reference.value)
+
     def test_positional_variant(self):
         got = spatial_join_pairs(
             ["POINT (1 1)", "POINT (9 9)"],
@@ -135,14 +169,121 @@ class TestBroadcastJoin:
 
     def test_dirty_rows_dropped_and_counted(self, scenario):
         sc = fresh_sc(scenario)
+        # Rows 4-6 tokenize but cannot be constructed (GeometryError, not
+        # WKTParseError): they used to fail the job after four attempts.
         write_text(sc.hdfs, "/dirty.txt",
-                   ["0\tPOINT (1 1)", "1\tBROKEN WKT", "2\tPOINT (2 2)", "3"])
+                   ["0\tPOINT (1 1)", "1\tBROKEN WKT", "2\tPOINT (2 2)", "3",
+                    "4\tPOINT (nan 2)", "5\tPOLYGON ((0 0, 1 1, 0 0))",
+                    "6\tLINESTRING (0 0)"])
         with collecting() as registry:
             left = read_geometry_pairs(sc, "/dirty.txt", 1)
             right = sc.parallelize(scenario["polys"], 1)
             pairs = broadcast_spatial_join(sc, left, right, SpatialOperator.WITHIN)
             assert sorted(pairs.collect()) == [(0, 0), (2, 0)]
-            assert registry.counter("spark.rows_skipped") == 2.0  # drops leave a trace
+            assert registry.counter("spark.rows_skipped") == 5.0  # drops leave a trace
+
+
+def mixed_wkt_lines(rng, n=240):
+    """``id<TAB>WKT`` lines: mostly points, with a polygon, a broken line,
+    a too-short line, odd numbers and a line without a geometry column
+    scattered through them (so some partitions stay pure points)."""
+    oddities = [
+        "POLYGON ((10 10, 30 10, 30 30, 10 30, 10 10))", "LINESTRING (0 0, 1",
+        "LINESTRING (0 0)", "POINT (nan 2)", "POINT (1_0 2)", "POINT EMPTY",
+        "point(5 5)", "POINT (1e1 +2.5E1)", "POINT (1 2 3)", None,
+    ]
+    lines = []
+    for i in range(n):
+        if i % 16 == 7 and i // 16 < len(oddities):
+            text = oddities[i // 16]
+            lines.append(f"{i}" if text is None else f"{i}\t{text}")
+        else:
+            lines.append(f"{i}\tPOINT ({rng.uniform(0, 100)!r} {rng.uniform(0, 100)!r})")
+    return lines
+
+
+def scalar_records(lines):
+    """What `WKTReader.try_read`, line by line, keeps; and how many it drops."""
+    from repro.geometry.wkt import WKTReader
+
+    records, skipped = [], 0
+    for record_id, line in enumerate(lines):
+        fields = line.split("\t")
+        geometry = WKTReader().try_read(fields[1]) if len(fields) > 1 else None
+        if geometry is None:
+            skipped += 1
+        else:
+            records.append((record_id, geometry))
+    return records, skipped
+
+
+class TestBulkParsedPartitions:
+    """`read_geometry_pairs` parses a partition at a time; its RDD still
+    holds `(record_id, geometry)` records for every generic operator."""
+
+    @pytest.fixture
+    def loaded(self, scenario):
+        sc = fresh_sc(scenario)
+        lines = mixed_wkt_lines(random.Random(5))
+        write_text(sc.hdfs, "/mixed.txt", lines)
+        return sc, lines
+
+    def test_same_records_and_drops_as_the_scalar_reader(self, loaded):
+        sc, lines = loaded
+        want, skipped = scalar_records(lines)
+        with collecting() as registry:
+            got = read_geometry_pairs(sc, "/mixed.txt", 1, num_partitions=8).collect()
+            assert registry.counter("spark.rows_skipped") == float(skipped)
+        assert [record_id for record_id, _ in got] == [record_id for record_id, _ in want]
+        for (_, geometry), (_, reference) in zip(got, want):
+            assert type(geometry) is type(reference)
+            assert geometry.is_empty == reference.is_empty
+            assert geometry.is_empty or geometry.wkb() == reference.wkb()
+
+    def test_generic_operators_see_records(self, loaded):
+        sc, lines = loaded
+        want, _ = scalar_records(lines)
+        rdd = read_geometry_pairs(sc, "/mixed.txt", 1, num_partitions=8)
+        first = rdd.collect()
+        assert rdd.count() == len(want) == len(first)
+        assert rdd.collect() == first  # a second pass re-parses to equal records
+        assert all(type(record) is tuple and len(record) == 2 for record in first)
+        sampled = rdd.sample(0.5).collect()
+        assert 0 < len(sampled) < len(first)
+        assert sampled == rdd.sample(0.5).collect()
+        assert sampled == [record for record in first if record in set(sampled)]
+        assert rdd.map(lambda record: record[0]).take(3) == [0, 1, 2]
+        assert rdd.filter(lambda record: not record[1].is_empty).count() == len(want) - 1
+
+    def test_joins_agree_with_the_reference(self, loaded, scenario):
+        sc, lines = loaded
+        want, _ = scalar_records(lines)
+        truth = sorted(naive_spatial_join(want, scenario["polys"], SpatialOperator.WITHIN))
+        right = sc.parallelize(scenario["polys"], 2)
+        left = read_geometry_pairs(sc, "/mixed.txt", 1, num_partitions=8)
+        pairs = broadcast_spatial_join(sc, left, right, SpatialOperator.WITHIN)
+        assert sorted(pairs.collect()) == truth
+        tiled = partitioned_spatial_join(
+            sc, left, right, SpatialOperator.WITHIN, num_tiles=4
+        )
+        assert sorted(tiled.collect()) == truth
+
+    def test_cost_weight_charged_per_row_in_order(self, scenario):
+        # bench/runner.py passes non-integer weights: per-row sequential
+        # adds and one bulk sum round differently, and the pinned
+        # simulated seconds are the sequential ones.
+        from repro.cluster.model import Resource
+
+        fs = SimulatedHDFS(block_size=1 << 20)  # one block, one partition
+        lines = [f"{i}\t{g.wkt()}" for i, g in scenario["points"]]
+        write_text(fs, "/points.txt", lines)
+        sc = SparkContext(ClusterSpec(1, 1), hdfs=fs)
+        read_geometry_pairs(sc, "/points.txt", 1, num_partitions=1, cost_weight=1.1).count()
+        sequential = 0.0
+        for line in lines:
+            sequential += len(line.split("\t")[1]) * 1.1
+        assert sequential != sum(len(line.split("\t")[1]) for line in lines) * 1.1
+        assert sc.totals()[Resource.WKT_BYTES] == sequential
 
 
 class TestPartitionedJoin:

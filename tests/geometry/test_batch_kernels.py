@@ -230,6 +230,251 @@ class TestCounterParity:
         assert engine.counters.vertex_ops - before == int(vertex.sum())
 
 
+def scalar_counted(name, call, points):
+    """N scalar calls: results, per-point (vertex, alloc) deltas, counters."""
+    engine = create_engine(name)
+    results, vertex, alloc = [], [], []
+    for point in points:
+        vertex_before = engine.counters.vertex_ops
+        alloc_before = engine.counters.allocations
+        results.append(call(engine, point))
+        vertex.append(engine.counters.vertex_ops - vertex_before)
+        alloc.append(engine.counters.allocations - alloc_before)
+    return results, vertex, alloc, engine.counters
+
+
+def assert_counted_parity(name, geometry, points, d=None):
+    """One ``*_counted`` batch call == N scalar calls, in every output:
+    results, the three counters and the per-point vertex / alloc arrays."""
+    points = [Point(*p) if isinstance(p, tuple) else p for p in points]
+    probe = create_engine(name)
+    handle = probe.prepare(geometry)
+    xs, ys = batch_xy(points)
+    if d is None:
+        want = scalar_counted(name, lambda e, p: e.point_within(p, handle), points)
+        got = probe.contains_batch_counted(handle, xs, ys)
+    else:
+        want = scalar_counted(
+            name, lambda e, p: e.point_within_distance(p, handle, d), points
+        )
+        got = probe.within_distance_batch_counted(handle, xs, ys, d)
+    results, vertex, alloc, counters = want
+    assert got[0].tolist() == results
+    assert got[1].tolist() == vertex
+    assert got[2].tolist() == alloc
+    assert probe.counters == counters
+    return got
+
+
+def ring(num_edges, cx=0.0, cy=0.0, radius=5.0):
+    """A convex polygon with exactly ``num_edges`` edges."""
+    return Polygon(
+        [
+            (
+                cx + radius * np.cos(2 * np.pi * k / num_edges),
+                cy + radius * np.sin(2 * np.pi * k / num_edges),
+            )
+            for k in range(num_edges)
+        ]
+    )
+
+
+def boundary_probes(polygon):
+    """Vertices, edge midpoints, and points within ~1e-12 of both, for
+    every ring; plus the corners of the envelope and a hair outside it."""
+    probes = []
+    for poly_ring in polygon.rings:
+        coords = poly_ring.coords
+        for i in range(len(coords) - 1):
+            x1, y1 = (float(v) for v in coords[i])
+            x2, y2 = (float(v) for v in coords[i + 1])
+            mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+            probes += [
+                (x1, y1),
+                (mx, my),
+                (mx + 1e-12, my),
+                (mx, my - 5e-13),
+                (mx + 3e-12, my + 3e-12),
+                (x1 + 1e-12, y1 - 1e-12),
+                (x1, my),  # shares an x with a vertex
+                (mx, y1),  # shares a y with a vertex
+            ]
+            # Collinear, a hair past the edge's end: inside a box grown by
+            # an epsilon scaled to the edge, outside one grown by 1e-12.
+            length = float(np.hypot(x2 - x1, y2 - y1))
+            for reach in (5e-13, 4e-12):
+                probes.append(
+                    (x2 + (x2 - x1) / length * reach, y2 + (y2 - y1) / length * reach)
+                )
+    env = polygon.envelope
+    probes += [
+        (env.min_x, env.min_y),
+        (env.max_x, env.max_y),
+        (env.min_x - 1e-12, (env.min_y + env.max_y) / 2),
+        (env.max_x + 1e-12, (env.min_y + env.max_y) / 2),
+        ((env.min_x + env.max_x) / 2, env.max_y + 1e-12),
+        (env.max_x, (env.min_y + env.max_y) / 2),
+    ]
+    return probes
+
+
+@pytest.mark.parametrize("name", ["fast", "slow"])
+class TestCountedParityOnTheBoundary:
+    """The batch kernels against N scalar calls where rounding decides.
+
+    For the slow engine this is the identity the query paths rest on: its
+    batch kernels are vector code that never runs the churn loop, so only
+    these comparisons tie results, charges and per-point shares to it.
+    """
+
+    def test_edges_vertices_and_holes(self, name, unit_square, square_with_hole, l_shape):
+        for polygon in (unit_square, square_with_hole, l_shape):
+            assert_counted_parity(name, polygon, boundary_probes(polygon))
+
+    @pytest.mark.parametrize("num_edges", [3, 8, 47, 48, 49, 120])
+    def test_both_sides_of_the_scalar_threshold(self, name, num_edges, rng):
+        # Edges shorter than 1 (radius 5) and far longer (radius 400): the
+        # prepared tuples of <= 48-edge polygons scale their epsilon by the
+        # edge, the churn loop's box does not.
+        for radius in (5.0, 400.0):
+            polygon = ring(num_edges, cx=1.25, cy=-0.75, radius=radius)
+            scattered = [
+                (rng.uniform(-1.2, 1.2) * radius, rng.uniform(-1.2, 1.2) * radius)
+                for _ in range(80)
+            ]
+            assert_counted_parity(name, polygon, boundary_probes(polygon) + scattered)
+
+    def test_multipolygon_first_part_hit_stops_the_charges(self, name):
+        first = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+        second = ring(60, cx=2.0, cy=2.0, radius=1.5)  # overlaps the first
+        third = Polygon([(10, 10), (12, 10), (11, 12)])
+        multi = MultiPolygon([first, second, third])
+        points = [(2, 2), (0, 0), (11, 10.5), (3.9, 3.9), (20, 20), (2, 3.4)]
+        _, vertex, alloc = assert_counted_parity(name, multi, points)
+        if name == "slow":
+            # (2, 2) hits the first part: charged its 5 ring vertices only.
+            assert vertex[0] == alloc[0] == first.num_points
+            # (20, 20) reaches (and is charged for) every part.
+            assert vertex[4] == multi.num_points
+
+    def test_multipolygon_with_an_empty_part(self, name):
+        multi = MultiPolygon(
+            [Polygon.empty(), Polygon([(0, 0), (4, 0), (4, 4), (0, 4)]), Polygon.empty()]
+        )
+        assert_counted_parity(name, multi, [(2, 2), (4, 4), (5, 5), (0, 2)])
+
+    def test_exactly_at_distance_d(self, name):
+        line = LineString([(0, 0), (10, 0), (10, 10)])
+        d = 2.5
+        points = [
+            (5, d), (5, -d), (5, d + 1e-12), (5, d - 1e-12),   # off a segment
+            (-1.5, -2.0), (11.5, 12.0), (-1.5, 2.0),            # 3-4-5 off the ends
+            (10 + d, 5), (10 - d, 5), (0.1 * 3, 0.1 * 4),
+            (10 + 0.7 * d, 10 + 0.7 * d), (-d * 0.6, -d * 0.8),
+        ]
+        assert_counted_parity(name, line, points, d=d)
+        assert_counted_parity(name, line, points, d=0.5)
+
+    def test_exactly_at_envelope_distance_d(self, name):
+        line = LineString([(0, 0), (3, 4), (6, 0)])  # envelope (0, 0, 6, 4)
+        d = 5.0
+        points = [
+            (-3, -4), (9, 8), (-3, 8), (9, -4),     # 3-4-5 off each corner
+            (-5, 2), (11, 2), (3, 9), (3, -5),      # d off each side
+            (-3 - 1e-12, -4), (9, 8 + 1e-12), (-5 - 1e-12, 2), (3, 9 + 1e-12),
+            (-0.3, -0.4), (6.3, 4.4),
+        ]
+        assert_counted_parity(name, line, points, d=d)
+        assert_counted_parity(name, line, [(-0.3, -0.4), (6.3, 4.4), (3, 4.5)], d=0.5)
+
+    def test_thresholds_where_np_and_math_hypot_disagree(self, name):
+        # np.hypot and math.hypot differ in the last ulp on ~0.6 % of
+        # inputs; put the threshold on exactly such values, both for the
+        # segment distance and for the envelope prune.
+        import math
+
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0.5, 9.0, 4000)
+        b = rng.uniform(0.5, 9.0, 4000)
+        differ = [
+            (x, y)
+            for x, y, h in zip(a.tolist(), b.tolist(), np.hypot(a, b).tolist())
+            if h != math.hypot(x, y)
+        ][:6]
+        assert differ
+        line = LineString([(0, 0), (0, 0), (-3, 0)])
+        for x, y in differ:
+            for d in (math.hypot(x, y), float(np.hypot(x, y))):
+                assert_counted_parity(name, line, [(x, y), (x, -y), (y, x)], d=d)
+
+    def test_zero_length_segments(self, name):
+        line = LineString([(0, 0), (0, 0), (4, 0), (4, 0), (4, 3), (4, 3)])
+        points = [(0, 0), (-1, 0), (2, 1), (4, 3), (5, 4), (4.6, 3.8), (9, 9)]
+        assert_counted_parity(name, line, points, d=1.0)
+        point_line = LineString([(2, 2), (2, 2)])
+        assert_counted_parity(name, point_line, [(2, 2), (2.6, 2.8), (2.6, 2.8000001)], d=1.0)
+
+    def test_multilinestring_early_exit(self, name):
+        near = LineString([(0, 0), (10, 0)])
+        long_far = LineString([(0, 50 + k % 2) for k in range(40)])
+        multi = MultiLineString([near, LineString.empty(), long_far, LineString([(0, 1), (10, 1)])])
+        points = [(5, 0.5), (5, 49.5), (5, 20), (-1, 0), (5, 1.5), (100, 100)]
+        _, vertex, _ = assert_counted_parity(name, multi, points, d=1.0)
+        if name == "slow":
+            # (5, 0.5) matches the first part: the 40-vertex part is never churned.
+            assert vertex[0] == near.num_points
+            # (100, 100) is envelope-pruned by every part: nothing churned.
+            assert vertex[5] == 0
+
+    def test_random_multi_geometries(self, name, rng):
+        for _ in range(15):
+            multi = MultiPolygon(
+                [
+                    random_polygon(rng, rng.uniform(-4, 4), rng.uniform(-4, 4), rng.choice([4, 9, 60]))
+                    for _ in range(rng.randint(1, 4))
+                ]
+            )
+            points = [(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(40)]
+            assert_counted_parity(name, multi, points + boundary_probes(multi.parts[0]))
+            lines = MultiLineString(
+                [random_polyline(rng, rng.randint(2, 30)) for _ in range(rng.randint(1, 4))]
+            )
+            assert_counted_parity(name, lines, points, d=rng.uniform(0.2, 3.0))
+
+
+class TestSlowEngineRoutes:
+    """The handle's type picks the slow engine's route, nothing else does."""
+
+    def test_other_handles_keep_the_scalar_loop(self, unit_square, random_points):
+        # NearestD against a polygon, and exact distances, still run the
+        # churning predicates point by point (no query path calls them).
+        assert_counted_parity("slow", unit_square, random_points[:40], d=1.5)
+        engine = create_engine("slow")
+        xs, ys = batch_xy(random_points[:40])
+        line = LineString([(0, 0), (5, 5), (10, 0)])
+        dist, vertex, alloc = engine.distance_batch_counted(line, xs, ys)
+        assert dist.tolist() == [
+            create_engine("slow").point_distance(p, line) for p in random_points[:40]
+        ]
+        assert vertex.tolist() == alloc.tolist() == [3] * 40
+
+    def test_batch_kernels_build_no_coordinate_objects(self, monkeypatch, square_with_hole, random_points):
+        from repro.geometry import engine as engine_mod
+
+        def churned(self, x, y):
+            raise AssertionError("the batch kernel churned a coordinate")
+
+        monkeypatch.setattr(engine_mod._Coordinate, "__init__", churned)
+        engine = create_engine("slow")
+        xs, ys = batch_xy(random_points)
+        hits, vertex, _ = engine.contains_batch_counted(square_with_hole, xs, ys)
+        assert hits.any() and set(vertex.tolist()) == {square_with_hole.num_points}
+        line = LineString([(0, 0), (5, 5), (10, 0)])
+        assert engine.within_distance_batch_counted(line, xs, ys, 1.0)[0].any()
+        with pytest.raises(AssertionError):
+            engine.point_within(random_points[0], square_with_hole)
+
+
 class TestPreparedCache:
     def test_identity_memoisation(self, unit_square):
         clear_prepared_cache()

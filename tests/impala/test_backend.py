@@ -10,6 +10,7 @@ from repro.hdfs import SimulatedHDFS, write_text
 from repro.impala import Aggregator, ColumnType, ImpalaBackend
 from repro.impala.exec_nodes import InstanceContext, ScanNode
 from repro.impala.catalog import Metastore
+from repro.obs.registry import collecting
 
 
 @pytest.fixture
@@ -72,15 +73,34 @@ class TestScans:
         assert [r[0] for r in result.rows] == [399, 398, 397]
 
     def test_dirty_rows_skipped(self, city):
-        write_text(city.hdfs if hasattr(city, "hdfs") else city, "/dirty.txt",
-                   ["1\tPOINT (0 0)", "oops", "2\tPOINT (1 1)", "x\tPOINT (2 2)"])
+        # The last three tokenize and then fail geometry construction with
+        # a GeometryError, which used to escape the join's probe and build.
+        bad = ["POINT (nan 2)", "POLYGON ((0 0, 1 1, 0 0))", "LINESTRING (0 0)"]
+        write_text(city, "/dirty.txt",
+                   ["1\tPOINT (0 0)", "oops", "2\tPOINT (1 1)", "x\tPOINT (2 2)"]
+                   + [f"{3 + i}\t{text}" for i, text in enumerate(bad)])
+        write_text(city, "/dirty_poly.txt",
+                   ["0\tPOLYGON ((0 0, 50 0, 50 50, 0 50, 0 0))"]
+                   + [f"{1 + i}\t{text}" for i, text in enumerate(bad)])
         backend = make_backend(city)
-        backend.metastore.create_table(
-            "dirty", [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)],
-            "/dirty.txt",
+        schema = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
+        backend.metastore.create_table("dirty", schema, "/dirty.txt")
+        backend.metastore.create_table("dirty_poly", schema, "/dirty_poly.txt")
+        with collecting() as registry:
+            result = backend.execute("SELECT id FROM dirty")
+            assert registry.counter("impala.rows_skipped") == 2.0  # "oops", "x"
+        # The scan does not parse WKT: every well-formed line is a row.
+        assert sorted(r[0] for r in result.rows) == [1, 2, 3, 4, 5]
+        probe = backend.execute(
+            "SELECT dirty.id, poly.id FROM dirty SPATIAL JOIN poly "
+            "WHERE ST_WITHIN(dirty.geom, poly.geom)"
         )
-        result = backend.execute("SELECT id FROM dirty")
-        assert sorted(r[0] for r in result.rows) == [1, 2]
+        assert sorted(probe.rows) == [(1, 0), (2, 0)]
+        build = backend.execute(
+            "SELECT pnt.id, dirty_poly.id FROM pnt SPATIAL JOIN dirty_poly "
+            "WHERE ST_WITHIN(pnt.geom, dirty_poly.geom)"
+        )
+        assert build.rows and {r[1] for r in build.rows} == {0}
 
 
 class TestSpatialJoin:

@@ -117,6 +117,105 @@ class TestRowsAndRuntimePinned:
         assert result.simulated_seconds == 36.8072768
 
 
+class TestBulkParsedRowBatches:
+    """A row batch's WKT column is parsed once; a mixed batch keeps and
+    drops exactly the rows `WKTReader.try_read` would, row by row."""
+
+    ODDITIES = [
+        "POLYGON ((10 10, 30 10, 30 30, 10 30, 10 10))", "LINESTRING (0 0, 1",
+        "LINESTRING (0 0)", "POINT (nan 2)", "POINT (1_0 2)", "POINT EMPTY",
+        "point(5 5)", "POINT (1e1 +2.5E1)", "POINT (1 2 3)",
+    ]
+
+    def mixed_lines(self):
+        rng = random.Random(5)
+        lines = []
+        for i in range(200):
+            if i % 16 == 7 and i // 16 < len(self.ODDITIES):
+                lines.append(f"{i}\t{self.ODDITIES[i // 16]}")
+            elif i % 50 == 49:
+                lines.append(f"line {i} has no tab")  # the scanner's to skip
+            else:
+                lines.append(f"{i}\tPOINT ({rng.uniform(0, 100)!r} {rng.uniform(0, 100)!r})")
+        return lines
+
+    def test_probe_wkt_rows_against_the_scalar_reader(self, city):
+        from repro.cluster.model import Resource
+        from repro.core.isp import build_spatial_index, probe_wkt_rows
+        from repro.geometry.wkt import WKTReader
+
+        index, _, _ = build_spatial_index(
+            [tuple(line.split("\t")) for line in read_lines(city, "/poly.txt")],
+            1, SpatialOperator.WITHIN, 0.0,
+        )
+        texts = [line.split("\t")[1] for line in self.mixed_lines() if "\t" in line]
+        texts[3:3] = [None, 7]  # NULL / mistyped column values
+        matches, units = probe_wkt_rows(index, texts)
+        reference, _, _ = build_spatial_index(
+            [tuple(line.split("\t")) for line in read_lines(city, "/poly.txt")],
+            1, SpatialOperator.WITHIN, 0.0,
+        )
+        for text, row_matches, row_units in zip(texts, matches, units):
+            geometry = WKTReader().try_read(text)
+            if geometry is None:
+                assert row_matches is None
+                assert row_units == (
+                    {Resource.WKT_BYTES: float(len(text))} if isinstance(text, str) else {}
+                )
+                continue
+            want_matches, want_units = (
+                ([], {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0})
+                if geometry.is_empty
+                else reference.probe_with_cost(geometry)
+            )
+            assert row_matches == want_matches
+            assert row_units == {Resource.WKT_BYTES: float(len(text)), **want_units}
+            assert next(iter(row_units)) == Resource.WKT_BYTES  # the charge order
+        assert index.engine.counters == reference.engine.counters
+
+    def test_build_side_drops_are_counted(self):
+        from repro.core.isp import build_spatial_index
+
+        rows = [(0, "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))"), (1, None), (2, "POINT (nan 2)"),
+                (3, "POLYGON ((0 0, 1 1, 0 0))"), (4, "LINESTRING (0 0)"), (5, "nope")]
+        index, wkt_bytes, dropped = build_spatial_index(rows, 1, SpatialOperator.WITHIN, 0.0)
+        assert (len(index), dropped) == (1, 5)
+        assert wkt_bytes == sum(len(text) for _, text in rows if text is not None)
+
+    def test_mixed_table_joins_like_the_scalar_reader(self, city):
+        from repro.geometry.wkt import WKTReader
+        from repro.obs.registry import collecting
+
+        lines = self.mixed_lines()
+        write_text(city, "/mixed.txt", lines)
+        backend = make_backend(city)
+        backend.metastore.create_table(
+            "mixed", [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)], "/mixed.txt"
+        )
+        kept = []
+        for line in lines:
+            if "\t" in line:
+                record_id, text = line.split("\t")
+                geometry = WKTReader().try_read(text)
+                if geometry is not None:
+                    kept.append((int(record_id), geometry))
+        right = [
+            (int(line.split("\t")[0]), wkt_loads(line.split("\t")[1]))
+            for line in read_lines(city, "/poly.txt")
+        ]
+        with collecting() as registry:
+            result = backend.execute(
+                "SELECT mixed.id, poly.id FROM mixed SPATIAL JOIN poly "
+                "WHERE ST_WITHIN(mixed.geom, poly.geom)"
+            )
+            assert registry.counter("impala.rows_skipped") == float(
+                sum("\t" not in line for line in lines)
+            )
+        assert sorted(result.rows) == sorted(
+            naive_spatial_join(kept, right, SpatialOperator.WITHIN)
+        )
+
+
 class TestBatchSizePlumbing:
     def test_small_batch_same_rows(self, city):
         sql = QUERIES[0]
