@@ -13,13 +13,15 @@ Results (pairs, order, counters, simulated seconds, profiles, events) are
 pinned in tier-1 to what the object data plane produced.
 """
 
-from .block import ColumnBlock
+from .block import ColumnBlock, EntryChunks, RoutedRows
 from .column import GeometryColumn
 from .io import column_from_wkt, parse_wkt_column
 
 __all__ = [
     "ColumnBlock",
+    "EntryChunks",
     "GeometryColumn",
+    "RoutedRows",
     "column_from_wkt",
     "parse_wkt_column",
 ]

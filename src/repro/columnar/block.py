@@ -1,11 +1,19 @@
-"""Columnar shuffle blocks.
+"""Columnar shuffle blocks: routed rows move as column slices, not records.
 
-A :class:`ColumnBlock` replaces a shuffle bucket's Python list of routed
-``(key, (id, geometry))`` records with one packed column.  Iteration
-yields value-identical records (original key/id/geometry objects while
-in-process), so the reduce side is oblivious; pickling the block for a
-spawn-style pool ships the compact binary encoding instead of an object
-graph.
+Three shapes, one per hop of a keyed geometry shuffle:
+
+* :class:`RoutedRows` — a routed *partition* on the map side: the
+  partition's column, the rows the router selected and their keys;
+* :class:`ColumnBlock` — one (map, reduce) bucket in the shuffle store: a
+  zero-copy slice of that column plus the rows' keys;
+* :class:`EntryChunks` — one key's values on the reduce side: the column
+  chunks the blocks contributed, concatenated only when asked.
+
+Each still iterates as the ``(key, (id, geometry))`` records (or
+``(id, geometry)`` values) it stands for — original objects while
+in-process — so generic operators are oblivious; pickling a block for a
+spawn-style pool ships the compact binary encoding of its selected rows
+instead of an object graph.
 
 ``charge_bytes`` is the exact total the per-record ``estimate_bytes``
 walk would have produced — the simulated ``SHUFFLE_BYTES`` charges stay
@@ -15,19 +23,34 @@ byte-identical to the object path; the honest encoded size is
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
+
+import numpy as np
 
 from repro.columnar.column import GeometryColumn
 from repro.geometry.base import Geometry
 
-__all__ = ["ColumnBlock"]
+__all__ = ["ColumnBlock", "EntryChunks", "RoutedRows", "positions_by_value"]
+
+
+def positions_by_value(values: np.ndarray) -> list[np.ndarray]:
+    """Positions of ``values`` grouped by equal value: groups ascending
+    by value, positions ascending within a group (a stable sort, split)."""
+    if not len(values):
+        return []
+    order = np.argsort(values, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(values[order])) + 1)
 
 
 class ColumnBlock:
-    __slots__ = ("_column", "charge_bytes")
+    """A shuffle bucket: ``column`` holds ``(id, geometry)`` per record,
+    ``keys[i]`` is record ``i``'s routing key (a Python object)."""
 
-    def __init__(self, column: GeometryColumn, charge_bytes: float):
-        self._column = column
+    __slots__ = ("column", "keys", "charge_bytes")
+
+    def __init__(self, column: GeometryColumn, keys: list, charge_bytes: int):
+        self.column = column
+        self.keys = keys
         self.charge_bytes = charge_bytes
 
     @classmethod
@@ -44,34 +67,139 @@ class ColumnBlock:
                 or not isinstance(record[1][1], Geometry)
             ):
                 return None
-        column = GeometryColumn.from_entries(
-            ((key, rid), geometry) for key, (rid, geometry) in records
-        )
+        column = GeometryColumn.from_entries(value for _, value in records)
         if column is None:
             return None
         from repro.spark.shuffle import records_bytes
 
-        return cls(column, records_bytes(records))
-
-    @property
-    def column(self) -> GeometryColumn:
-        return self._column
+        return cls(column, [key for key, _ in records], records_bytes(records))
 
     @property
     def nbytes(self) -> int:
-        return self._column.nbytes
+        return self.column.nbytes
 
     def __len__(self) -> int:
-        return len(self._column)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[tuple[object, tuple[object, Geometry]]]:
-        column = self._column
-        for i in range(len(column)):
-            key, rid = column.payload(i)
-            yield (key, (rid, column.geometry(i)))
+        return zip(self.keys, self.column.entries())
+
+    def chunks_by_key(self) -> list[tuple[Hashable, GeometryColumn]]:
+        """The block's rows grouped by key: keys in first-arrival order,
+        each with its rows (in order) as a slice of the column."""
+        keys = self.keys
+        if keys.count(keys[0]) == len(keys):
+            return [(keys[0], self.column)]
+        rows_of: dict[Hashable, list[int]] = {}
+        for row, key in enumerate(keys):
+            rows_of.setdefault(key, []).append(row)
+        return [(key, self.column.take(rows)) for key, rows in rows_of.items()]
 
     def __reduce__(self):
-        return (ColumnBlock, (self._column, self.charge_bytes))
+        # The column pickles as the compact encoding of its selected rows.
+        return (ColumnBlock, (self.column, self.keys, self.charge_bytes))
 
     def __repr__(self) -> str:
-        return f"ColumnBlock({len(self._column)} records)"
+        return f"ColumnBlock({len(self)} records)"
+
+
+class RoutedRows:
+    """One routed partition: ``column.entry(rows[k])`` under key ``keys[k]``.
+
+    ``rows`` and ``keys`` are the router's parallel index arrays (a row
+    routed to several keys appears once per key).  Like a freshly parsed
+    partition it is its own iterator, so it survives
+    ``MapPartitionsRDD.compute``'s ``iter()``: a generic operator just
+    iterates ``(key, (id, geometry))`` records, and a shuffle's map side
+    takes :meth:`shuffle_blocks` without building one.
+    """
+
+    __slots__ = ("column", "rows", "keys", "_records")
+
+    def __init__(self, column: GeometryColumn, rows: np.ndarray, keys: np.ndarray):
+        self.column = column
+        self.rows = rows
+        self.keys = keys
+        self._records = self._iter_records()
+
+    def _iter_records(self) -> Iterator[tuple[int, tuple[object, Geometry]]]:
+        entry = self.column.entry
+        for key, row in zip(self.keys.tolist(), self.rows.tolist()):
+            yield (key, entry(row))
+
+    def __iter__(self) -> "RoutedRows":
+        return self
+
+    def __next__(self) -> tuple[int, tuple[object, Geometry]]:
+        return next(self._records)
+
+    def shuffle_blocks(
+        self, partition: Callable[[int], int]
+    ) -> dict[int, ColumnBlock]:
+        """One :class:`ColumnBlock` per reduce partition ``partition(key)``.
+
+        Buckets come in first-arrival order with their records in routed
+        order — what bucketing the records one at a time yields — and
+        each block's ``charge_bytes`` is ``records_bytes`` of the records
+        it stands for, computed from per-row sizes.
+        """
+        from repro.spark.shuffle import estimate_bytes
+
+        column, rows, keys = self.column, self.rows, self.keys
+        if not len(rows):
+            return {}
+        id_bytes = np.fromiter(
+            (
+                8 if type(rid) in (int, float, bool) else estimate_bytes(rid)
+                for rid in column.payloads()
+            ),
+            dtype=np.int64,
+            count=len(column),
+        )
+        # estimate_bytes((key, (id, geometry))) with an int key: two tuple
+        # headers, the key, the id, and 24 + 16 bytes per vertex.
+        record_bytes = (48 + id_bytes + 16 * column.num_points_array())[rows]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        targets = np.fromiter(
+            (partition(key) for key in distinct.tolist()),
+            dtype=np.int64,
+            count=len(distinct),
+        )[inverse]
+        buckets = positions_by_value(targets)
+        buckets.sort(key=lambda bucket: bucket[0])  # first arrival
+        return {
+            int(targets[bucket[0]]): ColumnBlock(
+                column.take(rows[bucket]),
+                keys[bucket].tolist(),
+                int(record_bytes[bucket].sum()),
+            )
+            for bucket in buckets
+        }
+
+
+class EntryChunks(Sequence):
+    """One key's ``(id, geometry)`` values, held as the column chunks the
+    shuffle blocks contributed (in arrival order).
+
+    A sequence of entries to any consumer; one that wants them packed
+    calls :meth:`column`.
+    """
+
+    __slots__ = ("chunks",)
+
+    def __init__(self) -> None:
+        self.chunks: list[GeometryColumn] = []
+
+    def column(self) -> GeometryColumn:
+        """The chunks as one column, ids as payloads."""
+        return GeometryColumn.concat(self.chunks)
+
+    def __len__(self) -> int:
+        return sum(len(chunk) for chunk in self.chunks)
+
+    def __iter__(self) -> Iterator[tuple[object, Geometry]]:
+        for chunk in self.chunks:
+            yield from chunk.entries()
+
+    def __getitem__(self, index):
+        return list(self)[index]

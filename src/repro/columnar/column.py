@@ -433,6 +433,32 @@ class GeometryColumn:
             payloads = [None] * len(geometries)
         return cls.from_entries(zip(payloads, geometries))
 
+    @classmethod
+    def concat(cls, columns: Sequence["GeometryColumn"]) -> "GeometryColumn":
+        """One column holding the rows of ``columns``, in order.
+
+        Point-only columns concatenate their coordinate buffers (one
+        copy, no geometry object touched); anything else is re-packed
+        from the entries, which a column built from live objects hands
+        back as those same objects.
+        """
+        if len(columns) == 1:
+            return columns[0]
+        if all(column._data.is_point_only for column in columns):
+            coords = np.concatenate(
+                [
+                    column._data.coords
+                    if column._sel is None
+                    else column._data.coords[column._sel]
+                    for column in columns
+                ]
+            )
+            payloads = [p for column in columns for p in column.payloads()]
+            return cls(_point_only_data(np.ascontiguousarray(coords)), payloads)
+        return cls.from_entries(
+            entry for column in columns for entry in column.entries()
+        )
+
     # -- basics ---------------------------------------------------------
 
     def __len__(self) -> int:

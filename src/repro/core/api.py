@@ -22,6 +22,8 @@ from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.cache import (
     cache_for,
     estimate_index_bytes,
@@ -31,6 +33,7 @@ from repro.cache import (
 from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
 from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic
+from repro.columnar.block import positions_by_value
 from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
@@ -398,8 +401,8 @@ def spatial_join(
       per :func:`repro.optimizer.choose_plan`;
     * ``"broadcast"`` — index the right side, probe with the left (the
       paper's broadcast join; ``"index"`` is the historical alias);
-    * ``"partitioned"`` — skew-aware tiled join with reference-point
-      duplicate suppression;
+    * ``"partitioned"`` — skew-aware tiled join, duplicates suppressed
+      by the lowest-common-tile owner rule;
     * ``"dual-tree"`` — synchronized traversal of two R-trees;
     * ``"naive"`` — the O(n*m) nested loop, ground truth in tests.
 
@@ -942,8 +945,30 @@ def _dual_tree_join(left_entries, right_entries, op, cfg, model, query):
     return pairs
 
 
-def _record_bytes(geometry: Geometry) -> float:
-    return 48.0 + 16.0 * geometry.num_points
+def _route_side(tiles, entries, column, expand, shuffle_metrics):
+    """Route one whole side with the batch router; returns ``{tile: rows}``.
+
+    Rows are positions into ``entries`` (and ``column``, its packed form
+    when there is one), ascending per tile.  Charges the side's
+    ``SHUFFLE_BYTES`` — 48 bytes a routed record plus 16 per vertex,
+    integer-valued, so the one add equals an add per record.
+    """
+    if column is not None:
+        rows, tile_ids = tiles.route_rows(*column.bounds(), expand=expand)
+        vertices = column.num_points_array()
+    else:
+        rows, tile_ids = tiles.route_envelopes(
+            (geometry.envelope for _, geometry in entries), expand=expand
+        )
+        vertices = np.array([g.num_points for _, g in entries], dtype=np.int64)
+    if shuffle_metrics is not None and len(rows):
+        shuffle_metrics.add(
+            Resource.SHUFFLE_BYTES,
+            float(48 * len(rows) + 16 * int(vertices[rows].sum())),
+        )
+    return {
+        int(tile_ids[group[0]]): rows[group] for group in positions_by_value(tile_ids)
+    }
 
 
 def _partitioned_join_local(
@@ -954,8 +979,8 @@ def _partitioned_join_local(
 
     Mirrors :func:`repro.core.partitioned_join.partitioned_spatial_join`:
     both sides are routed to every tile they overlap, each tile runs an
-    indexed join, and the reference-point owner rule (lowest common tile
-    emits) suppresses the duplicates replication would create.  Tiles come
+    indexed join, and the owner rule (lowest common tile emits)
+    suppresses the duplicates replication would create.  Tiles come
     from the optimizer's skew-aware partitioner, so hot spots are split
     before tasks are formed.
     """
@@ -1009,10 +1034,6 @@ def _partitioned_join_local(
     tiles = partitioning
 
     shuffle_metrics = TaskMetrics() if query is not None else None
-    left_by_tile: dict[int, list] = {}
-    right_by_tile: dict[int, list] = {}
-    left_rows_by_tile: dict[int, list[int]] = {}
-    right_rows_by_tile: dict[int, list[int]] = {}
     # Whole-side columns built once; each tile gets zero-copy slices
     # (row-index arrays into the shared buffers) instead of fresh
     # object lists for build and probe.
@@ -1022,28 +1043,12 @@ def _partitioned_join_local(
         (pair, pair[1]) for pair in right_entries
     )
     with tracer.span("route", category="phase"):
-        for row, (left_id, geometry) in enumerate(left_entries):
-            if geometry.is_empty:
-                continue
-            for tile in tiles.route(geometry.envelope):
-                left_by_tile.setdefault(tile, []).append((left_id, geometry))
-                if left_column is not None:
-                    left_rows_by_tile.setdefault(tile, []).append(row)
-                if shuffle_metrics is not None:
-                    shuffle_metrics.add(
-                        Resource.SHUFFLE_BYTES, _record_bytes(geometry)
-                    )
-        for row, (right_id, geometry) in enumerate(right_entries):
-            if geometry.is_empty:
-                continue
-            for tile in tiles.route(geometry.envelope.expand_by(expand)):
-                right_by_tile.setdefault(tile, []).append((right_id, geometry))
-                if right_column is not None:
-                    right_rows_by_tile.setdefault(tile, []).append(row)
-                if shuffle_metrics is not None:
-                    shuffle_metrics.add(
-                        Resource.SHUFFLE_BYTES, _record_bytes(geometry)
-                    )
+        left_rows_by_tile = _route_side(
+            tiles, left_entries, left_column, 0.0, shuffle_metrics
+        )
+        right_rows_by_tile = _route_side(
+            tiles, right_entries, right_column, expand, shuffle_metrics
+        )
     if shuffle_metrics is not None:
         _add_stage(query, "shuffle", [shuffle_metrics], model)
 
@@ -1052,25 +1057,33 @@ def _partitioned_join_local(
         join's task granularity, the unit the executors pool fans out."""
 
         def join():
-            tile_left = left_by_tile[tile_id]
+            left_rows = left_rows_by_tile[tile_id]
+            right_rows = right_rows_by_tile[tile_id]
             if right_column is not None:
                 index = BroadcastIndex.from_column(
-                    right_column.take(right_rows_by_tile[tile_id]),
+                    right_column.take(right_rows),
                     op, radius=cfg.radius, engine=cfg.engine,
                 )
             else:
                 index = BroadcastIndex.from_entries(
-                    [(pair, pair[1]) for pair in right_by_tile[tile_id]],
+                    [
+                        (right_entries[row], right_entries[row][1])
+                        for row in right_rows.tolist()
+                    ],
                     op, radius=cfg.radius, engine=cfg.engine,
                 )
             task = TaskMetrics()
             task.add(Resource.INDEX_BUILD, float(len(index)))
-            tile_pairs, totals = join_tile(
-                index, tile_left, tiles, tile_id, expand,
-                left_column=left_column.take(left_rows_by_tile[tile_id])
-                if left_column is not None
-                else None,
-            )
+            if left_column is not None:
+                tile_pairs, totals = join_tile(
+                    index, None, tiles, tile_id, expand,
+                    left_column=left_column.take(left_rows),
+                )
+            else:
+                tile_pairs, totals = join_tile(
+                    index, [left_entries[row] for row in left_rows.tolist()],
+                    tiles, tile_id, expand,
+                )
             for resource, amount in totals.items():
                 task.add(resource, amount)
             return tile_pairs, task
@@ -1080,7 +1093,7 @@ def _partitioned_join_local(
     pairs: list[tuple[Any, Any]] = []
     tile_tasks: list[TaskMetrics] = []
     joinable = [
-        tile_id for tile_id in sorted(left_by_tile) if right_by_tile.get(tile_id)
+        tile_id for tile_id in sorted(left_rows_by_tile) if tile_id in right_rows_by_tile
     ]
     events_ctx = _submit_stage(events_query, "join", len(joinable))
     with tracer.span("join", category="phase") as span:

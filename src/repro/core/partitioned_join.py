@@ -4,8 +4,13 @@ The broadcast join requires the build side to fit on one node; when both
 sides are large, SpatialSpark (like SpatialHadoop and HadoopGIS, Section
 II) spatially partitions *both* sides, co-locates overlapping partitions
 with a shuffle, and runs an indexed join inside each tile.  Duplicate
-pairs — possible because right-side objects are replicated to every tile
-they overlap — are suppressed with the standard reference-point rule.
+pairs — possible because objects of either side are replicated to every
+tile they overlap — are suppressed with the owner rule: of the tiles both
+sides of a pair reach, only the lowest-indexed one emits it.
+
+Rows move a block at a time: each scanned partition is routed with one
+batch-router call over its column's bounding boxes, the shuffle carries
+column slices, and each tile probes one concatenated left column.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ from typing import Any
 
 from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
+from repro.columnar.block import EntryChunks, RoutedRows
+from repro.columnar.column import GeometryColumn
+from repro.core.broadcast_join import ColumnRecords
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex, join_tile
 from repro.errors import ReproError
@@ -122,25 +130,32 @@ def partitioned_spatial_join(
     )
     expand = radius if operator.needs_radius else 0.0
 
-    def route_left(pair: tuple[Any, Geometry]):
-        left_id, geometry = pair
-        if geometry.is_empty:
-            return []
-        return [
-            (tile, (left_id, geometry)) for tile in tiles.route(geometry.envelope)
-        ]
+    def route_by(grow: float):
+        def route_partition(records):
+            """Route one partition to ``(tile, (id, geometry))`` records,
+            empty geometries dropped."""
+            if isinstance(records, ColumnRecords):
+                column = records.column
+            else:
+                records = list(records)
+                column = GeometryColumn.from_entries(records)
+            if column is None:
+                # The column model cannot hold this partition (a
+                # GeometryCollection): same router, records out.
+                rows, tile_ids = tiles.route_envelopes(
+                    (geometry.envelope for _, geometry in records), expand=grow
+                )
+                return [
+                    (tile, records[row])
+                    for row, tile in zip(rows.tolist(), tile_ids.tolist())
+                ]
+            rows, tile_ids = tiles.route_rows(*column.bounds(), expand=grow)
+            return RoutedRows(column, rows, tile_ids)
 
-    def route_right(pair: tuple[Any, Geometry]):
-        right_id, geometry = pair
-        if geometry.is_empty:
-            return []
-        return [
-            (tile, (right_id, geometry))
-            for tile in tiles.route(geometry.envelope.expand_by(expand))
-        ]
+        return route_partition
 
-    left_routed = left.flat_map(route_left)
-    right_routed = right.flat_map(route_right)
+    left_routed = left.map_partitions(route_by(0.0))
+    right_routed = right.map_partitions(route_by(expand))
     grouped = left_routed.cogroup(
         right_routed, num_partitions=max(1, len(tiles))
     )
@@ -154,7 +169,7 @@ def partitioned_spatial_join(
             return []
         REGISTRY.inc("partitioned.tiles_joined")
         # Payload = the whole (id, geometry) pair so duplicate suppression
-        # can re-route the matched geometry.  The per-tile index is reused
+        # can route the matched geometry.  The per-tile index is reused
         # through the cross-query cache when a repeated query routes the
         # same content to the same tile; INDEX_BUILD is charged either
         # way, so the simulated cluster cannot tell (pooled workers see a
@@ -181,7 +196,12 @@ def partitioned_spatial_join(
                 )
         task = current_task()
         task.add(Resource.INDEX_BUILD, len(index))
-        pairs, totals = join_tile(index, left_entries, tiles, tile_id, expand)
+        pairs, totals = join_tile(
+            index, left_entries, tiles, tile_id, expand,
+            left_column=left_entries.column()
+            if isinstance(left_entries, EntryChunks)
+            else None,
+        )
         for resource, amount in totals.items():
             task.add(resource, amount)
         return pairs

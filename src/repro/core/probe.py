@@ -496,7 +496,7 @@ def _index_from_column(column, operator, radius, engine, node_capacity):
 
 def join_tile(
     index: BroadcastIndex,
-    left_entries: Sequence[tuple[Any, Geometry]],
+    left_entries: Sequence[tuple[Any, Geometry]] | None,
     tiles,
     tile_id: int,
     expand: float,
@@ -505,35 +505,64 @@ def join_tile(
     """Probe one tile's left rows; keep only the pairs this tile owns.
 
     ``index`` holds the tile's right side with whole ``(id, geometry)``
-    pairs as payloads, so a matched geometry can be re-routed;
-    ``left_column`` is the packed form of ``left_entries`` when the
-    caller already has it (else it is derived here, when the column model
-    can hold them).  Owner rule: a replicated pair is
-    produced in every tile both sides reach, and only the lowest-indexed
-    common tile emits it, so results carry no duplicates and lose no
-    pair.  Returns the owned pairs and the probe's cost-unit totals.
+    pairs as payloads, so a matched geometry can be routed;
+    ``left_column`` is the packed form of the left rows (ids as payloads)
+    when the caller already has it — ``left_entries`` is then not read —
+    else it is derived here, when the column model can hold them.  Owner
+    rule: a replicated pair is produced in every tile both sides reach,
+    and only the lowest-indexed common tile emits it (this tile, should
+    they share none), so results carry no duplicates and lose no pair.
+    The left rows' tile sets come from one batch-router call; a row in a
+    single tile — almost every point — is decided by that alone, and the
+    build geometries matched by multi-tile rows are routed together,
+    once each.  Returns the owned pairs and the probe's cost-unit totals.
     """
     if left_column is None:
         left_column = GeometryColumn.from_entries(left_entries)
-    matches_per_row, totals = index.probe_batch(
-        left_column
-        if left_column is not None
-        else [geometry for _, geometry in left_entries]
+    if left_column is not None:
+        left_ids = left_column.payloads()
+        matches_per_row, totals = index.probe_batch(left_column)
+        left_rows, left_tiles = tiles.route_rows(*left_column.bounds())
+    else:
+        left_ids = [left_id for left_id, _ in left_entries]
+        geometries = [geometry for _, geometry in left_entries]
+        matches_per_row, totals = index.probe_batch(geometries)
+        left_rows, left_tiles = tiles.route_envelopes(
+            geometry.envelope for geometry in geometries
+        )
+    reached = np.bincount(left_rows, minlength=len(left_ids))
+    first = np.cumsum(reached) - reached
+    # A single-tile row's owner is that tile, whatever it matched.
+    owned = np.zeros(len(left_ids), dtype=bool)
+    single = reached == 1
+    owned[single] = left_tiles[first[single]] == tile_id
+    # Rows in several tiles need each match's tile set too: route the
+    # build geometries they matched together, once each.
+    row_tiles = {
+        row: set(left_tiles[first[row] : first[row] + reached[row]].tolist())
+        for row in np.flatnonzero(reached > 1).tolist()
+        if matches_per_row[row]
+    }
+    matched = list(
+        {id(m): m for row in row_tiles for m in matches_per_row[row]}.values()
     )
+    match_tiles: dict[int, set[int]] = {id(match): set() for match in matched}
+    positions, reached_tiles = tiles.route_envelopes(
+        (geometry.envelope for _, geometry in matched), expand=expand
+    )
+    for position, tile in zip(positions.tolist(), reached_tiles.tolist()):
+        match_tiles[id(matched[position])].add(tile)
     pairs: list[tuple[Any, Any]] = []
-    for (left_id, geometry), matches in zip(left_entries, matches_per_row):
-        left_tiles = None
-        for right_id, right_geometry in matches:
-            if left_tiles is None:
-                left_tiles = tiles.route(geometry.envelope)
-            if len(left_tiles) == 1:
-                owner = left_tiles[0]
-            else:
-                right_tiles = tiles.route(right_geometry.envelope.expand_by(expand))
-                common = set(left_tiles) & set(right_tiles)
-                owner = min(common) if common else tile_id
-            if owner == tile_id:
-                pairs.append((left_id, right_id))
+    for row, (left_id, matches, owns) in enumerate(
+        zip(left_ids, matches_per_row, owned.tolist())
+    ):
+        if owns:
+            pairs.extend((left_id, right_id) for right_id, _ in matches)
+        elif row in row_tiles:
+            for match in matches:
+                common = row_tiles[row] & match_tiles[id(match)]
+                if (min(common) if common else tile_id) == tile_id:
+                    pairs.append((left_id, match[0]))
     return pairs, totals
 
 

@@ -5,15 +5,19 @@ SpatialHadoop and HadoopGIS both *spatially partition* the joined datasets
 alternative to broadcast joins when the right side is too large for one
 node's memory.  A partitioner derives a set of tile envelopes from a
 sample, after which both sides are routed to every tile their envelope
-overlaps and joined tile-by-tile (with duplicate suppression by the
-reference-point rule).
+overlaps and joined tile-by-tile (with duplicates suppressed by the owner
+rule: of the tiles both sides of a pair reach, only the lowest-indexed
+one emits it — see :func:`repro.core.probe.join_tile`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import SpatialIndexError
 from repro.geometry.envelope import Envelope
@@ -26,6 +30,11 @@ __all__ = [
     "reference_point_in",
 ]
 
+# Rows x tiles cells one router chunk may compare at once: bounds the
+# boolean overlap matrix (and its few temporaries) to about a megabyte
+# each however many rows a caller routes.
+_ROUTE_CHUNK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class SpatialPartitioning:
@@ -33,8 +42,8 @@ class SpatialPartitioning:
 
     ``tiles[i]`` is the envelope of partition ``i``.  Tiles may overlap
     data envelopes arbitrarily; router semantics are *multi-assignment*
-    (an object goes to every tile it intersects) with downstream duplicate
-    suppression via :func:`reference_point_in`.
+    (an object goes to every tile it intersects), and the join suppresses
+    the duplicates that creates with the lowest-common-tile owner rule.
     """
 
     extent: Envelope
@@ -43,25 +52,116 @@ class SpatialPartitioning:
     def __len__(self) -> int:
         return len(self.tiles)
 
+    @cached_property
+    def _tile_bounds(self) -> tuple[np.ndarray, ...]:
+        """The tiles' ``min_x, min_y, max_x, max_y`` as four ``(T,)`` arrays
+        (the columns of one ``(T, 4)`` array), then the mask of empty
+        tiles — ``None`` when, as in every derived layout, there is none."""
+        bounds = np.array(
+            [(t.min_x, t.min_y, t.max_x, t.max_y) for t in self.tiles],
+            dtype=np.float64,
+        ).reshape(len(self.tiles), 4)
+        min_x, min_y, max_x, max_y = bounds.T
+        dead = (min_x > max_x) | (min_y > max_y)
+        return min_x, min_y, max_x, max_y, dead if dead.any() else None
+
+    def route_rows(
+        self,
+        min_x: np.ndarray,
+        min_y: np.ndarray,
+        max_x: np.ndarray,
+        max_y: np.ndarray,
+        expand: float = 0.0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Route a batch of envelopes, given as four bbox arrays.
+
+        Returns ``(rows, tiles)`` index arrays in row-major order: row
+        ``rows[k]`` goes to tile ``tiles[k]``, rows ascending and each
+        row's tiles ascending.  A row reaches every tile its envelope —
+        grown by ``expand`` on every side, as ``Envelope.expand_by`` grows
+        it — intersects (boundary contact counts); an empty envelope
+        (``min > max``, before or after a negative ``expand``) reaches no
+        tile; a row outside every tile (possible when the tiling was
+        derived from a sample) goes to the nearest tile, ties to the
+        lowest index, so no data is lost.
+        """
+        min_x = np.asarray(min_x, dtype=np.float64)
+        min_y = np.asarray(min_y, dtype=np.float64)
+        max_x = np.asarray(max_x, dtype=np.float64)
+        max_y = np.asarray(max_y, dtype=np.float64)
+        empty = (min_x > max_x) | (min_y > max_y)
+        if expand:
+            # The same IEEE operations as Envelope.expand_by.
+            min_x, min_y = min_x - expand, min_y - expand
+            max_x, max_y = max_x + expand, max_y + expand
+            empty |= (min_x > max_x) | (min_y > max_y)
+        empty = empty if empty.any() else None
+        tile_min_x, tile_min_y, tile_max_x, tile_max_y, dead_tiles = self._tile_bounds
+        rows_out: list[np.ndarray] = []
+        tiles_out: list[np.ndarray] = []
+        step = max(1, _ROUTE_CHUNK_CELLS // max(1, len(self.tiles)))
+        for start in range(0, len(min_x), step):
+            chunk = slice(start, start + step)
+            # Envelope.intersects' own closed-interval comparisons.
+            hit = (
+                (tile_min_x <= max_x[chunk, None])
+                & (min_x[chunk, None] <= tile_max_x)
+                & (tile_min_y <= max_y[chunk, None])
+                & (min_y[chunk, None] <= tile_max_y)
+            )
+            if dead_tiles is not None:
+                hit[:, dead_tiles] = False
+            orphans = ~hit.any(axis=1)
+            if empty is not None:
+                hit[empty[chunk]] = False
+                orphans &= ~empty[chunk]
+            for row in np.flatnonzero(orphans).tolist():
+                i = start + row
+                orphan = Envelope(
+                    float(min_x[i]), float(min_y[i]), float(max_x[i]), float(max_y[i])
+                )
+                hit[row, self._nearest_tile(orphan)] = True
+            rows, tiles = np.nonzero(hit)
+            rows_out.append(rows + start if start else rows)
+            tiles_out.append(tiles)
+        if len(rows_out) == 1:
+            return rows_out[0], tiles_out[0]
+        if not rows_out:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(rows_out), np.concatenate(tiles_out)
+
+    def _nearest_tile(self, envelope: Envelope) -> int:
+        """The tile nearest an envelope that overlaps none, ties to the
+        lowest index.  Stays on ``Envelope.distance``: ``np.hypot`` and
+        ``math.hypot`` can differ in the last ulp, which would move ties."""
+        return min(
+            range(len(self.tiles)), key=lambda i: self.tiles[i].distance(envelope)
+        )
+
+    def route_envelopes(
+        self, envelopes: Iterable[Envelope], expand: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`route_rows` over envelope objects (rows in iteration order)."""
+        bounds = np.array(
+            [(e.min_x, e.min_y, e.max_x, e.max_y) for e in envelopes],
+            dtype=np.float64,
+        ).reshape(-1, 4)
+        return self.route_rows(*bounds.T, expand=expand)
+
     def route(self, envelope: Envelope) -> list[int]:
         """Return indices of every tile the envelope intersects.
 
-        Objects falling outside all tiles (possible when the partitioning
-        was derived from a sample) are routed to the nearest tile so no
-        data is lost.
+        The one-row case of :meth:`route_rows`: objects falling outside
+        all tiles are routed to the nearest tile so no data is lost.
         """
-        if envelope.is_empty:
-            return []
-        hits = [i for i, tile in enumerate(self.tiles) if tile.intersects(envelope)]
-        if hits:
-            return hits
-        nearest = min(
-            range(len(self.tiles)), key=lambda i: self.tiles[i].distance(envelope)
-        )
-        return [nearest]
+        return self.route_envelopes((envelope,))[1].tolist()
 
     def route_point(self, x: float, y: float) -> int:
-        """Return the single tile owning a point (ties to lowest index)."""
+        """Return the single tile owning a point (ties to lowest index).
+
+        No production caller: the joins multi-assign by envelope
+        (:meth:`route_rows`); kept for its tests.
+        """
         for i, tile in enumerate(self.tiles):
             if tile.contains_point(x, y):
                 return i
@@ -77,6 +177,9 @@ def reference_point_in(pair_envelope: Envelope, tile: Envelope) -> bool:
     When both sides of a pair were replicated to several tiles the pair is
     produced in each, so only the tile containing the pair's *reference
     point* (the envelope-intersection's lower-left corner) reports it.
+
+    No production caller: the joins dedupe with the lowest-common-tile
+    owner rule (:func:`repro.core.probe.join_tile`); kept for its tests.
     """
     if pair_envelope.is_empty or tile.is_empty:
         return False

@@ -16,9 +16,10 @@ import random as _random_mod
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
 
 from repro.cluster.model import Resource
+from repro.columnar.block import ColumnBlock, EntryChunks
 from repro.errors import SparkError
 from repro.hdfs import read_split_lines
-from repro.spark.shuffle import HashPartitioner, estimate_bytes
+from repro.spark.shuffle import HashPartitioner, estimate_bytes, records_bytes
 from repro.spark.taskcontext import current_task
 
 __all__ = [
@@ -495,7 +496,17 @@ class ShuffledRDD(RDD[tuple]):
 
 
 class CoGroupedRDD(RDD[tuple]):
-    """Joint grouping of two pair RDDs under one partitioner."""
+    """Joint grouping of two pair RDDs under one partitioner.
+
+    Shuffle blocks are taken whole.  A side whose blocks are all
+    :class:`~repro.columnar.block.ColumnBlock` groups as column chunks —
+    its values per key are an
+    :class:`~repro.columnar.block.EntryChunks`, a sequence of
+    ``(id, geometry)`` entries that a geometry-aware consumer can take
+    packed; any other side (plain records, or a mix) groups record by
+    record into lists.  Either way ``SHUFFLE_BYTES`` accrues the exact
+    per-record total.
+    """
 
     def __init__(self, left: RDD, right: RDD, partitioner):
         self.left_dep = ShuffleDependency(left, partitioner)
@@ -510,16 +521,29 @@ class CoGroupedRDD(RDD[tuple]):
     def compute(self, split: int) -> Iterator[tuple]:
         store = self.sc._shuffle_store
         task = current_task()
-        groups: dict = {}
+        groups: dict[Any, list] = {}
         for side, dep in ((0, self.left_dep), (1, self.right_dep)):
             if dep.shuffle_id is None:
                 raise SparkError("shuffle has not been materialised (scheduler bug)")
-            for key, value in store.read(
-                dep.shuffle_id, dep.parent.num_partitions, split
-            ):
-                task.add(Resource.SHUFFLE_BYTES, estimate_bytes((key, value)))
-                groups.setdefault(key, ([], []))[side].append(value)
-        yield from groups.items()
+            blocks = list(
+                store.read_blocks(dep.shuffle_id, dep.parent.num_partitions, split)
+            )
+            for block in blocks:
+                # Integer-valued, so one add per block equals the adds per record.
+                task.add(Resource.SHUFFLE_BYTES, records_bytes(block))
+            if all(isinstance(block, ColumnBlock) for block in blocks):
+                for block in blocks:
+                    for key, chunk in block.chunks_by_key():
+                        sides = groups.setdefault(key, [[], []])
+                        if isinstance(sides[side], list):
+                            sides[side] = EntryChunks()
+                        sides[side].chunks.append(chunk)
+            else:
+                for block in blocks:
+                    for key, value in block:
+                        groups.setdefault(key, [[], []])[side].append(value)
+        for key, sides in groups.items():
+            yield key, tuple(sides)
 
 
 class UnionRDD(RDD[T]):

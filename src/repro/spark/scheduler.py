@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
 from repro.cluster.model import Resource
-from repro.columnar.block import ColumnBlock
+from repro.columnar.block import ColumnBlock, RoutedRows
 from repro.errors import SparkError
 from repro.obs.events import get_event_log, install_event_log
 from repro.obs.tracer import get_tracer
@@ -408,19 +408,36 @@ class DAGScheduler:
         store = self.sc._shuffle_store
         dep.shuffle_id = store.new_shuffle_id()
         parent = dep.parent
-        partitioner = dep.partitioner
         stage = StageMetrics(name=f"shuffle-{dep.shuffle_id}")
         with get_tracer().span(stage.name, category="stage"):
-            self._run_shuffle_tasks(dep, store, parent, partitioner, stage, metrics)
+            self._run_shuffle_tasks(dep, store, parent, stage, metrics)
 
     @staticmethod
-    def _shuffle_buckets(dep, parent, partitioner, split: int) -> dict[int, list]:
-        """One map task's output, bucketed by reduce partition."""
+    def _map_output(dep: ShuffleDependency, split: int) -> dict[int, object]:
+        """One map task's output, bucketed by reduce partition.
+
+        The one definition of what a map task writes — shared by the
+        serial task, the pooled body and lineage repair, so a recovered
+        output has the representation of the one that was lost.  A routed
+        column partition (:class:`~repro.columnar.block.RoutedRows`) is
+        sliced straight into one :class:`~repro.columnar.block.ColumnBlock`
+        per bucket; any other partition is bucketed record by record, and
+        buckets of ``(key, (id, geometry))`` records are then packed into
+        blocks too — iterating a block yields value-identical records,
+        the store charges the same byte total, and pickling it (pooled
+        map tasks ship buckets back to the driver) moves the packed
+        binary encoding instead of the object graph.  Other buckets
+        (combiner output, plain key/value jobs) stay record lists.
+        """
+        partitioner = dep.partitioner
+        records = dep.parent.iterator(split)
+        if dep.combiner is None and isinstance(records, RoutedRows):
+            return records.shuffle_blocks(partitioner.partition)
         bucketed: dict[int, list] = {}
         if dep.combiner is not None:
             create, merge_value, _ = dep.combiner
             combined: dict[int, dict] = {}
-            for key, value in parent.iterator(split):
+            for key, value in records:
                 bucket = partitioner.partition(key)
                 per_bucket = combined.setdefault(bucket, {})
                 if key in per_bucket:
@@ -430,26 +447,13 @@ class DAGScheduler:
             for bucket, pairs in combined.items():
                 bucketed[bucket] = list(pairs.items())
         else:
-            for record in parent.iterator(split):
+            for record in records:
                 key = record[0]
                 bucketed.setdefault(partitioner.partition(key), []).append(record)
-        return bucketed
-
-    def _pack_buckets(self, bucketed: dict[int, list]) -> dict[int, object]:
-        """Pack geometry-record buckets into columnar shuffle blocks.
-
-        Every bucket whose records are ``(key, (id, geometry))`` tuples
-        becomes a :class:`~repro.columnar.block.ColumnBlock` — iterating it yields
-        value-identical records, the store charges the same byte total,
-        and pickling it (pooled map tasks ship buckets back to the
-        driver) moves the packed binary encoding instead of the object
-        graph.  Non-matching buckets (combiner output, plain key/value
-        jobs) pass through untouched.
-        """
         packed: dict[int, object] = {}
-        for reduce_partition, records in bucketed.items():
-            block = ColumnBlock.from_records(records)
-            packed[reduce_partition] = records if block is None else block
+        for reduce_partition, bucket_records in bucketed.items():
+            block = ColumnBlock.from_records(bucket_records)
+            packed[reduce_partition] = bucket_records if block is None else block
         return packed
 
     def _emit_shuffle_write(
@@ -468,14 +472,12 @@ class DAGScheduler:
             bytes=task.get(Resource.SHUFFLE_BYTES),
         )
 
-    def _run_shuffle_tasks(
-        self, dep, store, parent, partitioner, stage, metrics
-    ) -> None:
+    def _run_shuffle_tasks(self, dep, store, parent, stage, metrics) -> None:
         stage_id = self._emit_stage(stage.name, parent.num_partitions)
         pool = self._dispatch_pool()
         if pool is not None:
             self._run_shuffle_tasks_pooled(
-                pool, dep, store, parent, partitioner, stage, metrics, stage_id
+                pool, dep, store, parent, stage, metrics, stage_id
             )
             return
         task_seconds: list[float] = []
@@ -483,10 +485,9 @@ class DAGScheduler:
             task = TaskMetrics()
 
             def map_task(split=split, task=task):
-                bucketed = self._pack_buckets(
-                    self._shuffle_buckets(dep, parent, partitioner, split)
+                written = store.write(
+                    dep.shuffle_id, split, self._map_output(dep, split)
                 )
-                written = store.write(dep.shuffle_id, split, bucketed)
                 task.add(Resource.SHUFFLE_BYTES, written)
 
             events_ctx = (
@@ -506,7 +507,7 @@ class DAGScheduler:
         self._finish_stage(stage, task_seconds, shuffling=True, metrics=metrics)
 
     def _run_shuffle_tasks_pooled(
-        self, pool, dep, store, parent, partitioner, stage, metrics, stage_id=None
+        self, pool, dep, store, parent, stage, metrics, stage_id=None
     ) -> None:
         """Map tasks on the pool; the driver replays the store writes.
 
@@ -518,9 +519,7 @@ class DAGScheduler:
 
         def make_body(split: int):
             def body(task: TaskMetrics):
-                bucketed = self._pack_buckets(
-                    self._shuffle_buckets(dep, parent, partitioner, split)
-                )
+                bucketed = self._map_output(dep, split)
                 task.add(Resource.SHUFFLE_BYTES, ShuffleStore.bucket_bytes(bucketed))
                 return bucketed
 
@@ -663,9 +662,7 @@ class DAGScheduler:
                 map_split = task_index % parent.num_partitions
                 store.drop_map_output(dep.shuffle_id, map_split)
                 with capture_observability(ObsCapture()):
-                    bucketed = self._shuffle_buckets(
-                        dep, parent, dep.partitioner, map_split
-                    )
+                    bucketed = self._map_output(dep, map_split)
                 store.restore(dep.shuffle_id, map_split, bucketed)
                 log = get_event_log()
                 if log.enabled and self._events_query is not None:

@@ -25,15 +25,23 @@ __all__ = [
 ]
 
 
+_SCALAR_TYPES = (int, float, bool)
+# np.float64 subclasses float; numpy's integers and bool_ subclass nothing
+# Python, so they are named: a numpy scalar weighs what it stands for.
+_NUMPY_SCALAR_TYPES = (np.integer, np.floating, np.bool_)
+_ANY_SCALAR_TYPES = _SCALAR_TYPES + _NUMPY_SCALAR_TYPES
+
+
 def estimate_bytes(record: Any) -> int:
     """Cheap serialized-size estimate for shuffle/broadcast accounting.
 
     Not exact serialisation — a stable, fast heuristic: containers are the
     sum of their elements plus a small header, strings weigh their UTF-8
     byte length, geometries 16 bytes per vertex (two float64 coordinates),
-    numpy arrays their buffer size plus a header, scalars 8.  The
-    container walk is iterative (explicit stack) so deeply nested records
-    can't hit the interpreter recursion limit.
+    numpy arrays their buffer size plus a header, scalars 8 — numpy
+    scalars included, which weigh what the Python scalar they stand for
+    weighs.  The container walk is iterative (explicit stack) so deeply
+    nested records can't hit the interpreter recursion limit.
     """
     total = 0
     stack = [record]
@@ -45,7 +53,7 @@ def estimate_bytes(record: Any) -> int:
             total += len(item)
         elif isinstance(item, str):
             total += len(item.encode("utf-8"))
-        elif isinstance(item, (int, float, bool)):
+        elif isinstance(item, _ANY_SCALAR_TYPES):
             total += 8
         elif isinstance(item, (tuple, list)):
             total += 8
@@ -70,9 +78,6 @@ def estimate_bytes(record: Any) -> int:
     return total
 
 
-_SCALAR_TYPES = (int, float, bool)
-
-
 def _flat_tuple_bytes(values: tuple) -> int | None:
     """:func:`estimate_bytes` of a tuple of scalars / ``None`` / strings,
     without the stack walk; ``None`` when it holds anything else."""
@@ -85,6 +90,8 @@ def _flat_tuple_bytes(values: tuple) -> int | None:
             total += 1
         elif kind is str:
             total += len(value) if value.isascii() else len(value.encode("utf-8"))
+        elif isinstance(value, _NUMPY_SCALAR_TYPES):
+            total += 8
         else:
             return None
     return total
@@ -98,8 +105,8 @@ def records_bytes(records) -> int:
     * a :class:`~repro.columnar.block.ColumnBlock` carries its exact
       object-path total in ``charge_bytes`` — return it directly;
     * the dominant spatial-join record shape ``(key, (id, geometry))``
-      with scalar key/id sizes to ``56 + 16 * num_points`` without
-      walking the container (byte-for-byte what the generic walk
+      with scalar (Python or numpy) key/id sizes to ``56 + 16 * num_points``
+      without walking the container (byte-for-byte what the generic walk
       produces for that shape);
     * the result-exchange shape ``(order_key_tuple, row_tuple)`` — two
       flat tuples of scalars, ``None`` and strings — sizes arithmetically;
@@ -124,9 +131,12 @@ def records_bytes(records) -> int:
                         total += 8 + key_bytes + value_bytes
                         continue
                 elif (
-                    type(key) in _SCALAR_TYPES
+                    (type(key) in _SCALAR_TYPES or isinstance(key, _NUMPY_SCALAR_TYPES))
                     and len(value) == 2
-                    and type(value[0]) in _SCALAR_TYPES
+                    and (
+                        type(value[0]) in _SCALAR_TYPES
+                        or isinstance(value[0], _NUMPY_SCALAR_TYPES)
+                    )
                 ):
                     num_points = getattr(value[1], "num_points", None)
                     if num_points is not None:
@@ -240,16 +250,24 @@ class ShuffleStore:
         """
         return sum(records_bytes(records) for records in bucketed.values())
 
-    def read(
+    def read_blocks(
         self, shuffle_id: int, num_map_partitions: int, reduce_partition: int
     ) -> Iterable:
-        """Yield every record destined for ``reduce_partition``."""
+        """Yield every non-empty block destined for ``reduce_partition``,
+        whole and in map-partition order."""
         REGISTRY.inc("shuffle.reduce_fetches")
         for map_partition in range(num_map_partitions):
             block = self._blocks.get((shuffle_id, map_partition, reduce_partition))
             if block:
                 REGISTRY.inc("shuffle.blocks_read")
-                yield from block
+                yield block
+
+    def read(
+        self, shuffle_id: int, num_map_partitions: int, reduce_partition: int
+    ) -> Iterable:
+        """Yield every record destined for ``reduce_partition``."""
+        for block in self.read_blocks(shuffle_id, num_map_partitions, reduce_partition):
+            yield from block
 
     def bytes_for(self, shuffle_id: int) -> int:
         """Total bytes written for a shuffle."""

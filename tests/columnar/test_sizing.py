@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.columnar import ColumnBlock, GeometryColumn
@@ -42,12 +43,26 @@ class TestRecordsBytes:
             [(1, [2, Point(0, 0)])],  # list, not tuple
             [{"k": 1}, None, "text", (1, 2)],
             [(1, (2, Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])))],
+            # numpy keys / ids, as a router that forgot ``tolist()`` would leak
+            [(np.int64(3), (np.int64(7), Point(1, 1)))],
+            [(np.float64(0.5), (np.bool_(True), LineString([(0, 0), (1, 1)])))],
+            [(3, (np.int32(7), Point(1, 1))), (np.int64(3), (8, Point(2, 2)))],
+            [((np.int64(1), np.float32(2.0)), (np.uint8(3), None, "x", np.bool_(False)))],
         ],
     )
     def test_equals_per_record_walk(self, records):
         assert records_bytes(records) == sum(
             estimate_bytes(record) for record in records
         )
+
+    def test_numpy_scalars_weigh_what_they_stand_for(self):
+        for scalar in (np.int64(3), np.int32(3), np.uint8(3), np.bool_(True),
+                       np.float64(3.0), np.float32(3.0)):
+            assert estimate_bytes(scalar) == estimate_bytes(scalar.item()) == 8
+        python = [(3, (7, Point(1, 1)))]
+        numpy = [(np.int64(3), (np.int64(7), Point(1, 1)))]
+        assert records_bytes(numpy) == records_bytes(python) == 56 + 16
+        assert estimate_bytes((np.int64(1), np.float64(2.0))) == estimate_bytes((1, 2.0))
 
     def test_result_exchange_rows_size_arithmetically(self, monkeypatch):
         # The Impala coordinator's keyed result rows: (ORDER BY key tuple,

@@ -289,3 +289,99 @@ class TestSlowEngineChargedNotPerformed:
                 SpatialOperator.WITHIN,
             )
         )
+
+
+class TestPartitionedJoinMovesBlocks:
+    """The partitioned join routes, shuffles and dedupes a block at a time;
+    every task is charged exactly what the record-at-a-time join charged."""
+
+    # ``counts`` of every task of the join's job — keys in first-touch order
+    # (``task_seconds`` is a float sum in dict order) — captured at the last
+    # commit that routed and shuffled one record at a time.
+    @pytest.mark.parametrize(
+        "build,operator,radius,pinned",
+        [
+            ("cell_records", SpatialOperator.WITHIN, 0.0, {
+                "shuffle-0": [[("shuffle_bytes", 5472.0)], [("shuffle_bytes", 5400.0)],
+                              [("shuffle_bytes", 5472.0)], [("shuffle_bytes", 5472.0)]],
+                "shuffle-1": [[("shuffle_bytes", 2312.0)], [("shuffle_bytes", 2584.0)]],
+                "result": [
+                    [("shuffle_bytes", 4272.0), ("index_build", 6.0), ("index_visit", 48.0),
+                     ("rows_out", 48.0), ("refine_vertex_fast", 192.0)],
+                    [("shuffle_bytes", 9048.0), ("index_build", 12.0), ("index_visit", 309.0),
+                     ("rows_out", 103.0), ("refine_vertex_fast", 412.0)],
+                    [("shuffle_bytes", 6552.0), ("index_build", 9.0), ("index_visit", 74.0),
+                     ("rows_out", 74.0), ("refine_vertex_fast", 296.0)],
+                    [("shuffle_bytes", 6840.0), ("index_build", 9.0), ("index_visit", 78.0),
+                     ("rows_out", 78.0), ("refine_vertex_fast", 312.0)],
+                ],
+            }),
+            ("line_records", SpatialOperator.NEAREST_D, 5.0, {
+                "shuffle-0": [[("shuffle_bytes", 5472.0)], [("shuffle_bytes", 5400.0)],
+                              [("shuffle_bytes", 5472.0)], [("shuffle_bytes", 5472.0)]],
+                "shuffle-1": [[("shuffle_bytes", 2162.0)], [("shuffle_bytes", 2175.0)]],
+                "result": [
+                    [("shuffle_bytes", 3976.0), ("index_build", 6.0), ("index_visit", 48.0),
+                     ("rows_out", 14.0), ("refine_vertex_fast", 19.0)],
+                    [("shuffle_bytes", 8805.0), ("index_build", 16.0), ("index_visit", 309.0),
+                     ("rows_out", 57.0), ("refine_vertex_fast", 84.0)],
+                    [("shuffle_bytes", 6543.0), ("index_build", 14.0), ("index_visit", 222.0),
+                     ("rows_out", 33.0), ("refine_vertex_fast", 50.0)],
+                    [("shuffle_bytes", 6829.0), ("index_build", 14.0), ("index_visit", 234.0),
+                     ("rows_out", 42.0), ("refine_vertex_fast", 62.0)],
+                ],
+            }),
+        ],
+    )
+    def test_every_task_counts_dict_is_pinned_in_order(
+        self, request, point_records, build, operator, radius, pinned
+    ):
+        sc = SparkContext(ClusterSpec(2, 2))
+        left = sc.parallelize(point_records, 4)
+        right = sc.parallelize(request.getfixturevalue(build), 2)
+        partitioned_spatial_join(
+            sc, left, right, operator, radius=radius,
+            partitioning=derive_partitioning(left, num_tiles=4),
+        ).collect()
+        counts = {
+            stage.name: [list(task.counts.items()) for task in stage.tasks]
+            for stage in sc.job_log[-1].stages
+        }
+        assert counts == pinned
+
+    def test_no_left_point_is_built_between_parse_and_pair(
+        self, monkeypatch, point_records, cell_records
+    ):
+        from repro.core.broadcast_join import read_geometry_pairs
+        from repro.geometry.point import Point as PointClass
+        from repro.hdfs import SimulatedHDFS, write_text
+
+        fs = SimulatedHDFS(block_size=4096)
+        write_text(fs, "/pnt.txt", [f"{i}\t{g.wkt()}" for i, g in point_records])
+        write_text(
+            fs, "/poly.txt", [f"{i}\t{g.wkt()}" for i, (_, g) in enumerate(cell_records)]
+        )
+        tiles = SortTilePartitioner(6).partition(
+            Envelope(0, 0, 100, 100), [(p.x, p.y) for _, p in point_records[::5]]
+        )
+        want = sorted(
+            naive_spatial_join(
+                point_records,
+                [(i, g) for i, (_, g) in enumerate(cell_records)],
+                SpatialOperator.WITHIN,
+            )
+        )
+
+        def built(self, x, y):
+            raise AssertionError("the partitioned join built a Point")
+
+        monkeypatch.setattr(PointClass, "__init__", built)
+        sc = SparkContext(ClusterSpec(2, 2), hdfs=fs)
+        pairs = partitioned_spatial_join(
+            sc,
+            read_geometry_pairs(sc, "/pnt.txt", 1),
+            read_geometry_pairs(sc, "/poly.txt", 1),
+            SpatialOperator.WITHIN,
+            partitioning=tiles,
+        ).collect()
+        assert sorted(pairs) == want and len(want) == len(point_records)

@@ -21,10 +21,14 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import JoinConfig, spatial_join
+from repro.core.operators import SpatialOperator
+from repro.core.partitioned_join import partitioned_spatial_join
 from repro.errors import ImpalaError
 from repro.geometry import Point, Polygon
+from repro.geometry.envelope import Envelope
 from repro.hdfs import SimulatedHDFS, write_text
 from repro.impala import ColumnType, ImpalaBackend
+from repro.index.partitioner import FixedGridPartitioner
 from repro.obs.events import (
     RECOVERY_EVENT_TYPES,
     normalize_events,
@@ -195,6 +199,59 @@ class TestSparkChaosEquivalence:
         assert record["reason"] == "shuffle_loss"
         assert {"shuffle_id", "map_partition", "query", "stage"} <= set(record)
         assert any(e["event"] == "TaskRetried" for e in events)
+
+
+def _spark_partitioned_snapshot(runtime, events_out):
+    """The partitioned spatial join: its shuffle carries column blocks."""
+    sc = SparkContext(SPEC, runtime=runtime.with_(events_out=events_out))
+    pairs = partitioned_spatial_join(
+        sc,
+        sc.parallelize(_points(), 4),
+        sc.parallelize(_grid_polygons(), 2),
+        SpatialOperator.WITHIN,
+        partitioning=FixedGridPartitioner(3, 2).partition(Envelope(0, 0, 12, 12)),
+    ).collect()
+    snapshot = {
+        "pairs": pairs,  # emission order included
+        "sim_seconds": sc.simulated_seconds(),
+        "counters": sc.totals(),
+    }
+    sc.close_events()
+    snapshot["events"] = [
+        e
+        for e in normalize_events(read_events(events_out))
+        if e["event"] not in RECOVERY_EVENT_TYPES
+    ]
+    return snapshot
+
+
+class TestSparkBlockShuffleChaosEquivalence:
+    """A lost map output that held column blocks is recomputed from
+    lineage in the representation the map task wrote, so the reduce side
+    — which takes blocks whole — cannot tell it was ever lost."""
+
+    @pytest.mark.parametrize(
+        "executors", ["serial", pytest.param(2, marks=needs_fork)]
+    )
+    @pytest.mark.parametrize("task", range(4))
+    def test_lost_block_output_recomputed_from_lineage(
+        self, tmp_path, executors, task
+    ):
+        runtime = RuntimeConfig(executors=executors)
+        baseline = _spark_partitioned_snapshot(
+            runtime, str(tmp_path / "baseline.jsonl")
+        )
+        assert len(baseline["pairs"]) == len(_points())
+        path = str(tmp_path / "chaos.jsonl")
+        plan = FaultPlan(seed=1).at("job-1:result", task=task, kind="shuffle_loss")
+        chaos = _spark_partitioned_snapshot(runtime.with_(fault_plan=plan), path)
+        assert chaos == baseline
+        recomputed = [
+            e for e in read_events(path) if e["event"] == "StageRecomputed"
+        ]
+        # One lost map output per shuffle the result stage reads.
+        assert len(recomputed) == 2
+        assert {e["reason"] for e in recomputed} == {"shuffle_loss"}
 
 
 def _impala_backend(runtime, events_out=None):
