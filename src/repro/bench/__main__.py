@@ -31,20 +31,21 @@ from repro.bench.report import (
 )
 from repro.bench.runner import run_engine
 from repro.obs import spans_to_chrome_trace, tracing, write_chrome_trace
+from repro.runtime.config import RuntimeConfig
 
 ENGINES = ("spatialspark", "isp-mc", "isp-standalone")
 
 
 def _scale_or_mode(value: str):
     """Positional argument: a float scale factor, or a named bench mode."""
-    if value in ("parallel", "monitor", "chaos", "cache", "regress"):
+    if value in ("monitor", "chaos", "cache", "regress"):
         return value
     try:
         return float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a scale factor, 'parallel', 'monitor', 'chaos', "
-            f"'cache' or 'regress', got {value!r}"
+            f"expected a scale factor, 'monitor', 'chaos', 'cache' or "
+            f"'regress', got {value!r}"
         ) from None
 
 
@@ -59,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         type=_scale_or_mode,
         default=DEFAULT_SCALE,
-        help=f"dataset scale factor (default {DEFAULT_SCALE}), 'parallel' "
-        "for the process-pool runtime benchmark, 'monitor' to replay an "
-        "events.jsonl file as per-worker timelines, 'chaos' for the "
+        help=f"dataset scale factor (default {DEFAULT_SCALE}), 'monitor' to "
+        "replay an events.jsonl file as per-worker timelines, 'chaos' for the "
         "fault-injection equivalence sweep, 'cache' for the "
         "cross-query cache cold-vs-warm benchmark, or "
         "'regress' to gate a fresh run against the committed "
@@ -74,33 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="for monitor mode: path of the events.jsonl file to replay",
     )
     parser.add_argument(
-        "--points",
-        type=int,
-        default=100_000,
-        help="probe points for the parallel benchmark (default 100000)",
-    )
-    parser.add_argument(
         "--out",
         metavar="PATH",
         default=None,
-        help="for parallel/chaos/cache/regress modes: also write the JSON "
+        help="for chaos/cache/regress modes: also write the JSON "
         "document to PATH",
     )
     parser.add_argument(
         "--executors",
         default=None,
         help="executor pool size for --profile runs ('serial' or an "
-        "integer >= 1); in parallel mode, comma-separated pool sizes to "
-        "benchmark (default 2,4)",
-    )
-    parser.add_argument(
-        "--assert-speedup",
-        type=float,
-        metavar="RATIO",
-        default=None,
-        help="for parallel mode: exit nonzero unless the largest pool "
-        "reaches RATIOx speedup over serial (use on multi-core CI "
-        "runners; meaningless on one core) or any equivalence check fails",
+        "integer >= 1)",
     )
     parser.add_argument(
         "--json",
@@ -159,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="for monitor mode: flag tasks slower than K x their stage "
         "median as stragglers (default 2.0)",
-    )
-    parser.add_argument(
-        "--assert-events-overhead",
-        type=float,
-        metavar="RATIO",
-        default=None,
-        help="for parallel mode: exit nonzero if enabling the event log "
-        "slows the engine run by more than RATIO (e.g. 0.10 for 10%%)",
     )
     parser.add_argument(
         "--seed",
@@ -246,8 +222,7 @@ def _profile_run(args: argparse.Namespace) -> int:
             args.nodes,
             scale=args.scale,
             profile=True,
-            executors=executors,
-            events_out=args.events_out,
+            runtime=RuntimeConfig(executors=executors, events_out=args.events_out),
         )
     profile = result.profile
     if args.json:
@@ -272,58 +247,6 @@ def _profile_run(args: argparse.Namespace) -> int:
             spans_to_chrome_trace(tracer.roots),
         )
         print(f"wrote Chrome trace to {args.trace_out}", file=sys.stderr)
-    return 0
-
-
-def _parallel_run(args: argparse.Namespace) -> int:
-    from repro.bench.parallel import (
-        render_parallel,
-        run_parallel_benchmark,
-        write_parallel_json,
-    )
-
-    counts = tuple(
-        int(part) for part in (args.executors or "2,4").split(",") if part
-    )
-    doc = run_parallel_benchmark(points=args.points, executor_counts=counts)
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-    else:
-        print(render_parallel(doc))
-    if args.out:
-        write_parallel_json(doc, args.out)
-        print(f"wrote parallel benchmark to {args.out}", file=sys.stderr)
-    identical = doc["equivalence"]["all_identical"] and all(
-        pool["identical"]
-        for entry in doc["workloads"].values()
-        for pool in entry["pools"].values()
-    )
-    if not identical:
-        print("FAIL: pooled and serial results differ", file=sys.stderr)
-        return 1
-    if args.assert_speedup is not None:
-        best = max(
-            pool["speedup"]
-            for entry in doc["workloads"].values()
-            for pool in entry["pools"].values()
-        )
-        if best < args.assert_speedup:
-            print(
-                f"FAIL: best pool speedup {best:.2f}x < "
-                f"{args.assert_speedup:.2f}x "
-                f"({doc['available_cores']} core(s) available)",
-                file=sys.stderr,
-            )
-            return 1
-    if args.assert_events_overhead is not None:
-        delta = doc["events_overhead"]["delta_fraction"]
-        if delta > args.assert_events_overhead:
-            print(
-                f"FAIL: event-log overhead {delta * 100.0:.1f}% > "
-                f"{args.assert_events_overhead * 100.0:.1f}%",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 
@@ -369,7 +292,7 @@ def _cache_run(args: argparse.Namespace) -> int:
     )
 
     doc = run_cache_benchmark(
-        batches=args.batches, events_out=args.events_out
+        batches=args.batches, events_path=args.events_out
     )
     if args.json:
         print(json.dumps(doc, indent=1, sort_keys=True))
@@ -435,8 +358,6 @@ def _regress_run(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.scale == "parallel":
-        return _parallel_run(args)
     if args.scale == "monitor":
         return _monitor_run(args)
     if args.scale == "chaos":

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from typing import Any
 
 from repro.bench.runner import run_ispmc, run_spatialspark
@@ -58,10 +57,7 @@ def _clear_process_caches() -> None:
     clear_wkt_cache()
 
 
-def _run_batch(engine: str, mat, nodes: int, runtime: RuntimeConfig,
-               events_out: str | None = None):
-    if events_out is not None:
-        runtime = replace(runtime, events_out=events_out)
+def _run_batch(engine: str, mat, nodes: int, runtime: RuntimeConfig):
     if engine == "spatialspark":
         # Few, fat partitions: the study measures parse/build/probe cost,
         # not scheduler bookkeeping (results are partition-independent).
@@ -78,11 +74,11 @@ def run_cache_benchmark(
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
     workload_names: tuple[str, ...] = _WORKLOADS,
     engines: tuple[str, ...] = _ENGINES,
-    events_out: str | None = None,
+    events_path: str | None = None,
 ) -> dict[str, Any]:
     """Cold vs warm repeated-query sweep; returns a JSON-ready document.
 
-    With ``events_out``, one extra warm batch is re-run afterwards with
+    With ``events_path``, one extra warm batch is re-run afterwards with
     the structured event log enabled, so the written JSONL carries the
     ``CacheHit`` events of a warm build side (the CI artifact).
     """
@@ -156,7 +152,7 @@ def run_cache_benchmark(
         "best_warm_speedup": max(c["warm_speedup"] for c in cases),
         "all_identical": all(c["identical"] for c in cases),
     }
-    if events_out is not None:
+    if events_path is not None:
         # Annotated artifact: populate the cache with one silent batch,
         # then re-run the next batch with the event log on — its stream
         # carries CacheHit events alongside the usual query events.
@@ -166,9 +162,9 @@ def run_cache_benchmark(
         _clear_process_caches()
         _run_batch(engines[0], runs[0], nodes, warm_runtime)
         _run_batch(
-            engines[0], runs[1], nodes, warm_runtime, events_out=events_out
+            engines[0], runs[1], nodes, warm_runtime.with_(events_out=events_path)
         )
-        doc["events_out"] = events_out
+        doc["events_out"] = events_path
     return doc
 
 

@@ -71,13 +71,13 @@ def _points(count: int = 96, extent: float = 12.0, seed: int = 13):
 def _core_case(method: str):
     """One in-memory join; chaos exercises the chunk/tile dispatch path."""
 
-    def run(runtime: RuntimeConfig, events_out: str | None) -> dict:
+    def run(runtime: RuntimeConfig) -> dict:
         config = JoinConfig(
             method=method,
             profile=True,
             batch_size=16,
             workers=4,
-            runtime=runtime.with_(events_out=events_out),
+            runtime=runtime,
         )
         result = spatial_join(_points(), _grid_polygons(), config=config)
         return {
@@ -89,12 +89,12 @@ def _core_case(method: str):
     return run
 
 
-def _spark_broadcast_case(runtime: RuntimeConfig, events_out: str | None) -> dict:
+def _spark_broadcast_case(runtime: RuntimeConfig) -> dict:
     """The paper's broadcast join on the mini-Spark substrate."""
     from repro.core.broadcast_join import broadcast_spatial_join
     from repro.core.operators import SpatialOperator
 
-    sc = SparkContext(_SPEC, runtime=runtime.with_(events_out=events_out))
+    sc = SparkContext(_SPEC, runtime=runtime)
     left = sc.parallelize(_points(), 4)
     right = sc.parallelize(_grid_polygons(), 2)
     pairs = broadcast_spatial_join(
@@ -110,9 +110,9 @@ def _spark_broadcast_case(runtime: RuntimeConfig, events_out: str | None) -> dic
     return snapshot
 
 
-def _spark_shuffle_case(runtime: RuntimeConfig, events_out: str | None) -> dict:
+def _spark_shuffle_case(runtime: RuntimeConfig) -> dict:
     """A shuffle job — the lineage-recovery (``shuffle_loss``) surface."""
-    sc = SparkContext(_SPEC, runtime=runtime.with_(events_out=events_out))
+    sc = SparkContext(_SPEC, runtime=runtime)
     rows = (
         sc.parallelize(list(range(48)), 4)
         .map(lambda value: (value % 6, value))
@@ -130,7 +130,7 @@ def _spark_shuffle_case(runtime: RuntimeConfig, events_out: str | None) -> dict:
     return snapshot
 
 
-def _impala_case(runtime: RuntimeConfig, events_out: str | None) -> dict:
+def _impala_case(runtime: RuntimeConfig) -> dict:
     """ISP-MC SQL on the mini-Impala substrate (restart-based recovery)."""
     from repro.hdfs import SimulatedHDFS, write_text
     from repro.impala.catalog import ColumnType
@@ -147,9 +147,7 @@ def _impala_case(runtime: RuntimeConfig, events_out: str | None) -> dict:
         "/chaos/cells.tsv",
         [f"{name}\t{geom.wkt()}" for name, geom in _grid_polygons()],
     )
-    backend = ImpalaBackend(
-        _SPEC, hdfs=hdfs, runtime=runtime.with_(events_out=events_out)
-    )
+    backend = ImpalaBackend(_SPEC, hdfs=hdfs, runtime=runtime)
     schema_points = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
     schema_cells = [("id", ColumnType.STRING), ("geom", ColumnType.STRING)]
     backend.metastore.create_table("points", schema_points, "/chaos/points.tsv")
@@ -254,7 +252,7 @@ def run_chaos_benchmark(
         }
         for name, case in CASES.items():
             base_path = os.path.join(events_dir, f"{name}-baseline.jsonl")
-            baseline = case(RuntimeConfig(), base_path)
+            baseline = case(RuntimeConfig(events_out=base_path))
             base_events = _comparable_events(_events_of(base_path))
             entry: dict = {
                 "baseline": {
@@ -266,10 +264,11 @@ def run_chaos_benchmark(
             }
             for rate in fault_rates:
                 path = os.path.join(events_dir, f"{name}-rate{rate}.jsonl")
-                runtime = RuntimeConfig(
-                    fault_plan=_case_plan(name, seed, rate)
+                chaos = case(
+                    RuntimeConfig(
+                        fault_plan=_case_plan(name, seed, rate), events_out=path
+                    )
                 )
-                chaos = case(runtime, path)
                 events = _events_of(path)
                 checks = {
                     "rows": chaos["rows"] == baseline["rows"],

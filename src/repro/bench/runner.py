@@ -71,8 +71,6 @@ def run_spatialspark(
     engine: str = "fast",
     num_partitions: int | None = None,
     profile: bool = False,
-    executors: int | str | None = None,
-    events_out: str | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> RunResult:
     """SpatialSpark: broadcast join on the mini-Spark substrate."""
@@ -80,8 +78,6 @@ def run_spatialspark(
         cluster_spec(num_nodes),
         hdfs=mat.hdfs,
         cost_model=cost_model,
-        executors=executors,
-        events_out=events_out,
         runtime=runtime,
     )
     left = read_geometry_pairs(sc, mat.left_path, 1, num_partitions=num_partitions)
@@ -132,8 +128,6 @@ def run_ispmc(
     assignment: str = "round_robin",
     profile: bool = False,
     batch_size: int | None = None,
-    executors: int | str | None = None,
-    events_out: str | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> RunResult:
     """ISP-MC: SQL spatial join on the mini-Impala substrate."""
@@ -145,8 +139,6 @@ def run_ispmc(
         assignment=assignment,
         build_cost_weight=mat.build_cost_weight,
         batch_size=batch_size,
-        executors=executors,
-        events_out=events_out,
         runtime=runtime,
     )
     schema = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
@@ -212,36 +204,22 @@ def run_engine(
     scale: float = 0.1,
     cost_model: CostModel | None = None,
     profile: bool = False,
-    executors: int | str | None = None,
-    events_out: str | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> RunResult:
     """Dispatch by engine label (the harness entry used by benches)."""
     mat = materialize(workload_name, scale=scale)
     if engine == "spatialspark":
         return run_spatialspark(
-            mat,
-            num_nodes,
-            cost_model,
-            profile=profile,
-            executors=executors,
-            events_out=events_out,
-            runtime=runtime,
+            mat, num_nodes, cost_model, profile=profile, runtime=runtime
         )
     if engine == "isp-mc":
         return run_ispmc(
-            mat,
-            num_nodes,
-            cost_model,
-            profile=profile,
-            executors=executors,
-            events_out=events_out,
-            runtime=runtime,
+            mat, num_nodes, cost_model, profile=profile, runtime=runtime
         )
     if engine == "isp-standalone":
         if num_nodes != 1:
             raise BenchError("standalone ISP-MC runs on a single node")
-        if events_out is not None:
+        if runtime is not None and runtime.events_out is not None:
             raise BenchError(
                 "events_out is not supported by the standalone engine; "
                 "use spatialspark or isp-mc"

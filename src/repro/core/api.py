@@ -16,7 +16,6 @@ the optimizer's :class:`~repro.optimizer.PlanChoice` and the sampled
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, replace
@@ -41,16 +40,17 @@ from repro.core.probe import BroadcastIndex, join_tile, naive_spatial_join
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry.wkt import loads as wkt_loads
-from repro.obs.events import EventLog, get_event_log, install_event_log
+from repro.obs.events import (
+    EventLog,
+    emit_task_end,
+    emit_task_start,
+    get_event_log,
+    install_event_log,
+)
 from repro.obs.tracer import NULL_SPAN, get_tracer
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.pool import (
-    SerialBackend,
-    current_worker_id,
-    make_pool,
-    validate_executors,
-)
-from repro.runtime.recovery import RecoveryContext, run_recovered
+from repro.runtime.pool import SerialBackend, make_pool
+from repro.runtime.recovery import RecoveryContext, run_tasks
 from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
 
 __all__ = ["spatial_join", "spatial_join_pairs", "JoinConfig", "JoinResult"]
@@ -77,25 +77,19 @@ class JoinConfig:
     substrate (how many probes each bulk index probe + batched kernel
     dispatch covers); it must be positive.
 
-    ``executors`` is the *real*-parallelism knob: ``"serial"`` (default)
-    runs everything inline; an int >= 1 dispatches probe chunks / tile
-    joins to that many worker processes.  Unlike ``workers`` (which only
-    scales the *simulated* task slots), ``executors`` changes wall-clock
-    time — and nothing else: results, counters and profiles are
-    byte-identical either way.
-
+    ``runtime`` is the execution policy
+    (:class:`~repro.runtime.config.RuntimeConfig`), ``None`` meaning its
+    defaults.  Its ``executors`` is the *real*-parallelism knob: an int
+    > 1 dispatches probe chunks / tile joins to that many worker
+    processes.  Unlike ``workers`` (which only scales the *simulated*
+    task slots) it changes wall-clock time — and nothing else: results,
+    counters and profiles are byte-identical either way.  Its
     ``events_out`` names a JSONL file to receive the structured event log
     (QueryStart / StageSubmitted / TaskStart / TaskEnd / QueryEnd — the
-    stream ``python -m repro.bench monitor`` replays).  ``None`` (default)
-    keeps the event sink a strict no-op.
-
-    ``runtime`` is the unified execution policy
-    (:class:`~repro.runtime.config.RuntimeConfig`: executors, retry /
-    backoff / timeout budgets, speculation knobs, an optional
-    :class:`~repro.runtime.faults.FaultPlan`, ``events_out``).  Precedence
-    rule: an explicit ``runtime`` wins over the loose ``executors`` /
-    ``events_out`` fields; when ``runtime`` is ``None`` those fields are
-    packed into an implicit one and behave exactly as before.
+    stream ``python -m repro.bench monitor`` replays).  The retry /
+    backoff / speculation budgets, the optional
+    :class:`~repro.runtime.faults.FaultPlan` and the cache budget live
+    there too.
 
     ``explain`` selects the plan-introspection surface (DESIGN.md §15):
     ``"off"`` (default) adds nothing; ``"plan"`` attaches an estimate-only
@@ -121,8 +115,6 @@ class JoinConfig:
     skew_factor: float = 2.0
     sample_size: int | None = None
     batch_size: int = 1024
-    executors: int | str = "serial"
-    events_out: str | None = None
     runtime: RuntimeConfig | None = None
     explain: str = "off"
     explain_ratio: float = 4.0
@@ -141,17 +133,10 @@ class JoinConfig:
             raise ReproError(
                 f"explain_ratio must be > 1, got {self.explain_ratio!r}"
             )
-        validate_executors(self.executors, what="executors")
         if self.runtime is not None and not isinstance(self.runtime, RuntimeConfig):
             raise ReproError(
                 f"runtime must be a RuntimeConfig, got {type(self.runtime).__name__}"
             )
-
-    def resolved_runtime(self) -> RuntimeConfig:
-        """The effective runtime policy (explicit ``runtime`` wins)."""
-        if self.runtime is not None:
-            return self.runtime
-        return RuntimeConfig(executors=self.executors, events_out=self.events_out)
 
     def with_(self, **changes) -> "JoinConfig":
         """A copy with the given fields replaced."""
@@ -385,8 +370,6 @@ def spatial_join(
     profile: bool = False,
     cost_model: CostModel | None = None,
     workers: int = 1,
-    executors: int | str = "serial",
-    events_out: str | None = None,
     runtime: RuntimeConfig | None = None,
     explain: str = "off",
     config: JoinConfig | None = None,
@@ -414,9 +397,8 @@ def spatial_join(
     completed its deprecation cycle and now raises.
 
     ``runtime`` installs a :class:`~repro.runtime.config.RuntimeConfig`
-    (retry / speculation policy, fault plan); it takes precedence over
-    the loose ``executors`` / ``events_out`` keywords, and over the same
-    fields of ``config`` when both are given.
+    (executors, event log, retry / speculation policy, fault plan); it
+    replaces ``config.runtime`` when both are given.
 
     Example::
 
@@ -447,8 +429,6 @@ def spatial_join(
             profile=profile,
             cost_model=cost_model,
             workers=workers,
-            executors=executors,
-            events_out=events_out,
             explain=explain,
         )
     if runtime is not None:
@@ -459,22 +439,22 @@ def spatial_join(
 def _execute_join(left, right, cfg: JoinConfig) -> JoinResult:
     """Event-log envelope around :func:`_run_join`.
 
-    With ``events_out`` set, the join owns a JSONL-backed
+    With the runtime's ``events_out`` set, the join owns a JSONL-backed
     :class:`EventLog` for its duration; otherwise the ambient sink (an
     enclosing :func:`~repro.obs.events.logging_events` block, or the
     disabled no-op default) is left in place.
     """
-    events_out = cfg.resolved_runtime().events_out
-    owned = EventLog(path=events_out) if events_out else None
+    runtime = cfg.runtime or RuntimeConfig()
+    owned = EventLog(path=runtime.events_out) if runtime.events_out else None
     try:
         with install_event_log(owned):
-            return _run_join(left, right, cfg)
+            return _run_join(left, right, cfg, runtime)
     finally:
         if owned is not None:
             owned.close()
 
 
-def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
+def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResult:
     op = _coerce_operator(cfg.operator)
     if cfg.method not in _METHODS:
         raise ReproError(
@@ -484,9 +464,9 @@ def _run_join(left, right, cfg: JoinConfig) -> JoinResult:
     model = cfg.cost_model or CostModel()
     # One recovery context per join call: blacklist state and fault
     # consumption are scoped to the query, like the engines' drivers.
-    recovery = RecoveryContext(cfg.resolved_runtime())
+    recovery = RecoveryContext(runtime)
     # None unless the runtime opts in via cache_budget_bytes.
-    cache = cache_for(cfg.resolved_runtime())
+    cache = cache_for(runtime)
     tracer = get_tracer()
     # Pure observers: nothing below this block changes when explain is on.
     explain_on = cfg.explain != "off"
@@ -701,39 +681,6 @@ def _naive_join(left_entries, right_entries, op, cfg, model, query):
     return pairs
 
 
-def _emit_task_start(log, events_ctx, index, label, partition) -> None:
-    query_id, stage_id = events_ctx
-    log.emit(
-        "TaskStart",
-        query=query_id,
-        stage=stage_id,
-        task=index,
-        partition=partition,
-        label=label,
-        worker=current_worker_id(),
-        pid=os.getpid(),
-        wall_start=time.perf_counter(),
-    )
-
-
-def _emit_task_end(log, events_ctx, index, label, partition, sim_seconds, counters) -> None:
-    query_id, stage_id = events_ctx
-    log.emit(
-        "TaskEnd",
-        query=query_id,
-        stage=stage_id,
-        task=index,
-        partition=partition,
-        label=label,
-        worker=current_worker_id(),
-        pid=os.getpid(),
-        wall_end=time.perf_counter(),
-        sim_seconds=sim_seconds,
-        counters=counters,
-        failures=0,
-    )
-
-
 def _phase(query, name: str):
     """The span of one billed phase; only profiled runs trace them."""
     if query is None:
@@ -741,7 +688,7 @@ def _phase(query, name: str):
     return get_tracer().span(name, category="phase")
 
 
-def _dispatch_pool(cfg: JoinConfig, num_tasks: int):
+def _dispatch_pool(runtime: RuntimeConfig, num_tasks: int):
     """The pool probe chunks and tile joins are dispatched through.
 
     Real workers need more than one task and fork-style closure dispatch
@@ -749,7 +696,7 @@ def _dispatch_pool(cfg: JoinConfig, num_tasks: int):
     :class:`SerialBackend` runs the same thunks on the driver, so serial,
     pooled and fault-injected runs share one code path.
     """
-    pool = make_pool(cfg.resolved_runtime().executors)
+    pool = make_pool(runtime.executors)
     if num_tasks < 2 or pool.is_serial or not pool.supports_closures:
         return SerialBackend()
     return pool
@@ -783,51 +730,47 @@ def _run_tasks(pool, tasks, model, events_ctx, recovery, scope):
     with its result and is replayed here in task order — workers never
     write the driver's sink, and a losing speculative attempt's capture
     is simply dropped.  With a fault plan active the same thunks run under
-    :func:`run_recovered`.
+    :func:`~repro.runtime.recovery.run_recovered`.
     """
 
     def make_thunk(task_index, label, partition, body):
         if events_ctx is None:
             return lambda: (*body(), None)
+        ids = (*events_ctx, task_index)
 
         def run_with_events():
             capture = ObsCapture()
             with capture_observability(capture):
-                log = get_event_log()
-                _emit_task_start(log, events_ctx, task_index, label, partition)
+                emit_task_start(ids, partition, label)
                 pairs, task = body()
-                _emit_task_end(
-                    log, events_ctx, task_index, label, partition,
-                    task.seconds(model), dict(task.counts),
-                )
+                emit_task_end(ids, partition, label, task.seconds(model), task.counts)
             return pairs, task, capture
 
         return run_with_events
 
-    thunks = [make_thunk(index, *task) for index, task in enumerate(tasks)]
-    if recovery is not None and recovery.active:
-        outcomes = run_recovered(
-            pool,
-            thunks,
-            recovery,
-            scope=scope,
-            events=events_ctx,
-            sim_seconds=lambda index_, value: value[1].seconds(model),
-        )
-        shipments = [outcome.value for outcome in outcomes]
-    else:
-        shipments = pool.run(thunks)
     results = []
-    for pairs, task, capture in shipments:
+
+    def absorb(index, shipment):
+        pairs, task, capture = shipment
         if capture is not None:
             apply_capture(capture)
         results.append((pairs, task))
+
+    run_tasks(
+        pool,
+        [make_thunk(index, *task) for index, task in enumerate(tasks)],
+        recovery,
+        absorb,
+        scope=scope,
+        events=events_ctx,
+        sim_seconds=lambda index, value: value[1].seconds(model),
+    )
     return results
 
 
 def _broadcast_join(
     left_entries, right_entries, left_column, right_column, op, cfg, model, query,
-    events_query=None, recovery=None, cache=None, cache_key=None,
+    events_query, recovery, cache=None, cache_key=None,
 ):
     """The paper's broadcast join: index the right side, probe with the
     left in ``batch_size`` chunks.  With profiling on, build/probe become
@@ -876,7 +819,7 @@ def _broadcast_join(
     probe_metrics = TaskMetrics()
     with _phase(query, "probe") as span:
         for chunk_pairs, task in _run_tasks(
-            _dispatch_pool(cfg, len(starts)),
+            _dispatch_pool(recovery.runtime, len(starts)),
             [chunk_task(task_index, start) for task_index, start in enumerate(starts)],
             model, events_ctx, recovery, "spatial-join:probe",
         ):
@@ -973,7 +916,7 @@ def _route_side(tiles, entries, column, expand, shuffle_metrics):
 
 def _partitioned_join_local(
     left_entries, right_entries, left_column, op, cfg, model, query, plan,
-    events_query=None, recovery=None, cache=None,
+    events_query, recovery, cache=None,
 ):
     """Skew-aware tiled join over in-memory collections.
 
@@ -1098,7 +1041,7 @@ def _partitioned_join_local(
     events_ctx = _submit_stage(events_query, "join", len(joinable))
     with tracer.span("join", category="phase") as span:
         for tile_pairs, task in _run_tasks(
-            _dispatch_pool(cfg, len(joinable)),
+            _dispatch_pool(recovery.runtime, len(joinable)),
             [tile_task(tile_id) for tile_id in joinable],
             model, events_ctx, recovery, "spatial-join:join",
         ):
@@ -1124,7 +1067,6 @@ def spatial_join_pairs(
     profile: bool = False,
     cost_model: CostModel | None = None,
     workers: int = 1,
-    executors: int | str = "serial",
     runtime: RuntimeConfig | None = None,
     config: JoinConfig | None = None,
 ) -> JoinResult:
@@ -1146,7 +1088,6 @@ def spatial_join_pairs(
         profile=profile,
         cost_model=cost_model,
         workers=workers,
-        executors=executors,
         runtime=runtime,
         config=config,
     )

@@ -169,8 +169,6 @@ class ImpalaBackend:
         assignment: str = "round_robin",
         build_cost_weight: float = 1.0,
         batch_size: int | None = None,
-        executors: int | str | None = None,
-        events_out: str | None = None,
         runtime: RuntimeConfig | None = None,
     ):
         if assignment not in ("contiguous", "round_robin"):
@@ -196,12 +194,8 @@ class ImpalaBackend:
         self.build_cost_weight = build_cost_weight
         self.metastore = Metastore(self.hdfs)
         self._planner = Planner(self.metastore, num_nodes=self.cluster.num_nodes)
-        # Unified runtime policy.  Precedence rule: an explicit
-        # RuntimeConfig wins over the loose executors/events_out
-        # keywords; without one, the loose keywords are packed into an
-        # implicit RuntimeConfig and behave exactly as before.
         if runtime is None:
-            runtime = RuntimeConfig(executors=executors, events_out=events_out)
+            runtime = RuntimeConfig()
         self.runtime = runtime
         # Coordinator-side recovery state.  Impala's scheduling is static
         # (Section IV): there is no per-fragment retry or speculation —
@@ -213,16 +207,17 @@ class ImpalaBackend:
         # through it.
         self.cache = cache_for(runtime)
         self._query_counter = 0
-        # Real-parallelism knob: fragment instances for different workers
-        # run concurrently on a process pool while keeping the *static*
+        # Real parallelism (runtime.executors): fragment instances for
+        # different workers run on a process pool while keeping the *static*
         # fragment→worker binding (instance i still owns exactly the scan
         # ranges bound to it at plan time — the pool changes when a
         # fragment runs, never what it runs).  Results are byte-identical
         # with the pool on or off.
         self.task_pool = make_pool(runtime.executors)
-        # Structured event log: given a JSONL path, every executed query
-        # emits QueryStart/FragmentStart/FragmentEnd/QueryEnd events the
-        # monitor replays.  None keeps the disabled global sink (no-op).
+        # Structured event log: given a JSONL path (runtime.events_out),
+        # every executed query emits QueryStart/FragmentStart/FragmentEnd/
+        # QueryEnd events the monitor replays.  None keeps the disabled
+        # global sink (no-op).
         self._event_log = (
             EventLog(path=runtime.events_out) if runtime.events_out else None
         )
@@ -232,7 +227,7 @@ class ImpalaBackend:
 
     @property
     def event_log(self) -> EventLog | None:
-        """The backend-owned event log (None when ``events_out`` unset)."""
+        """The backend-owned event log (None without ``runtime.events_out``)."""
         return self._event_log
 
     def close_events(self) -> None:

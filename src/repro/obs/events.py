@@ -19,9 +19,10 @@ scoped::
         run_query(...)
     # log.events holds the stream; events.jsonl holds the same lines
 
-or attach a sink to one engine via its ``events_out=`` knob
-(:class:`~repro.spark.context.SparkContext`,
-:class:`~repro.impala.coordinator.ImpalaBackend`,
+or attach a sink to one engine through its runtime's ``events_out``
+(``runtime=RuntimeConfig(events_out=...)`` on
+:class:`~repro.spark.context.SparkContext`,
+:class:`~repro.impala.coordinator.ImpalaBackend` and
 :class:`~repro.core.api.JoinConfig`).
 
 Pool workers never write to the driver's sink (they cannot — separate
@@ -91,6 +92,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import time
 from typing import Any, Iterator
 
@@ -108,6 +110,8 @@ __all__ = [
     "set_event_log",
     "logging_events",
     "install_event_log",
+    "emit_task_start",
+    "emit_task_end",
     "read_events",
     "normalize_events",
     "check_task_pairing",
@@ -175,8 +179,8 @@ class EventLog:
     :data:`SCHEMA_VERSION`; the stream is flushed every
     :data:`FLUSH_EVERY` events and on :meth:`close`, so a crash loses at
     most the tail of the log while the flush syscall stays off the
-    per-event hot path (the overhead guard in ``repro.bench parallel``
-    bounds the whole sink at <10% of engine wall clock).
+    per-event hot path (the benchmark's traced run records the whole
+    sink's cost as ``obs.events_overhead_ratio``).
     """
 
     def __init__(self, path: str | None = None, enabled: bool = True):
@@ -280,8 +284,8 @@ def logging_events(path: str | None = None, enabled: bool = True) -> Iterator[Ev
 def install_event_log(log: EventLog | None) -> Iterator[EventLog]:
     """Temporarily install ``log`` as the process-wide sink.
 
-    ``None`` leaves the current sink in place — engine ``events_out``
-    knobs use this so an unset knob composes with an enclosing
+    ``None`` leaves the current sink in place — the engines use this so a
+    runtime without ``events_out`` composes with an enclosing
     :func:`logging_events` block instead of silencing it.
     """
     global _SINK
@@ -294,6 +298,50 @@ def install_event_log(log: EventLog | None) -> Iterator[EventLog]:
         yield log
     finally:
         _SINK = previous
+
+
+# -- task records ---------------------------------------------------------------
+#
+# The one writer of TaskStart / TaskEnd, shared by the Spark scheduler and
+# the core join API.  ``ids`` is the driver-allocated ``(query, stage,
+# task)`` triple; the sink, placement and the wall stamp are read where the
+# task runs.
+
+
+def _task_fields(ids, partition, label) -> dict:
+    from repro.runtime.pool import current_worker_id
+
+    query, stage, task = ids
+    return {
+        "query": query,
+        "stage": stage,
+        "task": task,
+        "partition": partition,
+        "label": label,
+        "worker": current_worker_id(),
+        "pid": os.getpid(),
+    }
+
+
+def emit_task_start(ids, partition, label: str) -> None:
+    _SINK.emit(
+        "TaskStart",
+        **_task_fields(ids, partition, label),
+        wall_start=time.perf_counter(),
+    )
+
+
+def emit_task_end(
+    ids, partition, label: str, sim_seconds, counters, failures=0
+) -> None:
+    _SINK.emit(
+        "TaskEnd",
+        **_task_fields(ids, partition, label),
+        wall_end=time.perf_counter(),
+        sim_seconds=sim_seconds,
+        counters=dict(counters),
+        failures=failures,
+    )
 
 
 # -- replay side ----------------------------------------------------------------

@@ -567,7 +567,7 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     left_entries, _ = _normalise(left)
     right_entries, _ = _normalise(right)
     model = cfg.cost_model or CostModel()
-    cache = cache_for(cfg.resolved_runtime())
+    cache = cache_for(cfg.runtime)
     cached_build = False
     if cache is not None:
         key = fingerprint_entries(

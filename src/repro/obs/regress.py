@@ -49,7 +49,6 @@ __all__ = [
 REGRESS_SCHEMA_VERSION = 1
 BASELINE_FILES = {
     "optimizer": "BENCH_optimizer.json",
-    "parallel": "BENCH_parallel.json",
     "cache": "BENCH_cache.json",
 }
 # The skew workload the live explain checks run on; scale keeps the
@@ -64,7 +63,7 @@ class CheckRow:
 
     baseline: str  # which artifact/surface the check belongs to
     metric: str
-    status: str  # "ok" | "FAIL" | "skip" | "info"
+    status: str  # "ok" | "FAIL" | "skip"
     baseline_value: object = None
     current_value: object = None
     detail: str = ""
@@ -251,29 +250,6 @@ def _identity_rows(name: str, base: dict, flags: list[tuple[str, bool]],
     return rows
 
 
-def check_parallel(base: dict) -> list[CheckRow]:
-    """Committed pool-vs-serial identity flags.
-
-    A baseline recorded on one core cannot show what a pool does, so its
-    passing rows are reported as ``info``, not ``ok``; a recorded
-    ``identical=false`` still fails.
-    """
-    equiv = base.get("equivalence", {})
-    flags = [("all_identical", bool(equiv.get("all_identical")))]
-    flags += [
-        (f"identical:{w}/x{pool.get('workers')}", bool(pool.get("identical")))
-        for w, doc in sorted(base.get("workloads", {}).items())
-        for pool in doc.get("pools", {}).values()
-    ]
-    rows = _identity_rows("parallel", base, flags, [])
-    if base.get("available_cores") == 1:
-        for row in rows:
-            if row.status == "ok":
-                row.status = "info"
-                row.detail = "no evidence (1 core)"
-    return rows
-
-
 def check_cache(base: dict, quick: bool) -> list[CheckRow]:
     flags = [("all_identical", bool(base.get("all_identical")))]
     flags += [
@@ -328,8 +304,6 @@ def collect_checks(baseline_dir: str = ".", quick: bool = False,
     rows += check_explain(explain_out)
     if "optimizer" in baselines:
         rows += check_optimizer(baselines["optimizer"])
-    if "parallel" in baselines:
-        rows += check_parallel(baselines["parallel"])
     if "cache" in baselines:
         rows += check_cache(baselines["cache"], quick)
     return rows

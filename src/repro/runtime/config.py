@@ -1,20 +1,14 @@
 """`RuntimeConfig`: one value for every execution-runtime knob.
 
-Before this existed the runtime surface was spread across loose keywords
-— ``executors=`` and ``events_out=`` on :class:`~repro.core.api.JoinConfig`,
-:class:`~repro.spark.context.SparkContext` and
-:class:`~repro.impala.coordinator.ImpalaBackend`, plus retry constants
-baked into the Spark scheduler.  :class:`RuntimeConfig` gathers them,
-adds the fault-tolerance policy (retry/timeout/backoff, speculation,
-blacklisting, restart budget, the injected :class:`~repro.runtime.faults.FaultPlan`),
-and is accepted everywhere via a ``runtime=`` keyword.
-
-**Precedence rule (the only one):** an explicit ``RuntimeConfig`` wins
-over the loose keywords.  When no ``RuntimeConfig`` is given, the loose
-``executors``/``events_out`` keywords are packed into an implicit one,
-so every existing call shape keeps working — it just routes through
-here.  (This mirrors ``spatial_join``'s existing rule that ``config=``
-beats loose keywords.)
+The pool size (``executors``), the event-log path (``events_out``), the
+fault-tolerance policy (retry/timeout/backoff, speculation,
+blacklisting, restart budget, the injected
+:class:`~repro.runtime.faults.FaultPlan`) and the cross-query cache
+budget live here and nowhere else;
+:class:`~repro.core.api.JoinConfig`,
+:class:`~repro.spark.context.SparkContext`,
+:class:`~repro.impala.coordinator.ImpalaBackend` and the bench runner
+take one through their ``runtime=`` keyword.
 
 Timeouts and backoff delays are *simulated* quantities: they classify
 hangs and are recorded in recovery events, but never sleep the driver
@@ -55,7 +49,7 @@ class RuntimeConfig:
     blacklist_after      virtual-worker failures before it is blacklisted
     restart_budget       Impala-side whole-query restarts before giving up
     fault_plan           the injected :class:`FaultPlan` (``None`` = no chaos)
-    events_out           JSONL event-log path (same as the loose keyword)
+    events_out           JSONL event-log path (``None`` = event sink off)
     cache_budget_bytes   cross-query cache budget; ``None``/``0`` = caching off
     ==================== =======================================================
     """

@@ -5,8 +5,9 @@ ran serially in one Python process — parallelism lived only in the
 simulated-time accounting.  :class:`TaskPool` is the shared abstraction
 both substrates dispatch through:
 
-* :class:`SerialBackend` — the current behaviour and the default for
-  tests: tasks run inline, in submission order, on the driver.
+* :class:`SerialBackend` — the default: tasks run inline, in submission
+  order, on the driver.  The schedulers hand it the same task thunks a
+  process pool gets, so there is one task body whatever the pool.
 * :class:`ProcessBackend` — ``multiprocessing`` workers.  Dispatch is
   *pickle-once*: on platforms with ``fork`` (Linux), task closures and
   every broadcast/index payload they capture are inherited by the worker
@@ -176,11 +177,23 @@ class SerialBackend(TaskPool):
 def picklable_error(error: BaseException) -> BaseException:
     """Ship ``error`` across the process boundary, degrading gracefully.
 
-    Tries the exception itself, then a same-type rebuild from its message
-    (dropping unpicklable ``__cause__`` chains), then a :class:`PoolError`
-    carrying the repr.  The message the driver re-raises is unchanged in
-    the first two cases, which is what the retry-semantics tests pin.
+    Tries the exception itself, then a same-type rebuild from its message,
+    then a :class:`PoolError` carrying the repr.  The message the driver
+    re-raises is unchanged in the first two cases, which is what the
+    retry-semantics tests pin.  A picklable ``__cause__`` survives with
+    the exception itself; an unpicklable one is dropped.
     """
+    cause = error.__cause__
+    if cause is not None:
+        try:
+            pickle.dumps(cause)
+        except Exception:
+            pass
+        else:
+            # Exceptions pickle as (type, args, __dict__), without their
+            # __cause__; in the instance state it rides along, and
+            # BaseException.__setstate__ puts it back with setattr.
+            error.__dict__["__cause__"] = cause
     try:
         pickle.dumps(error)
         return error

@@ -65,12 +65,13 @@ class ObsCapture:
 def capture_observability(capture: ObsCapture) -> Iterator[ObsCapture]:
     """Redirect spans, registry writes and events into ``capture``.
 
-    Used on the worker (always) and never by the substrates' serial
-    schedulers — those run tasks inline against the real driver state,
-    which is what the equivalence suite pins the pool path to.  The core
-    join API is the exception: with the event log on it frames every
-    task in a capture, inline or pooled, so a dropped attempt (chaos,
-    speculation) leaves no events behind.
+    The substrates' schedulers capture exactly when a task's result
+    crosses a process boundary (a real pool) or may be discarded (a fault
+    plan is active: a losing speculative attempt leaves nothing behind);
+    otherwise the same task body runs inline against the real driver
+    state, which is what the equivalence suite pins the captured runs
+    to.  The core join API is the exception: with the event log on it
+    frames every task in a capture, inline or pooled.
     """
     global _TASKS_DONE
     from repro.runtime.pool import current_worker_id

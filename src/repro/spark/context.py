@@ -44,17 +44,11 @@ class SparkContext:
         hdfs: SimulatedHDFS | None = None,
         cost_model: CostModel | None = None,
         default_parallelism: int | None = None,
-        executors: int | str | None = None,
-        events_out: str | None = None,
         runtime: RuntimeConfig | None = None,
     ):
         self.cluster = cluster
-        # Unified runtime policy.  Precedence rule: an explicit
-        # RuntimeConfig wins over the loose executors/events_out
-        # keywords; without one, the loose keywords are packed into an
-        # implicit RuntimeConfig and behave exactly as before.
         if runtime is None:
-            runtime = RuntimeConfig(executors=executors, events_out=events_out)
+            runtime = RuntimeConfig()
         self.runtime = runtime
         # Driver-side recovery state (fault plan, virtual-worker
         # blacklist); inert unless the runtime carries a FaultPlan.
@@ -63,16 +57,18 @@ class SparkContext:
         # cache_budget_bytes); the broadcast/partitioned joins reuse
         # built indexes through it.
         self.cache = cache_for(runtime)
-        # Structured event log: given a JSONL path, every job emits the
-        # QueryStart/StageSubmitted/TaskStart/... stream the monitor
-        # replays.  None keeps the disabled global sink — a strict no-op.
+        # Structured event log: given a JSONL path (runtime.events_out),
+        # every job emits the QueryStart/StageSubmitted/TaskStart/...
+        # stream the monitor replays.  None keeps the disabled global
+        # sink — a strict no-op.
         self._event_log = (
             EventLog(path=runtime.events_out) if runtime.events_out else None
         )
-        # Real-parallelism knob: "serial"/None/1 runs tasks inline (the
-        # default, and what tests use); an int > 1 dispatches each stage's
-        # tasks to that many worker processes.  Results are byte-identical
-        # either way; a TaskPool instance passes through for tests.
+        # Real parallelism (runtime.executors): "serial"/None/1 runs tasks
+        # inline (the default, and what tests use); an int > 1 dispatches
+        # each stage's tasks to that many worker processes.  Results are
+        # byte-identical either way; a TaskPool instance passes through
+        # for tests.
         self.task_pool = make_pool(runtime.executors)
         self.hdfs = hdfs or SimulatedHDFS(
             datanodes=tuple(f"node{i}" for i in range(cluster.num_nodes))
@@ -247,7 +243,7 @@ class SparkContext:
 
     @property
     def event_log(self) -> EventLog | None:
-        """The context-owned event log (None when ``events_out`` unset)."""
+        """The context-owned event log (None without ``runtime.events_out``)."""
         return self._event_log
 
     def close_events(self) -> None:

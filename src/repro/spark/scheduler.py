@@ -12,20 +12,24 @@ charged here per shuffle stage, which is what the partition-count ablation
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
 from repro.cluster.model import Resource
 from repro.columnar.block import ColumnBlock, RoutedRows
 from repro.errors import SparkError
-from repro.obs.events import get_event_log, install_event_log
+from repro.obs.events import (
+    emit_task_end,
+    emit_task_start,
+    get_event_log,
+    install_event_log,
+)
 from repro.obs.tracer import get_tracer
 from repro.runtime.faults import InjectedFaultError
-from repro.runtime.pool import SerialBackend, current_worker_id, picklable_error
-from repro.runtime.recovery import run_recovered
+from repro.runtime.pool import SerialBackend, picklable_error
+from repro.runtime.recovery import run_tasks
 from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
 from repro.spark.rdd import RDD, NarrowDependency, ShuffleDependency
 from repro.spark.shuffle import ShuffleStore
@@ -35,24 +39,27 @@ from repro.cluster.simulation import simulate_dynamic
 __all__ = ["DAGScheduler"]
 
 
-@dataclass
 class _TaskShipment:
-    """Everything one pool task sends back to the driver.
+    """Everything one task hands back to the driver.
 
-    Worker processes can't touch driver state, so every side effect a
-    serial task would have — counter increments, spans, cache fills,
-    scheduler failure counts, shuffle-store writes — rides back here and
-    is replayed by :meth:`DAGScheduler._absorb_shipment` in deterministic
-    task order.
+    A task never touches scheduler state: its value, metrics, failed
+    attempts and terminal error ride here and the stage loop absorbs them
+    in deterministic task order — the same for a task run inline and one
+    run in a worker process.  ``capture`` and ``cache_entries`` are set
+    only for a task run by :meth:`DAGScheduler._run_task_captured`.
+    Fields a task leaves alone stay class defaults: one is built per
+    task, on the scheduler's hottest path.
     """
 
-    task: TaskMetrics
-    capture: ObsCapture
     value: object = None
     seconds: float = 0.0
     failures: int = 0  # failed attempts (the driver's task_failures delta)
     error: BaseException | None = None  # fatal/terminal error to re-raise
-    cache_entries: dict = field(default_factory=dict)
+    capture: ObsCapture | None = None
+    cache_entries: dict | None = None
+
+    def __init__(self, task: TaskMetrics):
+        self.task = task
 
 
 class DAGScheduler:
@@ -61,12 +68,11 @@ class DAGScheduler:
     Fault tolerance follows Spark's model (Section III: "Spark provides
     fault tolerance through re-computing as RDDs keep track of data
     processing workflows"): a failing task is retried up to
-    ``MAX_TASK_ATTEMPTS`` times, recomputing its partition from lineage;
+    ``RuntimeConfig.max_task_attempts`` times (default 4, Spark's
+    ``spark.task.maxFailures``), recomputing its partition from lineage;
     only then does the job fail.  Failed attempts still cost simulated
     time — the work was done before the crash.
     """
-
-    MAX_TASK_ATTEMPTS = 4  # Spark's spark.task.maxFailures default
 
     def __init__(self, sc):
         self.sc = sc
@@ -77,18 +83,14 @@ class DAGScheduler:
         # skew), appended as stages finish — the EXPLAIN ANALYZE feed for
         # SpatialSpark runs.  Observational only; never read by execution.
         self.stage_summaries: list[dict] = []
-        # The attempt budget is a RuntimeConfig knob now; the class
-        # attribute stays as the documented Spark default.
-        self.max_task_attempts = getattr(
-            sc.runtime, "max_task_attempts", self.MAX_TASK_ATTEMPTS
-        )
+        self.max_task_attempts = sc.runtime.max_task_attempts
 
     # -- event emission ---------------------------------------------------------
     #
     # Ids (query, stage, task index) are always allocated on the driver so
-    # they are identical whether tasks run serially or on a pool; pooled
-    # tasks receive them via closure and emit into the worker's buffering
-    # sink, which ships back and replays in task order.
+    # they are identical whether tasks run inline or on a pool; a captured
+    # task emits into the capture's buffering sink, which ships back and
+    # replays in task order.
 
     def _emit_stage(self, name: str, num_tasks: int) -> int | None:
         """Allocate a stage id and emit StageSubmitted (None while disabled)."""
@@ -105,231 +107,141 @@ class DAGScheduler:
         )
         return stage_id
 
-    def _attempt_task(
-        self,
-        task: TaskMetrics,
-        body,
-        label: str = "task",
-        events_ctx: tuple[int, int, int] | None = None,
-        partition: int | None = None,
-    ) -> float:
-        """Run ``body`` with retries; returns the task's total seconds.
+    # -- task execution ---------------------------------------------------------
 
-        Each attempt accrues into ``task`` (lineage recomputation repeats
-        the work); the exception from the final failed attempt propagates
-        wrapped in :class:`SparkError`.  ``events_ctx`` is the
-        ``(query, stage, task)`` id triple for event emission (None while
-        the event sink is disabled).
+    def _run_task(self, ids, label: str, body, partition) -> _TaskShipment:
+        """The one task runner: ``body(task, partition)`` with retries, as
+        a shipment.
+
+        Each attempt accrues into the task's metrics (lineage
+        recomputation repeats the work).  A :class:`SparkError` is fatal
+        and not retried; any other crash is, and the last one ends up as
+        the cause of the terminal :class:`SparkError`.  Errors never
+        raise here — the stage loop re-raises at absorb time, so they
+        surface the same from a worker process.  ``ids`` is the
+        ``(query, stage, task)`` triple for TaskStart / TaskEnd (None
+        while the event sink is disabled).
         """
         model = self.sc.cost_model
-        log = get_event_log()
-        if events_ctx is not None and log.enabled:
-            query_id, stage_id, task_index = events_ctx
-            log.emit(
-                "TaskStart",
-                query=query_id,
-                stage=stage_id,
-                task=task_index,
-                partition=partition,
-                label=label,
-                worker=current_worker_id(),
-                pid=os.getpid(),
-                wall_start=time.perf_counter(),
-            )
-        last_error: Exception | None = None
-        failures_before = self.task_failures
+        task = TaskMetrics()
+        shipment = _TaskShipment(task)
+        if ids is not None:
+            emit_task_start(ids, partition, label)
         with get_tracer().span(label, category="task") as span:
+            last_error: Exception | None = None
             for attempt in range(self.max_task_attempts):
                 try:
                     with task_scope(task):
-                        body()
-                    seconds = task.seconds(model) * model.spark_jvm_factor
-                    span.add_sim(seconds)
-                    span.add_counts(task.counts)
-                    if attempt:
-                        span.set_attr("attempts", attempt + 1)
-                    if events_ctx is not None and log.enabled:
-                        log.emit(
-                            "TaskEnd",
-                            query=query_id,
-                            stage=stage_id,
-                            task=task_index,
-                            partition=partition,
-                            label=label,
-                            worker=current_worker_id(),
-                            pid=os.getpid(),
-                            wall_end=time.perf_counter(),
-                            sim_seconds=seconds,
-                            counters=dict(task.counts),
-                            failures=self.task_failures - failures_before,
-                        )
-                    return seconds
-                except SparkError:
-                    raise
+                        shipment.value = body(task, partition)
+                except SparkError as error:
+                    shipment.error = error
+                    break
                 except Exception as error:  # noqa: BLE001 - any task crash retries
-                    self.task_failures += 1
+                    shipment.failures += 1
                     last_error = error
-        raise SparkError(
-            f"task failed {self.max_task_attempts} times; last error: "
-            f"{last_error!r}"
-        ) from last_error
+                    continue
+                shipment.seconds = task.seconds(model) * model.spark_jvm_factor
+                span.add_sim(shipment.seconds)
+                span.add_counts(task.counts)
+                if attempt:
+                    span.set_attr("attempts", attempt + 1)
+                break
+            else:
+                shipment.error = SparkError(
+                    f"task failed {self.max_task_attempts} times; "
+                    f"last error: {last_error!r}"
+                )
+                shipment.error.__cause__ = last_error
+        if ids is not None and shipment.error is None:
+            emit_task_end(
+                ids, partition, label, shipment.seconds, task.counts, shipment.failures
+            )
+        return shipment
 
-    # -- pool execution ---------------------------------------------------------
+    def _run_task_captured(self, ids, label: str, body, partition) -> _TaskShipment:
+        """:meth:`_run_task` for a result that crosses a process boundary
+        or may be discarded (a losing speculative duplicate): spans,
+        registry writes, events and RDD-cache fills ride in the shipment
+        instead of landing on (a forked copy of) driver state."""
+        cache = self.sc._cache
+        cache_before = set(cache)
+        capture = ObsCapture()
+        with capture_observability(capture):
+            shipment = self._run_task(ids, label, body, partition)
+        shipment.capture = capture
+        shipment.cache_entries = {
+            key: cache[key] for key in cache.keys() - cache_before
+        }
+        if shipment.error is not None:
+            shipment.error = picklable_error(shipment.error)
+        return shipment
 
-    def _pool(self):
-        """The context's task pool when it can run this scheduler's closures."""
+    def _run_stage_tasks(
+        self, prefix: str, body, partitions, stage: StageMetrics, stage_id,
+        metrics, absorb_value, repair=None,
+    ) -> list[float]:
+        """Run ``body(task, partition)`` over ``partitions`` as the stage's
+        tasks, labelled ``<prefix>-<partition>``.
+
+        Shipments are absorbed in task order — failure counts, captured
+        observability, cache fills, the terminal error, ``stage.tasks``,
+        then ``absorb_value(index, shipment)`` — and the tasks' simulated
+        seconds are returned.  Tasks are captured only when the pool is
+        real or a fault plan is active; otherwise they run inline against
+        the driver's tracer, registry and event sink.  With a plan,
+        injected faults are retried / speculated / blacklisted
+        driver-side under the stage's logical scope, ``repair`` restores
+        lost shuffle output from lineage, and an exhausted budget
+        surfaces as :class:`SparkError` like any terminal task failure.
+        """
         pool = self.sc.task_pool
         if pool.is_serial or not pool.supports_closures:
-            return None
-        return pool
-
-    def _dispatch_pool(self):
-        """The pool the shipment path should use, or None for inline serial.
-
-        With a fault plan active every stage routes through the shipment
-        path — even serially, on a :class:`SerialBackend` — because the
-        recovery loop needs capture-based tasks it can re-run (and whose
-        losing duplicates it can discard).  Without a plan this returns
-        exactly what :meth:`_pool` does, leaving the fault-free paths
-        untouched.
-        """
-        pool = self._pool()
-        if pool is None and self.sc.recovery.active:
-            return SerialBackend()
-        return pool
-
-    def _pool_run_tasks(
-        self, pool, specs, stage_id=None, scope="stage", repair=None
-    ) -> list[_TaskShipment]:
-        """Run ``(label, body, partition)`` specs on the pool, in task order.
-
-        Each worker wrapper mirrors :meth:`_attempt_task` exactly — same
-        retry loop, same span shape, same simulated-seconds arithmetic,
-        same TaskStart/TaskEnd events — but accumulates every side effect
-        into a :class:`_TaskShipment` instead of touching (its forked copy
-        of) driver state.  Failures never raise in the worker; the driver
-        re-raises at merge time so error semantics match the serial path.
-
-        With a fault plan active, dispatch goes through
-        :func:`run_recovered` under the stage's logical ``scope``:
-        injected faults are retried/speculated/blacklisted driver-side,
-        ``repair`` restores lost shuffle output from lineage, and an
-        exhausted budget surfaces as :class:`SparkError` like any other
-        terminal task failure.
-        """
-        model = self.sc.cost_model
-        max_attempts = self.max_task_attempts
-        cache = self.sc._cache
-        query_id = self._events_query if get_event_log().enabled else None
-
-        def make_task(index: int, label: str, body: Callable, partition):
-            def run_one() -> _TaskShipment:
-                task = TaskMetrics()
-                capture = ObsCapture()
-                shipment = _TaskShipment(task=task, capture=capture)
-                cache_before = set(cache)
-                with capture_observability(capture):
-                    log = get_event_log()
-                    emit_events = (
-                        log.enabled and query_id is not None and stage_id is not None
-                    )
-                    if emit_events:
-                        log.emit(
-                            "TaskStart",
-                            query=query_id,
-                            stage=stage_id,
-                            task=index,
-                            partition=partition,
-                            label=label,
-                            worker=current_worker_id(),
-                            pid=os.getpid(),
-                            wall_start=time.perf_counter(),
-                        )
-                    with get_tracer().span(label, category="task") as span:
-                        last_error: Exception | None = None
-                        for attempt in range(max_attempts):
-                            try:
-                                with task_scope(task):
-                                    value = body(task)
-                                seconds = (
-                                    task.seconds(model) * model.spark_jvm_factor
-                                )
-                                span.add_sim(seconds)
-                                span.add_counts(task.counts)
-                                if attempt:
-                                    span.set_attr("attempts", attempt + 1)
-                                shipment.value = value
-                                shipment.seconds = seconds
-                                last_error = None
-                                break
-                            except SparkError as error:
-                                # Fatal in the serial path: no retry.
-                                shipment.error = picklable_error(error)
-                                last_error = None
-                                break
-                            except Exception as error:  # noqa: BLE001
-                                shipment.failures += 1
-                                last_error = error
-                        if last_error is not None:
-                            shipment.error = picklable_error(
-                                SparkError(
-                                    f"task failed {max_attempts} times; "
-                                    f"last error: {last_error!r}"
-                                )
-                            )
-                    if emit_events and shipment.error is None:
-                        log.emit(
-                            "TaskEnd",
-                            query=query_id,
-                            stage=stage_id,
-                            task=index,
-                            partition=partition,
-                            label=label,
-                            worker=current_worker_id(),
-                            pid=os.getpid(),
-                            wall_end=time.perf_counter(),
-                            sim_seconds=shipment.seconds,
-                            counters=dict(task.counts),
-                            failures=shipment.failures,
-                        )
-                shipment.cache_entries = {
-                    key: cache[key] for key in cache.keys() - cache_before
-                }
-                return shipment
-
-            return run_one
-
-        thunks = [
-            make_task(index, label, body, partition)
-            for index, (label, body, partition) in enumerate(specs)
-        ]
+            pool = SerialBackend()
         recovery = self.sc.recovery
-        if recovery.active:
-            try:
-                outcomes = run_recovered(
-                    pool,
-                    thunks,
-                    recovery,
-                    scope=scope,
-                    events=(query_id, stage_id),
-                    sim_seconds=lambda index, shipment: shipment.seconds,
-                    repair=repair,
-                )
-            except InjectedFaultError as error:
-                raise SparkError(f"{scope}: {error}") from error
-            return [outcome.value for outcome in outcomes]
-        return pool.run(thunks)
+        run = (
+            self._run_task_captured
+            if recovery.active or not pool.is_serial
+            else self._run_task
+        )
+        thunks = [
+            partial(
+                run,
+                None if stage_id is None else (self._events_query, stage_id, index),
+                f"{prefix}-{partition}",
+                body,
+                partition,
+            )
+            for index, partition in enumerate(partitions)
+        ]
+        task_seconds: list[float] = []
 
-    def _absorb_shipment(self, shipment: _TaskShipment, stage: StageMetrics):
-        """Replay one task's side effects on the driver (deterministic order)."""
-        self.task_failures += shipment.failures
-        apply_capture(shipment.capture)
-        for key, value in shipment.cache_entries.items():
-            self.sc._cache.setdefault(key, value)
-        if shipment.error is not None:
-            raise shipment.error
-        stage.tasks.append(shipment.task)
-        return shipment
+        def absorb(index: int, shipment: _TaskShipment) -> None:
+            self.task_failures += shipment.failures
+            if shipment.capture is not None:
+                apply_capture(shipment.capture)
+                for key, value in shipment.cache_entries.items():
+                    self.sc._cache.setdefault(key, value)
+            if shipment.error is not None:
+                raise shipment.error
+            stage.tasks.append(shipment.task)
+            task_seconds.append(shipment.seconds)
+            absorb_value(index, shipment)
+
+        scope = f"{metrics.name}:{stage.name}"
+        try:
+            run_tasks(
+                pool,
+                thunks,
+                recovery,
+                absorb,
+                scope=scope,
+                events=(self._events_query, stage_id),
+                sim_seconds=lambda index, shipment: shipment.seconds,
+                repair=repair,
+            )
+        except InjectedFaultError as error:
+            raise SparkError(f"{scope}: {error}") from error
+        return task_seconds
 
     # -- public entry ---------------------------------------------------------
 
@@ -405,27 +317,61 @@ class DAGScheduler:
     # -- stage execution --------------------------------------------------------
 
     def _run_shuffle_stage(self, dep: ShuffleDependency, metrics: QueryMetrics) -> None:
+        """Map tasks charge and return their buckets; the driver writes them.
+
+        The store and its registry counters only ever mutate here, in task
+        order, and ShuffleWrite is emitted driver-side, so inline and
+        pooled runs agree on both.
+        """
         store = self.sc._shuffle_store
         dep.shuffle_id = store.new_shuffle_id()
-        parent = dep.parent
         stage = StageMetrics(name=f"shuffle-{dep.shuffle_id}")
+        stage_id = self._emit_stage(stage.name, dep.parent.num_partitions)
+
+        def map_body(task: TaskMetrics, split: int):
+            bucketed = self._map_output(dep, split)
+            written = ShuffleStore.bucket_bytes(bucketed)
+            task.add(Resource.SHUFFLE_BYTES, written)
+            return bucketed, written
+
+        def write_output(split: int, shipment: _TaskShipment) -> None:
+            store.write(dep.shuffle_id, split, *shipment.value)
+            if stage_id is not None:
+                get_event_log().emit(
+                    "ShuffleWrite",
+                    query=self._events_query,
+                    stage=stage_id,
+                    task=split,
+                    shuffle_id=dep.shuffle_id,
+                    bytes=shipment.task.get(Resource.SHUFFLE_BYTES),
+                )
+
         with get_tracer().span(stage.name, category="stage"):
-            self._run_shuffle_tasks(dep, store, parent, stage, metrics)
+            task_seconds = self._run_stage_tasks(
+                "map",
+                map_body,
+                range(dep.parent.num_partitions),
+                stage,
+                stage_id,
+                metrics,
+                write_output,
+            )
+            self._finish_stage(stage, task_seconds, shuffling=True, metrics=metrics)
 
     @staticmethod
     def _map_output(dep: ShuffleDependency, split: int) -> dict[int, object]:
         """One map task's output, bucketed by reduce partition.
 
         The one definition of what a map task writes — shared by the
-        serial task, the pooled body and lineage repair, so a recovered
-        output has the representation of the one that was lost.  A routed
+        map task and lineage repair, so a recovered output has the
+        representation of the one that was lost.  A routed
         column partition (:class:`~repro.columnar.block.RoutedRows`) is
         sliced straight into one :class:`~repro.columnar.block.ColumnBlock`
         per bucket; any other partition is bucketed record by record, and
         buckets of ``(key, (id, geometry))`` records are then packed into
         blocks too — iterating a block yields value-identical records,
-        the store charges the same byte total, and pickling it (pooled
-        map tasks ship buckets back to the driver) moves the packed
+        the store charges the same byte total, and pickling it (map
+        tasks on a pool ship buckets back to the driver) moves the packed
         binary encoding instead of the object graph.  Other buckets
         (combiner output, plain key/value jobs) stay record lists.
         """
@@ -456,90 +402,6 @@ class DAGScheduler:
             packed[reduce_partition] = bucket_records if block is None else block
         return packed
 
-    def _emit_shuffle_write(
-        self, stage_id, task_index: int, dep, task: TaskMetrics
-    ) -> None:
-        """ShuffleWrite is always driver-side so serial/pooled order matches."""
-        log = get_event_log()
-        if stage_id is None or not log.enabled:
-            return
-        log.emit(
-            "ShuffleWrite",
-            query=self._events_query,
-            stage=stage_id,
-            task=task_index,
-            shuffle_id=dep.shuffle_id,
-            bytes=task.get(Resource.SHUFFLE_BYTES),
-        )
-
-    def _run_shuffle_tasks(self, dep, store, parent, stage, metrics) -> None:
-        stage_id = self._emit_stage(stage.name, parent.num_partitions)
-        pool = self._dispatch_pool()
-        if pool is not None:
-            self._run_shuffle_tasks_pooled(
-                pool, dep, store, parent, stage, metrics, stage_id
-            )
-            return
-        task_seconds: list[float] = []
-        for split in range(parent.num_partitions):
-            task = TaskMetrics()
-
-            def map_task(split=split, task=task):
-                written = store.write(
-                    dep.shuffle_id, split, self._map_output(dep, split)
-                )
-                task.add(Resource.SHUFFLE_BYTES, written)
-
-            events_ctx = (
-                (self._events_query, stage_id, split) if stage_id is not None else None
-            )
-            task_seconds.append(
-                self._attempt_task(
-                    task,
-                    map_task,
-                    label=f"map-{split}",
-                    events_ctx=events_ctx,
-                    partition=split,
-                )
-            )
-            stage.tasks.append(task)
-            self._emit_shuffle_write(stage_id, split, dep, task)
-        self._finish_stage(stage, task_seconds, shuffling=True, metrics=metrics)
-
-    def _run_shuffle_tasks_pooled(
-        self, pool, dep, store, parent, stage, metrics, stage_id=None
-    ) -> None:
-        """Map tasks on the pool; the driver replays the store writes.
-
-        Workers charge ``SHUFFLE_BYTES`` via :meth:`ShuffleStore.bucket_bytes`
-        (byte-for-byte what ``write`` returns) and ship the buckets; the
-        actual store write — and its registry increments — happens here,
-        in task order, exactly as the serial path would have done it.
-        """
-
-        def make_body(split: int):
-            def body(task: TaskMetrics):
-                bucketed = self._map_output(dep, split)
-                task.add(Resource.SHUFFLE_BYTES, ShuffleStore.bucket_bytes(bucketed))
-                return bucketed
-
-            return body
-
-        specs = [
-            (f"map-{split}", make_body(split), split)
-            for split in range(parent.num_partitions)
-        ]
-        shipments = self._pool_run_tasks(
-            pool, specs, stage_id=stage_id, scope=f"{metrics.name}:{stage.name}"
-        )
-        task_seconds: list[float] = []
-        for split, shipment in enumerate(shipments):
-            self._absorb_shipment(shipment, stage)
-            store.write(dep.shuffle_id, split, shipment.value)
-            task_seconds.append(shipment.seconds)
-            self._emit_shuffle_write(stage_id, split, dep, shipment.task)
-        self._finish_stage(stage, task_seconds, shuffling=True, metrics=metrics)
-
     def _run_result_stage(
         self,
         rdd: RDD,
@@ -548,56 +410,24 @@ class DAGScheduler:
         metrics: QueryMetrics,
     ) -> list:
         stage = StageMetrics(name="result")
-        results = []
-        task_seconds: list[float] = []
-        reads_shuffle = self._pipeline_reads_shuffle(rdd)
-        pool = self._dispatch_pool()
+        results: list = []
         stage_id = self._emit_stage(stage.name, len(partitions))
         with get_tracer().span(stage.name, category="stage"):
-            if pool is not None:
-                specs = [
-                    (
-                        f"task-{split}",
-                        lambda task, split=split: func(rdd.iterator(split)),
-                        split,
-                    )
-                    for split in partitions
-                ]
-                shipments = self._pool_run_tasks(
-                    pool,
-                    specs,
-                    stage_id=stage_id,
-                    scope=f"{metrics.name}:{stage.name}",
-                    repair=self._make_repair(rdd, stage_id),
-                )
-                for shipment in shipments:
-                    self._absorb_shipment(shipment, stage)
-                    results.append(shipment.value)
-                    task_seconds.append(shipment.seconds)
-            else:
-                for index, split in enumerate(partitions):
-                    task = TaskMetrics()
-
-                    def result_task(split=split):
-                        results.append(func(rdd.iterator(split)))
-
-                    events_ctx = (
-                        (self._events_query, stage_id, index)
-                        if stage_id is not None
-                        else None
-                    )
-                    task_seconds.append(
-                        self._attempt_task(
-                            task,
-                            result_task,
-                            label=f"task-{split}",
-                            events_ctx=events_ctx,
-                            partition=split,
-                        )
-                    )
-                    stage.tasks.append(task)
+            task_seconds = self._run_stage_tasks(
+                "task",
+                lambda task, split: func(rdd.iterator(split)),
+                partitions,
+                stage,
+                stage_id,
+                metrics,
+                lambda index, shipment: results.append(shipment.value),
+                repair=self._make_repair(rdd, stage_id),
+            )
             self._finish_stage(
-                stage, task_seconds, shuffling=reads_shuffle, metrics=metrics
+                stage,
+                task_seconds,
+                shuffling=self._pipeline_reads_shuffle(rdd),
+                metrics=metrics,
             )
         return results
 

@@ -220,6 +220,7 @@ class ShuffleStore:
         shuffle_id: int,
         map_partition: int,
         bucketed: dict[int, list],
+        written: int | None = None,
     ) -> int:
         """Store one map task's buckets; returns bytes written.
 
@@ -227,12 +228,15 @@ class ShuffleStore:
         :class:`~repro.columnar.block.ColumnBlock` values; blocks charge
         their exact object-path byte total (so the registry counters and
         cost model cannot tell the representations apart); their honest
-        encoded size is ``block.nbytes``.
+        encoded size is ``block.nbytes``.  ``written`` is
+        :meth:`bucket_bytes` of the buckets when the caller already holds
+        it (the scheduler's map task charged it), so record lists are not
+        walked twice.
         """
-        written = 0
+        if written is None:
+            written = self.bucket_bytes(bucketed)
         for reduce_partition, records in bucketed.items():
             self._blocks[(shuffle_id, map_partition, reduce_partition)] = records
-            written += records_bytes(records)
         self._bytes_by_shuffle[shuffle_id] = (
             self._bytes_by_shuffle.get(shuffle_id, 0) + written
         )
@@ -242,13 +246,12 @@ class ShuffleStore:
 
     @staticmethod
     def bucket_bytes(bucketed: dict[int, list]) -> int:
-        """Bytes :meth:`write` would report for these buckets — no side effects.
-
-        Pool workers charge ``SHUFFLE_BYTES`` with this (the actual
-        ``write`` happens on the driver at merge time, so the store and
-        its registry counters only ever mutate in one process).
-        """
-        return sum(records_bytes(records) for records in bucketed.values())
+        """The byte total of one map task's buckets: what the task charges
+        as ``SHUFFLE_BYTES`` and what :meth:`write` records."""
+        total = 0
+        for records in bucketed.values():
+            total += records_bytes(records)
+        return total
 
     def read_blocks(
         self, shuffle_id: int, num_map_partitions: int, reduce_partition: int

@@ -20,7 +20,7 @@ from repro.obs.events import (
     normalize_events,
     read_events,
 )
-from repro.runtime import ProcessBackend
+from repro.runtime import ProcessBackend, RuntimeConfig
 from repro.spark import SparkContext
 
 HAS_FORK = ProcessBackend(2).supports_closures
@@ -55,7 +55,8 @@ def _polygons():
 
 
 def _run_spark_job(executors, events_out=None):
-    sc = SparkContext(SPEC, executors=executors, events_out=events_out)
+    runtime = RuntimeConfig(executors=executors, events_out=events_out)
+    sc = SparkContext(SPEC, runtime=runtime)
     rows = sc.parallelize(list(range(40)), num_partitions=4)
     result = (
         rows.map(lambda x: (x % 4, x))
@@ -230,8 +231,7 @@ class TestPoolEquivalence:
             path = tmp_path / f"join-{executors}.jsonl"
             cfg = JoinConfig(
                 method="partitioned",
-                executors=executors,
-                events_out=str(path),
+                runtime=RuntimeConfig(executors=executors, events_out=str(path)),
                 num_tiles=8,
             )
             pairs = spatial_join(left, right, config=cfg)
@@ -260,8 +260,10 @@ class TestPoolEquivalence:
             backend = ImpalaBackend(
                 SPEC,
                 hdfs=fs,
-                events_out=str(tmp_path / f"impala-{executors}.jsonl"),
-                executors=executors,
+                runtime=RuntimeConfig(
+                    executors=executors,
+                    events_out=str(tmp_path / f"impala-{executors}.jsonl"),
+                ),
             )
             schema = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
             backend.metastore.create_table("pts", schema, "/pts.tsv")

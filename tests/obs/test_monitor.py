@@ -16,7 +16,7 @@ from repro.obs.monitor import (
     render_utilization,
     stage_names,
 )
-from repro.runtime import ProcessBackend
+from repro.runtime import ProcessBackend, RuntimeConfig
 
 HAS_FORK = ProcessBackend(2).supports_closures
 needs_fork = pytest.mark.skipif(
@@ -58,20 +58,21 @@ def _hotspot_events(executors="serial", tmp_path=None, name="events"):
         for i in range(600)
     ]
     right = generate_hotspot(600, seed=7).records
+    runtime = RuntimeConfig(executors=executors)
     cfg = JoinConfig(
         operator="nearestd",
         radius=800.0,
         method="partitioned",
-        executors=executors,
+        runtime=runtime,
         num_tiles=16,
         skew_factor=1e9,  # never split: the straggler must stay visible
-        events_out=str(tmp_path / f"{name}.jsonl") if tmp_path else None,
     )
     if tmp_path is not None:
-        spatial_join(left, right, config=cfg)
-        return read_events(str(tmp_path / f"{name}.jsonl"))
+        path = str(tmp_path / f"{name}.jsonl")
+        spatial_join(left, right, config=cfg, runtime=runtime.with_(events_out=path))
+        return read_events(path)
     with logging_events() as log:
-        spatial_join(left, right, config=cfg.with_(events_out=None))
+        spatial_join(left, right, config=cfg)
     return log.events
 
 

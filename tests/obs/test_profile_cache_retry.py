@@ -100,7 +100,7 @@ class TestRecoveredCachedRun:
         )
         assert warm.profile.phase_seconds() == cold.profile.phase_seconds()
         # ...and the reuse shows up only via the out-of-band annotation.
-        cache = cache_for(cfg.resolved_runtime())
+        cache = cache_for(cfg.runtime)
         annotate_profile_with_cache(warm.profile, cache.stats)
         assert warm.profile.find("cache").info["hits"] >= 1
         rebuilt = QueryProfile.from_dict(warm.profile.to_dict())

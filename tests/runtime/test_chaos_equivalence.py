@@ -23,7 +23,7 @@ from repro.cluster import ClusterSpec
 from repro.core import JoinConfig, spatial_join
 from repro.core.operators import SpatialOperator
 from repro.core.partitioned_join import partitioned_spatial_join
-from repro.errors import ImpalaError
+from repro.errors import ImpalaError, SparkError
 from repro.geometry import Point, Polygon
 from repro.geometry.envelope import Envelope
 from repro.hdfs import SimulatedHDFS, write_text
@@ -252,6 +252,76 @@ class TestSparkBlockShuffleChaosEquivalence:
         # One lost map output per shuffle the result stage reads.
         assert len(recomputed) == 2
         assert {e["reason"] for e in recomputed} == {"shuffle_loss"}
+
+
+class TestOneTaskRunner:
+    """The scheduler has one task body.  It runs inline against driver
+    state, or — when its result may be discarded (a fault plan, here one
+    that injects nothing) or crosses a process boundary (a real pool) —
+    under a capture that ships back; all three agree byte for byte."""
+
+    @pytest.mark.parametrize(
+        "runtime",
+        [
+            pytest.param(RuntimeConfig(fault_plan=FaultPlan()), id="empty-plan"),
+            pytest.param(RuntimeConfig(executors=2), id="pool", marks=needs_fork),
+        ],
+    )
+    def test_captured_jobs_match_inline(self, tmp_path, runtime):
+        def run(runtime, name):
+            path = str(tmp_path / f"{name}.jsonl")
+            shuffle = _spark_shuffle_snapshot(runtime, path)
+            return (
+                shuffle,
+                normalize_events(read_events(path)),
+                _spark_partitioned_snapshot(runtime, path),
+            )
+
+        assert run(runtime, "captured") == run(RuntimeConfig(), "inline")
+
+    def test_inline_terminal_failure_leaves_later_tasks_unrun(self):
+        ran = []
+
+        def lose_second(value):
+            ran.append(value)
+            if value == 1:
+                raise OSError("simulated executor loss")
+            return value
+
+        sc = SparkContext(SPEC)
+        with pytest.raises(SparkError, match="failed 4 times"):
+            sc.parallelize([0, 1, 2, 3], 4).map(lose_second).collect()
+        assert ran == [0, 1, 1, 1, 1]
+
+    def test_inline_run_captures_nothing_and_sizes_buckets_once(self, monkeypatch):
+        """Wall-clock-free guard on what an inline task costs: no
+        ``ObsCapture`` per task, no second ``records_bytes`` walk over a
+        record-list bucket (a block's total is a field read)."""
+        from repro.core.broadcast_join import broadcast_spatial_join
+        from repro.runtime.shipping import ObsCapture
+        from repro.spark import shuffle
+
+        captures, sized = [], []
+        init, records_bytes = ObsCapture.__init__, shuffle.records_bytes
+        monkeypatch.setattr(
+            ObsCapture, "__init__", lambda self: (captures.append(self), init(self))[1]
+        )
+        monkeypatch.setattr(
+            shuffle,
+            "records_bytes",
+            lambda records: (sized.append(records), records_bytes(records))[1],
+        )
+        sc = SparkContext(SPEC)
+        left, right = sc.parallelize(_points(), 4), sc.parallelize(_grid_polygons(), 2)
+        grid = FixedGridPartitioner(3, 2).partition(Envelope(0, 0, 12, 12))
+        broadcast_spatial_join(sc, left, right, SpatialOperator.WITHIN).collect()
+        partitioned_spatial_join(
+            sc, left, right, SpatialOperator.WITHIN, partitioning=grid
+        ).collect()
+        _spark_shuffle_snapshot(RuntimeConfig())
+        assert captures == []
+        lists = [id(records) for records in sized if type(records) is list]
+        assert lists and len(set(lists)) == len(lists)
 
 
 def _impala_backend(runtime, events_out=None):

@@ -21,7 +21,7 @@ from repro.impala import ColumnType, ImpalaBackend
 from repro.obs.registry import collecting
 from repro.spark import SparkContext
 
-from repro.runtime import ProcessBackend
+from repro.runtime import ProcessBackend, RuntimeConfig
 
 HAS_FORK = ProcessBackend(2).supports_closures
 needs_fork = pytest.mark.skipif(
@@ -76,7 +76,7 @@ class TestCoreJoinEquivalence:
                 config=JoinConfig(
                     operator="within",
                     method=method,
-                    executors=executors,
+                    runtime=RuntimeConfig(executors=executors),
                     profile=True,
                 ),
             )
@@ -101,7 +101,7 @@ class TestCoreJoinEquivalence:
                     operator="nearestd",
                     radius=5.0,
                     method=method,
-                    executors=executors,
+                    runtime=RuntimeConfig(executors=executors),
                     profile=True,
                 ),
             )
@@ -115,9 +115,13 @@ class TestCoreJoinEquivalence:
             assert totals == base_totals
 
 
+def _context(executors):
+    return SparkContext(ClusterSpec(2, 2), runtime=RuntimeConfig(executors=executors))
+
+
 def _spark_job(executors):
     """A shuffle-bearing Spark job; returns every observable output."""
-    sc = SparkContext(ClusterSpec(num_nodes=2, cores_per_node=2), executors=executors)
+    sc = _context(executors)
     with collecting() as reg:
         pairs = (
             sc.parallelize(list(range(200)), 4)
@@ -145,8 +149,8 @@ class TestSparkEquivalence:
             assert got == base
 
     def test_result_order_preserved(self):
-        serial = SparkContext(ClusterSpec(2, 2), executors="serial")
-        pooled = SparkContext(ClusterSpec(2, 2), executors=2)
+        serial = _context("serial")
+        pooled = _context(2)
         data = list(range(50))
         expected = serial.parallelize(data, 5).map(lambda x: x * 3).collect()
         assert pooled.parallelize(data, 5).map(lambda x: x * 3).collect() == expected
@@ -182,7 +186,7 @@ def _impala_city():
 def _impala_query(sql, executors, nodes=3):
     fs = _impala_city()
     backend = ImpalaBackend(
-        ClusterSpec(nodes, 4), hdfs=fs, executors=executors
+        ClusterSpec(nodes, 4), hdfs=fs, runtime=RuntimeConfig(executors=executors)
     )
     backend.metastore.create_table(
         "pnt", [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)], "/pnt.txt"
@@ -257,10 +261,10 @@ class FlakyOnce:
 
 @needs_fork
 class TestPoolRetrySemantics:
-    """Worker-side task failure still honours MAX_TASK_ATTEMPTS."""
+    """Worker-side task failure still honours ``max_task_attempts``."""
 
     def test_transient_failure_recovers_in_worker(self):
-        sc = SparkContext(ClusterSpec(2, 2), executors=2)
+        sc = _context(2)
         flaky = FlakyOnce(failures=2)
         result = sc.parallelize([0, 1, 2, 3], 2).map(flaky).collect()
         assert sorted(result) == [0, 1, 2, 3]
@@ -269,7 +273,7 @@ class TestPoolRetrySemantics:
 
     def test_retry_cost_parity_with_serial(self):
         def job(executors):
-            sc = SparkContext(ClusterSpec(2, 2), executors=executors)
+            sc = _context(executors)
             flaky = FlakyOnce(failures=2)
 
             def charge(record):
@@ -284,14 +288,14 @@ class TestPoolRetrySemantics:
         assert job(2) == job("serial")
 
     def test_persistent_failure_fails_job_in_pool(self):
-        sc = SparkContext(ClusterSpec(2, 2), executors=2)
+        sc = _context(2)
         flaky = FlakyOnce(failures=99)
         with pytest.raises(SparkError, match="failed 4 times"):
             sc.parallelize([0, 1], 1).map(flaky).collect()
 
     def test_persistent_failure_message_parity(self):
         def message(executors):
-            sc = SparkContext(ClusterSpec(2, 2), executors=executors)
+            sc = _context(executors)
             with pytest.raises(SparkError) as info:
                 sc.parallelize([0], 1).map(FlakyOnce(failures=99)).collect()
             return str(info.value)
@@ -300,7 +304,7 @@ class TestPoolRetrySemantics:
 
     def test_fatal_spark_error_not_retried(self):
         def attempts(executors):
-            sc = SparkContext(ClusterSpec(2, 2), executors=executors)
+            sc = _context(executors)
             counter = {"calls": 0}
 
             def fatal(record):
@@ -315,7 +319,7 @@ class TestPoolRetrySemantics:
         # same no-retry semantics (worker-side call count is invisible
         # here, so assert via the serial counter and the matching message).
         assert attempts("serial") == 1
-        sc = SparkContext(ClusterSpec(2, 2), executors=2)
+        sc = _context(2)
 
         def fatal(record):
             raise SparkError("fatal driver condition")

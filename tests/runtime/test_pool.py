@@ -93,6 +93,25 @@ class TestSerialBackend:
 
 
 @needs_fork
+class TestPicklableError:
+    @pytest.mark.parametrize(
+        "cause, shipped_cause",
+        [
+            (OSError("simulated executor loss"), "OSError('simulated executor loss')"),
+            (OSError(lambda: None), "None"),  # an unpicklable cause is dropped
+        ],
+    )
+    def test_cause_survives_the_round_trip_when_picklable(self, cause, shipped_cause):
+        import pickle
+
+        from repro.runtime.pool import picklable_error
+
+        error = ReproError("task failed")
+        error.__cause__ = cause
+        shipped = pickle.loads(pickle.dumps(picklable_error(error)))
+        assert (str(shipped), repr(shipped.__cause__)) == ("task failed", shipped_cause)
+
+
 class TestProcessBackendFork:
     def test_results_in_task_order(self):
         pool = ProcessBackend(2)

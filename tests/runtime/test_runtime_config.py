@@ -1,20 +1,17 @@
-"""RuntimeConfig: validation, the single precedence rule, plumbing.
-
-The precedence rule under test (documented in repro/runtime/config.py):
-an explicit ``RuntimeConfig`` wins over loose keywords; without one, the
-loose ``executors``/``events_out`` keywords are packed into an implicit
-``RuntimeConfig`` so existing call shapes keep working.
-"""
+"""RuntimeConfig: validation, plumbing, and its being the only home of
+``executors`` / ``events_out`` (``spatial_join(..., runtime=)`` replaces
+``config.runtime``; a loose keyword anywhere is a ``TypeError``)."""
 
 import os
+from functools import partial
 
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.core import JoinConfig, spatial_join
+from repro.bench import run_engine, run_ispmc, run_spatialspark
+from repro.core import JoinConfig, spatial_join, spatial_join_pairs
 from repro.errors import ReproError
 from repro.impala import ImpalaBackend
-from repro.obs.events import read_events
 from repro.runtime import FaultPlan, RuntimeConfig, SerialBackend
 from repro.spark import SparkContext
 
@@ -71,33 +68,14 @@ class TestValidation:
 
 class TestPrecedence:
     def test_spark_context_explicit_runtime_wins(self):
-        sc = SparkContext(
-            SPEC, executors=2, runtime=RuntimeConfig(executors="serial")
-        )
+        sc = SparkContext(SPEC, runtime=RuntimeConfig(executors="serial"))
         assert sc.runtime.executors == "serial"
         assert sc.task_pool.is_serial
 
-    def test_spark_context_loose_keywords_pack_implicitly(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        sc = SparkContext(SPEC, executors="serial", events_out=path)
-        assert sc.runtime == RuntimeConfig(executors="serial", events_out=path)
-        sc.parallelize([1, 2, 3], 2).collect()
-        sc.close_events()
-        assert any(e["event"] == "QueryEnd" for e in read_events(path))
-
     def test_impala_backend_explicit_runtime_wins(self):
-        backend = ImpalaBackend(
-            SPEC, executors=2, runtime=RuntimeConfig(executors="serial")
-        )
+        backend = ImpalaBackend(SPEC, runtime=RuntimeConfig(executors="serial"))
         assert backend.runtime.executors == "serial"
         assert backend.task_pool.is_serial
-
-    def test_join_config_resolved_runtime(self):
-        explicit = RuntimeConfig(executors="serial")
-        cfg = JoinConfig(workers=4, runtime=explicit)
-        assert cfg.resolved_runtime() is explicit
-        implicit = JoinConfig(executors=2, events_out=None).resolved_runtime()
-        assert implicit == RuntimeConfig(executors=2)
 
     def test_join_config_rejects_non_runtime(self):
         with pytest.raises(ReproError, match="runtime"):
@@ -116,10 +94,31 @@ class TestPrecedence:
         assert os.path.exists(keyword_path)
         assert not os.path.exists(config_path)
 
-    def test_spatial_join_loose_events_out_still_works(self, tmp_path):
-        path = str(tmp_path / "loose.jsonl")
-        spatial_join(LEFT, RIGHT, events_out=path)
-        assert any(e["event"] == "QueryEnd" for e in read_events(path))
+
+class TestLooseKnobsGone:
+    """``executors`` / ``events_out`` live on ``RuntimeConfig`` only."""
+
+    @pytest.mark.parametrize("knob", [{"executors": 2}, {"events_out": "e.jsonl"}])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            JoinConfig,
+            partial(spatial_join, LEFT, RIGHT),
+            partial(spatial_join_pairs, ["POINT (1 1)"], [RIGHT[0][1]]),
+            partial(SparkContext, SPEC),
+            partial(ImpalaBackend, SPEC),
+            partial(run_spatialspark, None, 1),
+            partial(run_ispmc, None, 1),
+            partial(run_engine, "taxi-nycb", "spatialspark", 1),
+        ],
+        ids=[
+            "JoinConfig", "spatial_join", "spatial_join_pairs", "SparkContext",
+            "ImpalaBackend", "run_spatialspark", "run_ispmc", "run_engine",
+        ],
+    )
+    def test_loose_keyword_is_a_type_error(self, call, knob):
+        with pytest.raises(TypeError):
+            call(**knob)
 
 
 class TestPlumbing:

@@ -10,6 +10,7 @@ workers land in the driver cache all the same.
 import pytest
 
 from repro.cluster import ClusterSpec
+from repro.runtime import RuntimeConfig
 from repro.spark import SparkContext
 
 
@@ -60,7 +61,8 @@ class TestCacheAcrossJobs:
 class TestCacheUnderPool:
     def test_pool_job_populates_driver_cache(self):
         sc = SparkContext(
-            ClusterSpec(num_nodes=2, cores_per_node=2), executors=2
+            ClusterSpec(num_nodes=2, cores_per_node=2),
+            runtime=RuntimeConfig(executors=2),
         )
         if not sc.task_pool.supports_closures:
             pytest.skip("fork start method unavailable")
@@ -74,7 +76,8 @@ class TestCacheUnderPool:
 
     def test_pool_second_job_hits_cache(self):
         sc = SparkContext(
-            ClusterSpec(num_nodes=2, cores_per_node=2), executors=2
+            ClusterSpec(num_nodes=2, cores_per_node=2),
+            runtime=RuntimeConfig(executors=2),
         )
         if not sc.task_pool.supports_closures:
             pytest.skip("fork start method unavailable")

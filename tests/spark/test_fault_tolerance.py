@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, Resource
 from repro.errors import SparkError
+from repro.runtime import FaultPlan, ProcessBackend, RuntimeConfig
 from repro.spark import SparkContext, current_task
 
 
@@ -45,13 +46,43 @@ class TestTaskRetry:
         flaky = FlakyOnce(failures=99)
         with pytest.raises(SparkError, match="failed 4 times"):
             sc.parallelize([0, 1], 1).map(flaky).collect()
-        assert flaky.crashes == 4  # MAX_TASK_ATTEMPTS
+        assert flaky.crashes == 4  # max_task_attempts
 
     def test_original_error_chained(self, sc):
         flaky = FlakyOnce(failures=99)
         with pytest.raises(SparkError) as info:
             sc.parallelize([0], 1).map(flaky).collect()
         assert isinstance(info.value.__cause__, OSError)
+
+    @pytest.mark.parametrize(
+        "runtime",
+        [
+            pytest.param(RuntimeConfig(fault_plan=FaultPlan()), id="empty-plan"),
+            pytest.param(
+                RuntimeConfig(executors=2),
+                id="pool",
+                marks=pytest.mark.skipif(
+                    not ProcessBackend(2).supports_closures, reason="needs fork"
+                ),
+            ),
+        ],
+    )
+    def test_original_error_chained_when_shipped(self, sc, runtime):
+        """The error of a task that ran under a capture — even in a worker
+        process — is the inline run's: message, cause, failure count."""
+
+        def fail(sc):
+            with pytest.raises(SparkError) as info:
+                sc.parallelize([0, 1, 2, 3], 4).map(FlakyOnce(failures=99)).collect()
+            return (
+                str(info.value),
+                repr(info.value.__cause__),
+                sc._scheduler.task_failures,
+            )
+
+        shipped = fail(SparkContext(sc.cluster, runtime=runtime))
+        assert shipped == fail(sc)
+        assert shipped[1:] == ("OSError('simulated executor loss')", 4)
 
     def test_retry_in_shuffle_map_stage(self, sc):
         flaky = FlakyOnce(failures=1, victim=("k", 0))
