@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.geometry.algorithms.pairwise import RingTables, ring_tables
 from repro.geometry.base import Geometry
 from repro.geometry.linestring import LineString
 from repro.geometry.multi import MultiLineString, MultiPoint, MultiPolygon
@@ -110,6 +111,7 @@ class _ColumnData:
         "count",
         "_bbox",
         "_coord_starts",
+        "_ring_tables",
         "_geom_cache",
         "is_point_only",
     )
@@ -123,6 +125,7 @@ class _ColumnData:
         self.count = len(types)
         self._bbox = bbox
         self._coord_starts = None
+        self._ring_tables = None
         self._geom_cache: dict[int, Geometry] = {}
         self.is_point_only = bool(
             len(coords) == self.count and (self.count == 0 or bool(np.all(types == _POINT)))
@@ -144,6 +147,13 @@ class _ColumnData:
             else:
                 self._coord_starts = self.rings[self.parts[self.geoms]]
         return self._coord_starts
+
+    @property
+    def ring_tables(self) -> RingTables:
+        """Part envelopes and edge offsets for the pair kernel, derived once."""
+        if self._ring_tables is None:
+            self._ring_tables = ring_tables(self.coords, self.rings, self.parts)
+        return self._ring_tables
 
     def geometry(self, j: int) -> Geometry:
         cached = self._geom_cache.get(j)
@@ -264,6 +274,23 @@ def _point_only_data(coords: np.ndarray) -> _ColumnData:
     unit = np.arange(n + 1, dtype=np.int32)
     types = np.full(n, _POINT, dtype=np.uint8)
     return _ColumnData(coords, unit, unit, unit, types, None)
+
+
+def _point_line_data(coords: np.ndarray, sizes: Sequence[int]) -> _ColumnData:
+    """Buffers for rows of ``sizes[i]`` consecutive coordinates each: a
+    one-coordinate row is a point, a longer one a linestring — what
+    :func:`_convert` builds from those geometries."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = len(sizes)
+    rings = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(sizes, out=rings[1:])
+    unit = np.arange(n + 1, dtype=np.int32)
+    types = np.where(sizes == 1, _POINT, _LINESTRING).astype(np.uint8)
+    bbox = np.empty((n, 4), dtype=np.float64)
+    if n:
+        bbox[:, :2] = np.minimum.reduceat(coords, rings[:-1], axis=0)
+        bbox[:, 2:] = np.maximum.reduceat(coords, rings[:-1], axis=0)
+    return _ColumnData(np.ascontiguousarray(coords), rings, unit, unit, types, bbox)
 
 
 def _convert(geometries: Sequence[Geometry]) -> _ColumnData | None:
@@ -425,6 +452,12 @@ class GeometryColumn:
             data._geom_cache[j] = g
         return cls(data, payloads)
 
+    @staticmethod
+    def holds(geometry: object) -> bool:
+        """Whether the column model has a type code for ``geometry``
+        (everything but ``None`` and ``GeometryCollection``)."""
+        return type(geometry) in _TYPE_CODE
+
     @classmethod
     def from_geometries(
         cls, geometries: Sequence[Geometry], payloads: Sequence[object] | None = None
@@ -524,6 +557,11 @@ class GeometryColumn:
         if self._sel is not None:
             bbox = bbox[self._sel]
         return bbox[:, 0], bbox[:, 1], bbox[:, 2], bbox[:, 3]
+
+    def packed_rows(self, rows: np.ndarray) -> tuple[_ColumnData, np.ndarray]:
+        """The shared buffer set and where in it view rows ``rows`` live —
+        what a kernel reading ``coords / rings / parts / geoms`` takes."""
+        return self._data, rows if self._sel is None else self._sel[rows]
 
     def point_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(positions, xs, ys)`` for the non-empty point rows.

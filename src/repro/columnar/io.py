@@ -1,19 +1,37 @@
 """Bulk WKT → column conversion: the repo's one WKT-batch parser.
 
 The paper stores every dataset as WKT on HDFS and parses it row by row;
-here a partition / row batch is parsed at a time.  The hot case — point
-rows like the paper's taxi pickups — takes three vectorised steps (one
-regex capture per row, one ``np.asarray(..., dtype=float64)``, one
-reshape) instead of a tokenizer pass and a Python object per row.  The
-regex accepts a strict subset of what :class:`~repro.geometry.wkt.WKTReader`
-accepts — ASCII ``POINT (x y)`` whose numbers are runs of the tokenizer's
-own number characters — and numpy's string→float64 conversion is Python's
-``float``, so the coordinates are bit-identical to the scalar reader's.
+here a partition / row batch is parsed at a time.  The hot cases — point
+rows like the paper's taxi pickups, polyline rows like its LION streets —
+take a few vectorised steps (one anchored regex per row, one
+``np.asarray(..., dtype=float64)``, ring offsets from a ``cumsum`` of the
+rows' coordinate counts, line bounding boxes from
+``minimum/maximum.reduceat``) instead of a tokenizer pass and a Python
+object per row.  Each regex accepts a strict subset of what
+:class:`~repro.geometry.wkt.WKTReader` accepts, its numbers being runs of
+the tokenizer's own number characters:
 
-Every row the regex or the conversion rejects gets a per-row
-``WKTReader.try_read`` — the only per-row parse on a probe side — and
-either joins the batch as a geometry object or is reported as a dropped
-position.  :func:`parse_wkt_column` is called by the Spark loader
+* ``POINT (x y)`` in any letter case, with any whitespace the tokenizer
+  skips;
+* ``LINESTRING (x y, x y, ...)`` as the repo's writer and the paper's
+  datasets spell it — upper-case tag, plain spaces, two or more
+  two-number coordinates — whose values are all finite and hold no
+  negative zero (``1e999`` reads as inf, and a min / max reduction does
+  not define ``min(-0.0, 0.0)``'s bits, so such a row's bounding box
+  could differ from the reader's).
+
+numpy's string→float64 conversion is Python's ``float``, so the
+coordinates — and with them the buffers, ``nbytes`` and ``to_bytes()`` of
+the column — are bit-identical to ``GeometryColumn.from_entries`` over the
+scalar reader's objects.
+
+Every other row — another type, another spelling, a value the conversion
+refuses — gets a per-row ``WKTReader.try_read``, the only per-row parse on
+a probe side, and either joins the batch as a geometry object or is
+reported as a dropped position.  Rows the bulk path takes neither read nor
+fill the reader's process-wide parse memo, so a build side's
+reader-parsed polygons stay warm in it however many probe batches go by.
+:func:`parse_wkt_column` is called by the Spark loader
 (``read_geometry_pairs``), the Impala probe (``core.isp.probe_wkt_rows``)
 and the API (``core.api``); :func:`column_from_wkt` is its strict wrapper.
 """
@@ -25,8 +43,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.columnar.column import GeometryColumn, _point_only_data
+from repro.columnar.column import GeometryColumn, _point_line_data, _point_only_data
 from repro.geometry.base import Geometry
+from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.wkt import _NUMBER_CHARS, WKTReader
 
@@ -35,6 +54,11 @@ __all__ = ["column_from_wkt", "parse_wkt_column"]
 _NUMBER = "[" + "".join(re.escape(ch) for ch in sorted(_NUMBER_CHARS)) + "]+"
 _POINT_ROW = re.compile(
     rf"\s*[Pp][Oo][Ii][Nn][Tt]\s*\(\s*({_NUMBER})\s+({_NUMBER})\s*\)\s*"
+)
+# Upper-case tag, plain spaces: what the repo's writer and the paper's
+# datasets emit.  Any other spelling is the reader's.
+_LINE_ROW = re.compile(
+    rf" *LINESTRING *\( *({_NUMBER} +{_NUMBER}(?: *, *{_NUMBER} +{_NUMBER})+) *\) *"
 )
 _READER = WKTReader()
 
@@ -47,10 +71,10 @@ def parse_wkt_column(
     ``dropped`` lists, ascending, the positions whose value is not a
     string or does not parse (exactly those ``WKTReader.try_read``
     returns ``None`` for).  ``parsed`` holds the other rows in order,
-    paired with their payloads: a point-only :class:`GeometryColumn`
-    (no geometry object built) when every kept row is a plain point,
-    otherwise the ``(payload, geometry)`` list of a batch that needed
-    the object reader.
+    paired with their payloads: a :class:`GeometryColumn` (no geometry
+    object built) when the bulk path took every kept row — point-only
+    when they are all points — otherwise the ``(payload, geometry)`` list
+    of a batch that needed the object reader.
     """
     texts = texts if isinstance(texts, list) else list(texts)
     n = len(texts)
@@ -69,17 +93,39 @@ def parse_wkt_column(
             others.append(i)
         else:
             tokens += match.groups()
+    lines: dict[int, list[str]] = {}
+    if others:
+        fullmatch = _LINE_ROW.fullmatch
+        for i in others:
+            match = fullmatch(texts[i]) if isinstance(texts[i], str) else None
+            if match is not None:
+                lines[i] = match.group(1).replace(",", " ").split()
+        if lines:
+            others = [i for i in others if i not in lines]
     matched: Sequence[int] = (
         sorted(set(range(n)).difference(others)) if others else range(n)
     )
+    # Coordinates per bulk row, aligned with ``matched``; None: all points.
+    sizes: list[int] | None = None
+    if lines:
+        if len(lines) < len(matched):
+            points = iter(zip(tokens[::2], tokens[1::2]))
+            row_tokens = [lines[i] if i in lines else next(points) for i in matched]
+        else:
+            row_tokens = list(lines.values())
+        sizes = [len(row) // 2 for row in row_tokens]
+        tokens = [token for row in row_tokens for token in row]
     try:
         values = np.asarray(tokens, dtype=np.float64)
+        if sizes is not None and not _line_safe(values):
+            raise ValueError
     except ValueError:
-        # Some captured run is no number ("1e", "+-1"): sort those rows
-        # out one at a time, then convert the rest.
-        matched, tokens = _convertible(matched, tokens, others)
+        # Some captured run is no number ("1e", "+-1"), or a line holds a
+        # value min/max cannot order bit-for-bit: sort those rows out one
+        # at a time, then convert the rest.
+        matched, tokens, sizes = _convertible(matched, tokens, sizes, others)
         values = np.asarray(tokens, dtype=np.float64)
-    coords = values.reshape(len(matched), 2)
+    coords = values.reshape(len(values) // 2, 2)
     geometries: dict[int, Geometry] = {}
     dropped: list[int] = []
     for i in others:
@@ -91,30 +137,62 @@ def parse_wkt_column(
     if not geometries:
         if dropped:
             payloads = [payloads[i] for i in matched]
-        return GeometryColumn(_point_only_data(coords), payloads), dropped
-    for i, (x, y) in zip(matched, coords.tolist()):
-        geometries[i] = Point(x, y)
+        data = _point_only_data(coords) if sizes is None else _point_line_data(coords, sizes)
+        return GeometryColumn(data, payloads), dropped
+    if sizes is None:
+        for i, (x, y) in zip(matched, coords.tolist()):
+            geometries[i] = Point(x, y)
+    else:
+        stop = 0
+        for i, size in zip(matched, sizes):
+            start, stop = stop, stop + size
+            if i in lines:
+                geometries[i] = LineString(coords[start:stop])
+            else:
+                geometries[i] = Point(*coords[start].tolist())
     return [(payloads[i], geometries[i]) for i in sorted(geometries)], dropped
 
 
+def _line_safe(values: np.ndarray) -> bool:
+    """Whether a line row may keep these values: all finite (``1e999``
+    reads as inf) and no negative zero, whose order against ``0.0`` a
+    min / max reduction does not define — so the row's bounding box is
+    the reader's bit for bit."""
+    return bool(np.isfinite(values).all()) and not bool(
+        np.signbit(values[values == 0.0]).any()
+    )
+
+
 def _convertible(
-    matched: Sequence[int], tokens: list[str], others: list[int]
-) -> tuple[list[int], list[str]]:
-    """Split regex-matched rows by whether ``float`` takes both captures;
-    the rows it refuses join ``others`` (kept ascending)."""
+    matched: Sequence[int],
+    tokens: list[str],
+    sizes: list[int] | None,
+    others: list[int],
+) -> tuple[list[int], list[str], list[int] | None]:
+    """Split regex-matched rows by whether ``float`` takes every capture
+    (and, for a line, every value is :func:`_line_safe`); the rows that
+    fail join ``others`` (kept ascending)."""
     good_rows: list[int] = []
     good_tokens: list[str] = []
+    good_sizes: list[int] = []
+    stop = 0
     for k, i in enumerate(matched):
-        pair = tokens[2 * k : 2 * k + 2]
+        size = 1 if sizes is None else sizes[k]
+        start, stop = stop, stop + 2 * size
+        row = tokens[start:stop]
         try:
-            float(pair[0]), float(pair[1])
+            values = [float(token) for token in row]
         except ValueError:
             others.append(i)
-        else:
-            good_rows.append(i)
-            good_tokens += pair
+            continue
+        if size > 1 and not _line_safe(np.asarray(values)):
+            others.append(i)
+            continue
+        good_rows.append(i)
+        good_tokens += row
+        good_sizes.append(size)
     others.sort()
-    return good_rows, good_tokens
+    return good_rows, good_tokens, None if sizes is None else good_sizes
 
 
 def column_from_wkt(

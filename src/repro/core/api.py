@@ -243,9 +243,10 @@ def _normalise(
     WKT strings are parsed in one bulk pass
     (:func:`~repro.columnar.io.parse_wkt_column`), charged per row; a
     malformed one raises the scalar reader's own error.  When every row
-    was a WKT point the packed column comes back beside the entries (its
-    ``geometry(i)`` *is* entry ``i``'s object), so index build and probe
-    take it as it is instead of re-packing the entries; else ``None``.
+    was a WKT point or linestring the packed column comes back beside
+    the entries (its ``geometry(i)`` *is* entry ``i``'s object), so index
+    build and probe take it as it is instead of re-packing the entries;
+    else ``None``.
     """
     entries = list(entries)
     rows = [i for i, (_, geometry) in enumerate(entries) if isinstance(geometry, str)]
@@ -398,7 +399,10 @@ def spatial_join(
 
     ``runtime`` installs a :class:`~repro.runtime.config.RuntimeConfig`
     (executors, event log, retry / speculation policy, fault plan); it
-    replaces ``config.runtime`` when both are given.
+    replaces ``config.runtime`` when both are given.  It is the only
+    keyword that may accompany ``config=``: any other one set to a
+    non-default value beside it is a ``TypeError``, not a silently
+    ignored argument.
 
     Example::
 
@@ -411,6 +415,23 @@ def spatial_join(
         True
     """
     if config is not None:
+        # ``config`` is the whole join description; a loose keyword beside
+        # it used to be dropped without a word.
+        for keyword, given in (
+            ("operator", operator is not SpatialOperator.WITHIN),
+            ("radius", radius != 0.0),
+            ("engine", engine != "fast"),
+            ("method", method != "auto"),
+            ("profile", profile is not False),
+            ("cost_model", cost_model is not None),
+            ("workers", workers != 1),
+            ("explain", explain != "off"),
+        ):
+            if given:
+                raise TypeError(
+                    f"spatial_join() got {keyword}= beside config=; set it on the"
+                    f" JoinConfig instead (config.with_({keyword}=...))"
+                )
         cfg = config
     else:
         if profile:

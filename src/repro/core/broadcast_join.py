@@ -64,9 +64,10 @@ def read_geometry_pairs(
 
     Each partition is parsed in one bulk pass
     (:func:`~repro.columnar.io.parse_wkt_column`); the charges stay per
-    row.  A partition of points comes back as :class:`ColumnRecords` — it
-    iterates as ``(record_id, geometry)`` records for any RDD operator,
-    and :func:`broadcast_spatial_join` probes its column directly.
+    row.  A partition of points and / or polylines comes back as
+    :class:`ColumnRecords` — it iterates as ``(record_id, geometry)``
+    records for any RDD operator, and :func:`broadcast_spatial_join`
+    probes its column directly.
     """
 
     def parse_partition(pairs):
@@ -108,7 +109,7 @@ class ColumnRecords:
     It is its own iterator, so it survives ``MapPartitionsRDD.compute``'s
     ``iter()`` and reaches the next operator as itself: one that wants
     the rows packed reads ``column`` (the whole partition), any other
-    just iterates, and gets one ``Point`` built per record consumed.
+    just iterates, and gets one geometry built per record consumed.
     """
 
     __slots__ = ("column", "_records")
@@ -172,9 +173,11 @@ def broadcast_spatial_join(
     with dynamic Spark scheduling; passing ``engine="slow"`` isolates the
     geometry-library axis for the ablation benchmarks.
 
-    Each task gathers its partition's probes into coordinate arrays and
-    runs the batched filter+refine pipeline — one bulk index probe, one
-    batch kernel call per build geometry.
+    Each task runs its partition's probes through the batched
+    filter+refine pipeline (:meth:`BroadcastIndex.probe_batch`) — one bulk
+    index probe, then one batch kernel call per build geometry for point
+    probes, or one pair-kernel call for polyline / polygon probes under
+    Intersects.
     """
     if operator.needs_radius and radius <= 0.0:
         raise ReproError(f"{operator} requires a positive radius")
@@ -234,7 +237,7 @@ def broadcast_spatial_join(
     def query_rtree_partition(rows):
         if isinstance(rows, ColumnRecords):
             # A freshly parsed partition: probe the packed coordinates,
-            # no Point is ever built.
+            # no geometry object is ever built.
             probes = rows.column
             left_ids = probes.payloads()
         else:

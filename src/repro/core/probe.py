@@ -30,7 +30,9 @@ from repro.geometry.engine import GeometryEngine, create_engine
 from repro.geometry.point import Point
 from repro.geometry.algorithms import distance as distance_mod
 from repro.geometry.algorithms import predicates
+from repro.geometry.algorithms.pairwise import PAIR_TYPES, intersects_pairs
 from repro.index.rtree import STRtree
+from repro.obs.registry import REGISTRY
 from repro.core.operators import SpatialOperator
 
 __all__ = ["BroadcastIndex", "refine_pair", "join_tile", "naive_spatial_join"]
@@ -49,6 +51,8 @@ def refine_pair(
     Point probes take the engine's prepared fast paths; non-point probes
     fall back to the generic computational-geometry predicates (identical
     results, no preparation benefit — matching how JTS/GEOS treat them).
+    This is the scalar reference: :meth:`BroadcastIndex.probe_batch`
+    refines in bulk and agrees with it pair for pair.
     """
     if isinstance(probe_geometry, Point):
         if operator is SpatialOperator.WITHIN:
@@ -94,6 +98,7 @@ class BroadcastIndex:
         self.radius = radius if operator.needs_radius else 0.0
         self.engine = create_engine(engine) if isinstance(engine, str) else engine
         self._tree: STRtree = STRtree(node_capacity=node_capacity)
+        self._pair_payloads = None  # no packed build side for the pair kernel
         self.build_entries = 0
         self.build_vertex_total = 0
         for payload, geometry in entries:
@@ -172,6 +177,16 @@ class BroadcastIndex:
         # the receiver rebuilds an identical tree from the buffers.
         self._column = kept
         self._node_capacity = node_capacity
+        # The pair kernel's view of the build side, when it can answer:
+        # tree entry k is column row k (no row lost to an inverted box),
+        # which is what lets a candidate's entry id address the buffers.
+        self._pair_payloads = (
+            kept.payloads()
+            if operator is SpatialOperator.INTERSECTS
+            and len(self._tree) == len(kept)
+            and bool(PAIR_TYPES[kept.types_array()].all())
+            else None
+        )
         return self
 
     def __reduce_ex__(self, protocol):
@@ -254,99 +269,163 @@ class BroadcastIndex:
         second element is the per-probe units list; otherwise it is the
         summed totals dict.
 
-        Point probes under Within/NearestD take the columnar path: one
-        Morton-sorted bulk index probe, then candidates grouped by build
-        geometry so each polygon/polyline refines its whole point set with
-        one batch kernel call.  Everything else falls back to per-probe
-        scalar refinement (same answers, no batching benefit — mirroring
-        the scalar engines).
+        ``geometries`` is a :class:`GeometryColumn` — coordinates are then
+        read straight from the packed buffers, no geometry object built —
+        or any iterable of geometries, which is packed once
+        (:meth:`GeometryColumn.from_entries`) and probed the same way.
+        :meth:`_routes` sends each non-empty row down one of three routes:
 
-        ``geometries`` may also be a :class:`GeometryColumn`: the point
-        coordinates are then read straight from the packed buffer with no
-        per-row object access (identical answers and counters).
+        * point probes under Within / NearestD: one Morton-sorted bulk
+          index probe, then candidates grouped by build geometry so each
+          polygon / polyline refines its whole point set with one batch
+          kernel call;
+        * LineString / Polygon / MultiLineString / MultiPolygon probes
+          under Intersects, over a packed build side of those types: one
+          batched envelope traversal yielding ``(probe, build)`` candidate
+          arrays, refined by one
+          :func:`~repro.geometry.algorithms.pairwise.intersects_pairs` call;
+        * what is left — point and MultiPoint probes under Intersects,
+          every probe under Contains, non-point probes under Within /
+          NearestD, any probe of a build side the column model cannot
+          hold or that has point members, and a ``GeometryCollection``
+          probe — takes :meth:`probe_with_cost` row by row and is
+          counted in the ``probe.scalar_rows`` registry counter.
         """
         if isinstance(geometries, GeometryColumn):
             return self._probe_batch_column(geometries, per_row)
         geometries = list(geometries)
-        n = len(geometries)
-        matches: list[list[Any]] = [[] for _ in range(n)]
-        row_units: list[dict[str, float] | None] = [None] * n
-        batchable: list[int] = []
-        batch_ok = self.operator in (
-            SpatialOperator.WITHIN,
-            SpatialOperator.NEAREST_D,
-        ) and hasattr(self.engine, "contains_batch_counted")
+        packed: list[int] = []
+        rest: list[int] = []
         for i, geometry in enumerate(geometries):
+            (packed if GeometryColumn.holds(geometry) else rest).append(i)
+        matches, units = self._probe_batch_column(
+            GeometryColumn.from_entries((None, geometries[i]) for i in packed), per_row
+        )
+        if not rest:
+            return matches, units
+        # None rows, and geometries the column model cannot hold (a
+        # GeometryCollection): scatter the packed rows' answers around them.
+        n = len(geometries)
+        row_matches: list[list[Any]] = [[] for _ in range(n)]
+        row_units: list[dict[str, float] | None] = [None] * n
+        for i, found in zip(packed, matches):
+            row_matches[i] = found
+        if per_row:
+            for i, row in zip(packed, units):
+                row_units[i] = row
+        for i in rest:
+            geometry = geometries[i]
             if geometry is None:
                 continue
             if geometry.is_empty:
-                row_units[i] = {
-                    Resource.INDEX_VISIT: 0.0,
-                    Resource.ROWS_OUT: 0.0,
-                }
-                continue
-            if batch_ok and isinstance(geometry, Point):
-                batchable.append(i)
+                row_units[i] = {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0}
             else:
-                matches[i], row_units[i] = self.probe_with_cost(geometry)
-        batch_totals: dict[str, float] | None = None
-        if batchable:
-            m = len(batchable)
-            xs = np.fromiter(
-                (geometries[i].x for i in batchable), dtype=np.float64, count=m
-            )
-            ys = np.fromiter(
-                (geometries[i].y for i in batchable), dtype=np.float64, count=m
-            )
-            batch_totals = self._probe_points_arrays(
-                xs, ys, batchable, matches, row_units, per_row
-            )
+                row_matches[i], row_units[i] = self.probe_with_cost(geometry)
+                REGISTRY.inc("probe.scalar_rows")
         if per_row:
-            return matches, row_units
-        return matches, self._sum_units(row_units, batch_totals)
+            return row_matches, row_units
+        return row_matches, self._sum_units(row_units, units)
+
+    def _routes(
+        self, column: GeometryColumn, live: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split the non-empty rows (mask ``live``) by how they are refined:
+        ``(point_rows, pair_rows, scalar_rows)`` position arrays.
+
+        The one place that says which operator x type combinations the
+        batch kernels cover; the input decides, never an option.
+        """
+        types = column.types_array()
+        batched = np.zeros(len(live), dtype=bool)
+        none = np.empty(0, dtype=np.int64)
+        point_rows = pair_rows = none
+        if self.operator in (
+            SpatialOperator.WITHIN,
+            SpatialOperator.NEAREST_D,
+        ) and hasattr(self.engine, "contains_batch_counted"):
+            batched = live & (types == _POINT_CODE)
+            point_rows = np.flatnonzero(batched)
+        elif self._pair_payloads is not None:
+            batched = live & PAIR_TYPES[types]
+            pair_rows = np.flatnonzero(batched)
+        return point_rows, pair_rows, np.flatnonzero(live & ~batched)
 
     def _probe_batch_column(
         self, column: GeometryColumn, per_row: bool
     ) -> tuple[list[list[Any]], dict[str, float] | list[dict[str, float] | None]]:
         """:meth:`probe_batch` over a packed column.
 
-        Classification (empty / batchable point / scalar fallback) is
-        vectorised over the column's type and count arrays; the batched
-        point kernel reads xs/ys straight from the coordinate buffer.
-        Non-point rows materialise their geometry once and take the exact
-        scalar path.
+        Classification (empty / point kernels / pair kernel / scalar) is
+        vectorised over the column's type and count arrays, and both
+        batched routes read coordinates straight from the buffers; only a
+        scalar row materialises its geometry.
         """
         n = len(column)
         matches: list[list[Any]] = [[] for _ in range(n)]
         row_units: list[dict[str, float] | None] = [None] * n
         counts = column.num_points_array()
-        batch_ok = self.operator in (
-            SpatialOperator.WITHIN,
-            SpatialOperator.NEAREST_D,
-        ) and hasattr(self.engine, "contains_batch_counted")
         for i in np.flatnonzero(counts == 0).tolist():
             row_units[i] = {
                 Resource.INDEX_VISIT: 0.0,
                 Resource.ROWS_OUT: 0.0,
             }
-        batch_totals: dict[str, float] | None = None
-        if batch_ok:
-            positions, xs, ys = column.point_rows()
-            scalar = np.flatnonzero(
-                (counts > 0) & (column.types_array() != _POINT_CODE)
-            ).tolist()
-        else:
-            positions, xs, ys = np.empty(0, dtype=np.int64), None, None
-            scalar = np.flatnonzero(counts > 0).tolist()
-        for i in scalar:
+        point_rows, pair_rows, scalar_rows = self._routes(column, counts > 0)
+        for i in scalar_rows.tolist():
             matches[i], row_units[i] = self.probe_with_cost(column.geometry(i))
-        if len(positions):
+        if len(scalar_rows):
+            REGISTRY.inc("probe.scalar_rows", len(scalar_rows))
+        batch_totals: dict[str, float] | None = None
+        if len(pair_rows):
+            batch_totals = self._probe_pair_rows(
+                column, pair_rows, matches, row_units, per_row
+            )
+        elif len(point_rows):
+            positions, xs, ys = column.point_rows()
             batch_totals = self._probe_points_arrays(
                 xs, ys, positions.tolist(), matches, row_units, per_row
             )
         if per_row:
             return matches, row_units
         return matches, self._sum_units(row_units, batch_totals)
+
+    def _probe_pair_rows(
+        self,
+        column: GeometryColumn,
+        rows: np.ndarray,
+        matches: list[list[Any]],
+        row_units: list[dict[str, float] | None],
+        per_row: bool,
+    ) -> dict[str, float] | None:
+        """Columnar filter+refine for the Intersects probes at ``rows``.
+
+        One batched envelope traversal, one pair-kernel call.  Fills
+        ``matches`` in place; units as :meth:`_probe_points_arrays` —
+        index visits and rows out only, which is all the scalar route
+        charges a probe the engines do not prepare.
+        """
+        min_x, min_y, max_x, max_y = column.bounds()
+        probes, entries, visits = self._tree._query_batch_arrays(
+            min_x[rows], min_y[rows], max_x[rows], max_y[rows]
+        )
+        hit = intersects_pairs(
+            *column.packed_rows(rows[probes]), *self._column.packed_rows(entries)
+        )
+        probes = probes[hit]
+        payloads = self._pair_payloads
+        for i, k in zip(rows[probes].tolist(), entries[hit].tolist()):
+            matches[i].append(payloads[k])
+        if not per_row:
+            return {
+                Resource.INDEX_VISIT: float(visits.sum()),
+                Resource.ROWS_OUT: float(len(probes)),
+            }
+        rows_out = np.bincount(probes, minlength=len(rows))
+        for i, visited, out in zip(rows.tolist(), visits.tolist(), rows_out.tolist()):
+            row_units[i] = {
+                Resource.INDEX_VISIT: float(visited),
+                Resource.ROWS_OUT: float(out),
+            }
+        return None
 
     @staticmethod
     def _sum_units(

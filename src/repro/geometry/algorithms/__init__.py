@@ -1,5 +1,5 @@
 """Computational-geometry kernels behind the refinement predicates."""
 
-from repro.geometry.algorithms import distance, measures, predicates, segments
+from repro.geometry.algorithms import distance, measures, pairwise, predicates, segments
 
-__all__ = ["distance", "measures", "predicates", "segments"]
+__all__ = ["distance", "measures", "pairwise", "predicates", "segments"]

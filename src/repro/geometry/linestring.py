@@ -22,7 +22,12 @@ def coordinate_array(coords: Iterable[Sequence[float]]) -> np.ndarray:
     fail fast at construction (the engines' text scanners rely on this to
     filter bad records the way Fig 2's ``Try(...)`` filter does).
     """
-    array = np.asarray(list(coords), dtype=np.float64)
+    if isinstance(coords, np.ndarray):
+        # Already rows of numbers: one copy, no per-row list (the packed
+        # columns materialise their lines and rings through here).
+        array = np.array(coords, dtype=np.float64)
+    else:
+        array = np.asarray(list(coords), dtype=np.float64)
     if array.size == 0:
         return array.reshape(0, 2)
     if array.ndim != 2 or array.shape[1] != 2:

@@ -29,10 +29,13 @@ class RTreeNode(Generic[T]):
 
     Leaf nodes carry ``items`` (payload, envelope) pairs; interior nodes
     carry ``children``.  Exposed for tests and for the cost model, which
-    counts node visits.
+    counts node visits.  A leaf also carries the batched traversal's view
+    of its items: ``entry_ids`` (their positions in the tree's entry
+    list) and, once such a traversal has reached it, ``bounds`` — the
+    ``(4, k)`` min_x / min_y / max_x / max_y rows of their envelopes.
     """
 
-    __slots__ = ("envelope", "children", "items", "level")
+    __slots__ = ("envelope", "children", "items", "level", "entry_ids", "bounds")
 
     def __init__(
         self,
@@ -40,11 +43,14 @@ class RTreeNode(Generic[T]):
         children: list["RTreeNode[T]"] | None = None,
         items: list[tuple[T, Envelope]] | None = None,
         level: int = 0,
+        entry_ids: np.ndarray | None = None,
     ):
         self.envelope = envelope
         self.children = children
         self.items = items
         self.level = level
+        self.entry_ids = entry_ids
+        self.bounds: np.ndarray | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -149,23 +155,35 @@ class STRtree(Generic[T]):
     def _pack_leaves(self) -> list[RTreeNode[T]]:
         if self._bulk_count == len(self._entries) and self._bulk_count > 0:
             return self._pack_leaves_arrays()
-        entries = sorted(
-            self._entries, key=lambda entry: (entry[1].min_x + entry[1].max_x)
+        # Positions are sorted, not entries, so each leaf knows which
+        # entries it holds; the keys and the stable sort are the same.
+        entries = self._entries
+        order = sorted(
+            range(len(entries)),
+            key=lambda k: (entries[k][1].min_x + entries[k][1].max_x),
         )
         slice_count = max(1, math.ceil(math.sqrt(math.ceil(len(entries) / self._node_capacity))))
         slice_size = max(1, math.ceil(len(entries) / slice_count))
         leaves: list[RTreeNode[T]] = []
         for start in range(0, len(entries), slice_size):
             vertical = sorted(
-                entries[start : start + slice_size],
-                key=lambda entry: (entry[1].min_y + entry[1].max_y),
+                order[start : start + slice_size],
+                key=lambda k: (entries[k][1].min_y + entries[k][1].max_y),
             )
             for leaf_start in range(0, len(vertical), self._node_capacity):
-                chunk = vertical[leaf_start : leaf_start + self._node_capacity]
+                ids = vertical[leaf_start : leaf_start + self._node_capacity]
+                chunk = [entries[k] for k in ids]
                 envelope = Envelope.empty()
                 for _, env in chunk:
                     envelope = envelope.union(env)
-                leaves.append(RTreeNode(envelope, items=chunk, level=0))
+                leaves.append(
+                    RTreeNode(
+                        envelope,
+                        items=chunk,
+                        level=0,
+                        entry_ids=np.asarray(ids, dtype=np.int64),
+                    )
+                )
         return leaves
 
     def _pack_leaves_arrays(self) -> list[RTreeNode[T]]:
@@ -200,7 +218,9 @@ class STRtree(Generic[T]):
                     float(max_y[idx].max()),
                 )
                 chunk = [entries[i] for i in idx.tolist()]
-                leaves.append(RTreeNode(envelope, items=chunk, level=0))
+                leaves.append(
+                    RTreeNode(envelope, items=chunk, level=0, entry_ids=idx)
+                )
         return leaves
 
     def _pack_interior(
@@ -260,24 +280,22 @@ class STRtree(Generic[T]):
     ) -> list[list[T]] | tuple[list[list[T]], np.ndarray]:
         """Bulk :meth:`query`: one traversal answers every probe envelope.
 
-        Probes are sorted by the Morton code of their envelope centres so
-        probes descending the same subtrees stay adjacent, and the tree is
-        walked once with a (node, probe-subset) stack.  Per-probe candidate
+        A list view of :meth:`_query_batch_arrays`: per-probe candidate
         *order* and per-probe visit counts are identical to running
         :meth:`query` once per envelope; ``nodes_visited`` advances by the
         same total.  With ``with_visits`` the per-probe visit counts are
         returned alongside the candidate lists.
         """
         envelopes = list(envelopes)
-        empty = np.fromiter(
-            (env.is_empty for env in envelopes), dtype=bool, count=len(envelopes)
-        )
-        pmin_x = np.fromiter((env.min_x for env in envelopes), dtype=np.float64)
-        pmin_y = np.fromiter((env.min_y for env in envelopes), dtype=np.float64)
-        pmax_x = np.fromiter((env.max_x for env in envelopes), dtype=np.float64)
-        pmax_y = np.fromiter((env.max_y for env in envelopes), dtype=np.float64)
-        return self._query_batch_arrays(
-            pmin_x, pmin_y, pmax_x, pmax_y, empty, with_visits
+        n = len(envelopes)
+        # An empty envelope is the (inf, inf, -inf, -inf) box: inverted,
+        # which is how the traversal recognises a probe that matches nothing.
+        return self._candidate_lists(
+            np.fromiter((env.min_x for env in envelopes), dtype=np.float64, count=n),
+            np.fromiter((env.min_y for env in envelopes), dtype=np.float64, count=n),
+            np.fromiter((env.max_x for env in envelopes), dtype=np.float64, count=n),
+            np.fromiter((env.max_y for env in envelopes), dtype=np.float64, count=n),
+            with_visits,
         )
 
     def query_batch_points(
@@ -286,13 +304,21 @@ class STRtree(Generic[T]):
         """Bulk point-envelope queries straight from coordinate arrays.
 
         Equivalent to ``query_batch([Envelope.of_point(x, y) ...])`` without
-        materialising the envelope objects — the shape every point-probe
-        join uses.
+        materialising the envelope objects.
         """
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
-        empty = np.zeros(len(xs), dtype=bool)
-        return self._query_batch_arrays(xs, ys, xs, ys, empty, with_visits)
+        return self._candidate_lists(xs, ys, xs, ys, with_visits)
+
+    def _candidate_lists(self, pmin_x, pmin_y, pmax_x, pmax_y, with_visits: bool):
+        probes, entry_ids, visits = self._query_batch_arrays(
+            pmin_x, pmin_y, pmax_x, pmax_y
+        )
+        results: list[list[T]] = [[] for _ in range(len(pmin_x))]
+        entries = self._entries
+        for probe, entry in zip(probes.tolist(), entry_ids.tolist()):
+            results[probe].append(entries[entry][0])
+        return (results, visits) if with_visits else results
 
     def query_batch_points_chunks(
         self, xs, ys
@@ -361,16 +387,29 @@ class STRtree(Generic[T]):
         pmin_y: np.ndarray,
         pmax_x: np.ndarray,
         pmax_y: np.ndarray,
-        empty: np.ndarray,
-        with_visits: bool,
-    ):
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The batched envelope traversal: every probe box in one walk.
+
+        Returns ``(probes, entry_ids, visits)``.  Candidate pair ``k`` is
+        probe ``probes[k]`` against entry ``entry_ids[k]`` (a position in
+        insertion order, empty envelopes not counted); pairs are grouped
+        by ascending probe and, within a probe, come in exactly the order
+        :meth:`query` returns its candidates.  ``visits[i]`` is the number
+        of nodes probe ``i``'s own :meth:`query` visits, and
+        ``nodes_visited`` advances by their sum.  An inverted box (an
+        empty envelope) visits nothing and matches nothing.
+
+        Probes are sorted by the Morton code of their box centres so
+        probes descending the same subtrees stay adjacent, and the tree is
+        walked once with a (node, probe-subset) stack.
+        """
         self.build()
         n = len(pmin_x)
-        results: list[list[T]] = [[] for _ in range(n)]
         visits = np.zeros(n, dtype=np.int64)
-        live = np.flatnonzero(~empty)
+        none = np.empty(0, dtype=np.int64)
+        live = np.flatnonzero(~((pmin_x > pmax_x) | (pmin_y > pmax_y)))
         if self._root is None or live.size == 0:
-            return (results, visits) if with_visits else results
+            return none, none, visits
         root_env = self._root.envelope
         codes = morton_codes(
             (pmin_x[live] + pmax_x[live]) / 2.0,
@@ -381,6 +420,8 @@ class STRtree(Generic[T]):
             root_env.height,
         )
         order = live[np.argsort(codes, kind="stable")]
+        found_probes: list[np.ndarray] = []
+        found_entries: list[np.ndarray] = []
         stack: list[tuple[RTreeNode[T], np.ndarray]] = [(self._root, order)]
         while stack:
             node, idx = stack.pop()
@@ -396,23 +437,31 @@ class STRtree(Generic[T]):
             if alive.size == 0:
                 continue
             if node.is_leaf:
-                ax0 = pmin_x[alive]
-                ay0 = pmin_y[alive]
-                ax1 = pmax_x[alive]
-                ay1 = pmax_y[alive]
-                for item, item_env in node.items:
-                    hits = (
-                        (item_env.min_x <= ax1)
-                        & (ax0 <= item_env.max_x)
-                        & (item_env.min_y <= ay1)
-                        & (ay0 <= item_env.max_y)
-                    )
-                    for probe in alive[hits].tolist():
-                        results[probe].append(item)
+                if node.bounds is None:
+                    node.bounds = np.array(
+                        [(e.min_x, e.min_y, e.max_x, e.max_y) for _, e in node.items]
+                    ).T
+                imin_x, imin_y, imax_x, imax_y = node.bounds[:, :, None]
+                # (items, probes) grid; row-major nonzero lists a leaf's
+                # hits item by item, the order its scalar loop finds them.
+                item, probe = np.nonzero(
+                    (imin_x <= pmax_x[alive])
+                    & (pmin_x[alive] <= imax_x)
+                    & (imin_y <= pmax_y[alive])
+                    & (pmin_y[alive] <= imax_y)
+                )
+                found_probes.append(alive[probe])
+                found_entries.append(node.entry_ids[item])
             else:
                 stack.extend((child, alive) for child in node.children)
         self.nodes_visited += int(visits.sum())
-        return (results, visits) if with_visits else results
+        if not found_probes:
+            return none, none, visits
+        probes = np.concatenate(found_probes)
+        # Leaves arrive in DFS order; a stable sort by probe restores each
+        # probe's own DFS candidate order.
+        by_probe = np.argsort(probes, kind="stable")
+        return probes[by_probe], np.concatenate(found_entries)[by_probe], visits
 
     def iter_all(self) -> Iterator[tuple[T, Envelope]]:
         """Iterate over every stored entry (build not required)."""

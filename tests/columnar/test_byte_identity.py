@@ -90,14 +90,19 @@ class TestCoreByteIdentity:
 
     def test_nonconvertible_input_falls_back(self):
         # A geometry outside the columnar model takes the object
-        # constructor and the per-probe path — results still identical.
+        # constructor and the per-probe path — results still identical,
+        # and the one row that fell back is counted (its 59 neighbours
+        # still take the point kernels).
         from repro.geometry.multi import GeometryCollection
 
         left, right = mixed_workload(3, n_points=60, n_polygons=6)
         left = list(left)
         left[0] = (0, GeometryCollection([Point(50, 50)]))
         observed = observed_run(left, right, "broadcast", "within", 0.0, "serial")
-        assert observed == ("ee2b19e34decdcd2", 0.5919840000000001, {}, "272f03206d220ca3")
+        assert observed == (
+            "ee2b19e34decdcd2", 0.5919840000000001, {"probe.scalar_rows": 1.0},
+            "272f03206d220ca3",
+        )
 
 
 class TestSubstrateByteIdentity:

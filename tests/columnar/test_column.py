@@ -398,8 +398,8 @@ class TestBulkParserAgainstScalarReader:
         assert dropped == [i for i, geometry in enumerate(scalar) if geometry is None]
         kept = [(i, geometry) for i, geometry in enumerate(scalar) if geometry is not None]
         if isinstance(parsed, GeometryColumn):
-            # The point-only column: every kept row is a plain point.
-            assert all(type(g) is Point and not g.is_empty for _, g in kept)
+            # The bulk path took every kept row: plain points and lines.
+            assert all(type(g) in (Point, LineString) and not g.is_empty for _, g in kept)
             got = list(parsed.entries())
         else:
             got = parsed
@@ -429,3 +429,172 @@ class TestBulkParserAgainstScalarReader:
         got = list(parsed.entries()) if isinstance(parsed, GeometryColumn) else parsed
         for (_, geometry), want in zip(got, [g for g in scalar if g is not None]):
             assert _same_geometry(geometry, want)
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+def _assert_same_buffers(column: GeometryColumn, kept) -> None:
+    """``column`` is byte for byte the column of the reader's objects."""
+    reference = GeometryColumn.from_entries(kept)
+    assert column.nbytes == reference.nbytes
+    assert column.to_bytes() == reference.to_bytes()
+    assert [_bits(b) for b in column.bounds()] == [_bits(b) for b in reference.bounds()]
+    for (payload, geometry), (want_payload, want) in zip(column.entries(), kept):
+        assert payload == want_payload and type(geometry) is type(want)
+        if isinstance(want, LineString):
+            assert _bits(geometry.coords) == _bits(want.coords)
+        else:
+            assert (geometry.x.hex(), geometry.y.hex()) == (want.x.hex(), want.y.hex())
+
+
+_LINE_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1", "+1", "-1", "1.", ".5", "1e5", "1E-5", "0", "-0.0", "-0", "00012.50",
+                     "3883.226701", "1e-999"]),
+)
+_LINE_ODD_NUMBERS = st.sampled_from(
+    ["1e999", "-1e999", "inf", "nan", "1_0", "\uff11", "0x10", "1e", "+-1", "1.2.3", ".", ""]
+)
+_PLAIN_SPACE = st.sampled_from(["", " ", "  "])
+_LINE_TAGS = st.sampled_from(["LINESTRING"] * 14 + ["linestring", "LineString", "LINESTRING Z",
+                                                   "LINESTRINGZ", "MULTILINESTRING", "LINE", ""])
+
+
+@st.composite
+def _line_rows(draw):
+    """A LINESTRING row: usually one the bulk regex takes, sometimes odd in
+    one way (spelling, whitespace, arity, a number, vertex count, tail)."""
+    odd = draw(st.sampled_from([None] * 8 + ["number", "space", "arity", "tail", "single"]))
+    count = 1 if odd == "single" else draw(st.integers(2, 6))
+    number = st.one_of(_LINE_NUMBERS, _LINE_ODD_NUMBERS) if odd == "number" else _LINE_NUMBERS
+    gap = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0"]) if odd == "space" else st.sampled_from([" ", "  "])
+    arity = st.sampled_from([1, 3]) if odd == "arity" else st.just(2)
+    vertices = []
+    for _ in range(count):
+        vertices.append(draw(gap).join(draw(number) for _ in range(draw(arity))))
+    comma = st.sampled_from([",", ", ", " , ", " ,"])
+    body = vertices[0] + "".join(draw(comma) + vertex for vertex in vertices[1:])
+    tail = draw(st.sampled_from(["x", ")", " 7", ", 1 2", " EMPTY"])) if odd == "tail" else ""
+    pad = _SPACE if odd == "space" else _PLAIN_SPACE
+    return (
+        f"{draw(pad)}{draw(_LINE_TAGS)}{draw(pad)}({draw(pad)}{body}{draw(pad)}){draw(pad)}{tail}"
+    )
+
+
+_LINE_ROWS = _line_rows()
+
+
+class TestBulkLineParserAgainstScalarReader:
+    """The bulk LINESTRING path == ``WKTReader.try_read`` row by row: rows
+    it takes are bit-identical in coords and bbox, everything else is the
+    reader's to accept or drop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_LINE_ROWS, _LINE_ROWS, _POINT_ROWS, _OTHER_ROWS), max_size=10))
+    def test_accepts_rejects_and_buffers(self, rows):
+        reader = WKTReader()
+        scalar = [reader.try_read(row) for row in rows]
+        parsed, dropped = parse_wkt_column(rows, list(range(len(rows))))
+        assert dropped == [i for i, geometry in enumerate(scalar) if geometry is None]
+        kept = [(i, geometry) for i, geometry in enumerate(scalar) if geometry is not None]
+        if isinstance(parsed, GeometryColumn):
+            _assert_same_buffers(parsed, kept)
+        else:
+            assert [payload for payload, _ in parsed] == [i for i, _ in kept]
+            for (_, geometry), (_, want) in zip(parsed, kept):
+                assert _same_geometry(geometry, want)
+                if isinstance(want, LineString) and not want.is_empty:
+                    assert _bits(geometry.coords) == _bits(want.coords)
+
+    @pytest.mark.parametrize(
+        "row,kept",
+        [
+            ("LINESTRING (0 0)", False),  # one vertex
+            ("LINESTRING EMPTY", True),
+            ("LINESTRING (1e999 0, 1 1)", True),  # reads as inf
+            ("LINESTRING (0 0, -1e999 1)", True),
+            ("LINESTRING (-0.0 1, 0 2)", True),  # min(-0.0, 0.0) has no defined bits
+            ("LINESTRING (1 2 3, 4 5 6)", False),
+            ("linestring (0 0, 1 1)", True),
+            ("LineString (0 0, 1 1)", True),
+            ("LINESTRING\t(0 0, 1 1)", True),
+            ("LINESTRING (0 0,\n1 1)", True),
+            ("LINESTRING (0\t0, 1 1)", True),
+            ("LINESTRING (0 0, 1 1) x", False),
+            ("LINESTRING (0 0, 1 1))", False),
+            ("LINESTRING (0 0, 1e 1)", False),
+            ("LINESTRING (nan 0, 1 1)", False),
+            (b"LINESTRING (0 0, 1 1)", False),
+            (None, False),
+            (7, False),
+        ],
+    )
+    def test_everything_else_is_the_reader_s(self, monkeypatch, row, kept):
+        from repro.columnar import io as io_module
+
+        seen = []
+        try_read = io_module._READER.try_read
+        monkeypatch.setattr(
+            io_module, "_READER",
+            type("Spy", (), {"try_read": staticmethod(lambda t: seen.append(t) or try_read(t))}),
+        )
+        rows = ["LINESTRING (3 4, 5 6.5)", row, "POINT (1 2)"]
+        parsed, dropped = parse_wkt_column(rows, ["a", "b", "c"])
+        assert seen == [row]  # the reader saw that row and only that row
+        assert dropped == ([] if kept else [1])
+        if kept:
+            assert [payload for payload, _ in parsed] == ["a", "b", "c"]
+            assert _bits(parsed[0][1].coords) == _bits([[3, 4], [5, 6.5]])
+            assert _same_geometry(parsed[1][1], WKTReader().read(row))
+        else:
+            _assert_same_buffers(
+                parsed, [("a", loads(rows[0])), ("c", loads(rows[2]))]
+            )
+
+    def test_lines_only_batch_builds_no_geometry(self, monkeypatch):
+        rows = [
+            "LINESTRING (3883.226701 0, 3820.203834 833.333333, 3902.378215 1666.666667)",
+            "LINESTRING(637.7322 5000,560.012104 6000)",
+            " LINESTRING ( -1.5 +2 , 1e3 .5 ) ",
+        ]
+        kept = list(enumerate(loads(row) for row in rows))
+        monkeypatch.setattr(LineString, "__init__", None)  # any construction raises
+        parsed, dropped = parse_wkt_column(rows, [0, 1, 2])
+        monkeypatch.undo()
+        assert dropped == []
+        assert not parsed._data.is_point_only
+        _assert_same_buffers(parsed, kept)
+
+    def test_mixed_point_line_polygon_batches(self):
+        point, line, polygon = "POINT (1 2)", "LINESTRING (0 0, 1 1, 2 0)", dumps(square(5, 5))
+        parsed, dropped = parse_wkt_column([line, point, line, "POINT (x y)"], [0, 1, 2, 3])
+        assert dropped == [3] and isinstance(parsed, GeometryColumn)
+        assert parsed.types_array().tolist() == [2, 1, 2]
+        _assert_same_buffers(parsed, [(0, loads(line)), (1, loads(point)), (2, loads(line))])
+        # One row for the object reader turns the batch into entries.
+        parsed, dropped = parse_wkt_column([point, line, polygon, line], "abcd")
+        assert dropped == []
+        assert [(p, type(g)) for p, g in parsed] == [
+            ("a", Point), ("b", LineString), ("c", Polygon), ("d", LineString)
+        ]
+        assert parsed[1][1] == loads(line) and parsed[3][1] == loads(line)
+        # Only points left once the odd line is sorted out: point-only again.
+        parsed, dropped = parse_wkt_column([point, "LINESTRING (1e 0, 1 1)", point])
+        assert dropped == [1] and parsed._data.is_point_only
+
+    def test_bulk_rows_bypass_the_parse_memo(self):
+        from repro.geometry.wkt import clear_wkt_cache, wkt_cache_stats
+
+        long_line = "LINESTRING (" + ", ".join(f"{i}.25 {i}.5" for i in range(12)) + ")"
+        assert len(long_line) >= 64  # memo-eligible for the reader
+        clear_wkt_cache()
+        polygon = dumps(donut(0, 0))
+        loads(polygon)
+        warm = wkt_cache_stats()
+        parsed, _ = parse_wkt_column([long_line] * 5)
+        assert isinstance(parsed, GeometryColumn) and len(parsed) == 5
+        assert wkt_cache_stats() == warm  # neither read nor filled
+        clear_wkt_cache()

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro import JoinConfig, JoinResult, spatial_join, spatial_join_pairs
+from repro import JoinConfig, JoinResult, RuntimeConfig, spatial_join, spatial_join_pairs
+from repro.cluster.model import CostModel
 from repro.core.operators import SpatialOperator
 from repro.data.synthetic import cluster_mixture_points
 from repro.geometry.envelope import Envelope
@@ -122,11 +123,12 @@ class TestJoinConfig:
         assert isinstance(result, JoinResult)
         assert result.profile is not None
 
-    def test_config_takes_precedence_over_loose_keywords(self):
+    def test_loose_keyword_beside_config_raises(self):
         left, right = skewed_workload(6, n_points=100)
         cfg = JoinConfig(method="naive")
-        result = spatial_join(left, right, method="broadcast", config=cfg)
-        assert result.method == "naive"
+        with pytest.raises(TypeError, match="method= beside config="):
+            spatial_join(left, right, method="broadcast", config=cfg)
+        assert spatial_join(left, right, config=cfg).method == "naive"
 
     def test_with_replaces_fields(self):
         cfg = JoinConfig(method="broadcast")
@@ -149,6 +151,37 @@ class TestLegacyShapes:
             left, right, config=JoinConfig(method="broadcast", profile=True)
         )
         assert result.profile is not None
+
+    @pytest.mark.parametrize(
+        "keyword,value",
+        [
+            ("operator", "intersects"),
+            ("radius", 2.5),
+            ("engine", "slow"),
+            ("method", "broadcast"),
+            ("profile", True),
+            ("cost_model", CostModel()),
+            ("workers", 4),
+            ("explain", "plan"),
+        ],
+    )
+    def test_loose_keyword_beside_config_is_a_type_error(self, keyword, value):
+        # It used to be dropped without a word: a forced method timed the
+        # same as auto.
+        left, right = skewed_workload(7, n_points=20)
+        with pytest.raises(TypeError, match=rf"{keyword}= beside config="):
+            spatial_join(left, right, config=JoinConfig(), **{keyword: value})
+        with pytest.raises(TypeError):  # forwarded (explain= it never took)
+            spatial_join_pairs(left, right, config=JoinConfig(), **{keyword: value})
+
+    def test_runtime_and_default_valued_keywords_may_accompany_config(self):
+        left, right = skewed_workload(7, n_points=20)
+        config = JoinConfig(method="broadcast")
+        plain = spatial_join(left, right, config=config)
+        assert spatial_join(
+            left, right, config=config, runtime=RuntimeConfig(executors="serial")
+        ) == plain
+        assert spatial_join(left, right, method="auto", workers=1, config=config) == plain
 
     def test_spatial_join_pairs_forwards_options(self):
         lefts = [Point(1, 1), Point(9, 9)]

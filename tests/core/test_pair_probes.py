@@ -1,0 +1,376 @@
+"""Non-point probes through the columnar pipeline, against the scalar route.
+
+A polyline / polygon probe under ``Intersects`` is bulk-parsed, filtered by
+one batched R-tree traversal and refined by one pair-kernel call.  Nothing
+observable may move: the pins below are each run's pair list (emission
+order included), simulated seconds, registry counters and rendered profile
+at the parent commit, where every such probe took ``probe_with_cost`` and
+scalar ``predicates.intersects``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import JoinConfig, spatial_join
+from repro.cluster.model import ClusterSpec, Resource
+from repro.columnar import GeometryColumn, parse_wkt_column
+from repro.core.broadcast_join import broadcast_spatial_join, read_geometry_pairs
+from repro.core.isp import probe_wkt_rows
+from repro.core.operators import SpatialOperator
+from repro.core.partitioned_join import partitioned_spatial_join
+from repro.core.probe import BroadcastIndex, naive_spatial_join
+from repro.data import generate_lion, generate_nycb
+from repro.geometry import (
+    LineString,
+    MultiLineString,
+    MultiPoint,
+    MultiPolygon,
+    Point,
+    Polygon,
+    wkt_dumps,
+    wkt_loads,
+)
+from repro.geometry.algorithms import pairwise, predicates, segments
+from repro.geometry.multi import GeometryCollection
+from repro.geometry.wkt import WKTReader
+from repro.hdfs import SimulatedHDFS, write_text
+from repro.impala import ColumnType, ImpalaBackend
+from repro.index.partitioner import SortTilePartitioner
+from repro.obs.registry import collecting
+from repro.runtime.config import RuntimeConfig
+from repro.spark.context import SparkContext
+from tests.columnar.test_byte_identity import digest
+
+CLUSTER = ClusterSpec(num_nodes=2, cores_per_node=4, mem_per_node_gb=15.0)
+SCHEMA = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
+SQL = (
+    "SELECT l.id, r.id FROM streets l SPATIAL JOIN blocks r "
+    "WHERE ST_INTERSECTS(l.geom, r.geom)"
+)
+
+
+class Sample:
+    """A lion x nycb sample as WKT: on HDFS for the substrates, as
+    ``(id, WKT)`` rows (id == line index) for the API."""
+
+    def __init__(self, streets: int = 240, blocks: int = 30):
+        self.blocks_extent = generate_nycb(blocks, seed=20150401).extent
+        self.left = self.rows(generate_lion(streets, seed=20150402))
+        self.right = self.rows(generate_nycb(blocks, seed=20150401))
+        self.hdfs = SimulatedHDFS(datanodes=("node0", "node1"), replication=2)
+        for path, rows in (("/streets.txt", self.left), ("/blocks.txt", self.right)):
+            lines = [f"{i}\t{text}" for i, text in rows]
+            size = sum(len(line) + 1 for line in lines)
+            write_text(self.hdfs, path, lines, block_size=max(1024, size // 6))
+
+    @staticmethod
+    def rows(dataset) -> list[tuple[int, str]]:
+        return [
+            (i, wkt_dumps(geometry, precision=6))
+            for i, (_, geometry) in enumerate(dataset.records)
+        ]
+
+    def truth(self) -> list[tuple[int, int]]:
+        return naive_spatial_join(
+            [(i, wkt_loads(text)) for i, text in self.left],
+            [(i, wkt_loads(text)) for i, text in self.right],
+            SpatialOperator.INTERSECTS,
+        )
+
+    # -- the query paths -------------------------------------------------------
+
+    def spark(self, method: str, executors="serial"):
+        sc = SparkContext(CLUSTER, hdfs=self.hdfs, runtime=RuntimeConfig(executors=executors))
+        left = read_geometry_pairs(sc, "/streets.txt", 1)
+        right = read_geometry_pairs(sc, "/blocks.txt", 1)
+        if method == "broadcast":
+            joined = broadcast_spatial_join(sc, left, right, SpatialOperator.INTERSECTS)
+        else:
+            sample = left.sample(0.25).collect()
+            tiles = SortTilePartitioner(6).partition(
+                self.blocks_extent, [geometry.envelope.center for _, geometry in sample]
+            )
+            joined = partitioned_spatial_join(
+                sc, left, right, SpatialOperator.INTERSECTS, partitioning=tiles
+            )
+        pairs = joined.collect()
+        return pairs, sc.simulated_seconds()
+
+    def impala(self, executors="serial"):
+        backend = ImpalaBackend(
+            CLUSTER, hdfs=self.hdfs, runtime=RuntimeConfig(executors=executors)
+        )
+        backend.metastore.create_table("streets", SCHEMA, "/streets.txt")
+        backend.metastore.create_table("blocks", SCHEMA, "/blocks.txt")
+        result = backend.execute(SQL)
+        return [tuple(row) for row in result.rows], result.simulated_seconds
+
+    def api(self, method: str, executors="serial"):
+        result = spatial_join(
+            self.left,
+            self.right,
+            config=JoinConfig(operator="intersects", method=method, profile=True, workers=4),
+            runtime=RuntimeConfig(executors=executors),
+        )
+        return result.pairs, (
+            result.profile.metrics.simulated_seconds, digest(result.profile.render())
+        )
+
+
+@pytest.fixture(scope="module")
+def sample() -> Sample:
+    return Sample()
+
+
+def observe(run, *args):
+    """``(pair count, digest of the pairs in emission order, clock, registry)``."""
+    with collecting() as registry:
+        pairs, clock = run(*args)
+        counters = dict(registry.snapshot()["counters"])
+    return pairs, (len(pairs), digest([list(pair) for pair in pairs]), clock, counters)
+
+
+# Every value below was recorded at the parent commit (scalar route).
+PINNED = {
+    "spark-broadcast": (
+        373, "5240841261dfe80a", 27.751535891200003,
+        {"hdfs.bytes_read": 1502218.0, "hdfs.reads": 244.0},
+    ),
+    "spark-partitioned": (
+        373, "68d7ebf7d3b333b1", 40.1030012,
+        {
+            "hdfs.bytes_read": 2139323.0, "hdfs.reads": 305.0,
+            "partitioned.tiles_joined": 6.0, "shuffle.blocks_read": 133.0,
+            "shuffle.blocks_written": 133.0, "shuffle.bytes_written": 55408.0,
+            "shuffle.reduce_fetches": 12.0,
+        },
+    ),
+    "impala": (
+        373, "e64e48fd0bfbb467", 51.545812520000005,
+        {
+            "hdfs.bytes_read": 281573.0, "hdfs.reads": 48.0, "impala.rows_scanned": 270.0,
+            "impala.rows_skipped": 0.0, "impala.scan_ranges": 14.0,
+        },
+    ),
+    "api-broadcast": (373, "5240841261dfe80a", (73.638216, "5e4529fcd7aa5b28"), {}),
+    "api-partitioned": (373, "0fd7b55cd7e4e498", (68.364216, "6ea95235c9911c7d"), {}),
+    "api-dual-tree": (373, "e87e53c20ce0bcbe", (82.10433599999999, "5af880754019dc97"), {}),
+    "api-auto": (373, "5240841261dfe80a", (73.638216, "a1fb780105a64dd9"), {}),
+}
+
+
+class TestEveryPathKeepsTheParentsAnswer:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pairs_order_clock_and_counters_pinned(self, sample, name):
+        substrate, _, method = name.partition("-")
+        args = (method,) if method else ()
+        pairs, observed = observe(getattr(sample, substrate), *args)
+        assert sorted(pairs) == sorted(sample.truth())
+        assert observed == PINNED[name]
+
+    def test_two_workers_change_nothing(self, sample):
+        for name, args in (("spark", ("broadcast",)), ("impala", ()), ("api", ("broadcast",))):
+            _, serial = observe(getattr(sample, name), *args)
+            _, pooled = observe(getattr(sample, name), *args, 2)
+            assert pooled == serial
+
+
+class TestNoScalarWorkOnTheProbeSide:
+    """Tier-1 guard: a lion x nycb Intersects query builds no probe-side
+    geometry, runs no scalar segment predicate, and enters the pair kernel
+    at most once per task / row batch / chunk."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"intersects": 0, "orientation": 0, "left_reads": 0, "kernel": 0, "batches": 0}
+
+        def counted(owner, name, key, when=lambda *args: True):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if when(*args):
+                    seen[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(predicates, "intersects", "intersects")
+        counted(segments, "orientation", "orientation")
+        # Left rows are the LINESTRINGs; the build side's polygons are the
+        # reader's (and its parse memo's) as before.
+        counted(WKTReader, "read", "left_reads", lambda self, text: "LINESTRING" in text)
+        import repro.core.probe as probe_module
+
+        counted(probe_module, "intersects_pairs", "kernel")
+        # One probe_batch call is one Spark task / row batch / API chunk.
+        counted(BroadcastIndex, "probe_batch", "batches")
+        return seen
+
+    @pytest.mark.parametrize(
+        "path,args,units",
+        [
+            ("spark", ("broadcast",), 16),  # default parallelism: 2 tasks a core
+            ("impala", (), 2),  # one row batch per fragment instance (2 nodes)
+            ("api", ("broadcast",), 1),  # 240 rows < batch_size
+        ],
+    )
+    def test_zero_scalar_calls_one_kernel_entry_per_unit(self, sample, calls, path, args, units):
+        with collecting() as registry:
+            pairs, _ = getattr(sample, path)(*args)
+            scalar_rows = registry.counter("probe.scalar_rows")
+        assert len(pairs) == 373
+        assert calls["intersects"] == calls["orientation"] == calls["left_reads"] == 0
+        assert calls["batches"] == units
+        assert 1 <= calls["kernel"] <= calls["batches"]
+        assert scalar_rows == 0
+
+
+def probe_scalar(index, geometries):
+    """N ``probe_with_cost`` calls: the reference for matches and units."""
+    matches, units = [], []
+    for geometry in geometries:
+        if geometry is None:
+            matches.append([])
+            units.append(None)
+        elif geometry.is_empty:
+            matches.append([])
+            units.append({Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0})
+        else:
+            found, cost = index.probe_with_cost(geometry)
+            matches.append(found)
+            units.append(cost)
+    return matches, units
+
+
+BLOCK = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)], holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]])
+BUILD = [
+    ("block", BLOCK),
+    ("far", Polygon([(20, 20), (30, 20), (30, 30), (20, 30)])),
+    ("street", LineString([(-5, 5), (15, 5)])),
+    ("islands", MultiPolygon([Polygon([(40, 0), (42, 0), (41, 2)]), Polygon.empty()])),
+    ("nothing", LineString.empty()),
+]
+PROBES = [
+    LineString([(1, 1), (3, 3)]),
+    LineString([(4.5, 4.5), (5.5, 5.5)]),
+    Polygon([(8, 8), (25, 8), (25, 25), (8, 25)]),
+    LineString.empty(),
+    MultiLineString([LineString([(41, 0.5), (41, 1)]), LineString([(100, 100), (101, 101)])]),
+    Point(5, 5),
+    MultiPoint([Point(1, 1), Point(21, 21)]),
+    LineString([(50, 50), (60, 60)]),
+]
+
+
+class TestBroadcastIndexRoutes:
+    """``probe_batch`` == N ``probe_with_cost`` calls whichever route a row
+    takes, and every row the scalar route took is counted."""
+
+    def run(self, index, probes, per_row):
+        before = index.tree.nodes_visited
+        with collecting() as registry:
+            matches, units = index.probe_batch(probes, per_row=per_row)
+            scalar_rows = registry.counter("probe.scalar_rows")
+        return matches, units, index.tree.nodes_visited - before, scalar_rows
+
+    @pytest.mark.parametrize("as_column", [False, True])
+    def test_intersects_matches_units_and_visits(self, as_column):
+        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        before = index.tree.nodes_visited
+        want_matches, want_units = probe_scalar(index, PROBES)
+        want_visits = index.tree.nodes_visited - before
+        probes = GeometryColumn.from_geometries(PROBES) if as_column else PROBES
+        matches, units, visits, scalar_rows = self.run(index, probes, per_row=True)
+        assert matches == want_matches and units == want_units
+        assert [list(row) for row in units] == [list(row) for row in want_units]  # key order
+        assert visits == want_visits
+        assert scalar_rows == 2  # the Point and the MultiPoint
+        matches, totals, visits, _ = self.run(index, probes, per_row=False)
+        assert matches == want_matches and visits == want_visits
+        assert totals == {
+            Resource.INDEX_VISIT: sum(row[Resource.INDEX_VISIT] for row in want_units),
+            Resource.ROWS_OUT: sum(row[Resource.ROWS_OUT] for row in want_units),
+        }
+        assert list(totals) == [Resource.INDEX_VISIT, Resource.ROWS_OUT]
+
+    def test_none_rows_and_a_collection_keep_their_places(self):
+        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        # (Clear of every build envelope: the scalar predicate has no
+        # answer for a collection, only the filter does.)
+        collection = GeometryCollection([LineString([(200, 200), (201, 201)])])
+        probes = [None, PROBES[0], collection, None, PROBES[2]]
+        want_matches, want_units = probe_scalar(index, probes)
+        matches, units, _, scalar_rows = self.run(index, probes, per_row=True)
+        assert matches == want_matches and units == want_units
+        assert units[0] is None and units[3] is None
+        assert scalar_rows == 1  # the collection only
+
+    @pytest.mark.parametrize(
+        "operator,radius,build,probes,batched",
+        [
+            # Per operator: a probe list its scalar predicate supports, and
+            # how many of the non-empty rows a batch kernel covers.
+            (SpatialOperator.INTERSECTS, 0.0, BUILD, PROBES, 5),
+            (SpatialOperator.CONTAINS, 0.0, BUILD[:2],
+             [PROBES[0], PROBES[2], PROBES[3], Point(5, 5)], 0),
+            (SpatialOperator.WITHIN, 0.0, BUILD[:2], PROBES, 1),
+            (SpatialOperator.NEAREST_D, 2.0, BUILD, PROBES, 1),
+        ],
+    )
+    def test_what_is_left_is_counted(self, operator, radius, build, probes, batched):
+        index = BroadcastIndex.from_entries(build, operator, radius=radius)
+        want_matches, want_units = probe_scalar(index, probes)
+        matches, units, _, scalar_rows = self.run(index, probes, per_row=True)
+        assert matches == want_matches and units == want_units
+        assert scalar_rows == sum(1 for p in probes if not p.is_empty) - batched
+
+    def test_a_build_side_with_points_is_all_scalar(self):
+        index = BroadcastIndex.from_entries(
+            [*BUILD, ("hydrant", Point(2, 2))], SpatialOperator.INTERSECTS
+        )
+        want_matches, want_units = probe_scalar(index, PROBES)
+        matches, units, _, scalar_rows = self.run(index, PROBES, per_row=True)
+        assert matches == want_matches and units == want_units
+        assert scalar_rows == sum(1 for p in PROBES if not p.is_empty)
+
+    def test_object_built_index_is_all_scalar(self):
+        index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS)
+        want_matches, _ = probe_scalar(index, PROBES)
+        matches, _, _, scalar_rows = self.run(index, PROBES, per_row=True)
+        assert matches == want_matches
+        assert scalar_rows == sum(1 for p in PROBES if not p.is_empty)
+
+    def test_isp_row_batch_units_are_the_row_loop_s(self):
+        texts = [wkt_dumps(p) for p in PROBES[:5]] + ["LINESTRING (0 0", None, "POINT (5 5)"]
+        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS, engine="slow")
+        matches, units = probe_wkt_rows(index, texts)
+        reader = WKTReader()
+        for text, row_matches, row_units in zip(texts, matches, units):
+            geometry = reader.try_read(text) if isinstance(text, str) else None
+            want = {Resource.WKT_BYTES: float(len(text))} if isinstance(text, str) else {}
+            if geometry is None:
+                assert row_matches is None and row_units == want
+                continue
+            (found,), (cost,) = probe_scalar(index, [geometry])
+            want.update(cost)
+            assert row_matches == found
+            assert row_units == want and list(row_units) == list(want)
+
+    def test_parsed_line_column_probes_like_its_objects(self):
+        rows = [wkt_dumps(p) for p in (PROBES[0], PROBES[1], PROBES[7])]
+        column, dropped = parse_wkt_column(rows)
+        assert dropped == [] and isinstance(column, GeometryColumn)
+        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        want_matches, want_units = probe_scalar(index, [wkt_loads(row) for row in rows])
+        sliced = column.take(np.array([2, 0, 1]))
+        matches, units = index.probe_batch(sliced, per_row=True)
+        assert matches == [want_matches[i] for i in (2, 0, 1)]
+        assert units == [want_units[i] for i in (2, 0, 1)]
+
+    def test_one_block_per_cell_gives_the_same_answers(self, monkeypatch):
+        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        want = index.probe_batch(PROBES, per_row=True)
+        monkeypatch.setattr(pairwise, "_BLOCK_CELLS", 1)
+        assert index.probe_batch(PROBES, per_row=True) == want

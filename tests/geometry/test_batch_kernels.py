@@ -442,6 +442,177 @@ class TestCountedParityOnTheBoundary:
             assert_counted_parity(name, lines, points, d=rng.uniform(0.2, 3.0))
 
 
+def assert_pair_parity(probes, builds):
+    """The pair kernel against ``predicates.intersects``, every probe x
+    build pair in both roles, over sliced columns; returns the answers."""
+    from repro.columnar import GeometryColumn
+    from repro.geometry.algorithms import predicates
+    from repro.geometry.algorithms.pairwise import intersects_pairs
+
+    answers = []
+    for left, right in ((probes, builds), (builds, probes)):
+        # A leading row sliced away again: buffer rows != view rows.
+        spare = LineString([(-99, -99), (-98, -98)])
+        a = GeometryColumn.from_geometries([spare, *left]).slice(1, len(left) + 1)
+        b = GeometryColumn.from_geometries([*right, spare]).take(np.arange(len(right)))
+        rows_a, rows_b = (grid.ravel() for grid in np.mgrid[: len(left), : len(right)])
+        got = intersects_pairs(*a.packed_rows(rows_a), *b.packed_rows(rows_b))
+        want = [predicates.intersects(left[i], right[j]) for i, j in zip(rows_a, rows_b)]
+        assert got.tolist() == want
+        answers.append(want)
+    return answers[0]
+
+
+class TestPairKernelOnTheBoundary:
+    """``intersects_pairs`` against the scalar predicate, pair by pair,
+    where an epsilon, a hole or a part envelope decides."""
+
+    def test_endpoints_on_edges_and_vertices(self, unit_square, l_shape):
+        lines = [
+            LineString([(-5, 5), (0, 5)]),       # ends on an edge
+            LineString([(-5, -5), (0, 0)]),      # ends on a vertex
+            LineString([(10, 10), (15, 12)]),    # starts on a vertex
+            LineString([(-3, 4), (4, -3)]),      # clips the corner region
+            LineString([(-3, 2), (2, -3.0000001)]),
+            LineString([(4, 12), (4, 10), (12, 10)]),  # runs along an edge from outside
+            LineString([(7, 7), (12, 7)]),       # l_shape: starts in the notch
+            LineString([(4, 4), (9, 9)]),        # l_shape: starts on the inner vertex
+            LineString([(-1, -1), (-1, 11), (11, 11), (11, -1), (-1, -1)]),  # encircles
+        ]
+        hits = assert_pair_parity(lines, [unit_square, l_shape])
+        assert True in hits and False in hits
+
+    def test_collinear_overlapping_segments(self):
+        lines = [
+            LineString([(0, 0), (10, 0)]),
+            LineString([(5, 0), (15, 0)]),       # overlaps
+            LineString([(10, 0), (20, 0)]),      # touches end to end
+            LineString([(10 + 1e-12, 0), (20, 0)]),
+            LineString([(10.0000001, 0), (20, 0)]),  # a gap
+            LineString([(2, 0), (3, 0)]),        # contained
+            LineString([(0, 1e-13), (10, 1e-13)]),   # parallel inside the band
+            LineString([(0, 1e-9), (10, 1e-9)]),     # parallel outside it
+            LineString([(3, 0), (3, 0)]),        # zero-length, on the line
+            LineString([(3, 1), (3, 1)]),        # zero-length, off it
+            LineString([(0, 0), (3, 4), (6, 8)]),    # collinear vertices
+            LineString([(1.5, 2), (4.5, 6)]),
+        ]
+        hits = assert_pair_parity(lines, lines)
+        assert True in hits and False in hits
+
+    def test_line_in_shell_in_hole_and_along_the_hole(self, square_with_hole):
+        lines = [
+            LineString([(1, 1), (3, 3)]),        # wholly inside the shell
+            LineString([(4.5, 4.5), (5.5, 5.5)]),    # wholly inside the hole
+            LineString([(4, 4), (6, 4)]),        # along the hole boundary
+            LineString([(4, 4.5), (4, 5.5)]),    # on the hole boundary, vertices off its corners
+            LineString([(4.5, 5), (8, 5)]),      # from the hole out into the body
+            LineString([(5, 5), (5, 5.5), (5.5, 5)]),
+            LineString([(4 + 1e-13, 4.5), (5, 5)]),  # a hair inside the hole edge
+            LineString([(11, 11), (12, 12)]),
+        ]
+        nested = Polygon(
+            [(0, 0), (20, 0), (20, 20), (0, 20)],
+            holes=[[(2, 2), (18, 2), (18, 18), (2, 18)], [(0.5, 0.5), (1, 0.5), (1, 1)]],
+        )
+        assert_pair_parity(lines, [square_with_hole, nested])
+        # The first hole a vertex is not outside of decides; polygons too.
+        inner = Polygon([(5, 5), (9, 5), (9, 9), (5, 9)])   # inside nested's big hole
+        assert_pair_parity([inner, square_with_hole], [nested, square_with_hole])
+
+    def test_contact_inside_the_epsilon_band(self, unit_square):
+        lines = []
+        for gap in (0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-9):
+            lines += [
+                LineString([(-5, 5), (-gap, 5)]),            # stops short of the edge
+                LineString([(10 + gap, 2), (15, 7)]),
+                LineString([(5, 10 + gap), (5, 12)]),
+                LineString([(-gap, -5), (-gap, 15)]),        # parallel to an edge
+                LineString([(-1, -gap - 1), (11, -gap + 11)]),
+                LineString([(10 + gap, 10 + gap), (12, 12)]),    # off a corner
+            ]
+        hits = assert_pair_parity(lines, [unit_square, LineString([(0, 0), (10, 10)])])
+        assert True in hits and False in hits
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9, 1 / 3])
+    def test_magnitudes(self, scale, square_with_hole, l_shape, rng):
+        def scaled(geometry):
+            if isinstance(geometry, LineString):
+                return LineString(geometry.coords * scale)
+            return Polygon(
+                geometry.shell.coords * scale, [h.coords * scale for h in geometry.holes]
+            )
+
+        lines = [
+            LineString([(rng.randint(-2, 12), rng.randint(-2, 12)) for _ in range(rng.randint(2, 5))])
+            for _ in range(40)
+        ]
+        geometries = [scaled(g) for g in [*lines, square_with_hole, l_shape]]
+        assert_pair_parity(geometries, geometries)
+
+    def test_multi_members_with_disjoint_part_envelopes(self, unit_square):
+        far = Polygon([(100, 100), (101, 100), (101, 101), (100, 101)])
+        multi_polygon = MultiPolygon([far, Polygon.empty(), unit_square])
+        multi_line = MultiLineString(
+            [LineString([(200, 200), (201, 201)]), LineString.empty(), LineString([(-1, 5), (5, 5)])]
+        )
+        # Inside the multi's envelope, outside every member's.
+        between = LineString([(40, 40), (60, 60)])
+        probes = [
+            multi_line, between, LineString([(100.5, 100.5), (100.6, 100.7)]),
+            MultiLineString([between, LineString([(300, 0), (301, 0)])]),
+            MultiLineString([LineString.empty()]), MultiPolygon([Polygon.empty(), far]),
+            MultiPolygon([Polygon([(4, 4), (6, 4), (6, 6), (4, 6)])]),
+        ]
+        hits = assert_pair_parity(probes, [multi_polygon, multi_line, unit_square, far])
+        assert True in hits and False in hits
+
+    def test_polygon_containment_without_a_ring_crossing(self, unit_square, square_with_hole):
+        inside = Polygon([(1, 1), (3, 1), (3, 3), (1, 3)])
+        in_the_hole = Polygon([(4.5, 4.5), (5.5, 4.5), (5.5, 5.5), (4.5, 5.5)])
+        around = Polygon([(-5, -5), (15, -5), (15, 15), (-5, 15)])
+        apart = Polygon([(20, 20), (21, 20), (21, 21)])
+        touching = Polygon([(10, 0), (12, 0), (12, 2), (10, 2)])
+        polygons = [inside, in_the_hole, around, apart, touching, unit_square, square_with_hole]
+        hits = assert_pair_parity(polygons, polygons)
+        assert True in hits and False in hits
+        from repro.geometry.algorithms import predicates
+
+        assert not predicates.intersects(in_the_hole, square_with_hole)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_block_boundary_falls_mid_pair(self, monkeypatch, block, square_with_hole, rng):
+        from repro.geometry.algorithms import pairwise
+
+        monkeypatch.setattr(pairwise, "_BLOCK_CELLS", block)
+        lines = [
+            LineString([(rng.randint(-2, 12), rng.randint(-2, 12)) for _ in range(rng.randint(2, 6))])
+            for _ in range(25)
+        ]
+        multi = MultiPolygon([square_with_hole, Polygon([(11, 11), (13, 11), (12, 13)])])
+        assert_pair_parity(lines, [square_with_hole, multi, *lines[:5]])
+
+    def test_random_geometry(self, rng):
+        for _ in range(10):
+            polygons = [
+                random_polygon(rng, rng.uniform(-4, 4), rng.uniform(-4, 4), rng.choice([4, 9, 40]))
+                for _ in range(6)
+            ]
+            lines = [random_polyline(rng, rng.randint(2, 12)) for _ in range(12)]
+            mixed = [
+                *polygons, *lines, MultiPolygon(polygons[:3]), MultiLineString(lines[:4]),
+            ]
+            assert_pair_parity(mixed, mixed)
+
+    def test_no_pairs(self, unit_square):
+        from repro.columnar import GeometryColumn
+        from repro.geometry.algorithms.pairwise import intersects_pairs
+
+        column = GeometryColumn.from_geometries([unit_square])
+        none = np.empty(0, dtype=np.int64)
+        assert intersects_pairs(*column.packed_rows(none), *column.packed_rows(none)).tolist() == []
+
+
 class TestSlowEngineRoutes:
     """The handle's type picks the slow engine's route, nothing else does."""
 

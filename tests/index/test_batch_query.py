@@ -1,8 +1,10 @@
 """Bulk STRtree probes: same candidates, same order, same visit counts.
 
-``query_batch`` / ``query_batch_points`` promise per-probe candidate
-lists (including order) and per-probe node-visit counts identical to one
-``query`` per probe; ``query_batch_points_chunks`` additionally promises
+``_query_batch_arrays`` — the one batched envelope traversal — promises
+flat ``(probe, entry)`` candidate arrays in exactly the order of one
+``query`` per probe, with the same per-probe node-visit counts;
+``query_batch`` / ``query_batch_points`` are its list views.
+``query_batch_points_chunks`` additionally promises
 that each build item surfaces in at most one chunk and that the
 flattened pairs, stably sorted by probe, reproduce the scalar order.
 """
@@ -10,6 +12,7 @@ flattened pairs, stably sorted by probe, reproduce the scalar order.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.geometry.envelope import Envelope
 from repro.index import STRtree, morton_code, morton_codes
@@ -67,6 +70,79 @@ class TestQueryBatch:
         tree = STRtree()
         assert tree.query_batch([Envelope(0, 0, 1, 1)]) == [[]]
         assert tree.query_batch([]) == []
+
+
+class TestQueryBatchArrays:
+    """The pair-returning traversal against N scalar ``query`` calls."""
+
+    def scalar(self, tree, boxes):
+        """Per-box entry positions and visit counts from ``query``."""
+        position = {id(entry[1]): k for k, entry in enumerate(tree.iter_all())}
+        found, visits = [], []
+        for box in boxes:
+            before = tree.nodes_visited
+            hits = tree.query_entries(box)
+            visits.append(tree.nodes_visited - before)
+            found.append([position[id(env)] for _, env in hits])
+        return found, visits
+
+    def arrays(self, boxes):
+        # An empty Envelope *is* an inverted box; inverted on one axis only
+        # cannot be built as an Envelope, so those go in as raw bounds.
+        return [
+            np.array([box.min_x for box in boxes]), np.array([box.min_y for box in boxes]),
+            np.array([box.max_x for box in boxes]), np.array([box.max_y for box in boxes]),
+        ]
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    @pytest.mark.parametrize("n,capacity", [(300, 8), (37, 10), (5, 10), (1, 2)])
+    def test_order_visits_and_counter_match_scalar(self, rng, n, capacity, bulk):
+        tree = build_tree(rng, n=n, node_capacity=capacity)
+        if bulk:  # the array-packed leaves carry the same entry positions
+            entries = list(tree.iter_all())
+            tree = STRtree(node_capacity=capacity)
+            tree.bulk_load_arrays(
+                [item for item, _ in entries],
+                *(np.array([getattr(env, side) for _, env in entries])
+                  for side in ("min_x", "min_y", "max_x", "max_y")),
+            )
+        boxes = probe_envelopes(rng)
+        boxes[3] = boxes[40] = Envelope.empty()
+        boxes[7] = Envelope(-50, -50, 500, 500)      # everything
+        boxes[9] = Envelope(50, 50, 50, 50)          # a point
+        tree.build()
+        want, want_visits = self.scalar(tree, boxes)
+        before = tree.nodes_visited
+        probes, entries, visits = tree._query_batch_arrays(*self.arrays(boxes))
+        assert tree.nodes_visited - before == sum(want_visits)
+        assert visits.tolist() == want_visits
+        assert visits[3] == visits[40] == 0
+        assert probes.tolist() == [i for i, hits in enumerate(want) for _ in hits]
+        assert entries.tolist() == [k for hits in want for k in hits]  # order too
+
+    def test_inverted_boxes_match_nothing_and_visit_nothing(self, rng):
+        tree = build_tree(rng, n=60)
+        min_x = np.array([10.0, 30.0, 10.0, np.inf])
+        min_y = np.array([10.0, 10.0, 30.0, np.inf])
+        max_x = np.array([30.0, 10.0, 30.0, -np.inf])   # [1]: inverted in x
+        max_y = np.array([30.0, 30.0, 10.0, -np.inf])   # [2]: inverted in y
+        before = tree.nodes_visited
+        probes, entries, visits = tree._query_batch_arrays(min_x, min_y, max_x, max_y)
+        assert set(probes.tolist()) <= {0}
+        assert visits[1:].tolist() == [0, 0, 0]
+        assert tree.nodes_visited - before == visits[0] > 0
+        assert [tree._entries[k][0] for k in entries.tolist()] == tree.query(
+            Envelope(10, 10, 30, 30)
+        )
+
+    def test_empty_tree_and_no_probes(self, rng):
+        none = np.empty(0)
+        for tree in (STRtree(), build_tree(rng, n=20)):
+            probes, entries, visits = tree._query_batch_arrays(none, none, none, none)
+            assert len(probes) == len(entries) == len(visits) == 0
+        one = np.array([1.0])
+        probes, entries, visits = STRtree()._query_batch_arrays(one, one, one, one)
+        assert len(probes) == len(entries) == 0 and visits.tolist() == [0]
 
 
 class TestQueryBatchPoints:

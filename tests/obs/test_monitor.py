@@ -211,7 +211,14 @@ class TestMonitorReport:
     def test_pooled_report_shows_worker_lanes_and_heartbeats(self, tmp_path):
         events = _hotspot_events(2, tmp_path, "lanes")
         report = monitor_report(events)
-        assert "worker-0 (pid " in report
+        # Which worker won a task is the pool's business (on a busy host
+        # one worker can take them all): every lane the log holds must be
+        # drawn, and a pooled run must hold at least one worker lane.
+        lanes = {record.lane for record in parse_tasks(events)}
+        worker_lanes = {lane for lane in lanes if lane.startswith("worker-")}
+        assert worker_lanes
+        for lane in lanes:
+            assert lane in report
         assert "worker heartbeat(s) from" in report
 
 
