@@ -32,30 +32,19 @@ def estimate_index_bytes(index) -> int:
 
     :func:`~repro.spark.shuffle.estimate_bytes` sees an index object as
     opaque (64 bytes), which would let arbitrarily large indexes slip
-    under any budget.  Walk the underlying tree's entries instead — the
-    same arithmetic :meth:`SparkContext._broadcast_size` uses for
-    tree-likes — falling back to the generic estimator when there is no
-    tree to walk.
+    under any budget.  Every :class:`~repro.core.probe.BroadcastIndex`
+    keeps the column it was built over, whose coordinate / offset / bbox
+    buffers are sized exactly (``nbytes`` is the encoded size); tree leaf
+    and interior-node overheads are added per entry.  Anything else falls
+    back to the generic estimator.
     """
-    from repro.spark.shuffle import estimate_bytes
+    if not hasattr(index, "_column"):
+        from repro.spark.shuffle import estimate_bytes
 
-    column = getattr(index, "_column", None)
-    if column is not None:
-        # Column-backed index: the coordinate/offset/bbox buffers are
-        # sized exactly (``nbytes`` is the encoded size); tree leaf and
-        # interior-node overheads match the object-path walk below.
-        count = len(column)
-        return int(column.nbytes) + 32 * count + 48 * max(1, count // 8)
-    tree = getattr(index, "tree", None)
-    iter_all = getattr(tree, "iter_all", None)
-    if iter_all is None:
         return estimate_bytes(index)
-    total = 0
-    count = 0
-    for item, _envelope in iter_all():
-        total += estimate_bytes(item) + 32
-        count += 1
-    return total + 48 * max(1, count // 8)  # interior-node overhead
+    column = index._column
+    count = len(column)
+    return int(column.nbytes) + 32 * count + 48 * max(1, count // 8)
 
 
 @dataclass

@@ -6,11 +6,14 @@ Partition slices are O(1) index arrays into the shared buffers; the
 versioned binary encoding (``to_bytes``/``from_bytes``) is what ships
 across simulated shuffles and process pools.
 
-Every join runs on this plane whenever its input converts; inputs the
-column cannot hold (``GeometryCollection``, ``None`` geometries) take the
-object constructors instead, chosen from the input, never by an option.
+It is the only row container between parse and pairs.  The column holds
+every row a join can evaluate — the six Simple-Features types, empties
+included; a row it cannot (a ``GeometryCollection``, a ``None``) is
+turned away where it enters: the engines' file loaders charge, drop and
+count it like a malformed WKT row, the API and the constructors here
+raise a ``GeometryError`` naming it (DESIGN.md section 13 lists the doors).
 Results (pairs, order, counters, simulated seconds, profiles, events) are
-pinned in tier-1 to what the object data plane produced.
+pinned in tier-1 to what the deleted object data plane produced.
 """
 
 from .block import ColumnBlock, EntryChunks, RoutedRows

@@ -64,15 +64,16 @@ class ColumnBlock:
                 or len(record) != 2
                 or type(record[1]) is not tuple
                 or len(record[1]) != 2
-                or not isinstance(record[1][1], Geometry)
+                or not GeometryColumn.holds(record[1][1])
             ):
                 return None
-        column = GeometryColumn.from_entries(value for _, value in records)
-        if column is None:
-            return None
         from repro.spark.shuffle import records_bytes
 
-        return cls(column, [key for key, _ in records], records_bytes(records))
+        return cls(
+            GeometryColumn.from_entries(value for _, value in records),
+            [key for key, _ in records],
+            records_bytes(records),
+        )
 
     @property
     def nbytes(self) -> int:

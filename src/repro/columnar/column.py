@@ -293,7 +293,14 @@ def _point_line_data(coords: np.ndarray, sizes: Sequence[int]) -> _ColumnData:
     return _ColumnData(np.ascontiguousarray(coords), rings, unit, unit, types, bbox)
 
 
-def _convert(geometries: Sequence[Geometry]) -> _ColumnData | None:
+def _unsupported_row(row: int, value: object) -> GeometryError:
+    return GeometryError(
+        f"row {row}: a geometry column holds the six Simple-Features types,"
+        f" not a {type(value).__name__}"
+    )
+
+
+def _convert(geometries: Sequence[Geometry]) -> _ColumnData:
     n = len(geometries)
     fast = True
     for g in geometries:
@@ -310,7 +317,7 @@ def _convert(geometries: Sequence[Geometry]) -> _ColumnData | None:
     for i, g in enumerate(geometries):
         code = _TYPE_CODE.get(type(g))
         if code is None:
-            return None  # GeometryCollection etc: caller keeps the object path
+            raise _unsupported_row(i, g)
         types[i] = code
         env = g.envelope
         bbox[i] = _EMPTY_BBOX if env.is_empty else (env.min_x, env.min_y, env.max_x, env.max_y)
@@ -432,22 +439,22 @@ class GeometryColumn:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_entries(cls, entries: Iterable[tuple[object, Geometry]]) -> "GeometryColumn | None":
-        """Bulk-convert ``(payload, geometry)`` pairs; None if unconvertible.
+    def from_entries(cls, entries: Iterable[tuple[object, Geometry]]) -> "GeometryColumn":
+        """Bulk-convert ``(payload, geometry)`` pairs.
 
-        The originals are seeded into the materialisation memo so that
-        ``geometry(i)`` hands back the very same objects — identity-keyed
-        caches (prepared geometries) keep working.
+        Total over the six Simple-Features types, empties included; any
+        other value (a ``GeometryCollection``, ``None``, a non-geometry)
+        raises a :class:`~repro.errors.GeometryError` naming its row — a
+        door that takes rows from outside tests :meth:`holds` first and
+        applies its own bad-row policy.  The originals are seeded into the
+        materialisation memo so that ``geometry(i)`` hands back the very
+        same objects — identity-keyed caches (prepared geometries) keep
+        working.
         """
         entries = list(entries)
         payloads = [p for p, _ in entries]
         geometries = [g for _, g in entries]
-        for g in geometries:
-            if g is None:
-                return None
         data = _convert(geometries)
-        if data is None:
-            return None
         for j, g in enumerate(geometries):
             data._geom_cache[j] = g
         return cls(data, payloads)
@@ -455,13 +462,13 @@ class GeometryColumn:
     @staticmethod
     def holds(geometry: object) -> bool:
         """Whether the column model has a type code for ``geometry``
-        (everything but ``None`` and ``GeometryCollection``)."""
+        (everything but ``None``, non-geometries and ``GeometryCollection``)."""
         return type(geometry) in _TYPE_CODE
 
     @classmethod
     def from_geometries(
         cls, geometries: Sequence[Geometry], payloads: Sequence[object] | None = None
-    ) -> "GeometryColumn | None":
+    ) -> "GeometryColumn":
         if payloads is None:
             payloads = [None] * len(geometries)
         return cls.from_entries(zip(payloads, geometries))

@@ -27,8 +27,9 @@ scalar reader's objects.
 
 Every other row — another type, another spelling, a value the conversion
 refuses — gets a per-row ``WKTReader.try_read``, the only per-row parse on
-a probe side, and either joins the batch as a geometry object or is
-reported as a dropped position.  Rows the bulk path takes neither read nor
+a probe side, and is either packed beside the bulk rows or — when it does
+not parse, or parses to a type the column model cannot hold — reported as
+a dropped position.  Rows the bulk path takes neither read nor
 fill the reader's process-wide parse memo, so a build side's
 reader-parsed polygons stay warm in it however many probe batches go by.
 :func:`parse_wkt_column` is called by the Spark loader
@@ -39,17 +40,22 @@ and the API (``core.api``); :func:`column_from_wkt` is its strict wrapper.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from repro.columnar.column import GeometryColumn, _point_line_data, _point_only_data
+from repro.columnar.column import (
+    GeometryColumn,
+    _point_line_data,
+    _point_only_data,
+    _unsupported_row,
+)
 from repro.geometry.base import Geometry
 from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.wkt import _NUMBER_CHARS, WKTReader
 
-__all__ = ["column_from_wkt", "parse_wkt_column"]
+__all__ = ["column_from_wkt", "parse_wkt_column", "refuse_wkt_row"]
 
 _NUMBER = "[" + "".join(re.escape(ch) for ch in sorted(_NUMBER_CHARS)) + "]+"
 _POINT_ROW = re.compile(
@@ -65,16 +71,20 @@ _READER = WKTReader()
 
 def parse_wkt_column(
     texts: Iterable[object], payloads: Sequence[object] | None = None
-) -> tuple[GeometryColumn | list[tuple[object, Geometry]], list[int]]:
-    """Parse a batch of WKT values; returns ``(parsed, dropped)``.
+) -> tuple[GeometryColumn, list[int]]:
+    """Parse a batch of WKT values; returns ``(column, dropped)``.
 
-    ``dropped`` lists, ascending, the positions whose value is not a
-    string or does not parse (exactly those ``WKTReader.try_read``
-    returns ``None`` for).  ``parsed`` holds the other rows in order,
-    paired with their payloads: a :class:`GeometryColumn` (no geometry
-    object built) when the bulk path took every kept row — point-only
-    when they are all points — otherwise the ``(payload, geometry)`` list
-    of a batch that needed the object reader.
+    ``dropped`` lists, ascending, the positions no join can take: a value
+    that is not a string or does not parse (``WKTReader.try_read``
+    returns ``None`` for it), and one that parses to a type
+    :meth:`GeometryColumn.holds` refuses (a ``GEOMETRYCOLLECTION``).
+    Each caller applies the bad-row policy it already has — the engines'
+    loaders count the drop, the API raises (:func:`refuse_wkt_row`).
+    ``column`` holds the other rows in order with their payloads.  When
+    the bulk path took every kept row no geometry object is built
+    (point-only when they are all points); a batch that needed the reader
+    is packed from its objects, which the column hands back as they are —
+    a build side's polygons keep their identity and their warm parse memo.
     """
     texts = texts if isinstance(texts, list) else list(texts)
     n = len(texts)
@@ -130,10 +140,10 @@ def parse_wkt_column(
     dropped: list[int] = []
     for i in others:
         geometry = _READER.try_read(texts[i])
-        if geometry is None:
-            dropped.append(i)
-        else:
+        if GeometryColumn.holds(geometry):
             geometries[i] = geometry
+        else:
+            dropped.append(i)
     if not geometries:
         if dropped:
             payloads = [payloads[i] for i in matched]
@@ -150,7 +160,10 @@ def parse_wkt_column(
                 geometries[i] = LineString(coords[start:stop])
             else:
                 geometries[i] = Point(*coords[start].tolist())
-    return [(payloads[i], geometries[i]) for i in sorted(geometries)], dropped
+    return (
+        GeometryColumn.from_entries((payloads[i], geometries[i]) for i in sorted(geometries)),
+        dropped,
+    )
 
 
 def _line_safe(values: np.ndarray) -> bool:
@@ -195,19 +208,24 @@ def _convertible(
     return good_rows, good_tokens, None if sizes is None else good_sizes
 
 
+def refuse_wkt_row(text: object, row: int) -> NoReturn:
+    """Raise for row ``row``, which :func:`parse_wkt_column` dropped: the
+    scalar reader's own error for malformed WKT, a ``GeometryError``
+    naming the row for a type the column model cannot hold."""
+    raise _unsupported_row(row, _READER.read(text))
+
+
 def column_from_wkt(
     texts: Iterable[str], payloads: Sequence[object] | None = None
-) -> GeometryColumn | None:
+) -> GeometryColumn:
     """Parse WKT strings into a :class:`GeometryColumn` in bulk.
 
-    Returns ``None`` when a geometry type outside the columnar model
-    (e.g. ``GEOMETRYCOLLECTION``) appears; malformed WKT raises, exactly
-    like the scalar reader.
+    The strict door: malformed WKT raises exactly like the scalar reader,
+    and a geometry type outside the columnar model (e.g.
+    ``GEOMETRYCOLLECTION``) raises a ``GeometryError`` naming its row.
     """
     texts = list(texts)
-    parsed, dropped = parse_wkt_column(texts, payloads)
+    column, dropped = parse_wkt_column(texts, payloads)
     if dropped:
-        _READER.read(texts[dropped[0]])  # raises the scalar reader's error
-    if isinstance(parsed, GeometryColumn):
-        return parsed
-    return GeometryColumn.from_entries(parsed)
+        refuse_wkt_row(texts[dropped[0]], dropped[0])
+    return column

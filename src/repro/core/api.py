@@ -21,25 +21,23 @@ from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
-from repro.cache import (
-    cache_for,
-    estimate_index_bytes,
-    fingerprint_entries,
-    fingerprint_rows,
-)
+from repro.cache import cache_for, fingerprint_entries, fingerprint_rows
 from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
 from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic
 from repro.columnar.block import positions_by_value
 from repro.columnar.column import GeometryColumn
-from repro.columnar.io import parse_wkt_column
+from repro.columnar.io import parse_wkt_column, refuse_wkt_row
 from repro.core.operators import SpatialOperator
-from repro.core.probe import BroadcastIndex, join_tile, naive_spatial_join
+from repro.core.probe import (
+    BroadcastIndex,
+    cached_index,
+    index_cache_key,
+    join_tile,
+    naive_spatial_join,
+)
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
-from repro.geometry.wkt import loads as wkt_loads
 from repro.obs.events import (
     EventLog,
     emit_task_end,
@@ -237,47 +235,41 @@ class JoinResult(_SequenceABC):
 def _normalise(
     entries: Iterable[tuple[Any, Geometry | str]],
     metrics: TaskMetrics | None = None,
-) -> tuple[list[tuple[Any, Geometry]], GeometryColumn | None]:
-    """Turn ``(payload, Geometry | WKT)`` rows into ``(payload, Geometry)``.
+) -> GeometryColumn:
+    """Pack ``(payload, Geometry | WKT)`` rows into a column, ids as payloads.
 
-    WKT strings are parsed in one bulk pass
-    (:func:`~repro.columnar.io.parse_wkt_column`), charged per row; a
-    malformed one raises the scalar reader's own error.  When every row
-    was a WKT point or linestring the packed column comes back beside
-    the entries (its ``geometry(i)`` *is* entry ``i``'s object), so index
-    build and probe take it as it is instead of re-packing the entries;
-    else ``None``.
+    The API's door: WKT strings are parsed in one bulk pass
+    (:func:`~repro.columnar.io.parse_wkt_column`), charged per row, and a
+    row no join can take raises before any index is built — the scalar
+    reader's own error for malformed WKT, a ``GeometryError`` naming the
+    row for a ``GeometryCollection`` (object or WKT), a ``ReproError`` for
+    a value that is neither a geometry nor a string.  A table of WKT
+    points and / or linestrings comes back without one geometry object
+    built.
     """
     entries = list(entries)
     rows = [i for i, (_, geometry) in enumerate(entries) if isinstance(geometry, str)]
-    column = None
     if rows:
         texts = [entries[i][1] for i in rows]
         if metrics is not None:
             for text in texts:
                 metrics.add(Resource.WKT_BYTES, float(len(text)))
-        parsed, dropped = parse_wkt_column(texts, [entries[i][0] for i in rows])
+        column, dropped = parse_wkt_column(texts, [entries[i][0] for i in rows])
         if dropped:
-            wkt_loads(texts[dropped[0]])  # raises
-        if isinstance(parsed, GeometryColumn):
-            if len(rows) == len(entries):
-                column = parsed
-            parsed = parsed.entries()
-        for i, entry in zip(rows, parsed):
+            refuse_wkt_row(texts[dropped[0]], rows[dropped[0]])
+        if len(rows) == len(entries):
+            return column
+        for i, entry in zip(rows, column.entries()):
             entries[i] = entry
-    normalised = []
-    for payload, geometry in entries:
+    for _, geometry in entries:
         if not isinstance(geometry, Geometry):
             raise ReproError(
                 f"expected Geometry or WKT string, got {type(geometry).__name__}"
             )
-        normalised.append((payload, geometry))
-    return normalised, column
+    return GeometryColumn.from_entries(entries)
 
 
-def _normalise_cached(
-    entries, metrics, cache
-) -> tuple[list[tuple[Any, Geometry]], GeometryColumn | None]:
+def _normalise_cached(entries, metrics, cache) -> GeometryColumn:
     """`_normalise` through the cross-query parsed-column cache.
 
     The key is a content fingerprint of the *raw* rows (payloads plus WKT
@@ -299,57 +291,17 @@ def _normalise_cached(
     except TypeError:
         return _normalise(entries, metrics)
     cached = cache.get(key, "parsed-column")
-    if cached is not None:
-        normalised, column, wkt_chars = cached
-        if metrics is not None and wkt_chars:
-            metrics.add(Resource.WKT_BYTES, wkt_chars)
-        return list(normalised), column
-    parse_metrics = TaskMetrics()
-    normalised, column = _normalise(entries, parse_metrics)
-    wkt_chars = parse_metrics.counts.get(Resource.WKT_BYTES, 0.0)
+    if cached is None:
+        parse_metrics = TaskMetrics()
+        column = _normalise(entries, parse_metrics)
+        wkt_chars = parse_metrics.counts.get(Resource.WKT_BYTES, 0.0)
+        cache.put(key, "parsed-column", (column, wkt_chars),
+                  build_cost=float(wkt_chars))
+    else:
+        column, wkt_chars = cached
     if metrics is not None and wkt_chars:
         metrics.add(Resource.WKT_BYTES, wkt_chars)
-    cache.put(key, "parsed-column", (normalised, column, wkt_chars),
-              build_cost=float(wkt_chars))
-    return list(normalised), column
-
-
-def _broadcast_index_key(right_entries, op, cfg):
-    """Cache key for the broadcast build side: dataset + predicate context."""
-    return fingerprint_entries(
-        right_entries, "broadcast-index", op.value, float(cfg.radius), cfg.engine
-    )
-
-
-def _build_broadcast_index(right_entries, column, op, cfg, cache, key=None):
-    """Build the broadcast index, or reuse a cache-resident one.
-
-    A hit returns the very same index object a cold build would have
-    produced from equal content — probes charge delta-based units, so
-    counters, profiles and pairs are byte-identical either way; only the
-    STR-tree construction wall-clock is saved.  ``column`` is the packed
-    form of ``right_entries`` when the parse already produced it, else
-    ``None``.
-    """
-    index = None
-    if cache is not None:
-        if key is None:
-            key = _broadcast_index_key(right_entries, op, cfg)
-        index = cache.get(key, "broadcast-index")
-    if index is None:
-        if column is not None:
-            index = BroadcastIndex.from_column(
-                column, op, radius=cfg.radius, engine=cfg.engine
-            )
-        else:
-            index = BroadcastIndex.from_entries(
-                right_entries, op, radius=cfg.radius, engine=cfg.engine
-            )
-        if cache is not None:
-            cache.put(key, "broadcast-index", index,
-                      size_bytes=estimate_index_bytes(index),
-                      build_cost=sum(index.build_cost_units().values()))
-    return index
+    return column
 
 
 def _coerce_operator(operator: SpatialOperator | str) -> SpatialOperator:
@@ -520,20 +472,22 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
     if query is not None:
         parse_metrics = TaskMetrics()
         with tracer.span("parse", category="phase") as span:
-            left_entries, left_column = _normalise_cached(left, parse_metrics, cache)
-            right_entries, right_column = _normalise_cached(right, parse_metrics, cache)
+            left_column = _normalise_cached(left, parse_metrics, cache)
+            right_column = _normalise_cached(right, parse_metrics, cache)
             span.add_sim(parse_metrics.seconds(model))
         _add_stage(query, "parse", [parse_metrics], model)
     else:
-        left_entries, left_column = _normalise_cached(left, None, cache)
-        right_entries, right_column = _normalise_cached(right, None, cache)
+        left_column = _normalise_cached(left, None, cache)
+        right_column = _normalise_cached(right, None, cache)
 
     method = "broadcast" if cfg.method == "index" else cfg.method
     plan = None
     stats = None
     bindex_key = None
     if cache is not None:
-        bindex_key = _broadcast_index_key(right_entries, op, cfg)
+        bindex_key = index_cache_key(
+            "broadcast-index", right_column, op, cfg.radius, cfg.engine
+        )
     # Residency of the broadcast build side *at planning time* — a plain
     # containment peek (counts neither hit nor miss), recorded for the
     # explain report before execution can warm the cache.
@@ -550,8 +504,8 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
         cached_build = bindex_key is not None and bindex_key in cache
         with tracer.span("plan", category="phase") as span:
             plan = choose_plan(
-                left_entries,
-                right_entries,
+                list(left_column.entries()),
+                list(right_column.entries()),
                 operator=op,
                 radius=cfg.radius,
                 cost_model=model,
@@ -567,17 +521,17 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
         method = plan.method
 
     if method == "naive":
-        pairs = _naive_join(left_entries, right_entries, op, cfg, model, query)
+        pairs = _naive_join(left_column, right_column, op, cfg, model, query)
     elif method == "broadcast":
         pairs = _broadcast_join(
-            left_entries, right_entries, left_column, right_column, op, cfg,
-            model, query, events_query, recovery, cache=cache, cache_key=bindex_key,
+            left_column, right_column, op, cfg, model, query, events_query,
+            recovery, cache=cache, cache_key=bindex_key,
         )
     elif method == "dual-tree":
-        pairs = _dual_tree_join(left_entries, right_entries, op, cfg, model, query)
+        pairs = _dual_tree_join(left_column, right_column, op, cfg, model, query)
     elif method == "partitioned":
         pairs = _partitioned_join_local(
-            left_entries, right_entries, left_column, op, cfg, model, query, plan,
+            left_column, right_column, op, cfg, model, query, plan,
             events_query, recovery, cache=cache,
         )
     else:  # pragma: no cover - guarded by the _METHODS check above
@@ -604,7 +558,7 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
     report = None
     if explain_on:
         report = _build_explain_report(
-            cfg, op, model, plan, method, left_entries, right_entries,
+            cfg, op, model, plan, method, left_column, right_column,
             raw_wkt, cache, bindex_key, explain_resident, cache_before,
             profile_obj,
         )
@@ -615,7 +569,7 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
 
 
 def _build_explain_report(
-    cfg, op, model, plan, method, left_entries, right_entries, raw_wkt,
+    cfg, op, model, plan, method, left_column, right_column, raw_wkt,
     cache, bindex_key, explain_resident, cache_before, profile_obj,
 ):
     """Price the executed plan and (for ANALYZE) overlay measured actuals.
@@ -632,8 +586,8 @@ def _build_explain_report(
         from repro.optimizer import choose_plan
 
         pricing = choose_plan(
-            left_entries,
-            right_entries,
+            list(left_column.entries()),
+            list(right_column.entries()),
             operator=op,
             radius=cfg.radius,
             cost_model=model,
@@ -685,15 +639,17 @@ def _add_stage(
     query.add_stage(stage)
 
 
-def _naive_join(left_entries, right_entries, op, cfg, model, query):
+def _naive_join(left_column, right_column, op, cfg, model, query):
     tracer = get_tracer()
     with tracer.span("join", category="phase") as span:
-        pairs = naive_spatial_join(left_entries, right_entries, op, cfg.radius)
+        pairs = naive_spatial_join(
+            left_column.entries(), right_column.entries(), op, cfg.radius
+        )
         if query is not None:
             join_metrics = TaskMetrics()
             join_metrics.add(
                 Resource.INDEX_VISIT,
-                float(len(left_entries)) * float(len(right_entries)),
+                float(len(left_column)) * float(len(right_column)),
             )
             join_metrics.add(Resource.ROWS_OUT, float(len(pairs)))
             span.add_sim(join_metrics.seconds(model))
@@ -790,19 +746,14 @@ def _run_tasks(pool, tasks, model, events_ctx, recovery, scope):
 
 
 def _broadcast_join(
-    left_entries, right_entries, left_column, right_column, op, cfg, model, query,
-    events_query, recovery, cache=None, cache_key=None,
+    left_column, right_column, op, cfg, model, query, events_query, recovery,
+    cache=None, cache_key=None,
 ):
     """The paper's broadcast join: index the right side, probe with the
-    left in ``batch_size`` chunks.  With profiling on, build/probe become
-    exactly-billed stages.  ``left_column`` / ``right_column`` are the
-    sides' packed forms when the parse already produced them, else
-    ``None``."""
-    # One packed column over the probe side; every chunk below is a
-    # zero-copy slice of it.
-    if left_column is None:
-        left_column = GeometryColumn.from_entries(left_entries)
-    starts = range(0, len(left_entries), cfg.batch_size)
+    left in ``batch_size`` chunks — each a zero-copy slice of the left
+    column.  With profiling on, build/probe become exactly-billed stages."""
+    left_ids = left_column.payloads()
+    starts = range(0, len(left_ids), cfg.batch_size)
     events_ctx = _submit_stage(events_query, "probe", len(starts))
 
     build_metrics = TaskMetrics()
@@ -810,8 +761,9 @@ def _broadcast_join(
         # The build stage charges index.build_cost_units() whether the
         # index was rebuilt or reused — a warm query simulates the same
         # cluster, it just skips the real STR-tree construction.
-        index = _build_broadcast_index(
-            right_entries, right_column, op, cfg, cache, cache_key
+        index = cached_index(
+            cache, "broadcast-index", right_column, op, cfg.radius, cfg.engine,
+            key=cache_key,
         )
         for resource, amount in index.build_cost_units().items():
             build_metrics.add(resource, amount)
@@ -821,15 +773,10 @@ def _broadcast_join(
     def chunk_task(task_index, start):
         def probe_chunk():
             stop = start + cfg.batch_size
-            chunk = left_entries[start:stop]
-            matches_per_row, totals = index.probe_batch(
-                left_column.slice(start, stop)
-                if left_column is not None
-                else [geometry for _, geometry in chunk]
-            )
+            matches_per_row, totals = index.probe_batch(left_column.slice(start, stop))
             chunk_pairs = [
                 (left_id, right_id)
-                for (left_id, _), matches in zip(chunk, matches_per_row)
+                for left_id, matches in zip(left_ids[start:stop], matches_per_row)
                 for right_id in matches
             ]
             return chunk_pairs, TaskMetrics(counts=totals)
@@ -854,7 +801,7 @@ def _broadcast_join(
     return pairs
 
 
-def _dual_tree_join(left_entries, right_entries, op, cfg, model, query):
+def _dual_tree_join(left_column, right_column, op, cfg, model, query):
     """Filter with a synchronized R-tree join (both sides indexed), then
     refine.  Section II's 'both can be indexed' option — it beats the
     probe-per-row plan when the left side is also large and indexable.
@@ -870,12 +817,12 @@ def _dual_tree_join(left_entries, right_entries, op, cfg, model, query):
     with tracer.span("build", category="phase"):
         left_tree = STRtree(
             ((left_id, geometry), geometry.envelope)
-            for left_id, geometry in left_entries
+            for left_id, geometry in left_column.entries()
             if not geometry.is_empty
         )
         right_tree = STRtree(
             ((right_id, geometry, engine_obj.prepare(geometry)), geometry.envelope)
-            for right_id, geometry in right_entries
+            for right_id, geometry in right_column.entries()
             if not geometry.is_empty
         )
         if build_metrics is not None:
@@ -909,23 +856,16 @@ def _dual_tree_join(left_entries, right_entries, op, cfg, model, query):
     return pairs
 
 
-def _route_side(tiles, entries, column, expand, shuffle_metrics):
+def _route_side(tiles, column, expand, shuffle_metrics):
     """Route one whole side with the batch router; returns ``{tile: rows}``.
 
-    Rows are positions into ``entries`` (and ``column``, its packed form
-    when there is one), ascending per tile.  Charges the side's
-    ``SHUFFLE_BYTES`` — 48 bytes a routed record plus 16 per vertex,
-    integer-valued, so the one add equals an add per record.
+    Rows are positions into ``column``, ascending per tile.  Charges the
+    side's ``SHUFFLE_BYTES`` — 48 bytes a routed record plus 16 per
+    vertex, integer-valued, so the one add equals an add per record.
     """
-    if column is not None:
-        rows, tile_ids = tiles.route_rows(*column.bounds(), expand=expand)
-        vertices = column.num_points_array()
-    else:
-        rows, tile_ids = tiles.route_envelopes(
-            (geometry.envelope for _, geometry in entries), expand=expand
-        )
-        vertices = np.array([g.num_points for _, g in entries], dtype=np.int64)
+    rows, tile_ids = tiles.route_rows(*column.bounds(), expand=expand)
     if shuffle_metrics is not None and len(rows):
+        vertices = column.num_points_array()
         shuffle_metrics.add(
             Resource.SHUFFLE_BYTES,
             float(48 * len(rows) + 16 * int(vertices[rows].sum())),
@@ -936,7 +876,7 @@ def _route_side(tiles, entries, column, expand, shuffle_metrics):
 
 
 def _partitioned_join_local(
-    left_entries, right_entries, left_column, op, cfg, model, query, plan,
+    left_column, right_column, op, cfg, model, query, plan,
     events_query, recovery, cache=None,
 ):
     """Skew-aware tiled join over in-memory collections.
@@ -955,6 +895,8 @@ def _partitioned_join_local(
     expand = cfg.radius if op.needs_radius else 0.0
     partitioning = plan.partitioning if plan is not None else None
     if partitioning is None:
+        left_entries = list(left_column.entries())
+        right_entries = list(right_column.entries())
         num_tiles = cfg.num_tiles or max(4, 2 * cfg.workers)
         layout_key = None
         if cache is not None:
@@ -998,21 +940,15 @@ def _partitioned_join_local(
     tiles = partitioning
 
     shuffle_metrics = TaskMetrics() if query is not None else None
-    # Whole-side columns built once; each tile gets zero-copy slices
-    # (row-index arrays into the shared buffers) instead of fresh
-    # object lists for build and probe.
-    if left_column is None:
-        left_column = GeometryColumn.from_entries(left_entries)
-    right_column = GeometryColumn.from_entries(
-        (pair, pair[1]) for pair in right_entries
+    # Each tile gets zero-copy slices (row-index arrays into the shared
+    # buffers) of the whole-side columns.  The build side's payloads are
+    # whole (id, geometry) pairs, so the owner rule can route a match.
+    build_column = GeometryColumn.from_entries(
+        (pair, pair[1]) for pair in right_column.entries()
     )
     with tracer.span("route", category="phase"):
-        left_rows_by_tile = _route_side(
-            tiles, left_entries, left_column, 0.0, shuffle_metrics
-        )
-        right_rows_by_tile = _route_side(
-            tiles, right_entries, right_column, expand, shuffle_metrics
-        )
+        left_rows_by_tile = _route_side(tiles, left_column, 0.0, shuffle_metrics)
+        right_rows_by_tile = _route_side(tiles, build_column, expand, shuffle_metrics)
     if shuffle_metrics is not None:
         _add_stage(query, "shuffle", [shuffle_metrics], model)
 
@@ -1021,33 +957,16 @@ def _partitioned_join_local(
         join's task granularity, the unit the executors pool fans out."""
 
         def join():
-            left_rows = left_rows_by_tile[tile_id]
-            right_rows = right_rows_by_tile[tile_id]
-            if right_column is not None:
-                index = BroadcastIndex.from_column(
-                    right_column.take(right_rows),
-                    op, radius=cfg.radius, engine=cfg.engine,
-                )
-            else:
-                index = BroadcastIndex.from_entries(
-                    [
-                        (right_entries[row], right_entries[row][1])
-                        for row in right_rows.tolist()
-                    ],
-                    op, radius=cfg.radius, engine=cfg.engine,
-                )
+            index = BroadcastIndex(
+                build_column.take(right_rows_by_tile[tile_id]),
+                op, radius=cfg.radius, engine=cfg.engine,
+            )
             task = TaskMetrics()
             task.add(Resource.INDEX_BUILD, float(len(index)))
-            if left_column is not None:
-                tile_pairs, totals = join_tile(
-                    index, None, tiles, tile_id, expand,
-                    left_column=left_column.take(left_rows),
-                )
-            else:
-                tile_pairs, totals = join_tile(
-                    index, [left_entries[row] for row in left_rows.tolist()],
-                    tiles, tile_id, expand,
-                )
+            tile_pairs, totals = join_tile(
+                index, left_column.take(left_rows_by_tile[tile_id]),
+                tiles, tile_id, expand,
+            )
             for resource, amount in totals.items():
                 task.add(resource, amount)
             return tile_pairs, task

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
 from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
-from repro.core.probe import BroadcastIndex
+from repro.core.probe import cached_index, index_cache_key
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry import wkb as wkb_mod
@@ -59,15 +58,15 @@ def read_geometry_pairs(
     This is the pre-processing block of Fig 2: split each line on the
     separator, pair it with its global index, parse the geometry column,
     and *drop* rows whose WKT fails to parse (the ``Try``/``isSuccess``
-    filter) instead of failing the job.  Every dropped row is counted
-    in ``spark.rows_skipped``.
+    filter) instead of failing the job.  A row that parses to a type no
+    join can evaluate (a ``GEOMETRYCOLLECTION``) is dropped the same way.
+    Every dropped row is counted in ``spark.rows_skipped``.
 
     Each partition is parsed in one bulk pass
     (:func:`~repro.columnar.io.parse_wkt_column`); the charges stay per
-    row.  A partition of points and / or polylines comes back as
-    :class:`ColumnRecords` — it iterates as ``(record_id, geometry)``
-    records for any RDD operator, and :func:`broadcast_spatial_join`
-    probes its column directly.
+    row.  Every partition comes back as :class:`ColumnRecords` — it
+    iterates as ``(record_id, geometry)`` records for any RDD operator,
+    and the joins read its column directly.
     """
 
     def parse_partition(pairs):
@@ -85,13 +84,11 @@ def read_geometry_pairs(
             task.add(Resource.RDD_RECORDS, 2.0)
             texts.append(text)
             record_ids.append(record_id)
-        parsed, dropped = parse_wkt_column(texts, record_ids)
+        column, dropped = parse_wkt_column(texts, record_ids)
         skipped += len(dropped)
         if skipped:
             REGISTRY.inc("spark.rows_skipped", skipped)
-        if isinstance(parsed, GeometryColumn):
-            return ColumnRecords(parsed)
-        return parsed
+        return ColumnRecords(column)
 
     if num_partitions is None:
         # Spark's rule of thumb: ~2 tasks per core keeps the dynamic
@@ -125,6 +122,14 @@ class ColumnRecords:
         return next(self._records)
 
 
+def partition_column(records) -> GeometryColumn:
+    """One partition of ``(id, geometry)`` records as a column, ids as
+    payloads: a parsed partition's own, anything else packed once."""
+    if isinstance(records, ColumnRecords):
+        return records.column
+    return GeometryColumn.from_entries(records)
+
+
 def read_geometry_pairs_wkb(
     sc: SparkContext,
     path: str,
@@ -137,8 +142,9 @@ def read_geometry_pairs_wkb(
     binary on HDFS (paged record files) and in memory (numpy coordinate
     buffers), skipping string parsing entirely.  Decode cost is charged
     per WKB byte — roughly an order of magnitude below the WKT rate.
-    Corrupt records are dropped and counted, mirroring the WKT dirty-row
-    filter.
+    Corrupt records, and records of a type no join can evaluate (a
+    ``GeometryCollection``), are dropped and counted, mirroring the WKT
+    dirty-row filter.
     """
     from repro.errors import WKBParseError
 
@@ -148,6 +154,8 @@ def read_geometry_pairs_wkb(
         try:
             geometry = wkb_mod.loads(payload)
         except WKBParseError:
+            geometry = None
+        if not GeometryColumn.holds(geometry):
             REGISTRY.inc("spark.rows_skipped")
             return []
         return [(record_id, geometry)]
@@ -191,32 +199,20 @@ def broadcast_spatial_join(
     with tracer.span("collect-build-side", category="phase"):
         right_local = right.collect()
     cache = sc.cache
-    cache_key = None
-    if cache is not None:
-        cache_key = fingerprint_entries(
-            right_local, "spark-broadcast-index", operator.value,
-            float(radius), engine,
-        )
+    kind = "spark-broadcast-index"
+    cache_key = (
+        index_cache_key(kind, right_local, operator, radius, engine)
+        if cache is not None
+        else None
+    )
     with tracer.span("build-index", category="phase") as build_span:
         # The scheduler installs the context's event log only inside
         # run_job; this driver-side section installs it too so cache
         # hit/miss events reach the same events.jsonl stream.
         with install_event_log(sc.event_log):
-            index = (
-                cache.get(cache_key, "spark-broadcast-index")
-                if cache is not None
-                else None
+            index = cached_index(
+                cache, kind, right_local, operator, radius, engine, key=cache_key
             )
-            if index is None:
-                index = BroadcastIndex.from_entries(
-                    right_local, operator, radius=radius, engine=engine
-                )
-                if cache is not None:
-                    cache.put(
-                        cache_key, "spark-broadcast-index", index,
-                        size_bytes=estimate_index_bytes(index),
-                        build_cost=sum(index.build_cost_units().values()),
-                    )
         build_units = {
             resource: units * build_cost_weight
             for resource, units in index.build_cost_units().items()
@@ -235,15 +231,10 @@ def broadcast_spatial_join(
         bc_span.add_sim(sc.broadcast_overhead_seconds - ship_before)
 
     def query_rtree_partition(rows):
-        if isinstance(rows, ColumnRecords):
-            # A freshly parsed partition: probe the packed coordinates,
-            # no geometry object is ever built.
-            probes = rows.column
-            left_ids = probes.payloads()
-        else:
-            rows = list(rows)
-            probes = [geometry for _, geometry in rows]
-            left_ids = [left_id for left_id, _ in rows]
+        # A freshly parsed partition is probed as it is: packed
+        # coordinates, no geometry object ever built.
+        probes = partition_column(rows)
+        left_ids = probes.payloads()
         if not left_ids:
             return []
         matches_per_row, totals = index_broadcast.value.probe_batch(probes)

@@ -37,7 +37,9 @@ def build_spatial_index(
     """Build the broadcast R-tree over the right side's WKT geometry column.
 
     Returns ``(index, wkt_bytes_parsed, rows_dropped)``.  Rows whose WKT
-    fails to parse are dropped, matching the scanners' dirty-row policy.
+    fails to parse, or parses to a type no join can evaluate (a
+    ``GEOMETRYCOLLECTION``), are dropped, matching the scanners'
+    dirty-row policy.
     The paper notes this parse ("building an R-Tree for all tuples of the
     table on the right side") is one of ISP-MC's three string-parsing
     costs — the byte count lets the coordinator charge it per instance.
@@ -52,11 +54,11 @@ def build_spatial_index(
             continue
         wkt_bytes += len(text)
         geometry = _READER.try_read(text)
-        if geometry is None:
+        if not GeometryColumn.holds(geometry):
             dropped += 1
             continue
         entries.append((row, geometry))
-    index = BroadcastIndex.from_entries(entries, operator, radius=radius, engine=engine)
+    index = BroadcastIndex(entries, operator, radius=radius, engine=engine)
     return index, wkt_bytes, dropped
 
 
@@ -80,15 +82,10 @@ def probe_wkt_rows(
     ]
     # Row positions ride along as payloads, so the kept rows say where
     # they came from.
-    parsed, _ = parse_wkt_column(texts, range(len(texts)))
-    if isinstance(parsed, GeometryColumn):
-        kept, probes = parsed.payloads(), parsed
-    else:
-        kept = [row for row, _ in parsed]
-        probes = [geometry for _, geometry in parsed]
+    probes, _ = parse_wkt_column(texts, range(len(texts)))
     matches, probe_units = index.probe_batch(probes, per_row=True)
     matches_per_row: list[list | None] = [None] * len(texts)
-    for row, row_matches, units in zip(kept, matches, probe_units):
+    for row, row_matches, units in zip(probes.payloads(), matches, probe_units):
         matches_per_row[row] = row_matches
         units_per_row[row].update(units)
     return matches_per_row, units_per_row

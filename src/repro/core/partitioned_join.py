@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
-from repro.columnar.block import EntryChunks, RoutedRows
-from repro.columnar.column import GeometryColumn
-from repro.core.broadcast_join import ColumnRecords
+from repro.columnar.block import RoutedRows
+from repro.core.broadcast_join import partition_column
 from repro.core.operators import SpatialOperator
-from repro.core.probe import BroadcastIndex, join_tile
+from repro.core.probe import cached_index, join_tile
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
@@ -134,21 +132,7 @@ def partitioned_spatial_join(
         def route_partition(records):
             """Route one partition to ``(tile, (id, geometry))`` records,
             empty geometries dropped."""
-            if isinstance(records, ColumnRecords):
-                column = records.column
-            else:
-                records = list(records)
-                column = GeometryColumn.from_entries(records)
-            if column is None:
-                # The column model cannot hold this partition (a
-                # GeometryCollection): same router, records out.
-                rows, tile_ids = tiles.route_envelopes(
-                    (geometry.envelope for _, geometry in records), expand=grow
-                )
-                return [
-                    (tile, records[row])
-                    for row, tile in zip(rows.tolist(), tile_ids.tolist())
-                ]
+            column = partition_column(records)
             rows, tile_ids = tiles.route_rows(*column.bounds(), expand=grow)
             return RoutedRows(column, rows, tile_ids)
 
@@ -176,32 +160,14 @@ def partitioned_spatial_join(
         # fork-inherited snapshot of the cache — hits there save worker
         # wall-clock, and their puts die with the worker process).
         build_entries = [(pair, pair[1]) for pair in right_entries]
-        index = None
-        tile_key = None
-        if cache is not None:
-            tile_key = fingerprint_entries(
-                build_entries, "spark-tile-index", operator.value,
-                float(radius), engine,
-            )
-            index = cache.get(tile_key, "spark-tile-index")
-        if index is None:
-            index = BroadcastIndex.from_entries(
-                build_entries, operator, radius=radius, engine=engine
-            )
-            if cache is not None:
-                cache.put(
-                    tile_key, "spark-tile-index", index,
-                    size_bytes=estimate_index_bytes(index),
-                    build_cost=sum(index.build_cost_units().values()),
-                )
+        index = cached_index(
+            cache, "spark-tile-index", build_entries, operator, radius, engine
+        )
         task = current_task()
         task.add(Resource.INDEX_BUILD, len(index))
-        pairs, totals = join_tile(
-            index, left_entries, tiles, tile_id, expand,
-            left_column=left_entries.column()
-            if isinstance(left_entries, EntryChunks)
-            else None,
-        )
+        # Every block of this shuffle is a column slice, so a side that
+        # has rows has them as EntryChunks.
+        pairs, totals = join_tile(index, left_entries.column(), tiles, tile_id, expand)
         for resource, amount in totals.items():
             task.add(resource, amount)
         return pairs

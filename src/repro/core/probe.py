@@ -21,6 +21,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.model import Resource
 from repro.columnar.column import _POINT as _POINT_CODE
 from repro.columnar.column import GeometryColumn
@@ -35,7 +36,14 @@ from repro.index.rtree import STRtree
 from repro.obs.registry import REGISTRY
 from repro.core.operators import SpatialOperator
 
-__all__ = ["BroadcastIndex", "refine_pair", "join_tile", "naive_spatial_join"]
+__all__ = [
+    "BroadcastIndex",
+    "cached_index",
+    "index_cache_key",
+    "join_tile",
+    "naive_spatial_join",
+    "refine_pair",
+]
 
 
 def refine_pair(
@@ -78,83 +86,34 @@ def refine_pair(
 class BroadcastIndex:
     """The broadcast build side: an STR-tree over prepared geometries.
 
-    ``entries`` are (payload, geometry) pairs; payloads are whatever the
-    caller wants back from probes (row tuples, ids).  The index prepares
-    each geometry once with the given engine and inserts its envelope —
-    expanded by ``radius`` for NearestD — into the R-tree.
+    ``entries`` are (payload, geometry) pairs, or the
+    :class:`GeometryColumn` already holding them; payloads are whatever
+    the caller wants back from probes (row tuples, ids).  The index
+    prepares each non-empty geometry once with the given engine and
+    bulk-loads its envelope — expanded by ``radius`` for NearestD — into
+    the R-tree straight from the column's bbox arrays (the same float
+    arithmetic as ``Envelope.expand_by``).
     """
 
     def __init__(
         self,
-        entries: Iterable[tuple[Any, Geometry]],
+        entries: Iterable[tuple[Any, Geometry]] | GeometryColumn,
         operator: SpatialOperator,
         radius: float = 0.0,
         engine: GeometryEngine | str = "fast",
         node_capacity: int = 10,
     ):
+        column = (
+            entries
+            if isinstance(entries, GeometryColumn)
+            else GeometryColumn.from_entries(entries)
+        )
         if operator.needs_radius and radius <= 0.0:
             raise ReproError(f"{operator} requires a positive radius")
         self.operator = operator
         self.radius = radius if operator.needs_radius else 0.0
         self.engine = create_engine(engine) if isinstance(engine, str) else engine
         self._tree: STRtree = STRtree(node_capacity=node_capacity)
-        self._pair_payloads = None  # no packed build side for the pair kernel
-        self.build_entries = 0
-        self.build_vertex_total = 0
-        for payload, geometry in entries:
-            if geometry.is_empty:
-                continue
-            handle = self.engine.prepare(geometry)
-            envelope = geometry.envelope.expand_by(self.radius)
-            self._tree.insert((payload, geometry, handle), envelope)
-            self.build_entries += 1
-            self.build_vertex_total += geometry.num_points
-        self._tree.build()
-
-    @classmethod
-    def from_entries(
-        cls,
-        entries: Sequence[tuple[Any, Geometry]],
-        operator: SpatialOperator,
-        radius: float = 0.0,
-        engine: GeometryEngine | str = "fast",
-    ) -> "BroadcastIndex":
-        """Build from ``(payload, geometry)`` pairs, packed when possible.
-
-        Entries the column model can hold are packed and bulk-loaded
-        (:meth:`from_column`); inputs it cannot (``GeometryCollection``,
-        ``None`` geometries) take the object constructor.  Both yield the
-        same tree, entry order and counters — the input decides, never an
-        option.
-        """
-        column = GeometryColumn.from_entries(entries)
-        if column is None:
-            return cls(entries, operator, radius=radius, engine=engine)
-        return cls.from_column(column, operator, radius=radius, engine=engine)
-
-    @classmethod
-    def from_column(
-        cls,
-        column: GeometryColumn,
-        operator: SpatialOperator,
-        radius: float = 0.0,
-        engine: GeometryEngine | str = "fast",
-        node_capacity: int = 10,
-    ) -> "BroadcastIndex":
-        """Build the index from a packed column — same tree, bulk-loaded.
-
-        The STR packing reads the column's bbox arrays directly (expanded
-        by the radius with the same float arithmetic as ``expand_by``), so
-        the resulting tree, entry order, counters and probe answers are
-        byte-identical to the object constructor over ``column.entries()``.
-        """
-        if operator.needs_radius and radius <= 0.0:
-            raise ReproError(f"{operator} requires a positive radius")
-        self = cls.__new__(cls)
-        self.operator = operator
-        self.radius = radius if operator.needs_radius else 0.0
-        self.engine = create_engine(engine) if isinstance(engine, str) else engine
-        self._tree = STRtree(node_capacity=node_capacity)
         counts = column.num_points_array()
         keep = np.flatnonzero(counts > 0)  # num_points > 0 <=> not is_empty
         kept = column if len(keep) == len(column) else column.take(keep)
@@ -173,8 +132,9 @@ class BroadcastIndex:
         self.build_vertex_total = int(counts[keep].sum())
         self._tree.build()
         # Retained so pickling (pool shipping, spawn-style broadcast)
-        # moves the compact encoded column instead of the object graph;
-        # the receiver rebuilds an identical tree from the buffers.
+        # moves the compact encoded column instead of the object graph —
+        # the receiver rebuilds an identical tree from the buffers — and
+        # so the cache can size the index from its buffers.
         self._column = kept
         self._node_capacity = node_capacity
         # The pair kernel's view of the build side, when it can answer:
@@ -187,16 +147,27 @@ class BroadcastIndex:
             and bool(PAIR_TYPES[kept.types_array()].all())
             else None
         )
-        return self
 
-    def __reduce_ex__(self, protocol):
-        column = self.__dict__.get("_column")
-        if column is None:
-            return super().__reduce_ex__(protocol)
+    @classmethod
+    def from_entries(
+        cls,
+        entries: Iterable[tuple[Any, Geometry]] | GeometryColumn,
+        operator: SpatialOperator,
+        radius: float = 0.0,
+        engine: GeometryEngine | str = "fast",
+        node_capacity: int = 10,
+    ) -> "BroadcastIndex":
+        """A historical name for the constructor, which takes either form."""
+        return cls(entries, operator, radius, engine, node_capacity)
+
+    from_column = from_entries
+
+    def __reduce__(self):
+        # Engine counters are local to the receiver's fresh engine instance.
         return (
-            _index_from_column,
+            BroadcastIndex,
             (
-                column,
+                self._column,
                 self.operator,
                 self.radius,
                 self.engine.name,
@@ -271,8 +242,9 @@ class BroadcastIndex:
 
         ``geometries`` is a :class:`GeometryColumn` — coordinates are then
         read straight from the packed buffers, no geometry object built —
-        or any iterable of geometries, which is packed once
-        (:meth:`GeometryColumn.from_entries`) and probed the same way.
+        or any iterable of geometries, whose non-``None`` rows are packed
+        once (:meth:`GeometryColumn.from_entries`, which raises for a
+        value no join can evaluate) and probed the same way.
         :meth:`_routes` sends each non-empty row down one of three routes:
 
         * point probes under Within / NearestD: one Morton-sorted bulk
@@ -280,51 +252,35 @@ class BroadcastIndex:
           polygon / polyline refines its whole point set with one batch
           kernel call;
         * LineString / Polygon / MultiLineString / MultiPolygon probes
-          under Intersects, over a packed build side of those types: one
+          under Intersects, over a build side of those types: one
           batched envelope traversal yielding ``(probe, build)`` candidate
           arrays, refined by one
           :func:`~repro.geometry.algorithms.pairwise.intersects_pairs` call;
         * what is left — point and MultiPoint probes under Intersects,
           every probe under Contains, non-point probes under Within /
-          NearestD, any probe of a build side the column model cannot
-          hold or that has point members, and a ``GeometryCollection``
-          probe — takes :meth:`probe_with_cost` row by row and is
-          counted in the ``probe.scalar_rows`` registry counter.
+          NearestD and any probe of a build side that has point members —
+          takes :meth:`probe_with_cost` row by row and is counted in the
+          ``probe.scalar_rows`` registry counter.
         """
         if isinstance(geometries, GeometryColumn):
             return self._probe_batch_column(geometries, per_row)
         geometries = list(geometries)
-        packed: list[int] = []
-        rest: list[int] = []
-        for i, geometry in enumerate(geometries):
-            (packed if GeometryColumn.holds(geometry) else rest).append(i)
+        present = [i for i, geometry in enumerate(geometries) if geometry is not None]
         matches, units = self._probe_batch_column(
-            GeometryColumn.from_entries((None, geometries[i]) for i in packed), per_row
+            GeometryColumn.from_entries((None, geometries[i]) for i in present), per_row
         )
-        if not rest:
+        if len(present) == len(geometries):
             return matches, units
-        # None rows, and geometries the column model cannot hold (a
-        # GeometryCollection): scatter the packed rows' answers around them.
-        n = len(geometries)
-        row_matches: list[list[Any]] = [[] for _ in range(n)]
-        row_units: list[dict[str, float] | None] = [None] * n
-        for i, found in zip(packed, matches):
+        # None rows keep their places, with no matches and no units.
+        row_matches: list[list[Any]] = [[] for _ in geometries]
+        for i, found in zip(present, matches):
             row_matches[i] = found
-        if per_row:
-            for i, row in zip(packed, units):
-                row_units[i] = row
-        for i in rest:
-            geometry = geometries[i]
-            if geometry is None:
-                continue
-            if geometry.is_empty:
-                row_units[i] = {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0}
-            else:
-                row_matches[i], row_units[i] = self.probe_with_cost(geometry)
-                REGISTRY.inc("probe.scalar_rows")
-        if per_row:
-            return row_matches, row_units
-        return row_matches, self._sum_units(row_units, units)
+        if not per_row:
+            return row_matches, units
+        row_units: list[dict[str, float] | None] = [None] * len(geometries)
+        for i, row in zip(present, units):
+            row_units[i] = row
+        return row_matches, row_units
 
     def _routes(
         self, column: GeometryColumn, live: np.ndarray
@@ -561,54 +517,79 @@ class BroadcastIndex:
         return [(payload, dist) for (payload, _, _), dist in found]
 
 
-def _index_from_column(column, operator, radius, engine, node_capacity):
-    """Unpickle hook: rebuild a column-backed :class:`BroadcastIndex`.
+def index_cache_key(
+    kind: str,
+    build: Iterable[tuple[Any, Geometry]] | GeometryColumn,
+    operator: SpatialOperator,
+    radius: float,
+    engine: str,
+):
+    """Cross-query cache key of the index :func:`cached_index` builds over
+    ``build``: the dataset's content plus the predicate context."""
+    entries = build.entries() if isinstance(build, GeometryColumn) else build
+    return fingerprint_entries(entries, kind, operator.value, float(radius), engine)
 
-    The column ships as its compact binary encoding (its own
-    ``__reduce__``); rebuilding here gives a tree bit-identical to the
-    sender's, with engine counters local to the fresh engine instance.
+
+def cached_index(
+    cache,
+    kind: str,
+    build: Iterable[tuple[Any, Geometry]] | GeometryColumn,
+    operator: SpatialOperator,
+    radius: float,
+    engine: str,
+    key=None,
+) -> BroadcastIndex:
+    """Build the index over ``build``, or reuse the cache-resident one.
+
+    ``cache`` is the cross-query :class:`~repro.cache.CacheManager` or
+    ``None``; ``key`` is :func:`index_cache_key` of the same arguments,
+    for a caller that already computed it.  A hit returns the very index
+    a cold build would have produced from equal content — probes charge
+    delta-based units and every caller bills ``build_cost_units()``
+    either way, so counters, profiles and pairs cannot tell; only the
+    STR-tree construction wall-clock is saved.
     """
-    return BroadcastIndex.from_column(
-        column, operator, radius=radius, engine=engine, node_capacity=node_capacity
-    )
+    if cache is None:
+        return BroadcastIndex(build, operator, radius=radius, engine=engine)
+    if key is None:
+        key = index_cache_key(kind, build, operator, radius, engine)
+    index = cache.get(key, kind)
+    if index is None:
+        index = BroadcastIndex(build, operator, radius=radius, engine=engine)
+        cache.put(
+            key, kind, index,
+            size_bytes=estimate_index_bytes(index),
+            build_cost=sum(index.build_cost_units().values()),
+        )
+    return index
 
 
 def join_tile(
     index: BroadcastIndex,
-    left_entries: Sequence[tuple[Any, Geometry]] | None,
+    left: Sequence[tuple[Any, Geometry]] | GeometryColumn,
     tiles,
     tile_id: int,
     expand: float,
-    left_column: GeometryColumn | None = None,
 ) -> tuple[list[tuple[Any, Any]], dict[str, float]]:
     """Probe one tile's left rows; keep only the pairs this tile owns.
 
     ``index`` holds the tile's right side with whole ``(id, geometry)``
-    pairs as payloads, so a matched geometry can be routed;
-    ``left_column`` is the packed form of the left rows (ids as payloads)
-    when the caller already has it — ``left_entries`` is then not read —
-    else it is derived here, when the column model can hold them.  Owner
-    rule: a replicated pair is produced in every tile both sides reach,
-    and only the lowest-indexed common tile emits it (this tile, should
-    they share none), so results carry no duplicates and lose no pair.
-    The left rows' tile sets come from one batch-router call; a row in a
-    single tile — almost every point — is decided by that alone, and the
-    build geometries matched by multi-tile rows are routed together,
-    once each.  Returns the owned pairs and the probe's cost-unit totals.
+    pairs as payloads, so a matched geometry can be routed; ``left`` is
+    the tile's left rows, ids as payloads — a column, or entries that are
+    packed here.  Owner rule: a replicated pair is produced in every tile
+    both sides reach, and only the lowest-indexed common tile emits it
+    (this tile, should they share none), so results carry no duplicates
+    and lose no pair.  The left rows' tile sets come from one
+    batch-router call; a row in a single tile — almost every point — is
+    decided by that alone, and the build geometries matched by multi-tile
+    rows are routed together, once each.  Returns the owned pairs and the
+    probe's cost-unit totals.
     """
-    if left_column is None:
-        left_column = GeometryColumn.from_entries(left_entries)
-    if left_column is not None:
-        left_ids = left_column.payloads()
-        matches_per_row, totals = index.probe_batch(left_column)
-        left_rows, left_tiles = tiles.route_rows(*left_column.bounds())
-    else:
-        left_ids = [left_id for left_id, _ in left_entries]
-        geometries = [geometry for _, geometry in left_entries]
-        matches_per_row, totals = index.probe_batch(geometries)
-        left_rows, left_tiles = tiles.route_envelopes(
-            geometry.envelope for geometry in geometries
-        )
+    if not isinstance(left, GeometryColumn):
+        left = GeometryColumn.from_entries(left)
+    left_ids = left.payloads()
+    matches_per_row, totals = index.probe_batch(left)
+    left_rows, left_tiles = tiles.route_rows(*left.bounds())
     reached = np.bincount(left_rows, minlength=len(left_ids))
     first = np.cumsum(reached) - reached
     # A single-tile row's owner is that tile, whatever it matched.

@@ -243,6 +243,10 @@ def intersects(a: Geometry, b: Geometry) -> bool:
         return any(intersects(a, part) for part in b.parts)
     # Normalise ordering: Point < LineString < Polygon.
     rank = {GeometryType.POINT: 0, GeometryType.LINESTRING: 1, GeometryType.POLYGON: 2}
+    if a.geometry_type not in rank or b.geometry_type not in rank:
+        raise GeometryError(
+            f"intersects({a.geometry_type.value}, {b.geometry_type.value}) is not supported"
+        )
     if rank[a.geometry_type] > rank[b.geometry_type]:
         a, b = b, a
     if isinstance(a, Point):

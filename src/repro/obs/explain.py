@@ -548,9 +548,10 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     discounted build estimate, exactly as the executed auto plan would
     see it.
     """
-    from repro.cache import cache_for, fingerprint_entries
+    from repro.cache import cache_for
     from repro.cluster.model import CostModel
     from repro.core.api import JoinConfig, _coerce_operator, _normalise
+    from repro.core.probe import index_cache_key
     from repro.optimizer import choose_plan
 
     if config is not None:
@@ -564,15 +565,14 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     parse_wkt = any(isinstance(g, str) for _, g in left) or any(
         isinstance(g, str) for _, g in right
     )
-    left_entries, _ = _normalise(left)
-    right_entries, _ = _normalise(right)
+    left_entries = list(_normalise(left).entries())
+    right_entries = list(_normalise(right).entries())
     model = cfg.cost_model or CostModel()
     cache = cache_for(cfg.runtime)
     cached_build = False
     if cache is not None:
-        key = fingerprint_entries(
-            right_entries, "broadcast-index", op.value, float(cfg.radius),
-            cfg.engine,
+        key = index_cache_key(
+            "broadcast-index", right_entries, op, cfg.radius, cfg.engine
         )
         cached_build = key in cache
     plan = choose_plan(

@@ -88,21 +88,24 @@ class TestCoreByteIdentity:
         left, right = mixed_workload(7)
         assert observed_run(left, right, method, operator, radius, executors) == pinned
 
-    def test_nonconvertible_input_falls_back(self):
-        # A geometry outside the columnar model takes the object
-        # constructor and the per-probe path — results still identical,
-        # and the one row that fell back is counted (its 59 neighbours
-        # still take the point kernels).
+    def test_nonconvertible_input_raises(self):
+        # A geometry outside the columnar model is turned away at the
+        # API's door with a typed error naming the row; with the row
+        # removed its 59 neighbours return the pairs the parent returned
+        # around it (it never contributed one), all on the point kernels.
+        from repro.errors import GeometryError
         from repro.geometry.multi import GeometryCollection
 
         left, right = mixed_workload(3, n_points=60, n_polygons=6)
         left = list(left)
         left[0] = (0, GeometryCollection([Point(50, 50)]))
-        observed = observed_run(left, right, "broadcast", "within", 0.0, "serial")
-        assert observed == (
-            "ee2b19e34decdcd2", 0.5919840000000001, {"probe.scalar_rows": 1.0},
-            "272f03206d220ca3",
+        with pytest.raises(GeometryError, match="row 0: .* GeometryCollection"):
+            spatial_join(left, right, method="broadcast")
+        pairs, _, counters, _ = observed_run(
+            left[1:], right, "broadcast", "within", 0.0, "serial"
         )
+        assert pairs == "ee2b19e34decdcd2"
+        assert "probe.scalar_rows" not in counters
 
 
 class TestSubstrateByteIdentity:

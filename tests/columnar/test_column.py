@@ -128,12 +128,17 @@ class TestRoundTrip:
             assert (got.x, got.y) == (x, -x)
         assert np.signbit(decoded.geometry(3).x)
 
-    def test_unsupported_types_return_none(self):
+    def test_unsupported_types_raise(self):
         from repro.geometry.multi import GeometryCollection
 
         collection = GeometryCollection([Point(0, 0)])
-        assert GeometryColumn.from_geometries([collection]) is None
-        assert GeometryColumn.from_entries([(1, None)]) is None
+        assert not GeometryColumn.holds(collection)
+        with pytest.raises(GeometryError, match="row 1: .* GeometryCollection"):
+            GeometryColumn.from_geometries([Point(1, 1), collection])
+        with pytest.raises(GeometryError, match="row 0: .* NoneType"):
+            GeometryColumn.from_entries([(1, None)])
+        with pytest.raises(GeometryError, match="row 0: .* str"):
+            GeometryColumn.from_entries([(1, "POINT (1 2)")])
 
 
 class TestPayloadLanes:
@@ -283,8 +288,14 @@ class TestBulkWKT:
         assert len(column) == 3
         assert len(column.geometry(0).holes) == 2
 
-    def test_geometry_collection_returns_none(self):
-        assert column_from_wkt(["GEOMETRYCOLLECTION (POINT (1 2))"]) is None
+    def test_geometry_collection_raises(self):
+        texts = ["POINT (0 0)", "GEOMETRYCOLLECTION (POINT (1 2))", "garbage"]
+        with pytest.raises(GeometryError, match="row 1: .* GeometryCollection") as info:
+            column_from_wkt(texts)
+        assert not isinstance(info.value, WKTParseError)
+        # The lenient door reports it like the malformed row beside it.
+        column, dropped = parse_wkt_column(texts, "abc")
+        assert dropped == [1, 2] and column.payloads() == ["a"]
 
     def test_payload_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -313,9 +324,10 @@ class TestBulkWKT:
         texts = ["POINT (1 2)", dumps(square(5, 5)), "LINESTRING (0 0", "POINT EMPTY"]
         parsed, dropped = parse_wkt_column(texts, [10, 11, 12, 13])
         assert dropped == [2]
-        assert [payload for payload, _ in parsed] == [10, 11, 13]
-        assert [type(g) for _, g in parsed] == [Point, Polygon, Point]
-        assert parsed[2][1].is_empty
+        entries = list(parsed.entries())
+        assert [payload for payload, _ in entries] == [10, 11, 13]
+        assert [type(g) for _, g in entries] == [Point, Polygon, Point]
+        assert entries[2][1].is_empty
 
     def test_empty_batch(self):
         parsed, dropped = parse_wkt_column([])
@@ -395,28 +407,21 @@ class TestBulkParserAgainstScalarReader:
         reader = WKTReader()
         scalar = [reader.try_read(row) for row in rows]
         parsed, dropped = parse_wkt_column(rows, list(range(len(rows))))
-        assert dropped == [i for i, geometry in enumerate(scalar) if geometry is None]
-        kept = [(i, geometry) for i, geometry in enumerate(scalar) if geometry is not None]
-        if isinstance(parsed, GeometryColumn):
-            # The bulk path took every kept row: plain points and lines.
-            assert all(type(g) in (Point, LineString) and not g.is_empty for _, g in kept)
-            got = list(parsed.entries())
-        else:
-            got = parsed
+        # Dropped: what the reader refuses, and what no join can evaluate.
+        holds = GeometryColumn.holds
+        assert dropped == [i for i, geometry in enumerate(scalar) if not holds(geometry)]
+        kept = [(i, geometry) for i, geometry in enumerate(scalar) if holds(geometry)]
+        got = list(parsed.entries())
         assert [payload for payload, _ in got] == [i for i, _ in kept]
         for (_, geometry), (_, want) in zip(got, kept):
             assert _same_geometry(geometry, want)
-        # The strict wrapper: raises the scalar reader's error iff a row
-        # was dropped, None iff the column model cannot hold a kept geometry.
+        # The strict wrapper raises iff a row was dropped: the scalar
+        # reader's error, or a GeometryError naming an unsupported type.
         if dropped:
             with pytest.raises(GeometryError):
                 column_from_wkt(rows)
         else:
-            column = column_from_wkt(rows)
-            holdable = GeometryColumn.from_entries(kept) is not None
-            assert (column is not None) == holdable
-            if column is not None:
-                assert len(column) == len(rows)
+            assert len(column_from_wkt(rows)) == len(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_NUMBERS, _NUMBERS), min_size=1, max_size=20))
@@ -426,8 +431,7 @@ class TestBulkParserAgainstScalarReader:
         scalar = [reader.try_read(row) for row in rows]
         parsed, dropped = parse_wkt_column(rows)
         assert dropped == [i for i, geometry in enumerate(scalar) if geometry is None]
-        got = list(parsed.entries()) if isinstance(parsed, GeometryColumn) else parsed
-        for (_, geometry), want in zip(got, [g for g in scalar if g is not None]):
+        for (_, geometry), want in zip(parsed.entries(), [g for g in scalar if g is not None]):
             assert _same_geometry(geometry, want)
 
 
@@ -442,11 +446,9 @@ def _assert_same_buffers(column: GeometryColumn, kept) -> None:
     assert column.to_bytes() == reference.to_bytes()
     assert [_bits(b) for b in column.bounds()] == [_bits(b) for b in reference.bounds()]
     for (payload, geometry), (want_payload, want) in zip(column.entries(), kept):
-        assert payload == want_payload and type(geometry) is type(want)
-        if isinstance(want, LineString):
+        assert payload == want_payload and _same_geometry(geometry, want)
+        if isinstance(want, LineString) and not want.is_empty:
             assert _bits(geometry.coords) == _bits(want.coords)
-        else:
-            assert (geometry.x.hex(), geometry.y.hex()) == (want.x.hex(), want.y.hex())
 
 
 _LINE_NUMBERS = st.one_of(
@@ -498,16 +500,14 @@ class TestBulkLineParserAgainstScalarReader:
         reader = WKTReader()
         scalar = [reader.try_read(row) for row in rows]
         parsed, dropped = parse_wkt_column(rows, list(range(len(rows))))
-        assert dropped == [i for i, geometry in enumerate(scalar) if geometry is None]
-        kept = [(i, geometry) for i, geometry in enumerate(scalar) if geometry is not None]
-        if isinstance(parsed, GeometryColumn):
-            _assert_same_buffers(parsed, kept)
-        else:
-            assert [payload for payload, _ in parsed] == [i for i, _ in kept]
-            for (_, geometry), (_, want) in zip(parsed, kept):
-                assert _same_geometry(geometry, want)
-                if isinstance(want, LineString) and not want.is_empty:
-                    assert _bits(geometry.coords) == _bits(want.coords)
+        holds = GeometryColumn.holds
+        assert dropped == [i for i, geometry in enumerate(scalar) if not holds(geometry)]
+        kept = [(i, geometry) for i, geometry in enumerate(scalar) if holds(geometry)]
+        # Bulk rows and reader rows land in one column, byte for byte the
+        # column of the reader's objects.
+        _assert_same_buffers(parsed, kept)
+        for (_, geometry), (_, want) in zip(parsed.entries(), kept):
+            assert _same_geometry(geometry, want)
 
     @pytest.mark.parametrize(
         "row,kept",
@@ -546,9 +546,9 @@ class TestBulkLineParserAgainstScalarReader:
         assert seen == [row]  # the reader saw that row and only that row
         assert dropped == ([] if kept else [1])
         if kept:
-            assert [payload for payload, _ in parsed] == ["a", "b", "c"]
-            assert _bits(parsed[0][1].coords) == _bits([[3, 4], [5, 6.5]])
-            assert _same_geometry(parsed[1][1], WKTReader().read(row))
+            assert parsed.payloads() == ["a", "b", "c"]
+            assert _bits(parsed.geometry(0).coords) == _bits([[3, 4], [5, 6.5]])
+            assert _same_geometry(parsed.geometry(1), WKTReader().read(row))
         else:
             _assert_same_buffers(
                 parsed, [("a", loads(rows[0])), ("c", loads(rows[2]))]
@@ -574,13 +574,13 @@ class TestBulkLineParserAgainstScalarReader:
         assert dropped == [3] and isinstance(parsed, GeometryColumn)
         assert parsed.types_array().tolist() == [2, 1, 2]
         _assert_same_buffers(parsed, [(0, loads(line)), (1, loads(point)), (2, loads(line))])
-        # One row for the object reader turns the batch into entries.
+        # A row for the object reader is packed beside the bulk rows.
         parsed, dropped = parse_wkt_column([point, line, polygon, line], "abcd")
         assert dropped == []
-        assert [(p, type(g)) for p, g in parsed] == [
+        assert [(p, type(g)) for p, g in parsed.entries()] == [
             ("a", Point), ("b", LineString), ("c", Polygon), ("d", LineString)
         ]
-        assert parsed[1][1] == loads(line) and parsed[3][1] == loads(line)
+        _assert_same_buffers(parsed, list(zip("abcd", map(loads, [point, line, polygon, line]))))
         # Only points left once the odd line is sorted out: point-only again.
         parsed, dropped = parse_wkt_column([point, "LINESTRING (1e 0, 1 1)", point])
         assert dropped == [1] and parsed._data.is_point_only

@@ -22,6 +22,7 @@ from repro.core.operators import SpatialOperator
 from repro.core.partitioned_join import partitioned_spatial_join
 from repro.core.probe import BroadcastIndex, naive_spatial_join
 from repro.data import generate_lion, generate_nycb
+from repro.errors import GeometryError
 from repro.geometry import (
     LineString,
     MultiLineString,
@@ -226,6 +227,23 @@ class TestNoScalarWorkOnTheProbeSide:
         assert 1 <= calls["kernel"] <= calls["batches"]
         assert scalar_rows == 0
 
+    def test_plain_constructor_takes_the_pair_kernel(self, sample, calls):
+        """``BroadcastIndex(entries, op)`` — how ``benchmarks/e2e/layers.py``
+        builds its index — is the one constructor: it used to leave every
+        polyline probe to ``probe_with_cost`` (``scalar_rows`` == probes)."""
+        build = [(i, wkt_loads(text)) for i, text in sample.right]
+        probes = [wkt_loads(text) for _, text in sample.left]
+        plain = BroadcastIndex(build, SpatialOperator.INTERSECTS)
+        named = BroadcastIndex.from_entries(build, SpatialOperator.INTERSECTS)
+        with collecting() as registry:
+            matches, units = plain.probe_batch(probes, per_row=True)
+            scalar_rows = registry.counter("probe.scalar_rows")
+        assert scalar_rows == 0
+        assert calls["batches"] == calls["kernel"] == 1
+        assert calls["intersects"] == calls["orientation"] == 0
+        assert (matches, units) == named.probe_batch(probes, per_row=True)
+        assert sum(map(len, matches)) == 373
+
 
 def probe_scalar(index, geometries):
     """N ``probe_with_cost`` calls: the reference for matches and units."""
@@ -297,15 +315,23 @@ class TestBroadcastIndexRoutes:
 
     def test_none_rows_and_a_collection_keep_their_places(self):
         index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
-        # (Clear of every build envelope: the scalar predicate has no
-        # answer for a collection, only the filter does.)
-        collection = GeometryCollection([LineString([(200, 200), (201, 201)])])
-        probes = [None, PROBES[0], collection, None, PROBES[2]]
+        probes = [None, PROBES[0], None, None, PROBES[2]]
         want_matches, want_units = probe_scalar(index, probes)
         matches, units, _, scalar_rows = self.run(index, probes, per_row=True)
         assert matches == want_matches and units == want_units
         assert units[0] is None and units[3] is None
-        assert scalar_rows == 1  # the collection only
+        assert scalar_rows == 0
+        present = [row for row in want_units if row is not None]
+        assert self.run(index, probes, per_row=False)[:2] == (
+            want_matches,
+            {key: sum(row[key] for row in present) for key in present[0]},
+        )
+        # No predicate can evaluate a collection, wherever it sits (even
+        # clear of every build envelope): probe_batch names its row
+        # instead of probing it on the scalar route.
+        collection = GeometryCollection([LineString([(200, 200), (201, 201)])])
+        with pytest.raises(GeometryError, match="row 1: .* GeometryCollection"):
+            index.probe_batch([PROBES[0], collection, None, PROBES[2]])
 
     @pytest.mark.parametrize(
         "operator,radius,build,probes,batched",
@@ -333,13 +359,6 @@ class TestBroadcastIndexRoutes:
         want_matches, want_units = probe_scalar(index, PROBES)
         matches, units, _, scalar_rows = self.run(index, PROBES, per_row=True)
         assert matches == want_matches and units == want_units
-        assert scalar_rows == sum(1 for p in PROBES if not p.is_empty)
-
-    def test_object_built_index_is_all_scalar(self):
-        index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS)
-        want_matches, _ = probe_scalar(index, PROBES)
-        matches, _, _, scalar_rows = self.run(index, PROBES, per_row=True)
-        assert matches == want_matches
         assert scalar_rows == sum(1 for p in PROBES if not p.is_empty)
 
     def test_isp_row_batch_units_are_the_row_loop_s(self):

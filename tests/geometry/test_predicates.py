@@ -194,6 +194,20 @@ class TestIntersects:
     def test_envelope_short_circuit(self, unit_square):
         assert not intersects(Point(1000, 1000), unit_square)
 
+    def test_collection_is_a_typed_error_in_either_order(self, unit_square):
+        # It was a bare KeyError from the type-rank lookup; the scalar
+        # oracle and refine_pair inherit whatever this raises.
+        from repro.core.operators import SpatialOperator
+        from repro.core.probe import naive_spatial_join
+        from repro.geometry.multi import GeometryCollection
+
+        collection = GeometryCollection([Point(5, 5)])
+        for a, b in ((collection, unit_square), (unit_square, collection)):
+            with pytest.raises(GeometryError, match=r"intersects\(.*\) is not supported"):
+                intersects(a, b)
+            with pytest.raises(GeometryError):
+                naive_spatial_join([(0, a)], [(1, b)], SpatialOperator.INTERSECTS)
+
 
 class TestGeometryMethodSugar:
     def test_within_contains_duality(self, unit_square):
