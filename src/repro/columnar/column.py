@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.geometry.algorithms import pairwise
 from repro.geometry.algorithms.pairwise import RingTables, ring_tables
 from repro.geometry.base import Geometry
 from repro.geometry.linestring import LineString
@@ -154,6 +155,23 @@ class _ColumnData:
         if self._ring_tables is None:
             self._ring_tables = ring_tables(self.coords, self.rings, self.parts)
         return self._ring_tables
+
+    def rows(self, sel: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        """The buffers of rows ``sel`` (every row for ``None``), offsets
+        as counts: ``(coords, coordinates per ring, rings per part, parts
+        per geometry, types, bbox)``."""
+        if sel is None:
+            return (
+                self.coords, np.diff(self.rings), np.diff(self.parts),
+                np.diff(self.geoms), self.types, self.bbox,
+            )
+        geom_parts = self.geoms[sel + 1] - self.geoms[sel]
+        part_ids = _ranges(self.geoms[sel], geom_parts)
+        part_rings = self.parts[part_ids + 1] - self.parts[part_ids]
+        ring_ids = _ranges(self.parts[part_ids], part_rings)
+        ring_sizes = self.rings[ring_ids + 1] - self.rings[ring_ids]
+        coords = self.coords[_ranges(self.rings[ring_ids], ring_sizes)]
+        return coords, ring_sizes, part_rings, geom_parts, self.types[sel], self.bbox[sel]
 
     def geometry(self, j: int) -> Geometry:
         cached = self._geom_cache.get(j)
@@ -282,8 +300,7 @@ def _point_line_data(coords: np.ndarray, sizes: Sequence[int]) -> _ColumnData:
     :func:`_convert` builds from those geometries."""
     sizes = np.asarray(sizes, dtype=np.int64)
     n = len(sizes)
-    rings = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(sizes, out=rings[1:])
+    rings = _offsets(sizes)
     unit = np.arange(n + 1, dtype=np.int32)
     types = np.where(sizes == 1, _POINT, _LINESTRING).astype(np.uint8)
     bbox = np.empty((n, 4), dtype=np.float64)
@@ -291,6 +308,49 @@ def _point_line_data(coords: np.ndarray, sizes: Sequence[int]) -> _ColumnData:
         bbox[:, :2] = np.minimum.reduceat(coords, rings[:-1], axis=0)
         bbox[:, 2:] = np.maximum.reduceat(coords, rings[:-1], axis=0)
     return _ColumnData(np.ascontiguousarray(coords), rings, unit, unit, types, bbox)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[k] .. starts[k] + counts[k]`` of every ``k``, flattened."""
+    item, offset = pairwise._ranges(counts)
+    return starts[item] + offset
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _gathered(columns: Sequence["GeometryColumn"]) -> "GeometryColumn":
+    """One dense column over the rows of ``columns``, in order.
+
+    Array arithmetic only: each view's per-level counts (parts per
+    geometry, rings per part, coordinates per ring) are concatenated and
+    summed into fresh offsets, and its coordinates arrive in one gather.
+    No geometry is built; one a source already materialised is carried
+    over, so identity-keyed caches keep working.
+    """
+    levels = zip(*(column._data.rows(column._sel) for column in columns))
+    coords, ring_sizes, part_rings, geom_parts, types, bbox = map(np.concatenate, levels)
+    data = _ColumnData(
+        np.ascontiguousarray(coords),
+        _offsets(ring_sizes),
+        _offsets(part_rings),
+        _offsets(geom_parts),
+        types,
+        bbox,
+    )
+    base = 0
+    for column in columns:
+        cache = column._data._geom_cache
+        if cache:
+            rows = range(len(column)) if column._sel is None else column._sel.tolist()
+            for i, j in enumerate(rows, base):
+                if j in cache:
+                    data._geom_cache[i] = cache[j]
+        base += len(column)
+    return GeometryColumn(data, [p for column in columns for p in column.payloads()])
 
 
 def _unsupported_row(row: int, value: object) -> GeometryError:
@@ -477,10 +537,10 @@ class GeometryColumn:
     def concat(cls, columns: Sequence["GeometryColumn"]) -> "GeometryColumn":
         """One column holding the rows of ``columns``, in order.
 
-        Point-only columns concatenate their coordinate buffers (one
-        copy, no geometry object touched); anything else is re-packed
-        from the entries, which a column built from live objects hands
-        back as those same objects.
+        Buffers are concatenated, no geometry object touched — the
+        coordinate buffer alone for point-only columns, every level of
+        the nested layout otherwise; a column built from live objects
+        hands those same objects on.
         """
         if len(columns) == 1:
             return columns[0]
@@ -495,9 +555,7 @@ class GeometryColumn:
             )
             payloads = [p for column in columns for p in column.payloads()]
             return cls(_point_only_data(np.ascontiguousarray(coords)), payloads)
-        return cls.from_entries(
-            entry for column in columns for entry in column.entries()
-        )
+        return _gathered(columns)
 
     # -- basics ---------------------------------------------------------
 
@@ -627,26 +685,10 @@ class GeometryColumn:
         """Materialise the selection into dense buffers (copies coords)."""
         if self._sel is None:
             return self
-        data = self._data
-        sel = self._sel
-        payloads = [self._payloads[int(j)] for j in sel]
-        if data.is_point_only:
-            coords = np.ascontiguousarray(data.coords[sel])
-            return GeometryColumn(_point_only_data(coords), payloads)
-        builder = _DataBuilder()
-        for j in sel.tolist():
-            p0 = int(data.geoms[j])
-            p1 = int(data.geoms[j + 1])
-            for p in range(p0, p1):
-                r0 = int(data.parts[p])
-                r1 = int(data.parts[p + 1])
-                for r in range(r0, r1):
-                    builder.add_ring(data.coords[data.rings[r] : data.rings[r + 1]])
-                builder.end_part()
-            builder.end_geom()
-        types = np.ascontiguousarray(data.types[sel])
-        bbox = np.ascontiguousarray(data.bbox[sel])
-        return GeometryColumn(builder.finish(types, bbox), payloads)
+        if self._data.is_point_only:
+            coords = np.ascontiguousarray(self._data.coords[self._sel])
+            return GeometryColumn(_point_only_data(coords), self.payloads())
+        return _gathered([self])
 
     def to_bytes(self) -> bytes:
         """Versioned binary encoding: raw nbytes-exact buffer dumps."""

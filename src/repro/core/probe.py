@@ -17,6 +17,7 @@ batches and fragment instances.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -113,6 +114,11 @@ class BroadcastIndex:
         self.operator = operator
         self.radius = radius if operator.needs_radius else 0.0
         self.engine = create_engine(engine) if isinstance(engine, str) else engine
+        self._vertex_resource = (
+            Resource.REFINE_VERTEX_SLOW
+            if self.engine.name == "slow"
+            else Resource.REFINE_VERTEX_FAST
+        )
         self._tree: STRtree = STRtree(node_capacity=node_capacity)
         counts = column.num_points_array()
         keep = np.flatnonzero(counts > 0)  # num_points > 0 <=> not is_empty
@@ -137,16 +143,20 @@ class BroadcastIndex:
         # so the cache can size the index from its buffers.
         self._column = kept
         self._node_capacity = node_capacity
-        # The pair kernel's view of the build side, when it can answer:
-        # tree entry k is column row k (no row lost to an inverted box),
-        # which is what lets a candidate's entry id address the buffers.
-        self._pair_payloads = (
-            kept.payloads()
-            if operator is SpatialOperator.INTERSECTS
+        # Tree entry k's payload, for the batched routes' candidate arrays.
+        self._entry_payloads = [item[0] for item, _ in self._tree.iter_all()]
+        # Whether the Intersects pair kernel can answer: tree entry k is
+        # column row k (no row lost to an inverted box), which is what
+        # lets a candidate's entry id address the column's buffers.
+        self._intersects_pairs = (
+            operator is SpatialOperator.INTERSECTS
             and len(self._tree) == len(kept)
             and bool(PAIR_TYPES[kept.types_array()].all())
-            else None
         )
+        # The point pair kernels' view of the build side: the engine's
+        # handle tables, packed by the first point probe (so a pickled
+        # index rebuilds them on arrival, like its tree).
+        self._point_tables = None
 
     @classmethod
     def from_entries(
@@ -218,10 +228,7 @@ class BroadcastIndex:
         }
         vertex_delta = counters.vertex_ops - vertex_before
         if vertex_delta:
-            if self.engine.name == "slow":
-                units[Resource.REFINE_VERTEX_SLOW] = float(vertex_delta)
-            else:
-                units[Resource.REFINE_VERTEX_FAST] = float(vertex_delta)
+            units[self._vertex_resource] = float(vertex_delta)
         alloc_delta = counters.allocations - alloc_before
         if alloc_delta:
             units[Resource.REFINE_ALLOC] = float(alloc_delta)
@@ -245,17 +252,22 @@ class BroadcastIndex:
         or any iterable of geometries, whose non-``None`` rows are packed
         once (:meth:`GeometryColumn.from_entries`, which raises for a
         value no join can evaluate) and probed the same way.
-        :meth:`_routes` sends each non-empty row down one of three routes:
+        :meth:`_routes` sends each non-empty row down one of three routes.
+        The two batched ones share one body (:meth:`_probe_pair_rows`): a
+        single batched envelope traversal yields flat ``(probe, build)``
+        candidate arrays in scalar candidate order, and one pair-kernel
+        call refines all of them:
 
-        * point probes under Within / NearestD: one Morton-sorted bulk
-          index probe, then candidates grouped by build geometry so each
-          polygon / polyline refines its whole point set with one batch
-          kernel call;
+        * point probes under Within / NearestD: the engine's
+          ``contains_pairs_counted`` / ``within_distance_pairs_counted``
+          over the build handles' own tables — prepared strip / segment
+          tables for the fast engine, churn tables for the slow one —
+          packed once per index (a build row whose handle has no table
+          refines its pairs with the per-handle ``*_batch_counted`` call);
         * LineString / Polygon / MultiLineString / MultiPolygon probes
-          under Intersects, over a build side of those types: one
-          batched envelope traversal yielding ``(probe, build)`` candidate
-          arrays, refined by one
-          :func:`~repro.geometry.algorithms.pairwise.intersects_pairs` call;
+          under Intersects, over a build side of those types:
+          :func:`~repro.geometry.algorithms.pairwise.intersects_pairs`
+          over the two columns' CSR buffers;
         * what is left — point and MultiPoint probes under Intersects,
           every probe under Contains, non-point probes under Within /
           NearestD and any probe of a build side that has point members —
@@ -295,13 +307,10 @@ class BroadcastIndex:
         batched = np.zeros(len(live), dtype=bool)
         none = np.empty(0, dtype=np.int64)
         point_rows = pair_rows = none
-        if self.operator in (
-            SpatialOperator.WITHIN,
-            SpatialOperator.NEAREST_D,
-        ) and hasattr(self.engine, "contains_batch_counted"):
+        if self.operator in (SpatialOperator.WITHIN, SpatialOperator.NEAREST_D):
             batched = live & (types == _POINT_CODE)
             point_rows = np.flatnonzero(batched)
-        elif self._pair_payloads is not None:
+        elif self._intersects_pairs:
             batched = live & PAIR_TYPES[types]
             pair_rows = np.flatnonzero(batched)
         return point_rows, pair_rows, np.flatnonzero(live & ~batched)
@@ -332,13 +341,33 @@ class BroadcastIndex:
             REGISTRY.inc("probe.scalar_rows", len(scalar_rows))
         batch_totals: dict[str, float] | None = None
         if len(pair_rows):
+            min_x, min_y, max_x, max_y = column.bounds()
+
+            def refine(probes, entries):
+                # The engines prepare nothing for these probes: no charge.
+                free = np.zeros(len(probes), dtype=np.int64)
+                hit = intersects_pairs(
+                    *column.packed_rows(pair_rows[probes]),
+                    *self._column.packed_rows(entries),
+                )
+                return hit, free, free
+
             batch_totals = self._probe_pair_rows(
-                column, pair_rows, matches, row_units, per_row
+                pair_rows,
+                (min_x[pair_rows], min_y[pair_rows], max_x[pair_rows], max_y[pair_rows]),
+                refine, matches, row_units, per_row,
             )
         elif len(point_rows):
-            positions, xs, ys = column.point_rows()
-            batch_totals = self._probe_points_arrays(
-                xs, ys, positions.tolist(), matches, row_units, per_row
+            # A point's envelope is the point; its coordinates come
+            # straight from the packed buffer.
+            _, xs, ys = column.point_rows()
+            batch_totals = self._probe_pair_rows(
+                point_rows,
+                (xs, ys, xs, ys),
+                lambda probes, entries: self._refine_point_pairs(
+                    xs[probes], ys[probes], entries
+                ),
+                matches, row_units, per_row,
             )
         if per_row:
             return matches, row_units
@@ -346,42 +375,104 @@ class BroadcastIndex:
 
     def _probe_pair_rows(
         self,
-        column: GeometryColumn,
         rows: np.ndarray,
+        boxes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        refine,
         matches: list[list[Any]],
         row_units: list[dict[str, float] | None],
         per_row: bool,
     ) -> dict[str, float] | None:
-        """Columnar filter+refine for the Intersects probes at ``rows``.
+        """Columnar filter+refine for the probes at ``rows``, whose
+        envelopes are the ``boxes`` columns: one batched envelope
+        traversal, then one ``refine(probes, entries)`` pair-kernel call
+        answering ``(hit, vertex_ops, allocations)`` per candidate pair.
 
-        One batched envelope traversal, one pair-kernel call.  Fills
-        ``matches`` in place; units as :meth:`_probe_points_arrays` —
-        index visits and rows out only, which is all the scalar route
-        charges a probe the engines do not prepare.
+        Fills ``matches`` in place.  With ``per_row`` it also fills
+        ``row_units`` (per-probe cost dicts, exactly what
+        :meth:`probe_with_cost` yields); otherwise it skips the per-probe
+        dicts and returns the rows' summed totals — the floats are
+        integer-valued, so the sum equals the per-row sum exactly.
         """
-        min_x, min_y, max_x, max_y = column.bounds()
-        probes, entries, visits = self._tree._query_batch_arrays(
-            min_x[rows], min_y[rows], max_x[rows], max_y[rows]
-        )
-        hit = intersects_pairs(
-            *column.packed_rows(rows[probes]), *self._column.packed_rows(entries)
-        )
-        probes = probes[hit]
-        payloads = self._pair_payloads
-        for i, k in zip(rows[probes].tolist(), entries[hit].tolist()):
+        probes, entries, visits = self._tree._query_batch_arrays(*boxes)
+        hit, vertex, alloc = refine(probes, entries)
+        payloads = self._entry_payloads
+        for i, k in zip(rows[probes[hit]].tolist(), entries[hit].tolist()):
             matches[i].append(payloads[k])
+        vertex_key = self._vertex_resource
         if not per_row:
-            return {
+            totals: dict[str, float] = {
                 Resource.INDEX_VISIT: float(visits.sum()),
-                Resource.ROWS_OUT: float(len(probes)),
+                Resource.ROWS_OUT: float(np.count_nonzero(hit)),
             }
-        rows_out = np.bincount(probes, minlength=len(rows))
-        for i, visited, out in zip(rows.tolist(), visits.tolist(), rows_out.tolist()):
-            row_units[i] = {
+            if vertex.any():
+                totals[vertex_key] = float(vertex.sum())
+            if alloc.any():
+                totals[Resource.REFINE_ALLOC] = float(alloc.sum())
+            return totals
+        m = len(rows)
+        for i, visited, out, vertex_ops, allocations in zip(
+            rows.tolist(),
+            visits.tolist(),
+            np.bincount(probes[hit], minlength=m).tolist(),
+            np.bincount(probes, weights=vertex, minlength=m).tolist(),
+            np.bincount(probes, weights=alloc, minlength=m).tolist(),
+        ):
+            units = {
                 Resource.INDEX_VISIT: float(visited),
                 Resource.ROWS_OUT: float(out),
             }
+            if vertex_ops:
+                units[vertex_key] = vertex_ops
+            if allocations:
+                units[Resource.REFINE_ALLOC] = allocations
+            row_units[i] = units
         return None
+
+    def _refine_point_pairs(
+        self, px: np.ndarray, py: np.ndarray, entries: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Within / NearestD for point ``(px[k], py[k])`` against tree
+        entry ``entries[k]``: one engine pair-kernel call over the build
+        side's packed handle tables; the pairs of an entry whose handle
+        has no table are grouped by entry into the engine's per-handle
+        batch call, which picks its route by the handle's type."""
+        engine = self.engine
+        within = self.operator is SpatialOperator.WITHIN
+        if self._point_tables is None:
+            handles = [item[2] for item, _ in self._tree.iter_all()]
+            pack = engine.contains_pair_tables if within else engine.within_distance_pair_tables
+            self._point_tables = pack(handles), handles
+        tables, handles = self._point_tables
+        if within:
+            kernel = partial(engine.contains_pairs_counted, tables)
+            handle_kernel = engine.contains_batch_counted
+        else:
+            radius = self.radius
+
+            def kernel(x, y, rows):
+                return engine.within_distance_pairs_counted(tables, x, y, rows, radius)
+
+            def handle_kernel(handle, x, y):
+                return engine.within_distance_batch_counted(handle, x, y, radius)
+
+        tabled = tables.tabled[entries]
+        if tabled.all():
+            return kernel(px, py, entries)
+        hit = np.zeros(len(entries), dtype=bool)
+        vertex = np.zeros(len(entries), dtype=np.int64)
+        alloc = np.zeros(len(entries), dtype=np.int64)
+        packed = np.flatnonzero(tabled)
+        if len(packed):
+            hit[packed], vertex[packed], alloc[packed] = kernel(
+                px[packed], py[packed], entries[packed]
+            )
+        rest = np.flatnonzero(~tabled)
+        rest = rest[np.argsort(entries[rest], kind="stable")]
+        for group in np.split(rest, np.flatnonzero(np.diff(entries[rest])) + 1):
+            hit[group], vertex[group], alloc[group] = handle_kernel(
+                handles[entries[group[0]]], px[group], py[group]
+            )
+        return hit, vertex, alloc
 
     @staticmethod
     def _sum_units(
@@ -398,109 +489,6 @@ class BroadcastIndex:
             for resource, amount in batch_totals.items():
                 totals[resource] = totals.get(resource, 0.0) + amount
         return totals
-
-    def _probe_points_arrays(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        batchable: list[int],
-        matches: list[list[Any]],
-        row_units: list[dict[str, float] | None],
-        per_row: bool,
-    ) -> dict[str, float] | None:
-        """Columnar filter+refine for point probes at rows ``batchable``.
-
-        ``xs``/``ys`` are the probe coordinates aligned with ``batchable``.
-        Fills ``matches`` in place.  With ``per_row`` it also fills
-        ``row_units`` (per-probe cost dicts, exactly what
-        :meth:`probe_with_cost` yields); otherwise it skips the per-probe
-        dicts and returns the batchable rows' summed totals — the floats
-        are integer-valued, so the sum equals the per-row sum exactly.
-        """
-        m = len(batchable)
-        # Each chunk is one build item plus every probe that reached it —
-        # already the grouping a batched refinement kernel wants.
-        chunks, visits = self._tree.query_batch_points_chunks(xs, ys)
-        if per_row:
-            vertex_acc = np.zeros(m, dtype=np.int64)
-            alloc_acc = np.zeros(m, dtype=np.int64)
-        vertex_total = 0
-        alloc_total = 0
-        engine = self.engine
-        within = self.operator is SpatialOperator.WITHIN
-        chunk_hits: list[np.ndarray] = []
-        for item, positions in chunks:
-            _, _, handle = item
-            if within:
-                hit, vertex, alloc = engine.contains_batch_counted(
-                    handle, xs[positions], ys[positions]
-                )
-            else:
-                hit, vertex, alloc = engine.within_distance_batch_counted(
-                    handle, xs[positions], ys[positions], self.radius
-                )
-            chunk_hits.append(hit)
-            if per_row:
-                # A chunk holds each probe at most once, so the fancy
-                # index has no duplicates and += accumulates correctly.
-                vertex_acc[positions] += vertex
-                alloc_acc[positions] += alloc
-            else:
-                vertex_total += int(vertex.sum())
-                alloc_total += int(alloc.sum())
-        hits_total = 0
-        if chunks:
-            pair_probe = np.concatenate([positions for _, positions in chunks])
-            pair_chunk = np.repeat(
-                np.arange(len(chunks), dtype=np.int64),
-                np.fromiter(
-                    (len(positions) for _, positions in chunks),
-                    dtype=np.int64,
-                    count=len(chunks),
-                ),
-            )
-            pair_hit = np.concatenate(chunk_hits)
-            hits_total = int(pair_hit.sum())
-            # Chunks arrive in DFS order; a stable sort by probe restores
-            # the scalar query's per-probe candidate order.
-            order = np.argsort(pair_probe, kind="stable")
-            sel = order[pair_hit[order]]
-            payloads = [item[0] for item, _ in chunks]
-            for j, k in zip(pair_probe[sel].tolist(), pair_chunk[sel].tolist()):
-                matches[batchable[j]].append(payloads[k])
-        slow = engine.name == "slow"
-        if not per_row:
-            totals: dict[str, float] = {
-                Resource.INDEX_VISIT: float(visits.sum()),
-                Resource.ROWS_OUT: float(hits_total),
-            }
-            if vertex_total:
-                if slow:
-                    totals[Resource.REFINE_VERTEX_SLOW] = float(vertex_total)
-                else:
-                    totals[Resource.REFINE_VERTEX_FAST] = float(vertex_total)
-            if alloc_total:
-                totals[Resource.REFINE_ALLOC] = float(alloc_total)
-            return totals
-        visits_list = visits.tolist()
-        vertex_list = vertex_acc.tolist()
-        alloc_list = alloc_acc.tolist()
-        rows_out = np.zeros(m, dtype=np.int64)
-        if hits_total:
-            rows_out += np.bincount(pair_probe[pair_hit], minlength=m)
-        rows_list = rows_out.tolist()
-        vertex_key = Resource.REFINE_VERTEX_SLOW if slow else Resource.REFINE_VERTEX_FAST
-        for j, i in enumerate(batchable):
-            units: dict[str, float] = {
-                Resource.INDEX_VISIT: float(visits_list[j]),
-                Resource.ROWS_OUT: float(rows_list[j]),
-            }
-            if vertex_list[j]:
-                units[vertex_key] = float(vertex_list[j])
-            if alloc_list[j]:
-                units[Resource.REFINE_ALLOC] = float(alloc_list[j])
-            row_units[i] = units
-        return None
 
     def nearest(
         self, point: Point, k: int = 1, max_distance: float = math.inf

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import astuple, dataclass
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from repro.geometry.prepared import (
     prepare_cached,
 )
 from repro.geometry.algorithms import distance as distance_mod
+from repro.geometry import point_pairs
 
 __all__ = [
     "EngineCounters",
@@ -141,6 +142,32 @@ class GeometryEngine(Protocol):
         self, handle: object, xs, ys
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """Batched exact distance with per-point counter shares."""
+        ...
+
+    def contains_pair_tables(self, handles: Sequence[object]) -> point_pairs.PolygonParts:
+        """Pack a build side's handles for :meth:`contains_pairs_counted`.
+
+        ``tables.tabled[k]`` says whether handle ``k`` is in the tables; a
+        pair against any other handle is :meth:`contains_batch_counted`'s.
+        """
+        ...
+
+    def contains_pairs_counted(
+        self, tables: point_pairs.PolygonParts, px, py, entries
+    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Pair-major Within: point ``(px[k], py[k])`` against the handle
+        packed as ``entries[k]`` — (results, vertex_ops, allocations) per
+        pair, the counters advancing as under one scalar call per pair."""
+        ...
+
+    def within_distance_pair_tables(self, handles: Sequence[object]) -> point_pairs.LineParts:
+        """Pack a build side's handles for :meth:`within_distance_pairs_counted`."""
+        ...
+
+    def within_distance_pairs_counted(
+        self, tables: point_pairs.LineParts, px, py, entries, d: float
+    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Pair-major NearestD threshold test with per-pair counter shares."""
         ...
 
 
@@ -355,6 +382,72 @@ class FastGeometryEngine:
             )
             return dists, vertex, pred
         raise GeometryError(f"point_distance against {type(handle).__name__}")
+
+    # -- pair kernels -------------------------------------------------------
+    #
+    # One dispatch refines a whole array of (point, build entry) candidate
+    # pairs against the prepared handles' own tables, packed once per build
+    # side.  A pair's answer and charges are those of the per-handle batch
+    # kernels above: ``edge_count`` (Within) or the segments examined
+    # (NearestD) per part reached, and one predicate call per part reached
+    # on top of the pair's own under a Multi* handle.
+
+    def contains_pair_tables(self, handles):
+        return point_pairs.pack_polygon_parts(
+            [_parts_of(handle, PreparedPolygon, _strip_spec) for handle in handles]
+        )
+
+    def contains_pairs_counted(self, tables, px, py, entries):
+        hit, vertex, reached = point_pairs.first_hit_rounds(
+            point_pairs.points_in_parts, tables, px, py, entries
+        )
+        return self._charged_pairs(tables, entries, hit, vertex, reached)
+
+    def within_distance_pair_tables(self, handles):
+        return point_pairs.pack_line_parts(
+            [_parts_of(handle, PreparedLineString, _segment_spec) for handle in handles]
+        )
+
+    def within_distance_pairs_counted(self, tables, px, py, entries, d):
+        hit, vertex, reached = point_pairs.first_hit_rounds(
+            point_pairs.first_segment_within, tables, px, py, entries, d
+        )
+        return self._charged_pairs(tables, entries, hit, vertex, reached)
+
+    def _charged_pairs(self, tables, entries, hit, vertex, reached):
+        self.counters.predicate_calls += len(entries) + int(
+            reached[tables.multi[entries]].sum()
+        )
+        self.counters.vertex_ops += int(vertex.sum())
+        return hit, vertex, np.zeros(len(entries), dtype=np.int64)
+
+
+def _parts_of(handle, part_type: type, spec):
+    """A fast-engine handle as a packer entry: the prepared part itself,
+    or a Multi* handle's list of them; ``None`` for anything else."""
+    if isinstance(handle, part_type):
+        return False, [spec(handle)]
+    if isinstance(handle, list) and all(isinstance(part, part_type) for part in handle):
+        return True, [spec(part) for part in handle]
+    return None
+
+
+def _strip_spec(polygon: PreparedPolygon) -> tuple:
+    return (
+        polygon._batch_tables(),
+        polygon._y_min,
+        polygon._strip_height,
+        astuple(polygon.envelope),
+        polygon.edge_count,
+    )
+
+
+def _segment_spec(line: PreparedLineString) -> tuple:
+    starts, deltas = line._starts, line._deltas
+    return (
+        starts[:, 0], starts[:, 1], deltas[:, 0], deltas[:, 1], line._seg_len_sq,
+        astuple(line.envelope), 0,
+    )
 
 
 class _Coordinate:
@@ -582,6 +675,52 @@ class SlowGeometryEngine:
             lambda point: self.point_distance(point, handle), xs, ys, np.float64
         )
 
+    # -- pair kernels -------------------------------------------------------
+    #
+    # The same two kernels over (point, build entry) candidate-pair arrays
+    # and the churn tables of a whole build side, packed once: a pair is
+    # charged the ring vertices (Within) or, past the envelope prune, the
+    # coordinates (NearestD) of every part it reaches.
+
+    def contains_pair_tables(self, handles):
+        def parts_of(handle):
+            if isinstance(handle, Polygon):
+                return False, [] if handle.is_empty else [_churn_strip_spec(handle)]
+            if isinstance(handle, MultiPolygon):
+                return True, [
+                    _churn_strip_spec(part) for part in handle.parts if not part.is_empty
+                ]
+            return None
+
+        return point_pairs.pack_polygon_parts([parts_of(handle) for handle in handles])
+
+    def contains_pairs_counted(self, tables, px, py, entries):
+        hit, churned, _ = point_pairs.first_hit_rounds(
+            point_pairs.points_in_parts, tables, px, py, entries
+        )
+        return self._charged(len(entries), hit, churned)
+
+    def within_distance_pair_tables(self, handles):
+        def parts_of(handle):
+            if isinstance(handle, MultiLineString):
+                return True, [
+                    _churn_segment_spec(part) for part in handle.parts if not part.is_empty
+                ]
+            if isinstance(handle, LineString) and not handle.is_empty:
+                return False, [_churn_segment_spec(handle)]
+            return None
+
+        return point_pairs.pack_line_parts([parts_of(handle) for handle in handles])
+
+    def within_distance_pairs_counted(self, tables, px, py, entries, d):
+        hit, churned, reached = point_pairs.first_hit_rounds(
+            point_pairs.min_distance_within, tables, px, py, entries, d
+        )
+        # The scalar any() re-enters point_within_distance once per part
+        # a point reaches.
+        calls = len(entries) + int(reached[tables.multi[entries]].sum())
+        return self._charged(calls, hit, churned)
+
     def _charged(self, calls: int, results: np.ndarray, churned: np.ndarray):
         """Advance the counters as the churn loop would have — one vertex
         op and one allocation per cloned coordinate — and shape the
@@ -672,6 +811,18 @@ def _churn_tables(part: Polygon | LineString) -> tuple:
     while len(_churn_table_cache) > _CHURN_TABLE_CAPACITY:
         _churn_table_cache.popitem(last=False)
     return tables
+
+
+def _churn_strip_spec(polygon: Polygon) -> tuple:
+    """A polygon's churn tables as a ``pack_polygon_parts`` part: the
+    unstripped edge table is the one strip, spanning the shell envelope."""
+    table, num_vertices, envelope = _churn_tables(polygon)
+    height = max(envelope[3] - envelope[1], 1e-300)
+    return [table], envelope[1], height, envelope, num_vertices
+
+
+def _churn_segment_spec(line: LineString) -> tuple:
+    return *_churn_tables(line), astuple(line.envelope), len(line.coords)
 
 
 def _polygon_tables(polygon: Polygon) -> tuple:

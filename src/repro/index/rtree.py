@@ -325,6 +325,11 @@ class STRtree(Generic[T]):
     ) -> tuple[list[tuple[T, np.ndarray]], np.ndarray]:
         """Bulk point queries returning per-item probe chunks.
 
+        The item-major traversal behind the per-handle batch kernels; the
+        joins now flatten candidates with :meth:`_query_batch_arrays`, so
+        its remaining caller is the traced benchmark's ``index.filter_s``
+        stage (``benchmarks/e2e/layers.py``).
+
         Every tree node is pushed exactly once, so each build item
         surfaces in at most one ``(item, probe_indices)`` chunk — the
         chunk holds *all* probes whose point hits the item's envelope,

@@ -143,3 +143,107 @@ class TestSubstrateByteIdentity:
         spatial_join(left, right, method="partitioned", runtime=runtime)
         normalized = normalize_events(read_events(path))
         assert (len(normalized), digest(normalized)) == (11, "bf9472dbee9968da")
+
+
+class TestGatheredBuffers:
+    """``compact()`` and ``concat`` gather the CSR buffers with array
+    arithmetic; the encoding, its size and the bbox bits must be those of
+    packing the same rows' geometry objects one by one."""
+
+    @staticmethod
+    def rows(seed, n=40):
+        from repro.geometry.linestring import LineString
+        from repro.geometry.multi import MultiLineString, MultiPoint, MultiPolygon
+
+        rng = random.Random(seed)
+
+        def point():
+            return Point(rng.uniform(-50, 50), rng.uniform(-50, 50))
+
+        def line():
+            return LineString(
+                [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(rng.randint(2, 6))]
+            )
+
+        def polygon():
+            x, y, w = rng.uniform(-50, 40), rng.uniform(-50, 40), rng.uniform(4, 9)
+            shell = [(x, y), (x + w, y), (x + w, y + w), (x, y + w)]
+            hole = [(x + 1, y + 1), (x + 2, y + 1), (x + 2, y + 2), (x + 1, y + 2)]
+            return Polygon(shell, [hole] if rng.random() < 0.5 else [])
+
+        makers = [
+            point, line, polygon,
+            Point.empty, LineString.empty, Polygon.empty,
+            lambda: MultiPoint([point(), Point.empty(), point()]),
+            lambda: MultiLineString([line(), LineString.empty()]),
+            lambda: MultiPolygon([Polygon.empty(), polygon(), polygon()]),
+            lambda: MultiPolygon([]),
+        ]
+        return [(f"row-{seed}-{i}", rng.choice(makers)()) for i in range(n)]
+
+    @staticmethod
+    def assert_identical(column, reference):
+        from tests.columnar.test_column import assert_geometry_equal
+
+        assert column.to_bytes() == reference.to_bytes()
+        assert column.nbytes == reference.nbytes
+        assert column._data.bbox.tobytes() == reference._data.bbox.tobytes()
+        for name in ("coords", "rings", "parts", "geoms", "types"):
+            got, want = getattr(column._data, name), getattr(reference._data, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+        assert column._data.is_point_only == reference._data.is_point_only
+        for got, want in zip(column.geometries(), reference.geometries()):
+            assert_geometry_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compact_of_a_mixed_slice(self, seed):
+        from repro.columnar import GeometryColumn
+
+        entries = self.rows(seed)
+        rng = random.Random(seed)
+        picks = [rng.randrange(len(entries)) for _ in range(25)]  # repeats, any order
+        # The source is decoded, so no row carries a geometry object.
+        source = GeometryColumn.from_bytes(GeometryColumn.from_entries(entries).to_bytes())
+        view = source.take(picks)
+        compacted = view.compact()
+        # Nothing was materialised to do it.
+        assert not source._data._geom_cache and not compacted._data._geom_cache
+        self.assert_identical(
+            compacted, GeometryColumn.from_entries([entries[i] for i in picks])
+        )
+        assert view.compact().payloads() == [entries[i][0] for i in picks]
+        assert view.to_bytes() == view.compact().to_bytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_concat_of_sliced_mixed_columns(self, seed):
+        from repro.columnar import GeometryColumn
+
+        a, b, c = self.rows(seed), self.rows(seed + 100, 15), self.rows(seed + 200, 8)
+        points = [(i, Point(float(i), -float(i))) for i in range(9)]
+        decoded = GeometryColumn.from_bytes(GeometryColumn.from_entries(b).to_bytes())
+        pieces = [
+            (GeometryColumn.from_entries(a).take([5, 3, 3, 39, 0]), [a[i] for i in (5, 3, 3, 39, 0)]),
+            (decoded.slice(2, 11), b[2:11]),
+            (GeometryColumn.from_entries(points).take([8, 1]), [points[8], points[1]]),
+            (GeometryColumn.from_entries(c), c),
+            (GeometryColumn.from_entries(a).take([]), []),
+        ]
+        joined = GeometryColumn.concat([column for column, _ in pieces])
+        entries = [entry for _, rows in pieces for entry in rows]
+        # Live objects are handed on; decoded rows stay unmaterialised.
+        assert 6 not in joined._data._geom_cache and not decoded._data._geom_cache
+        assert joined.geometry(0) is a[5][1] and joined.geometry(len(entries) - 1) is c[-1][1]
+        self.assert_identical(joined, GeometryColumn.from_entries(entries))
+        assert joined.payloads() == [payload for payload, _ in entries]
+
+    def test_all_point_selection_of_a_mixed_column_encodes_compact(self):
+        from repro.columnar import GeometryColumn
+
+        entries = self.rows(3)
+        picks = [i for i, (_, g) in enumerate(entries) if type(g) is Point and not g.is_empty]
+        assert picks
+        view = GeometryColumn.from_entries(entries).take(picks)
+        self.assert_identical(
+            view.compact(), GeometryColumn.from_entries([entries[i] for i in picks])
+        )
+        assert view.compact()._data.is_point_only

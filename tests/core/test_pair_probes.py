@@ -393,3 +393,181 @@ class TestBroadcastIndexRoutes:
         want = index.probe_batch(PROBES, per_row=True)
         monkeypatch.setattr(pairwise, "_BLOCK_CELLS", 1)
         assert index.probe_batch(PROBES, per_row=True) == want
+
+
+def _square(x, y, size=6.0, hole=False):
+    holes = [[(x + 2, y + 2), (x + 4, y + 2), (x + 4, y + 4), (x + 2, y + 4)]] if hole else []
+    return Polygon([(x, y), (x + size, y), (x + size, y + size), (x, y + size)], holes=holes)
+
+
+def _street(x, y):
+    return LineString([(x, y), (x + 3, y + 1), (x + 3, y + 1), (x + 7, y - 2)])
+
+
+# The four build shapes a point probe meets, as (operator, radius, rows).
+POINT_BUILDS = {
+    "polygon": (
+        SpatialOperator.WITHIN, 0.0,
+        [(i, _square(5.0 * (i % 4), 5.0 * (i // 4), hole=i % 2 == 0)) for i in range(12)],
+    ),
+    "multipolygon": (
+        SpatialOperator.WITHIN, 0.0,
+        [
+            (i, MultiPolygon([_square(6.0 * i, 0), Polygon.empty(), _square(6.0 * i + 2, 3),
+                              _square(6.0 * i, 9, size=3.0)]))
+            for i in range(4)
+        ],
+    ),
+    "linestring": (
+        SpatialOperator.NEAREST_D, 1.5,
+        [(i, _street(4.0 * (i % 5), 4.0 * (i // 5))) for i in range(15)],
+    ),
+    "multilinestring": (
+        SpatialOperator.NEAREST_D, 1.5,
+        [
+            (i, MultiLineString([_street(5.0 * i, 2), LineString.empty(), _street(5.0 * i, 9)]))
+            for i in range(4)
+        ],
+    ),
+}
+
+
+def point_probes(count=120, seed=11):
+    rng = np.random.default_rng(seed)
+    # Half-unit grid points sit on shell edges, hole edges and vertices.
+    grid = [Point(x / 2, y / 2) for x, y in rng.integers(-4, 50, (count // 2, 2)).tolist()]
+    loose = [Point(x, y) for x, y in rng.uniform(-2, 25, (count // 2, 2)).tolist()]
+    return grid + loose
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """Counts what one ``probe_batch`` call dispatches: traversals, pair
+    kernels, per-handle batch kernels."""
+    from repro.geometry.engine import FastGeometryEngine, SlowGeometryEngine
+    from repro.index.rtree import STRtree
+
+    seen = {"traversal": 0, "chunks": 0, "pair_kernel": 0, "per_handle": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(STRtree, "_query_batch_arrays", "traversal")
+    counted(STRtree, "query_batch_points_chunks", "chunks")
+    for engine in (FastGeometryEngine, SlowGeometryEngine):
+        counted(engine, "contains_pairs_counted", "pair_kernel")
+        counted(engine, "within_distance_pairs_counted", "pair_kernel")
+        counted(engine, "contains_batch_counted", "per_handle")
+        counted(engine, "within_distance_batch_counted", "per_handle")
+    return seen
+
+
+@pytest.mark.parametrize("engine", ["fast", "slow"])
+class TestPointProbesTakeThePairBody:
+    """Point probes under Within / NearestD: one traversal and one pair
+    kernel dispatch per ``probe_batch`` call, answers, units, unit order
+    and counters those of N ``probe_with_cost`` calls."""
+
+    @pytest.mark.parametrize("shape", sorted(POINT_BUILDS))
+    def test_one_traversal_one_dispatch_scalar_answers(self, dispatches, engine, shape):
+        operator, radius, build = POINT_BUILDS[shape]
+        probes = point_probes()
+        reference = BroadcastIndex(build, operator, radius=radius, engine=engine)
+        want_matches, want_units = probe_scalar(reference, probes)
+        assert sum(map(len, want_matches)) > 20
+        index = BroadcastIndex(build, operator, radius=radius, engine=engine)
+        with collecting() as registry:
+            matches, units = index.probe_batch(probes, per_row=True)
+            scalar_rows = registry.counter("probe.scalar_rows")
+        assert dispatches == {"traversal": 1, "chunks": 0, "pair_kernel": 1, "per_handle": 0}
+        assert scalar_rows == 0
+        assert matches == want_matches and units == want_units
+        assert [list(row) for row in units] == [list(row) for row in want_units]
+        assert index.engine.counters == reference.engine.counters
+        assert index.tree.nodes_visited == reference.tree.nodes_visited
+        # Totals mode: same matches, the per-row units summed, key order kept.
+        again, totals = index.probe_batch(GeometryColumn.from_geometries(probes))
+        assert again == want_matches
+        summed: dict[str, float] = {}
+        for row in want_units:
+            for key, amount in row.items():
+                summed[key] = summed.get(key, 0.0) + amount
+        assert totals == summed
+        assert dispatches["traversal"] == dispatches["pair_kernel"] == 2
+
+    def test_an_untabled_build_row_gets_one_per_handle_call(self, dispatches, engine):
+        build = [
+            ("street", _street(0, 0)),
+            ("hydrant", Point(2.0, 2.0)),
+            ("block", _square(4, 4)),
+            ("streets", MultiLineString([_street(0, 6), _street(8, 0)])),
+            ("far", Point(500.0, 500.0)),  # no probe reaches it
+        ]
+        probes = point_probes(80)
+        reference = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
+        want = probe_scalar(reference, probes)
+        index = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
+        assert index.probe_batch(probes, per_row=True) == want
+        assert dispatches == {"traversal": 1, "chunks": 0, "pair_kernel": 1, "per_handle": 2}
+        assert index.engine.counters == reference.engine.counters
+
+    def test_no_candidates_no_points_no_rows(self, dispatches, engine):
+        operator, radius, build = POINT_BUILDS["linestring"]
+        index = BroadcastIndex(build, operator, radius=radius, engine=engine)
+        far = [Point(900.0, 900.0), Point.empty(), None]
+        matches, units = index.probe_batch(far, per_row=True)
+        assert matches == [[], [], []]
+        assert units[1] == {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0} and units[2] is None
+        assert units[0] == BroadcastIndex(build, operator, radius=radius, engine=engine
+                                          ).probe_with_cost(far[0])[1]
+        assert index.probe_batch([]) == ([], {})
+
+    def test_a_shipped_index_packs_its_tables_on_arrival(self, engine):
+        import pickle
+
+        for operator, radius, build in POINT_BUILDS.values():
+            probes = GeometryColumn.from_geometries(point_probes(60))
+            index = BroadcastIndex(build, operator, radius=radius, engine=engine)
+            assert index._point_tables is None  # lazy: built by the first point probe
+            want = index.probe_batch(probes, per_row=True)
+            assert index._point_tables is not None
+            shipped = pickle.loads(pickle.dumps(index))
+            assert shipped._point_tables is None
+            assert shipped.probe_batch(probes, per_row=True) == want
+            assert shipped._point_tables is not None
+            assert shipped.probe_batch(probes) == index.probe_batch(probes)
+
+
+class TestScalarRowsOnTheBenchmarkShapes:
+    """``probe.scalar_rows`` on the four benchmark workloads' shapes:
+    none of their probes falls back to ``probe_with_cost``."""
+
+    @pytest.mark.parametrize(
+        "left,right,operator,radius",
+        [
+            ("taxi", "nycb", SpatialOperator.WITHIN, 0.0),
+            ("taxi", "lion", SpatialOperator.NEAREST_D, 500.0),
+            ("gbif", "wwf", SpatialOperator.WITHIN, 0.0),
+            ("lion", "nycb", SpatialOperator.INTERSECTS, 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("engine", ["fast", "slow"])
+    def test_every_probe_is_batched(self, left, right, operator, radius, engine):
+        from repro.data import generate_gbif, generate_taxi, generate_wwf
+
+        generate = {"taxi": generate_taxi, "nycb": generate_nycb, "lion": generate_lion,
+                    "gbif": generate_gbif, "wwf": generate_wwf}
+        build = generate[right](12, seed=20150401).records
+        probes = GeometryColumn.from_entries(generate[left](150, seed=20150402).records)
+        index = BroadcastIndex(build, operator, radius=radius, engine=engine)
+        with collecting() as registry:
+            matches, _ = index.probe_batch(probes)
+            scalar_rows = registry.counter("probe.scalar_rows")
+        assert scalar_rows == 0
+        assert sum(map(len, matches)) > 0
