@@ -602,6 +602,12 @@ class GeometryColumn:
         stop = min(stop, self._data.count)
         return self.take(np.arange(start, max(start, stop), dtype=np.int64))
 
+    def non_empty(self) -> "GeometryColumn":
+        """The rows holding at least one coordinate (``num_points > 0 <=>
+        not is_empty``) — this column itself when that is every row."""
+        keep = np.flatnonzero(self.num_points_array() > 0)
+        return self if len(keep) == len(self) else self.take(keep)
+
     # -- columnar accessors ---------------------------------------------
 
     def types_array(self) -> np.ndarray:

@@ -21,6 +21,8 @@ from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from repro.cache import cache_for, fingerprint_entries, fingerprint_rows
 from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
 from repro.cluster.model import CostModel, Resource
@@ -31,6 +33,7 @@ from repro.columnar.io import parse_wkt_column, refuse_wkt_row
 from repro.core.operators import SpatialOperator
 from repro.core.probe import (
     BroadcastIndex,
+    PreparedBuild,
     cached_index,
     index_cache_key,
     join_tile,
@@ -38,6 +41,7 @@ from repro.core.probe import (
 )
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
+from repro.index.rtree import STRtree
 from repro.obs.events import (
     EventLog,
     emit_task_end,
@@ -504,8 +508,8 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
         cached_build = bindex_key is not None and bindex_key in cache
         with tracer.span("plan", category="phase") as span:
             plan = choose_plan(
-                list(left_column.entries()),
-                list(right_column.entries()),
+                left_column,
+                right_column,
                 operator=op,
                 radius=cfg.radius,
                 cost_model=model,
@@ -586,8 +590,8 @@ def _build_explain_report(
         from repro.optimizer import choose_plan
 
         pricing = choose_plan(
-            list(left_column.entries()),
-            list(right_column.entries()),
+            left_column,
+            right_column,
             operator=op,
             radius=cfg.radius,
             cost_model=model,
@@ -805,53 +809,39 @@ def _dual_tree_join(left_column, right_column, op, cfg, model, query):
     """Filter with a synchronized R-tree join (both sides indexed), then
     refine.  Section II's 'both can be indexed' option — it beats the
     probe-per-row plan when the left side is also large and indexable.
-    """
-    from repro.core.probe import refine_pair
-    from repro.geometry.engine import create_engine
-    from repro.index.rtree import STRtree
 
+    Pair-major like the probe routes: both trees are bulk-loaded from the
+    columns' bounds arrays, one array traversal yields every candidate
+    ``(left row, build row)`` pair and one pair-kernel call refines them
+    (:meth:`~repro.core.probe.PreparedBuild.refine_candidates`).
+    """
     tracer = get_tracer()
-    engine_obj = create_engine(cfg.engine)
     expand = cfg.radius if op.needs_radius else 0.0
-    build_metrics = TaskMetrics() if query is not None else None
     with tracer.span("build", category="phase"):
-        left_tree = STRtree(
-            ((left_id, geometry), geometry.envelope)
-            for left_id, geometry in left_column.entries()
-            if not geometry.is_empty
-        )
-        right_tree = STRtree(
-            ((right_id, geometry, engine_obj.prepare(geometry)), geometry.envelope)
-            for right_id, geometry in right_column.entries()
-            if not geometry.is_empty
-        )
-        if build_metrics is not None:
-            build_metrics.add(
-                Resource.INDEX_BUILD, float(len(left_tree) + len(right_tree))
-            )
+        build = PreparedBuild(right_column, op, cfg.radius, cfg.engine)
+        probes = left_column.non_empty()
+        left_tree, right_tree = STRtree(), STRtree()
+        left_tree.bulk_load_arrays(range(len(probes)), *probes.bounds())
+        right_tree.bulk_load_arrays(range(len(build)), *build._column.bounds())
     if query is not None:
+        build_metrics = TaskMetrics()
+        build_metrics.add(Resource.INDEX_BUILD, float(len(left_tree) + len(right_tree)))
         _add_stage(query, "build", [build_metrics], model)
-    pairs = []
-    join_metrics = TaskMetrics() if query is not None else None
     with tracer.span("join", category="phase") as span:
-        for (left_id, left_geom), (right_id, right_geom, handle) in left_tree.join(
-            right_tree, expand=expand
-        ):
-            if join_metrics is not None:
-                join_metrics.add(
-                    Resource.REFINE_VERTEX_FAST
-                    if cfg.engine != "slow"
-                    else Resource.REFINE_VERTEX_SLOW,
-                    float(max(right_geom.num_points, 2)),
-                )
-            if refine_pair(
-                engine_obj, op, left_geom, right_geom, handle, cfg.radius
-            ):
-                pairs.append((left_id, right_id))
-        if join_metrics is not None:
-            join_metrics.add(Resource.ROWS_OUT, float(len(pairs)))
+        left_rows, build_rows = left_tree._join_arrays(right_tree, expand=expand)
+        hit = build.refine_candidates(probes, left_rows, build_rows)
+        left_ids, right_ids = probes.payloads(), build._column.payloads()
+        pairs = [
+            (left_ids[i], right_ids[k])
+            for i, k in zip(left_rows[hit].tolist(), build_rows[hit].tolist())
+        ]
         span.set_attr("rows_out", len(pairs))
     if query is not None:
+        join_metrics = TaskMetrics()
+        if len(build_rows):
+            vertices = build._column.num_points_array()[build_rows]
+            join_metrics.add(build._vertex_resource, float(np.maximum(vertices, 2).sum()))
+        join_metrics.add(Resource.ROWS_OUT, float(len(pairs)))
         _add_stage(query, "join", [join_metrics], model)
     return pairs
 
@@ -895,17 +885,15 @@ def _partitioned_join_local(
     expand = cfg.radius if op.needs_radius else 0.0
     partitioning = plan.partitioning if plan is not None else None
     if partitioning is None:
-        left_entries = list(left_column.entries())
-        right_entries = list(right_column.entries())
         num_tiles = cfg.num_tiles or max(4, 2 * cfg.workers)
         layout_key = None
         if cache is not None:
             # Both sides shape the sampled stats and the tile layout, so
             # both belong in the key, along with every deriving knob.
             layout_key = fingerprint_entries(
-                left_entries, "partition-layout", float(expand),
+                left_column.entries(), "partition-layout", float(expand),
                 num_tiles, float(cfg.skew_factor), cfg.engine,
-                cfg.sample_size, fingerprint_entries(right_entries),
+                cfg.sample_size, fingerprint_entries(right_column.entries()),
             )
             layout = cache.get(layout_key, "partition-layout")
             if layout is not None:
@@ -917,7 +905,7 @@ def _partitioned_join_local(
                 {"sample_size": cfg.sample_size} if cfg.sample_size else {}
             )
             stats = collect_join_stats(
-                left_entries, right_entries, radius=expand, **sample_kwargs
+                left_column, right_column, radius=expand, **sample_kwargs
             )
             if not (stats.left.count and stats.right.count):
                 if layout_key is not None:

@@ -39,12 +39,18 @@ from repro.core.operators import SpatialOperator
 
 __all__ = [
     "BroadcastIndex",
+    "PreparedBuild",
     "cached_index",
     "index_cache_key",
     "join_tile",
     "naive_spatial_join",
     "refine_pair",
 ]
+
+
+# Candidate pairs one pair-kernel call refines: the kernels hold a dozen
+# per-pair temporaries, so this bounds a join's peak memory, not its speed.
+_REFINE_BLOCK_PAIRS = 1 << 13
 
 
 def refine_pair(
@@ -84,7 +90,179 @@ def refine_pair(
     raise ReproError(f"unsupported operator {operator}")
 
 
-class BroadcastIndex:
+class PreparedBuild:
+    """A join's build side as the refinement kernels see it.
+
+    The non-empty rows of ``entries`` — (payload, geometry) pairs, or the
+    :class:`GeometryColumn` already holding them — as ``_column``, each
+    prepared once by the engine (``handles``), plus which rows of a probe
+    column the pair kernels can answer against them (:meth:`_routes`) and
+    the kernels' dispatch.  :class:`BroadcastIndex` puts an R-tree over
+    it; the dual-tree join brings its own trees.
+    """
+
+    def __init__(
+        self,
+        entries: Iterable[tuple[Any, Geometry]] | GeometryColumn,
+        operator: SpatialOperator,
+        radius: float = 0.0,
+        engine: GeometryEngine | str = "fast",
+    ):
+        column = (
+            entries
+            if isinstance(entries, GeometryColumn)
+            else GeometryColumn.from_entries(entries)
+        )
+        self.operator = operator
+        self.radius = radius if operator.needs_radius else 0.0
+        self.engine = create_engine(engine) if isinstance(engine, str) else engine
+        self._vertex_resource = (
+            Resource.REFINE_VERTEX_SLOW
+            if self.engine.name == "slow"
+            else Resource.REFINE_VERTEX_FAST
+        )
+        kept = column.non_empty()
+        # Retained so pickling (pool shipping, spawn-style broadcast)
+        # moves the compact encoded column instead of the object graph —
+        # the receiver rebuilds an identical index from the buffers — and
+        # so the cache can size the index from its buffers.
+        self._column = kept
+        self.handles = [self.engine.prepare(geometry) for geometry in kept.geometries()]
+        self.build_entries = len(kept)
+        self.build_vertex_total = int(kept.num_points_array().sum())
+        # Whether the Intersects pair kernel can answer for these rows.
+        self._intersects_pairs = operator is SpatialOperator.INTERSECTS and bool(
+            PAIR_TYPES[kept.types_array()].all()
+        )
+        # The point pair kernels' view of the build side: the engine's
+        # handle tables, packed by the first point probe (so a pickled
+        # index rebuilds them on arrival, like its tree).
+        self._point_tables = None
+
+    def __len__(self) -> int:
+        return self.build_entries
+
+    def _routes(
+        self, column: GeometryColumn, live: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split the non-empty rows (mask ``live``) by how they are refined:
+        ``(point_rows, pair_rows, scalar_rows)`` position arrays.
+
+        The one place that says which operator x type combinations the
+        batch kernels cover; the input decides, never an option.
+        """
+        types = column.types_array()
+        batched = np.zeros(len(live), dtype=bool)
+        none = np.empty(0, dtype=np.int64)
+        point_rows = pair_rows = none
+        if self.operator in (SpatialOperator.WITHIN, SpatialOperator.NEAREST_D):
+            batched = live & (types == _POINT_CODE)
+            point_rows = np.flatnonzero(batched)
+        elif self._intersects_pairs:
+            batched = live & PAIR_TYPES[types]
+            pair_rows = np.flatnonzero(batched)
+        return point_rows, pair_rows, np.flatnonzero(live & ~batched)
+
+    def refine_candidates(
+        self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray
+    ) -> np.ndarray:
+        """The exact predicate for candidate pair ``k`` — ``column`` row
+        ``rows[k]`` against build row ``entries[k]`` — as a hit mask.
+
+        One pair-kernel call answers every pair whose probe row
+        :meth:`_routes` batches; a pair of a shape no kernel covers takes
+        :func:`refine_pair`, and the distinct probe rows that do are
+        counted in ``probe.scalar_rows``.
+        """
+        point_rows, pair_rows, scalar_rows = self._routes(
+            column, column.num_points_array() > 0
+        )
+        hit = np.zeros(len(rows), dtype=bool)
+        scalar = np.zeros(len(column), dtype=bool)
+        scalar[scalar_rows] = True
+        scalar = scalar[rows]
+        batched = np.flatnonzero(~scalar)
+        if len(point_rows):
+            # point_rows() lists the point rows in ascending position.
+            position, xs, ys = column.point_rows()
+        for start in range(0, len(batched), _REFINE_BLOCK_PAIRS):
+            block = batched[start : start + _REFINE_BLOCK_PAIRS]
+            if len(point_rows):
+                of_pair = np.searchsorted(position, rows[block])
+                hit[block], _, _ = self._refine_point_pairs(
+                    xs[of_pair], ys[of_pair], entries[block]
+                )
+            else:
+                hit[block] = self._refine_intersects(column, rows[block], entries[block])
+        rest = np.flatnonzero(scalar)
+        if len(rest):
+            REGISTRY.inc("probe.scalar_rows", len(np.unique(rows[rest])))
+            build = self._column
+            hit[rest] = [
+                refine_pair(
+                    self.engine, self.operator, column.geometry(i),
+                    build.geometry(k), self.handles[k], self.radius,
+                )
+                for i, k in zip(rows[rest].tolist(), entries[rest].tolist())
+            ]
+        return hit
+
+    def _refine_intersects(
+        self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray
+    ) -> np.ndarray:
+        """Intersects for ``column`` row ``rows[k]`` against build row
+        ``entries[k]``, over the two columns' CSR buffers."""
+        return intersects_pairs(
+            *column.packed_rows(rows), *self._column.packed_rows(entries)
+        )
+
+    def _refine_point_pairs(
+        self, px: np.ndarray, py: np.ndarray, entries: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Within / NearestD for point ``(px[k], py[k])`` against build
+        row ``entries[k]``: one engine pair-kernel call over the build
+        side's packed handle tables; the pairs of an entry whose handle
+        has no table are grouped by entry into the engine's per-handle
+        batch call, which picks its route by the handle's type."""
+        engine = self.engine
+        within = self.operator is SpatialOperator.WITHIN
+        if self._point_tables is None:
+            pack = engine.contains_pair_tables if within else engine.within_distance_pair_tables
+            self._point_tables = pack(self.handles)
+        tables, handles = self._point_tables, self.handles
+        if within:
+            kernel = partial(engine.contains_pairs_counted, tables)
+            handle_kernel = engine.contains_batch_counted
+        else:
+            radius = self.radius
+
+            def kernel(x, y, rows):
+                return engine.within_distance_pairs_counted(tables, x, y, rows, radius)
+
+            def handle_kernel(handle, x, y):
+                return engine.within_distance_batch_counted(handle, x, y, radius)
+
+        tabled = tables.tabled[entries]
+        if tabled.all():
+            return kernel(px, py, entries)
+        hit = np.zeros(len(entries), dtype=bool)
+        vertex = np.zeros(len(entries), dtype=np.int64)
+        alloc = np.zeros(len(entries), dtype=np.int64)
+        packed = np.flatnonzero(tabled)
+        if len(packed):
+            hit[packed], vertex[packed], alloc[packed] = kernel(
+                px[packed], py[packed], entries[packed]
+            )
+        rest = np.flatnonzero(~tabled)
+        rest = rest[np.argsort(entries[rest], kind="stable")]
+        for group in np.split(rest, np.flatnonzero(np.diff(entries[rest])) + 1):
+            hit[group], vertex[group], alloc[group] = handle_kernel(
+                handles[entries[group[0]]], px[group], py[group]
+            )
+        return hit, vertex, alloc
+
+
+class BroadcastIndex(PreparedBuild):
     """The broadcast build side: an STR-tree over prepared geometries.
 
     ``entries`` are (payload, geometry) pairs, or the
@@ -93,7 +271,8 @@ class BroadcastIndex:
     prepares each non-empty geometry once with the given engine and
     bulk-loads its envelope — expanded by ``radius`` for NearestD — into
     the R-tree straight from the column's bbox arrays (the same float
-    arithmetic as ``Envelope.expand_by``).
+    arithmetic as ``Envelope.expand_by``).  Tree entry ``k`` is build row
+    ``k``: a non-empty row's box never inverts.
     """
 
     def __init__(
@@ -104,59 +283,22 @@ class BroadcastIndex:
         engine: GeometryEngine | str = "fast",
         node_capacity: int = 10,
     ):
-        column = (
-            entries
-            if isinstance(entries, GeometryColumn)
-            else GeometryColumn.from_entries(entries)
-        )
         if operator.needs_radius and radius <= 0.0:
             raise ReproError(f"{operator} requires a positive radius")
-        self.operator = operator
-        self.radius = radius if operator.needs_radius else 0.0
-        self.engine = create_engine(engine) if isinstance(engine, str) else engine
-        self._vertex_resource = (
-            Resource.REFINE_VERTEX_SLOW
-            if self.engine.name == "slow"
-            else Resource.REFINE_VERTEX_FAST
-        )
+        super().__init__(entries, operator, radius, engine)
+        kept = self._column
+        # Tree entry k's payload, for the batched routes' candidate arrays.
+        self._entry_payloads = kept.payloads()
         self._tree: STRtree = STRtree(node_capacity=node_capacity)
-        counts = column.num_points_array()
-        keep = np.flatnonzero(counts > 0)  # num_points > 0 <=> not is_empty
-        kept = column if len(keep) == len(column) else column.take(keep)
-        prepare = self.engine.prepare
-        items = []
-        for i in range(len(kept)):
-            geometry = kept.geometry(i)
-            items.append((kept.payload(i), geometry, prepare(geometry)))
         min_x, min_y, max_x, max_y = kept.bounds()
         radius = self.radius
         # Same IEEE ops as Envelope.expand_by (x - 0.0 == x bitwise).
         self._tree.bulk_load_arrays(
-            items, min_x - radius, min_y - radius, max_x + radius, max_y + radius
+            list(zip(self._entry_payloads, kept.geometries(), self.handles)),
+            min_x - radius, min_y - radius, max_x + radius, max_y + radius,
         )
-        self.build_entries = len(items)
-        self.build_vertex_total = int(counts[keep].sum())
         self._tree.build()
-        # Retained so pickling (pool shipping, spawn-style broadcast)
-        # moves the compact encoded column instead of the object graph —
-        # the receiver rebuilds an identical tree from the buffers — and
-        # so the cache can size the index from its buffers.
-        self._column = kept
         self._node_capacity = node_capacity
-        # Tree entry k's payload, for the batched routes' candidate arrays.
-        self._entry_payloads = [item[0] for item, _ in self._tree.iter_all()]
-        # Whether the Intersects pair kernel can answer: tree entry k is
-        # column row k (no row lost to an inverted box), which is what
-        # lets a candidate's entry id address the column's buffers.
-        self._intersects_pairs = (
-            operator is SpatialOperator.INTERSECTS
-            and len(self._tree) == len(kept)
-            and bool(PAIR_TYPES[kept.types_array()].all())
-        )
-        # The point pair kernels' view of the build side: the engine's
-        # handle tables, packed by the first point probe (so a pickled
-        # index rebuilds them on arrival, like its tree).
-        self._point_tables = None
 
     @classmethod
     def from_entries(
@@ -184,9 +326,6 @@ class BroadcastIndex:
                 self._node_capacity,
             ),
         )
-
-    def __len__(self) -> int:
-        return self.build_entries
 
     @property
     def tree(self) -> STRtree:
@@ -294,27 +433,6 @@ class BroadcastIndex:
             row_units[i] = row
         return row_matches, row_units
 
-    def _routes(
-        self, column: GeometryColumn, live: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split the non-empty rows (mask ``live``) by how they are refined:
-        ``(point_rows, pair_rows, scalar_rows)`` position arrays.
-
-        The one place that says which operator x type combinations the
-        batch kernels cover; the input decides, never an option.
-        """
-        types = column.types_array()
-        batched = np.zeros(len(live), dtype=bool)
-        none = np.empty(0, dtype=np.int64)
-        point_rows = pair_rows = none
-        if self.operator in (SpatialOperator.WITHIN, SpatialOperator.NEAREST_D):
-            batched = live & (types == _POINT_CODE)
-            point_rows = np.flatnonzero(batched)
-        elif self._intersects_pairs:
-            batched = live & PAIR_TYPES[types]
-            pair_rows = np.flatnonzero(batched)
-        return point_rows, pair_rows, np.flatnonzero(live & ~batched)
-
     def _probe_batch_column(
         self, column: GeometryColumn, per_row: bool
     ) -> tuple[list[list[Any]], dict[str, float] | list[dict[str, float] | None]]:
@@ -346,11 +464,7 @@ class BroadcastIndex:
             def refine(probes, entries):
                 # The engines prepare nothing for these probes: no charge.
                 free = np.zeros(len(probes), dtype=np.int64)
-                hit = intersects_pairs(
-                    *column.packed_rows(pair_rows[probes]),
-                    *self._column.packed_rows(entries),
-                )
-                return hit, free, free
+                return self._refine_intersects(column, pair_rows[probes], entries), free, free
 
             batch_totals = self._probe_pair_rows(
                 pair_rows,
@@ -427,52 +541,6 @@ class BroadcastIndex:
                 units[Resource.REFINE_ALLOC] = allocations
             row_units[i] = units
         return None
-
-    def _refine_point_pairs(
-        self, px: np.ndarray, py: np.ndarray, entries: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Within / NearestD for point ``(px[k], py[k])`` against tree
-        entry ``entries[k]``: one engine pair-kernel call over the build
-        side's packed handle tables; the pairs of an entry whose handle
-        has no table are grouped by entry into the engine's per-handle
-        batch call, which picks its route by the handle's type."""
-        engine = self.engine
-        within = self.operator is SpatialOperator.WITHIN
-        if self._point_tables is None:
-            handles = [item[2] for item, _ in self._tree.iter_all()]
-            pack = engine.contains_pair_tables if within else engine.within_distance_pair_tables
-            self._point_tables = pack(handles), handles
-        tables, handles = self._point_tables
-        if within:
-            kernel = partial(engine.contains_pairs_counted, tables)
-            handle_kernel = engine.contains_batch_counted
-        else:
-            radius = self.radius
-
-            def kernel(x, y, rows):
-                return engine.within_distance_pairs_counted(tables, x, y, rows, radius)
-
-            def handle_kernel(handle, x, y):
-                return engine.within_distance_batch_counted(handle, x, y, radius)
-
-        tabled = tables.tabled[entries]
-        if tabled.all():
-            return kernel(px, py, entries)
-        hit = np.zeros(len(entries), dtype=bool)
-        vertex = np.zeros(len(entries), dtype=np.int64)
-        alloc = np.zeros(len(entries), dtype=np.int64)
-        packed = np.flatnonzero(tabled)
-        if len(packed):
-            hit[packed], vertex[packed], alloc[packed] = kernel(
-                px[packed], py[packed], entries[packed]
-            )
-        rest = np.flatnonzero(~tabled)
-        rest = rest[np.argsort(entries[rest], kind="stable")]
-        for group in np.split(rest, np.flatnonzero(np.diff(entries[rest])) + 1):
-            hit[group], vertex[group], alloc[group] = handle_kernel(
-                handles[entries[group[0]]], px[group], py[group]
-            )
-        return hit, vertex, alloc
 
     @staticmethod
     def _sum_units(

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.errors import GeometryError
 
-__all__ = ["Envelope"]
+__all__ = ["Envelope", "bounds_rows"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,3 +189,11 @@ class Envelope:
         dx = max(self.min_x - x, x - self.max_x, 0.0)
         dy = max(self.min_y - y, y - self.max_y, 0.0)
         return math.hypot(dx, dy)
+
+
+def bounds_rows(envelopes: Iterable[Envelope]) -> np.ndarray:
+    """The ``(4, n)`` min_x / min_y / max_x / max_y rows of ``envelopes`` —
+    what the batched filters compare instead of calling :meth:`Envelope.intersects`."""
+    return np.array(
+        [(e.min_x, e.min_y, e.max_x, e.max_y) for e in envelopes], dtype=np.float64
+    ).reshape(-1, 4).T

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import SpatialIndexError
-from repro.geometry.envelope import Envelope
+from repro.geometry.envelope import Envelope, bounds_rows
 
 __all__ = [
     "SpatialPartitioning",
@@ -142,11 +142,7 @@ class SpatialPartitioning:
         self, envelopes: Iterable[Envelope], expand: float = 0.0
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`route_rows` over envelope objects (rows in iteration order)."""
-        bounds = np.array(
-            [(e.min_x, e.min_y, e.max_x, e.max_y) for e in envelopes],
-            dtype=np.float64,
-        ).reshape(-1, 4)
-        return self.route_rows(*bounds.T, expand=expand)
+        return self.route_rows(*bounds_rows(envelopes), expand=expand)
 
     def route(self, envelope: Envelope) -> list[int]:
         """Return indices of every tile the envelope intersects.

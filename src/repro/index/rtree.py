@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Generic, Iterable, Iterator, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
 from repro.errors import SpatialIndexError
-from repro.geometry.envelope import Envelope
+from repro.geometry.algorithms.pairwise import _ranges
+from repro.geometry.envelope import Envelope, bounds_rows
 from repro.index.morton import morton_codes
 
 __all__ = ["STRtree", "RTreeNode"]
 
 T = TypeVar("T")
+
+# Cells of a (leaf pair, item_a, item_b) grid evaluated per numpy pass.
+_JOIN_BLOCK_CELLS = 1 << 16
 
 
 class RTreeNode(Generic[T]):
@@ -57,6 +61,35 @@ class RTreeNode(Generic[T]):
         return self.items is not None
 
 
+class _NodeArrays(NamedTuple):
+    """A built tree as the dual-tree join reads it (``STRtree._node_arrays``)."""
+
+    box: np.ndarray  # (4, nodes): min_x / min_y / max_x / max_y rows
+    area: np.ndarray  # (nodes,)
+    first: np.ndarray  # (nodes,) first child's id; a leaf's row in the leaf tables
+    fanout: np.ndarray  # (nodes,) number of children; 0 marks a leaf
+    leaf_entries: np.ndarray  # (leaves, capacity) entry ids, -1 past the last item
+    leaf_boxes: np.ndarray  # (4, leaves, capacity) item boxes, empty past the last
+
+
+def _leaf_bounds(node: RTreeNode) -> np.ndarray:
+    """The ``(4, k)`` bounds block of a leaf's items, built on first use."""
+    if node.bounds is None:
+        node.bounds = bounds_rows(envelope for _, envelope in node.items)
+    return node.bounds
+
+
+def _expanded(boxes: np.ndarray, distance: float) -> np.ndarray:
+    """``Envelope.expand_by`` over ``(4, ...)`` min_x / min_y / max_x / max_y
+    rows: the same subtractions and additions, and a box that comes out
+    inverted (or went in empty) is the empty box, which meets nothing."""
+    grown = np.concatenate([boxes[:2] - distance, boxes[2:] + distance])
+    empty = (grown[0] > grown[2]) | (grown[1] > grown[3])
+    grown[:2, empty] = np.inf
+    grown[2:, empty] = -np.inf
+    return grown
+
+
 class STRtree(Generic[T]):
     """Sort-Tile-Recursive bulk-loaded R-tree over (item, envelope) pairs.
 
@@ -87,6 +120,7 @@ class STRtree(Generic[T]):
         # falls back to the object sort (identical output either way).
         self._bulk_bounds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._bulk_count = 0
+        self._arrays: _NodeArrays | None = None
 
     def insert(self, item: T, envelope: Envelope) -> None:
         """Add an entry; only legal before the first query (STR is static)."""
@@ -442,11 +476,7 @@ class STRtree(Generic[T]):
             if alive.size == 0:
                 continue
             if node.is_leaf:
-                if node.bounds is None:
-                    node.bounds = np.array(
-                        [(e.min_x, e.min_y, e.max_x, e.max_y) for _, e in node.items]
-                    ).T
-                imin_x, imin_y, imax_x, imax_y = node.bounds[:, :, None]
+                imin_x, imin_y, imax_x, imax_y = _leaf_bounds(node)[:, :, None]
                 # (items, probes) grid; row-major nonzero lists a leaf's
                 # hits item by item, the order its scalar loop finds them.
                 item, probe = np.nonzero(
@@ -534,37 +564,138 @@ class STRtree(Generic[T]):
         pruning whole subtree pairs whose node envelopes are disjoint.
         ``expand`` inflates this tree's envelopes (NearestD's radius
         push-down).  Returns (item_a, item_b) pairs whose envelopes
-        intersect — the filter phase when *both* sides are indexed.
+        intersect — the filter phase when *both* sides are indexed.  A
+        list view of :meth:`_join_arrays`.
+        """
+        entries_a, entries_b = self._join_arrays(other, expand)
+        mine, theirs = self._entries, other._entries
+        return [
+            (mine[a][0], theirs[b][0])
+            for a, b in zip(entries_a.tolist(), entries_b.tolist())
+        ]
+
+    def _join_arrays(
+        self, other: "STRtree", expand: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The dual-tree traversal over arrays: ``(entries_a, entries_b)``.
+
+        Candidate pair ``k`` is this tree's entry ``entries_a[k]`` against
+        ``other``'s entry ``entries_b[k]`` (positions in insertion order,
+        empty envelopes not counted), in the order a ``(node_a, node_b)``
+        stack emits them: pop a pair, count one visit on both trees, drop
+        it if the node envelopes are disjoint, otherwise push the children
+        of the non-leaf side (of the larger-area node when both are
+        interior) paired with the other node, or test a leaf pair's items
+        ``a`` outer, ``b`` inner.  ``expand`` is applied with
+        ``Envelope.expand_by``'s own operations (``min - expand``,
+        ``max + expand``, a box that inverts becomes empty).
+
+        The stack is replayed a level at a time.  The frontier holds the
+        pending pairs in pop order; each round tests every open pair at
+        once and replaces it, in place, by its child pairs in reverse
+        child order (a stack pops the last child first), by itself when
+        it is a leaf pair, or by nothing when it was pruned.  What is left
+        is the intersecting leaf pairs in emission order, answered by
+        row-major ``np.nonzero`` over ``(pair, item_a, item_b)`` grids.
         """
         self.build()
         other.build()
+        none = np.empty(0, dtype=np.int64)
         if self._root is None or other._root is None:
-            return []
-        results: list[tuple[T, object]] = []
-        stack: list[tuple[RTreeNode, RTreeNode]] = [(self._root, other._root)]
-        while stack:
-            node_a, node_b = stack.pop()
-            self.nodes_visited += 1
-            other.nodes_visited += 1
-            if not node_a.envelope.expand_by(expand).intersects(node_b.envelope):
-                continue
-            if node_a.is_leaf and node_b.is_leaf:
-                for item_a, env_a in node_a.items:
-                    env_a = env_a.expand_by(expand)
-                    for item_b, env_b in node_b.items:
-                        if env_a.intersects(env_b):
-                            results.append((item_a, item_b))
-            elif node_a.is_leaf:
-                stack.extend((node_a, child) for child in node_b.children)
-            elif node_b.is_leaf:
-                stack.extend((child, node_b) for child in node_a.children)
-            else:
-                # Descend the larger-area node (the standard heuristic).
-                if node_a.envelope.area >= node_b.envelope.area:
-                    stack.extend((child, node_b) for child in node_a.children)
+            return none, none
+        mine, theirs = self._node_arrays(), other._node_arrays()
+        a_min_x, a_min_y, a_max_x, a_max_y = _expanded(mine.box, expand)
+        b_min_x, b_min_y, b_max_x, b_max_y = theirs.box
+        node_a = np.zeros(1, dtype=np.int64)
+        node_b = np.zeros(1, dtype=np.int64)
+        done = np.zeros(1, dtype=bool)
+        visited = 0
+        while not done.all():
+            visited += np.count_nonzero(~done)
+            fan_a, fan_b = mine.fanout[node_a], theirs.fanout[node_b]
+            # Descend the non-leaf side; of two interior nodes the one
+            # with the larger area (the standard heuristic).
+            down_a = ~done & (fan_a > 0) & (
+                (fan_b == 0) | (mine.area[node_a] >= theirs.area[node_b])
+            )
+            down_b = ~done & ~down_a & (fan_b > 0)
+            meets = done | (
+                (a_min_x[node_a] <= b_max_x[node_b])
+                & (b_min_x[node_b] <= a_max_x[node_a])
+                & (a_min_y[node_a] <= b_max_y[node_b])
+                & (b_min_y[node_b] <= a_max_y[node_a])
+            )
+            width = np.where(meets, np.where(down_a, fan_a, np.where(down_b, fan_b, 1)), 0)
+            # A descending side steps back from its last child.
+            last_a = np.where(down_a, mine.first[node_a] + fan_a - 1, node_a)
+            last_b = np.where(down_b, theirs.first[node_b] + fan_b - 1, node_b)
+            source, offset = _ranges(width)
+            node_a = last_a[source] - down_a[source] * offset
+            node_b = last_b[source] - down_b[source] * offset
+            done = ~(down_a | down_b)[source]
+        self.nodes_visited += int(visited)
+        other.nodes_visited += int(visited)
+        if not len(done):
+            return none, none
+        leaf_a, leaf_b = mine.first[node_a], theirs.first[node_b]
+        a_boxes = _expanded(mine.leaf_boxes, expand)
+        b_boxes = theirs.leaf_boxes
+        found_a: list[np.ndarray] = []
+        found_b: list[np.ndarray] = []
+        cells = a_boxes.shape[2] * b_boxes.shape[2]
+        block = max(1, _JOIN_BLOCK_CELLS // cells)
+        for start in range(0, len(leaf_a), block):
+            rows_a = leaf_a[start : start + block]
+            rows_b = leaf_b[start : start + block]
+            a_min_x, a_min_y, a_max_x, a_max_y = a_boxes[:, rows_a, :, None]
+            b_min_x, b_min_y, b_max_x, b_max_y = b_boxes[:, rows_b, None, :]
+            pair, item_a, item_b = np.nonzero(
+                (a_min_x <= b_max_x)
+                & (b_min_x <= a_max_x)
+                & (a_min_y <= b_max_y)
+                & (b_min_y <= a_max_y)
+            )
+            found_a.append(mine.leaf_entries[rows_a[pair], item_a])
+            found_b.append(theirs.leaf_entries[rows_b[pair], item_b])
+        return np.concatenate(found_a), np.concatenate(found_b)
+
+    def _node_arrays(self) -> "_NodeArrays":
+        """The built tree as arrays (derived once): nodes numbered
+        breadth-first, so a node's children are consecutive."""
+        if self._arrays is None:
+            nodes = [self._root]
+            first: list[int] = []
+            fanout: list[int] = []
+            leaves: list[RTreeNode[T]] = []
+            for node in nodes:  # grows as it is walked
+                if node.is_leaf:
+                    first.append(len(leaves))
+                    fanout.append(0)
+                    leaves.append(node)
                 else:
-                    stack.extend((node_a, child) for child in node_b.children)
-        return results
+                    first.append(len(nodes))
+                    fanout.append(len(node.children))
+                    nodes.extend(node.children)
+            box = bounds_rows(node.envelope for node in nodes)
+            leaf, slot = _ranges(np.array([len(node.items) for node in leaves]))
+            leaf_entries = np.full((len(leaves), self._node_capacity), -1, dtype=np.int64)
+            leaf_entries[leaf, slot] = np.concatenate([node.entry_ids for node in leaves])
+            # A slot past a leaf's last item holds the empty box.
+            leaf_boxes = np.empty((4, *leaf_entries.shape))
+            leaf_boxes[:2] = np.inf
+            leaf_boxes[2:] = -np.inf
+            leaf_boxes[:, leaf, slot] = np.concatenate(
+                [_leaf_bounds(node) for node in leaves], axis=1
+            )
+            self._arrays = _NodeArrays(
+                box=box,
+                area=(box[2] - box[0]) * (box[3] - box[1]),
+                first=np.array(first, dtype=np.int64),
+                fanout=np.array(fanout, dtype=np.int64),
+                leaf_entries=leaf_entries,
+                leaf_boxes=leaf_boxes,
+            )
+        return self._arrays
 
     def depth(self) -> int:
         """Height of the tree (0 for an empty tree, 1 for a single leaf)."""

@@ -565,19 +565,19 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     parse_wkt = any(isinstance(g, str) for _, g in left) or any(
         isinstance(g, str) for _, g in right
     )
-    left_entries = list(_normalise(left).entries())
-    right_entries = list(_normalise(right).entries())
+    left_column = _normalise(left)
+    right_column = _normalise(right)
     model = cfg.cost_model or CostModel()
     cache = cache_for(cfg.runtime)
     cached_build = False
     if cache is not None:
         key = index_cache_key(
-            "broadcast-index", right_entries, op, cfg.radius, cfg.engine
+            "broadcast-index", right_column, op, cfg.radius, cfg.engine
         )
         cached_build = key in cache
     plan = choose_plan(
-        left_entries,
-        right_entries,
+        left_column,
+        right_column,
         operator=op,
         radius=cfg.radius,
         cost_model=model,

@@ -34,6 +34,7 @@ from typing import Any, Sequence
 
 from repro.cluster.model import ClusterSpec, CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic
+from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.errors import OptimizerError
 from repro.geometry.envelope import Envelope
@@ -393,8 +394,8 @@ def estimate_plan_costs(
 
 
 def choose_plan(
-    left: Sequence[tuple[Any, Any]] | JoinStats,
-    right: Sequence[tuple[Any, Any]] | None = None,
+    left: Sequence[tuple[Any, Any]] | GeometryColumn | JoinStats,
+    right: Sequence[tuple[Any, Any]] | GeometryColumn | None = None,
     operator: SpatialOperator = SpatialOperator.WITHIN,
     radius: float = 0.0,
     cost_model: CostModel | None = None,
@@ -409,7 +410,8 @@ def choose_plan(
 ) -> PlanChoice:
     """Sample, price, and pick the cheapest join plan.
 
-    ``left``/``right`` are (id, geometry) collections, or pre-computed
+    ``left``/``right`` are :class:`GeometryColumn` tables (or (id,
+    geometry) collections, packed once by the statistics), or pre-computed
     :class:`JoinStats` may be passed as ``left`` alone.  ``cluster``
     overrides ``workers`` with its core count and informs broadcast
     fan-out.  The partitioned candidate always gets a skew-aware tiling,

@@ -12,6 +12,10 @@ the optimizer's needs:
   Uniform reservoirs under-represent sparse regions of heavily clustered
   data (NYC taxi pickups, GBIF survey hotspots), which is exactly where
   tile boundaries go wrong; stratification keeps the tails visible.
+
+A table is a :class:`~repro.columnar.column.GeometryColumn` (an entry
+sequence is packed once, at the door): extent and strata are read from
+the column's bounds arrays and only the sampled rows are materialised.
 """
 
 from __future__ import annotations
@@ -19,11 +23,43 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
+from repro.columnar.block import positions_by_value
+from repro.columnar.column import GeometryColumn
 from repro.errors import OptimizerError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 
-__all__ = ["reservoir_sample", "stratified_sample", "sample_entries"]
+__all__ = ["reservoir_sample", "stratified_sample", "populated_column", "extent_of"]
+
+
+def populated_column(
+    entries: Iterable[tuple[Any, Geometry]] | GeometryColumn,
+) -> GeometryColumn:
+    """The optimizer's door: a table is a column (an entry sequence is
+    packed once), read without its empty rows."""
+    if not isinstance(entries, GeometryColumn):
+        entries = GeometryColumn.from_entries(entries)
+    return entries.non_empty()
+
+
+def extent_of(column: GeometryColumn) -> Envelope:
+    """Union of the rows' boxes (none of them empty), off the bounds arrays.
+
+    ``argmin`` / ``argmax`` pick the first of equal extremes, like the
+    ``Envelope.union`` chain over the rows — the bits of a ``-0.0``
+    against ``0.0`` tie included.
+    """
+    if not len(column):
+        return Envelope.empty()
+    min_x, min_y, max_x, max_y = column.bounds()
+    return Envelope(
+        float(min_x[min_x.argmin()]),
+        float(min_y[min_y.argmin()]),
+        float(max_x[max_x.argmax()]),
+        float(max_y[max_y.argmax()]),
+    )
 
 
 def reservoir_sample(items: Iterable[Any], k: int, seed: int = 17) -> list[Any]:
@@ -47,7 +83,7 @@ def reservoir_sample(items: Iterable[Any], k: int, seed: int = 17) -> list[Any]:
 
 
 def stratified_sample(
-    entries: Sequence[tuple[Any, Geometry]],
+    entries: Sequence[tuple[Any, Geometry]] | GeometryColumn,
     k: int,
     seed: int = 17,
     grid: int = 8,
@@ -59,53 +95,38 @@ def stratified_sample(
     its population but never fewer than one entry, so sparse regions
     survive into the sample.  Degenerates to :func:`reservoir_sample`
     when the extent is a single point or ``k`` exceeds the population.
+    Extent and strata are array arithmetic over ``column.bounds()``, the
+    random draws are over row positions, stratum by stratum in sorted
+    order, and only the drawn rows are materialised.
     """
     if k < 1:
         raise OptimizerError(f"sample size must be >= 1, got {k}")
-    populated = [(p, g) for p, g in entries if not g.is_empty]
-    if len(populated) <= k:
-        return list(populated)
-    extent = Envelope.empty()
-    for _, geometry in populated:
-        extent = extent.union(geometry.envelope)
+    column = populated_column(entries)
+    total = len(column)
+    if total <= k:
+        return list(column.entries())
+    extent = extent_of(column)
     if extent.width <= 0 and extent.height <= 0:
-        return reservoir_sample(populated, k, seed=seed)
+        rows = reservoir_sample(range(total), k, seed=seed)
+    else:
+        min_x, min_y, max_x, max_y = column.bounds()
 
-    def stratum_of(geometry: Geometry) -> tuple[int, int]:
-        cx, cy = geometry.envelope.center
-        col = int((cx - extent.min_x) / max(extent.width, 1e-300) * grid)
-        row = int((cy - extent.min_y) / max(extent.height, 1e-300) * grid)
-        return (min(max(col, 0), grid - 1), min(max(row, 0), grid - 1))
+        def lattice(low, high, origin, span) -> np.ndarray:
+            cell = ((low + high) / 2.0 - origin) / max(span, 1e-300) * grid
+            return np.clip(cell.astype(np.int64), 0, grid - 1)
 
-    strata: dict[tuple[int, int], list[tuple[Any, Geometry]]] = {}
-    for entry in populated:
-        strata.setdefault(stratum_of(entry[1]), []).append(entry)
-    rng = random.Random(seed)
-    total = len(populated)
-    sample: list[tuple[Any, Geometry]] = []
-    for key in sorted(strata):
-        members = strata[key]
-        quota = max(1, round(k * len(members) / total))
-        if quota >= len(members):
-            sample.extend(members)
-        else:
-            sample.extend(rng.sample(members, quota))
-    # Proportional rounding can overshoot; trim uniformly for determinism.
-    if len(sample) > k:
-        sample = reservoir_sample(sample, k, seed=seed + 1)
-    return sample
-
-
-def sample_entries(
-    entries: Sequence[tuple[Any, Geometry]],
-    k: int,
-    seed: int = 17,
-    stratified: bool = True,
-) -> list[tuple[Any, Geometry]]:
-    """The optimizer's default sampling policy (stratified, reservoir
-    fallback for degenerate extents)."""
-    if stratified:
-        return stratified_sample(entries, k, seed=seed)
-    return reservoir_sample(
-        [(p, g) for p, g in entries if not g.is_empty], k, seed=seed
-    )
+        stratum = lattice(min_x, max_x, extent.min_x, extent.width) * grid + lattice(
+            min_y, max_y, extent.min_y, extent.height
+        )
+        rng = random.Random(seed)
+        rows = []
+        for members in positions_by_value(stratum):
+            quota = max(1, round(k * len(members) / total))
+            if quota >= len(members):
+                rows.extend(members.tolist())
+            else:
+                rows.extend(rng.sample(members.tolist(), quota))
+        # Proportional rounding can overshoot; trim uniformly for determinism.
+        if len(rows) > k:
+            rows = reservoir_sample(rows, k, seed=seed + 1)
+    return [column.entry(row) for row in rows]

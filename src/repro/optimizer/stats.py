@@ -19,12 +19,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.cluster.model import CostModel, Resource
+from repro.columnar.column import GeometryColumn
 from repro.geometry.base import Geometry
-from repro.geometry.envelope import Envelope
+from repro.geometry.envelope import Envelope, bounds_rows
 from repro.geometry.point import Point
 from repro.index.partitioner import SpatialPartitioning
-from repro.optimizer.sampler import sample_entries
+from repro.optimizer.sampler import extent_of, populated_column, stratified_sample
 
 __all__ = [
     "TableStats",
@@ -77,19 +80,14 @@ class TableStats:
 
 
 def collect_table_stats(
-    entries: Sequence[tuple[Any, Geometry]],
+    entries: Sequence[tuple[Any, Geometry]] | GeometryColumn,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 17,
 ) -> TableStats:
-    """One-pass stats plus a stratified sample of ``entries``."""
-    count = 0
-    extent = Envelope.empty()
-    for _, geometry in entries:
-        if geometry.is_empty:
-            continue
-        count += 1
-        extent = extent.union(geometry.envelope)
-    sample = sample_entries(entries, max(1, sample_size), seed=seed)
+    """Count and extent off the column's bounds arrays, plus a stratified
+    sample — the only rows whose geometries are materialised."""
+    column = populated_column(entries)
+    sample = stratified_sample(column, max(1, sample_size), seed=seed)
     if sample:
         mean_vertices = sum(g.num_points for _, g in sample) / len(sample)
         mean_area = sum(g.envelope.area for _, g in sample) / len(sample)
@@ -99,8 +97,8 @@ def collect_table_stats(
     else:
         mean_vertices = mean_area = point_fraction = 0.0
     return TableStats(
-        count=count,
-        extent=extent,
+        count=len(column),
+        extent=extent_of(column),
         mean_vertices=mean_vertices,
         mean_envelope_area=mean_area,
         point_fraction=point_fraction,
@@ -135,8 +133,8 @@ class JoinStats:
 
 
 def collect_join_stats(
-    left: Sequence[tuple[Any, Geometry]],
-    right: Sequence[tuple[Any, Geometry]],
+    left: Sequence[tuple[Any, Geometry]] | GeometryColumn,
+    right: Sequence[tuple[Any, Geometry]] | GeometryColumn,
     radius: float = 0.0,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 17,
@@ -144,8 +142,9 @@ def collect_join_stats(
     """Sample both inputs and estimate filter-phase selectivity.
 
     The candidate estimate cross-tests the two samples' envelopes
-    (``O(sample^2)`` with a small cap), then rescales by the build side's
-    sampling fraction — cheap, and unbiased enough for plan choice.
+    (one ``O(sample^2)`` grid with a small cap), then rescales by the
+    build side's sampling fraction — cheap, and unbiased enough for plan
+    choice.
     """
     left_stats = collect_table_stats(left, sample_size, seed=seed)
     right_stats = collect_table_stats(right, sample_size, seed=seed + 1)
@@ -153,16 +152,22 @@ def collect_join_stats(
     build_sample = right_stats.sample[:256]
     candidates = 0.0
     if probe_sample and build_sample and right_stats.count:
-        build_envelopes = [
-            g.envelope.expand_by(radius) for _, g in build_sample
-        ]
-        hits = 0
-        for _, probe_geometry in probe_sample:
-            probe_envelope = probe_geometry.envelope
-            hits += sum(
-                1 for env in build_envelopes if env.intersects(probe_envelope)
-            )
-        per_probe_in_sample = hits / len(probe_sample)
+        # Envelope.expand_by + Envelope.intersects over a (build, probe) grid.
+        b_min_x, b_min_y, b_max_x, b_max_y = bounds_rows(
+            geometry.envelope for _, geometry in build_sample
+        )[:, :, None]
+        b_min_x, b_min_y = b_min_x - radius, b_min_y - radius
+        b_max_x, b_max_y = b_max_x + radius, b_max_y + radius
+        p_min_x, p_min_y, p_max_x, p_max_y = bounds_rows(
+            geometry.envelope for _, geometry in probe_sample
+        )
+        hits = np.count_nonzero(
+            (b_min_x <= p_max_x)
+            & (p_min_x <= b_max_x)
+            & (b_min_y <= p_max_y)
+            & (p_min_y <= b_max_y)
+        )
+        per_probe_in_sample = int(hits) / len(probe_sample)
         candidates = per_probe_in_sample * right_stats.count / len(build_sample)
     return JoinStats(
         left=left_stats,

@@ -571,3 +571,187 @@ class TestScalarRowsOnTheBenchmarkShapes:
             scalar_rows = registry.counter("probe.scalar_rows")
         assert scalar_rows == 0
         assert sum(map(len, matches)) > 0
+
+
+# The four benchmark workloads' shapes (benchmarks/e2e/workloads.py), small.
+WORKLOAD_SHAPES = {
+    "taxi-nycb": ("taxi", "nycb", "within", 0.0),
+    "taxi-lion-500": ("taxi", "lion", "nearestd", 1.9),  # in street-grid pitches
+    "g10m-wwf": ("gbif", "wwf", "within", 0.0),
+    "lion-nycb-intersects": ("lion", "nycb", "intersects", 0.0),
+}
+
+
+def workload_rows(name, left_count=200, right_count=60):
+    from repro.data import generate_gbif, generate_taxi, generate_wwf
+
+    generate = {"taxi": generate_taxi, "nycb": generate_nycb, "lion": generate_lion,
+                "gbif": generate_gbif, "wwf": generate_wwf}
+    left, right, operator, pitches = WORKLOAD_SHAPES[name]
+    build = generate[right](right_count, seed=20150401)
+    radius = pitches * build.extent.width / build.metadata["grid"] if pitches else 0.0
+    return (
+        Sample.rows(generate[left](left_count, seed=20150402)), Sample.rows(build),
+        operator, radius,
+    )
+
+
+class TestAutoIsNeverAScalarPlan:
+    """Tier-1 guard, by counts: whatever ``method="auto"`` picks on the
+    benchmark shapes — and the dual-tree when forced — refines through
+    one pair-kernel dispatch (these joins' candidates fit one
+    ``_REFINE_BLOCK_PAIRS`` block), expands no ``Envelope`` while
+    traversing, and plans from the columns' bounds plus two samples."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        import repro.core.probe as probe_module
+        import repro.optimizer as optimizer
+        from repro.columnar.column import _ColumnData
+        from repro.geometry.engine import FastGeometryEngine, SlowGeometryEngine
+        from repro.geometry.envelope import Envelope
+        from repro.index.rtree import STRtree
+
+        seen = {"refine_pair": 0, "kernel": 0, "joins": 0, "expand_by": 0, "materialized": 0,
+                "candidates": 0}
+        inside = {"traversal": False, "planning": False}
+
+        def counted(owner, name, key=None, when=lambda: True, scope=None):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if key is not None and when():
+                    seen[key] += 1
+                if scope is None:
+                    return original(*args, **kwargs)
+                inside[scope] = True
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    inside[scope] = False
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(probe_module, "refine_pair", "refine_pair")
+        counted(probe_module, "intersects_pairs", "kernel")
+        for engine in (FastGeometryEngine, SlowGeometryEngine):
+            counted(engine, "contains_pairs_counted", "kernel")
+            counted(engine, "within_distance_pairs_counted", "kernel")
+        counted(STRtree, "_join_arrays", "joins", scope="traversal")
+        refine_candidates = probe_module.PreparedBuild.refine_candidates
+
+        def sized(self, column, rows, entries):
+            seen["candidates"] += len(rows)
+            return refine_candidates(self, column, rows, entries)
+
+        monkeypatch.setattr(probe_module.PreparedBuild, "refine_candidates", sized)
+        counted(Envelope, "expand_by", "expand_by", when=lambda: inside["traversal"])
+        counted(optimizer, "choose_plan", scope="planning")
+        counted(_ColumnData, "_materialize", "materialized", when=lambda: inside["planning"])
+        return seen
+
+    @pytest.mark.parametrize("engine", ["fast", "slow"])
+    @pytest.mark.parametrize("method", ["auto", "dual-tree"])
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_SHAPES))
+    def test_no_scalar_refinement_one_dispatch_bounded_planning(self, seen, name, method, engine):
+        from repro.core.probe import _REFINE_BLOCK_PAIRS
+
+        left, right, operator, radius = workload_rows(name)
+        config = JoinConfig(
+            operator=operator, radius=radius, method=method, engine=engine, sample_size=64
+        )
+        with collecting() as registry:
+            result = spatial_join(left, right, config=config)
+            scalar_rows = registry.counter("probe.scalar_rows")
+        assert len(result) > 0
+        assert result.method in ("broadcast", "partitioned", "dual-tree")
+        assert seen["refine_pair"] == scalar_rows == 0
+        assert seen["expand_by"] == 0
+        if result.method == "dual-tree":
+            assert seen["joins"] == seen["kernel"] == 1
+            assert len(result) <= seen["candidates"] <= _REFINE_BLOCK_PAIRS
+        if method == "auto":
+            assert 0 < seen["materialized"] <= 2 * 64
+            assert result.stats.left.count == len(left)
+        forced = spatial_join(left, right, config=config.with_(method="broadcast"))
+        assert sorted(result.pairs) == sorted(forced.pairs)
+
+    def test_auto_reaches_the_dual_tree_on_these_shapes(self, seen):
+        """The guard above is not vacuous: at ``workers=1`` the planner
+        does pick the dual-tree on candidate-dense shapes."""
+        left, right, operator, radius = workload_rows("taxi-lion-500")
+        result = spatial_join(left, right, operator=operator, radius=radius)
+        assert result.method == "dual-tree"
+        assert seen["joins"] == seen["kernel"] == 1
+
+    def test_a_large_join_dispatches_once_per_block_of_candidates(self, seen, monkeypatch):
+        """The pair kernels hold a dozen temporaries per pair, so a join
+        refines ``_REFINE_BLOCK_PAIRS`` candidates a call — same pairs,
+        same order, whatever the block."""
+        import repro.core.probe as probe_module
+
+        left, right, operator, radius = workload_rows("taxi-lion-500")
+        config = JoinConfig(operator=operator, radius=radius, method="dual-tree")
+        whole = spatial_join(left, right, config=config)
+        assert seen["kernel"] == 1
+        monkeypatch.setattr(probe_module, "_REFINE_BLOCK_PAIRS", 1000)
+        blocked = spatial_join(left, right, config=config)
+        assert blocked.pairs == whole.pairs
+        assert seen["kernel"] == 1 + -(-seen["candidates"] // 2 // 1000)
+
+
+class TestDualTreeCountsItsScalarRows:
+    """Candidates of a shape no pair kernel covers still take
+    ``refine_pair`` — and the probe rows that do are counted, as on the
+    broadcast routes."""
+
+    def run(self, operator, radius=0.0, build=BUILD, probes=PROBES):
+        left = list(enumerate(probes))
+        config = JoinConfig(operator=operator, radius=radius, method="dual-tree")
+        with collecting() as registry:
+            result = spatial_join(left, build, config=config)
+            scalar_rows = registry.counter("probe.scalar_rows")
+        want = naive_spatial_join(left, build, SpatialOperator(operator), radius)
+        assert sorted(result.pairs) == sorted(want)
+        return result.pairs, scalar_rows
+
+    def test_point_and_multipoint_probes_under_intersects(self):
+        pairs, scalar_rows = self.run("intersects")
+        assert scalar_rows == 2  # the Point and the MultiPoint; the rest are batched
+        assert {5, 6} <= {left for left, _ in pairs}
+
+    def test_every_probe_under_contains(self):
+        wide = Polygon([(-6, 4), (16, 4), (16, 6), (-6, 6)])
+        around = Polygon([(19, 19), (31, 19), (31, 31), (19, 31)])
+        pairs, scalar_rows = self.run("contains", probes=[wide, around, Point(5, 5)])
+        assert pairs == [(0, "street"), (1, "far")]
+        assert scalar_rows == 3
+
+    def test_non_point_probes_under_within_and_nearestd(self):
+        probes = [Point(1, 1), LineString([(1, 1), (3, 3)]), Point(4.5, 4.5), Point.empty()]
+        pairs, scalar_rows = self.run("within", probes=probes)
+        assert pairs == [(0, "block"), (1, "block")]
+        assert scalar_rows == 1  # the LineString; the hole keeps Point(4.5, 4.5) out
+        pairs, scalar_rows = self.run("nearestd", radius=2.0, probes=probes)
+        assert scalar_rows == 1 and (1, "block") in pairs
+
+    def test_a_probe_row_no_build_box_meets_is_not_counted(self):
+        _, scalar_rows = self.run("contains", probes=[Point(900, 900), LineString.empty()])
+        assert scalar_rows == 0
+
+    def test_an_untabled_build_row_takes_the_per_handle_kernel(self, dispatches, monkeypatch):
+        """A NearestD build row that is not a polyline has no segment
+        table; like the broadcast route, the dual-tree answers its pairs
+        with the per-handle batch kernel, not ``refine_pair``."""
+        import repro.core.probe as probe_module
+
+        calls = []
+        original = probe_module.refine_pair
+        monkeypatch.setattr(
+            probe_module, "refine_pair", lambda *args: calls.append(args) or original(*args)
+        )
+        build = [("street", _street(0, 0)), ("hydrant", Point(2.0, 2.0)), ("block", _square(4, 4))]
+        pairs, scalar_rows = self.run("nearestd", 1.5, build=build, probes=point_probes(80))
+        assert {right for _, right in pairs} == {"street", "hydrant", "block"}
+        assert scalar_rows == 0 and calls == []
+        assert dispatches["pair_kernel"] == 1 and dispatches["per_handle"] == 2

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SpatialIndexError
 from repro.geometry.envelope import Envelope
@@ -225,3 +227,124 @@ class TestDualTreeJoin:
         assert tree_a.join(tree_b) == []
         # Disjoint roots: the traversal stops after one node pair.
         assert tree_a.nodes_visited == 1
+
+
+def scalar_join(tree_a, tree_b, expand=0.0):
+    """The nested-loop ``STRtree.join`` body the array traversal replaced,
+    kept here as its reference: one ``(node_a, node_b)`` stack, one
+    ``Envelope`` test per node pair and per item pair."""
+    tree_a.build()
+    tree_b.build()
+    if tree_a.root is None or tree_b.root is None:
+        return []
+    results = []
+    stack = [(tree_a.root, tree_b.root)]
+    while stack:
+        node_a, node_b = stack.pop()
+        tree_a.nodes_visited += 1
+        tree_b.nodes_visited += 1
+        if not node_a.envelope.expand_by(expand).intersects(node_b.envelope):
+            continue
+        if node_a.is_leaf and node_b.is_leaf:
+            for item_a, env_a in node_a.items:
+                env_a = env_a.expand_by(expand)
+                for item_b, env_b in node_b.items:
+                    if env_a.intersects(env_b):
+                        results.append((item_a, item_b))
+        elif node_a.is_leaf:
+            stack.extend((node_a, child) for child in node_b.children)
+        elif node_b.is_leaf:
+            stack.extend((child, node_b) for child in node_a.children)
+        else:
+            # Descend the larger-area node (the standard heuristic).
+            if node_a.envelope.area >= node_b.envelope.area:
+                stack.extend((child, node_b) for child in node_a.children)
+            else:
+                stack.extend((node_a, child) for child in node_b.children)
+    return results
+
+
+# A coarse lattice, so boxes touch, repeat and collapse to segments / points.
+_LATTICE = st.integers(min_value=0, max_value=12).map(float)
+
+
+@st.composite
+def _boxes(draw, max_size):
+    def box():
+        x, y = draw(_LATTICE), draw(_LATTICE)
+        w, h = draw(st.sampled_from([0.0, 0.0, 1.0, 3.0])), draw(st.sampled_from([0.0, 1.0, 2.0]))
+        return Envelope(x, y, x + w, y + h)
+
+    boxes = draw(st.lists(st.builds(box), min_size=0, max_size=max_size))
+    if boxes and draw(st.booleans()):  # a run of duplicates
+        boxes += [boxes[0]] * draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        boxes.insert(draw(st.integers(0, len(boxes))), Envelope.empty())
+    return list(enumerate(boxes))
+
+
+@st.composite
+def _joins(draw):
+    # Sizes and capacities that give an empty tree, a single leaf, several
+    # levels, and trees of unequal depth on either side.
+    size_a = draw(st.sampled_from([0, 3, 40, 120]))
+    size_b = draw(st.sampled_from([0, 2, 9, 150]))
+    return (
+        draw(_boxes(size_a)),
+        draw(_boxes(size_b)),
+        draw(st.sampled_from([2, 3, 10])),
+        draw(st.sampled_from([2, 4, 10])),
+        draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, -0.5])),
+    )
+
+
+class TestArrayTraversalMatchesTheScalarJoin:
+    @given(_joins())
+    @settings(max_examples=300, deadline=None)
+    def test_same_pairs_same_order_same_visits(self, case):
+        entries_a, entries_b, capacity_a, capacity_b, expand = case
+        tree_a = STRtree(entries_a, node_capacity=capacity_a)
+        tree_b = STRtree(entries_b, node_capacity=capacity_b)
+        want = scalar_join(tree_a, tree_b, expand)
+        want_visits = (tree_a.nodes_visited, tree_b.nodes_visited)
+        tree_a.reset_stats()
+        tree_b.reset_stats()
+        assert tree_a.join(tree_b, expand) == want
+        assert (tree_a.nodes_visited, tree_b.nodes_visited) == want_visits
+        # The list view adds nothing: entry positions, empties not counted.
+        rows_a, rows_b = tree_a._join_arrays(tree_b, expand)
+        items_a = [item for item, env in entries_a if not env.is_empty]
+        items_b = [item for item, env in entries_b if not env.is_empty]
+        assert [
+            (items_a[a], items_b[b]) for a, b in zip(rows_a.tolist(), rows_b.tolist())
+        ] == want
+
+    def test_bulk_loaded_trees_join_like_object_built_ones(self, rng):
+        a = random_entries(rng, 700, max_size=2)
+        b = random_entries(rng, 90, max_size=15)
+
+        def bulk(entries):
+            tree = STRtree()
+            tree.bulk_load_arrays(
+                [item for item, _ in entries],
+                *np.array([(e.min_x, e.min_y, e.max_x, e.max_y) for _, e in entries]).T,
+            )
+            return tree
+
+        for expand in (0.0, 4.0):
+            want = scalar_join(STRtree(a), STRtree(b), expand)
+            assert len(want) > 300
+            assert bulk(a).join(bulk(b), expand) == want
+
+    def test_no_envelope_is_built_or_expanded_in_the_traversal(self, rng, monkeypatch):
+        tree_a = STRtree(random_entries(rng, 300))
+        tree_b = STRtree(random_entries(rng, 300))
+        tree_a.build()
+        tree_b.build()
+        calls = []
+        monkeypatch.setattr(
+            Envelope, "expand_by", lambda self, distance: calls.append(distance) or self
+        )
+        monkeypatch.setattr(Envelope, "intersects", lambda self, other: calls.append(other))
+        assert len(tree_a.join(tree_b, expand=2.0)) > 300
+        assert calls == []
