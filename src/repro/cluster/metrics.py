@@ -10,10 +10,21 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.model import CostModel
 from repro.obs.profile import ProfileNode, QueryProfile
 
-__all__ = ["TaskMetrics", "StageMetrics", "QueryMetrics"]
+__all__ = ["TaskMetrics", "StageMetrics", "QueryMetrics", "scatter_units"]
+
+
+def scatter_units(units: dict[str, np.ndarray], rows, size: int) -> dict[str, np.ndarray]:
+    """The unit columns of the rows at positions ``rows`` of a ``size``-row
+    batch: same keys, same order, zero at every other row."""
+    placed = {resource: np.zeros(size) for resource in units}
+    for resource, column in units.items():
+        placed[resource][rows] = column
+    return placed
 
 
 @dataclass
@@ -25,6 +36,18 @@ class TaskMetrics:
     def add(self, resource: str, units: float) -> None:
         """Accrue ``units`` of ``resource``."""
         self.counts[resource] = self.counts.get(resource, 0.0) + units
+
+    def add_columns(self, units: dict[str, np.ndarray]) -> None:
+        """Accrue a batch's unit columns (one entry per row) — what
+        :meth:`add` called row by row, each row's keys in column order,
+        leaves: new keys arrive in column order, and each count is the
+        same left-to-right float sum (a row's 0 adds nothing), so even a
+        fractional count (a cost-weighted charge) keeps its bits."""
+        for resource, column in units.items():
+            if not len(column):
+                continue
+            start = self.counts.get(resource, 0.0)
+            self.counts[resource] = float(np.concatenate(([start], column)).cumsum()[-1])
 
     def merge(self, other: "TaskMetrics") -> None:
         """Accumulate another task's counters into this one."""

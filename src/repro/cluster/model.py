@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import BenchError
 
 __all__ = ["ClusterSpec", "CostModel", "EC2_G2_2XLARGE", "Resource"]
@@ -172,6 +174,24 @@ class CostModel:
             if rate is None:
                 raise BenchError(f"unknown resource counter {resource!r}")
             total += units * getattr(self, rate)
+        return total * self.work_scale
+
+    def row_seconds(self, units: dict[str, np.ndarray], rows: int) -> np.ndarray:
+        """:meth:`task_seconds` of each of a batch's ``rows`` rows, from
+        its unit columns (one entry per row, 0 where a row has no such
+        count).
+
+        The same loop run a column at a time, so entry ``i`` is
+        bit-identical to ``task_seconds`` of row ``i``'s dict whenever that
+        dict's keys come in the columns' order: a missing key adds
+        ``0.0 * rate``, which leaves a non-negative running sum unchanged.
+        """
+        total = np.zeros(rows)
+        for resource, column in units.items():
+            rate = _RATES.get(resource)
+            if rate is None:
+                raise BenchError(f"unknown resource counter {resource!r}")
+            total += column * getattr(self, rate)
         return total * self.work_scale
 
 

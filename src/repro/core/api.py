@@ -123,6 +123,13 @@ class JoinConfig:
     calibration_out: str | None = None
 
     def __post_init__(self) -> None:
+        if self.method not in _METHODS:
+            raise ReproError(
+                f"method must be one of {', '.join(sorted(set(_METHODS)))},"
+                f" got {self.method!r}"
+            )
+        if self.method == "index":  # the historical name of broadcast
+            object.__setattr__(self, "method", "broadcast")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ReproError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}"
@@ -433,11 +440,6 @@ def _execute_join(left, right, cfg: JoinConfig) -> JoinResult:
 
 def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResult:
     op = _coerce_operator(cfg.operator)
-    if cfg.method not in _METHODS:
-        raise ReproError(
-            f"method must be one of {', '.join(sorted(set(_METHODS)))},"
-            f" got {cfg.method!r}"
-        )
     model = cfg.cost_model or CostModel()
     # One recovery context per join call: blacklist state and fault
     # consumption are scoped to the query, like the engines' drivers.
@@ -484,7 +486,7 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
         left_column = _normalise_cached(left, None, cache)
         right_column = _normalise_cached(right, None, cache)
 
-    method = "broadcast" if cfg.method == "index" else cfg.method
+    method = cfg.method
     plan = None
     stats = None
     bindex_key = None
@@ -499,27 +501,13 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
         explain_on and bindex_key is not None and bindex_key in cache
     )
     if method == "auto":
-        from repro.optimizer import choose_plan
-
         # A cache-resident build side makes broadcast (nearly) free to set
         # up; tell the planner so a warm cache can flip the plan.  The
         # residency peek is a plain containment test — it must not count a
         # hit/miss the subsequent build lookup will count again.
         cached_build = bindex_key is not None and bindex_key in cache
         with tracer.span("plan", category="phase") as span:
-            plan = choose_plan(
-                left_column,
-                right_column,
-                operator=op,
-                radius=cfg.radius,
-                cost_model=model,
-                workers=cfg.workers,
-                num_tiles=cfg.num_tiles,
-                skew_factor=cfg.skew_factor,
-                engine=cfg.engine,
-                sample_size=cfg.sample_size,
-                cached_build=cached_build,
-            )
+            plan = _choose_plan(cfg, op, model, left_column, right_column, cached_build)
             span.set_attr("method", plan.method)
         stats = plan.stats
         method = plan.method
@@ -538,7 +526,7 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
             left_column, right_column, op, cfg, model, query, plan,
             events_query, recovery, cache=cache,
         )
-    else:  # pragma: no cover - guarded by the _METHODS check above
+    else:  # pragma: no cover - guarded by JoinConfig's _METHODS check
         raise ReproError(f"unhandled method {method!r}")
 
     if events_query is not None:
@@ -572,6 +560,26 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
     )
 
 
+def _choose_plan(cfg: JoinConfig, op, model, left_column, right_column, cached_build):
+    """The optimizer's priced plan for ``cfg``'s knobs over the two
+    columns — what auto runs, and what EXPLAIN prices."""
+    from repro.optimizer import choose_plan
+
+    return choose_plan(
+        left_column,
+        right_column,
+        operator=op,
+        radius=cfg.radius,
+        cost_model=model,
+        workers=cfg.workers,
+        num_tiles=cfg.num_tiles,
+        skew_factor=cfg.skew_factor,
+        engine=cfg.engine,
+        sample_size=cfg.sample_size,
+        cached_build=cached_build,
+    )
+
+
 def _build_explain_report(
     cfg, op, model, plan, method, left_column, right_column, raw_wkt,
     cache, bindex_key, explain_resident, cache_before, profile_obj,
@@ -587,21 +595,7 @@ def _build_explain_report(
 
     pricing = plan
     if pricing is None:
-        from repro.optimizer import choose_plan
-
-        pricing = choose_plan(
-            left_column,
-            right_column,
-            operator=op,
-            radius=cfg.radius,
-            cost_model=model,
-            workers=cfg.workers,
-            num_tiles=cfg.num_tiles,
-            skew_factor=cfg.skew_factor,
-            engine=cfg.engine,
-            sample_size=cfg.sample_size,
-            cached_build=explain_resident,
-        )
+        pricing = _choose_plan(cfg, op, model, left_column, right_column, explain_resident)
     cache_info = {
         "enabled": cache is not None,
         "build_resident": explain_resident,
@@ -777,13 +771,15 @@ def _broadcast_join(
     def chunk_task(task_index, start):
         def probe_chunk():
             stop = start + cfg.batch_size
-            matches_per_row, totals = index.probe_batch(left_column.slice(start, stop))
+            found, units = index.probe_batch(left_column.slice(start, stop))
             chunk_pairs = [
                 (left_id, right_id)
-                for left_id, matches in zip(left_ids[start:stop], matches_per_row)
+                for left_id, matches in zip(left_ids[start:stop], found)
                 for right_id in matches
             ]
-            return chunk_pairs, TaskMetrics(counts=totals)
+            task = TaskMetrics()
+            task.add_columns(units)
+            return chunk_pairs, task
 
         return f"chunk-{task_index}", task_index, probe_chunk
 
@@ -951,12 +947,11 @@ def _partitioned_join_local(
             )
             task = TaskMetrics()
             task.add(Resource.INDEX_BUILD, float(len(index)))
-            tile_pairs, totals = join_tile(
+            tile_pairs, units = join_tile(
                 index, left_column.take(left_rows_by_tile[tile_id]),
                 tiles, tile_id, expand,
             )
-            for resource, amount in totals.items():
-                task.add(resource, amount)
+            task.add_columns(units)
             return tile_pairs, task
 
         return f"tile-{tile_id}", tile_id, join

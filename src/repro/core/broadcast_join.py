@@ -237,13 +237,11 @@ def broadcast_spatial_join(
         left_ids = probes.payloads()
         if not left_ids:
             return []
-        matches_per_row, totals = index_broadcast.value.probe_batch(probes)
-        task = current_task()
-        for resource, amount in totals.items():
-            task.add(resource, amount)
+        found, units = index_broadcast.value.probe_batch(probes)
+        current_task().add_columns(units)
         return [
             (left_id, right_id)
-            for left_id, matches in zip(left_ids, matches_per_row)
+            for left_id, matches in zip(left_ids, found)
             for right_id in matches
         ]
 

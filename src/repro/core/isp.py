@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
+from repro.cluster.metrics import scatter_units
 from repro.cluster.model import Resource
 from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column
@@ -64,31 +67,34 @@ def build_spatial_index(
 
 def probe_wkt_rows(
     index: BroadcastIndex, texts: Iterable[object]
-) -> tuple[list[list | None], list[dict[str, float]]]:
+) -> tuple[list[list | None], dict[str, np.ndarray]]:
     """Probe one row batch's WKT column: bulk-parse, bulk-probe, batch-refine.
 
-    Returns ``(matches_per_row, units_per_row)``.  A row whose value is
-    not a string or fails to parse is dropped: its matches slot is
-    ``None`` and its units hold only the parse charge.  Each unit dict is
-    keyed ``WKT_BYTES, INDEX_VISIT, ROWS_OUT, REFINE_*`` in that order —
-    exactly what parsing the row and calling ``probe_with_cost`` on it
-    charges — so per-row simulated seconds, and with them the OpenMP
-    static-chunk makespans behind Tables 1-2, are those of the row loop.
+    Returns ``(matches, units)``.  A row whose value is not a
+    string or fails to parse is dropped: its matches slot is ``None`` and
+    its units hold only the parse charge.  ``units`` are unit columns, one
+    entry per row, keyed ``WKT_BYTES, INDEX_VISIT, ROWS_OUT, REFINE_*`` in
+    that order — row ``i`` is exactly what parsing the row and calling
+    ``probe_with_cost`` on it charges — so
+    :meth:`~repro.cluster.model.CostModel.row_seconds` gives each row's
+    simulated seconds, and with them the OpenMP static-chunk makespans
+    behind Tables 1-2, bit for bit as the row loop did.
     """
     texts = list(texts)
-    units_per_row: list[dict[str, float]] = [
-        {Resource.WKT_BYTES: float(len(text))} if isinstance(text, str) else {}
-        for text in texts
-    ]
+    lengths = [float(len(text)) if isinstance(text, str) else None for text in texts]
+    units = {}
+    if any(length is not None for length in lengths):
+        units[Resource.WKT_BYTES] = np.array([length or 0.0 for length in lengths])
     # Row positions ride along as payloads, so the kept rows say where
     # they came from.
     probes, _ = parse_wkt_column(texts, range(len(texts)))
-    matches, probe_units = index.probe_batch(probes, per_row=True)
-    matches_per_row: list[list | None] = [None] * len(texts)
-    for row, row_matches, units in zip(probes.payloads(), matches, probe_units):
-        matches_per_row[row] = row_matches
-        units_per_row[row].update(units)
-    return matches_per_row, units_per_row
+    found, probe_units = index.probe_batch(probes)
+    rows = probes.payloads()
+    matches: list[list | None] = [None] * len(texts)
+    for row, row_matches in zip(rows, found):
+        matches[row] = row_matches
+    units.update(scatter_units(probe_units, rows, len(texts)))
+    return matches, units
 
 
 class SpatialJoinNode(BlockingJoinNode):
@@ -125,15 +131,15 @@ class SpatialJoinNode(BlockingJoinNode):
         )
 
     def probe_batch(self, batch: RowBatch) -> list[tuple]:
-        matches_per_row, units_per_row = probe_wkt_rows(
+        row_matches, units = probe_wkt_rows(
             self.index, batch.column(self.probe_geometry_slot)
         )
         joined: list[tuple] = []
-        for left_row, matches in zip(batch.rows, matches_per_row):
+        for left_row, matches in zip(batch.rows, row_matches):
             if matches is None:
                 self.rows_dropped += 1
                 continue
             for right_row in matches:
                 joined.append(left_row + right_row)
-        self.ctx.charge_batch(units_per_row)
+        self.ctx.charge_batch(units, len(row_matches))
         return joined

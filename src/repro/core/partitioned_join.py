@@ -167,9 +167,8 @@ def partitioned_spatial_join(
         task.add(Resource.INDEX_BUILD, len(index))
         # Every block of this shuffle is a column slice, so a side that
         # has rows has them as EntryChunks.
-        pairs, totals = join_tile(index, left_entries.column(), tiles, tile_id, expand)
-        for resource, amount in totals.items():
-            task.add(resource, amount)
+        pairs, units = join_tile(index, left_entries.column(), tiles, tile_id, expand)
+        task.add_columns(units)
         return pairs
 
     return grouped.flat_map(tile_task)

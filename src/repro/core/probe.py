@@ -23,6 +23,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.cache import estimate_index_bytes, fingerprint_entries
+from repro.cluster.metrics import scatter_units
 from repro.cluster.model import Resource
 from repro.columnar.column import _POINT as _POINT_CODE
 from repro.columnar.column import GeometryColumn
@@ -374,17 +375,24 @@ class BroadcastIndex(PreparedBuild):
         return matches, units
 
     def probe_batch(
-        self, geometries: Iterable[Geometry | None], per_row: bool = False
-    ) -> tuple[list[list[Any]], dict[str, float] | list[dict[str, float] | None]]:
+        self, geometries: Iterable[Geometry | None]
+    ) -> tuple[list[list[Any]], dict[str, np.ndarray]]:
         """Probe many geometries with one index traversal and batched kernels.
 
-        Matches — payloads per probe, in candidate order — and cost units
-        are exactly what N :meth:`probe_with_cost` calls produce; the
-        engine counters advance by the same totals.  ``None`` entries are
-        skipped entirely (their units slot is ``None``) so row-pipeline
-        callers can keep unparsable rows in place.  With ``per_row`` the
-        second element is the per-probe units list; otherwise it is the
-        summed totals dict.
+        Returns ``(matches, units)``: payloads per probe, in candidate
+        order, and the probes' cost units as columns — one float64 array
+        per resource, one entry per input row, in :meth:`probe_with_cost`'s
+        key order.  Row ``i`` of the columns is what
+        :meth:`probe_with_cost` charges probe ``i`` (0 where its dict has
+        no such key), and the engine counters advance by what N such calls
+        add.  A column exists when some row's dict has its key:
+        ``INDEX_VISIT`` / ``ROWS_OUT`` once any row is probed, a vertex or
+        allocation column only when some row is charged one; a batch that
+        probes no row has none.  ``None`` entries are skipped entirely —
+        no matches, zero units — so row-pipeline callers can keep
+        unparsable rows in place.  The columns are what
+        :meth:`~repro.cluster.metrics.TaskMetrics.add_columns` and
+        :meth:`~repro.cluster.model.CostModel.row_seconds` consume.
 
         ``geometries`` is a :class:`GeometryColumn` — coordinates are then
         read straight from the packed buffers, no geometry object built —
@@ -414,50 +422,49 @@ class BroadcastIndex(PreparedBuild):
           ``probe.scalar_rows`` registry counter.
         """
         if isinstance(geometries, GeometryColumn):
-            return self._probe_batch_column(geometries, per_row)
+            return self._probe_batch_column(geometries)
         geometries = list(geometries)
         present = [i for i, geometry in enumerate(geometries) if geometry is not None]
         matches, units = self._probe_batch_column(
-            GeometryColumn.from_entries((None, geometries[i]) for i in present), per_row
+            GeometryColumn.from_entries((None, geometries[i]) for i in present)
         )
         if len(present) == len(geometries):
             return matches, units
-        # None rows keep their places, with no matches and no units.
+        # None rows keep their places, with no matches and zero units.
         row_matches: list[list[Any]] = [[] for _ in geometries]
         for i, found in zip(present, matches):
             row_matches[i] = found
-        if not per_row:
-            return row_matches, units
-        row_units: list[dict[str, float] | None] = [None] * len(geometries)
-        for i, row in zip(present, units):
-            row_units[i] = row
-        return row_matches, row_units
+        return row_matches, scatter_units(units, present, len(geometries))
 
     def _probe_batch_column(
-        self, column: GeometryColumn, per_row: bool
-    ) -> tuple[list[list[Any]], dict[str, float] | list[dict[str, float] | None]]:
+        self, column: GeometryColumn
+    ) -> tuple[list[list[Any]], dict[str, np.ndarray]]:
         """:meth:`probe_batch` over a packed column.
 
         Classification (empty / point kernels / pair kernel / scalar) is
         vectorised over the column's type and count arrays, and both
         batched routes read coordinates straight from the buffers; only a
-        scalar row materialises its geometry.
+        scalar row materialises its geometry, and copies its
+        :meth:`probe_with_cost` dict into its row of the columns.
         """
         n = len(column)
         matches: list[list[Any]] = [[] for _ in range(n)]
-        row_units: list[dict[str, float] | None] = [None] * n
-        counts = column.num_points_array()
-        for i in np.flatnonzero(counts == 0).tolist():
-            row_units[i] = {
-                Resource.INDEX_VISIT: 0.0,
-                Resource.ROWS_OUT: 0.0,
-            }
-        point_rows, pair_rows, scalar_rows = self._routes(column, counts > 0)
+        if not n:
+            return matches, {}
+        # Every row is charged its visits and output rows, an empty one 0.
+        units = {Resource.INDEX_VISIT: np.zeros(n), Resource.ROWS_OUT: np.zeros(n)}
+        point_rows, pair_rows, scalar_rows = self._routes(
+            column, column.num_points_array() > 0
+        )
         for i in scalar_rows.tolist():
-            matches[i], row_units[i] = self.probe_with_cost(column.geometry(i))
+            matches[i], row_units = self.probe_with_cost(column.geometry(i))
+            for resource, amount in row_units.items():
+                column_units = units.get(resource)
+                if column_units is None:
+                    column_units = units[resource] = np.zeros(n)
+                column_units[i] = amount
         if len(scalar_rows):
             REGISTRY.inc("probe.scalar_rows", len(scalar_rows))
-        batch_totals: dict[str, float] | None = None
         if len(pair_rows):
             min_x, min_y, max_x, max_y = column.bounds()
 
@@ -466,26 +473,24 @@ class BroadcastIndex(PreparedBuild):
                 free = np.zeros(len(probes), dtype=np.int64)
                 return self._refine_intersects(column, pair_rows[probes], entries), free, free
 
-            batch_totals = self._probe_pair_rows(
+            self._probe_pair_rows(
                 pair_rows,
                 (min_x[pair_rows], min_y[pair_rows], max_x[pair_rows], max_y[pair_rows]),
-                refine, matches, row_units, per_row,
+                refine, matches, units,
             )
         elif len(point_rows):
             # A point's envelope is the point; its coordinates come
             # straight from the packed buffer.
             _, xs, ys = column.point_rows()
-            batch_totals = self._probe_pair_rows(
+            self._probe_pair_rows(
                 point_rows,
                 (xs, ys, xs, ys),
                 lambda probes, entries: self._refine_point_pairs(
                     xs[probes], ys[probes], entries
                 ),
-                matches, row_units, per_row,
+                matches, units,
             )
-        if per_row:
-            return matches, row_units
-        return matches, self._sum_units(row_units, batch_totals)
+        return matches, units
 
     def _probe_pair_rows(
         self,
@@ -493,70 +498,33 @@ class BroadcastIndex(PreparedBuild):
         boxes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         refine,
         matches: list[list[Any]],
-        row_units: list[dict[str, float] | None],
-        per_row: bool,
-    ) -> dict[str, float] | None:
+        units: dict[str, np.ndarray],
+    ) -> None:
         """Columnar filter+refine for the probes at ``rows``, whose
         envelopes are the ``boxes`` columns: one batched envelope
         traversal, then one ``refine(probes, entries)`` pair-kernel call
         answering ``(hit, vertex_ops, allocations)`` per candidate pair.
 
-        Fills ``matches`` in place.  With ``per_row`` it also fills
-        ``row_units`` (per-probe cost dicts, exactly what
-        :meth:`probe_with_cost` yields); otherwise it skips the per-probe
-        dicts and returns the rows' summed totals — the floats are
-        integer-valued, so the sum equals the per-row sum exactly.
+        Fills ``matches`` and the ``units`` columns' entries at ``rows``
+        in place — each probe's counts, per-pair charges summed per probe
+        — adding a vertex / allocation column only when a pair is charged
+        one, as :meth:`probe_with_cost` adds the key.
         """
         probes, entries, visits = self._tree._query_batch_arrays(*boxes)
         hit, vertex, alloc = refine(probes, entries)
         payloads = self._entry_payloads
         for i, k in zip(rows[probes[hit]].tolist(), entries[hit].tolist()):
             matches[i].append(payloads[k])
-        vertex_key = self._vertex_resource
-        if not per_row:
-            totals: dict[str, float] = {
-                Resource.INDEX_VISIT: float(visits.sum()),
-                Resource.ROWS_OUT: float(np.count_nonzero(hit)),
-            }
-            if vertex.any():
-                totals[vertex_key] = float(vertex.sum())
-            if alloc.any():
-                totals[Resource.REFINE_ALLOC] = float(alloc.sum())
-            return totals
         m = len(rows)
-        for i, visited, out, vertex_ops, allocations in zip(
-            rows.tolist(),
-            visits.tolist(),
-            np.bincount(probes[hit], minlength=m).tolist(),
-            np.bincount(probes, weights=vertex, minlength=m).tolist(),
-            np.bincount(probes, weights=alloc, minlength=m).tolist(),
+        units[Resource.INDEX_VISIT][rows] = visits
+        units[Resource.ROWS_OUT][rows] = np.bincount(probes[hit], minlength=m)
+        for resource, charged in (
+            (self._vertex_resource, vertex), (Resource.REFINE_ALLOC, alloc)
         ):
-            units = {
-                Resource.INDEX_VISIT: float(visited),
-                Resource.ROWS_OUT: float(out),
-            }
-            if vertex_ops:
-                units[vertex_key] = vertex_ops
-            if allocations:
-                units[Resource.REFINE_ALLOC] = allocations
-            row_units[i] = units
-        return None
-
-    @staticmethod
-    def _sum_units(
-        row_units: list[dict[str, float] | None],
-        batch_totals: dict[str, float] | None,
-    ) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for units in row_units:
-            if units is None:
-                continue
-            for resource, amount in units.items():
-                totals[resource] = totals.get(resource, 0.0) + amount
-        if batch_totals:
-            for resource, amount in batch_totals.items():
-                totals[resource] = totals.get(resource, 0.0) + amount
-        return totals
+            if charged.any():
+                units.setdefault(resource, np.zeros(len(matches)))[rows] = np.bincount(
+                    probes, weights=charged, minlength=m
+                )
 
     def nearest(
         self, point: Point, k: int = 1, max_distance: float = math.inf
@@ -626,7 +594,7 @@ def join_tile(
     tiles,
     tile_id: int,
     expand: float,
-) -> tuple[list[tuple[Any, Any]], dict[str, float]]:
+) -> tuple[list[tuple[Any, Any]], dict[str, np.ndarray]]:
     """Probe one tile's left rows; keep only the pairs this tile owns.
 
     ``index`` holds the tile's right side with whole ``(id, geometry)``
@@ -639,12 +607,13 @@ def join_tile(
     batch-router call; a row in a single tile — almost every point — is
     decided by that alone, and the build geometries matched by multi-tile
     rows are routed together, once each.  Returns the owned pairs and the
-    probe's cost-unit totals.
+    probe's unit columns (:meth:`BroadcastIndex.probe_batch`'s), which the
+    tile's task adds with ``TaskMetrics.add_columns``.
     """
     if not isinstance(left, GeometryColumn):
         left = GeometryColumn.from_entries(left)
     left_ids = left.payloads()
-    matches_per_row, totals = index.probe_batch(left)
+    found, units = index.probe_batch(left)
     left_rows, left_tiles = tiles.route_rows(*left.bounds())
     reached = np.bincount(left_rows, minlength=len(left_ids))
     first = np.cumsum(reached) - reached
@@ -657,10 +626,10 @@ def join_tile(
     row_tiles = {
         row: set(left_tiles[first[row] : first[row] + reached[row]].tolist())
         for row in np.flatnonzero(reached > 1).tolist()
-        if matches_per_row[row]
+        if found[row]
     }
     matched = list(
-        {id(m): m for row in row_tiles for m in matches_per_row[row]}.values()
+        {id(m): m for row in row_tiles for m in found[row]}.values()
     )
     match_tiles: dict[int, set[int]] = {id(match): set() for match in matched}
     positions, reached_tiles = tiles.route_envelopes(
@@ -670,7 +639,7 @@ def join_tile(
         match_tiles[id(matched[position])].add(tile)
     pairs: list[tuple[Any, Any]] = []
     for row, (left_id, matches, owns) in enumerate(
-        zip(left_ids, matches_per_row, owned.tolist())
+        zip(left_ids, found, owned.tolist())
     ):
         if owns:
             pairs.extend((left_id, right_id) for right_id, _ in matches)
@@ -679,7 +648,7 @@ def join_tile(
                 common = row_tiles[row] & match_tiles[id(match)]
                 if (min(common) if common else tile_id) == tile_id:
                     pairs.append((left_id, match[0]))
-    return pairs, totals
+    return pairs, units
 
 
 def naive_spatial_join(

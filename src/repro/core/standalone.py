@@ -147,7 +147,7 @@ def standalone_spatial_join(
         with tracer.span("probe", category="phase") as span:
             for start in range(0, len(left_rows), batch_size):
                 batch = left_rows[start : start + batch_size]
-                matches_per_row, units_per_row = probe_wkt_rows(
+                row_matches, units = probe_wkt_rows(
                     index,
                     (
                         row[left_geometry_index]
@@ -156,23 +156,20 @@ def standalone_spatial_join(
                         for row in batch
                     ),
                 )
-                for row, matches, units in zip(batch, matches_per_row, units_per_row):
-                    if matches is None:
-                        rows_dropped += 1
-                        continue
-                    for resource, amount in units.items():
-                        metrics.add(resource, amount)
-                    left_id = _coerce_id(row[0])
+                kept = [i for i, matches in enumerate(row_matches) if matches is not None]
+                rows_dropped += len(batch) - len(kept)
+                # A dropped row's parse is priced below but not counted.
+                metrics.add_columns({key: column[kept] for key, column in units.items()})
+                for i in kept:
+                    left_id = _coerce_id(batch[i][0])
                     pairs.extend(
-                        (left_id, _coerce_id(match[0])) for match in matches
+                        (left_id, _coerce_id(match[0])) for match in row_matches[i]
                     )
-                per_row_seconds = [model.task_seconds(u) for u in units_per_row]
+                row_seconds = model.row_seconds(units, len(batch)).tolist()
                 if scheduling == "static":
-                    parallel_seconds += simulate_static_chunked(
-                        per_row_seconds, cores
-                    )
+                    parallel_seconds += simulate_static_chunked(row_seconds, cores)
                 else:
-                    parallel_seconds += simulate_dynamic(per_row_seconds, cores)
+                    parallel_seconds += simulate_dynamic(row_seconds, cores)
             span.add_sim(parallel_seconds)
             span.set_attr("scheduling", scheduling)
     phase_seconds = {

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_static_chunked
@@ -73,24 +75,22 @@ class InstanceContext:
             self.cost_model.task_seconds({resource: units}) / self.cores
         )
 
-    def charge_batch(self, per_row_units: list[dict[str, float]]) -> None:
-        """Accrue one row batch processed by statically-chunked threads.
+    def charge_batch(self, units: dict[str, np.ndarray], rows: int) -> None:
+        """Accrue one row batch of ``rows`` rows processed by
+        statically-chunked threads.
 
-        ``per_row_units`` carries each row's resource counts; the batch's
-        duration is the makespan of those rows under OpenMP static
+        ``units`` holds the rows' resource counts as unit columns (one
+        entry per row, as ``probe_wkt_rows`` returns them); the batch's
+        duration is the makespan of the rows' seconds under OpenMP static
         chunking across the node's cores.
         """
         self.row_batches += 1
         self.metrics.add(Resource.ROW_BATCHES, 1)
         self.serial_seconds += self.cost_model.impala_batch_overhead
-        if per_row_units:
-            per_row_seconds = []
-            for units in per_row_units:
-                for resource, amount in units.items():
-                    self.metrics.add(resource, amount)
-                per_row_seconds.append(self.cost_model.task_seconds(units))
+        if rows:
+            self.metrics.add_columns(units)
             self.parallel_seconds += simulate_static_chunked(
-                per_row_seconds, self.cores
+                self.cost_model.row_seconds(units, rows).tolist(), self.cores
             )
 
     @property

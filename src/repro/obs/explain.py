@@ -550,9 +550,8 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     """
     from repro.cache import cache_for
     from repro.cluster.model import CostModel
-    from repro.core.api import JoinConfig, _coerce_operator, _normalise
+    from repro.core.api import JoinConfig, _choose_plan, _coerce_operator, _normalise
     from repro.core.probe import index_cache_key
-    from repro.optimizer import choose_plan
 
     if config is not None:
         cfg = config
@@ -575,29 +574,14 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
             "broadcast-index", right_column, op, cfg.radius, cfg.engine
         )
         cached_build = key in cache
-    plan = choose_plan(
-        left_column,
-        right_column,
-        operator=op,
-        radius=cfg.radius,
-        cost_model=model,
-        workers=cfg.workers,
-        num_tiles=cfg.num_tiles,
-        skew_factor=cfg.skew_factor,
-        engine=cfg.engine,
-        sample_size=cfg.sample_size,
-        cached_build=cached_build,
-    )
-    method = None
-    if cfg.method not in ("auto",):
-        method = "broadcast" if cfg.method == "index" else cfg.method
+    plan = _choose_plan(cfg, op, model, left_column, right_column, cached_build)
     cache_info = {
         "enabled": cache is not None,
         "build_resident": cached_build,
     }
     return build_plan_report(
         plan,
-        method=method,
+        method=None if cfg.method == "auto" else cfg.method,
         model=model,
         engine=cfg.engine,
         parse_wkt=parse_wkt,

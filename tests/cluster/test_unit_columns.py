@@ -1,0 +1,153 @@
+"""Unit columns against the per-row unit dicts they replace.
+
+A probe batch's cost units travel as columns — one float64 array per
+resource, one entry per row (``BroadcastIndex.probe_batch``,
+``probe_wkt_rows``).  Priced with ``CostModel.row_seconds`` and counted
+with ``TaskMetrics.add_columns`` they must leave every per-row second,
+every makespan and every counter (key order included) exactly where
+``task_seconds`` / ``TaskMetrics.add`` over the per-row dicts put them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.cluster.metrics import TaskMetrics, scatter_units
+from repro.cluster.model import CostModel, Resource
+from repro.cluster.simulation import simulate_dynamic, simulate_static_chunked
+from repro.errors import BenchError
+
+
+def unit_columns(rows: list[dict[str, float] | None]) -> dict[str, np.ndarray]:
+    """Per-row unit dicts (``None`` for a row nobody charged) as unit
+    columns: one float64 column per key, keys in first-touch order, 0
+    where a row has no such key."""
+    columns: dict[str, np.ndarray] = {}
+    for i, row in enumerate(rows):
+        for key, amount in (row or {}).items():
+            columns.setdefault(key, np.zeros(len(rows)))[i] = amount
+    return columns
+
+
+def same_units(got: dict[str, np.ndarray], want: dict[str, np.ndarray]) -> bool:
+    """Equal unit columns: same keys in the same order, same float64 bits."""
+    return list(got) == list(want) and all(
+        got[key].dtype == np.float64 and got[key].tobytes() == want[key].tobytes()
+        for key in want
+    )
+
+
+UNITS = st.integers(0, 10**9).map(float)
+CHARGED = st.integers(1, 10**9).map(float)
+WKT = st.integers(0, 500).map(float)  # one row's WKT text
+
+
+@st.composite
+def unit_rows(draw):
+    """One batch's per-row unit dicts in probe order: an optional parse
+    charge, visits and output rows, then the vertex / allocation charges
+    only when non-zero (the engines charge an allocation only with a
+    vertex op); plus empty dicts and ``None`` rows."""
+    wkt = draw(st.booleans())
+    vertex_key = draw(st.sampled_from([Resource.REFINE_VERTEX_FAST, Resource.REFINE_VERTEX_SLOW]))
+
+    def probed(draw_row):
+        row = {Resource.WKT_BYTES: draw_row(WKT)} if wkt else {}
+        row[Resource.INDEX_VISIT] = draw_row(UNITS)
+        row[Resource.ROWS_OUT] = draw_row(UNITS)
+        charge = draw_row(st.sampled_from(["none", "vertex", "both"]))
+        if charge != "none":
+            row[vertex_key] = draw_row(CHARGED)
+        if charge == "both":
+            row[Resource.REFINE_ALLOC] = draw_row(CHARGED)
+        return row
+
+    kinds = draw(st.lists(st.sampled_from(["none", "empty", "dropped", "probed"]), max_size=60))
+    rows = []
+    for kind in kinds:
+        if kind == "none":
+            rows.append(None)
+        elif kind == "empty":
+            rows.append({})
+        elif kind == "dropped":
+            rows.append({Resource.WKT_BYTES: draw(WKT)} if wkt else {})
+        else:
+            rows.append(probed(draw))
+    return rows
+
+
+# What a task or fragment instance holds before the batch is added: other
+# counters, and the instance's own cost-weighted build-side parse charge —
+# fractional, so only a left-to-right sum matches adding row by row.
+HELD = st.dictionaries(
+    st.sampled_from(
+        [Resource.HDFS_BYTES, Resource.ROW_BATCHES, Resource.INDEX_BUILD, Resource.WKT_BYTES]
+    ),
+    st.builds(
+        lambda units, weight: units * (weight / 1009), st.integers(0, 2000), st.integers(1, 1009)
+    ),
+)
+
+
+def held_metrics(held: dict[str, float]) -> TaskMetrics:
+    return TaskMetrics(counts=dict(held))
+
+
+class TestUnitColumnsAreThePerRowDicts:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=unit_rows())
+    def test_row_seconds_is_task_seconds_per_row(self, rows):
+        model = CostModel()
+        got = model.row_seconds(unit_columns(rows), len(rows)).tolist()
+        want = [model.task_seconds(row or {}) for row in rows]
+        assert [s.hex() for s in got] == [s.hex() for s in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=unit_rows(), held=HELD)
+    # Adding the column's sum once would round 0.3002973240832507 + 8
+    # differently from (0.3002973240832507 + 2) + 6.
+    @example(
+        rows=[{Resource.WKT_BYTES: 2.0, Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0},
+              {Resource.WKT_BYTES: 6.0}],
+        held={Resource.WKT_BYTES: 0.3002973240832507},
+    )
+    def test_add_columns_is_add_row_by_row(self, rows, held):
+        got, want = held_metrics(held), held_metrics(held)
+        got.add_columns(unit_columns(rows))
+        for row in rows:
+            for resource, amount in (row or {}).items():
+                want.add(resource, amount)
+        assert list(got.counts) == list(want.counts)
+        assert [v.hex() for v in got.counts.values()] == [v.hex() for v in want.counts.values()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=unit_rows(), workers=st.integers(1, 9))
+    def test_makespans_are_the_per_row_ones(self, rows, workers):
+        model = CostModel()
+        columns = model.row_seconds(unit_columns(rows), len(rows)).tolist()
+        dicts = [model.task_seconds(row or {}) for row in rows]
+        for simulate in (simulate_static_chunked, simulate_dynamic):
+            assert simulate(columns, workers).hex() == simulate(dicts, workers).hex()
+
+    @given(held=HELD)
+    def test_a_zero_row_batch_adds_nothing(self, held):
+        metrics = held_metrics(held)
+        metrics.add_columns({})
+        metrics.add_columns({Resource.WKT_BYTES: np.zeros(0)})
+        assert list(metrics.counts.items()) == list(held.items())
+        assert CostModel().row_seconds({}, 0).tolist() == []
+
+    def test_unknown_resource_is_refused(self):
+        with pytest.raises(BenchError, match="unknown resource counter 'bogus'"):
+            CostModel().row_seconds({"bogus": np.ones(2)}, 2)
+
+
+def test_scatter_units_places_rows_and_keeps_key_order():
+    units = {Resource.INDEX_VISIT: np.array([3.0, 4.0]), Resource.ROWS_OUT: np.array([1.0, 0.0])}
+    placed = scatter_units(units, [3, 1], 5)
+    assert same_units(placed, unit_columns(
+        [None, {Resource.INDEX_VISIT: 4.0, Resource.ROWS_OUT: 0.0}, None,
+         {Resource.INDEX_VISIT: 3.0, Resource.ROWS_OUT: 1.0}, None]
+    ))

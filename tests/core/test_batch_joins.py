@@ -9,8 +9,10 @@ were asserted equal, order included).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import ClusterSpec
 from repro.core.api import JoinConfig, spatial_join
 from repro.core.broadcast_join import broadcast_spatial_join
@@ -24,6 +26,7 @@ from repro.impala import ImpalaBackend
 from repro.index.partitioner import SortTilePartitioner
 from repro.runtime.config import RuntimeConfig
 from repro.spark.context import SparkContext
+from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.columnar.test_byte_identity import digest
 
 
@@ -191,15 +194,15 @@ class TestJoinConfigValidation:
 class TestProbeBatchModes:
     def test_totals_equal_summed_per_row(self, point_records, cell_records):
         index = BroadcastIndex(cell_records, SpatialOperator.WITHIN)
+        reference = BroadcastIndex(cell_records, SpatialOperator.WITHIN)
         geometries = [g for _, g in point_records]
-        matches_total, totals = index.probe_batch(geometries)
-        matches_row, per_row = index.probe_batch(geometries, per_row=True)
-        assert matches_total == matches_row
-        summed: dict[str, float] = {}
-        for units in per_row:
-            for key, value in units.items():
-                summed[key] = summed.get(key, 0.0) + value
-        assert totals == {k: v for k, v in summed.items() if v or k in totals}
+        _, units = index.probe_batch(geometries)
+        totals, summed = TaskMetrics(), TaskMetrics()
+        totals.add_columns(units)
+        for geometry in geometries:
+            for key, value in reference.probe_with_cost(geometry)[1].items():
+                summed.add(key, value)
+        assert list(totals.counts.items()) == list(summed.counts.items())
 
     def test_matches_scalar_probe_with_cost(self, point_records, line_records):
         index = BroadcastIndex(
@@ -207,18 +210,18 @@ class TestProbeBatchModes:
         )
         geometries = [g for _, g in point_records]
         scalar = [index.probe_with_cost(g) for g in geometries]
-        matches, per_row = index.probe_batch(geometries, per_row=True)
+        matches, units = index.probe_batch(geometries)
         assert matches == [m for m, _ in scalar]
-        assert per_row == [u for _, u in scalar]
+        assert same_units(units, unit_columns([u for _, u in scalar]))
 
     def test_none_and_empty_probes(self, cell_records):
         index = BroadcastIndex(cell_records, SpatialOperator.WITHIN)
         geometries = [Point(10, 10), None, Point.empty()]
-        matches, per_row = index.probe_batch(geometries, per_row=True)
+        matches, units = index.probe_batch(geometries)
         assert matches[0] == ["cell-0-0"]
-        assert matches[1] == [] and per_row[1] is None
+        assert matches[1] == [] and not any(column[1] for column in units.values())
         assert matches[2] == []
-        assert per_row[2] is not None and per_row[2]["rows_out"] == 0.0
+        assert units["rows_out"].tolist() == [1.0, 0.0, 0.0]
 
     def test_empty_batch(self, cell_records):
         index = BroadcastIndex(cell_records, SpatialOperator.WITHIN)
@@ -242,9 +245,9 @@ class TestSlowEngineChargedNotPerformed:
         reference = BroadcastIndex(build, op, radius=radius, engine="slow")
         scalar = [reference.probe_with_cost(g) for g in geometries]
         index = BroadcastIndex(build, op, radius=radius, engine="slow")
-        matches, per_row = index.probe_batch(geometries, per_row=True)
+        matches, units = index.probe_batch(geometries)
         assert matches == [m for m, _ in scalar]
-        assert per_row == [u for _, u in scalar]
+        assert same_units(units, unit_columns([u for _, u in scalar]))
         assert index.engine.counters == reference.engine.counters
         assert index.engine.counters.allocations > 0
 
@@ -265,9 +268,10 @@ class TestSlowEngineChargedNotPerformed:
             (line_records, SpatialOperator.NEAREST_D, 5.0),
         ):
             index = BroadcastIndex(build, op, radius=radius, engine="slow")
-            matches, totals = index.probe_batch(geometries)
+            matches, units = index.probe_batch(geometries)
             assert sum(map(len, matches)) > 0
-            assert totals["refine_alloc"] == totals["refine_vertex_slow"] > 0
+            assert np.array_equal(units["refine_alloc"], units["refine_vertex_slow"])
+            assert units["refine_alloc"].sum() > 0
 
         fs = SimulatedHDFS(block_size=4096)
         write_text(fs, "/pnt.txt", [f"{i}\t{g.wkt()}" for i, g in point_records])

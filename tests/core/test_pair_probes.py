@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import JoinConfig, spatial_join
+from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import ClusterSpec, Resource
 from repro.columnar import GeometryColumn, parse_wkt_column
 from repro.core.broadcast_join import broadcast_spatial_join, read_geometry_pairs
@@ -42,6 +43,7 @@ from repro.index.partitioner import SortTilePartitioner
 from repro.obs.registry import collecting
 from repro.runtime.config import RuntimeConfig
 from repro.spark.context import SparkContext
+from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.columnar.test_byte_identity import digest
 
 CLUSTER = ClusterSpec(num_nodes=2, cores_per_node=4, mem_per_node_gb=15.0)
@@ -178,6 +180,98 @@ class TestEveryPathKeepsTheParentsAnswer:
             assert pooled == serial
 
 
+class TestSQLPathChargesArePinned:
+    """The pins above are all Intersects, whose pair kernel charges no
+    refinement units.  Point probes under Within on the slow engine are
+    charged vertex ops and allocations per row, and the SQL paths price
+    each row batch as the makespan of those rows: every value below —
+    seconds by their bits, counters in first-touch order — was recorded
+    when the units still travelled as one dict per row.  The build side's
+    cost weight makes each instance's parse charge fractional before the
+    probe rows' own are added to it."""
+
+    WEIGHT = 0.37
+
+    @pytest.fixture(scope="class")
+    def hdfs(self):
+        from repro.data import generate_taxi
+
+        def lines(dataset):
+            return [f"{i}\t{wkt_dumps(g, precision=6)}" for i, (_, g) in enumerate(dataset.records)]
+
+        left = lines(generate_taxi(700, seed=20150402))
+        left[17] = "17\tPOINT (nan 2)"  # parsed, charged, dropped
+        left[300] = "300\tPOINT (1 2"
+        left[450] = "450"  # no geometry column
+        right = lines(generate_nycb(40, seed=20150401))
+        hdfs = SimulatedHDFS(datanodes=("node0", "node1"), replication=2)
+        for path, rows in (("/pickups.txt", left), ("/blocks.txt", right)):
+            size = sum(len(line) + 1 for line in rows)
+            write_text(hdfs, path, rows, block_size=max(1024, size // 6))
+        return hdfs
+
+    def test_impala_instances(self, hdfs):
+        backend = ImpalaBackend(CLUSTER, hdfs=hdfs, build_cost_weight=self.WEIGHT, batch_size=128)
+        backend.metastore.create_table("pickups", SCHEMA, "/pickups.txt")
+        backend.metastore.create_table("blocks", SCHEMA, "/blocks.txt")
+        result = backend.execute(
+            "SELECT l.id, r.id FROM pickups l SPATIAL JOIN blocks r"
+            " WHERE ST_WITHIN(l.geom, r.geom)"
+        )
+        assert (len(result.rows), digest([list(row) for row in result.rows])) == (
+            697, "ff8f0dbb51cbefad"
+        )
+        assert result.simulated_seconds.hex() == "0x1.8ce0fcecfe854p+5"
+        assert [
+            (i.serial_seconds.hex(), i.parallel_seconds.hex(), list(i.metrics.counts.items()))
+            for i in result.instances
+        ] == [
+            ("0x1.d9790148aa68ep+2", "0x1.cb267c6b8b697p+3", [
+                ("hdfs_bytes", 18424.0), ("broadcast_bytes", 3951.97), ("wkt_bytes", 15435.33),
+                ("index_build", 15.54), ("row_batches", 3.0), ("index_visit", 2457.0),
+                ("rows_out", 351.0), ("refine_vertex_slow", 5004.0), ("refine_alloc", 5004.0),
+                ("shuffle_bytes", 14040.0),
+            ]),
+            ("0x1.d93e05ca19695p+2", "0x1.c13e89a88ace2p+3", [
+                ("hdfs_bytes", 18417.0), ("broadcast_bytes", 3951.97), ("wkt_bytes", 15256.33),
+                ("index_build", 15.54), ("row_batches", 3.0), ("index_visit", 2422.0),
+                ("rows_out", 346.0), ("refine_vertex_slow", 5067.0), ("refine_alloc", 5067.0),
+                ("shuffle_bytes", 13840.0),
+            ]),
+        ]
+
+    @pytest.mark.parametrize(
+        "scheduling,simulated,probe",
+        [
+            ("static", "0x1.0ff520e3fb3cap+5", "0x1.ae516db0dd830p+4"),
+            ("dynamic", "0x1.0968b382ced1ep+5", "0x1.a13892ee84ad7p+4"),
+        ],
+    )
+    def test_standalone(self, hdfs, scheduling, simulated, probe):
+        from repro.core.standalone import standalone_spatial_join
+
+        result = standalone_spatial_join(
+            hdfs, "/pickups.txt", "/blocks.txt", SpatialOperator.WITHIN, cores=4,
+            scheduling=scheduling, batch_size=128, build_cost_weight=self.WEIGHT,
+        )
+        assert (len(result.pairs), digest([list(pair) for pair in result.pairs])) == (
+            697, "bc10f5257d968d99"
+        )
+        assert result.rows_dropped == 3
+        assert result.simulated_seconds.hex() == simulated
+        assert [(phase, s.hex()) for phase, s in result.phase_seconds.items()] == [
+            ("scan-build-side", "0x1.155968a7086d1p-3"),
+            ("build-index", "0x1.80438df449e96p+2"),
+            ("scan-probe-side", "0x1.eba7b9170d62dp-1"),
+            ("probe", probe),
+        ]
+        assert list(result.metrics.counts.items()) == [
+            ("hdfs_bytes", 36841.0), ("wkt_bytes", 33271.0), ("index_build", 42.0),
+            ("index_visit", 4879.0), ("rows_out", 697.0), ("refine_vertex_slow", 10071.0),
+            ("refine_alloc", 10071.0),
+        ]
+
+
 class TestNoScalarWorkOnTheProbeSide:
     """Tier-1 guard: a lion x nycb Intersects query builds no probe-side
     geometry, runs no scalar segment predicate, and enters the pair kernel
@@ -236,17 +330,31 @@ class TestNoScalarWorkOnTheProbeSide:
         plain = BroadcastIndex(build, SpatialOperator.INTERSECTS)
         named = BroadcastIndex.from_entries(build, SpatialOperator.INTERSECTS)
         with collecting() as registry:
-            matches, units = plain.probe_batch(probes, per_row=True)
+            probed = plain.probe_batch(probes)
             scalar_rows = registry.counter("probe.scalar_rows")
         assert scalar_rows == 0
         assert calls["batches"] == calls["kernel"] == 1
         assert calls["intersects"] == calls["orientation"] == 0
-        assert (matches, units) == named.probe_batch(probes, per_row=True)
+        assert same_probe(probed, named.probe_batch(probes))
+        matches, _ = probed
         assert sum(map(len, matches)) == 373
 
 
+def same_probe(got, want) -> bool:
+    """Two ``probe_batch`` results agree: matches, and unit columns by bits."""
+    return got[0] == want[0] and same_units(got[1], want[1])
+
+
+def added(units) -> TaskMetrics:
+    """What a task holds once it has added a batch's unit columns."""
+    task = TaskMetrics()
+    task.add_columns(units)
+    return task
+
+
 def probe_scalar(index, geometries):
-    """N ``probe_with_cost`` calls: the reference for matches and units."""
+    """N ``probe_with_cost`` calls: the reference for matches and units
+    (one dict per row, ``None`` for a ``None`` row)."""
     matches, units = [], []
     for geometry in geometries:
         if geometry is None:
@@ -286,10 +394,10 @@ class TestBroadcastIndexRoutes:
     """``probe_batch`` == N ``probe_with_cost`` calls whichever route a row
     takes, and every row the scalar route took is counted."""
 
-    def run(self, index, probes, per_row):
+    def run(self, index, probes):
         before = index.tree.nodes_visited
         with collecting() as registry:
-            matches, units = index.probe_batch(probes, per_row=per_row)
+            matches, units = index.probe_batch(probes)
             scalar_rows = registry.counter("probe.scalar_rows")
         return matches, units, index.tree.nodes_visited - before, scalar_rows
 
@@ -300,13 +408,13 @@ class TestBroadcastIndexRoutes:
         want_matches, want_units = probe_scalar(index, PROBES)
         want_visits = index.tree.nodes_visited - before
         probes = GeometryColumn.from_geometries(PROBES) if as_column else PROBES
-        matches, units, visits, scalar_rows = self.run(index, probes, per_row=True)
-        assert matches == want_matches and units == want_units
-        assert [list(row) for row in units] == [list(row) for row in want_units]  # key order
+        matches, units, visits, scalar_rows = self.run(index, probes)
+        assert matches == want_matches
+        assert same_units(units, unit_columns(want_units))  # key order included
         assert visits == want_visits
         assert scalar_rows == 2  # the Point and the MultiPoint
-        matches, totals, visits, _ = self.run(index, probes, per_row=False)
-        assert matches == want_matches and visits == want_visits
+        # What a Spark task / API chunk adds: the rows' sums, in that order.
+        totals = added(units).counts
         assert totals == {
             Resource.INDEX_VISIT: sum(row[Resource.INDEX_VISIT] for row in want_units),
             Resource.ROWS_OUT: sum(row[Resource.ROWS_OUT] for row in want_units),
@@ -317,15 +425,14 @@ class TestBroadcastIndexRoutes:
         index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
         probes = [None, PROBES[0], None, None, PROBES[2]]
         want_matches, want_units = probe_scalar(index, probes)
-        matches, units, _, scalar_rows = self.run(index, probes, per_row=True)
-        assert matches == want_matches and units == want_units
-        assert units[0] is None and units[3] is None
+        matches, units, _, scalar_rows = self.run(index, probes)
+        assert matches == want_matches and same_units(units, unit_columns(want_units))
+        assert not any(column[[0, 2, 3]].any() for column in units.values())
         assert scalar_rows == 0
         present = [row for row in want_units if row is not None]
-        assert self.run(index, probes, per_row=False)[:2] == (
-            want_matches,
-            {key: sum(row[key] for row in present) for key in present[0]},
-        )
+        assert added(units).counts == {
+            key: sum(row[key] for row in present) for key in present[0]
+        }
         # No predicate can evaluate a collection, wherever it sits (even
         # clear of every build envelope): probe_batch names its row
         # instead of probing it on the scalar route.
@@ -348,17 +455,37 @@ class TestBroadcastIndexRoutes:
     def test_what_is_left_is_counted(self, operator, radius, build, probes, batched):
         index = BroadcastIndex.from_entries(build, operator, radius=radius)
         want_matches, want_units = probe_scalar(index, probes)
-        matches, units, _, scalar_rows = self.run(index, probes, per_row=True)
-        assert matches == want_matches and units == want_units
+        matches, units, _, scalar_rows = self.run(index, probes)
+        assert matches == want_matches and same_units(units, unit_columns(want_units))
         assert scalar_rows == sum(1 for p in probes if not p.is_empty) - batched
+
+    def test_scalar_rows_allocate_each_column_once(self, monkeypatch):
+        # Non-point probes under Within all take the scalar route; the
+        # batch's columns are allocated once per batch, not once per row.
+        probes = [LineString([(x % 9, 1), (x % 9 + 0.5, 2)]) for x in range(3000)]
+        index = BroadcastIndex.from_entries(BUILD[:2], SpatialOperator.WITHIN)
+        want_matches, want_units = probe_scalar(index, probes)
+        zeros, batch_columns = np.zeros, []
+
+        def spy(shape, *args, **kwargs):
+            if shape == len(probes):
+                batch_columns.append(shape)
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", spy)
+        matches, units, _, scalar_rows = self.run(index, probes)
+        monkeypatch.undo()
+        assert matches == want_matches and same_units(units, unit_columns(want_units))
+        assert scalar_rows == len(probes)
+        assert len(batch_columns) < 10  # a few per batch, never one per row
 
     def test_a_build_side_with_points_is_all_scalar(self):
         index = BroadcastIndex.from_entries(
             [*BUILD, ("hydrant", Point(2, 2))], SpatialOperator.INTERSECTS
         )
         want_matches, want_units = probe_scalar(index, PROBES)
-        matches, units, _, scalar_rows = self.run(index, PROBES, per_row=True)
-        assert matches == want_matches and units == want_units
+        matches, units, _, scalar_rows = self.run(index, PROBES)
+        assert matches == want_matches and same_units(units, unit_columns(want_units))
         assert scalar_rows == sum(1 for p in PROBES if not p.is_empty)
 
     def test_isp_row_batch_units_are_the_row_loop_s(self):
@@ -366,16 +493,18 @@ class TestBroadcastIndexRoutes:
         index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS, engine="slow")
         matches, units = probe_wkt_rows(index, texts)
         reader = WKTReader()
-        for text, row_matches, row_units in zip(texts, matches, units):
+        want_units = []
+        for text, row_matches in zip(texts, matches):
             geometry = reader.try_read(text) if isinstance(text, str) else None
             want = {Resource.WKT_BYTES: float(len(text))} if isinstance(text, str) else {}
+            want_units.append(want)
             if geometry is None:
-                assert row_matches is None and row_units == want
+                assert row_matches is None
                 continue
             (found,), (cost,) = probe_scalar(index, [geometry])
             want.update(cost)
             assert row_matches == found
-            assert row_units == want and list(row_units) == list(want)
+        assert same_units(units, unit_columns(want_units))
 
     def test_parsed_line_column_probes_like_its_objects(self):
         rows = [wkt_dumps(p) for p in (PROBES[0], PROBES[1], PROBES[7])]
@@ -384,15 +513,15 @@ class TestBroadcastIndexRoutes:
         index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
         want_matches, want_units = probe_scalar(index, [wkt_loads(row) for row in rows])
         sliced = column.take(np.array([2, 0, 1]))
-        matches, units = index.probe_batch(sliced, per_row=True)
+        matches, units = index.probe_batch(sliced)
         assert matches == [want_matches[i] for i in (2, 0, 1)]
-        assert units == [want_units[i] for i in (2, 0, 1)]
+        assert same_units(units, unit_columns([want_units[i] for i in (2, 0, 1)]))
 
     def test_one_block_per_cell_gives_the_same_answers(self, monkeypatch):
         index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
-        want = index.probe_batch(PROBES, per_row=True)
+        want = index.probe_batch(PROBES)
         monkeypatch.setattr(pairwise, "_BLOCK_CELLS", 1)
-        assert index.probe_batch(PROBES, per_row=True) == want
+        assert same_probe(index.probe_batch(PROBES), want)
 
 
 def _square(x, y, size=6.0, hole=False):
@@ -483,22 +612,23 @@ class TestPointProbesTakeThePairBody:
         assert sum(map(len, want_matches)) > 20
         index = BroadcastIndex(build, operator, radius=radius, engine=engine)
         with collecting() as registry:
-            matches, units = index.probe_batch(probes, per_row=True)
+            matches, units = index.probe_batch(probes)
             scalar_rows = registry.counter("probe.scalar_rows")
         assert dispatches == {"traversal": 1, "chunks": 0, "pair_kernel": 1, "per_handle": 0}
         assert scalar_rows == 0
-        assert matches == want_matches and units == want_units
-        assert [list(row) for row in units] == [list(row) for row in want_units]
+        assert matches == want_matches
+        assert same_units(units, unit_columns(want_units))  # key order included
         assert index.engine.counters == reference.engine.counters
         assert index.tree.nodes_visited == reference.tree.nodes_visited
-        # Totals mode: same matches, the per-row units summed, key order kept.
-        again, totals = index.probe_batch(GeometryColumn.from_geometries(probes))
-        assert again == want_matches
+        # A column probes the same; added up, the per-row units summed,
+        # key order kept.
+        again = index.probe_batch(GeometryColumn.from_geometries(probes))
+        assert same_probe(again, (matches, units))
         summed: dict[str, float] = {}
         for row in want_units:
             for key, amount in row.items():
                 summed[key] = summed.get(key, 0.0) + amount
-        assert totals == summed
+        assert list(added(again[1]).counts.items()) == list(summed.items())
         assert dispatches["traversal"] == dispatches["pair_kernel"] == 2
 
     def test_an_untabled_build_row_gets_one_per_handle_call(self, dispatches, engine):
@@ -511,9 +641,9 @@ class TestPointProbesTakeThePairBody:
         ]
         probes = point_probes(80)
         reference = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
-        want = probe_scalar(reference, probes)
+        want_matches, want_units = probe_scalar(reference, probes)
         index = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
-        assert index.probe_batch(probes, per_row=True) == want
+        assert same_probe(index.probe_batch(probes), (want_matches, unit_columns(want_units)))
         assert dispatches == {"traversal": 1, "chunks": 0, "pair_kernel": 1, "per_handle": 2}
         assert index.engine.counters == reference.engine.counters
 
@@ -521,12 +651,14 @@ class TestPointProbesTakeThePairBody:
         operator, radius, build = POINT_BUILDS["linestring"]
         index = BroadcastIndex(build, operator, radius=radius, engine=engine)
         far = [Point(900.0, 900.0), Point.empty(), None]
-        matches, units = index.probe_batch(far, per_row=True)
+        matches, units = index.probe_batch(far)
         assert matches == [[], [], []]
-        assert units[1] == {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0} and units[2] is None
-        assert units[0] == BroadcastIndex(build, operator, radius=radius, engine=engine
-                                          ).probe_with_cost(far[0])[1]
+        scalar = BroadcastIndex(build, operator, radius=radius, engine=engine
+                                ).probe_with_cost(far[0])[1]
+        empty = {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0}
+        assert same_units(units, unit_columns([scalar, empty, None]))
         assert index.probe_batch([]) == ([], {})
+        assert index.probe_batch([None, None]) == ([[], []], {})
 
     def test_a_shipped_index_packs_its_tables_on_arrival(self, engine):
         import pickle
@@ -535,13 +667,13 @@ class TestPointProbesTakeThePairBody:
             probes = GeometryColumn.from_geometries(point_probes(60))
             index = BroadcastIndex(build, operator, radius=radius, engine=engine)
             assert index._point_tables is None  # lazy: built by the first point probe
-            want = index.probe_batch(probes, per_row=True)
+            want = index.probe_batch(probes)
             assert index._point_tables is not None
             shipped = pickle.loads(pickle.dumps(index))
             assert shipped._point_tables is None
-            assert shipped.probe_batch(probes, per_row=True) == want
+            assert same_probe(shipped.probe_batch(probes), want)
             assert shipped._point_tables is not None
-            assert shipped.probe_batch(probes) == index.probe_batch(probes)
+            assert same_probe(shipped.probe_batch(probes), index.probe_batch(probes))
 
 
 class TestScalarRowsOnTheBenchmarkShapes:

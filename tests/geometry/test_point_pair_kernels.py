@@ -25,6 +25,7 @@ from repro.geometry import LineString, MultiLineString, MultiPolygon, Point, Pol
 from repro.geometry.algorithms import pairwise
 from repro.geometry.engine import EngineCounters, create_engine
 from repro.geometry.prepared import PreparedPolygon
+from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.geometry.test_batch_kernels import (
     boundary_probes,
     random_polygon,
@@ -317,11 +318,10 @@ class TestUntabledBuildRows:
         build = self.build_side(rng)
         probes = [Point(rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(60)]
         index = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=2.0, engine=name)
-        matches, units = index.probe_batch(probes, per_row=True)
+        matches, units = index.probe_batch(probes)
         reference = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=2.0, engine=name)
         want = [reference.probe_with_cost(probe) for probe in probes]
         assert matches == [found for found, _ in want]
-        assert units == [cost for _, cost in want]
-        assert [list(row) for row in units] == [list(cost) for _, cost in want]  # key order
+        assert same_units(units, unit_columns([cost for _, cost in want]))  # key order too
         assert index.engine.counters == reference.engine.counters
-        assert any(Resource.REFINE_ALLOC in row for row in units) == (name == "slow")
+        assert (Resource.REFINE_ALLOC in units) == (name == "slow")

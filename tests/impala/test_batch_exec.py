@@ -25,6 +25,7 @@ from repro.impala.ast_nodes import BinaryOp, ColumnRef, Literal
 from repro.impala.exec_nodes import FilterNode, InstanceContext
 from repro.impala.exprs import Slot, TupleDescriptor, vectorize_conjuncts
 from repro.impala.rowbatch import BATCH_SIZE, RowBatch, batches_of
+from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.columnar.test_byte_identity import digest
 
 
@@ -155,22 +156,24 @@ class TestBulkParsedRowBatches:
             [tuple(line.split("\t")) for line in read_lines(city, "/poly.txt")],
             1, SpatialOperator.WITHIN, 0.0,
         )
-        for text, row_matches, row_units in zip(texts, matches, units):
+        want_units = []
+        for text, row_matches in zip(texts, matches):
             geometry = WKTReader().try_read(text)
             if geometry is None:
                 assert row_matches is None
-                assert row_units == (
+                want_units.append(
                     {Resource.WKT_BYTES: float(len(text))} if isinstance(text, str) else {}
                 )
                 continue
-            want_matches, want_units = (
+            want_matches, want_row = (
                 ([], {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0})
                 if geometry.is_empty
                 else reference.probe_with_cost(geometry)
             )
             assert row_matches == want_matches
-            assert row_units == {Resource.WKT_BYTES: float(len(text)), **want_units}
-            assert next(iter(row_units)) == Resource.WKT_BYTES  # the charge order
+            want_units.append({Resource.WKT_BYTES: float(len(text)), **want_row})
+        assert same_units(units, unit_columns(want_units))
+        assert next(iter(units)) == Resource.WKT_BYTES  # the charge order
         assert index.engine.counters == reference.engine.counters
 
     def test_build_side_drops_are_counted(self):

@@ -98,6 +98,31 @@ class TestExplainPlanOnly:
         assert objects.find("parse").estimate["seconds"] == 0.0
         assert texts.find("parse").estimate["seconds"] > 0.0
 
+    def test_an_unknown_method_is_refused_like_spatial_join(self):
+        """``explain`` used to price an unknown method as naive and label
+        the report with it; every entry point now refuses it alike."""
+        from repro.core import spatial_join_pairs
+
+        left = [(0, "POINT (1 1)")]
+        right = [("cell", "POLYGON ((0 0, 2 0, 2 2, 0 2, 0 0))")]
+        message = r"method must be one of .*, got 'bogus'"
+        for call in (
+            lambda: explain(left, right, method="bogus"),
+            lambda: explain(left, right, config=JoinConfig(method="bogus")),
+            lambda: spatial_join(left, right, method="bogus"),
+            lambda: spatial_join_pairs(["POINT (1 1)"], [right[0][1]], method="bogus"),
+        ):
+            with pytest.raises(ReproError, match=message):
+                call()
+
+    def test_index_is_broadcast_everywhere(self, hotspot):
+        left, right, op = hotspot
+        assert JoinConfig(method="index") == JoinConfig(method="broadcast")
+        report = explain(left, right, config=JoinConfig(operator=op, method="index"))
+        assert report.method == "broadcast"
+        assert [n.name for n in report.root.children] == _STAGES["broadcast"]
+        assert spatial_join(left[:50], right, operator=op, method="index").method == "broadcast"
+
 
 class TestExplainAnalyze:
     def test_actuals_sum_match_engine_total(self, analyzed):
