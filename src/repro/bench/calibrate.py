@@ -72,12 +72,11 @@ def micro_ratio(
     """
     model = model or CostModel()
     mat = materialize(workload, scale=scale)
-    points = mat.left.records[:sample]
+    points = [point for _, point in mat.left.records[:sample]]
     fast = BroadcastIndex(mat.right.records, SpatialOperator.WITHIN, engine="fast")
     slow = BroadcastIndex(mat.right.records, SpatialOperator.WITHIN, engine="slow")
-    for _, point in points:
-        fast.probe(point)
-        slow.probe(point)
+    fast.probe_batch(points)
+    slow.probe_batch(points)
     fast_cost = model.task_seconds(
         {Resource.REFINE_VERTEX_FAST: fast.engine.counters.vertex_ops}
     )

@@ -699,29 +699,35 @@ def _run_tasks(pool, tasks, model, events_ctx, recovery, scope):
     body's ``(pairs, TaskMetrics)`` in task order.
 
     Pure fan-out: a body reads the (fork-inherited) index and its slice of
-    the inputs and touches no driver-global state.  With the event log on
-    (``events_ctx`` is a ``(query, stage)`` pair) each task frames itself
-    in TaskStart / TaskEnd inside an :class:`ObsCapture` that ships back
-    with its result and is replayed here in task order — workers never
-    write the driver's sink, and a losing speculative attempt's capture
-    is simply dropped.  With a fault plan active the same thunks run under
+    the inputs; what it does to observability state — registry counters,
+    and with the event log on (``events_ctx`` is a ``(query, stage)``
+    pair) its TaskStart / TaskEnd frame — goes into an
+    :class:`ObsCapture` whenever the task runs in a worker, may be
+    discarded (a fault plan is active) or emits events.  The capture
+    ships back with its result and is replayed here in task order —
+    workers never write the driver's registry or sink, and a losing
+    speculative attempt's capture is simply dropped.  With a fault plan
+    active the same thunks run under
     :func:`~repro.runtime.recovery.run_recovered`.
     """
+    captured = events_ctx is not None or recovery.active or not pool.is_serial
 
     def make_thunk(task_index, label, partition, body):
-        if events_ctx is None:
+        if not captured:
             return lambda: (*body(), None)
-        ids = (*events_ctx, task_index)
+        ids = None if events_ctx is None else (*events_ctx, task_index)
 
-        def run_with_events():
+        def run_captured():
             capture = ObsCapture()
             with capture_observability(capture):
-                emit_task_start(ids, partition, label)
+                if ids is not None:
+                    emit_task_start(ids, partition, label)
                 pairs, task = body()
-                emit_task_end(ids, partition, label, task.seconds(model), task.counts)
+                if ids is not None:
+                    emit_task_end(ids, partition, label, task.seconds(model), task.counts)
             return pairs, task, capture
 
-        return run_with_events
+        return run_captured
 
     results = []
 
@@ -825,7 +831,7 @@ def _dual_tree_join(left_column, right_column, op, cfg, model, query):
         _add_stage(query, "build", [build_metrics], model)
     with tracer.span("join", category="phase") as span:
         left_rows, build_rows = left_tree._join_arrays(right_tree, expand=expand)
-        hit = build.refine_candidates(probes, left_rows, build_rows)
+        hit, _, _ = build.refine_candidates(probes, left_rows, build_rows)
         left_ids, right_ids = probes.payloads(), build._column.payloads()
         pairs = [
             (left_ids[i], right_ids[k])

@@ -74,8 +74,8 @@ def probe_wkt_rows(
     string or fails to parse is dropped: its matches slot is ``None`` and
     its units hold only the parse charge.  ``units`` are unit columns, one
     entry per row, keyed ``WKT_BYTES, INDEX_VISIT, ROWS_OUT, REFINE_*`` in
-    that order — row ``i`` is exactly what parsing the row and calling
-    ``probe_with_cost`` on it charges — so
+    that order — row ``i`` is exactly what parsing the row and probing it
+    alone charges — so
     :meth:`~repro.cluster.model.CostModel.row_seconds` gives each row's
     simulated seconds, and with them the OpenMP static-chunk makespans
     behind Tables 1-2, bit for bit as the row loop did.

@@ -25,7 +25,7 @@ from repro.core.probe import cached_index, join_tile
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
-from repro.index.partitioner import SortTilePartitioner, SpatialPartitioning
+from repro.index.partitioner import SortTilePartitioner, SpatialPartitioning, cover_plane
 from repro.obs.registry import REGISTRY
 from repro.obs.tracer import get_tracer
 from repro.spark.context import SparkContext
@@ -47,7 +47,9 @@ def derive_partitioning(
     """Sample the left side's centroids and build a sort-tile partitioning.
 
     Sampling the *probe* side equalises per-tile probe work, which is the
-    dominant cost for the paper's point-heavy workloads.
+    dominant cost for the paper's point-heavy workloads.  The tiles cover
+    the plane (:func:`~repro.index.partitioner.cover_plane`): rows outside
+    the sample's box reach the outer tiles they intersect.
 
     With ``right`` and ``skew_factor`` given, the layout additionally runs
     the optimizer's LocationSpark-style refinement: per-tile costs are
@@ -83,7 +85,7 @@ def derive_partitioning(
     pad_x = max((max_x - min_x) * 0.05, 1e-9)
     pad_y = max((max_y - min_y) * 0.05, 1e-9)
     extent = Envelope(min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y)
-    return SortTilePartitioner(num_tiles).partition(extent, sample_pairs)
+    return cover_plane(SortTilePartitioner(num_tiles).partition(extent, sample_pairs))
 
 
 def partitioned_spatial_join(

@@ -64,31 +64,19 @@ def refine_pair(
 ) -> bool:
     """Exact predicate test for one candidate pair.
 
-    Point probes take the engine's prepared fast paths; non-point probes
-    fall back to the generic computational-geometry predicates (identical
-    results, no preparation benefit — matching how JTS/GEOS treat them).
-    This is the scalar reference: :meth:`BroadcastIndex.probe_batch`
-    refines in bulk and agrees with it pair for pair.
+    Point probes under Within / NearestD take the engine's prepared
+    predicates, which charge its counters; every other pair is the
+    generic computational-geometry test :func:`naive_spatial_join` runs
+    (identical results, no preparation benefit — matching how JTS/GEOS
+    treat them).  The scalar reference the pair kernels of
+    :meth:`PreparedBuild.refine_candidates` agree with, pair for pair.
     """
     if isinstance(probe_geometry, Point):
         if operator is SpatialOperator.WITHIN:
             return engine.point_within(probe_geometry, build_handle)
         if operator is SpatialOperator.NEAREST_D:
             return engine.point_within_distance(probe_geometry, build_handle, radius)
-        if operator is SpatialOperator.INTERSECTS:
-            return predicates.intersects(probe_geometry, build_geometry)
-        if operator is SpatialOperator.CONTAINS:
-            return predicates.within(build_geometry, probe_geometry)
-        raise ReproError(f"unsupported operator {operator}")
-    if operator is SpatialOperator.WITHIN:
-        return predicates.within(probe_geometry, build_geometry)
-    if operator is SpatialOperator.NEAREST_D:
-        return distance_mod.distance(probe_geometry, build_geometry) <= radius
-    if operator is SpatialOperator.INTERSECTS:
-        return predicates.intersects(probe_geometry, build_geometry)
-    if operator is SpatialOperator.CONTAINS:
-        return predicates.within(build_geometry, probe_geometry)
-    raise ReproError(f"unsupported operator {operator}")
+    return _naive_refine(operator, probe_geometry, build_geometry, radius)
 
 
 class PreparedBuild:
@@ -96,10 +84,10 @@ class PreparedBuild:
 
     The non-empty rows of ``entries`` — (payload, geometry) pairs, or the
     :class:`GeometryColumn` already holding them — as ``_column``, each
-    prepared once by the engine (``handles``), plus which rows of a probe
-    column the pair kernels can answer against them (:meth:`_routes`) and
-    the kernels' dispatch.  :class:`BroadcastIndex` puts an R-tree over
-    it; the dual-tree join brings its own trees.
+    prepared once by the engine (``handles``), and
+    :meth:`refine_candidates`, the one refinement of candidate pairs
+    against them.  :class:`BroadcastIndex` puts an R-tree over it; the
+    dual-tree join brings its own trees.
     """
 
     def __init__(
@@ -128,7 +116,8 @@ class PreparedBuild:
         # the receiver rebuilds an identical index from the buffers — and
         # so the cache can size the index from its buffers.
         self._column = kept
-        self.handles = [self.engine.prepare(geometry) for geometry in kept.geometries()]
+        self._geometries = list(kept.geometries())
+        self.handles = [self.engine.prepare(geometry) for geometry in self._geometries]
         self.build_entries = len(kept)
         self.build_vertex_total = int(kept.num_points_array().sum())
         # Whether the Intersects pair kernel can answer for these rows.
@@ -136,131 +125,123 @@ class PreparedBuild:
             PAIR_TYPES[kept.types_array()].all()
         )
         # The point pair kernels' view of the build side: the engine's
-        # handle tables, packed by the first point probe (so a pickled
-        # index rebuilds them on arrival, like its tree).
+        # handle tables, packed by the first probe that needs them (so a
+        # pickled index rebuilds them on arrival, like its tree), and
+        # whether every handle is in them.
         self._point_tables = None
+        self._all_tabled = False
 
     def __len__(self) -> int:
         return self.build_entries
 
-    def _routes(
-        self, column: GeometryColumn, live: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split the non-empty rows (mask ``live``) by how they are refined:
-        ``(point_rows, pair_rows, scalar_rows)`` position arrays.
-
-        The one place that says which operator x type combinations the
-        batch kernels cover; the input decides, never an option.
-        """
-        types = column.types_array()
-        batched = np.zeros(len(live), dtype=bool)
-        none = np.empty(0, dtype=np.int64)
-        point_rows = pair_rows = none
-        if self.operator in (SpatialOperator.WITHIN, SpatialOperator.NEAREST_D):
-            batched = live & (types == _POINT_CODE)
-            point_rows = np.flatnonzero(batched)
-        elif self._intersects_pairs:
-            batched = live & PAIR_TYPES[types]
-            pair_rows = np.flatnonzero(batched)
-        return point_rows, pair_rows, np.flatnonzero(live & ~batched)
-
     def refine_candidates(
         self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray
-    ) -> np.ndarray:
-        """The exact predicate for candidate pair ``k`` — ``column`` row
-        ``rows[k]`` against build row ``entries[k]`` — as a hit mask.
-
-        One pair-kernel call answers every pair whose probe row
-        :meth:`_routes` batches; a pair of a shape no kernel covers takes
-        :func:`refine_pair`, and the distinct probe rows that do are
-        counted in ``probe.scalar_rows``.
-        """
-        point_rows, pair_rows, scalar_rows = self._routes(
-            column, column.num_points_array() > 0
-        )
-        hit = np.zeros(len(rows), dtype=bool)
-        scalar = np.zeros(len(column), dtype=bool)
-        scalar[scalar_rows] = True
-        scalar = scalar[rows]
-        batched = np.flatnonzero(~scalar)
-        if len(point_rows):
-            # point_rows() lists the point rows in ascending position.
-            position, xs, ys = column.point_rows()
-        for start in range(0, len(batched), _REFINE_BLOCK_PAIRS):
-            block = batched[start : start + _REFINE_BLOCK_PAIRS]
-            if len(point_rows):
-                of_pair = np.searchsorted(position, rows[block])
-                hit[block], _, _ = self._refine_point_pairs(
-                    xs[of_pair], ys[of_pair], entries[block]
-                )
-            else:
-                hit[block] = self._refine_intersects(column, rows[block], entries[block])
-        rest = np.flatnonzero(scalar)
-        if len(rest):
-            REGISTRY.inc("probe.scalar_rows", len(np.unique(rows[rest])))
-            build = self._column
-            hit[rest] = [
-                refine_pair(
-                    self.engine, self.operator, column.geometry(i),
-                    build.geometry(k), self.handles[k], self.radius,
-                )
-                for i, k in zip(rows[rest].tolist(), entries[rest].tolist())
-            ]
-        return hit
-
-    def _refine_intersects(
-        self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray
-    ) -> np.ndarray:
-        """Intersects for ``column`` row ``rows[k]`` against build row
-        ``entries[k]``, over the two columns' CSR buffers."""
-        return intersects_pairs(
-            *column.packed_rows(rows), *self._column.packed_rows(entries)
-        )
-
-    def _refine_point_pairs(
-        self, px: np.ndarray, py: np.ndarray, entries: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Within / NearestD for point ``(px[k], py[k])`` against build
-        row ``entries[k]``: one engine pair-kernel call over the build
-        side's packed handle tables; the pairs of an entry whose handle
-        has no table are grouped by entry into the engine's per-handle
-        batch call, which picks its route by the handle's type."""
-        engine = self.engine
+        """The exact predicate for candidate pair ``k`` — ``column`` row
+        ``rows[k]`` against build row ``entries[k]``: ``(hit, vertex_ops,
+        allocations)`` per pair, the engine counters advancing by their sums.
+
+        The one place a pair's refinement is chosen, by its probe row's
+        type and its build row's handle, never by an option:
+
+        * a point probe under Within / NearestD against a handle the
+          engine packs into its pair tables: the engine's
+          ``contains_pairs_counted`` / ``within_distance_pairs_counted``;
+        * a LineString / Polygon / MultiLineString / MultiPolygon probe
+          under Intersects, over a build side of those types:
+          :func:`~repro.geometry.algorithms.pairwise.intersects_pairs`,
+          which charges nothing;
+        * any other pair: :func:`refine_pair`, charged the engine
+          counters' advance over that one call; the distinct probe rows
+          with such a pair are counted in ``probe.scalar_rows``.
+
+        The kernels take ``_REFINE_BLOCK_PAIRS`` pairs a call.
+        """
+        n = len(rows)
+        covered, refine = self._pair_kernel(column, rows, entries)
+        if covered is None and n <= _REFINE_BLOCK_PAIRS:
+            return refine(rows, entries)
+        hit = np.zeros(n, dtype=bool)
+        vertex = np.zeros(n, dtype=np.int64)
+        alloc = np.zeros(n, dtype=np.int64)
+        batched = None if covered is None else np.flatnonzero(covered)
+        for start in range(0, n if batched is None else len(batched), _REFINE_BLOCK_PAIRS):
+            stop = start + _REFINE_BLOCK_PAIRS
+            block = slice(start, stop) if batched is None else batched[start:stop]
+            hit[block], vertex[block], alloc[block] = refine(rows[block], entries[block])
+        scalar = () if covered is None else np.flatnonzero(~covered)
+        if len(scalar):
+            # Each such probe row's geometry is built once, however many
+            # pairs it has.
+            probe_rows = rows[scalar]
+            probes = {i: column.geometry(i) for i in np.unique(probe_rows).tolist()}
+            REGISTRY.inc("probe.scalar_rows", len(probes))
+            engine, counters = self.engine, self.engine.counters
+            for k, i, e in zip(scalar.tolist(), probe_rows.tolist(), entries[scalar].tolist()):
+                vertex_before, alloc_before = counters.vertex_ops, counters.allocations
+                hit[k] = refine_pair(
+                    engine, self.operator, probes[i], self._geometries[e], self.handles[e],
+                    self.radius,
+                )
+                vertex[k] = counters.vertex_ops - vertex_before
+                alloc[k] = counters.allocations - alloc_before
+        return hit, vertex, alloc
+
+    def _pair_kernel(self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray):
+        """``(covered, refine)`` for candidate pairs against ``column``:
+        which pairs a pair kernel answers — a mask, ``None`` when it is
+        every pair — and ``refine(rows, entries)``, that kernel over pair
+        arrays."""
+        types = column.types_array()
+        tabled = None
+        if self.operator in (SpatialOperator.WITHIN, SpatialOperator.NEAREST_D):
+            refine = self._point_kernel(column)
+            kernel_rows = types == _POINT_CODE
+            if not self._all_tabled:
+                tabled = self._point_tables.tabled[entries]
+        elif self._intersects_pairs:
+            refine = partial(self._refine_intersects, column)
+            kernel_rows = PAIR_TYPES[types]
+        else:
+            return np.zeros(len(rows), dtype=bool), None
+        covered = None if kernel_rows.all() else kernel_rows[rows]
+        if tabled is not None:
+            covered = tabled if covered is None else covered & tabled
+        return covered, refine
+
+    def _point_kernel(self, column: GeometryColumn):
+        """Within / NearestD for point row ``rows[k]`` of ``column``
+        against build row ``entries[k]``: one engine pair-kernel call over
+        the build side's packed handle tables."""
+        engine, radius = self.engine, self.radius
         within = self.operator is SpatialOperator.WITHIN
         if self._point_tables is None:
             pack = engine.contains_pair_tables if within else engine.within_distance_pair_tables
             self._point_tables = pack(self.handles)
-        tables, handles = self._point_tables, self.handles
-        if within:
-            kernel = partial(engine.contains_pairs_counted, tables)
-            handle_kernel = engine.contains_batch_counted
-        else:
-            radius = self.radius
+            self._all_tabled = bool(self._point_tables.tabled.all())
+        tables = self._point_tables
+        position, xs, ys = column.point_rows()
+        # point_rows() lists the point rows in ascending position: in a
+        # column of non-empty points only, point row k is row k.
+        dense = len(position) == len(column)
 
-            def kernel(x, y, rows):
-                return engine.within_distance_pairs_counted(tables, x, y, rows, radius)
+        def refine(rows, entries):
+            at = rows if dense else np.searchsorted(position, rows)
+            if within:
+                return engine.contains_pairs_counted(tables, xs[at], ys[at], entries)
+            return engine.within_distance_pairs_counted(tables, xs[at], ys[at], entries, radius)
 
-            def handle_kernel(handle, x, y):
-                return engine.within_distance_batch_counted(handle, x, y, radius)
+        return refine
 
-        tabled = tables.tabled[entries]
-        if tabled.all():
-            return kernel(px, py, entries)
-        hit = np.zeros(len(entries), dtype=bool)
-        vertex = np.zeros(len(entries), dtype=np.int64)
-        alloc = np.zeros(len(entries), dtype=np.int64)
-        packed = np.flatnonzero(tabled)
-        if len(packed):
-            hit[packed], vertex[packed], alloc[packed] = kernel(
-                px[packed], py[packed], entries[packed]
-            )
-        rest = np.flatnonzero(~tabled)
-        rest = rest[np.argsort(entries[rest], kind="stable")]
-        for group in np.split(rest, np.flatnonzero(np.diff(entries[rest])) + 1):
-            hit[group], vertex[group], alloc[group] = handle_kernel(
-                handles[entries[group[0]]], px[group], py[group]
-            )
-        return hit, vertex, alloc
+    def _refine_intersects(
+        self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Intersects for ``column`` row ``rows[k]`` against build row
+        ``entries[k]``, over the two columns' CSR buffers; the engines
+        prepare nothing for these probes, so no pair is charged."""
+        free = np.zeros(len(rows), dtype=np.int64)
+        hit = intersects_pairs(*column.packed_rows(rows), *self._column.packed_rows(entries))
+        return hit, free, free
 
 
 class BroadcastIndex(PreparedBuild):
@@ -288,32 +269,18 @@ class BroadcastIndex(PreparedBuild):
             raise ReproError(f"{operator} requires a positive radius")
         super().__init__(entries, operator, radius, engine)
         kept = self._column
-        # Tree entry k's payload, for the batched routes' candidate arrays.
+        # Tree entry k's payload, for the candidate arrays.
         self._entry_payloads = kept.payloads()
         self._tree: STRtree = STRtree(node_capacity=node_capacity)
         min_x, min_y, max_x, max_y = kept.bounds()
         radius = self.radius
         # Same IEEE ops as Envelope.expand_by (x - 0.0 == x bitwise).
         self._tree.bulk_load_arrays(
-            list(zip(self._entry_payloads, kept.geometries(), self.handles)),
+            list(zip(self._entry_payloads, self._geometries, self.handles)),
             min_x - radius, min_y - radius, max_x + radius, max_y + radius,
         )
         self._tree.build()
         self._node_capacity = node_capacity
-
-    @classmethod
-    def from_entries(
-        cls,
-        entries: Iterable[tuple[Any, Geometry]] | GeometryColumn,
-        operator: SpatialOperator,
-        radius: float = 0.0,
-        engine: GeometryEngine | str = "fast",
-        node_capacity: int = 10,
-    ) -> "BroadcastIndex":
-        """A historical name for the constructor, which takes either form."""
-        return cls(entries, operator, radius, engine, node_capacity)
-
-    from_column = from_entries
 
     def __reduce__(self):
         # Engine counters are local to the receiver's fresh engine instance.
@@ -336,96 +303,41 @@ class BroadcastIndex(PreparedBuild):
         """Resource units to charge whoever builds a copy of this index."""
         return {Resource.INDEX_BUILD: float(self.build_entries)}
 
-    def probe(self, geometry: Geometry) -> list[Any]:
-        """Return payloads of build entries satisfying the predicate."""
-        if geometry.is_empty:
-            return []
-        candidates = self._tree.query(geometry.envelope)
-        matches = []
-        for payload, build_geometry, handle in candidates:
-            if refine_pair(
-                self.engine, self.operator, geometry, build_geometry, handle, self.radius
-            ):
-                matches.append(payload)
-        return matches
-
-    def probe_with_cost(
-        self, geometry: Geometry
-    ) -> tuple[list[Any], dict[str, float]]:
-        """Probe and also return the resource units this probe consumed.
-
-        Used by schedulers that need per-row costs (ISP-MC's static OpenMP
-        chunks; Spark task accounting does the same at task granularity).
-        """
-        counters = self.engine.counters
-        visits_before = self._tree.nodes_visited
-        vertex_before = counters.vertex_ops
-        alloc_before = counters.allocations
-        matches = self.probe(geometry)
-        units: dict[str, float] = {
-            Resource.INDEX_VISIT: float(self._tree.nodes_visited - visits_before),
-            Resource.ROWS_OUT: float(len(matches)),
-        }
-        vertex_delta = counters.vertex_ops - vertex_before
-        if vertex_delta:
-            units[self._vertex_resource] = float(vertex_delta)
-        alloc_delta = counters.allocations - alloc_before
-        if alloc_delta:
-            units[Resource.REFINE_ALLOC] = float(alloc_delta)
-        return matches, units
-
     def probe_batch(
         self, geometries: Iterable[Geometry | None]
     ) -> tuple[list[list[Any]], dict[str, np.ndarray]]:
-        """Probe many geometries with one index traversal and batched kernels.
+        """Probe many geometries: one batched index traversal, then
+        :meth:`refine_candidates` over every candidate pair.
 
         Returns ``(matches, units)``: payloads per probe, in candidate
         order, and the probes' cost units as columns — one float64 array
-        per resource, one entry per input row, in :meth:`probe_with_cost`'s
-        key order.  Row ``i`` of the columns is what
-        :meth:`probe_with_cost` charges probe ``i`` (0 where its dict has
-        no such key), and the engine counters advance by what N such calls
-        add.  A column exists when some row's dict has its key:
-        ``INDEX_VISIT`` / ``ROWS_OUT`` once any row is probed, a vertex or
-        allocation column only when some row is charged one; a batch that
-        probes no row has none.  ``None`` entries are skipped entirely —
-        no matches, zero units — so row-pipeline callers can keep
-        unparsable rows in place.  The columns are what
+        per resource, one entry per input row.  Row ``i`` is charged the
+        nodes its own R-tree query visits (``INDEX_VISIT``), its matches
+        (``ROWS_OUT``) and the vertex ops / allocations its pairs' refinement
+        advanced the engine counters by; the counters advance as under one
+        scalar :func:`refine_pair` call per candidate pair.  ``INDEX_VISIT``
+        / ``ROWS_OUT`` columns exist once any row is probed, a vertex or
+        allocation column only when some row is charged one, in that key
+        order; a batch that probes no row has none.  ``None`` entries are
+        skipped entirely — no matches, zero units — so row-pipeline
+        callers can keep unparsable rows in place.  The columns are what
         :meth:`~repro.cluster.metrics.TaskMetrics.add_columns` and
         :meth:`~repro.cluster.model.CostModel.row_seconds` consume.
 
-        ``geometries`` is a :class:`GeometryColumn` — coordinates are then
-        read straight from the packed buffers, no geometry object built —
-        or any iterable of geometries, whose non-``None`` rows are packed
+        ``geometries`` is a :class:`GeometryColumn` — envelopes and
+        coordinates are then read straight from the packed buffers, no
+        geometry object built unless a pair takes :func:`refine_pair` — or
+        any iterable of geometries, whose non-``None`` rows are packed
         once (:meth:`GeometryColumn.from_entries`, which raises for a
-        value no join can evaluate) and probed the same way.
-        :meth:`_routes` sends each non-empty row down one of three routes.
-        The two batched ones share one body (:meth:`_probe_pair_rows`): a
-        single batched envelope traversal yields flat ``(probe, build)``
-        candidate arrays in scalar candidate order, and one pair-kernel
-        call refines all of them:
-
-        * point probes under Within / NearestD: the engine's
-          ``contains_pairs_counted`` / ``within_distance_pairs_counted``
-          over the build handles' own tables — prepared strip / segment
-          tables for the fast engine, churn tables for the slow one —
-          packed once per index (a build row whose handle has no table
-          refines its pairs with the per-handle ``*_batch_counted`` call);
-        * LineString / Polygon / MultiLineString / MultiPolygon probes
-          under Intersects, over a build side of those types:
-          :func:`~repro.geometry.algorithms.pairwise.intersects_pairs`
-          over the two columns' CSR buffers;
-        * what is left — point and MultiPoint probes under Intersects,
-          every probe under Contains, non-point probes under Within /
-          NearestD and any probe of a build side that has point members —
-          takes :meth:`probe_with_cost` row by row and is counted in the
-          ``probe.scalar_rows`` registry counter.
+        value no join can evaluate) and probed the same way.  The
+        traversal yields flat ``(probe, build)`` candidate arrays in the
+        order N scalar R-tree queries would find them.
         """
         if isinstance(geometries, GeometryColumn):
-            return self._probe_batch_column(geometries)
+            return self._probe_column(geometries)
         geometries = list(geometries)
         present = [i for i, geometry in enumerate(geometries) if geometry is not None]
-        matches, units = self._probe_batch_column(
+        matches, units = self._probe_column(
             GeometryColumn.from_entries((None, geometries[i]) for i in present)
         )
         if len(present) == len(geometries):
@@ -436,95 +348,35 @@ class BroadcastIndex(PreparedBuild):
             row_matches[i] = found
         return row_matches, scatter_units(units, present, len(geometries))
 
-    def _probe_batch_column(
+    def _probe_column(
         self, column: GeometryColumn
     ) -> tuple[list[list[Any]], dict[str, np.ndarray]]:
-        """:meth:`probe_batch` over a packed column.
-
-        Classification (empty / point kernels / pair kernel / scalar) is
-        vectorised over the column's type and count arrays, and both
-        batched routes read coordinates straight from the buffers; only a
-        scalar row materialises its geometry, and copies its
-        :meth:`probe_with_cost` dict into its row of the columns.
-        """
+        """:meth:`probe_batch` over a packed column."""
         n = len(column)
         matches: list[list[Any]] = [[] for _ in range(n)]
         if not n:
             return matches, {}
-        # Every row is charged its visits and output rows, an empty one 0.
-        units = {Resource.INDEX_VISIT: np.zeros(n), Resource.ROWS_OUT: np.zeros(n)}
-        point_rows, pair_rows, scalar_rows = self._routes(
-            column, column.num_points_array() > 0
-        )
-        for i in scalar_rows.tolist():
-            matches[i], row_units = self.probe_with_cost(column.geometry(i))
-            for resource, amount in row_units.items():
-                column_units = units.get(resource)
-                if column_units is None:
-                    column_units = units[resource] = np.zeros(n)
-                column_units[i] = amount
-        if len(scalar_rows):
-            REGISTRY.inc("probe.scalar_rows", len(scalar_rows))
-        if len(pair_rows):
-            min_x, min_y, max_x, max_y = column.bounds()
-
-            def refine(probes, entries):
-                # The engines prepare nothing for these probes: no charge.
-                free = np.zeros(len(probes), dtype=np.int64)
-                return self._refine_intersects(column, pair_rows[probes], entries), free, free
-
-            self._probe_pair_rows(
-                pair_rows,
-                (min_x[pair_rows], min_y[pair_rows], max_x[pair_rows], max_y[pair_rows]),
-                refine, matches, units,
-            )
-        elif len(point_rows):
-            # A point's envelope is the point; its coordinates come
-            # straight from the packed buffer.
-            _, xs, ys = column.point_rows()
-            self._probe_pair_rows(
-                point_rows,
-                (xs, ys, xs, ys),
-                lambda probes, entries: self._refine_point_pairs(
-                    xs[probes], ys[probes], entries
-                ),
-                matches, units,
-            )
-        return matches, units
-
-    def _probe_pair_rows(
-        self,
-        rows: np.ndarray,
-        boxes: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        refine,
-        matches: list[list[Any]],
-        units: dict[str, np.ndarray],
-    ) -> None:
-        """Columnar filter+refine for the probes at ``rows``, whose
-        envelopes are the ``boxes`` columns: one batched envelope
-        traversal, then one ``refine(probes, entries)`` pair-kernel call
-        answering ``(hit, vertex_ops, allocations)`` per candidate pair.
-
-        Fills ``matches`` and the ``units`` columns' entries at ``rows``
-        in place — each probe's counts, per-pair charges summed per probe
-        — adding a vertex / allocation column only when a pair is charged
-        one, as :meth:`probe_with_cost` adds the key.
-        """
-        probes, entries, visits = self._tree._query_batch_arrays(*boxes)
-        hit, vertex, alloc = refine(probes, entries)
+        min_x, min_y, max_x, max_y = column.bounds()
+        live = column.num_points_array() > 0
+        if not live.all():
+            # An empty row's box is inverted: it visits and matches nothing.
+            min_x = np.where(live, min_x, np.inf)
+            max_x = np.where(live, max_x, -np.inf)
+        probes, entries, visits = self._tree._query_batch_arrays(min_x, min_y, max_x, max_y)
+        hit, vertex, alloc = self.refine_candidates(column, probes, entries)
         payloads = self._entry_payloads
-        for i, k in zip(rows[probes[hit]].tolist(), entries[hit].tolist()):
+        for i, k in zip(probes[hit].tolist(), entries[hit].tolist()):
             matches[i].append(payloads[k])
-        m = len(rows)
-        units[Resource.INDEX_VISIT][rows] = visits
-        units[Resource.ROWS_OUT][rows] = np.bincount(probes[hit], minlength=m)
+        units = {
+            Resource.INDEX_VISIT: visits.astype(np.float64),
+            Resource.ROWS_OUT: np.bincount(probes[hit], minlength=n).astype(np.float64),
+        }
         for resource, charged in (
             (self._vertex_resource, vertex), (Resource.REFINE_ALLOC, alloc)
         ):
             if charged.any():
-                units.setdefault(resource, np.zeros(len(matches)))[rows] = np.bincount(
-                    probes, weights=charged, minlength=m
-                )
+                units[resource] = np.bincount(probes, weights=charged, minlength=n)
+        return matches, units
 
     def nearest(
         self, point: Point, k: int = 1, max_distance: float = math.inf

@@ -138,17 +138,13 @@ class GeometryEngine(Protocol):
         """Batched NearestD threshold test with per-point counter shares."""
         ...
 
-    def distance_batch_counted(
-        self, handle: object, xs, ys
-    ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Batched exact distance with per-point counter shares."""
-        ...
-
     def contains_pair_tables(self, handles: Sequence[object]) -> point_pairs.PolygonParts:
         """Pack a build side's handles for :meth:`contains_pairs_counted`.
 
         ``tables.tabled[k]`` says whether handle ``k`` is in the tables; a
-        pair against any other handle is :meth:`contains_batch_counted`'s.
+        pair against any other handle is
+        :func:`~repro.core.probe.refine_pair`'s, one :meth:`point_within`
+        call.
         """
         ...
 
@@ -161,7 +157,9 @@ class GeometryEngine(Protocol):
         ...
 
     def within_distance_pair_tables(self, handles: Sequence[object]) -> point_pairs.LineParts:
-        """Pack a build side's handles for :meth:`within_distance_pairs_counted`."""
+        """Pack a build side's handles for :meth:`within_distance_pairs_counted`;
+        a pair against a handle not in them is
+        :func:`~repro.core.probe.refine_pair`'s."""
         ...
 
     def within_distance_pairs_counted(
@@ -249,18 +247,6 @@ class FastGeometryEngine:
     # including the early-exit accounting on Multi* handles: a point stops
     # being charged for later parts once an earlier part matched it.
 
-    def contains_batch(self, handle: object, xs, ys) -> np.ndarray:
-        """Batched :meth:`point_within` returning a boolean array."""
-        return self.contains_batch_counted(handle, xs, ys)[0]
-
-    def within_distance_batch(self, handle: object, xs, ys, d: float) -> np.ndarray:
-        """Batched :meth:`point_within_distance` returning a boolean array."""
-        return self.within_distance_batch_counted(handle, xs, ys, d)[0]
-
-    def distance_batch(self, handle: object, xs, ys) -> np.ndarray:
-        """Batched :meth:`point_distance` returning a float array."""
-        return self.distance_batch_counted(handle, xs, ys)[0]
-
     def contains_batch_counted(self, handle, xs, ys):
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -273,14 +259,6 @@ class FastGeometryEngine:
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         results, vertex, pred = self._within_distance_arrays(handle, xs, ys, d)
-        self.counters.predicate_calls += int(pred.sum())
-        self.counters.vertex_ops += int(vertex.sum())
-        return results, vertex, np.zeros(len(xs), dtype=np.int64)
-
-    def distance_batch_counted(self, handle, xs, ys):
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        results, vertex, pred = self._distance_arrays(handle, xs, ys)
         self.counters.predicate_calls += int(pred.sum())
         self.counters.vertex_ops += int(vertex.sum())
         return results, vertex, np.zeros(len(xs), dtype=np.int64)
@@ -348,40 +326,6 @@ class FastGeometryEngine:
             )
             return results, vertex, pred
         raise GeometryError(f"point_within_distance against {type(handle).__name__}")
-
-    def _distance_arrays(self, handle, xs, ys):
-        n = len(xs)
-        pred = np.ones(n, dtype=np.int64)
-        vertex = np.zeros(n, dtype=np.int64)
-        if isinstance(handle, PreparedLineString):
-            vertex += len(handle.line.coords)
-            return handle.distance_batch(xs, ys), vertex, pred
-        if isinstance(handle, PreparedPolygon):
-            vertex += handle.edge_count
-            dists = np.empty(n, dtype=np.float64)
-            for i in range(n):
-                point = Point(float(xs[i]), float(ys[i]))
-                dists[i] = distance_mod.distance(point, handle.polygon)
-            return dists, vertex, pred
-        if isinstance(handle, list):
-            best = np.full(n, math.inf)
-            for part in handle:
-                part_d, part_vertex, part_pred = self._distance_arrays(part, xs, ys)
-                pred += part_pred
-                vertex += part_vertex
-                best = np.minimum(best, part_d)
-            return best, vertex, pred
-        if isinstance(handle, Point):
-            dists = np.fromiter(
-                (
-                    math.hypot(float(x) - handle.x, float(y) - handle.y)
-                    for x, y in zip(xs, ys)
-                ),
-                dtype=np.float64,
-                count=n,
-            )
-            return dists, vertex, pred
-        raise GeometryError(f"point_distance against {type(handle).__name__}")
 
     # -- pair kernels -------------------------------------------------------
     #
@@ -620,26 +564,14 @@ class SlowGeometryEngine:
     # -- batch kernels ----------------------------------------------------
     #
     # GEOS has no columnar path, and the cost model does not need one acted
-    # out: the two kernels the query paths call (Within on polygons,
-    # NearestD on polylines) evaluate the churn loop's *own* IEEE
-    # expressions over arrays and advance the counters arithmetically, so
-    # results, per-point charges and totals are those of N scalar calls
-    # while no ``_Coordinate`` is ever built.  The scalar predicates above
-    # stay the reference (and the engine the Section V.B micro-benchmark
-    # times); every other handle type, and ``distance_batch``, keeps the
-    # per-point scalar loop.  The handle's type picks the route.
-
-    def contains_batch(self, handle: object, xs, ys) -> np.ndarray:
-        """Batched :meth:`point_within` returning a boolean array."""
-        return self.contains_batch_counted(handle, xs, ys)[0]
-
-    def within_distance_batch(self, handle: object, xs, ys, d: float) -> np.ndarray:
-        """Batched :meth:`point_within_distance` returning a boolean array."""
-        return self.within_distance_batch_counted(handle, xs, ys, d)[0]
-
-    def distance_batch(self, handle: object, xs, ys) -> np.ndarray:
-        """Batched :meth:`point_distance` via the scalar churn loop."""
-        return self.distance_batch_counted(handle, xs, ys)[0]
+    # out: the two kernels (Within on polygons, NearestD on polylines)
+    # evaluate the churn loop's *own* IEEE expressions over arrays and
+    # advance the counters arithmetically, so results, per-point charges
+    # and totals are those of N scalar calls while no ``_Coordinate`` is
+    # ever built.  The scalar predicates above stay the reference (and
+    # the engine the Section V.B micro-benchmark times); every other
+    # handle type keeps the per-point scalar loop.  The handle's type
+    # picks the route.
 
     def contains_batch_counted(self, handle, xs, ys):
         if isinstance(handle, Polygon):
@@ -647,9 +579,7 @@ class SlowGeometryEngine:
         elif isinstance(handle, MultiPolygon):
             parts = handle.parts
         else:
-            return self._scalar_batch(
-                lambda point: self.point_within(point, handle), xs, ys, bool
-            )
+            return self._scalar_batch(lambda point: self.point_within(point, handle), xs, ys)
         results, churned, _ = _first_hit_over_parts(parts, xs, ys, _polygon_hits)
         return self._charged(len(results), results, churned)
 
@@ -657,7 +587,7 @@ class SlowGeometryEngine:
         multi = isinstance(handle, MultiLineString)
         if not multi and (not isinstance(handle, LineString) or handle.is_empty):
             return self._scalar_batch(
-                lambda point: self.point_within_distance(point, handle, d), xs, ys, bool
+                lambda point: self.point_within_distance(point, handle, d), xs, ys
             )
         results, churned, reached = _first_hit_over_parts(
             handle.parts if multi else (handle,),
@@ -669,11 +599,6 @@ class SlowGeometryEngine:
         # a point reaches.
         calls = len(results) + (reached if multi else 0)
         return self._charged(calls, results, churned)
-
-    def distance_batch_counted(self, handle, xs, ys):
-        return self._scalar_batch(
-            lambda point: self.point_distance(point, handle), xs, ys, np.float64
-        )
 
     # -- pair kernels -------------------------------------------------------
     #
@@ -731,9 +656,9 @@ class SlowGeometryEngine:
         self.counters.allocations += total
         return results, churned, churned.copy()
 
-    def _scalar_batch(self, call, xs, ys, dtype):
+    def _scalar_batch(self, call, xs, ys):
         n = len(xs)
-        results = np.zeros(n, dtype=dtype)
+        results = np.zeros(n, dtype=bool)
         vertex = np.zeros(n, dtype=np.int64)
         alloc = np.zeros(n, dtype=np.int64)
         counters = self.counters

@@ -7,7 +7,10 @@ points per call, which costs a join with many small tasks thousands of
 numpy dispatches on a dozen points each.  The kernels here answer a whole
 array of ``(point, build entry)`` candidate pairs at once, against the
 build side's part tables concatenated into flat arrays
-(:func:`pack_polygon_parts`, :func:`pack_line_parts`).
+(:func:`pack_polygon_parts`, :func:`pack_line_parts`).  They are the only
+point refinement a join runs: a pair against a build handle with no part
+tables takes the scalar ``repro.core.probe.refine_pair``, and the
+per-handle kernels stay as the reference these are tested against.
 
 The tables are the handles' *own* — a prepared polygon's strip tables, a
 prepared polyline's segment arrays, the slow engine's churn tables — and

@@ -496,21 +496,6 @@ class PreparedLineString:
         dy = rel_y - t * self._deltas[:, 1]
         return dx * dx + dy * dy
 
-    def distance_batch(self, xs, ys) -> np.ndarray:
-        """Vectorised :meth:`distance_to_point` over coordinate arrays."""
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        n = len(xs)
-        out = np.empty(n, dtype=np.float64)
-        nsegs = len(self._starts)
-        chunk = max(1, _BATCH_CELL_BUDGET // max(nsegs, 1))
-        for lo in range(0, n, chunk):
-            d_sq = self._segment_distances_sq_batch(
-                xs[lo : lo + chunk, None], ys[lo : lo + chunk, None]
-            )
-            out[lo : lo + chunk] = np.sqrt(d_sq.min(axis=1))
-        return out
-
     def within_distance_batch_counted(
         self, xs, ys, d: float
     ) -> tuple[np.ndarray, np.ndarray]:

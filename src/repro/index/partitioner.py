@@ -27,6 +27,7 @@ __all__ = [
     "FixedGridPartitioner",
     "BinarySplitPartitioner",
     "SortTilePartitioner",
+    "cover_plane",
     "reference_point_in",
 ]
 
@@ -165,6 +166,31 @@ class SpatialPartitioning:
             range(len(self.tiles)),
             key=lambda i: self.tiles[i].distance_to_point(x, y),
         )
+
+
+def cover_plane(partitioning: SpatialPartitioning) -> SpatialPartitioning:
+    """The same tiles with every edge that lies on the layout's extent
+    pushed to +-inf, so the tiles cover the plane.
+
+    A derived layout tiles a sample's box.  A row outside every tile goes
+    to the nearest tile only, and a pair that meets outside the box can
+    then have no common tile: its two rows land in different tiles and
+    the pair is lost.  With the outer edges unbounded a row outside the
+    box reaches exactly the tiles it intersects, like any other row.
+    """
+    extent = partitioning.extent
+    return SpatialPartitioning(
+        extent,
+        tuple(
+            Envelope(
+                -math.inf if tile.min_x <= extent.min_x else tile.min_x,
+                -math.inf if tile.min_y <= extent.min_y else tile.min_y,
+                math.inf if tile.max_x >= extent.max_x else tile.max_x,
+                math.inf if tile.max_y >= extent.max_y else tile.max_y,
+            )
+            for tile in partitioning.tiles
+        ),
+    )
 
 
 def reference_point_in(pair_envelope: Envelope, tile: Envelope) -> bool:

@@ -26,9 +26,8 @@ Three kinds of checks, weakest evidence last:
 the committed artifact's internal invariants instead.
 
 The engines have one execution path; its reference implementations
-(``naive_spatial_join``, ``BroadcastIndex.probe_with_cost``, the scalar
-engine predicates) are compared against it at the kernel layer by the
-test suite, not here.
+(``naive_spatial_join``, ``refine_pair``, the scalar engine predicates)
+are compared against it at the kernel layer by the test suite, not here.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.errors import OptimizerError
 from repro.geometry.envelope import Envelope
-from repro.index.partitioner import SortTilePartitioner, SpatialPartitioning
+from repro.index.partitioner import SortTilePartitioner, SpatialPartitioning, cover_plane
 from repro.optimizer.stats import (
     JoinStats,
     TileHistogram,
@@ -224,7 +224,9 @@ def derive_skew_aware_partitioning(
     engine: str = "fast",
 ) -> tuple[SpatialPartitioning, TileHistogram, int]:
     """Sort-tile base layout from the probe-side sample, then hot-tile
-    splitting — the full LocationSpark-style pipeline."""
+    splitting — the full LocationSpark-style pipeline.  The histogram is
+    the split tiles'; the returned layout is them with their outer edges
+    unbounded (:func:`~repro.index.partitioner.cover_plane`)."""
     centers = stats.left.sample_centers()
     extent = stats.left.extent.union(stats.right.extent)
     if extent.is_empty:
@@ -238,9 +240,10 @@ def derive_skew_aware_partitioning(
         extent.max_y + pad_y,
     )
     base = SortTilePartitioner(max(1, num_tiles)).partition(extent, centers)
-    return split_hot_tiles(
+    partitioning, histogram, added = split_hot_tiles(
         base, stats, cost_model, skew_factor=skew_factor, engine=engine
     )
+    return cover_plane(partitioning), histogram, added
 
 
 # -- plan costing ---------------------------------------------------------------

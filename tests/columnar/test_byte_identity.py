@@ -69,7 +69,10 @@ class TestCoreByteIdentity:
     # pinned = (ordered-pairs digest, simulated seconds, registry counters,
     # rendered-profile digest) at the parent of the commit that deleted the
     # object path; the core API keeps its counters in the profile, not the
-    # registry.  The order is the same for every executor count.
+    # registry.  The order is the same for every executor count.  Under
+    # NearestD a point's pairs against polygons (no segment table) take
+    # refine_pair, so their rows are counted in probe.scalar_rows — in a
+    # pool worker's tile task as on the driver.
     @pytest.mark.parametrize("executors", ["serial", 2, 4])
     @pytest.mark.parametrize(
         "method,operator,radius,pinned",
@@ -77,11 +80,12 @@ class TestCoreByteIdentity:
             ("broadcast", "within", 0.0,
              ("722716427c4d47d1", 7.977671999999998, {}, "535cdb131a0a7fb2")),
             ("broadcast", "nearestd", 2.5,
-             ("8594f5cd5b3b76d0", 8.808192, {}, "898e0181c8f24abc")),
+             ("8594f5cd5b3b76d0", 8.808192, {"probe.scalar_rows": 88.0}, "898e0181c8f24abc")),
             ("partitioned", "within", 0.0,
              ("0fd3f8fae0654091", 4.081032, {}, "be49da3bc16dfa52")),
             ("partitioned", "nearestd", 2.5,
-             ("ec85df3eafedc303", 4.585751999999999, {}, "0d9d0651cb2860cc")),
+             ("ec85df3eafedc303", 4.585751999999999, {"probe.scalar_rows": 89.0},
+              "0d9d0651cb2860cc")),
         ],
     )
     def test_matches_pinned_observations(self, method, operator, radius, pinned, executors):

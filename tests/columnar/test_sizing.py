@@ -159,7 +159,7 @@ class TestIndexByteEstimate:
         entries = [(i, Point(float(i), float(i))) for i in range(64)]
         column = GeometryColumn.from_entries(entries)
         op = SpatialOperator.WITHIN
-        from_col = BroadcastIndex.from_column(column, op)
+        from_col = BroadcastIndex(column, op)
         from_obj = BroadcastIndex(entries, op)
         col_size = estimate_index_bytes(from_col)
         obj_size = estimate_index_bytes(from_obj)

@@ -28,6 +28,7 @@ from repro.runtime.config import RuntimeConfig
 from repro.spark.context import SparkContext
 from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.columnar.test_byte_identity import digest
+from tests.core.test_probe import probe_with_cost
 
 
 @pytest.fixture
@@ -149,7 +150,7 @@ class TestOwnerRuleTileJoin:
             set(tiles.route(street[1].envelope)) & set(tiles.route(district[1].envelope))
         )
         assert len(common) >= 3  # the pair really is replicated
-        index = BroadcastIndex.from_entries(
+        index = BroadcastIndex(
             [(district, district[1])], SpatialOperator.INTERSECTS
         )
         emitted = [
@@ -200,7 +201,7 @@ class TestProbeBatchModes:
         totals, summed = TaskMetrics(), TaskMetrics()
         totals.add_columns(units)
         for geometry in geometries:
-            for key, value in reference.probe_with_cost(geometry)[1].items():
+            for key, value in probe_with_cost(reference, geometry)[1].items():
                 summed.add(key, value)
         assert list(totals.counts.items()) == list(summed.counts.items())
 
@@ -209,7 +210,7 @@ class TestProbeBatchModes:
             line_records, SpatialOperator.NEAREST_D, radius=5.0
         )
         geometries = [g for _, g in point_records]
-        scalar = [index.probe_with_cost(g) for g in geometries]
+        scalar = [probe_with_cost(index, g) for g in geometries]
         matches, units = index.probe_batch(geometries)
         assert matches == [m for m, _ in scalar]
         assert same_units(units, unit_columns([u for _, u in scalar]))
@@ -243,7 +244,7 @@ class TestSlowEngineChargedNotPerformed:
             build, op, radius = line_records, SpatialOperator.NEAREST_D, 5.0
         geometries = [g for _, g in point_records]
         reference = BroadcastIndex(build, op, radius=radius, engine="slow")
-        scalar = [reference.probe_with_cost(g) for g in geometries]
+        scalar = [probe_with_cost(reference, g) for g in geometries]
         index = BroadcastIndex(build, op, radius=radius, engine="slow")
         matches, units = index.probe_batch(geometries)
         assert matches == [m for m, _ in scalar]
@@ -389,3 +390,64 @@ class TestPartitionedJoinMovesBlocks:
             partitioning=tiles,
         ).collect()
         assert sorted(pairs) == want and len(want) == len(point_records)
+
+
+class TestDerivedLayoutsCoverThePlane:
+    """A layout derived from a sample tiles the sample's box; rows outside
+    it used to go to the nearest tile only, where a partner they meet may
+    not be — and the pair was lost."""
+
+    def test_lion_nycb_batch_keeps_every_pair(self):
+        """The benchmark's lion-nycb-intersects left batch 2 at the default
+        seed, rebuilt from the generators: the default partitioned join
+        lost street 1987's pair with block 48."""
+        from repro.core.broadcast_join import read_geometry_pairs
+        from repro.data import generate_lion, generate_nycb
+        from repro.geometry import wkt_dumps
+        from repro.hdfs import SimulatedHDFS, write_text
+        from repro.index.morton import morton_code
+
+        def write(path, dataset, blocks):
+            # Morton-sorted ``line index<TAB>WKT`` lines in ~``blocks`` blocks.
+            ordered = sorted(
+                (geometry for _, geometry in dataset.records),
+                key=lambda geometry: morton_code(*geometry.envelope.center, dataset.extent),
+            )
+            lines = [f"{i}\t{wkt_dumps(g, precision=6)}" for i, g in enumerate(ordered)]
+            size = sum(len(line) + 1 for line in lines)
+            write_text(hdfs, path, lines, block_size=max(1024, size // blocks))
+
+        hdfs = SimulatedHDFS(datanodes=tuple(f"node{i}" for i in range(10)), replication=2)
+        write("/blocks.txt", generate_nycb(49, seed=20150401), 10)
+        write("/streets.txt", generate_lion(2000, seed=20150401 + 1 + 2), 40)
+        found = {}
+        for join in (broadcast_spatial_join, partitioned_spatial_join):
+            sc = SparkContext(ClusterSpec(10, 8, 15.0), hdfs=hdfs)
+            left = read_geometry_pairs(sc, "/streets.txt", 1)
+            right = read_geometry_pairs(sc, "/blocks.txt", 1)
+            found[join] = sorted(join(sc, left, right, SpatialOperator.INTERSECTS).collect())
+        assert (1987, 48) in found[partitioned_spatial_join]
+        assert found[partitioned_spatial_join] == found[broadcast_spatial_join]
+        assert len(found[broadcast_spatial_join]) == 2459
+
+    def test_outer_edges_are_unbounded_inner_edges_kept(self):
+        from repro.index.partitioner import cover_plane
+
+        extent = Envelope(0, 0, 10, 10)
+        sample = [(x + 0.5, y + 0.5) for x in range(10) for y in range(10)]
+        tiles = SortTilePartitioner(4).partition(extent, sample)
+        covered = cover_plane(tiles)
+        assert covered.extent == extent and len(covered) == len(tiles) == 4
+        inf = float("inf")
+        for tile, grown in zip(tiles.tiles, covered.tiles):
+            assert (grown.min_x, grown.min_y, grown.max_x, grown.max_y) == (
+                -inf if tile.min_x == 0 else tile.min_x,
+                -inf if tile.min_y == 0 else tile.min_y,
+                inf if tile.max_x == 10 else tile.max_x,
+                inf if tile.max_y == 10 else tile.max_y,
+            )
+        # A box beyond the right edge straddling the two right-hand tiles
+        # reaches both; the bounded layout sent it to the nearest only.
+        outside = Envelope(20, 4, 21, 6)
+        assert tiles.route(outside) == [2]
+        assert covered.route(outside) == [2, 3]

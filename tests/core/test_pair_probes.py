@@ -45,6 +45,7 @@ from repro.runtime.config import RuntimeConfig
 from repro.spark.context import SparkContext
 from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.columnar.test_byte_identity import digest
+from tests.core.test_probe import probe_with_cost
 
 CLUSTER = ClusterSpec(num_nodes=2, cores_per_node=4, mem_per_node_gb=15.0)
 SCHEMA = [("id", ColumnType.BIGINT), ("geom", ColumnType.STRING)]
@@ -328,7 +329,7 @@ class TestNoScalarWorkOnTheProbeSide:
         build = [(i, wkt_loads(text)) for i, text in sample.right]
         probes = [wkt_loads(text) for _, text in sample.left]
         plain = BroadcastIndex(build, SpatialOperator.INTERSECTS)
-        named = BroadcastIndex.from_entries(build, SpatialOperator.INTERSECTS)
+        named = BroadcastIndex(build, SpatialOperator.INTERSECTS)
         with collecting() as registry:
             probed = plain.probe_batch(probes)
             scalar_rows = registry.counter("probe.scalar_rows")
@@ -364,10 +365,19 @@ def probe_scalar(index, geometries):
             matches.append([])
             units.append({Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0})
         else:
-            found, cost = index.probe_with_cost(geometry)
+            found, cost = probe_with_cost(index, geometry)
             matches.append(found)
             units.append(cost)
     return matches, units
+
+
+def _square(x, y, size=6.0, hole=False):
+    holes = [[(x + 2, y + 2), (x + 4, y + 2), (x + 4, y + 4), (x + 2, y + 4)]] if hole else []
+    return Polygon([(x, y), (x + size, y), (x + size, y + size), (x, y + size)], holes=holes)
+
+
+def _street(x, y):
+    return LineString([(x, y), (x + 3, y + 1), (x + 3, y + 1), (x + 7, y - 2)])
 
 
 BLOCK = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)], holes=[[(4, 4), (6, 4), (6, 6), (4, 6)]])
@@ -388,11 +398,37 @@ PROBES = [
     MultiPoint([Point(1, 1), Point(21, 21)]),
     LineString([(50, 50), (60, 60)]),
 ]
+# A NearestD build side whose Point and Polygon rows have no segment table.
+UNTABLED = [
+    ("street", _street(0, 0)),
+    ("hydrant", Point(2.0, 2.0)),
+    ("block", _square(4, 4)),
+    ("streets", MultiLineString([_street(0, 6), _street(8, 0)])),
+    ("far", Point(500.0, 500.0)),  # no probe reaches it
+]
+
+
+def mixed_probes():
+    """Point and non-point rows, ``None`` and empty rows, one column."""
+    return [
+        Point(5, 5), None, LineString([(1, 1), (3, 3)]), Point.empty(), Point(4.5, 4.5),
+        MultiPoint([Point(1, 1), Point(21, 21)]), Polygon([(8, 8), (25, 8), (25, 25), (8, 25)]),
+        LineString.empty(), Point(900, 900), Point(2.0, 2.5), None, Point(9.5, 3.0),
+        MultiLineString([LineString([(41, 0.5), (41, 1)]), LineString([(0, 7), (3, 7)])]),
+    ]
+
+
+def point_probes(count=120, seed=11):
+    rng = np.random.default_rng(seed)
+    # Half-unit grid points sit on shell edges, hole edges and vertices.
+    grid = [Point(x / 2, y / 2) for x, y in rng.integers(-4, 50, (count // 2, 2)).tolist()]
+    loose = [Point(x, y) for x, y in rng.uniform(-2, 25, (count // 2, 2)).tolist()]
+    return grid + loose
 
 
 class TestBroadcastIndexRoutes:
-    """``probe_batch`` == N ``probe_with_cost`` calls whichever route a row
-    takes, and every row the scalar route took is counted."""
+    """``probe_batch`` == N scalar probes whichever refinement a pair
+    takes, and every row with a pair left to ``refine_pair`` is counted."""
 
     def run(self, index, probes):
         before = index.tree.nodes_visited
@@ -403,7 +439,7 @@ class TestBroadcastIndexRoutes:
 
     @pytest.mark.parametrize("as_column", [False, True])
     def test_intersects_matches_units_and_visits(self, as_column):
-        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS)
         before = index.tree.nodes_visited
         want_matches, want_units = probe_scalar(index, PROBES)
         want_visits = index.tree.nodes_visited - before
@@ -422,7 +458,7 @@ class TestBroadcastIndexRoutes:
         assert list(totals) == [Resource.INDEX_VISIT, Resource.ROWS_OUT]
 
     def test_none_rows_and_a_collection_keep_their_places(self):
-        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS)
         probes = [None, PROBES[0], None, None, PROBES[2]]
         want_matches, want_units = probe_scalar(index, probes)
         matches, units, _, scalar_rows = self.run(index, probes)
@@ -440,30 +476,62 @@ class TestBroadcastIndexRoutes:
         with pytest.raises(GeometryError, match="row 1: .* GeometryCollection"):
             index.probe_batch([PROBES[0], collection, None, PROBES[2]])
 
+    @pytest.mark.parametrize("engine", ["fast", "slow"])
     @pytest.mark.parametrize(
-        "operator,radius,build,probes,batched",
+        "operator,radius,build,probes,scalar_rows",
         [
             # Per operator: a probe list its scalar predicate supports, and
-            # how many of the non-empty rows a batch kernel covers.
-            (SpatialOperator.INTERSECTS, 0.0, BUILD, PROBES, 5),
+            # how many rows have a pair no pair kernel covers.
+            (SpatialOperator.INTERSECTS, 0.0, BUILD, PROBES, 2),  # Point, MultiPoint
+            (SpatialOperator.INTERSECTS, 0.0, BUILD, mixed_probes(), 5),
             (SpatialOperator.CONTAINS, 0.0, BUILD[:2],
-             [PROBES[0], PROBES[2], PROBES[3], Point(5, 5)], 0),
-            (SpatialOperator.WITHIN, 0.0, BUILD[:2], PROBES, 1),
-            (SpatialOperator.NEAREST_D, 2.0, BUILD, PROBES, 1),
+             [PROBES[0], PROBES[2], PROBES[3], Point(5, 5)], 3),
+            (SpatialOperator.CONTAINS, 0.0, BUILD, mixed_probes()[:5], 3),
+            # Point rows are the pair kernel's; the rest meeting a box is scalar.
+            (SpatialOperator.WITHIN, 0.0, BUILD[:2], PROBES, 4),
+            (SpatialOperator.WITHIN, 0.0, BUILD[:2], mixed_probes(), 4),
+            # Point rows against Polygon / MultiPolygon rows: no segment table.
+            (SpatialOperator.NEAREST_D, 2.0, BUILD, PROBES, 6),
+            (SpatialOperator.NEAREST_D, 1.5, UNTABLED, mixed_probes(), 8),
+            (SpatialOperator.NEAREST_D, 1.5, UNTABLED, point_probes(80), 9),
         ],
     )
-    def test_what_is_left_is_counted(self, operator, radius, build, probes, batched):
-        index = BroadcastIndex.from_entries(build, operator, radius=radius)
-        want_matches, want_units = probe_scalar(index, probes)
-        matches, units, _, scalar_rows = self.run(index, probes)
-        assert matches == want_matches and same_units(units, unit_columns(want_units))
-        assert scalar_rows == sum(1 for p in probes if not p.is_empty) - batched
+    def test_what_is_left_is_counted(
+        self, monkeypatch, engine, operator, radius, build, probes, scalar_rows
+    ):
+        import repro.core.probe as probe_module
+
+        reference = BroadcastIndex(build, operator, radius=radius, engine=engine)
+        want_matches, want_units = probe_scalar(reference, probes)
+        index = BroadcastIndex(build, operator, radius=radius, engine=engine)
+        refined = set()
+        original = probe_module.refine_pair
+
+        def spy(engine, operator, probe, *args):
+            refined.add(id(probe))
+            return original(engine, operator, probe, *args)
+
+        monkeypatch.setattr(probe_module, "refine_pair", spy)
+        matches, units, _, counted = self.run(index, probes)
+        assert matches == want_matches
+        assert same_units(units, unit_columns(want_units))  # key order included
+        assert index.engine.counters == reference.engine.counters
+        assert index.tree.nodes_visited == reference.tree.nodes_visited
+        # The distinct probe rows that had a pair refined by refine_pair.
+        assert counted == len(refined) == scalar_rows
+        # The dual-tree refines the same candidates to the same pairs.
+        left = [(i, p) for i, p in enumerate(probes) if p is not None]
+        config = JoinConfig(
+            operator=operator.value, radius=radius, method="dual-tree", engine=engine
+        )
+        broadcast = [(i, match) for i, _ in left for match in matches[i]]
+        assert sorted(spatial_join(left, build, config=config).pairs) == sorted(broadcast)
 
     def test_scalar_rows_allocate_each_column_once(self, monkeypatch):
         # Non-point probes under Within all take the scalar route; the
         # batch's columns are allocated once per batch, not once per row.
         probes = [LineString([(x % 9, 1), (x % 9 + 0.5, 2)]) for x in range(3000)]
-        index = BroadcastIndex.from_entries(BUILD[:2], SpatialOperator.WITHIN)
+        index = BroadcastIndex(BUILD[:2], SpatialOperator.WITHIN)
         want_matches, want_units = probe_scalar(index, probes)
         zeros, batch_columns = np.zeros, []
 
@@ -480,17 +548,18 @@ class TestBroadcastIndexRoutes:
         assert len(batch_columns) < 10  # a few per batch, never one per row
 
     def test_a_build_side_with_points_is_all_scalar(self):
-        index = BroadcastIndex.from_entries(
+        index = BroadcastIndex(
             [*BUILD, ("hydrant", Point(2, 2))], SpatialOperator.INTERSECTS
         )
         want_matches, want_units = probe_scalar(index, PROBES)
         matches, units, _, scalar_rows = self.run(index, PROBES)
         assert matches == want_matches and same_units(units, unit_columns(want_units))
-        assert scalar_rows == sum(1 for p in PROBES if not p.is_empty)
+        # Every non-empty row but the far LineString, which meets no box.
+        assert scalar_rows == sum(1 for p in PROBES if not p.is_empty) - 1
 
     def test_isp_row_batch_units_are_the_row_loop_s(self):
         texts = [wkt_dumps(p) for p in PROBES[:5]] + ["LINESTRING (0 0", None, "POINT (5 5)"]
-        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS, engine="slow")
+        index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS, engine="slow")
         matches, units = probe_wkt_rows(index, texts)
         reader = WKTReader()
         want_units = []
@@ -510,7 +579,7 @@ class TestBroadcastIndexRoutes:
         rows = [wkt_dumps(p) for p in (PROBES[0], PROBES[1], PROBES[7])]
         column, dropped = parse_wkt_column(rows)
         assert dropped == [] and isinstance(column, GeometryColumn)
-        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS)
         want_matches, want_units = probe_scalar(index, [wkt_loads(row) for row in rows])
         sliced = column.take(np.array([2, 0, 1]))
         matches, units = index.probe_batch(sliced)
@@ -518,19 +587,10 @@ class TestBroadcastIndexRoutes:
         assert same_units(units, unit_columns([want_units[i] for i in (2, 0, 1)]))
 
     def test_one_block_per_cell_gives_the_same_answers(self, monkeypatch):
-        index = BroadcastIndex.from_entries(BUILD, SpatialOperator.INTERSECTS)
+        index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS)
         want = index.probe_batch(PROBES)
         monkeypatch.setattr(pairwise, "_BLOCK_CELLS", 1)
         assert same_probe(index.probe_batch(PROBES), want)
-
-
-def _square(x, y, size=6.0, hole=False):
-    holes = [[(x + 2, y + 2), (x + 4, y + 2), (x + 4, y + 4), (x + 2, y + 4)]] if hole else []
-    return Polygon([(x, y), (x + size, y), (x + size, y + size), (x, y + size)], holes=holes)
-
-
-def _street(x, y):
-    return LineString([(x, y), (x + 3, y + 1), (x + 3, y + 1), (x + 7, y - 2)])
 
 
 # The four build shapes a point probe meets, as (operator, radius, rows).
@@ -559,14 +619,6 @@ POINT_BUILDS = {
         ],
     ),
 }
-
-
-def point_probes(count=120, seed=11):
-    rng = np.random.default_rng(seed)
-    # Half-unit grid points sit on shell edges, hole edges and vertices.
-    grid = [Point(x / 2, y / 2) for x, y in rng.integers(-4, 50, (count // 2, 2)).tolist()]
-    loose = [Point(x, y) for x, y in rng.uniform(-2, 25, (count // 2, 2)).tolist()]
-    return grid + loose
 
 
 @pytest.fixture
@@ -631,20 +683,31 @@ class TestPointProbesTakeThePairBody:
         assert list(added(again[1]).counts.items()) == list(summed.items())
         assert dispatches["traversal"] == dispatches["pair_kernel"] == 2
 
-    def test_an_untabled_build_row_gets_one_per_handle_call(self, dispatches, engine):
-        build = [
-            ("street", _street(0, 0)),
-            ("hydrant", Point(2.0, 2.0)),
-            ("block", _square(4, 4)),
-            ("streets", MultiLineString([_street(0, 6), _street(8, 0)])),
-            ("far", Point(500.0, 500.0)),  # no probe reaches it
-        ]
+    def test_an_untabled_build_row_gets_one_per_pair_scalar_call(
+        self, dispatches, monkeypatch, engine
+    ):
+        """A build row with no segment table (a Point, a Polygon under
+        NearestD) is refined pair by pair with ``refine_pair``, charged
+        what that call charges; the per-handle batch kernels are not called."""
+        import repro.core.probe as probe_module
+
         probes = point_probes(80)
-        reference = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
+        reference = BroadcastIndex(UNTABLED, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
         want_matches, want_units = probe_scalar(reference, probes)
-        index = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
+        untabled_pairs = sum(
+            payload in ("hydrant", "block")
+            for probe in probes
+            for payload, _, _ in reference.tree.query(probe.envelope)
+        )
+        calls = []
+        original = probe_module.refine_pair
+        monkeypatch.setattr(
+            probe_module, "refine_pair", lambda *args: calls.append(args) or original(*args)
+        )
+        index = BroadcastIndex(UNTABLED, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
         assert same_probe(index.probe_batch(probes), (want_matches, unit_columns(want_units)))
-        assert dispatches == {"traversal": 1, "chunks": 0, "pair_kernel": 1, "per_handle": 2}
+        assert dispatches == {"traversal": 1, "chunks": 0, "pair_kernel": 1, "per_handle": 0}
+        assert len(calls) == untabled_pairs > 0
         assert index.engine.counters == reference.engine.counters
 
     def test_no_candidates_no_points_no_rows(self, dispatches, engine):
@@ -653,8 +716,9 @@ class TestPointProbesTakeThePairBody:
         far = [Point(900.0, 900.0), Point.empty(), None]
         matches, units = index.probe_batch(far)
         assert matches == [[], [], []]
-        scalar = BroadcastIndex(build, operator, radius=radius, engine=engine
-                                ).probe_with_cost(far[0])[1]
+        scalar = probe_with_cost(
+            BroadcastIndex(build, operator, radius=radius, engine=engine), far[0]
+        )[1]
         empty = {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0}
         assert same_units(units, unit_columns([scalar, empty, None]))
         assert index.probe_batch([]) == ([], {})
@@ -678,7 +742,7 @@ class TestPointProbesTakeThePairBody:
 
 class TestScalarRowsOnTheBenchmarkShapes:
     """``probe.scalar_rows`` on the four benchmark workloads' shapes:
-    none of their probes falls back to ``probe_with_cost``."""
+    no pair of their probes takes ``refine_pair``."""
 
     @pytest.mark.parametrize(
         "left,right,operator,radius",
@@ -865,16 +929,17 @@ class TestDualTreeCountsItsScalarRows:
         assert pairs == [(0, "block"), (1, "block")]
         assert scalar_rows == 1  # the LineString; the hole keeps Point(4.5, 4.5) out
         pairs, scalar_rows = self.run("nearestd", radius=2.0, probes=probes)
-        assert scalar_rows == 1 and (1, "block") in pairs
+        # The LineString, and both points: a polygon has no segment table.
+        assert scalar_rows == 3 and (1, "block") in pairs
 
     def test_a_probe_row_no_build_box_meets_is_not_counted(self):
         _, scalar_rows = self.run("contains", probes=[Point(900, 900), LineString.empty()])
         assert scalar_rows == 0
 
-    def test_an_untabled_build_row_takes_the_per_handle_kernel(self, dispatches, monkeypatch):
+    def test_an_untabled_build_row_takes_the_per_pair_scalar_route(self, dispatches, monkeypatch):
         """A NearestD build row that is not a polyline has no segment
         table; like the broadcast route, the dual-tree answers its pairs
-        with the per-handle batch kernel, not ``refine_pair``."""
+        with ``refine_pair``, one call a pair, and counts their rows."""
         import repro.core.probe as probe_module
 
         calls = []
@@ -885,5 +950,6 @@ class TestDualTreeCountsItsScalarRows:
         build = [("street", _street(0, 0)), ("hydrant", Point(2.0, 2.0)), ("block", _square(4, 4))]
         pairs, scalar_rows = self.run("nearestd", 1.5, build=build, probes=point_probes(80))
         assert {right for _, right in pairs} == {"street", "hydrant", "block"}
-        assert scalar_rows == 0 and calls == []
-        assert dispatches["pair_kernel"] == 1 and dispatches["per_handle"] == 2
+        assert scalar_rows == len({id(probe) for _, _, probe, *_ in calls}) == 9
+        assert len(calls) >= scalar_rows
+        assert dispatches["pair_kernel"] == 1 and dispatches["per_handle"] == 0

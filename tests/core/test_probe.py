@@ -8,6 +8,40 @@ from repro.errors import ReproError
 from repro.geometry import LineString, Point, Polygon, create_engine
 
 
+def probe(index, geometry):
+    """The scalar probe ``BroadcastIndex.probe_batch`` replaced, kept
+    here as its reference: one R-tree query, then one :func:`refine_pair`
+    call per candidate, in candidate order."""
+    if geometry.is_empty:
+        return []
+    return [
+        payload
+        for payload, build_geometry, handle in index.tree.query(geometry.envelope)
+        if refine_pair(
+            index.engine, index.operator, geometry, build_geometry, handle, index.radius
+        )
+    ]
+
+
+def probe_with_cost(index, geometry):
+    """:func:`probe` and the resource units it consumed: the nodes it
+    visited, its matches, and a vertex / allocation key only when the
+    engine counters advanced."""
+    counters = index.engine.counters
+    visits_before = index.tree.nodes_visited
+    vertex_before, alloc_before = counters.vertex_ops, counters.allocations
+    matches = probe(index, geometry)
+    units = {
+        Resource.INDEX_VISIT: float(index.tree.nodes_visited - visits_before),
+        Resource.ROWS_OUT: float(len(matches)),
+    }
+    if counters.vertex_ops - vertex_before:
+        units[index._vertex_resource] = float(counters.vertex_ops - vertex_before)
+    if counters.allocations - alloc_before:
+        units[Resource.REFINE_ALLOC] = float(counters.allocations - alloc_before)
+    return matches, units
+
+
 @pytest.fixture
 def grid_polygons():
     polys = []
@@ -38,7 +72,7 @@ class TestBroadcastIndex:
     def test_within_matches_naive(self, engine, grid_polygons, probes):
         index = BroadcastIndex(grid_polygons, SpatialOperator.WITHIN, engine=engine)
         got = sorted(
-            (pid, match) for pid, p in probes for match in index.probe(p)
+            (pid, match) for pid, p in probes for match in probe(index, p)
         )
         expected = sorted(naive_spatial_join(probes, grid_polygons, SpatialOperator.WITHIN))
         assert got == expected
@@ -48,7 +82,7 @@ class TestBroadcastIndex:
         index = BroadcastIndex(
             streets, SpatialOperator.NEAREST_D, radius=8.0, engine=engine
         )
-        got = sorted((pid, m) for pid, p in probes for m in index.probe(p))
+        got = sorted((pid, m) for pid, p in probes for m in probe(index, p))
         expected = sorted(
             naive_spatial_join(probes, streets, SpatialOperator.NEAREST_D, radius=8.0)
         )
@@ -59,7 +93,7 @@ class TestBroadcastIndex:
         expected = sorted(
             naive_spatial_join(probes, grid_polygons, SpatialOperator.INTERSECTS)
         )
-        got = sorted((pid, m) for pid, p in probes for m in index.probe(p))
+        got = sorted((pid, m) for pid, p in probes for m in probe(index, p))
         assert got == expected
 
     def test_radius_required_for_nearestd(self, streets):
@@ -79,7 +113,8 @@ class TestBroadcastIndex:
 
     def test_empty_probe_returns_nothing(self, grid_polygons):
         index = BroadcastIndex(grid_polygons, SpatialOperator.WITHIN)
-        assert index.probe(Point.empty()) == []
+        assert probe(index, Point.empty()) == []
+        assert index.probe_batch([Point.empty()])[0] == [[]]
 
     def test_build_cost_units(self, grid_polygons):
         index = BroadcastIndex(grid_polygons, SpatialOperator.WITHIN)
@@ -88,7 +123,7 @@ class TestBroadcastIndex:
 
     def test_probe_with_cost_units(self, grid_polygons):
         index = BroadcastIndex(grid_polygons, SpatialOperator.WITHIN, engine="slow")
-        matches, units = index.probe_with_cost(Point(10, 10))
+        matches, units = probe_with_cost(index, Point(10, 10))
         assert len(matches) == 1
         assert units[Resource.INDEX_VISIT] > 0
         assert units[Resource.REFINE_VERTEX_SLOW] > 0
@@ -97,7 +132,7 @@ class TestBroadcastIndex:
 
     def test_fast_engine_units_have_no_alloc(self, grid_polygons):
         index = BroadcastIndex(grid_polygons, SpatialOperator.WITHIN, engine="fast")
-        _, units = index.probe_with_cost(Point(10, 10))
+        _, units = probe_with_cost(index, Point(10, 10))
         assert Resource.REFINE_VERTEX_FAST in units
         assert Resource.REFINE_ALLOC not in units
 

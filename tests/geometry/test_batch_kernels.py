@@ -1,9 +1,8 @@
 """Batch refinement kernels agree with the scalar predicates, bit for bit.
 
-The columnar execution path promises that ``contains_batch`` /
-``within_distance_batch`` / ``distance_batch`` over N points return
-exactly what N scalar calls return — same booleans, same distances, and
-(through the ``*_counted`` variants) the same counter totals on both the
+The per-handle ``contains_batch_counted`` / ``within_distance_batch_counted``
+kernels over N points return exactly what N scalar calls return — same
+booleans, same per-point charges and the same counter totals on both the
 fast (JTS-like) and slow (GEOS-like) engines.  These tests check that
 promise on seeded random geometry as well as the degenerate shapes the
 strip index is most likely to get wrong.
@@ -63,7 +62,7 @@ def batch_xy(points):
 def assert_contains_parity(engine, geometry, points):
     handle = engine.prepare(geometry)
     xs, ys = batch_xy(points)
-    batch = engine.contains_batch(handle, xs, ys)
+    batch = engine.contains_batch_counted(handle, xs, ys)[0]
     scalar = [engine.point_within(p, handle) for p in points]
     assert batch.tolist() == scalar
 
@@ -71,12 +70,10 @@ def assert_contains_parity(engine, geometry, points):
 def assert_distance_parity(engine, geometry, points, d):
     handle = engine.prepare(geometry)
     xs, ys = batch_xy(points)
-    within = engine.within_distance_batch(handle, xs, ys, d)
-    dist = engine.distance_batch(handle, xs, ys)
+    within = engine.within_distance_batch_counted(handle, xs, ys, d)[0]
     assert within.tolist() == [
         engine.point_within_distance(p, handle, d) for p in points
     ]
-    assert dist.tolist() == [engine.point_distance(p, handle) for p in points]
 
 
 class TestRandomizedEquivalence:
@@ -143,17 +140,17 @@ class TestEdgeCases:
     def test_empty_batch(self, engine, unit_square):
         handle = engine.prepare(unit_square)
         xs = np.array([], dtype=np.float64)
-        result = engine.contains_batch(handle, xs, xs)
+        result = engine.contains_batch_counted(handle, xs, xs)[0]
         assert result.shape == (0,)
-        dist = engine.distance_batch(handle, xs, xs)
-        assert dist.shape == (0,)
+        within = engine.within_distance_batch_counted(handle, xs, xs, 1.0)[0]
+        assert within.shape == (0,)
 
     def test_all_outside_batch(self, engine, unit_square):
         points = [Point(100 + i, 100 + i) for i in range(20)]
         assert_contains_parity(engine, unit_square, points)
         handle = engine.prepare(unit_square)
         xs, ys = batch_xy(points)
-        assert not engine.contains_batch(handle, xs, ys).any()
+        assert not engine.contains_batch_counted(handle, xs, ys)[0].any()
 
     def test_single_strip_polygon(self, engine):
         # A triangle: few enough edges that the strip index degenerates to
@@ -188,7 +185,7 @@ class TestCounterParity:
         batch_engine = create_engine(name)
         handle = batch_engine.prepare(unit_square)
         xs, ys = batch_xy(random_points)
-        batch_engine.contains_batch(handle, xs, ys)
+        batch_engine.contains_batch_counted(handle, xs, ys)
 
         assert (
             batch_engine.counters.predicate_calls
@@ -209,7 +206,7 @@ class TestCounterParity:
         batch_engine = create_engine(name)
         handle = batch_engine.prepare(diagonal_line)
         xs, ys = batch_xy(random_points)
-        batch_engine.within_distance_batch(handle, xs, ys, 2.0)
+        batch_engine.within_distance_batch_counted(handle, xs, ys, 2.0)
 
         assert (
             batch_engine.counters.predicate_calls
@@ -617,17 +614,10 @@ class TestSlowEngineRoutes:
     """The handle's type picks the slow engine's route, nothing else does."""
 
     def test_other_handles_keep_the_scalar_loop(self, unit_square, random_points):
-        # NearestD against a polygon, and exact distances, still run the
-        # churning predicates point by point (no query path calls them).
+        # NearestD against a polygon or a point still runs the churning
+        # predicates point by point (no query path calls them).
         assert_counted_parity("slow", unit_square, random_points[:40], d=1.5)
-        engine = create_engine("slow")
-        xs, ys = batch_xy(random_points[:40])
-        line = LineString([(0, 0), (5, 5), (10, 0)])
-        dist, vertex, alloc = engine.distance_batch_counted(line, xs, ys)
-        assert dist.tolist() == [
-            create_engine("slow").point_distance(p, line) for p in random_points[:40]
-        ]
-        assert vertex.tolist() == alloc.tolist() == [3] * 40
+        assert_counted_parity("slow", Point(5, 5), random_points[:40], d=1.5)
 
     def test_batch_kernels_build_no_coordinate_objects(self, monkeypatch, square_with_hole, random_points):
         from repro.geometry import engine as engine_mod

@@ -26,6 +26,7 @@ from repro.geometry.algorithms import pairwise
 from repro.geometry.engine import EngineCounters, create_engine
 from repro.geometry.prepared import PreparedPolygon
 from tests.cluster.test_unit_columns import same_units, unit_columns
+from tests.core.test_probe import probe_with_cost
 from tests.geometry.test_batch_kernels import (
     boundary_probes,
     random_polygon,
@@ -320,7 +321,7 @@ class TestUntabledBuildRows:
         index = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=2.0, engine=name)
         matches, units = index.probe_batch(probes)
         reference = BroadcastIndex(build, SpatialOperator.NEAREST_D, radius=2.0, engine=name)
-        want = [reference.probe_with_cost(probe) for probe in probes]
+        want = [probe_with_cost(reference, probe) for probe in probes]
         assert matches == [found for found, _ in want]
         assert same_units(units, unit_columns([cost for _, cost in want]))  # key order too
         assert index.engine.counters == reference.engine.counters

@@ -27,6 +27,7 @@ from repro.impala.exprs import Slot, TupleDescriptor, vectorize_conjuncts
 from repro.impala.rowbatch import BATCH_SIZE, RowBatch, batches_of
 from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.columnar.test_byte_identity import digest
+from tests.core.test_probe import probe_with_cost
 
 
 @pytest.fixture
@@ -168,7 +169,7 @@ class TestBulkParsedRowBatches:
             want_matches, want_row = (
                 ([], {Resource.INDEX_VISIT: 0.0, Resource.ROWS_OUT: 0.0})
                 if geometry.is_empty
-                else reference.probe_with_cost(geometry)
+                else probe_with_cost(reference, geometry)
             )
             assert row_matches == want_matches
             want_units.append({Resource.WKT_BYTES: float(len(text)), **want_row})

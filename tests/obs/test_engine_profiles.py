@@ -134,7 +134,7 @@ class TestBatchInvariance:
 
         batch_engine = create_engine(name)
         handle = batch_engine.prepare(polygon)
-        batch_engine.contains_batch(
+        batch_engine.contains_batch_counted(
             handle,
             np.array([p.x for p in points]),
             np.array([p.y for p in points]),
