@@ -22,6 +22,7 @@ from repro.bench.report import DEFAULT_SCALE
 from repro.bench.runner import run_isp_standalone
 from repro.bench.workloads import materialize
 from repro.cluster.model import CostModel, Resource
+from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 
@@ -72,11 +73,11 @@ def micro_ratio(
     """
     model = model or CostModel()
     mat = materialize(workload, scale=scale)
-    points = [point for _, point in mat.left.records[:sample]]
+    points = GeometryColumn.from_entries(mat.left.records[:sample])
     fast = BroadcastIndex(mat.right.records, SpatialOperator.WITHIN, engine="fast")
     slow = BroadcastIndex(mat.right.records, SpatialOperator.WITHIN, engine="slow")
-    fast.probe_batch(points)
-    slow.probe_batch(points)
+    fast.probe_pairs(points)
+    slow.probe_pairs(points)
     fast_cost = model.task_seconds(
         {Resource.REFINE_VERTEX_FAST: fast.engine.counters.vertex_ops}
     )

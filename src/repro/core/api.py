@@ -35,6 +35,7 @@ from repro.core.probe import (
     BroadcastIndex,
     PreparedBuild,
     cached_index,
+    gather,
     index_cache_key,
     join_tile,
     naive_spatial_join,
@@ -777,12 +778,10 @@ def _broadcast_join(
     def chunk_task(task_index, start):
         def probe_chunk():
             stop = start + cfg.batch_size
-            found, units = index.probe_batch(left_column.slice(start, stop))
-            chunk_pairs = [
-                (left_id, right_id)
-                for left_id, matches in zip(left_ids[start:stop], found)
-                for right_id in matches
-            ]
+            rows, entries, units = index.probe_pairs(left_column.slice(start, stop))
+            chunk_pairs = list(
+                zip(gather(left_ids, rows + start), index.entry_payloads(entries))
+            )
             task = TaskMetrics()
             task.add_columns(units)
             return chunk_pairs, task

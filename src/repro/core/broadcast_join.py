@@ -26,7 +26,7 @@ from repro.cluster.model import Resource
 from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
-from repro.core.probe import cached_index, index_cache_key
+from repro.core.probe import cached_index, gather, index_cache_key
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry import wkb as wkb_mod
@@ -182,10 +182,10 @@ def broadcast_spatial_join(
     geometry-library axis for the ablation benchmarks.
 
     Each task runs its partition's probes through the batched
-    filter+refine pipeline (:meth:`BroadcastIndex.probe_batch`) — one bulk
-    index probe, then one batch kernel call per build geometry for point
-    probes, or one pair-kernel call for polyline / polygon probes under
-    Intersects.
+    filter+refine pipeline (:meth:`BroadcastIndex.probe_pairs`) — one bulk
+    index probe, then one pair-kernel call over the candidate pairs (point
+    probes under Within / NearestD, polyline / polygon probes under
+    Intersects) — and gathers the matching pairs' ids once.
     """
     if operator.needs_radius and radius <= 0.0:
         raise ReproError(f"{operator} requires a positive radius")
@@ -234,16 +234,12 @@ def broadcast_spatial_join(
         # A freshly parsed partition is probed as it is: packed
         # coordinates, no geometry object ever built.
         probes = partition_column(rows)
-        left_ids = probes.payloads()
-        if not left_ids:
+        if not len(probes):
             return []
-        found, units = index_broadcast.value.probe_batch(probes)
+        index = index_broadcast.value
+        found, entries, units = index.probe_pairs(probes)
         current_task().add_columns(units)
-        return [
-            (left_id, right_id)
-            for left_id, matches in zip(left_ids, found)
-            for right_id in matches
-        ]
+        return list(zip(gather(probes.payloads(), found), index.entry_payloads(entries)))
 
     return left.map_partitions(query_rtree_partition)
 

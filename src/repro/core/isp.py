@@ -23,7 +23,8 @@ from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.geometry.wkt import WKTReader
 from repro.impala.exec_nodes import BlockingJoinNode, ExecNode, InstanceContext
-from repro.impala.rowbatch import BATCH_SIZE, RowBatch
+from repro.impala.rowbatch import BATCH_SIZE, PairBatch, RowBatch, object_columns
+from repro.obs.registry import REGISTRY
 
 __all__ = ["build_spatial_index", "probe_wkt_rows", "SpatialJoinNode"]
 
@@ -67,15 +68,18 @@ def build_spatial_index(
 
 def probe_wkt_rows(
     index: BroadcastIndex, texts: Iterable[object]
-) -> tuple[list[list | None], dict[str, np.ndarray]]:
-    """Probe one row batch's WKT column: bulk-parse, bulk-probe, batch-refine.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Probe one row batch's WKT column: bulk-parse, then
+    :meth:`~repro.core.probe.BroadcastIndex.probe_pairs`.
 
-    Returns ``(matches, units)``.  A row whose value is not a
-    string or fails to parse is dropped: its matches slot is ``None`` and
-    its units hold only the parse charge.  ``units`` are unit columns, one
-    entry per row, keyed ``WKT_BYTES, INDEX_VISIT, ROWS_OUT, REFINE_*`` in
-    that order — row ``i`` is exactly what parsing the row and probing it
-    alone charges — so
+    Returns ``(kept, rows, entries, units)``, the arrays int64.  ``kept``
+    lists the positions whose value parsed; any other row — not a string,
+    or not WKT a join can evaluate — is dropped: it has no pairs and its
+    units hold only the parse charge.  Position ``rows[k]`` matches build
+    row ``entries[k]``, in :meth:`probe_pairs` order.  ``units`` are unit
+    columns, one entry per position, keyed ``WKT_BYTES, INDEX_VISIT,
+    ROWS_OUT, REFINE_*`` in that order — row ``i`` is exactly what
+    parsing the row and probing it alone charges — so
     :meth:`~repro.cluster.model.CostModel.row_seconds` gives each row's
     simulated seconds, and with them the OpenMP static-chunk makespans
     behind Tables 1-2, bit for bit as the row loop did.
@@ -88,13 +92,10 @@ def probe_wkt_rows(
     # Row positions ride along as payloads, so the kept rows say where
     # they came from.
     probes, _ = parse_wkt_column(texts, range(len(texts)))
-    found, probe_units = index.probe_batch(probes)
-    rows = probes.payloads()
-    matches: list[list | None] = [None] * len(texts)
-    for row, row_matches in zip(rows, found):
-        matches[row] = row_matches
-    units.update(scatter_units(probe_units, rows, len(texts)))
-    return matches, units
+    rows, entries, probe_units = index.probe_pairs(probes)
+    kept = np.array(probes.payloads(), dtype=np.int64)
+    units.update(scatter_units(probe_units, kept.tolist(), len(texts)))
+    return kept, kept[rows], entries, units
 
 
 class SpatialJoinNode(BlockingJoinNode):
@@ -104,9 +105,15 @@ class SpatialJoinNode(BlockingJoinNode):
     :class:`~repro.core.probe.BroadcastIndex` and charges every instance
     for its own copy, as each real Impala instance builds its own tree
     from the broadcast stream).  Each probe batch is consumed whole —
-    parse the left WKT column, bulk-query the R-tree, refine with the
-    engine's batch kernels — with per-row costs recorded so the batch's
-    duration reflects OpenMP *static* chunking across the node's cores.
+    parse the left WKT column, bulk-query the R-tree, refine the candidate
+    pairs with the engine's pair kernels — with per-row costs recorded so
+    the batch's duration reflects OpenMP *static* chunking across the
+    node's cores.  The joined rows leave as a
+    :class:`~repro.impala.rowbatch.PairBatch`: the probe batch's columns
+    taken at the matching probe rows beside the build rows' columns
+    (materialised once, in :meth:`build`) taken at the matching build
+    rows.  Rows whose WKT is dropped are counted in ``rows_dropped`` and
+    in the ``impala.rows_skipped`` registry counter.
     """
 
     def __init__(
@@ -123,23 +130,29 @@ class SpatialJoinNode(BlockingJoinNode):
         self.probe_geometry_slot = probe_geometry_slot
         self.build_cost_weight = build_cost_weight
         self.rows_dropped = 0
+        self._build_columns: list[np.ndarray] = []
 
     def build(self) -> None:
-        """Charge this instance for its copy of the broadcast index."""
+        """Charge this instance for its copy of the broadcast index, and
+        lay the build rows out as columns."""
         self.ctx.charge_serial(
             Resource.INDEX_BUILD, len(self.index) * self.build_cost_weight
         )
+        build_rows = self.index.entry_payloads(np.arange(len(self.index)))
+        if build_rows:
+            self._build_columns = object_columns(build_rows, len(build_rows[0]))
 
-    def probe_batch(self, batch: RowBatch) -> list[tuple]:
-        row_matches, units = probe_wkt_rows(
+    def probe_batch(self, batch: RowBatch) -> PairBatch:
+        kept, rows, entries, units = probe_wkt_rows(
             self.index, batch.column(self.probe_geometry_slot)
         )
-        joined: list[tuple] = []
-        for left_row, matches in zip(batch.rows, row_matches):
-            if matches is None:
-                self.rows_dropped += 1
-                continue
-            for right_row in matches:
-                joined.append(left_row + right_row)
-        self.ctx.charge_batch(units, len(row_matches))
-        return joined
+        dropped = len(batch) - len(kept)
+        if dropped:
+            self.rows_dropped += dropped
+            REGISTRY.inc("impala.rows_skipped", dropped)
+        self.ctx.charge_batch(units, len(batch))
+        probe_columns = object_columns(batch.rows, len(batch.rows[0]) if len(batch) else 0)
+        return PairBatch(
+            [column[rows] for column in probe_columns]
+            + [column[entries] for column in self._build_columns]
+        )

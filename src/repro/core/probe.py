@@ -42,6 +42,7 @@ __all__ = [
     "BroadcastIndex",
     "PreparedBuild",
     "cached_index",
+    "gather",
     "index_cache_key",
     "join_tile",
     "naive_spatial_join",
@@ -52,6 +53,11 @@ __all__ = [
 # Candidate pairs one pair-kernel call refines: the kernels hold a dozen
 # per-pair temporaries, so this bounds a join's peak memory, not its speed.
 _REFINE_BLOCK_PAIRS = 1 << 13
+
+
+def gather(values: Sequence[Any], positions: np.ndarray) -> list[Any]:
+    """``values`` at an index array's positions, as a list."""
+    return list(map(values.__getitem__, positions.tolist()))
 
 
 def refine_pair(
@@ -306,38 +312,21 @@ class BroadcastIndex(PreparedBuild):
     def probe_batch(
         self, geometries: Iterable[Geometry | None]
     ) -> tuple[list[list[Any]], dict[str, np.ndarray]]:
-        """Probe many geometries: one batched index traversal, then
-        :meth:`refine_candidates` over every candidate pair.
+        """:meth:`probe_pairs` as payload lists: ``(matches, units)``,
+        ``matches[i]`` the payloads row ``i`` matched, in candidate order.
 
-        Returns ``(matches, units)``: payloads per probe, in candidate
-        order, and the probes' cost units as columns — one float64 array
-        per resource, one entry per input row.  Row ``i`` is charged the
-        nodes its own R-tree query visits (``INDEX_VISIT``), its matches
-        (``ROWS_OUT``) and the vertex ops / allocations its pairs' refinement
-        advanced the engine counters by; the counters advance as under one
-        scalar :func:`refine_pair` call per candidate pair.  ``INDEX_VISIT``
-        / ``ROWS_OUT`` columns exist once any row is probed, a vertex or
-        allocation column only when some row is charged one, in that key
-        order; a batch that probes no row has none.  ``None`` entries are
+        ``geometries`` is a :class:`GeometryColumn` or any iterable of
+        geometries, whose non-``None`` rows are packed once
+        (:meth:`GeometryColumn.from_entries`, which raises for a value no
+        join can evaluate) and probed the same way.  ``None`` entries are
         skipped entirely — no matches, zero units — so row-pipeline
-        callers can keep unparsable rows in place.  The columns are what
-        :meth:`~repro.cluster.metrics.TaskMetrics.add_columns` and
-        :meth:`~repro.cluster.model.CostModel.row_seconds` consume.
-
-        ``geometries`` is a :class:`GeometryColumn` — envelopes and
-        coordinates are then read straight from the packed buffers, no
-        geometry object built unless a pair takes :func:`refine_pair` — or
-        any iterable of geometries, whose non-``None`` rows are packed
-        once (:meth:`GeometryColumn.from_entries`, which raises for a
-        value no join can evaluate) and probed the same way.  The
-        traversal yields flat ``(probe, build)`` candidate arrays in the
-        order N scalar R-tree queries would find them.
+        callers can keep unparsable rows in place.
         """
         if isinstance(geometries, GeometryColumn):
-            return self._probe_column(geometries)
+            return self._matches(geometries)
         geometries = list(geometries)
         present = [i for i, geometry in enumerate(geometries) if geometry is not None]
-        matches, units = self._probe_column(
+        matches, units = self._matches(
             GeometryColumn.from_entries((None, geometries[i]) for i in present)
         )
         if len(present) == len(geometries):
@@ -348,14 +337,49 @@ class BroadcastIndex(PreparedBuild):
             row_matches[i] = found
         return row_matches, scatter_units(units, present, len(geometries))
 
-    def _probe_column(
+    def _matches(
         self, column: GeometryColumn
     ) -> tuple[list[list[Any]], dict[str, np.ndarray]]:
         """:meth:`probe_batch` over a packed column."""
+        rows, entries, units = self.probe_pairs(column)
+        matches: list[list[Any]] = [[] for _ in range(len(column))]
+        payloads = self._entry_payloads
+        for i, k in zip(rows.tolist(), entries.tolist()):
+            matches[i].append(payloads[k])
+        return matches, units
+
+    def probe_pairs(
+        self, column: GeometryColumn
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """Probe a packed column: one batched index traversal, then
+        :meth:`refine_candidates` over every candidate pair.
+
+        Returns ``(rows, entries, units)``.  ``rows`` and ``entries`` are
+        int64 arrays of the matching pairs — ``column`` row ``rows[k]``
+        matches build row ``entries[k]``, whose payload
+        :meth:`entry_payloads` gives back — in the order N scalar R-tree
+        queries find them: row by row, each row's in candidate order.
+        Envelopes and coordinates are read straight from the packed
+        buffers; no geometry object is built unless a pair takes
+        :func:`refine_pair`.
+
+        ``units`` are the rows' cost units as columns — one float64 array
+        per resource, one entry per row.  Row ``i`` is charged the nodes
+        its own R-tree query visits (``INDEX_VISIT``), its matches
+        (``ROWS_OUT``) and the vertex ops / allocations its pairs'
+        refinement advanced the engine counters by; the counters advance
+        as under one scalar :func:`refine_pair` call per candidate pair.
+        ``INDEX_VISIT`` / ``ROWS_OUT`` columns exist once any row is
+        probed, a vertex or allocation column only when some row is
+        charged one, in that key order; a column of no rows has none.
+        The columns are what
+        :meth:`~repro.cluster.metrics.TaskMetrics.add_columns` and
+        :meth:`~repro.cluster.model.CostModel.row_seconds` consume.
+        """
         n = len(column)
-        matches: list[list[Any]] = [[] for _ in range(n)]
         if not n:
-            return matches, {}
+            none = np.empty(0, dtype=np.int64)
+            return none, none, {}
         min_x, min_y, max_x, max_y = column.bounds()
         live = column.num_points_array() > 0
         if not live.all():
@@ -364,19 +388,21 @@ class BroadcastIndex(PreparedBuild):
             max_x = np.where(live, max_x, -np.inf)
         probes, entries, visits = self._tree._query_batch_arrays(min_x, min_y, max_x, max_y)
         hit, vertex, alloc = self.refine_candidates(column, probes, entries)
-        payloads = self._entry_payloads
-        for i, k in zip(probes[hit].tolist(), entries[hit].tolist()):
-            matches[i].append(payloads[k])
+        rows = probes[hit]
         units = {
             Resource.INDEX_VISIT: visits.astype(np.float64),
-            Resource.ROWS_OUT: np.bincount(probes[hit], minlength=n).astype(np.float64),
+            Resource.ROWS_OUT: np.bincount(rows, minlength=n).astype(np.float64),
         }
         for resource, charged in (
             (self._vertex_resource, vertex), (Resource.REFINE_ALLOC, alloc)
         ):
             if charged.any():
                 units[resource] = np.bincount(probes, weights=charged, minlength=n)
-        return matches, units
+        return rows, entries[hit], units
+
+    def entry_payloads(self, entries: np.ndarray) -> list[Any]:
+        """The payloads of build rows ``entries``, in that order."""
+        return gather(self._entry_payloads, entries)
 
     def nearest(
         self, point: Point, k: int = 1, max_distance: float = math.inf
@@ -459,48 +485,43 @@ def join_tile(
     batch-router call; a row in a single tile — almost every point — is
     decided by that alone, and the build geometries matched by multi-tile
     rows are routed together, once each.  Returns the owned pairs and the
-    probe's unit columns (:meth:`BroadcastIndex.probe_batch`'s), which the
+    probe's unit columns (:meth:`BroadcastIndex.probe_pairs`'), which the
     tile's task adds with ``TaskMetrics.add_columns``.
     """
     if not isinstance(left, GeometryColumn):
         left = GeometryColumn.from_entries(left)
-    left_ids = left.payloads()
-    found, units = index.probe_batch(left)
+    rows, entries, units = index.probe_pairs(left)
     left_rows, left_tiles = tiles.route_rows(*left.bounds())
-    reached = np.bincount(left_rows, minlength=len(left_ids))
+    reached = np.bincount(left_rows, minlength=len(left))
     first = np.cumsum(reached) - reached
     # A single-tile row's owner is that tile, whatever it matched.
-    owned = np.zeros(len(left_ids), dtype=bool)
+    owner = np.full(len(left), -1, dtype=np.int64)
     single = reached == 1
-    owned[single] = left_tiles[first[single]] == tile_id
-    # Rows in several tiles need each match's tile set too: route the
-    # build geometries they matched together, once each.
-    row_tiles = {
-        row: set(left_tiles[first[row] : first[row] + reached[row]].tolist())
-        for row in np.flatnonzero(reached > 1).tolist()
-        if found[row]
-    }
-    matched = list(
-        {id(m): m for row in row_tiles for m in found[row]}.values()
-    )
-    match_tiles: dict[int, set[int]] = {id(match): set() for match in matched}
-    positions, reached_tiles = tiles.route_envelopes(
-        (geometry.envelope for _, geometry in matched), expand=expand
-    )
-    for position, tile in zip(positions.tolist(), reached_tiles.tolist()):
-        match_tiles[id(matched[position])].add(tile)
-    pairs: list[tuple[Any, Any]] = []
-    for row, (left_id, matches, owns) in enumerate(
-        zip(left_ids, found, owned.tolist())
-    ):
-        if owns:
-            pairs.extend((left_id, right_id) for right_id, _ in matches)
-        elif row in row_tiles:
-            for match in matches:
-                common = row_tiles[row] & match_tiles[id(match)]
-                if (min(common) if common else tile_id) == tile_id:
-                    pairs.append((left_id, match[0]))
-    return pairs, units
+    owner[single] = left_tiles[first[single]]
+    keep = owner[rows] == tile_id
+    shared = np.flatnonzero(reached[rows] > 1)
+    if len(shared):
+        # Pairs of rows in several tiles need each match's tile set too:
+        # route the build geometries they matched together, once each.
+        row_tiles = {
+            row: set(left_tiles[first[row] : first[row] + reached[row]].tolist())
+            for row in set(rows[shared].tolist())
+        }
+        matched = list(set(entries[shared].tolist()))
+        match_tiles: dict[int, set[int]] = {entry: set() for entry in matched}
+        positions, reached_tiles = tiles.route_envelopes(
+            (index._entry_payloads[entry][1].envelope for entry in matched),
+            expand=expand,
+        )
+        for position, tile in zip(positions.tolist(), reached_tiles.tolist()):
+            match_tiles[matched[position]].add(tile)
+        for k, row, entry in zip(
+            shared.tolist(), rows[shared].tolist(), entries[shared].tolist()
+        ):
+            common = row_tiles[row] & match_tiles[entry]
+            keep[k] = (min(common) if common else tile_id) == tile_id
+    right_ids = [right_id for right_id, _ in index.entry_payloads(entries[keep])]
+    return list(zip(gather(left.payloads(), rows[keep]), right_ids)), units
 
 
 def naive_spatial_join(

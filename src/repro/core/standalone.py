@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic, simulate_static_chunked
 from repro.core.isp import build_spatial_index, probe_wkt_rows
 from repro.core.operators import SpatialOperator
+from repro.core.probe import gather
 from repro.errors import ReproError
 from repro.hdfs import SimulatedHDFS, read_lines
 from repro.impala.rowbatch import BATCH_SIZE
@@ -144,10 +147,13 @@ def standalone_spatial_join(
             span.add_sim(scan_probe)
         serial_seconds = scan_build + build_index + scan_probe
         pairs: list[tuple] = []
+        right_ids = [
+            _coerce_id(row[0]) for row in index.entry_payloads(np.arange(len(index)))
+        ]
         with tracer.span("probe", category="phase") as span:
             for start in range(0, len(left_rows), batch_size):
                 batch = left_rows[start : start + batch_size]
-                row_matches, units = probe_wkt_rows(
+                kept, rows, entries, units = probe_wkt_rows(
                     index,
                     (
                         row[left_geometry_index]
@@ -156,15 +162,11 @@ def standalone_spatial_join(
                         for row in batch
                     ),
                 )
-                kept = [i for i, matches in enumerate(row_matches) if matches is not None]
                 rows_dropped += len(batch) - len(kept)
                 # A dropped row's parse is priced below but not counted.
                 metrics.add_columns({key: column[kept] for key, column in units.items()})
-                for i in kept:
-                    left_id = _coerce_id(batch[i][0])
-                    pairs.extend(
-                        (left_id, _coerce_id(match[0])) for match in row_matches[i]
-                    )
+                left_ids = {i: _coerce_id(batch[i][0]) for i in set(rows.tolist())}
+                pairs.extend(zip(gather(left_ids, rows), gather(right_ids, entries)))
                 row_seconds = model.row_seconds(units, len(batch)).tolist()
                 if scheduling == "static":
                     parallel_seconds += simulate_static_chunked(row_seconds, cores)

@@ -10,7 +10,9 @@ Execution follows Section IV of the paper:
    broadcast row batches;
 4. each instance probes its left rows batch-by-batch, with OpenMP-static
    multi-core refinement, and ships results (or partial aggregates) to
-   the coordinator, which merges/sorts/projects.
+   the coordinator, which merges/sorts/limits.  Results travel as
+   columns — one object array per ORDER BY key and per SELECT item — and
+   become row tuples once, in :attr:`QueryResult.rows`.
 
 The query's simulated runtime is frontend planning + fragment startup
 (LLVM JIT et al.) + the *maximum* instance time (static inter-node
@@ -23,6 +25,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from repro.cache import cache_for, estimate_index_bytes, fingerprint_rows
 from repro.cluster.model import ClusterSpec, CostModel, Resource
@@ -37,8 +41,9 @@ from repro.impala.exec_nodes import (
     InstanceContext,
     ScanNode,
 )
+from repro.impala.ast_nodes import ColumnRef
 from repro.impala.exprs import TupleDescriptor, compile_expr, vectorize_conjuncts
-from repro.impala.rowbatch import BATCH_SIZE
+from repro.impala.rowbatch import BATCH_SIZE, object_column
 from repro.impala.parser import parse
 from repro.impala.planner import PhysicalPlan, Planner
 from repro.obs.events import EventLog, get_event_log, install_event_log
@@ -49,10 +54,11 @@ from repro.runtime.faults import InjectedFaultError
 from repro.runtime.pool import current_worker_id, make_pool, picklable_error
 from repro.runtime.recovery import RecoveryContext, resolve_faults
 from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
-from repro.spark.shuffle import estimate_bytes, records_bytes
+from repro.obs.registry import REGISTRY
+from repro.spark.shuffle import estimate_bytes, values_bytes
 from repro.spark.taskcontext import task_scope
 
-__all__ = ["QueryResult", "ImpalaBackend"]
+__all__ = ["QueryResult", "ImpalaBackend", "exchange_bytes"]
 
 
 @dataclass
@@ -397,36 +403,35 @@ class ImpalaBackend:
         # (a plain list so pooled fragments can ship it — the Aggregator
         # itself holds compiled expressions and stays worker-side).
         aggregators: list[list] = []
-        # Projection pushdown: instances materialise only the SELECT
-        # columns plus precomputed ORDER BY keys, not whole joined rows
-        # (which would re-ship every WKT string to the coordinator).
-        # Aggregated queries exchange partial states instead, and their
+        # Projection pushdown: instances materialise only the ORDER BY
+        # keys and the SELECT columns, not whole joined rows (which would
+        # re-ship every WKT string to the coordinator).  Aggregated
+        # queries exchange partial states instead, and their
         # aggregate-bearing projections never compile as row scalars.
-        if plan.aggregate is None:
-            projector = self._compile_projection(plan, row_descriptor)
-            order_key_fns = [
-                compile_expr(item.expr, row_descriptor) for item in plan.order_by
-            ]
-        else:
-            projector = None
-            order_key_fns = []
-        instance_keyed_rows: list[list[tuple[tuple, tuple]]] = []
+        fields = (
+            _result_fields(
+                [item.expr for item in (*plan.order_by, *plan.projection)], row_descriptor
+            )
+            if plan.aggregate is None
+            else []
+        )
+        # One entry per instance: its result columns, ORDER BY keys first.
+        instance_columns: list[list[np.ndarray]] = []
         pool = self.task_pool
         if pool.is_serial or not pool.supports_closures or len(instances) < 2:
             for instance in instances:
                 payload = self._run_fragment(
                     plan, instance, probe_ranges[instance.node_id],
-                    shared_index, residual_eval, projector, order_key_fns,
+                    shared_index, residual_eval, fields,
                 )
                 if payload[0] == "agg":
                     aggregators.append(payload[1])
                 else:
-                    instance_keyed_rows.append(payload[1])
+                    instance_columns.append(payload[1])
         else:
             instances = self._run_fragments_pooled(
                 pool, plan, instances, probe_ranges, shared_index,
-                residual_eval, projector, order_key_fns,
-                aggregators, instance_keyed_rows,
+                residual_eval, fields, aggregators, instance_columns,
             )
         # Coordinator: merge, sort, limit, project.
         coordinator_seconds = 0.0
@@ -445,19 +450,26 @@ class ImpalaBackend:
             )
             output_rows = self._order_and_limit_agg(plan, output_rows)
         else:
-            merged = [kr for keyed in instance_keyed_rows for kr in keyed]
-            coordinator_seconds += model.task_seconds(
-                {Resource.ROWS_OUT: float(len(merged))}
-            )
+            columns = [np.concatenate(parts) for parts in zip(*instance_columns)]
+            rows = len(columns[0])
+            coordinator_seconds += model.task_seconds({Resource.ROWS_OUT: float(rows)})
+            # Stable sorts of a row permutation, last key first.
+            order = None
             for i in reversed(range(len(plan.order_by))):
-                ascending = plan.order_by[i].ascending
-                merged.sort(
-                    key=lambda kr, i=i: _null_safe_key(kr[0][i]),
-                    reverse=not ascending,
+                keys = columns[i].tolist()
+                if order is None:
+                    order = list(range(rows))
+                order.sort(
+                    key=lambda row: _null_safe_key(keys[row]),
+                    reverse=not plan.order_by[i].ascending,
                 )
-            if plan.limit is not None:
-                merged = merged[: plan.limit]
-            output_rows = [projected for _, projected in merged]
+            selected = columns[len(plan.order_by) :]
+            if order is not None:
+                positions = np.array(order[: plan.limit], dtype=np.int64)
+                selected = [column[positions] for column in selected]
+            elif plan.limit is not None:
+                selected = [column[: plan.limit] for column in selected]
+            output_rows = list(zip(*(column.tolist() for column in selected)))
         pressure = (
             model.impala_memory_pressure_factor
             if self.cluster.mem_per_node_gb
@@ -495,14 +507,14 @@ class ImpalaBackend:
     # -- fragment execution -----------------------------------------------------
 
     def _run_fragment(
-        self, plan, instance, scan_ranges, shared_index,
-        residual_eval, projector, order_key_fns,
+        self, plan, instance, scan_ranges, shared_index, residual_eval, fields,
     ) -> tuple:
         """Execute one fragment instance; returns its exchange payload.
 
         ``("agg", partials)`` for aggregated queries (the materialised
         partial-state pairs the coordinator merges), else ``("rows",
-        keyed)`` with precomputed ORDER BY keys.  Runs identically inline
+        columns)``: the ORDER BY keys' and SELECT items' values, one object
+        array per :func:`_result_fields` field.  Runs identically inline
         (serial path, driver tracer) and inside a pool worker (capture
         tracer) — the span, charging and byte-accounting arithmetic is
         shared, which is what keeps the two modes byte-identical.
@@ -535,12 +547,9 @@ class ImpalaBackend:
                 exchange = sum(estimate_bytes((k, s)) for k, s in partials)
                 payload = ("agg", partials)
             else:
-                keyed = [
-                    (tuple(fn(row) for fn in order_key_fns), projector(row))
-                    for row in root.rows()
-                ]
-                exchange = records_bytes(keyed)
-                payload = ("rows", keyed)
+                columns = _result_columns(root, fields)
+                exchange = exchange_bytes(columns)
+                payload = ("rows", columns)
             # Result exchange crosses the network only on a real
             # cluster; single-node results land in a local buffer.
             if self.cluster.num_nodes > 1:
@@ -563,8 +572,7 @@ class ImpalaBackend:
 
     def _run_fragments_pooled(
         self, pool, plan, instances, probe_ranges, shared_index,
-        residual_eval, projector, order_key_fns,
-        aggregators, instance_keyed_rows,
+        residual_eval, fields, aggregators, instance_columns,
     ) -> list[InstanceContext]:
         """All fragment instances concurrently; returns the mutated contexts.
 
@@ -586,7 +594,7 @@ class ImpalaBackend:
                     try:
                         payload = self._run_fragment(
                             plan, instance, scan_ranges, shared_index,
-                            residual_eval, projector, order_key_fns,
+                            residual_eval, fields,
                         )
                     except Exception as exc:  # noqa: BLE001 - re-raised on driver
                         error = picklable_error(exc)
@@ -609,7 +617,7 @@ class ImpalaBackend:
             if payload[0] == "agg":
                 aggregators.append(payload[1])
             else:
-                instance_keyed_rows.append(payload[1])
+                instance_columns.append(payload[1])
         return merged
 
     # -- fragment construction --------------------------------------------------
@@ -704,20 +712,22 @@ class ImpalaBackend:
             else None
         )
         if bundle is None:
-            index, wkt_bytes, _ = build_spatial_index(
+            index, wkt_bytes, dropped = build_spatial_index(
                 all_rows, geometry_slot, operator, radius, self.engine_name
             )
             raw_build_bytes = sum(estimate_bytes(r) for r in all_rows)
             if bundle_key is not None:
                 self.cache.put(
                     bundle_key, "impala-build-side",
-                    (index, wkt_bytes, raw_build_bytes),
+                    (index, wkt_bytes, raw_build_bytes, dropped),
                     size_bytes=estimate_index_bytes(index) + 16,
                     build_cost=float(wkt_bytes)
                     + sum(index.build_cost_units().values()),
                 )
         else:
-            index, wkt_bytes, raw_build_bytes = bundle
+            index, wkt_bytes, raw_build_bytes, dropped = bundle
+        if dropped:
+            REGISTRY.inc("impala.rows_skipped", dropped)
         weight = self.build_cost_weight
         build_bytes = raw_build_bytes * weight
         if join.distribution == "partitioned" and self.cluster.num_nodes > 1:
@@ -924,15 +934,49 @@ class ImpalaBackend:
                 return i
         raise PlanError(f"ORDER BY {expr} does not match any output column")
 
-    def _compile_projection(self, plan: PhysicalPlan, descriptor: TupleDescriptor):
-        getters = [compile_expr(item.expr, descriptor) for item in plan.projection]
 
-        def project(row):
-            return tuple(g(row) for g in getters)
+def _result_fields(exprs, descriptor: TupleDescriptor) -> list[int | Callable]:
+    """One result column per expression: a column reference's slot (a
+    column gather), any other expression compiled over rows."""
+    return [
+        descriptor.resolve(expr) if isinstance(expr, ColumnRef) else compile_expr(expr, descriptor)
+        for expr in exprs
+    ]
 
-        return project
+
+def _result_columns(root: ExecNode, fields: list[int | Callable]) -> list[np.ndarray]:
+    """``root``'s output as one object array per field.
+
+    A slot is gathered from each batch's column; the compiled expressions
+    are evaluated row by row, all of a row's in field order, so any
+    charge they make lands as it did when rows were projected one at a
+    time.
+    """
+    computed = [field for field in fields if callable(field)]
+    parts: list[list[np.ndarray]] = [[] for _ in fields]
+    for batch in root.batches():
+        if computed:
+            values = iter(zip(*[tuple(fn(row) for fn in computed) for row in batch.rows]))
+        for part, field in zip(parts, fields):
+            part.append(
+                object_column(next(values)) if callable(field) else batch.column_array(field)
+            )
+    return [
+        np.concatenate(part) if part else np.empty(0, dtype=object) for part in parts
+    ]
+
+
+def exchange_bytes(columns: list[np.ndarray]) -> int:
+    """Bytes one instance's result columns ship to the coordinator.
+
+    What the rows weigh as ``(order_key_tuple, row_tuple)`` records —
+    ``records_bytes`` of them, by arithmetic: an 8-byte header for each
+    of a row's three tuples plus every value's
+    :func:`~repro.spark.shuffle.estimate_bytes`, summed column by column.
+    """
+    return 24 * len(columns[0]) + sum(values_bytes(column) for column in columns)
 
 
 def _null_safe_key(value):
-    """Sort NULLs last regardless of direction (Impala's default)."""
+    """NULLs sort last ascending and first descending (Impala's default)."""
     return (value is None, value)

@@ -1,11 +1,16 @@
 """Backend execution nodes: scan, filter, cross join, aggregation.
 
-Each node pulls :class:`~repro.impala.rowbatch.RowBatch` objects from its
-child, the pull-based asynchronous-ish execution style of Impala's
-backend.  Nodes are instantiated *per fragment instance* (per node) by the
-coordinator, and charge their work to the instance's
-:class:`InstanceContext` so static scheduling effects are visible in the
-simulated makespan.
+Each node pulls row batches from its child, the pull-based
+asynchronous-ish execution style of Impala's backend.  Scans and the
+cross join produce :class:`~repro.impala.rowbatch.RowBatch` lists of row
+tuples; the spatial join produces
+:class:`~repro.impala.rowbatch.PairBatch` columns — object arrays
+gathered at the matching (probe row, build row) index pairs — which
+answer every question a ``RowBatch`` does, so a filter or aggregator
+above either sees the same rows.  Nodes are instantiated *per fragment
+instance* (per node) by the coordinator, and charge their work to the
+instance's :class:`InstanceContext` so static scheduling effects are
+visible in the simulated makespan.
 
 The indexed ``SpatialJoinNode`` — the paper's contribution — lives in
 :mod:`repro.core.isp` and subclasses :class:`BlockingJoinNode` from here,
@@ -25,7 +30,7 @@ from repro.cluster.simulation import simulate_static_chunked
 from repro.errors import ImpalaError
 from repro.hdfs import SimulatedHDFS, read_split_lines
 from repro.impala.catalog import Table
-from repro.impala.rowbatch import BATCH_SIZE, RowBatch, batches_of
+from repro.impala.rowbatch import BATCH_SIZE, PairBatch, RowBatch
 from repro.obs.registry import REGISTRY
 
 __all__ = [
@@ -195,20 +200,21 @@ class FilterNode(ExecNode):
             if vector_predicate is not None and len(batch):
                 mask = vector_predicate(batch.columns())
             if mask is not None:
-                kept = [row for row, keep in zip(batch.rows, mask) if keep]
+                kept = np.flatnonzero(mask)
             else:
-                kept = [row for row in batch if predicate(row) is True]
-            if kept:
-                yield RowBatch(kept, capacity=batch.capacity)
+                kept = [i for i, row in enumerate(batch.rows) if predicate(row) is True]
+            if len(kept):
+                yield batch.take(kept)
 
 
 class BlockingJoinNode(ExecNode):
     """A join that fully consumes (blocks on) its build side first.
 
     Subclasses implement :meth:`build` (consume build rows into an
-    internal structure) and :meth:`probe_batch` (emit joined rows for one
-    probe batch).  Execution order mirrors Impala: build completes before
-    the first probe batch is pulled.
+    internal structure) and :meth:`probe_batch` (emit one probe batch's
+    joined rows as one batch, re-chunked to ``batch_size`` here).
+    Execution order mirrors Impala: build completes before the first
+    probe batch is pulled.
     """
 
     def __init__(
@@ -230,7 +236,7 @@ class BlockingJoinNode(ExecNode):
         """Consume the build side into the join's internal structure."""
         raise NotImplementedError
 
-    def probe_batch(self, batch: RowBatch) -> list[tuple]:
+    def probe_batch(self, batch: RowBatch) -> RowBatch | PairBatch:
         """Emit joined rows for one probe batch."""
         raise NotImplementedError
 
@@ -238,9 +244,9 @@ class BlockingJoinNode(ExecNode):
         if not self._built:
             self.build()
             self._built = True
+        probe_batch = self.probe_batch
         for batch in self.probe.batches():
-            joined = self.probe_batch(batch)
-            yield from batches_of(joined, self.batch_size)
+            yield from probe_batch(batch).chunks(self.batch_size)
 
 
 class CrossJoinNode(BlockingJoinNode):
@@ -266,7 +272,7 @@ class CrossJoinNode(BlockingJoinNode):
         # Nothing to index: the build side is kept as a plain row list.
         self.ctx.charge_serial(Resource.ROWS_OUT, 0)
 
-    def probe_batch(self, batch: RowBatch) -> list[tuple]:
+    def probe_batch(self, batch: RowBatch) -> RowBatch:
         joined: list[tuple] = []
         residual = self.residual
         for left_row in batch:
@@ -279,7 +285,7 @@ class CrossJoinNode(BlockingJoinNode):
             Resource.ROWS_OUT, len(batch) * len(self.build_rows) * 0.05 + len(joined)
         )
         self.ctx.metrics.add(Resource.ROW_BATCHES, 1)
-        return joined
+        return RowBatch(joined, capacity=self.batch_size)
 
 
 class Aggregator:

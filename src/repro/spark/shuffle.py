@@ -22,6 +22,7 @@ __all__ = [
     "ShuffleStore",
     "estimate_bytes",
     "records_bytes",
+    "values_bytes",
 ]
 
 
@@ -30,6 +31,7 @@ _SCALAR_TYPES = (int, float, bool)
 # Python, so they are named: a numpy scalar weighs what it stands for.
 _NUMPY_SCALAR_TYPES = (np.integer, np.floating, np.bool_)
 _ANY_SCALAR_TYPES = _SCALAR_TYPES + _NUMPY_SCALAR_TYPES
+_PYTHON_NUMBER_TYPES = frozenset(_SCALAR_TYPES)
 
 
 def estimate_bytes(record: Any) -> int:
@@ -78,29 +80,25 @@ def estimate_bytes(record: Any) -> int:
     return total
 
 
-def _flat_tuple_bytes(values: tuple) -> int | None:
-    """:func:`estimate_bytes` of a tuple of scalars / ``None`` / strings,
-    without the stack walk; ``None`` when it holds anything else."""
-    total = 8
-    for value in values:
-        kind = type(value)
-        if kind in _SCALAR_TYPES:
-            total += 8
-        elif value is None:
-            total += 1
-        elif kind is str:
-            total += len(value) if value.isascii() else len(value.encode("utf-8"))
-        elif isinstance(value, _NUMPY_SCALAR_TYPES):
-            total += 8
-        else:
-            return None
-    return total
+def values_bytes(values) -> int:
+    """``sum(estimate_bytes(value) for value in values)`` over a column of
+    values — a list or a 1-D array — sized by arithmetic when every value
+    is a Python number (8 bytes each) or every one an ASCII string (its
+    length); any other column takes the per-value estimator."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds <= _PYTHON_NUMBER_TYPES:
+        return 8 * len(values)
+    if kinds == {str} and all(map(str.isascii, values)):
+        return sum(map(len, values))
+    return sum(map(estimate_bytes, values))
 
 
 def records_bytes(records) -> int:
     """Bulk :func:`estimate_bytes` over one shuffle bucket or exchange.
 
-    Four cases, cheapest first:
+    Three cases, cheapest first:
 
     * a :class:`~repro.columnar.block.ColumnBlock` carries its exact
       object-path total in ``charge_bytes`` — return it directly;
@@ -108,8 +106,6 @@ def records_bytes(records) -> int:
       with scalar (Python or numpy) key/id sizes to ``56 + 16 * num_points``
       without walking the container (byte-for-byte what the generic walk
       produces for that shape);
-    * the result-exchange shape ``(order_key_tuple, row_tuple)`` — two
-      flat tuples of scalars, ``None`` and strings — sizes arithmetically;
     * anything else falls back to the per-record estimator.
 
     The returned total is identical to ``sum(estimate_bytes(r) for r in
@@ -123,25 +119,19 @@ def records_bytes(records) -> int:
     for record in records:
         if type(record) is tuple and len(record) == 2:
             key, value = record
-            if type(value) is tuple:
-                if type(key) is tuple:
-                    key_bytes = _flat_tuple_bytes(key)
-                    value_bytes = _flat_tuple_bytes(value)
-                    if key_bytes is not None and value_bytes is not None:
-                        total += 8 + key_bytes + value_bytes
-                        continue
-                elif (
-                    (type(key) in _SCALAR_TYPES or isinstance(key, _NUMPY_SCALAR_TYPES))
-                    and len(value) == 2
-                    and (
-                        type(value[0]) in _SCALAR_TYPES
-                        or isinstance(value[0], _NUMPY_SCALAR_TYPES)
-                    )
-                ):
-                    num_points = getattr(value[1], "num_points", None)
-                    if num_points is not None:
-                        total += 56 + 16 * int(num_points)
-                        continue
+            if (
+                type(value) is tuple
+                and (type(key) in _SCALAR_TYPES or isinstance(key, _NUMPY_SCALAR_TYPES))
+                and len(value) == 2
+                and (
+                    type(value[0]) in _SCALAR_TYPES
+                    or isinstance(value[0], _NUMPY_SCALAR_TYPES)
+                )
+            ):
+                num_points = getattr(value[1], "num_points", None)
+                if num_points is not None:
+                    total += 56 + 16 * int(num_points)
+                    continue
         total += estimate_bytes(record)
     return total
 

@@ -17,7 +17,7 @@ from repro.columnar import ColumnBlock, GeometryColumn
 from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.spark.shuffle import ShuffleStore, estimate_bytes, records_bytes
+from repro.spark.shuffle import ShuffleStore, estimate_bytes, records_bytes, values_bytes
 
 
 def routed_records(n=200, seed=3):
@@ -65,28 +65,27 @@ class TestRecordsBytes:
         assert estimate_bytes((np.int64(1), np.float64(2.0))) == estimate_bytes((1, 2.0))
 
     def test_result_exchange_rows_size_arithmetically(self, monkeypatch):
-        # The Impala coordinator's keyed result rows: (ORDER BY key tuple,
-        # projected row tuple) of ints, floats, bools, None and strings.
+        # The Impala coordinator's result columns (ORDER BY keys, then the
+        # SELECT items) weigh what their (key tuple, row tuple) records
+        # weigh; number and ASCII-string columns without the per-value walk.
         import repro.spark.shuffle as shuffle
+        from repro.impala.coordinator import exchange_bytes
+        from repro.impala.rowbatch import object_columns
 
-        rows = [
-            ((), (17, 4)),
-            ((3, 2.5), (17, 4.25, None, "cell-3", True)),
-            ((), (None, "", "h\u00e9llo \u4e16\u754c")),  # UTF-8 length, not len()
-            (("zone", None), (1,)),
-            ((), ()),
-        ]
-        nested = ((1,), (1, (2, 3)))  # a nested value: the generic walk
-        want = sum(estimate_bytes(row) for row in rows)
+        rows = [(17, 4.25, True, "cell-3"), (1, 0.5, False, ""), (2, 1e300, True, "x")]
+        keys = [(name, flag) for _, _, flag, name in rows]
+        want = sum(estimate_bytes(record) for record in zip(keys, rows))
+        mixed = [None, "h\u00e9llo \u4e16\u754c", 3, (1, (2, 3))]  # UTF-8 length, not len()
+        mixed_want = sum(estimate_bytes(value) for value in mixed)
         walked = []
         real = shuffle.estimate_bytes
         monkeypatch.setattr(
             shuffle, "estimate_bytes", lambda record: walked.append(record) or real(record)
         )
-        assert records_bytes(rows) == want
-        assert walked == []  # none of them took the stack walk
-        assert records_bytes(rows + [nested]) == want + real(nested)
-        assert walked == [nested]
+        assert exchange_bytes(object_columns(keys, 2) + object_columns(rows, 4)) == want
+        assert walked == []  # none of them took the per-value walk
+        assert values_bytes(mixed) == mixed_want
+        assert walked == mixed
 
     def test_column_block_charges_object_path_total(self):
         records = routed_records(120)

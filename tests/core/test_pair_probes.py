@@ -300,8 +300,8 @@ class TestNoScalarWorkOnTheProbeSide:
         import repro.core.probe as probe_module
 
         counted(probe_module, "intersects_pairs", "kernel")
-        # One probe_batch call is one Spark task / row batch / API chunk.
-        counted(BroadcastIndex, "probe_batch", "batches")
+        # One probe_pairs call is one Spark task / row batch / API chunk.
+        counted(BroadcastIndex, "probe_pairs", "batches")
         return seen
 
     @pytest.mark.parametrize(
@@ -339,6 +339,42 @@ class TestNoScalarWorkOnTheProbeSide:
         assert same_probe(probed, named.probe_batch(probes))
         matches, _ = probed
         assert sum(map(len, matches)) == 373
+
+
+def wkt_matches(index, texts):
+    """``probe_wkt_rows`` as per-row payload lists (``None`` for a dropped
+    row) beside its unit columns."""
+    kept, rows, entries, units = probe_wkt_rows(index, texts)
+    matches = [None] * len(texts)
+    for i in kept.tolist():
+        matches[i] = []
+    for i, payload in zip(rows.tolist(), index.entry_payloads(entries)):
+        matches[i].append(payload)
+    return matches, units
+
+
+def pairs_agree(index, probes, matches, units) -> bool:
+    """``probe_pairs`` on a fresh copy of ``index`` over ``probes``' rows,
+    flattened through its build payloads, is ``probe_batch``'s
+    ``matches`` — row by row, each row's in candidate order — and its
+    unit columns are ``units`` at those rows, by their bits."""
+    import pickle
+
+    twin = pickle.loads(pickle.dumps(index))
+    if isinstance(probes, GeometryColumn):
+        present, column = list(range(len(probes))), probes
+    else:
+        present = [i for i, probe in enumerate(probes) if probe is not None]
+        column = GeometryColumn.from_entries((None, probes[i]) for i in present)
+    rows, entries, pair_units = twin.probe_pairs(column)
+    assert rows.dtype == entries.dtype == np.int64
+    flattened = [
+        (present[i], twin._entry_payloads[k]) for i, k in zip(rows.tolist(), entries.tolist())
+    ]
+    at_rows = {key: values[present] for key, values in units.items()}
+    return flattened == [(i, m) for i, found in enumerate(matches) for m in found] and (
+        same_units(pair_units, at_rows)
+    )
 
 
 def same_probe(got, want) -> bool:
@@ -449,6 +485,7 @@ class TestBroadcastIndexRoutes:
         assert same_units(units, unit_columns(want_units))  # key order included
         assert visits == want_visits
         assert scalar_rows == 2  # the Point and the MultiPoint
+        assert pairs_agree(index, probes, matches, units)
         # What a Spark task / API chunk adds: the rows' sums, in that order.
         totals = added(units).counts
         assert totals == {
@@ -465,6 +502,7 @@ class TestBroadcastIndexRoutes:
         assert matches == want_matches and same_units(units, unit_columns(want_units))
         assert not any(column[[0, 2, 3]].any() for column in units.values())
         assert scalar_rows == 0
+        assert pairs_agree(index, probes, matches, units)
         present = [row for row in want_units if row is not None]
         assert added(units).counts == {
             key: sum(row[key] for row in present) for key in present[0]
@@ -526,6 +564,7 @@ class TestBroadcastIndexRoutes:
         )
         broadcast = [(i, match) for i, _ in left for match in matches[i]]
         assert sorted(spatial_join(left, build, config=config).pairs) == sorted(broadcast)
+        assert pairs_agree(reference, probes, matches, units)
 
     def test_scalar_rows_allocate_each_column_once(self, monkeypatch):
         # Non-point probes under Within all take the scalar route; the
@@ -560,7 +599,7 @@ class TestBroadcastIndexRoutes:
     def test_isp_row_batch_units_are_the_row_loop_s(self):
         texts = [wkt_dumps(p) for p in PROBES[:5]] + ["LINESTRING (0 0", None, "POINT (5 5)"]
         index = BroadcastIndex(BUILD, SpatialOperator.INTERSECTS, engine="slow")
-        matches, units = probe_wkt_rows(index, texts)
+        matches, units = wkt_matches(index, texts)
         reader = WKTReader()
         want_units = []
         for text, row_matches in zip(texts, matches):
@@ -682,6 +721,7 @@ class TestPointProbesTakeThePairBody:
                 summed[key] = summed.get(key, 0.0) + amount
         assert list(added(again[1]).counts.items()) == list(summed.items())
         assert dispatches["traversal"] == dispatches["pair_kernel"] == 2
+        assert pairs_agree(index, probes, matches, units)
 
     def test_an_untabled_build_row_gets_one_per_pair_scalar_call(
         self, dispatches, monkeypatch, engine
@@ -709,6 +749,7 @@ class TestPointProbesTakeThePairBody:
         assert dispatches == {"traversal": 1, "chunks": 0, "pair_kernel": 1, "per_handle": 0}
         assert len(calls) == untabled_pairs > 0
         assert index.engine.counters == reference.engine.counters
+        assert pairs_agree(index, probes, want_matches, unit_columns(want_units))
 
     def test_no_candidates_no_points_no_rows(self, dispatches, engine):
         operator, radius, build = POINT_BUILDS["linestring"]
@@ -723,6 +764,11 @@ class TestPointProbesTakeThePairBody:
         assert same_units(units, unit_columns([scalar, empty, None]))
         assert index.probe_batch([]) == ([], {})
         assert index.probe_batch([None, None]) == ([[], []], {})
+        assert pairs_agree(index, far, matches, units)
+        rows, entries, none = index.probe_pairs(GeometryColumn.from_entries([]))
+        assert (rows.dtype, entries.dtype, len(rows), len(entries), none) == (
+            np.int64, np.int64, 0, 0, {}
+        )
 
     def test_a_shipped_index_packs_its_tables_on_arrival(self, engine):
         import pickle
