@@ -38,9 +38,10 @@ def probe_all(points, index):
     (the engines' batch kernels would charge the churn, not perform it)."""
     total = 0
     for _, point in points:
-        for _, geometry, handle in index.tree.query(point.envelope):
+        for k in index.tree.query(point.envelope):
             total += refine_pair(
-                index.engine, index.operator, point, geometry, handle, index.radius
+                index.engine, index.operator, point, index._geometries[k],
+                index.handles[k], index.radius,
             )
     return total
 

@@ -831,11 +831,10 @@ def _dual_tree_join(left_column, right_column, op, cfg, model, query):
     with tracer.span("join", category="phase") as span:
         left_rows, build_rows = left_tree._join_arrays(right_tree, expand=expand)
         hit, _, _ = build.refine_candidates(probes, left_rows, build_rows)
-        left_ids, right_ids = probes.payloads(), build._column.payloads()
-        pairs = [
-            (left_ids[i], right_ids[k])
-            for i, k in zip(left_rows[hit].tolist(), build_rows[hit].tolist())
-        ]
+        pairs = list(zip(
+            gather(probes.payloads(), left_rows[hit]),
+            gather(build._column.payloads(), build_rows[hit]),
+        ))
         span.set_attr("rows_out", len(pairs))
     if query is not None:
         join_metrics = TaskMetrics()

@@ -282,7 +282,7 @@ class BroadcastIndex(PreparedBuild):
         radius = self.radius
         # Same IEEE ops as Envelope.expand_by (x - 0.0 == x bitwise).
         self._tree.bulk_load_arrays(
-            list(zip(self._entry_payloads, self._geometries, self.handles)),
+            range(len(kept)),
             min_x - radius, min_y - radius, max_x + radius, max_y + radius,
         )
         self._tree.build()
@@ -409,14 +409,14 @@ class BroadcastIndex(PreparedBuild):
     ) -> list[tuple[Any, float]]:
         """k-nearest build payloads to a probe point (kNN extension)."""
 
-        def exact(x: float, y: float, item) -> float:
-            _, _, handle = item
-            return self.engine.point_distance(Point(x, y), handle)
+        def exact(x: float, y: float, entry: int) -> float:
+            return self.engine.point_distance(Point(x, y), self.handles[entry])
 
         found = self._tree.nearest(
             point.x, point.y, k=k, max_distance=max_distance, item_distance=exact
         )
-        return [(payload, dist) for (payload, _, _), dist in found]
+        payloads = self._entry_payloads
+        return [(payloads[entry], dist) for entry, dist in found]
 
 
 def index_cache_key(

@@ -795,7 +795,7 @@ class ImpalaBackend:
 
     def _cross_join(self, plan, instance, probe_node, shared_index) -> ExecNode:
         join = plan.join
-        build_rows = [item[0] for item, _ in shared_index.tree.iter_all()]
+        build_rows = list(shared_index._entry_payloads)
         predicate = self._join_predicate_eval(plan)
         return CrossJoinNode(instance, probe_node, build_rows, residual=predicate)
 

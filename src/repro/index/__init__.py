@@ -1,7 +1,7 @@
 """Spatial indexing substrate: R-trees, grid, quadtree, partitioners."""
 
 from repro.index.morton import morton_code, morton_codes
-from repro.index.rtree import STRtree, RTreeNode
+from repro.index.rtree import STRtree
 from repro.index.dynamic_rtree import RTree
 from repro.index.grid import GridIndex
 from repro.index.quadtree import QuadTree
@@ -17,7 +17,6 @@ __all__ = [
     "STRtree",
     "morton_code",
     "morton_codes",
-    "RTreeNode",
     "RTree",
     "GridIndex",
     "QuadTree",

@@ -3,80 +3,44 @@
 Fig 2 of the paper builds a JTS ``STRtree`` over the broadcast right side
 and probes it with every left-side envelope; ISP-MC does the same in its
 SpatialJoin node.  This implementation uses Sort-Tile-Recursive bulk
-loading (Leutenegger et al.) and supports envelope queries, point queries
-and nearest-neighbour search with envelope-distance pruning.
+loading (Leutenegger et al.) and supports envelope queries, point queries,
+nearest-neighbour search with envelope-distance pruning and the dual-tree
+join.
+
+A built tree is one packed node table, made straight from the entries'
+bounds arrays and read by every traversal.  Nodes are numbered
+breadth-first from the root (node 0), so a node's children are
+consecutive:
+
+- ``box`` — ``(4, nodes)`` min_x / min_y / max_x / max_y rows;
+- ``first`` — an interior node's first child, a leaf's row in the leaf
+  tables;
+- ``fanout`` — the number of children, 0 marking a leaf;
+- ``leaf_entries`` — ``(leaves, capacity)`` entry ids (positions in
+  insertion order, empty boxes not counted), -1 past a leaf's last item;
+- ``leaf_boxes`` — ``(4, leaves, capacity)`` those entries' boxes, the
+  empty box past the last item.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Generic, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from repro.errors import SpatialIndexError
+from repro.errors import GeometryError, SpatialIndexError
 from repro.geometry.algorithms.pairwise import _ranges
 from repro.geometry.envelope import Envelope, bounds_rows
 from repro.index.morton import morton_codes
 
-__all__ = ["STRtree", "RTreeNode"]
+__all__ = ["STRtree"]
 
 T = TypeVar("T")
 
 # Cells of a (leaf pair, item_a, item_b) grid evaluated per numpy pass.
 _JOIN_BLOCK_CELLS = 1 << 16
-
-
-class RTreeNode(Generic[T]):
-    """A node of the packed R-tree.
-
-    Leaf nodes carry ``items`` (payload, envelope) pairs; interior nodes
-    carry ``children``.  Exposed for tests and for the cost model, which
-    counts node visits.  A leaf also carries the batched traversal's view
-    of its items: ``entry_ids`` (their positions in the tree's entry
-    list) and, once such a traversal has reached it, ``bounds`` — the
-    ``(4, k)`` min_x / min_y / max_x / max_y rows of their envelopes.
-    """
-
-    __slots__ = ("envelope", "children", "items", "level", "entry_ids", "bounds")
-
-    def __init__(
-        self,
-        envelope: Envelope,
-        children: list["RTreeNode[T]"] | None = None,
-        items: list[tuple[T, Envelope]] | None = None,
-        level: int = 0,
-        entry_ids: np.ndarray | None = None,
-    ):
-        self.envelope = envelope
-        self.children = children
-        self.items = items
-        self.level = level
-        self.entry_ids = entry_ids
-        self.bounds: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.items is not None
-
-
-class _NodeArrays(NamedTuple):
-    """A built tree as the dual-tree join reads it (``STRtree._node_arrays``)."""
-
-    box: np.ndarray  # (4, nodes): min_x / min_y / max_x / max_y rows
-    area: np.ndarray  # (nodes,)
-    first: np.ndarray  # (nodes,) first child's id; a leaf's row in the leaf tables
-    fanout: np.ndarray  # (nodes,) number of children; 0 marks a leaf
-    leaf_entries: np.ndarray  # (leaves, capacity) entry ids, -1 past the last item
-    leaf_boxes: np.ndarray  # (4, leaves, capacity) item boxes, empty past the last
-
-
-def _leaf_bounds(node: RTreeNode) -> np.ndarray:
-    """The ``(4, k)`` bounds block of a leaf's items, built on first use."""
-    if node.bounds is None:
-        node.bounds = bounds_rows(envelope for _, envelope in node.items)
-    return node.bounds
 
 
 def _expanded(boxes: np.ndarray, distance: float) -> np.ndarray:
@@ -88,6 +52,31 @@ def _expanded(boxes: np.ndarray, distance: float) -> np.ndarray:
     grown[:2, empty] = np.inf
     grown[2:, empty] = -np.inf
     return grown
+
+
+def _str_groups(boxes: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """One Sort-Tile-Recursive level over ``(4, n)`` boxes.
+
+    Stable sort by x-centre, cut into ``ceil(sqrt(ceil(n / capacity)))``
+    vertical slices, stable sort each slice by y-centre, chunk it by
+    ``capacity``.  Returns ``(order, starts, sizes)``: group ``g`` holds
+    the ``sizes[g]`` boxes ``order[starts[g]:]``, groups numbered slice
+    by slice.
+    """
+    n = boxes.shape[1]
+    slice_count = max(1, math.ceil(math.sqrt(math.ceil(n / capacity))))
+    slice_size = max(1, math.ceil(n / slice_count))
+    by_x = np.argsort(boxes[0] + boxes[2], kind="stable")
+    slice_of, within = np.divmod(np.arange(n), slice_size)
+    # lexsort is stable: within a slice, y-centre ties keep their x order.
+    order = by_x[np.lexsort(((boxes[1] + boxes[3])[by_x], slice_of))]
+    starts = np.flatnonzero(within % capacity == 0)
+    return order, starts, np.concatenate((starts[1:], [n])) - starts
+
+
+def _box_distance(x: float, y: float, min_x, min_y, max_x, max_y) -> float:
+    """``Envelope.distance_to_point`` of a non-empty box, same arithmetic."""
+    return math.hypot(max(min_x - x, x - max_x, 0.0), max(min_y - y, y - max_y, 0.0))
 
 
 class STRtree(Generic[T]):
@@ -107,175 +96,117 @@ class STRtree(Generic[T]):
         if node_capacity < 2:
             raise SpatialIndexError(f"node_capacity must be >= 2, got {node_capacity}")
         self._node_capacity = node_capacity
-        self._entries: list[tuple[T, Envelope]] = [
-            (item, env) for item, env in entries if not env.is_empty
-        ]
-        self._root: RTreeNode[T] | None = None
+        self._items: list[T] = []
+        self._bounds = np.empty((4, 0))  # the entries' boxes, in insertion order
         self._built = False
         self.nodes_visited = 0
-        # Bounds arrays covering a prefix of self._entries, appended by
-        # bulk_load_arrays.  When they cover *every* entry, _pack_leaves
-        # takes the vectorised sort path instead of attribute-walking
-        # envelope objects; any scalar insert() voids the coverage and
-        # falls back to the object sort (identical output either way).
-        self._bulk_bounds: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self._bulk_count = 0
-        self._arrays: _NodeArrays | None = None
+        # The node table (module docstring), empty until build() packs it.
+        self._box = np.empty((4, 0))
+        self._first = self._fanout = np.empty(0, dtype=np.int64)
+        self._leaf_entries = np.empty((0, node_capacity), dtype=np.int64)
+        self._leaf_boxes = np.empty((4, 0, node_capacity))
+        self._lists = None
+        entries = list(entries)
+        if entries:
+            self.bulk_load_arrays(
+                [item for item, _ in entries], *bounds_rows(env for _, env in entries)
+            )
 
     def insert(self, item: T, envelope: Envelope) -> None:
         """Add an entry; only legal before the first query (STR is static)."""
-        if self._built:
-            raise SpatialIndexError("STRtree cannot be modified after it has been built")
-        if not envelope.is_empty:
-            self._entries.append((item, envelope))
+        self.bulk_load_arrays([item], *bounds_rows([envelope]))
 
     def bulk_load_arrays(self, items, min_x, min_y, max_x, max_y) -> None:
         """Add entries straight from per-item bounds arrays.
 
-        The columnar fast path: sort keys for STR packing come from the
-        arrays (one vectorised argsort instead of a Python key-function
-        sort), and envelope objects are only materialised once per kept
-        entry for the leaf tuples the query kernels expect.  Empty boxes
-        (``min_x > max_x``, the ``Envelope.empty()`` sentinel) are skipped
-        exactly like :meth:`insert` skips empty envelopes.
+        Empty boxes (``min > max`` on either axis, which the
+        ``Envelope.empty()`` sentinel is) are skipped; a NaN bound of a
+        kept entry raises :class:`GeometryError`, as building its
+        ``Envelope`` would.
         """
         if self._built:
             raise SpatialIndexError("STRtree cannot be modified after it has been built")
-        min_x = np.asarray(min_x, dtype=np.float64)
-        min_y = np.asarray(min_y, dtype=np.float64)
-        max_x = np.asarray(max_x, dtype=np.float64)
-        max_y = np.asarray(max_y, dtype=np.float64)
-        keep = ~((min_x > max_x) | (min_y > max_y))
+        bounds = np.array([min_x, min_y, max_x, max_y], dtype=np.float64).reshape(4, -1)
+        keep = ~((bounds[0] > bounds[2]) | (bounds[1] > bounds[3]))
         if not keep.all():
             kept = np.flatnonzero(keep)
             items = [items[i] for i in kept.tolist()]
-            min_x = min_x[kept]
-            min_y = min_y[kept]
-            max_x = max_x[kept]
-            max_y = max_y[kept]
-        append = self._entries.append
-        for item, a, b, c, d in zip(
-            items, min_x.tolist(), min_y.tolist(), max_x.tolist(), max_y.tolist()
-        ):
-            append((item, Envelope(a, b, c, d)))
-        self._bulk_bounds.append((min_x, min_y, max_x, max_y))
-        self._bulk_count += len(min_x)
+            bounds = bounds[:, kept]
+        if np.isnan(bounds).any():
+            raise GeometryError("envelope coordinates may not be NaN")
+        self._items.extend(items)
+        self._bounds = np.concatenate([self._bounds, bounds], axis=1)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def root(self) -> RTreeNode[T] | None:
-        """The root node (builds the tree on first access); None when empty."""
-        self.build()
-        return self._root
+        return len(self._items)
 
     def build(self) -> None:
-        """Bulk-load the tree (idempotent; also triggered by first query)."""
+        """Pack the node table (idempotent; also triggered by first query)."""
         if self._built:
             return
         self._built = True
-        if not self._entries:
-            self._root = None
+        if not self._items:
             return
-        leaves = self._pack_leaves()
-        level = 1
-        nodes = leaves
-        while len(nodes) > 1:
-            nodes = self._pack_interior(nodes, level)
-            level += 1
-        self._root = nodes[0]
+        capacity = self._node_capacity
+        # Bottom-up: level 0 groups the entries into leaves, each further
+        # level groups the one below, until one root remains.
+        boxes = [self._bounds]
+        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        while not levels or boxes[-1].shape[1] > 1:
+            order, starts, sizes = _str_groups(boxes[-1], capacity)
+            below = boxes[-1][:, order]
+            levels.append((order, starts, sizes))
+            boxes.append(np.concatenate([
+                np.minimum.reduceat(below[:2], starts, axis=1),
+                np.maximum.reduceat(below[2:], starts, axis=1),
+            ]))
+        # Top-down: number the nodes breadth-first, a parent's children
+        # consecutive and in packing order.  ``ids`` lists one level in
+        # that order: the root, ..., the leaves, then the entries.
+        ids = np.zeros(1, dtype=np.int64)
+        numbered = 1
+        node_box, first, fanout = [], [], []
+        for depth in range(len(levels) - 1, -1, -1):
+            order, starts, sizes = levels[depth]
+            sizes = sizes[ids]
+            parent, slot = _ranges(sizes)
+            node_box.append(boxes[depth + 1][:, ids])
+            if depth:
+                first.append(numbered + np.cumsum(sizes) - sizes)
+                fanout.append(sizes)
+            else:  # a leaf's ``first`` is its row in the leaf tables
+                first.append(np.arange(len(ids)))
+                fanout.append(np.zeros(len(ids), dtype=np.int64))
+            numbered += len(parent)
+            ids = order[starts[ids][parent] + slot]
+        self._box = np.concatenate(node_box, axis=1)
+        self._first = np.concatenate(first)
+        self._fanout = np.concatenate(fanout)
+        self._leaf_entries = np.full((len(sizes), capacity), -1, dtype=np.int64)
+        self._leaf_entries[parent, slot] = ids
+        # A slot past a leaf's last item holds the empty box.
+        self._leaf_boxes = np.empty((4, len(sizes), capacity))
+        self._leaf_boxes[:2] = np.inf
+        self._leaf_boxes[2:] = -np.inf
+        self._leaf_boxes[:, parent, slot] = self._bounds[:, ids]
 
-    def _pack_leaves(self) -> list[RTreeNode[T]]:
-        if self._bulk_count == len(self._entries) and self._bulk_count > 0:
-            return self._pack_leaves_arrays()
-        # Positions are sorted, not entries, so each leaf knows which
-        # entries it holds; the keys and the stable sort are the same.
-        entries = self._entries
-        order = sorted(
-            range(len(entries)),
-            key=lambda k: (entries[k][1].min_x + entries[k][1].max_x),
-        )
-        slice_count = max(1, math.ceil(math.sqrt(math.ceil(len(entries) / self._node_capacity))))
-        slice_size = max(1, math.ceil(len(entries) / slice_count))
-        leaves: list[RTreeNode[T]] = []
-        for start in range(0, len(entries), slice_size):
-            vertical = sorted(
-                order[start : start + slice_size],
-                key=lambda k: (entries[k][1].min_y + entries[k][1].max_y),
+    def _walk_lists(self):
+        """The node table as the traversals read it, taken once per tree:
+        the per-node scalars as lists, so the per-node reads are no
+        numpy-scalar indexing, and per leaf row its entry ids and its
+        items' ``(items, 1)`` min_x / min_y / max_x / max_y columns."""
+        if self._lists is None:
+            sizes = (self._leaf_entries >= 0).sum(axis=1).tolist()
+            self._lists = (
+                *self._box.tolist(),
+                self._first.tolist(),
+                self._fanout.tolist(),
+                [
+                    (self._leaf_entries[row, :size], *self._leaf_boxes[:, row, :size, None])
+                    for row, size in enumerate(sizes)
+                ],
             )
-            for leaf_start in range(0, len(vertical), self._node_capacity):
-                ids = vertical[leaf_start : leaf_start + self._node_capacity]
-                chunk = [entries[k] for k in ids]
-                envelope = Envelope.empty()
-                for _, env in chunk:
-                    envelope = envelope.union(env)
-                leaves.append(
-                    RTreeNode(
-                        envelope,
-                        items=chunk,
-                        level=0,
-                        entry_ids=np.asarray(ids, dtype=np.int64),
-                    )
-                )
-        return leaves
-
-    def _pack_leaves_arrays(self) -> list[RTreeNode[T]]:
-        """Vectorised STR leaf packing over the bulk bounds arrays.
-
-        Identical output to the object path: ``np.argsort(..., kind="stable")``
-        on the same float sort keys reproduces ``sorted``'s stable
-        permutation, and the leaf envelope min/max equals the union chain.
-        """
-        entries = self._entries
-        if len(self._bulk_bounds) == 1:
-            min_x, min_y, max_x, max_y = self._bulk_bounds[0]
-        else:
-            min_x = np.concatenate([b[0] for b in self._bulk_bounds])
-            min_y = np.concatenate([b[1] for b in self._bulk_bounds])
-            max_x = np.concatenate([b[2] for b in self._bulk_bounds])
-            max_y = np.concatenate([b[3] for b in self._bulk_bounds])
-        order = np.argsort(min_x + max_x, kind="stable")
-        ky = min_y + max_y
-        slice_count = max(1, math.ceil(math.sqrt(math.ceil(len(entries) / self._node_capacity))))
-        slice_size = max(1, math.ceil(len(entries) / slice_count))
-        leaves: list[RTreeNode[T]] = []
-        for start in range(0, len(entries), slice_size):
-            horizontal = order[start : start + slice_size]
-            vertical = horizontal[np.argsort(ky[horizontal], kind="stable")]
-            for leaf_start in range(0, len(vertical), self._node_capacity):
-                idx = vertical[leaf_start : leaf_start + self._node_capacity]
-                envelope = Envelope(
-                    float(min_x[idx].min()),
-                    float(min_y[idx].min()),
-                    float(max_x[idx].max()),
-                    float(max_y[idx].max()),
-                )
-                chunk = [entries[i] for i in idx.tolist()]
-                leaves.append(
-                    RTreeNode(envelope, items=chunk, level=0, entry_ids=idx)
-                )
-        return leaves
-
-    def _pack_interior(
-        self, nodes: list[RTreeNode[T]], level: int
-    ) -> list[RTreeNode[T]]:
-        nodes = sorted(nodes, key=lambda n: (n.envelope.min_x + n.envelope.max_x))
-        slice_count = max(1, math.ceil(math.sqrt(math.ceil(len(nodes) / self._node_capacity))))
-        slice_size = max(1, math.ceil(len(nodes) / slice_count))
-        parents: list[RTreeNode[T]] = []
-        for start in range(0, len(nodes), slice_size):
-            vertical = sorted(
-                nodes[start : start + slice_size],
-                key=lambda n: (n.envelope.min_y + n.envelope.max_y),
-            )
-            for group_start in range(0, len(vertical), self._node_capacity):
-                chunk = vertical[group_start : group_start + self._node_capacity]
-                envelope = Envelope.empty()
-                for child in chunk:
-                    envelope = envelope.union(child.envelope)
-                parents.append(RTreeNode(envelope, children=chunk, level=level))
-        return parents
+        return self._lists
 
     def reset_stats(self) -> None:
         """Zero the node-visit counter."""
@@ -287,23 +218,10 @@ class STRtree(Generic[T]):
 
     def query_entries(self, envelope: Envelope) -> list[tuple[T, Envelope]]:
         """Like :meth:`query` but returning (item, envelope) pairs."""
-        self.build()
-        results: list[tuple[T, Envelope]] = []
-        if self._root is None or envelope.is_empty:
-            return results
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.nodes_visited += 1
-            if not node.envelope.intersects(envelope):
-                continue
-            if node.is_leaf:
-                for item, item_env in node.items:
-                    if item_env.intersects(envelope):
-                        results.append((item, item_env))
-            else:
-                stack.extend(node.children)
-        return results
+        _, entries, _ = self._query_batch_arrays(*bounds_rows([envelope]))
+        return [
+            (self._items[k], Envelope(*self._bounds[:, k].tolist())) for k in entries.tolist()
+        ]
 
     def query_point(self, x: float, y: float) -> list[T]:
         """Return items whose envelopes contain the point."""
@@ -320,17 +238,9 @@ class STRtree(Generic[T]):
         same total.  With ``with_visits`` the per-probe visit counts are
         returned alongside the candidate lists.
         """
-        envelopes = list(envelopes)
-        n = len(envelopes)
         # An empty envelope is the (inf, inf, -inf, -inf) box: inverted,
         # which is how the traversal recognises a probe that matches nothing.
-        return self._candidate_lists(
-            np.fromiter((env.min_x for env in envelopes), dtype=np.float64, count=n),
-            np.fromiter((env.min_y for env in envelopes), dtype=np.float64, count=n),
-            np.fromiter((env.max_x for env in envelopes), dtype=np.float64, count=n),
-            np.fromiter((env.max_y for env in envelopes), dtype=np.float64, count=n),
-            with_visits,
-        )
+        return self._candidate_lists(*bounds_rows(envelopes), with_visits)
 
     def query_batch_points(
         self, xs, ys, with_visits: bool = False
@@ -349,10 +259,52 @@ class STRtree(Generic[T]):
             pmin_x, pmin_y, pmax_x, pmax_y
         )
         results: list[list[T]] = [[] for _ in range(len(pmin_x))]
-        entries = self._entries
+        items = self._items
         for probe, entry in zip(probes.tolist(), entry_ids.tolist()):
-            results[probe].append(entries[entry][0])
+            results[probe].append(items[entry])
         return (results, visits) if with_visits else results
+
+    def _walk(self, pmin_x, pmin_y, pmax_x, pmax_y, visits: np.ndarray):
+        """The (node id, probe-subset) stack walk of every batched query.
+
+        Live probe boxes (inverted ones visit nothing) are sorted by the
+        Morton code of their centres over the root box, so probes
+        descending the same subtrees stay adjacent.  A pop counts one
+        visit for each of its probes into ``visits``; a node's children
+        are pushed in order, so the last pops first.  Yields ``(leaf,
+        probes)`` for every leaf some probe reaches, in DFS order: the
+        leaf's ``(entry ids, min_x, min_y, max_x, max_y)`` columns and the
+        probes that reached it, in Morton order.
+        """
+        live = np.flatnonzero(~((pmin_x > pmax_x) | (pmin_y > pmax_y)))
+        if not self._items or not live.size:
+            return
+        min_x, min_y, max_x, max_y, first, fanout, leaves = self._walk_lists()
+        order = live
+        if len(live) > 1:  # one probe, as query() sends, has nothing to order
+            codes = morton_codes(
+                (pmin_x[live] + pmax_x[live]) / 2.0,
+                (pmin_y[live] + pmax_y[live]) / 2.0,
+                min_x[0], min_y[0], max_x[0] - min_x[0], max_y[0] - min_y[0],
+            )
+            order = live[np.argsort(codes, kind="stable")]
+        stack = [(0, order)]
+        while stack:
+            node, idx = stack.pop()
+            visits[idx] += 1
+            alive = idx[
+                (min_x[node] <= pmax_x[idx])
+                & (pmin_x[idx] <= max_x[node])
+                & (min_y[node] <= pmax_y[idx])
+                & (pmin_y[idx] <= max_y[node])
+            ]
+            if not alive.size:
+                continue
+            start = first[node]
+            if fanout[node]:
+                stack.extend((child, alive) for child in range(start, start + fanout[node]))
+            else:
+                yield leaves[start], alive
 
     def query_batch_points_chunks(
         self, xs, ys
@@ -377,46 +329,15 @@ class STRtree(Generic[T]):
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         self.build()
-        n = len(xs)
-        visits = np.zeros(n, dtype=np.int64)
+        visits = np.zeros(len(xs), dtype=np.int64)
         chunks: list[tuple[T, np.ndarray]] = []
-        if self._root is None or n == 0:
-            return chunks, visits
-        root_env = self._root.envelope
-        codes = morton_codes(
-            xs, ys, root_env.min_x, root_env.min_y, root_env.width, root_env.height
-        )
-        order = np.argsort(codes, kind="stable")
-        stack: list[tuple[RTreeNode[T], np.ndarray]] = [(self._root, order)]
-        while stack:
-            node, idx = stack.pop()
-            visits[idx] += 1
-            env = node.envelope
-            px = xs[idx]
-            py = ys[idx]
-            mask = (
-                (env.min_x <= px)
-                & (px <= env.max_x)
-                & (env.min_y <= py)
-                & (py <= env.max_y)
-            )
-            alive = idx[mask]
-            if alive.size == 0:
-                continue
-            if node.is_leaf:
-                ax = xs[alive]
-                ay = ys[alive]
-                for item, item_env in node.items:
-                    hits = (
-                        (item_env.min_x <= ax)
-                        & (ax <= item_env.max_x)
-                        & (item_env.min_y <= ay)
-                        & (ay <= item_env.max_y)
-                    )
-                    if hits.any():
-                        chunks.append((item, alive[hits]))
-            else:
-                stack.extend((child, alive) for child in node.children)
+        items = self._items
+        for (entries, imin_x, imin_y, imax_x, imax_y), alive in self._walk(xs, ys, xs, ys, visits):
+            ax = xs[alive]
+            ay = ys[alive]
+            hits = (imin_x <= ax) & (ax <= imax_x) & (imin_y <= ay) & (ay <= imax_y)
+            for slot in np.flatnonzero(hits.any(axis=1)).tolist():
+                chunks.append((items[entries[slot]], alive[hits[slot]]))
         self.nodes_visited += int(visits.sum())
         return chunks, visits
 
@@ -438,59 +359,29 @@ class STRtree(Generic[T]):
         ``nodes_visited`` advances by their sum.  An inverted box (an
         empty envelope) visits nothing and matches nothing.
 
-        Probes are sorted by the Morton code of their box centres so
-        probes descending the same subtrees stay adjacent, and the tree is
-        walked once with a (node, probe-subset) stack.
+        One :meth:`_walk`; a reached leaf is one ``(items, probes)``
+        comparison grid.
         """
         self.build()
-        n = len(pmin_x)
-        visits = np.zeros(n, dtype=np.int64)
-        none = np.empty(0, dtype=np.int64)
-        live = np.flatnonzero(~((pmin_x > pmax_x) | (pmin_y > pmax_y)))
-        if self._root is None or live.size == 0:
-            return none, none, visits
-        root_env = self._root.envelope
-        codes = morton_codes(
-            (pmin_x[live] + pmax_x[live]) / 2.0,
-            (pmin_y[live] + pmax_y[live]) / 2.0,
-            root_env.min_x,
-            root_env.min_y,
-            root_env.width,
-            root_env.height,
-        )
-        order = live[np.argsort(codes, kind="stable")]
+        visits = np.zeros(len(pmin_x), dtype=np.int64)
         found_probes: list[np.ndarray] = []
         found_entries: list[np.ndarray] = []
-        stack: list[tuple[RTreeNode[T], np.ndarray]] = [(self._root, order)]
-        while stack:
-            node, idx = stack.pop()
-            visits[idx] += 1
-            env = node.envelope
-            mask = (
-                (env.min_x <= pmax_x[idx])
-                & (pmin_x[idx] <= env.max_x)
-                & (env.min_y <= pmax_y[idx])
-                & (pmin_y[idx] <= env.max_y)
+        for (entries, imin_x, imin_y, imax_x, imax_y), alive in self._walk(
+            pmin_x, pmin_y, pmax_x, pmax_y, visits
+        ):
+            # Row-major nonzero lists a leaf's hits item by item, the
+            # order its scalar loop finds them.
+            item, probe = np.nonzero(
+                (imin_x <= pmax_x[alive])
+                & (pmin_x[alive] <= imax_x)
+                & (imin_y <= pmax_y[alive])
+                & (pmin_y[alive] <= imax_y)
             )
-            alive = idx[mask]
-            if alive.size == 0:
-                continue
-            if node.is_leaf:
-                imin_x, imin_y, imax_x, imax_y = _leaf_bounds(node)[:, :, None]
-                # (items, probes) grid; row-major nonzero lists a leaf's
-                # hits item by item, the order its scalar loop finds them.
-                item, probe = np.nonzero(
-                    (imin_x <= pmax_x[alive])
-                    & (pmin_x[alive] <= imax_x)
-                    & (imin_y <= pmax_y[alive])
-                    & (pmin_y[alive] <= imax_y)
-                )
-                found_probes.append(alive[probe])
-                found_entries.append(node.entry_ids[item])
-            else:
-                stack.extend((child, alive) for child in node.children)
+            found_probes.append(alive[probe])
+            found_entries.append(entries[item])
         self.nodes_visited += int(visits.sum())
         if not found_probes:
+            none = np.empty(0, dtype=np.int64)
             return none, none, visits
         probes = np.concatenate(found_probes)
         # Leaves arrive in DFS order; a stable sort by probe restores each
@@ -499,8 +390,9 @@ class STRtree(Generic[T]):
         return probes[by_probe], np.concatenate(found_entries)[by_probe], visits
 
     def iter_all(self) -> Iterator[tuple[T, Envelope]]:
-        """Iterate over every stored entry (build not required)."""
-        return iter(self._entries)
+        """Iterate over every stored (item, envelope) entry in insertion
+        order (build not required)."""
+        return zip(self._items, (Envelope(*box) for box in self._bounds.T.tolist()))
 
     def nearest(
         self,
@@ -519,39 +411,42 @@ class STRtree(Generic[T]):
         the paper's NearestD semantics when called with ``max_distance=D``.
         """
         self.build()
-        if self._root is None or k < 1:
+        if not self._items or k < 1:
             return []
-        # Heap entries: (lower-bound distance, tiebreak, node-or-entry).
+        min_x, min_y, max_x, max_y, first, fanout, leaves = self._walk_lists()
+        # Heap entries: (lower-bound distance, tiebreak, is_item, node or item).
         counter = 0
-        heap: list[tuple[float, int, object]] = [
-            (self._root.envelope.distance_to_point(x, y), counter, self._root)
+        heap: list[tuple[float, int, bool, object]] = [
+            (_box_distance(x, y, min_x[0], min_y[0], max_x[0], max_y[0]), counter, False, 0)
         ]
         results: list[tuple[T, float]] = []
         while heap and len(results) < k:
-            bound, _, payload = heapq.heappop(heap)
+            bound, _, is_item, payload = heapq.heappop(heap)
             if bound > max_distance:
                 break
-            if isinstance(payload, RTreeNode):
-                self.nodes_visited += 1
-                if payload.is_leaf:
-                    for item, env in payload.items:
-                        if item_distance is not None:
-                            dist = item_distance(x, y, item)
-                        else:
-                            dist = env.distance_to_point(x, y)
-                        if dist <= max_distance:
-                            counter += 1
-                            heapq.heappush(heap, (dist, counter, ("item", item)))
+            if is_item:
+                results.append((payload, bound))
+                continue
+            self.nodes_visited += 1
+            start = first[payload]
+            if fanout[payload]:
+                for child in range(start, start + fanout[payload]):
+                    counter += 1
+                    heapq.heappush(heap, (
+                        _box_distance(x, y, min_x[child], min_y[child], max_x[child], max_y[child]),
+                        counter, False, child,
+                    ))
+                continue
+            entries, *columns = leaves[start]
+            for entry, item_box in zip(entries.tolist(), np.hstack(columns).tolist()):
+                item = self._items[entry]
+                if item_distance is not None:
+                    dist = item_distance(x, y, item)
                 else:
-                    for child in payload.children:
-                        counter += 1
-                        heapq.heappush(
-                            heap,
-                            (child.envelope.distance_to_point(x, y), counter, child),
-                        )
-            else:
-                _, item = payload
-                results.append((item, bound))
+                    dist = _box_distance(x, y, *item_box)
+                if dist <= max_distance:
+                    counter += 1
+                    heapq.heappush(heap, (dist, counter, True, item))
         return results
 
     def join(
@@ -568,16 +463,17 @@ class STRtree(Generic[T]):
         list view of :meth:`_join_arrays`.
         """
         entries_a, entries_b = self._join_arrays(other, expand)
-        mine, theirs = self._entries, other._entries
+        mine, theirs = self._items, other._items
         return [
-            (mine[a][0], theirs[b][0])
+            (mine[a], theirs[b])
             for a, b in zip(entries_a.tolist(), entries_b.tolist())
         ]
 
     def _join_arrays(
         self, other: "STRtree", expand: float = 0.0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The dual-tree traversal over arrays: ``(entries_a, entries_b)``.
+        """The dual-tree traversal over both node tables: ``(entries_a,
+        entries_b)``.
 
         Candidate pair ``k`` is this tree's entry ``entries_a[k]`` against
         ``other``'s entry ``entries_b[k]`` (positions in insertion order,
@@ -601,23 +497,22 @@ class STRtree(Generic[T]):
         self.build()
         other.build()
         none = np.empty(0, dtype=np.int64)
-        if self._root is None or other._root is None:
+        if not self._items or not other._items:
             return none, none
-        mine, theirs = self._node_arrays(), other._node_arrays()
-        a_min_x, a_min_y, a_max_x, a_max_y = _expanded(mine.box, expand)
-        b_min_x, b_min_y, b_max_x, b_max_y = theirs.box
+        a_min_x, a_min_y, a_max_x, a_max_y = _expanded(self._box, expand)
+        b_min_x, b_min_y, b_max_x, b_max_y = other._box
+        area_a = (self._box[2] - self._box[0]) * (self._box[3] - self._box[1])
+        area_b = (b_max_x - b_min_x) * (b_max_y - b_min_y)
         node_a = np.zeros(1, dtype=np.int64)
         node_b = np.zeros(1, dtype=np.int64)
         done = np.zeros(1, dtype=bool)
         visited = 0
         while not done.all():
             visited += np.count_nonzero(~done)
-            fan_a, fan_b = mine.fanout[node_a], theirs.fanout[node_b]
+            fan_a, fan_b = self._fanout[node_a], other._fanout[node_b]
             # Descend the non-leaf side; of two interior nodes the one
             # with the larger area (the standard heuristic).
-            down_a = ~done & (fan_a > 0) & (
-                (fan_b == 0) | (mine.area[node_a] >= theirs.area[node_b])
-            )
+            down_a = ~done & (fan_a > 0) & ((fan_b == 0) | (area_a[node_a] >= area_b[node_b]))
             down_b = ~done & ~down_a & (fan_b > 0)
             meets = done | (
                 (a_min_x[node_a] <= b_max_x[node_b])
@@ -627,8 +522,8 @@ class STRtree(Generic[T]):
             )
             width = np.where(meets, np.where(down_a, fan_a, np.where(down_b, fan_b, 1)), 0)
             # A descending side steps back from its last child.
-            last_a = np.where(down_a, mine.first[node_a] + fan_a - 1, node_a)
-            last_b = np.where(down_b, theirs.first[node_b] + fan_b - 1, node_b)
+            last_a = np.where(down_a, self._first[node_a] + fan_a - 1, node_a)
+            last_b = np.where(down_b, other._first[node_b] + fan_b - 1, node_b)
             source, offset = _ranges(width)
             node_a = last_a[source] - down_a[source] * offset
             node_b = last_b[source] - down_b[source] * offset
@@ -637,9 +532,9 @@ class STRtree(Generic[T]):
         other.nodes_visited += int(visited)
         if not len(done):
             return none, none
-        leaf_a, leaf_b = mine.first[node_a], theirs.first[node_b]
-        a_boxes = _expanded(mine.leaf_boxes, expand)
-        b_boxes = theirs.leaf_boxes
+        leaf_a, leaf_b = self._first[node_a], other._first[node_b]
+        a_boxes = _expanded(self._leaf_boxes, expand)
+        b_boxes = other._leaf_boxes
         found_a: list[np.ndarray] = []
         found_b: list[np.ndarray] = []
         cells = a_boxes.shape[2] * b_boxes.shape[2]
@@ -655,56 +550,16 @@ class STRtree(Generic[T]):
                 & (a_min_y <= b_max_y)
                 & (b_min_y <= a_max_y)
             )
-            found_a.append(mine.leaf_entries[rows_a[pair], item_a])
-            found_b.append(theirs.leaf_entries[rows_b[pair], item_b])
+            found_a.append(self._leaf_entries[rows_a[pair], item_a])
+            found_b.append(other._leaf_entries[rows_b[pair], item_b])
         return np.concatenate(found_a), np.concatenate(found_b)
-
-    def _node_arrays(self) -> "_NodeArrays":
-        """The built tree as arrays (derived once): nodes numbered
-        breadth-first, so a node's children are consecutive."""
-        if self._arrays is None:
-            nodes = [self._root]
-            first: list[int] = []
-            fanout: list[int] = []
-            leaves: list[RTreeNode[T]] = []
-            for node in nodes:  # grows as it is walked
-                if node.is_leaf:
-                    first.append(len(leaves))
-                    fanout.append(0)
-                    leaves.append(node)
-                else:
-                    first.append(len(nodes))
-                    fanout.append(len(node.children))
-                    nodes.extend(node.children)
-            box = bounds_rows(node.envelope for node in nodes)
-            leaf, slot = _ranges(np.array([len(node.items) for node in leaves]))
-            leaf_entries = np.full((len(leaves), self._node_capacity), -1, dtype=np.int64)
-            leaf_entries[leaf, slot] = np.concatenate([node.entry_ids for node in leaves])
-            # A slot past a leaf's last item holds the empty box.
-            leaf_boxes = np.empty((4, *leaf_entries.shape))
-            leaf_boxes[:2] = np.inf
-            leaf_boxes[2:] = -np.inf
-            leaf_boxes[:, leaf, slot] = np.concatenate(
-                [_leaf_bounds(node) for node in leaves], axis=1
-            )
-            self._arrays = _NodeArrays(
-                box=box,
-                area=(box[2] - box[0]) * (box[3] - box[1]),
-                first=np.array(first, dtype=np.int64),
-                fanout=np.array(fanout, dtype=np.int64),
-                leaf_entries=leaf_entries,
-                leaf_boxes=leaf_boxes,
-            )
-        return self._arrays
 
     def depth(self) -> int:
         """Height of the tree (0 for an empty tree, 1 for a single leaf)."""
         self.build()
-        if self._root is None:
+        if not self._items:
             return 0
-        depth = 1
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-            depth += 1
+        depth, node = 1, 0
+        while self._fanout[node]:
+            depth, node = depth + 1, self._first[node]
         return depth

@@ -701,6 +701,7 @@ class TestPointProbesTakeThePairBody:
         reference = BroadcastIndex(build, operator, radius=radius, engine=engine)
         want_matches, want_units = probe_scalar(reference, probes)
         assert sum(map(len, want_matches)) > 20
+        dispatches.update(dict.fromkeys(dispatches, 0))  # the scalar queries traverse too
         index = BroadcastIndex(build, operator, radius=radius, engine=engine)
         with collecting() as registry:
             matches, units = index.probe_batch(probes)
@@ -735,10 +736,11 @@ class TestPointProbesTakeThePairBody:
         reference = BroadcastIndex(UNTABLED, SpatialOperator.NEAREST_D, radius=1.5, engine=engine)
         want_matches, want_units = probe_scalar(reference, probes)
         untabled_pairs = sum(
-            payload in ("hydrant", "block")
+            reference._entry_payloads[k] in ("hydrant", "block")
             for probe in probes
-            for payload, _, _ in reference.tree.query(probe.envelope)
+            for k in reference.tree.query(probe.envelope)
         )
+        dispatches.update(dict.fromkeys(dispatches, 0))  # the scalar queries traverse too
         calls = []
         original = probe_module.refine_pair
         monkeypatch.setattr(

@@ -15,10 +15,11 @@ def probe(index, geometry):
     if geometry.is_empty:
         return []
     return [
-        payload
-        for payload, build_geometry, handle in index.tree.query(geometry.envelope)
+        index._entry_payloads[k]
+        for k in index.tree.query(geometry.envelope)
         if refine_pair(
-            index.engine, index.operator, geometry, build_geometry, handle, index.radius
+            index.engine, index.operator, geometry, index._geometries[k],
+            index.handles[k], index.radius,
         )
     ]
 

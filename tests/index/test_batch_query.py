@@ -76,14 +76,29 @@ class TestQueryBatchArrays:
     """The pair-returning traversal against N scalar ``query`` calls."""
 
     def scalar(self, tree, boxes):
-        """Per-box entry positions and visit counts from ``query``."""
-        position = {id(entry[1]): k for k, entry in enumerate(tree.iter_all())}
+        """Per-box entry positions and visit counts from the scalar
+        ``Envelope`` walk ``query`` used to be, kept here as its
+        reference: a node stack over the built table, one
+        ``Envelope.intersects`` per node and per leaf item."""
         found, visits = [], []
         for box in boxes:
-            before = tree.nodes_visited
-            hits = tree.query_entries(box)
-            visits.append(tree.nodes_visited - before)
-            found.append([position[id(env)] for _, env in hits])
+            hits, visited = [], 0
+            stack = [0] if len(tree._first) and not box.is_empty else []
+            while stack:
+                node = stack.pop()
+                visited += 1
+                if not Envelope(*tree._box[:, node].tolist()).intersects(box):
+                    continue
+                first, fanout = int(tree._first[node]), int(tree._fanout[node])
+                if fanout:
+                    stack.extend(range(first, first + fanout))
+                    continue
+                for slot, entry in enumerate(tree._leaf_entries[first].tolist()):
+                    item_box = Envelope(*tree._leaf_boxes[:, first, slot].tolist())
+                    if entry >= 0 and item_box.intersects(box):
+                        hits.append(entry)
+            found.append(hits)
+            visits.append(visited)
         return found, visits
 
     def arrays(self, boxes):
@@ -119,6 +134,11 @@ class TestQueryBatchArrays:
         assert visits[3] == visits[40] == 0
         assert probes.tolist() == [i for i, hits in enumerate(want) for _ in hits]
         assert entries.tolist() == [k for hits in want for k in hits]  # order too
+        # query is the one-probe traversal: the same order, the same visits.
+        for box, hits, visited in zip(boxes, want, want_visits):
+            before = tree.nodes_visited
+            assert tree.query(box) == [tree._items[k] for k in hits]
+            assert tree.nodes_visited - before == visited
 
     def test_inverted_boxes_match_nothing_and_visit_nothing(self, rng):
         tree = build_tree(rng, n=60)
@@ -131,7 +151,7 @@ class TestQueryBatchArrays:
         assert set(probes.tolist()) <= {0}
         assert visits[1:].tolist() == [0, 0, 0]
         assert tree.nodes_visited - before == visits[0] > 0
-        assert [tree._entries[k][0] for k in entries.tolist()] == tree.query(
+        assert [tree._items[k] for k in entries.tolist()] == tree.query(
             Envelope(10, 10, 30, 30)
         )
 
