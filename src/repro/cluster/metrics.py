@@ -84,26 +84,36 @@ class StageMetrics:
         """Per-task simulated durations, in task order."""
         return [task.seconds(model) for task in self.tasks]
 
+    def task_stats(self, model: CostModel) -> dict[str, float]:
+        """The straggler statistics from one pass over the task durations:
+        ``max_task_seconds`` (0.0 with no tasks), ``median_task_seconds``
+        (0.0 with no tasks) and ``skew``, max/median — the paper's
+        straggler diagnostic.
+
+        A skew of 1.0 means perfectly balanced; the static-scheduling runs
+        of Section V show it climbing well past 1 on spatially-ordered
+        inputs.  It is 1.0 when there are no tasks or the median is 0.
+        """
+        seconds = self.task_seconds(model)
+        longest = max(seconds, default=0.0)
+        median = statistics.median(seconds) if seconds else 0.0
+        return {
+            "max_task_seconds": longest,
+            "median_task_seconds": median,
+            "skew": longest / median if median > 0.0 else 1.0,
+        }
+
     def max_task_seconds(self, model: CostModel) -> float:
         """The straggler task's duration (0.0 with no tasks)."""
-        return max(self.task_seconds(model), default=0.0)
+        return self.task_stats(model)["max_task_seconds"]
 
     def median_task_seconds(self, model: CostModel) -> float:
         """The median task duration (0.0 with no tasks)."""
-        seconds = self.task_seconds(model)
-        return statistics.median(seconds) if seconds else 0.0
+        return self.task_stats(model)["median_task_seconds"]
 
     def skew(self, model: CostModel) -> float:
-        """Max/median task time — the paper's straggler diagnostic.
-
-        1.0 means perfectly balanced; the static-scheduling runs of
-        Section V show this climbing well past 1 on spatially-ordered
-        inputs.  Returns 1.0 when there are no tasks or the median is 0.
-        """
-        median = self.median_task_seconds(model)
-        if median <= 0.0:
-            return 1.0
-        return self.max_task_seconds(model) / median
+        """Max/median task time (see :meth:`task_stats`)."""
+        return self.task_stats(model)["skew"]
 
     def counter_totals(self) -> dict[str, float]:
         """Aggregate resource counters over this stage's tasks."""
@@ -175,9 +185,7 @@ class QueryMetrics:
                     "makespan_seconds": stage.makespan_seconds,
                     "overhead_seconds": stage.overhead_seconds,
                     "total_task_seconds": stage.total_task_seconds(model),
-                    "max_task_seconds": stage.max_task_seconds(model),
-                    "median_task_seconds": stage.median_task_seconds(model),
-                    "skew": stage.skew(model),
+                    **stage.task_stats(model),
                 },
                 concurrent=True,  # a stage's tasks overlap in time
             )

@@ -16,12 +16,13 @@ Results (pairs, order, counters, simulated seconds, profiles, events) are
 pinned in tier-1 to what the deleted object data plane produced.
 """
 
-from .block import ColumnBlock, EntryChunks, RoutedRows
+from .block import ColumnBlock, ColumnRecords, EntryChunks, RoutedRows
 from .column import GeometryColumn
 from .io import column_from_wkt, parse_wkt_column
 
 __all__ = [
     "ColumnBlock",
+    "ColumnRecords",
     "EntryChunks",
     "GeometryColumn",
     "RoutedRows",

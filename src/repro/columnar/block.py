@@ -1,6 +1,7 @@
 """Columnar shuffle blocks: routed rows move as column slices, not records.
 
-Three shapes, one per hop of a keyed geometry shuffle:
+A parsed partition is :class:`ColumnRecords`: its rows' column.  Three
+more shapes, one per hop of a keyed geometry shuffle:
 
 * :class:`RoutedRows` — a routed *partition* on the map side: the
   partition's column, the rows the router selected and their keys;
@@ -30,7 +31,14 @@ import numpy as np
 from repro.columnar.column import GeometryColumn
 from repro.geometry.base import Geometry
 
-__all__ = ["ColumnBlock", "EntryChunks", "RoutedRows", "positions_by_value"]
+__all__ = [
+    "ColumnBlock",
+    "ColumnRecords",
+    "EntryChunks",
+    "RoutedRows",
+    "partition_column",
+    "positions_by_value",
+]
 
 
 def positions_by_value(values: np.ndarray) -> list[np.ndarray]:
@@ -40,6 +48,36 @@ def positions_by_value(values: np.ndarray) -> list[np.ndarray]:
         return []
     order = np.argsort(values, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(values[order])) + 1)
+
+
+class ColumnRecords:
+    """A parsed partition: ``(record_id, geometry)`` records over a column.
+
+    It is its own iterator, so it survives ``MapPartitionsRDD.compute``'s
+    ``iter()`` and reaches the next operator as itself: one that wants
+    the rows packed reads ``column`` (the whole partition), any other
+    just iterates, and gets one geometry built per record consumed.
+    """
+
+    __slots__ = ("column", "_records")
+
+    def __init__(self, column: GeometryColumn):
+        self.column = column
+        self._records = column.entries()
+
+    def __iter__(self) -> "ColumnRecords":
+        return self
+
+    def __next__(self) -> tuple[object, Geometry]:
+        return next(self._records)
+
+
+def partition_column(records) -> GeometryColumn:
+    """One partition of ``(id, geometry)`` records as a column, ids as
+    payloads: a parsed partition's own, anything else packed once."""
+    if isinstance(records, ColumnRecords):
+        return records.column
+    return GeometryColumn.from_entries(records)
 
 
 class ColumnBlock:

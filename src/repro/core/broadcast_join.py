@@ -3,26 +3,41 @@
 The right (smaller) side is collected to the driver, packed into an
 STR-tree whose envelopes are expanded by the NearestD radius, broadcast to
 every executor, and probed by a ``flatMap`` over the left side.  The
-skeleton below deliberately mirrors the Scala code in Fig 2 line for line:
+skeleton below mirrors the Scala code in Fig 2 step for step; each step
+takes a whole partition (a block) where Fig 2 takes a record:
 
 =====================================  =====================================
 Fig 2 (Scala)                          here
 =====================================  =====================================
-``sc.textFile(...).map(_.split)``      :func:`read_geometry_pairs`
-``.zipWithIndex()``                    ``.zip_with_index()``
+``sc.textFile(...)``                   ``sc.text_file(...)``: one line list
+                                       per split
+``.zipWithIndex()``                    ``.zip_with_index()``: a ``len`` per
+                                       split, then a base index per block
+``.map(_.split)``                      :func:`read_geometry_pairs`' block
+                                       parse: split and number the lines
 ``Try(new WKTReader().read(...))``     ``parse_wkt_column`` (drops counted)
 ``val strtree = new STRtree()``        :class:`~repro.core.probe.BroadcastIndex`
 ``y.expandBy(radius)``                 ``BroadcastIndex(radius=...)``
 ``sc.broadcast(strtree)``              ``sc.broadcast(index)``
-``leftGeometryWithId.flatMap(...)``    ``left.flat_map(probe)``
+``leftGeometryWithId.flatMap(...)``    a :class:`~repro.spark.rdd.FusedPartitionsRDD`
+                                       over ``left``: one
+                                       :meth:`~repro.core.probe.BroadcastIndex.probe_blocks`
+                                       per result stage
 =====================================  =====================================
+
+Every charge is the record-at-a-time pipeline's: per-row ``WKT_BYTES`` /
+``RDD_RECORDS`` and probe units reach each task as unit columns through
+:meth:`~repro.cluster.metrics.TaskMetrics.add_columns`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.cluster.model import Resource
+from repro.columnar.block import ColumnRecords, partition_column
 from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
@@ -34,7 +49,7 @@ from repro.obs.events import install_event_log
 from repro.obs.registry import REGISTRY
 from repro.obs.tracer import get_tracer
 from repro.spark.context import SparkContext
-from repro.spark.rdd import RDD
+from repro.spark.rdd import RDD, FusedPartitionsRDD
 from repro.spark.taskcontext import current_task
 
 __all__ = [
@@ -62,30 +77,34 @@ def read_geometry_pairs(
     join can evaluate (a ``GEOMETRYCOLLECTION``) is dropped the same way.
     Every dropped row is counted in ``spark.rows_skipped``.
 
-    Each partition is parsed in one bulk pass
-    (:func:`~repro.columnar.io.parse_wkt_column`); the charges stay per
-    row.  Every partition comes back as :class:`ColumnRecords` — it
+    Each text split arrives as its line list and is split, numbered and
+    parsed in one task body (:func:`~repro.columnar.io.parse_wkt_column`);
+    the per-row charges go to the task as unit columns.  Every partition
+    comes back as :class:`~repro.columnar.block.ColumnRecords` — it
     iterates as ``(record_id, geometry)`` records for any RDD operator,
     and the joins read its column directly.
     """
 
-    def parse_partition(pairs):
-        task = current_task()
+    def parse_partition(numbered):
         texts: list[str] = []
         record_ids: list[int] = []
-        skipped = 0
-        for fields, record_id in pairs:
-            if geometry_index >= len(fields):
-                skipped += 1
-                continue
-            text = fields[geometry_index]
-            task.add(Resource.WKT_BYTES, len(text) * cost_weight)
-            # Two pipeline hops per record (zipWithIndex pass + parse pass).
-            task.add(Resource.RDD_RECORDS, 2.0)
-            texts.append(text)
-            record_ids.append(record_id)
+        lines = 0
+        for record_id, line in enumerate(numbered.records, numbered.base):
+            fields = line.split(separator)
+            lines += 1
+            if geometry_index < len(fields):
+                texts.append(fields[geometry_index])
+                record_ids.append(record_id)
+        # Two pipeline hops per record (zipWithIndex pass + parse pass).
+        current_task().add_columns(
+            {
+                Resource.WKT_BYTES: np.fromiter(map(len, texts), np.float64, len(texts))
+                * cost_weight,
+                Resource.RDD_RECORDS: np.full(len(texts), 2.0),
+            }
+        )
         column, dropped = parse_wkt_column(texts, record_ids)
-        skipped += len(dropped)
+        skipped = lines - len(texts) + len(dropped)
         if skipped:
             REGISTRY.inc("spark.rows_skipped", skipped)
         return ColumnRecords(column)
@@ -94,40 +113,9 @@ def read_geometry_pairs(
         # Spark's rule of thumb: ~2 tasks per core keeps the dynamic
         # scheduler's waves balanced (the a1 ablation varies this).
         num_partitions = sc.default_parallelism
-    data = sc.text_file(path, num_partitions).map(
-        lambda line: line.split(separator)
-    ).zip_with_index()
-    return data.map_partitions(parse_partition)
-
-
-class ColumnRecords:
-    """A parsed partition: ``(record_id, geometry)`` records over a column.
-
-    It is its own iterator, so it survives ``MapPartitionsRDD.compute``'s
-    ``iter()`` and reaches the next operator as itself: one that wants
-    the rows packed reads ``column`` (the whole partition), any other
-    just iterates, and gets one geometry built per record consumed.
-    """
-
-    __slots__ = ("column", "_records")
-
-    def __init__(self, column: GeometryColumn):
-        self.column = column
-        self._records = column.entries()
-
-    def __iter__(self) -> "ColumnRecords":
-        return self
-
-    def __next__(self) -> tuple[int, Geometry]:
-        return next(self._records)
-
-
-def partition_column(records) -> GeometryColumn:
-    """One partition of ``(id, geometry)`` records as a column, ids as
-    payloads: a parsed partition's own, anything else packed once."""
-    if isinstance(records, ColumnRecords):
-        return records.column
-    return GeometryColumn.from_entries(records)
+    return sc.text_file(path, num_partitions).zip_with_index().map_partitions(
+        parse_partition
+    )
 
 
 def read_geometry_pairs_wkb(
@@ -181,11 +169,14 @@ def broadcast_spatial_join(
     with dynamic Spark scheduling; passing ``engine="slow"`` isolates the
     geometry-library axis for the ablation benchmarks.
 
-    Each task runs its partition's probes through the batched
-    filter+refine pipeline (:meth:`BroadcastIndex.probe_pairs`) — one bulk
-    index probe, then one pair-kernel call over the candidate pairs (point
-    probes under Within / NearestD, polyline / polygon probes under
-    Intersects) — and gathers the matching pairs' ids once.
+    The probe side is a :class:`~repro.spark.rdd.FusedPartitionsRDD`:
+    each task packs its partition into a column, and the partitions'
+    columns go through the batched filter+refine pipeline together
+    (:meth:`BroadcastIndex.probe_blocks`) — one bulk index probe, then
+    one pair-kernel call over the candidate pairs (point probes under
+    Within / NearestD, polyline / polygon probes under Intersects) — per
+    result stage when its tasks run inline, per task otherwise.  Each
+    task gets its own pairs' ids and is charged its own rows' units.
     """
     if operator.needs_radius and radius <= 0.0:
         raise ReproError(f"{operator} requires a positive radius")
@@ -230,18 +221,16 @@ def broadcast_spatial_join(
         )
         bc_span.add_sim(sc.broadcast_overhead_seconds - ship_before)
 
-    def query_rtree_partition(rows):
-        # A freshly parsed partition is probed as it is: packed
+    def query_rtree_partitions(columns):
+        # A freshly parsed partition's column is probed as it is: packed
         # coordinates, no geometry object ever built.
-        probes = partition_column(rows)
-        if not len(probes):
-            return []
         index = index_broadcast.value
-        found, entries, units = index.probe_pairs(probes)
-        current_task().add_columns(units)
-        return list(zip(gather(probes.payloads(), found), index.entry_payloads(entries)))
+        return [
+            (list(zip(gather(column.payloads(), found), index.entry_payloads(entries))), units)
+            for column, (found, entries, units) in zip(columns, index.probe_blocks(columns))
+        ]
 
-    return left.map_partitions(query_rtree_partition)
+    return FusedPartitionsRDD(left, partition_column, query_rtree_partitions)
 
 
 # The paper's object name, for Fig 2-style call sites.

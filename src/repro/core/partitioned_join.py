@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.model import Resource
-from repro.columnar.block import RoutedRows
-from repro.core.broadcast_join import partition_column
+from repro.columnar.block import RoutedRows, partition_column
 from repro.core.operators import SpatialOperator
 from repro.core.probe import cached_index, join_tile
 from repro.errors import ReproError

@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 
+# The unit columns probe_pairs returns for every probed row; the others
+# exist only when some row is charged.
+_DENSE_UNITS = (Resource.INDEX_VISIT, Resource.ROWS_OUT)
+
 # Candidate pairs one pair-kernel call refines: the kernels hold a dozen
 # per-pair temporaries, so this bounds a join's peak memory, not its speed.
 _REFINE_BLOCK_PAIRS = 1 << 13
@@ -399,6 +403,36 @@ class BroadcastIndex(PreparedBuild):
             if charged.any():
                 units[resource] = np.bincount(probes, weights=charged, minlength=n)
         return rows, entries[hit], units
+
+    def probe_blocks(
+        self, columns: Sequence[GeometryColumn]
+    ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
+        """:meth:`probe_pairs` over several columns in one call.
+
+        Block ``i``'s ``(rows, entries, units)`` equal
+        ``probe_pairs(columns[i])`` alone — rows numbered within the
+        block, the same pairs in the same order, the same unit columns
+        under the same keys — because a row's pairs and units do not
+        depend on the rows probed beside it.  The blocks are concatenated,
+        probed once, and cut at their row offsets; a cut keeps a vertex
+        or allocation column only when one of its rows is charged one.
+        """
+        cuts = np.cumsum([0] + [len(column) for column in columns]).tolist()
+        rows, entries, units = self.probe_pairs(GeometryColumn.concat(columns))
+        pair_cuts = np.searchsorted(rows, cuts).tolist()
+        blocks = []
+        for i in range(len(columns)):
+            start, stop = cuts[i], cuts[i + 1]
+            lo, hi = pair_cuts[i], pair_cuts[i + 1]
+            block_units = {}
+            if stop > start:
+                block_units = {
+                    resource: column[start:stop]
+                    for resource, column in units.items()
+                    if resource in _DENSE_UNITS or column[start:stop].any()
+                }
+            blocks.append((rows[lo:hi] - start, entries[lo:hi], block_units))
+        return blocks
 
     def entry_payloads(self, entries: np.ndarray) -> list[Any]:
         """The payloads of build rows ``entries``, in that order."""

@@ -9,6 +9,8 @@ locality trick ISP-MC gets for free from its spatially-sorted scan ranges.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["morton_code", "morton_codes"]
@@ -43,18 +45,27 @@ def morton_codes(
     """Vectorised Morton codes for coordinate arrays.
 
     Same normalisation as :func:`morton_code`: coordinates map onto a
-    65536x65536 grid over the given extent, clamped at the borders.
+    65536x65536 grid over the given extent, clamped at the borders.  Any
+    input has a defined code: the clamp happens in float, before the
+    integer cast, so -inf / +inf land on the first / last cell and NaN on
+    the first; an axis whose extent has no positive finite size (a
+    zero-width box, an unbounded one) puts every coordinate in its first
+    cell.  Finite coordinates over a proper extent get the codes of
+    :func:`morton_code`.
     """
-    nx = np.clip(
-        (65535 * (np.asarray(xs, dtype=np.float64) - min_x) / max(width, 1e-300))
-        .astype(np.int64),
-        0,
-        65535,
-    ).astype(np.uint64)
-    ny = np.clip(
-        (65535 * (np.asarray(ys, dtype=np.float64) - min_y) / max(height, 1e-300))
-        .astype(np.int64),
-        0,
-        65535,
-    ).astype(np.uint64)
-    return _spread_bits(nx) | (_spread_bits(ny) << np.uint64(1))
+    return _spread_bits(_cells(xs, min_x, width)) | (
+        _spread_bits(_cells(ys, min_y, height)) << np.uint64(1)
+    )
+
+
+def _cells(values, low: float, size: float) -> np.ndarray:
+    """Grid cells (0..65535) of ``values`` along one axis, as uint64."""
+    values = np.asarray(values, dtype=np.float64)
+    if not (math.isfinite(low) and 0.0 < size < math.inf):
+        return np.zeros(values.shape, dtype=np.uint64)
+    # Far outside the extent the scaled value overflows to +-inf, which
+    # the clamp below maps to the border cell it stands for.
+    with np.errstate(over="ignore"):
+        scaled = 65535 * (values - low) / max(size, 1e-300)
+    # fmax / fmin drop a NaN operand, so NaN clamps to cell 0.
+    return np.fmin(np.fmax(scaled, 0.0), 65535.0).astype(np.uint64)

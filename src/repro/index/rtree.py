@@ -66,10 +66,14 @@ def _str_groups(boxes: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarra
     n = boxes.shape[1]
     slice_count = max(1, math.ceil(math.sqrt(math.ceil(n / capacity))))
     slice_size = max(1, math.ceil(n / slice_count))
-    by_x = np.argsort(boxes[0] + boxes[2], kind="stable")
+    # A box unbounded both ways along an axis has a NaN centre there;
+    # the sorts put NaN keys last, which is as good a place as any.
+    with np.errstate(invalid="ignore"):
+        x_centres, y_centres = boxes[0] + boxes[2], boxes[1] + boxes[3]
+    by_x = np.argsort(x_centres, kind="stable")
     slice_of, within = np.divmod(np.arange(n), slice_size)
     # lexsort is stable: within a slice, y-centre ties keep their x order.
-    order = by_x[np.lexsort(((boxes[1] + boxes[3])[by_x], slice_of))]
+    order = by_x[np.lexsort((y_centres[by_x], slice_of))]
     starts = np.flatnonzero(within % capacity == 0)
     return order, starts, np.concatenate((starts[1:], [n])) - starts
 
@@ -282,9 +286,13 @@ class STRtree(Generic[T]):
         min_x, min_y, max_x, max_y, first, fanout, leaves = self._walk_lists()
         order = live
         if len(live) > 1:  # one probe, as query() sends, has nothing to order
+            # A probe box unbounded both ways (a cover_plane tile) has a
+            # NaN centre, which morton_codes puts in the first cell.
+            with np.errstate(invalid="ignore"):
+                centre_x = (pmin_x[live] + pmax_x[live]) / 2.0
+                centre_y = (pmin_y[live] + pmax_y[live]) / 2.0
             codes = morton_codes(
-                (pmin_x[live] + pmax_x[live]) / 2.0,
-                (pmin_y[live] + pmax_y[live]) / 2.0,
+                centre_x, centre_y,
                 min_x[0], min_y[0], max_x[0] - min_x[0], max_y[0] - min_y[0],
             )
             order = live[np.argsort(codes, kind="stable")]

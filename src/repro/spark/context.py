@@ -231,8 +231,11 @@ class SparkContext:
         return self._cache[key]
 
     def _run_partition_sizes_job(self, rdd: RDD) -> list[int]:
-        """Count records per partition (zipWithIndex's helper job)."""
-        return self._scheduler.run_job(rdd, lambda it: sum(1 for _ in it))
+        """Count records per partition (zipWithIndex's helper job); a
+        text split's line list is counted with ``len``."""
+        return self._scheduler.run_job(
+            rdd, lambda it: len(it) if isinstance(it, list) else sum(1 for _ in it)
+        )
 
     def clear_state(self) -> None:
         """Drop shuffle blocks and cached partitions (between benchmarks)."""

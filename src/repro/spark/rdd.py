@@ -8,19 +8,29 @@ need.  Transformations are lazy and build a lineage DAG; actions hand the
 DAG to the :class:`~repro.spark.scheduler.DAGScheduler`, which splits it
 into stages at shuffle dependencies — exactly Spark's execution model, at
 miniature scale.
+
+The API is record-shaped; partitions inside it are blocks where they can
+be.  A text split is its whole line list, ``zip_with_index`` numbers a
+partition without unpacking it (:class:`IndexedRecords`), a parsed
+partition is a column (:class:`~repro.columnar.block.ColumnRecords`) that
+``sample`` takes rows from, and a :class:`FusedPartitionsRDD` computes
+several partitions in one call.  Every block still iterates as the
+records it stands for.
 """
 
 from __future__ import annotations
 
+import itertools
 import random as _random_mod
-from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
+from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import Resource
-from repro.columnar.block import ColumnBlock, EntryChunks
+from repro.columnar.block import ColumnBlock, ColumnRecords, EntryChunks
 from repro.errors import SparkError
 from repro.hdfs import read_split_lines
 from repro.spark.shuffle import HashPartitioner, estimate_bytes, records_bytes
-from repro.spark.taskcontext import current_task
+from repro.spark.taskcontext import current_task, task_scope
 
 __all__ = [
     "RDD",
@@ -30,6 +40,8 @@ __all__ = [
     "ParallelCollectionRDD",
     "TextFileRDD",
     "MapPartitionsRDD",
+    "FusedPartitionsRDD",
+    "IndexedRecords",
     "ShuffledRDD",
     "CoGroupedRDD",
     "UnionRDD",
@@ -90,8 +102,9 @@ class RDD(Generic[T]):
     def num_partitions(self) -> int:
         raise NotImplementedError
 
-    def compute(self, split: int) -> Iterator[T]:
-        """Produce the records of one partition (scheduler-invoked)."""
+    def compute(self, split: int) -> Iterable[T]:
+        """Produce the records of one partition (scheduler-invoked): an
+        iterator, or a block that iterates as its records."""
         raise NotImplementedError
 
     # -- lineage helpers ----------------------------------------------------
@@ -102,7 +115,7 @@ class RDD(Generic[T]):
                 return dep.parent
         raise SparkError(f"RDD {self.id} has no narrow parent")
 
-    def iterator(self, split: int) -> Iterator[T]:
+    def iterator(self, split: int) -> Iterable[T]:
         """Compute or fetch-from-cache one partition."""
         if self.cached:
             return iter(self.sc._cache_get_or_compute(self, split))
@@ -147,19 +160,16 @@ class RDD(Generic[T]):
         """Pair each record with its global index (requires a size job).
 
         Mirrors Spark: a lightweight count job determines per-partition
-        offsets, then indexing is a narrow transformation.
+        offsets, then indexing is a narrow transformation.  Each partition
+        comes out as :class:`IndexedRecords` over the parent's own block.
         """
         sizes = self.sc._run_partition_sizes_job(self)
         offsets = [0]
         for size in sizes[:-1]:
             offsets.append(offsets[-1] + size)
-
-        def index_partition(split: int, it: Iterator[T]):
-            base = offsets[split]
-            for i, record in enumerate(it):
-                yield (record, base + i)
-
-        return MapPartitionsRDD(self, index_partition)
+        return MapPartitionsRDD(
+            self, lambda split, it: IndexedRecords(it, offsets[split])
+        )
 
     zipWithIndex = zip_with_index
 
@@ -188,12 +198,21 @@ class RDD(Generic[T]):
         return shuffled.map(lambda kv: kv[1])
 
     def sample(self, fraction: float, seed: int = 17) -> "RDD[T]":
-        """Bernoulli sample of the records (deterministic per partition)."""
+        """Bernoulli sample of the records (deterministic per partition).
+
+        One draw per record, in order; a parsed partition
+        (:class:`~repro.columnar.block.ColumnRecords`) draws per row and
+        keeps its kept rows as a column, building no geometry.
+        """
         if not 0.0 <= fraction <= 1.0:
             raise SparkError(f"fraction must be in [0, 1], got {fraction}")
 
         def sample_partition(split: int, it: Iterator[T]):
             rng = _random_mod.Random(seed * 1_000_003 + split)
+            if isinstance(it, ColumnRecords):
+                column = it.column
+                kept = [row for row in range(len(column)) if rng.random() < fraction]
+                return ColumnRecords(column.take(kept))
             return (x for x in it if rng.random() < fraction)
 
         return MapPartitionsRDD(self, sample_partition)
@@ -391,7 +410,12 @@ class ParallelCollectionRDD(RDD[T]):
 
 
 class TextFileRDD(RDD[str]):
-    """Lines of an HDFS text file, one partition per input split."""
+    """Lines of an HDFS text file, one partition per input split.
+
+    A partition is the split's line list, handed on whole: it iterates as
+    lines, and a consumer that takes the block counts or splits it in one
+    pass.
+    """
 
     def __init__(self, sc, path: str, min_partitions: int = 1):
         super().__init__(sc, [])
@@ -404,10 +428,10 @@ class TextFileRDD(RDD[str]):
     def num_partitions(self) -> int:
         return len(self._splits)
 
-    def compute(self, split: int) -> Iterator[str]:
+    def compute(self, split: int) -> list[str]:
         offset, length = self._splits[split]
         current_task().add(Resource.HDFS_BYTES, length)
-        return iter(read_split_lines(self.sc.hdfs, self.path, offset, length))
+        return read_split_lines(self.sc.hdfs, self.path, offset, length)
 
     def preferred_hosts(self, split: int) -> tuple[str, ...]:
         """Datanodes holding the split's first block (locality hint)."""
@@ -459,6 +483,102 @@ class MapPartitionsRDD(RDD[U]):
     def compute(self, split: int) -> Iterator[U]:
         parent = self._narrow_parent()
         return iter(self._f(split, parent.iterator(split)))
+
+
+class IndexedRecords:
+    """A partition numbered by ``zip_with_index``: ``(record, base + i)``.
+
+    ``records`` is the parent partition as it came (a text split's line
+    list, say) and ``base`` the global index of its first record.  Like
+    :class:`~repro.columnar.block.ColumnRecords` it is its own iterator,
+    so the next operator receives it as itself: one that wants the block
+    reads ``records`` and ``base``, any other iterates the pairs.
+    """
+
+    __slots__ = ("records", "base", "_pairs")
+
+    def __init__(self, records: Iterable, base: int):
+        self.records = records
+        self.base = base
+        self._pairs = zip(records, itertools.count(base))
+
+    def __iter__(self) -> "IndexedRecords":
+        return self
+
+    def __next__(self) -> tuple:
+        return next(self._pairs)
+
+
+class FusedPartitionsRDD(RDD[U]):
+    """Narrow transformation whose partitions are computed in one call.
+
+    ``prepare(records)`` turns one parent partition into a block, inside
+    that partition's task.  ``run(blocks)`` computes any number of blocks
+    at once and returns one ``(records, units)`` per block: the records
+    the partition yields and the per-row unit columns its task is charged
+    (:meth:`~repro.cluster.metrics.TaskMetrics.add_columns`), so a
+    partition's charges do not depend on which blocks shared its call.
+
+    A partition computed on its own is a batch of one.  The scheduler
+    batches a result stage (:meth:`prefetch`) when its tasks run inline;
+    each task then finds its partition's outcome waiting and is charged
+    it where it would have computed it.
+    """
+
+    def __init__(
+        self,
+        parent: RDD,
+        prepare: Callable[[Iterable], Any],
+        run: Callable[[list], list[tuple[Iterable[U], dict]]],
+    ):
+        super().__init__(parent.sc, [NarrowDependency(parent)])
+        self._prepare = prepare
+        self._run = run
+        self._prefetched: dict[int, Any] = {}
+
+    @property
+    def num_partitions(self) -> int:
+        return self._narrow_parent().num_partitions
+
+    def compute(self, split: int) -> Iterator[U]:
+        outcome = self._prefetched.pop(split, None)
+        if outcome is None:
+            outcome = self._run([self._prepare(self._narrow_parent().iterator(split))])[0]
+        elif isinstance(outcome, Exception):
+            raise outcome
+        records, units = outcome
+        current_task().add_columns(units)
+        return iter(records)
+
+    def prefetch(self, partitions: Sequence[int], tasks: Sequence[TaskMetrics]) -> None:
+        """Prepare ``partitions`` in order, each under its own task's
+        metrics, then run them as one batch.
+
+        A partition's outcome — or the error its preparation or the batch
+        raised — waits for that partition's first :meth:`compute`, which
+        is its task's first attempt; a retry computes it alone.  The
+        first preparation that fails ends the batch there.
+        """
+        parent = self._narrow_parent()
+        blocks = []
+        for split, task in zip(partitions, tasks):
+            try:
+                with task_scope(task):
+                    blocks.append(self._prepare(parent.iterator(split)))
+            except Exception as error:  # noqa: BLE001 - the attempt's failure
+                self._prefetched[split] = error
+                break
+        if not blocks:
+            return
+        try:
+            outcomes = self._run(blocks)
+        except Exception as error:  # noqa: BLE001 - every member's attempt fails
+            outcomes = [error] * len(blocks)
+        self._prefetched.update(zip(partitions, outcomes))
+
+    def release(self) -> None:
+        """Drop outcomes no task collected (a stage that failed early)."""
+        self._prefetched.clear()
 
 
 class ShuffledRDD(RDD[tuple]):

@@ -8,6 +8,15 @@ to exchange the metadata of partitions for every job stage that involves
 shuffling", with overhead proportional to the partition count — both
 charged here per shuffle stage, which is what the partition-count ablation
 (a1) measures.
+
+A result stage whose pipeline holds a
+:class:`~repro.spark.rdd.FusedPartitionsRDD` (the broadcast join's probe)
+runs that step once for the whole stage when its tasks run inline: each
+task's upstream pipeline first runs under the task's own metrics, then
+one batch call computes every partition, and each task is charged its
+own slice.  Under a real pool or an active fault plan a batch is a
+single task, so the tasks' charges, events and results are the same
+either way.
 """
 
 from __future__ import annotations
@@ -31,7 +40,13 @@ from repro.runtime.faults import InjectedFaultError
 from repro.runtime.pool import SerialBackend, picklable_error
 from repro.runtime.recovery import run_tasks
 from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
-from repro.spark.rdd import RDD, NarrowDependency, ShuffleDependency
+from repro.spark.rdd import (
+    RDD,
+    FusedPartitionsRDD,
+    MapPartitionsRDD,
+    NarrowDependency,
+    ShuffleDependency,
+)
 from repro.spark.shuffle import ShuffleStore
 from repro.spark.taskcontext import task_scope
 from repro.cluster.simulation import simulate_dynamic
@@ -109,7 +124,9 @@ class DAGScheduler:
 
     # -- task execution ---------------------------------------------------------
 
-    def _run_task(self, ids, label: str, body, partition) -> _TaskShipment:
+    def _run_task(
+        self, ids, label: str, body, partition, task: TaskMetrics | None = None
+    ) -> _TaskShipment:
         """The one task runner: ``body(task, partition)`` with retries, as
         a shipment.
 
@@ -120,10 +137,12 @@ class DAGScheduler:
         raise here — the stage loop re-raises at absorb time, so they
         surface the same from a worker process.  ``ids`` is the
         ``(query, stage, task)`` triple for TaskStart / TaskEnd (None
-        while the event sink is disabled).
+        while the event sink is disabled).  ``task`` is given when a
+        batched stage already charged the task's upstream work to it.
         """
         model = self.sc.cost_model
-        task = TaskMetrics()
+        if task is None:
+            task = TaskMetrics()
         shipment = _TaskShipment(task)
         if ids is not None:
             emit_task_start(ids, partition, label)
@@ -158,7 +177,9 @@ class DAGScheduler:
             )
         return shipment
 
-    def _run_task_captured(self, ids, label: str, body, partition) -> _TaskShipment:
+    def _run_task_captured(
+        self, ids, label: str, body, partition, task: TaskMetrics | None = None
+    ) -> _TaskShipment:
         """:meth:`_run_task` for a result that crosses a process boundary
         or may be discarded (a losing speculative duplicate): spans,
         registry writes, events and RDD-cache fills ride in the shipment
@@ -167,7 +188,7 @@ class DAGScheduler:
         cache_before = set(cache)
         capture = ObsCapture()
         with capture_observability(capture):
-            shipment = self._run_task(ids, label, body, partition)
+            shipment = self._run_task(ids, label, body, partition, task)
         shipment.capture = capture
         shipment.cache_entries = {
             key: cache[key] for key in cache.keys() - cache_before
@@ -178,7 +199,7 @@ class DAGScheduler:
 
     def _run_stage_tasks(
         self, prefix: str, body, partitions, stage: StageMetrics, stage_id,
-        metrics, absorb_value, repair=None,
+        metrics, absorb_value, repair=None, fused: FusedPartitionsRDD | None = None,
     ) -> list[float]:
         """Run ``body(task, partition)`` over ``partitions`` as the stage's
         tasks, labelled ``<prefix>-<partition>``.
@@ -193,16 +214,21 @@ class DAGScheduler:
         driver-side under the stage's logical scope, ``repair`` restores
         lost shuffle output from lineage, and an exhausted budget
         surfaces as :class:`SparkError` like any terminal task failure.
+
+        ``fused`` is the pipeline's batchable step: inline tasks of
+        distinct partitions have it prefetched as one batch, each
+        partition's preparation charged to its task's metrics.
         """
         pool = self.sc.task_pool
         if pool.is_serial or not pool.supports_closures:
             pool = SerialBackend()
         recovery = self.sc.recovery
-        run = (
-            self._run_task_captured
-            if recovery.active or not pool.is_serial
-            else self._run_task
-        )
+        inline = pool.is_serial and not recovery.active
+        run = self._run_task if inline else self._run_task_captured
+        tasks = [None] * len(partitions)
+        if fused is not None and inline and len(set(partitions)) == len(partitions):
+            tasks = [TaskMetrics() for _ in partitions]
+            fused.prefetch(partitions, tasks)
         thunks = [
             partial(
                 run,
@@ -210,8 +236,9 @@ class DAGScheduler:
                 f"{prefix}-{partition}",
                 body,
                 partition,
+                task,
             )
-            for index, partition in enumerate(partitions)
+            for index, (partition, task) in enumerate(zip(partitions, tasks))
         ]
         task_seconds: list[float] = []
 
@@ -241,6 +268,9 @@ class DAGScheduler:
             )
         except InjectedFaultError as error:
             raise SparkError(f"{scope}: {error}") from error
+        finally:
+            if fused is not None:
+                fused.release()
         return task_seconds
 
     # -- public entry ---------------------------------------------------------
@@ -422,6 +452,7 @@ class DAGScheduler:
                 metrics,
                 lambda index, shipment: results.append(shipment.value),
                 repair=self._make_repair(rdd, stage_id),
+                fused=self._fused_step(rdd),
             )
             self._finish_stage(
                 stage,
@@ -430,6 +461,21 @@ class DAGScheduler:
                 metrics=metrics,
             )
         return results
+
+    @staticmethod
+    def _fused_step(rdd: RDD) -> FusedPartitionsRDD | None:
+        """The batchable step of a result pipeline: a
+        :class:`FusedPartitionsRDD` reached from ``rdd`` through
+        partition-preserving maps, none of them cached (a cached partition
+        is never recomputed, so it must not be prefetched)."""
+        node = rdd
+        while not node.cached:
+            if isinstance(node, FusedPartitionsRDD):
+                return node
+            if type(node) is not MapPartitionsRDD:
+                return None
+            node = node._narrow_parent()
+        return None
 
     def _pipeline_reads_shuffle(self, rdd: RDD) -> bool:
         """True when the result stage's pipeline starts at a shuffle read."""
@@ -515,6 +561,7 @@ class DAGScheduler:
         metrics: QueryMetrics,
     ) -> None:
         model = self.sc.cost_model
+        stats = stage.task_stats(model)
         stage.makespan_seconds = simulate_dynamic(
             task_seconds,
             workers=self.sc.cluster.total_cores,
@@ -537,18 +584,15 @@ class DAGScheduler:
         span.add_sim(stage.makespan_seconds + stage.overhead_seconds)
         span.set_attr("tasks", stage.num_tasks)
         span.set_attr("makespan_seconds", stage.makespan_seconds)
-        span.set_attr("max_task_seconds", stage.max_task_seconds(model))
-        span.set_attr("median_task_seconds", stage.median_task_seconds(model))
-        span.set_attr("skew", stage.skew(model))
+        for key, value in stats.items():
+            span.set_attr(key, value)
         self.stage_summaries.append(
             {
                 "name": stage.name,
                 "tasks": stage.num_tasks,
                 "makespan_seconds": stage.makespan_seconds,
                 "overhead_seconds": stage.overhead_seconds,
-                "max_task_seconds": stage.max_task_seconds(model),
-                "median_task_seconds": stage.median_task_seconds(model),
-                "skew": stage.skew(model),
+                **stats,
                 "shuffling": shuffling,
             }
         )

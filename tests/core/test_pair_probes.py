@@ -276,7 +276,7 @@ class TestSQLPathChargesArePinned:
 class TestNoScalarWorkOnTheProbeSide:
     """Tier-1 guard: a lion x nycb Intersects query builds no probe-side
     geometry, runs no scalar segment predicate, and enters the pair kernel
-    at most once per task / row batch / chunk."""
+    at most once per result stage / row batch / chunk."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -300,14 +300,14 @@ class TestNoScalarWorkOnTheProbeSide:
         import repro.core.probe as probe_module
 
         counted(probe_module, "intersects_pairs", "kernel")
-        # One probe_pairs call is one Spark task / row batch / API chunk.
+        # One probe_pairs call is one Spark result stage / row batch / API chunk.
         counted(BroadcastIndex, "probe_pairs", "batches")
         return seen
 
     @pytest.mark.parametrize(
         "path,args,units",
         [
-            ("spark", ("broadcast",), 16),  # default parallelism: 2 tasks a core
+            ("spark", ("broadcast",), 1),  # 16 inline tasks, one fused probe
             ("impala", (), 2),  # one row batch per fragment instance (2 nodes)
             ("api", ("broadcast",), 1),  # 240 rows < batch_size
         ],
