@@ -24,6 +24,7 @@ byte-identical to the object path; the honest encoded size is
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
     "ColumnRecords",
     "EntryChunks",
     "RoutedRows",
+    "distinct_rows",
     "partition_column",
     "positions_by_value",
 ]
@@ -241,4 +243,54 @@ class EntryChunks(Sequence):
             yield from chunk.entries()
 
     def __getitem__(self, index):
-        return list(self)[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if index >= 0:
+            for chunk in self.chunks:
+                if index < len(chunk):
+                    return chunk.entry(index)
+                index -= len(chunk)
+        raise IndexError("EntryChunks index out of range")
+
+
+def distinct_rows(
+    chunk_lists: Sequence[Sequence[GeometryColumn]],
+) -> tuple[GeometryColumn, list[np.ndarray]]:
+    """The distinct rows that several keys' column chunks slice, as one
+    column, and each key's rows in it (its chunks' rows, in order).
+
+    A row is its buffer and base row (:meth:`GeometryColumn.packed_rows`),
+    never its payload: the same row routed to several keys is one row,
+    and two rows that share a payload stay two.
+    """
+    # Every buffer's rows get one key range, in order of first sight.
+    starts: dict[int, int] = {}
+    sources, bases, offsets, tile_ends = [], [], [], []
+    end = rows = 0
+    for chunks in chunk_lists:
+        for chunk in chunks:
+            data, base = chunk.packed_rows()
+            start = starts.get(id(data))
+            if start is None:
+                start = starts[id(data)] = end
+                sources.append((chunk, start))
+                end += data.count
+            bases.append(base)
+            offsets.append(start)
+            rows += len(base)
+        tile_ends.append(rows)
+    keys = np.concatenate(bases) + np.repeat(offsets, [len(base) for base in bases])
+    seen = np.zeros(end, dtype=bool)
+    seen[keys] = True
+    distinct = np.flatnonzero(seen)
+    cuts = np.searchsorted(distinct, [start for _, start in sources] + [end]).tolist()
+    column = GeometryColumn.concat(
+        [
+            chunk.take_packed(distinct[lo:hi] - start)
+            for (chunk, start), lo, hi in zip(sources, cuts, cuts[1:])
+        ]
+    )
+    return column, np.split((np.cumsum(seen) - 1)[keys], tile_ends[:-1])

@@ -596,6 +596,11 @@ class GeometryColumn:
             sel = self._sel[sel]
         return GeometryColumn(self._data, self._payloads, sel)
 
+    def take_packed(self, rows) -> "GeometryColumn":
+        """Select rows by where they live in the shared buffer set — the
+        positions :meth:`packed_rows` reports — whatever this view selects."""
+        return GeometryColumn(self._data, self._payloads, np.asarray(rows, dtype=np.int64))
+
     def slice(self, start: int, stop: int) -> "GeometryColumn":
         if self._sel is not None:
             return GeometryColumn(self._data, self._payloads, self._sel[start:stop])
@@ -629,10 +634,13 @@ class GeometryColumn:
             bbox = bbox[self._sel]
         return bbox[:, 0], bbox[:, 1], bbox[:, 2], bbox[:, 3]
 
-    def packed_rows(self, rows: np.ndarray) -> tuple[_ColumnData, np.ndarray]:
-        """The shared buffer set and where in it view rows ``rows`` live —
-        what a kernel reading ``coords / rings / parts / geoms`` takes."""
-        return self._data, rows if self._sel is None else self._sel[rows]
+    def packed_rows(self, rows: np.ndarray | None = None) -> tuple[_ColumnData, np.ndarray]:
+        """The shared buffer set and where in it view rows ``rows`` (every
+        row for ``None``) live — what a kernel reading ``coords / rings /
+        parts / geoms`` takes."""
+        if self._sel is None:
+            return self._data, np.arange(len(self)) if rows is None else rows
+        return self._data, self._sel if rows is None else self._sel[rows]
 
     def point_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(positions, xs, ys)`` for the non-empty point rows.

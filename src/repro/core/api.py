@@ -32,12 +32,10 @@ from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column, refuse_wkt_row
 from repro.core.operators import SpatialOperator
 from repro.core.probe import (
-    BroadcastIndex,
     PreparedBuild,
     cached_index,
     gather,
     index_cache_key,
-    join_tile,
     naive_spatial_join,
 )
 from repro.errors import ReproError
@@ -821,9 +819,8 @@ def _dual_tree_join(left_column, right_column, op, cfg, model, query):
     with tracer.span("build", category="phase"):
         build = PreparedBuild(right_column, op, cfg.radius, cfg.engine)
         probes = left_column.non_empty()
-        left_tree, right_tree = STRtree(), STRtree()
-        left_tree.bulk_load_arrays(range(len(probes)), *probes.bounds())
-        right_tree.bulk_load_arrays(range(len(build)), *build._column.bounds())
+        left_tree = STRtree.from_bounds(probes.bounds())
+        right_tree = STRtree.from_bounds(build._column.bounds())
     if query is not None:
         build_metrics = TaskMetrics()
         build_metrics.add(Resource.INDEX_BUILD, float(len(left_tree) + len(right_tree)))
@@ -928,35 +925,36 @@ def _partitioned_join_local(
     tiles = partitioning
 
     shuffle_metrics = TaskMetrics() if query is not None else None
-    # Each tile gets zero-copy slices (row-index arrays into the shared
-    # buffers) of the whole-side columns.  The build side's payloads are
-    # whole (id, geometry) pairs, so the owner rule can route a match.
-    build_column = GeometryColumn.from_entries(
-        (pair, pair[1]) for pair in right_column.entries()
-    )
+    # The build side is prepared once; a tile's rows on either side are
+    # row-index arrays into the whole-side columns.
+    build = PreparedBuild(right_column, op, cfg.radius, cfg.engine)
     with tracer.span("route", category="phase"):
         left_rows_by_tile = _route_side(tiles, left_column, 0.0, shuffle_metrics)
-        right_rows_by_tile = _route_side(tiles, build_column, expand, shuffle_metrics)
+        right_rows_by_tile = _route_side(tiles, build._column, expand, shuffle_metrics)
     if shuffle_metrics is not None:
         _add_stage(query, "shuffle", [shuffle_metrics], model)
+    left_ids, right_ids = left_column.payloads(), build._column.payloads()
+
+    def probe(tile_ids):
+        return build.probe_tiles(
+            [right_rows_by_tile[tile_id] for tile_id in tile_ids],
+            [left_column.take(left_rows_by_tile[tile_id]) for tile_id in tile_ids],
+            tiles, tile_ids,
+        )
+
+    probed = {}
 
     def tile_task(tile_id):
         """Index-join one tile, owner-rule deduped — the partitioned
         join's task granularity, the unit the executors pool fans out."""
 
         def join():
-            index = BroadcastIndex(
-                build_column.take(right_rows_by_tile[tile_id]),
-                op, radius=cfg.radius, engine=cfg.engine,
-            )
+            rows, entries, units = probed.pop(tile_id, None) or probe([tile_id])[0]
             task = TaskMetrics()
-            task.add(Resource.INDEX_BUILD, float(len(index)))
-            tile_pairs, units = join_tile(
-                index, left_column.take(left_rows_by_tile[tile_id]),
-                tiles, tile_id, expand,
-            )
+            task.add(Resource.INDEX_BUILD, float(len(right_rows_by_tile[tile_id])))
             task.add_columns(units)
-            return tile_pairs, task
+            left_rows = left_rows_by_tile[tile_id][rows]
+            return list(zip(gather(left_ids, left_rows), gather(right_ids, entries))), task
 
         return f"tile-{tile_id}", tile_id, join
 
@@ -966,9 +964,14 @@ def _partitioned_join_local(
         tile_id for tile_id in sorted(left_rows_by_tile) if tile_id in right_rows_by_tile
     ]
     events_ctx = _submit_stage(events_query, "join", len(joinable))
+    pool = _dispatch_pool(recovery.runtime, len(joinable))
     with tracer.span("join", category="phase") as span:
+        if pool.is_serial and not recovery.active:
+            # Inline tasks find their tiles probed in one call; a pooled
+            # or fault-injected task probes its own.
+            probed.update(zip(joinable, probe(joinable)))
         for tile_pairs, task in _run_tasks(
-            _dispatch_pool(recovery.runtime, len(joinable)),
+            pool,
             [tile_task(tile_id) for tile_id in joinable],
             model, events_ctx, recovery, "spatial-join:join",
         ):

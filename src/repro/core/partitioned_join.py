@@ -9,8 +9,11 @@ tile they overlap — are suppressed with the owner rule: of the tiles both
 sides of a pair reach, only the lowest-indexed one emits it.
 
 Rows move a block at a time: each scanned partition is routed with one
-batch-router call over its column's bounding boxes, the shuffle carries
-column slices, and each tile probes one concatenated left column.
+batch-router call over its column's bounding boxes and the shuffle carries
+column slices.  The tile stage is a :class:`~repro.spark.rdd.FusedPartitionsRDD`:
+run inline, it prepares the distinct right rows its tiles slice once and
+probes every tile in one :meth:`~repro.core.probe.PreparedBuild.probe_tiles`
+call; under a pool or a fault plan each tile is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.model import Resource
-from repro.columnar.block import RoutedRows, partition_column
+from repro.columnar.block import RoutedRows, distinct_rows, partition_column
+from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
-from repro.core.probe import cached_index, join_tile
+from repro.core.probe import PreparedBuild, gather
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
@@ -28,7 +32,7 @@ from repro.index.partitioner import SortTilePartitioner, SpatialPartitioning, co
 from repro.obs.registry import REGISTRY
 from repro.obs.tracer import get_tracer
 from repro.spark.context import SparkContext
-from repro.spark.rdd import RDD
+from repro.spark.rdd import RDD, FusedPartitionsRDD
 from repro.spark.taskcontext import current_task
 
 __all__ = ["partitioned_spatial_join", "derive_partitioning"]
@@ -141,35 +145,38 @@ def partitioned_spatial_join(
 
     left_routed = left.map_partitions(route_by(0.0))
     right_routed = right.map_partitions(route_by(expand))
-    grouped = left_routed.cogroup(
-        right_routed, num_partitions=max(1, len(tiles))
-    )
+    grouped = left_routed.cogroup(right_routed, num_partitions=max(1, len(tiles)))
 
-    cache = sc.cache
-
-    def tile_task(entry):
-        tile_id, (left_entries, right_entries) = entry
+    def prepare_tile(records):
+        """A reduce partition's tile as ``(tile_id, left chunks, right
+        chunks)``, charged to its task; None unless it has both sides."""
+        records = list(records)
+        if not records:
+            return None
+        # Reduce partition i holds tile i alone: an int key hashes to itself.
+        [(tile_id, (left_entries, right_entries))] = records
         if not left_entries or not right_entries:
             REGISTRY.inc("partitioned.tiles_empty")
-            return []
+            return None
         REGISTRY.inc("partitioned.tiles_joined")
-        # Payload = the whole (id, geometry) pair so duplicate suppression
-        # can route the matched geometry.  The per-tile index is reused
-        # through the cross-query cache when a repeated query routes the
-        # same content to the same tile; INDEX_BUILD is charged either
-        # way, so the simulated cluster cannot tell (pooled workers see a
-        # fork-inherited snapshot of the cache — hits there save worker
-        # wall-clock, and their puts die with the worker process).
-        build_entries = [(pair, pair[1]) for pair in right_entries]
-        index = cached_index(
-            cache, "spark-tile-index", build_entries, operator, radius, engine
-        )
-        task = current_task()
-        task.add(Resource.INDEX_BUILD, len(index))
+        current_task().add(Resource.INDEX_BUILD, len(right_entries))
         # Every block of this shuffle is a column slice, so a side that
         # has rows has them as EntryChunks.
-        pairs, units = join_tile(index, left_entries.column(), tiles, tile_id, expand)
-        task.add_columns(units)
-        return pairs
+        return tile_id, left_entries.chunks, right_entries.chunks
 
-    return grouped.flat_map(tile_task)
+    def run_tiles(blocks):
+        """Probe every tile of ``blocks`` against one prepared build side."""
+        joined = [tile for tile in blocks if tile is not None]
+        if joined:
+            build_column, tile_rows = distinct_rows([right for _, _, right in joined])
+            build = PreparedBuild(build_column, operator, radius, engine)
+            right_ids = build_column.payloads()
+            lefts = [GeometryColumn.concat(left) for _, left, _ in joined]
+            probed = build.probe_tiles(tile_rows, lefts, tiles, [t for t, _, _ in joined])
+            found = iter(
+                (list(zip(gather(left.payloads(), rows), gather(right_ids, entries))), units)
+                for left, (rows, entries, units) in zip(lefts, probed)
+            )
+        return [([], {}) if tile is None else next(found) for tile in blocks]
+
+    return FusedPartitionsRDD(grouped, prepare_tile, run_tiles)

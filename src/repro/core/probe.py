@@ -34,6 +34,7 @@ from repro.geometry.point import Point
 from repro.geometry.algorithms import distance as distance_mod
 from repro.geometry.algorithms import predicates
 from repro.geometry.algorithms.pairwise import PAIR_TYPES, intersects_pairs
+from repro.index.partitioner import SpatialPartitioning
 from repro.index.rtree import STRtree
 from repro.obs.registry import REGISTRY
 from repro.core.operators import SpatialOperator
@@ -44,7 +45,6 @@ __all__ = [
     "cached_index",
     "gather",
     "index_cache_key",
-    "join_tile",
     "naive_spatial_join",
     "refine_pair",
 ]
@@ -130,9 +130,10 @@ class PreparedBuild:
         self.handles = [self.engine.prepare(geometry) for geometry in self._geometries]
         self.build_entries = len(kept)
         self.build_vertex_total = int(kept.num_points_array().sum())
-        # Whether the Intersects pair kernel can answer for these rows.
-        self._intersects_pairs = operator is SpatialOperator.INTERSECTS and bool(
-            PAIR_TYPES[kept.types_array()].all()
+        # Under Intersects, which rows are of the pair kernel's types; it
+        # answers for a build side only when all of its rows are.
+        self._pair_typed = (
+            PAIR_TYPES[kept.types_array()] if operator is SpatialOperator.INTERSECTS else None
         )
         # The point pair kernels' view of the build side: the engine's
         # handle tables, packed by the first probe that needs them (so a
@@ -145,7 +146,7 @@ class PreparedBuild:
         return self.build_entries
 
     def refine_candidates(
-        self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray
+        self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray, kernel_builds=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The exact predicate for candidate pair ``k`` — ``column`` row
         ``rows[k]`` against build row ``entries[k]``: ``(hit, vertex_ops,
@@ -160,7 +161,9 @@ class PreparedBuild:
         * a LineString / Polygon / MultiLineString / MultiPolygon probe
           under Intersects, over a build side of those types:
           :func:`~repro.geometry.algorithms.pairwise.intersects_pairs`,
-          which charges nothing;
+          which charges nothing.  The build side is every row, unless
+          ``kernel_builds`` says per pair whether its own build side (a
+          tile's rows) is;
         * any other pair: :func:`refine_pair`, charged the engine
           counters' advance over that one call; the distinct probe rows
           with such a pair are counted in ``probe.scalar_rows``.
@@ -168,7 +171,7 @@ class PreparedBuild:
         The kernels take ``_REFINE_BLOCK_PAIRS`` pairs a call.
         """
         n = len(rows)
-        covered, refine = self._pair_kernel(column, rows, entries)
+        covered, refine = self._pair_kernel(column, rows, entries, kernel_builds)
         if covered is None and n <= _REFINE_BLOCK_PAIRS:
             return refine(rows, entries)
         hit = np.zeros(n, dtype=bool)
@@ -197,7 +200,7 @@ class PreparedBuild:
                 alloc[k] = counters.allocations - alloc_before
         return hit, vertex, alloc
 
-    def _pair_kernel(self, column: GeometryColumn, rows: np.ndarray, entries: np.ndarray):
+    def _pair_kernel(self, column: GeometryColumn, rows, entries, kernel_builds):
         """``(covered, refine)`` for candidate pairs against ``column``:
         which pairs a pair kernel answers — a mask, ``None`` when it is
         every pair — and ``refine(rows, entries)``, that kernel over pair
@@ -209,9 +212,10 @@ class PreparedBuild:
             kernel_rows = types == _POINT_CODE
             if not self._all_tabled:
                 tabled = self._point_tables.tabled[entries]
-        elif self._intersects_pairs:
+        elif self._pair_typed is not None and (kernel_builds is not None or self._pair_typed.all()):
             refine = partial(self._refine_intersects, column)
             kernel_rows = PAIR_TYPES[types]
+            tabled = kernel_builds
         else:
             return np.zeros(len(rows), dtype=bool), None
         covered = None if kernel_rows.all() else kernel_rows[rows]
@@ -253,6 +257,61 @@ class PreparedBuild:
         hit = intersects_pairs(*column.packed_rows(rows), *self._column.packed_rows(entries))
         return hit, free, free
 
+    def _unit_columns(self, n: int, probes, visits, hit, vertex, alloc) -> dict[str, np.ndarray]:
+        """:meth:`BroadcastIndex.probe_pairs`' unit columns of ``n`` rows,
+        from their candidates' rows, visits and refinement."""
+        units = {
+            Resource.INDEX_VISIT: visits.astype(np.float64),
+            Resource.ROWS_OUT: np.bincount(probes[hit], minlength=n).astype(np.float64),
+        }
+        for resource, charged in (
+            (self._vertex_resource, vertex), (Resource.REFINE_ALLOC, alloc)
+        ):
+            if charged.any():
+                units[resource] = np.bincount(probes, weights=charged, minlength=n)
+        return units
+
+    def probe_tiles(
+        self, tile_rows: Sequence[np.ndarray], columns: Sequence[GeometryColumn],
+        tiles: SpatialPartitioning, tile_ids: Sequence[int],
+    ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
+        """The partitioned join's tile stage in one call.
+
+        Tile ``tile_ids[i]`` probes the routed (so non-empty) rows of
+        ``columns[i]`` as a :class:`BroadcastIndex` over build rows
+        ``tile_rows[i]`` would — same tree, candidate order and
+        ``INDEX_VISIT`` — but every tile's candidates are refined in one
+        :meth:`refine_candidates` call, then ``tiles.owned_pairs`` drops
+        the pairs another tile emits.  Returns one ``(rows, entries,
+        units)`` per tile, as :meth:`BroadcastIndex.probe_blocks` does;
+        ``units`` charge every match, owned or not.
+        """
+        if not columns:
+            return []
+        cuts = np.cumsum([0] + [len(column) for column in columns]).tolist()
+        column = GeometryColumn.concat(columns)
+        left_bounds, build_bounds = column.bounds(), self._column.bounds()
+        found = []
+        for rows, start, stop in zip(tile_rows, cuts, cuts[1:]):
+            tree = STRtree.from_bounds([bound[rows] for bound in build_bounds], self.radius)
+            probes, entries, visits = tree._query_batch_arrays(
+                *(bound[start:stop] for bound in left_bounds)
+            )
+            found.append((probes + start, rows[entries], visits))
+        probes, entries, visits = map(np.concatenate, zip(*found))
+        row_tiles = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+        kernel_builds = None
+        if self._pair_typed is not None and not self._pair_typed.all():
+            # A tile takes the Intersects pair kernel when its own rows do.
+            tiles_typed = np.array([bool(self._pair_typed[rows].all()) for rows in tile_rows])
+            kernel_builds = tiles_typed[row_tiles[probes]]
+        refined = self.refine_candidates(column, probes, entries, kernel_builds=kernel_builds)
+        units = self._unit_columns(len(column), probes, visits, *refined)
+        rows, entries = probes[refined[0]], entries[refined[0]]
+        pair_tiles = np.asarray(tile_ids, dtype=np.int64)[row_tiles[rows]]
+        keep = tiles.owned_pairs(left_bounds, rows, pair_tiles, build_bounds, entries, self.radius)
+        return _cut_blocks(cuts, rows[keep], entries[keep], units)
+
 
 class BroadcastIndex(PreparedBuild):
     """The broadcast build side: an STR-tree over prepared geometries.
@@ -281,15 +340,7 @@ class BroadcastIndex(PreparedBuild):
         kept = self._column
         # Tree entry k's payload, for the candidate arrays.
         self._entry_payloads = kept.payloads()
-        self._tree: STRtree = STRtree(node_capacity=node_capacity)
-        min_x, min_y, max_x, max_y = kept.bounds()
-        radius = self.radius
-        # Same IEEE ops as Envelope.expand_by (x - 0.0 == x bitwise).
-        self._tree.bulk_load_arrays(
-            range(len(kept)),
-            min_x - radius, min_y - radius, max_x + radius, max_y + radius,
-        )
-        self._tree.build()
+        self._tree = STRtree.from_bounds(kept.bounds(), self.radius, node_capacity)
         self._node_capacity = node_capacity
 
     def __reduce__(self):
@@ -391,18 +442,9 @@ class BroadcastIndex(PreparedBuild):
             min_x = np.where(live, min_x, np.inf)
             max_x = np.where(live, max_x, -np.inf)
         probes, entries, visits = self._tree._query_batch_arrays(min_x, min_y, max_x, max_y)
-        hit, vertex, alloc = self.refine_candidates(column, probes, entries)
-        rows = probes[hit]
-        units = {
-            Resource.INDEX_VISIT: visits.astype(np.float64),
-            Resource.ROWS_OUT: np.bincount(rows, minlength=n).astype(np.float64),
-        }
-        for resource, charged in (
-            (self._vertex_resource, vertex), (Resource.REFINE_ALLOC, alloc)
-        ):
-            if charged.any():
-                units[resource] = np.bincount(probes, weights=charged, minlength=n)
-        return rows, entries[hit], units
+        refined = self.refine_candidates(column, probes, entries)
+        hit = refined[0]
+        return probes[hit], entries[hit], self._unit_columns(n, probes, visits, *refined)
 
     def probe_blocks(
         self, columns: Sequence[GeometryColumn]
@@ -418,21 +460,7 @@ class BroadcastIndex(PreparedBuild):
         or allocation column only when one of its rows is charged one.
         """
         cuts = np.cumsum([0] + [len(column) for column in columns]).tolist()
-        rows, entries, units = self.probe_pairs(GeometryColumn.concat(columns))
-        pair_cuts = np.searchsorted(rows, cuts).tolist()
-        blocks = []
-        for i in range(len(columns)):
-            start, stop = cuts[i], cuts[i + 1]
-            lo, hi = pair_cuts[i], pair_cuts[i + 1]
-            block_units = {}
-            if stop > start:
-                block_units = {
-                    resource: column[start:stop]
-                    for resource, column in units.items()
-                    if resource in _DENSE_UNITS or column[start:stop].any()
-                }
-            blocks.append((rows[lo:hi] - start, entries[lo:hi], block_units))
-        return blocks
+        return _cut_blocks(cuts, *self.probe_pairs(GeometryColumn.concat(columns)))
 
     def entry_payloads(self, entries: np.ndarray) -> list[Any]:
         """The payloads of build rows ``entries``, in that order."""
@@ -500,62 +528,23 @@ def cached_index(
     return index
 
 
-def join_tile(
-    index: BroadcastIndex,
-    left: Sequence[tuple[Any, Geometry]] | GeometryColumn,
-    tiles,
-    tile_id: int,
-    expand: float,
-) -> tuple[list[tuple[Any, Any]], dict[str, np.ndarray]]:
-    """Probe one tile's left rows; keep only the pairs this tile owns.
-
-    ``index`` holds the tile's right side with whole ``(id, geometry)``
-    pairs as payloads, so a matched geometry can be routed; ``left`` is
-    the tile's left rows, ids as payloads — a column, or entries that are
-    packed here.  Owner rule: a replicated pair is produced in every tile
-    both sides reach, and only the lowest-indexed common tile emits it
-    (this tile, should they share none), so results carry no duplicates
-    and lose no pair.  The left rows' tile sets come from one
-    batch-router call; a row in a single tile — almost every point — is
-    decided by that alone, and the build geometries matched by multi-tile
-    rows are routed together, once each.  Returns the owned pairs and the
-    probe's unit columns (:meth:`BroadcastIndex.probe_pairs`'), which the
-    tile's task adds with ``TaskMetrics.add_columns``.
-    """
-    if not isinstance(left, GeometryColumn):
-        left = GeometryColumn.from_entries(left)
-    rows, entries, units = index.probe_pairs(left)
-    left_rows, left_tiles = tiles.route_rows(*left.bounds())
-    reached = np.bincount(left_rows, minlength=len(left))
-    first = np.cumsum(reached) - reached
-    # A single-tile row's owner is that tile, whatever it matched.
-    owner = np.full(len(left), -1, dtype=np.int64)
-    single = reached == 1
-    owner[single] = left_tiles[first[single]]
-    keep = owner[rows] == tile_id
-    shared = np.flatnonzero(reached[rows] > 1)
-    if len(shared):
-        # Pairs of rows in several tiles need each match's tile set too:
-        # route the build geometries they matched together, once each.
-        row_tiles = {
-            row: set(left_tiles[first[row] : first[row] + reached[row]].tolist())
-            for row in set(rows[shared].tolist())
+def _cut_blocks(
+    cuts: list[int], rows: np.ndarray, entries: np.ndarray, units: dict[str, np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
+    """Pairs grouped by ascending row, and per-row unit columns, cut into
+    the blocks of rows ``cuts[i]:cuts[i + 1]``: one ``(rows, entries,
+    units)`` per block, rows numbered within it.  A cut keeps a vertex or
+    allocation column only when one of its rows is charged one."""
+    pair_cuts = np.searchsorted(rows, cuts).tolist()
+    blocks = []
+    for start, stop, lo, hi in zip(cuts, cuts[1:], pair_cuts, pair_cuts[1:]):
+        block_units = {
+            resource: column[start:stop]
+            for resource, column in units.items()
+            if stop > start and (resource in _DENSE_UNITS or column[start:stop].any())
         }
-        matched = list(set(entries[shared].tolist()))
-        match_tiles: dict[int, set[int]] = {entry: set() for entry in matched}
-        positions, reached_tiles = tiles.route_envelopes(
-            (index._entry_payloads[entry][1].envelope for entry in matched),
-            expand=expand,
-        )
-        for position, tile in zip(positions.tolist(), reached_tiles.tolist()):
-            match_tiles[matched[position]].add(tile)
-        for k, row, entry in zip(
-            shared.tolist(), rows[shared].tolist(), entries[shared].tolist()
-        ):
-            common = row_tiles[row] & match_tiles[entry]
-            keep[k] = (min(common) if common else tile_id) == tile_id
-    right_ids = [right_id for right_id, _ in index.entry_payloads(entries[keep])]
-    return list(zip(gather(left.payloads(), rows[keep]), right_ids)), units
+        blocks.append((rows[lo:hi] - start, entries[lo:hi], block_units))
+    return blocks
 
 
 def naive_spatial_join(

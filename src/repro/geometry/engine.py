@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.base import Geometry
+from repro.geometry.envelope import Envelope
 from repro.geometry.linestring import LineString
 from repro.geometry.multi import MultiLineString, MultiPolygon
 from repro.geometry.point import Point
@@ -376,12 +377,17 @@ def _parts_of(handle, part_type: type, spec):
     return None
 
 
+def _bounds(envelope: Envelope) -> tuple[float, float, float, float]:
+    """An envelope's four floats (``dataclasses.astuple`` deep-copies them)."""
+    return envelope.min_x, envelope.min_y, envelope.max_x, envelope.max_y
+
+
 def _strip_spec(polygon: PreparedPolygon) -> tuple:
     return (
         polygon._batch_tables(),
         polygon._y_min,
         polygon._strip_height,
-        astuple(polygon.envelope),
+        _bounds(polygon.envelope),
         polygon.edge_count,
     )
 
@@ -390,7 +396,7 @@ def _segment_spec(line: PreparedLineString) -> tuple:
     starts, deltas = line._starts, line._deltas
     return (
         starts[:, 0], starts[:, 1], deltas[:, 0], deltas[:, 1], line._seg_len_sq,
-        astuple(line.envelope), 0,
+        _bounds(line.envelope), 0,
     )
 
 
@@ -747,7 +753,7 @@ def _churn_strip_spec(polygon: Polygon) -> tuple:
 
 
 def _churn_segment_spec(line: LineString) -> tuple:
-    return *_churn_tables(line), astuple(line.envelope), len(line.coords)
+    return *_churn_tables(line), _bounds(line.envelope), len(line.coords)
 
 
 def _polygon_tables(polygon: Polygon) -> tuple:

@@ -7,7 +7,7 @@ node's memory.  A partitioner derives a set of tile envelopes from a
 sample, after which both sides are routed to every tile their envelope
 overlaps and joined tile-by-tile (with duplicates suppressed by the owner
 rule: of the tiles both sides of a pair reach, only the lowest-indexed
-one emits it — see :func:`repro.core.probe.join_tile`).
+one emits it — see :meth:`SpatialPartitioning.owned_pairs`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import SpatialIndexError
+from repro.geometry.algorithms.pairwise import _ranges
 from repro.geometry.envelope import Envelope, bounds_rows
 
 __all__ = [
@@ -131,6 +132,58 @@ class SpatialPartitioning:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(rows_out), np.concatenate(tiles_out)
 
+    def owned_pairs(
+        self,
+        left_bounds: Sequence[np.ndarray],
+        rows: np.ndarray,
+        pair_tiles: np.ndarray,
+        build_bounds: Sequence[np.ndarray],
+        entries: np.ndarray,
+        expand: float,
+    ) -> np.ndarray:
+        """The owner rule of a multi-assignment join: which matches their
+        tile emits.
+
+        Match ``k`` pairs left row ``rows[k]`` with build row
+        ``entries[k]`` in tile ``pair_tiles[k]``; the rows' boxes are
+        ``left_bounds`` and ``build_bounds`` (``(min_x, min_y, max_x,
+        max_y)`` arrays), a build row's grown by ``expand`` as it was
+        routed.  A replicated pair is produced in every tile both sides
+        reach, and only the lowest-indexed common tile emits it (the
+        producing tile, should they share none), so results carry no
+        duplicates and lose no pair.  A left row in a single tile — almost
+        every point — is owned there whatever it matched; the build rows
+        matched by multi-tile rows are routed together, once each.
+        """
+        left_rows, left_tiles = self.route_rows(*left_bounds)
+        reached = np.bincount(left_rows, minlength=len(left_bounds[0]))
+        first = np.cumsum(reached) - reached
+        keep = reached[rows] == 1
+        keep[keep] = left_tiles[first[rows[keep]]] == pair_tiles[keep]
+        shared = np.flatnonzero(reached[rows] > 1)
+        if not len(shared):
+            return keep
+        # Each shared match against each tile its left row reaches, tiles
+        # ascending: the first that the build row reaches too is the owner.
+        matched = np.zeros(len(build_bounds[0]), dtype=bool)
+        matched[entries[shared]] = True
+        slot = np.cumsum(matched) - 1
+        match_rows, match_tiles = self.route_rows(
+            *(bound[matched] for bound in build_bounds), expand=expand
+        )
+        # (slot, tile) keys, ascending: slots ascending, each one's tiles too.
+        reach_keys = match_rows * len(self.tiles) + match_tiles
+        match, offset = _ranges(reached[rows[shared]])
+        candidates = left_tiles[first[rows[shared]][match] + offset]
+        keys = slot[entries[shared]][match] * len(self.tiles) + candidates
+        at = np.minimum(np.searchsorted(reach_keys, keys), len(reach_keys) - 1)
+        common = np.flatnonzero(reach_keys[at] == keys)
+        lowest = common[np.diff(match[common], prepend=-1) != 0]
+        owner = pair_tiles[shared]
+        owner[match[lowest]] = candidates[lowest]
+        keep[shared] = owner == pair_tiles[shared]
+        return keep
+
     def _nearest_tile(self, envelope: Envelope) -> int:
         """The tile nearest an envelope that overlaps none, ties to the
         lowest index.  Stays on ``Envelope.distance``: ``np.hypot`` and
@@ -201,7 +254,7 @@ def reference_point_in(pair_envelope: Envelope, tile: Envelope) -> bool:
     point* (the envelope-intersection's lower-left corner) reports it.
 
     No production caller: the joins dedupe with the lowest-common-tile
-    owner rule (:func:`repro.core.probe.join_tile`); kept for its tests.
+    owner rule (:meth:`SpatialPartitioning.owned_pairs`); kept for its tests.
     """
     if pair_envelope.is_empty or tile.is_empty:
         return False

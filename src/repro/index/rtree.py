@@ -116,6 +116,19 @@ class STRtree(Generic[T]):
                 [item for item, _ in entries], *bounds_rows(env for _, env in entries)
             )
 
+    @classmethod
+    def from_bounds(cls, bounds, expand: float = 0.0, node_capacity: int = 10) -> "STRtree":
+        """The built tree whose entry ``k`` is row ``k`` of the ``(min_x,
+        min_y, max_x, max_y)`` arrays ``bounds``, each box grown by
+        ``expand`` as ``Envelope.expand_by`` grows it (``x - 0.0 == x``)."""
+        min_x, min_y, max_x, max_y = bounds
+        tree = cls(node_capacity=node_capacity)
+        tree.bulk_load_arrays(
+            range(len(min_x)), min_x - expand, min_y - expand, max_x + expand, max_y + expand
+        )
+        tree.build()
+        return tree
+
     def insert(self, item: T, envelope: Envelope) -> None:
         """Add an entry; only legal before the first query (STR is static)."""
         self.bulk_load_arrays([item], *bounds_rows([envelope]))

@@ -165,6 +165,30 @@ class TestBlockGrouping:
         assert chunks.column().payloads() == [0, 1, 2, 3, 4, 5]
         assert list(pickle.loads(pickle.dumps(chunks))) == entries
 
+    def test_entry_chunks_index_like_their_list(self, monkeypatch):
+        entries = [(i, Point(i, -i)) for i in range(7)]
+        column = GeometryColumn.from_entries(entries)
+        chunks = EntryChunks()
+        chunks.chunks += [column.take([0, 1, 2]), column.take([]), column.take([3]),
+                          column.take([4, 5, 6])]
+        listed = list(chunks)
+        for i in range(-7, 7):
+            assert chunks[i] == listed[i]
+        assert chunks[np.int64(4)] == listed[4]
+        for bounds in [(None, None, None), (1, 5, None), (-3, None, None), (None, None, -1),
+                       (6, 0, -2), (2, 100, 3), (5, 2, None)]:
+            assert chunks[slice(*bounds)] == listed[slice(*bounds)]
+        for outside in (7, -8, 100):
+            with pytest.raises(IndexError):
+                chunks[outside]
+        # One index builds one entry, not every entry of the key.
+        built = []
+        entry = GeometryColumn.entry
+        monkeypatch.setattr(
+            GeometryColumn, "entry", lambda self, i: (built.append(i), entry(self, i))[1]
+        )
+        assert chunks[5] == entries[5] and len(built) == 1
+
 
 class TestCogroupTakesBlocksWhole:
     def cogroup(self, left_partitions, right):

@@ -14,11 +14,12 @@ import pytest
 
 from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import ClusterSpec
+from repro.columnar import GeometryColumn
 from repro.core.api import JoinConfig, spatial_join
 from repro.core.broadcast_join import broadcast_spatial_join
 from repro.core.operators import SpatialOperator
 from repro.core.partitioned_join import derive_partitioning, partitioned_spatial_join
-from repro.core.probe import BroadcastIndex, join_tile, naive_spatial_join
+from repro.core.probe import BroadcastIndex, PreparedBuild, naive_spatial_join
 from repro.errors import ReproError
 from repro.geometry import LineString, Point, Polygon
 from repro.geometry.envelope import Envelope
@@ -150,13 +151,18 @@ class TestOwnerRuleTileJoin:
             set(tiles.route(street[1].envelope)) & set(tiles.route(district[1].envelope))
         )
         assert len(common) >= 3  # the pair really is replicated
-        index = BroadcastIndex(
-            [(district, district[1])], SpatialOperator.INTERSECTS
-        )
+        build = PreparedBuild([district], SpatialOperator.INTERSECTS)
+        # The street probed in every common tile, in one call.
         emitted = [
-            join_tile(index, [street], tiles, tile_id, 0.0)[0] for tile_id in common
+            (rows.tolist(), entries.tolist())
+            for rows, entries, _ in build.probe_tiles(
+                [np.zeros(1, dtype=np.int64)] * len(common),
+                [GeometryColumn.from_entries([street])] * len(common),
+                tiles,
+                common,
+            )
         ]
-        assert emitted == [[("street", "district")]] + [[]] * (len(common) - 1)
+        assert emitted == [([0], [0])] + [([], [])] * (len(common) - 1)
         left = filler + [street]
         config = JoinConfig(method="partitioned", operator="intersects")
         sc = SparkContext(ClusterSpec(2, 2))
