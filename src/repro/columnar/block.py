@@ -12,9 +12,9 @@ more shapes, one per hop of a keyed geometry shuffle:
 
 Each still iterates as the ``(key, (id, geometry))`` records (or
 ``(id, geometry)`` values) it stands for — original objects while
-in-process — so generic operators are oblivious; pickling a block for a
-spawn-style pool ships the compact binary encoding of its selected rows
-instead of an object graph.
+in-process — so generic operators are oblivious; pickling a block (a pool
+worker shipping a map task's buckets home) ships the compact binary
+encoding of its selected rows instead of an object graph.
 
 ``charge_bytes`` is the exact total the per-record ``estimate_bytes``
 walk would have produced — the simulated ``SHUFFLE_BYTES`` charges stay

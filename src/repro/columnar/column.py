@@ -766,7 +766,7 @@ class GeometryColumn:
         return cls(data, payloads)
 
     def __reduce__(self):
-        # Pickling a column (pool payloads, spawn shipping, shuffle blobs)
+        # Pickling a column (pool workers' results, shuffle blobs)
         # automatically ships the compact binary encoding, decoded once on
         # the receiving side.
         return (GeometryColumn.from_bytes, (self.to_bytes(),))

@@ -16,7 +16,6 @@ the optimizer's :class:`~repro.optimizer.PlanChoice` and the sampled
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
@@ -43,16 +42,18 @@ from repro.geometry.base import Geometry
 from repro.index.rtree import STRtree
 from repro.obs.events import (
     EventLog,
+    emit_query_end,
+    emit_query_start,
+    emit_stage_submitted,
     emit_task_end,
     emit_task_start,
-    get_event_log,
     install_event_log,
 )
 from repro.obs.tracer import NULL_SPAN, get_tracer
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.pool import SerialBackend, make_pool
-from repro.runtime.recovery import RecoveryContext, run_tasks
-from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
+from repro.runtime.dispatch import run_tasks, runs_inline
+from repro.runtime.pool import make_pool
+from repro.runtime.recovery import RecoveryContext
 
 __all__ = ["spatial_join", "spatial_join_pairs", "JoinConfig", "JoinResult"]
 
@@ -463,16 +464,7 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
         if cfg.profile or cfg.explain == "analyze"
         else None
     )
-    log = get_event_log()
-    events_query = log.next_id("query") if log.enabled else None
-    if events_query is not None:
-        log.emit(
-            "QueryStart",
-            query=events_query,
-            name="spatial-join",
-            engine="core",
-            wall_start=time.perf_counter(),
-        )
+    events_query = emit_query_start("spatial-join", "core")
 
     if query is not None:
         parse_metrics = TaskMetrics()
@@ -528,15 +520,10 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
     else:  # pragma: no cover - guarded by JoinConfig's _METHODS check
         raise ReproError(f"unhandled method {method!r}")
 
-    if events_query is not None:
-        log.emit(
-            "QueryEnd",
-            query=events_query,
-            name="spatial-join",
-            sim_seconds=query.simulated_seconds if query is not None else None,
-            rows=len(pairs),
-            wall_end=time.perf_counter(),
-        )
+    emit_query_end(
+        events_query, "spatial-join",
+        query.simulated_seconds if query is not None else None, len(pairs),
+    )
 
     profile_obj = None
     if query is not None:
@@ -662,87 +649,39 @@ def _phase(query, name: str):
     return get_tracer().span(name, category="phase")
 
 
-def _dispatch_pool(runtime: RuntimeConfig, num_tasks: int):
-    """The pool probe chunks and tile joins are dispatched through.
+def _framed(model, events, task_index, label, partition, body):
+    """``body`` between its TaskStart / TaskEnd events (with the event log
+    on; ``body`` itself otherwise)."""
+    if events[1] is None:  # the event log is off
+        return body
+    ids = (*events, task_index)
 
-    Real workers need more than one task and fork-style closure dispatch
-    (the index rides into workers free); otherwise an inline
-    :class:`SerialBackend` runs the same thunks on the driver, so serial,
-    pooled and fault-injected runs share one code path.
+    def framed():
+        emit_task_start(ids, partition, label)
+        pairs, task = body()
+        emit_task_end(ids, partition, label, task.seconds(model), task.counts)
+        return pairs, task
+
+    return framed
+
+
+def _run_stage(pool, tasks, model, events, recovery, scope):
+    """Run ``(label, partition, body)`` tasks as one stage; returns each
+    body's ``(pairs, TaskMetrics)`` in task order.  ``events`` is the
+    stage's ``(query, stage)`` event ids (``None`` ids with the log off).
+
+    Pure fan-out: a body reads the (fork-inherited) index and its slice
+    of the inputs, and :func:`~repro.runtime.dispatch.run_tasks` decides
+    where it runs and brings its observability side effects home.
     """
-    pool = make_pool(runtime.executors)
-    if num_tasks < 2 or pool.is_serial or not pool.supports_closures:
-        return SerialBackend()
-    return pool
-
-
-def _submit_stage(events_query, name: str, num_tasks: int):
-    """Emit StageSubmitted; returns the tasks' ``(query, stage)`` event
-    context, or None with the event log off."""
-    log = get_event_log()
-    if events_query is None or not log.enabled:
-        return None
-    events_stage = log.next_id("stage")
-    log.emit(
-        "StageSubmitted",
-        query=events_query,
-        stage=events_stage,
-        name=name,
-        num_tasks=num_tasks,
-    )
-    return (events_query, events_stage)
-
-
-def _run_tasks(pool, tasks, model, events_ctx, recovery, scope):
-    """Run ``(label, partition, body)`` tasks on ``pool``; returns each
-    body's ``(pairs, TaskMetrics)`` in task order.
-
-    Pure fan-out: a body reads the (fork-inherited) index and its slice of
-    the inputs; what it does to observability state — registry counters,
-    and with the event log on (``events_ctx`` is a ``(query, stage)``
-    pair) its TaskStart / TaskEnd frame — goes into an
-    :class:`ObsCapture` whenever the task runs in a worker, may be
-    discarded (a fault plan is active) or emits events.  The capture
-    ships back with its result and is replayed here in task order —
-    workers never write the driver's registry or sink, and a losing
-    speculative attempt's capture is simply dropped.  With a fault plan
-    active the same thunks run under
-    :func:`~repro.runtime.recovery.run_recovered`.
-    """
-    captured = events_ctx is not None or recovery.active or not pool.is_serial
-
-    def make_thunk(task_index, label, partition, body):
-        if not captured:
-            return lambda: (*body(), None)
-        ids = None if events_ctx is None else (*events_ctx, task_index)
-
-        def run_captured():
-            capture = ObsCapture()
-            with capture_observability(capture):
-                if ids is not None:
-                    emit_task_start(ids, partition, label)
-                pairs, task = body()
-                if ids is not None:
-                    emit_task_end(ids, partition, label, task.seconds(model), task.counts)
-            return pairs, task, capture
-
-        return run_captured
-
     results = []
-
-    def absorb(index, shipment):
-        pairs, task, capture = shipment
-        if capture is not None:
-            apply_capture(capture)
-        results.append((pairs, task))
-
     run_tasks(
         pool,
-        [make_thunk(index, *task) for index, task in enumerate(tasks)],
+        [_framed(model, events, index, *task) for index, task in enumerate(tasks)],
         recovery,
-        absorb,
+        lambda index, value: results.append(value),
         scope=scope,
-        events=events_ctx,
+        events=events,
         sim_seconds=lambda index, value: value[1].seconds(model),
     )
     return results
@@ -757,7 +696,7 @@ def _broadcast_join(
     column.  With profiling on, build/probe become exactly-billed stages."""
     left_ids = left_column.payloads()
     starts = range(0, len(left_ids), cfg.batch_size)
-    events_ctx = _submit_stage(events_query, "probe", len(starts))
+    events = (events_query, emit_stage_submitted(events_query, "probe", len(starts)))
 
     build_metrics = TaskMetrics()
     with _phase(query, "build") as span:
@@ -789,10 +728,10 @@ def _broadcast_join(
     pairs: list[tuple[Any, Any]] = []
     probe_metrics = TaskMetrics()
     with _phase(query, "probe") as span:
-        for chunk_pairs, task in _run_tasks(
-            _dispatch_pool(recovery.runtime, len(starts)),
+        for chunk_pairs, task in _run_stage(
+            make_pool(recovery.runtime.executors),
             [chunk_task(task_index, start) for task_index, start in enumerate(starts)],
-            model, events_ctx, recovery, "spatial-join:probe",
+            model, events, recovery, "spatial-join:probe",
         ):
             probe_metrics.merge(task)
             pairs.extend(chunk_pairs)
@@ -963,17 +902,17 @@ def _partitioned_join_local(
     joinable = [
         tile_id for tile_id in sorted(left_rows_by_tile) if tile_id in right_rows_by_tile
     ]
-    events_ctx = _submit_stage(events_query, "join", len(joinable))
-    pool = _dispatch_pool(recovery.runtime, len(joinable))
+    events = (events_query, emit_stage_submitted(events_query, "join", len(joinable)))
+    pool = make_pool(recovery.runtime.executors)
     with tracer.span("join", category="phase") as span:
-        if pool.is_serial and not recovery.active:
+        if runs_inline(pool, len(joinable), recovery):
             # Inline tasks find their tiles probed in one call; a pooled
             # or fault-injected task probes its own.
             probed.update(zip(joinable, probe(joinable)))
-        for tile_pairs, task in _run_tasks(
+        for tile_pairs, task in _run_stage(
             pool,
             [tile_task(tile_id) for tile_id in joinable],
-            model, events_ctx, recovery, "spatial-join:join",
+            model, events, recovery, "spatial-join:join",
         ):
             pairs.extend(tile_pairs)
             tile_tasks.append(task)

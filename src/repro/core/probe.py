@@ -121,8 +121,7 @@ class PreparedBuild:
             else Resource.REFINE_VERTEX_FAST
         )
         kept = column.non_empty()
-        # Retained so pickling (pool shipping, spawn-style broadcast)
-        # moves the compact encoded column instead of the object graph —
+        # Retained so pickling moves the compact encoded column instead of the object graph —
         # the receiver rebuilds an identical index from the buffers — and
         # so the cache can size the index from its buffers.
         self._column = kept

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,14 +47,20 @@ from repro.impala.exprs import TupleDescriptor, compile_expr, vectorize_conjunct
 from repro.impala.rowbatch import BATCH_SIZE, object_column
 from repro.impala.parser import parse
 from repro.impala.planner import PhysicalPlan, Planner
-from repro.obs.events import EventLog, get_event_log, install_event_log
+from repro.obs.events import (
+    EventLog,
+    emit_query_end,
+    emit_query_start,
+    get_event_log,
+    install_event_log,
+)
 from repro.obs.profile import ProfileNode, QueryProfile
 from repro.obs.tracer import get_tracer
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.dispatch import run_tasks
 from repro.runtime.faults import InjectedFaultError
-from repro.runtime.pool import current_worker_id, make_pool, picklable_error
+from repro.runtime.pool import current_worker_id, make_pool
 from repro.runtime.recovery import RecoveryContext, resolve_faults
-from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
 from repro.obs.registry import REGISTRY
 from repro.spark.shuffle import estimate_bytes, values_bytes
 from repro.spark.taskcontext import task_scope
@@ -256,27 +263,13 @@ class ImpalaBackend:
                     breakdown={"planning": self.cost_model.impala_plan_base},
                 )
             with install_event_log(self._event_log):
-                log = get_event_log()
-                self._events_query = log.next_id("query") if log.enabled else None
-                if self._events_query is not None:
-                    log.emit(
-                        "QueryStart",
-                        query=self._events_query,
-                        name="impala-query",
-                        engine="impala",
-                        wall_start=time.perf_counter(),
-                    )
+                self._events_query = emit_query_start("impala-query", "impala")
                 try:
-                    result = self._execute_with_restarts(plan, log)
-                    if self._events_query is not None:
-                        log.emit(
-                            "QueryEnd",
-                            query=self._events_query,
-                            name="impala-query",
-                            sim_seconds=result.simulated_seconds,
-                            rows=len(result),
-                            wall_end=time.perf_counter(),
-                        )
+                    result = self._execute_with_restarts(plan, get_event_log())
+                    emit_query_end(
+                        self._events_query, "impala-query", result.simulated_seconds,
+                        len(result),
+                    )
                 finally:
                     self._events_query = None
             span.add_sim(result.simulated_seconds)
@@ -417,22 +410,31 @@ class ImpalaBackend:
         )
         # One entry per instance: its result columns, ORDER BY keys first.
         instance_columns: list[list[np.ndarray]] = []
-        pool = self.task_pool
-        if pool.is_serial or not pool.supports_closures or len(instances) < 2:
-            for instance in instances:
-                payload = self._run_fragment(
-                    plan, instance, probe_ranges[instance.node_id],
-                    shared_index, residual_eval, fields,
+        # Static binding is preserved by construction: each fragment is
+        # bound to one ``(instance, scan_ranges)`` pair fixed at plan time
+        # — the pool only decides *when* a fragment runs, never *what* it
+        # runs.  Faults were resolved above, so none are drawn here.
+        merged: list[InstanceContext] = []
+
+        def absorb(index, shipment) -> None:
+            instance, (kind, value) = shipment
+            merged.append(instance)
+            (aggregators if kind == "agg" else instance_columns).append(value)
+
+        run_tasks(
+            self.task_pool,
+            [
+                partial(
+                    self._run_fragment, plan, instance,
+                    probe_ranges[instance.node_id], shared_index, residual_eval,
+                    fields,
                 )
-                if payload[0] == "agg":
-                    aggregators.append(payload[1])
-                else:
-                    instance_columns.append(payload[1])
-        else:
-            instances = self._run_fragments_pooled(
-                pool, plan, instances, probe_ranges, shared_index,
-                residual_eval, fields, aggregators, instance_columns,
-            )
+                for instance in instances
+            ],
+            None,
+            absorb,
+        )
+        instances = merged
         # Coordinator: merge, sort, limit, project.
         coordinator_seconds = 0.0
         if plan.aggregate is not None:
@@ -509,15 +511,18 @@ class ImpalaBackend:
     def _run_fragment(
         self, plan, instance, scan_ranges, shared_index, residual_eval, fields,
     ) -> tuple:
-        """Execute one fragment instance; returns its exchange payload.
+        """Execute one fragment instance; returns ``(instance, payload)``.
 
-        ``("agg", partials)`` for aggregated queries (the materialised
-        partial-state pairs the coordinator merges), else ``("rows",
-        columns)``: the ORDER BY keys' and SELECT items' values, one object
-        array per :func:`_result_fields` field.  Runs identically inline
-        (serial path, driver tracer) and inside a pool worker (capture
-        tracer) — the span, charging and byte-accounting arithmetic is
-        shared, which is what keeps the two modes byte-identical.
+        The payload is ``("agg", partials)`` for aggregated queries (the
+        materialised partial-state pairs the coordinator merges), else
+        ``("rows", columns)``: the ORDER BY keys' and SELECT items' values,
+        one object array per :func:`_result_fields` field.  The instance
+        rides along because a pool worker mutates its forked copy (a
+        picklable dataclass of floats and counter dicts).  Runs identically
+        inline (serial path, driver tracer) and inside a pool worker
+        (capture tracer) — the span, charging and byte-accounting
+        arithmetic is shared, which is what keeps the two modes
+        byte-identical.
         """
         log = get_event_log()
         emit_events = log.enabled and self._events_query is not None
@@ -568,57 +573,7 @@ class ImpalaBackend:
                 counters=dict(instance.metrics.counts),
                 row_batches=instance.row_batches,
             )
-        return payload
-
-    def _run_fragments_pooled(
-        self, pool, plan, instances, probe_ranges, shared_index,
-        residual_eval, fields, aggregators, instance_columns,
-    ) -> list[InstanceContext]:
-        """All fragment instances concurrently; returns the mutated contexts.
-
-        Static binding is preserved by construction: each task closes
-        over one ``(instance, scan_ranges)`` pair fixed at plan time —
-        the pool only decides *when* a fragment runs, never *what* it
-        runs.  Workers mutate their forked copy of the InstanceContext
-        and ship it back whole (it is a picklable dataclass of floats and
-        counter dicts); spans and registry increments ride back in an
-        :class:`ObsCapture`, merged here in instance order.
-        """
-
-        def make_task(instance, scan_ranges):
-            def run_fragment():
-                capture = ObsCapture()
-                payload = None
-                error = None
-                with capture_observability(capture):
-                    try:
-                        payload = self._run_fragment(
-                            plan, instance, scan_ranges, shared_index,
-                            residual_eval, fields,
-                        )
-                    except Exception as exc:  # noqa: BLE001 - re-raised on driver
-                        error = picklable_error(exc)
-                return (instance, payload, capture, error)
-
-            return run_fragment
-
-        shipments = pool.run(
-            [
-                make_task(instance, probe_ranges[instance.node_id])
-                for instance in instances
-            ]
-        )
-        merged: list[InstanceContext] = []
-        for instance, payload, capture, error in shipments:
-            apply_capture(capture)
-            if error is not None:
-                raise error
-            merged.append(instance)
-            if payload[0] == "agg":
-                aggregators.append(payload[1])
-            else:
-                instance_columns.append(payload[1])
-        return merged
+        return instance, payload
 
     # -- fragment construction --------------------------------------------------
 

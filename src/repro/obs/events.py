@@ -110,6 +110,9 @@ __all__ = [
     "set_event_log",
     "logging_events",
     "install_event_log",
+    "emit_query_start",
+    "emit_query_end",
+    "emit_stage_submitted",
     "emit_task_start",
     "emit_task_end",
     "read_events",
@@ -298,6 +301,44 @@ def install_event_log(log: EventLog | None) -> Iterator[EventLog]:
         yield log
     finally:
         _SINK = previous
+
+
+# -- query and stage frames -----------------------------------------------------
+#
+# The one writer of QueryStart / QueryEnd / StageSubmitted, shared by the
+# Spark scheduler, the Impala coordinator and the core join API.  Ids are
+# allocated here, on the driver; ``None`` stands for "the sink is off" and
+# makes every later call a no-op.
+
+
+def emit_query_start(name: str, engine: str) -> int | None:
+    """Allocate a query id and emit QueryStart (None while disabled)."""
+    if not _SINK.enabled:
+        return None
+    query = _SINK.next_id("query")
+    _SINK.emit(
+        "QueryStart", query=query, name=name, engine=engine,
+        wall_start=time.perf_counter(),
+    )
+    return query
+
+
+def emit_query_end(query: int | None, name: str, sim_seconds, rows: int) -> None:
+    """Emit QueryEnd for ``query`` (a no-op for None)."""
+    if query is not None:
+        _SINK.emit(
+            "QueryEnd", query=query, name=name, sim_seconds=sim_seconds,
+            rows=rows, wall_end=time.perf_counter(),
+        )
+
+
+def emit_stage_submitted(query: int | None, name: str, num_tasks: int) -> int | None:
+    """Allocate a stage id and emit StageSubmitted (None while disabled)."""
+    if query is None or not _SINK.enabled:
+        return None
+    stage = _SINK.next_id("stage")
+    _SINK.emit("StageSubmitted", query=query, stage=stage, name=name, num_tasks=num_tasks)
+    return stage
 
 
 # -- task records ---------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared executor-pool runtime used by both substrates.
 
-See :mod:`repro.runtime.pool` for the :class:`TaskPool` abstraction and
-its serial / multiprocessing backends, :mod:`repro.runtime.shipping` for
+See :mod:`repro.runtime.dispatch` for :func:`run_tasks`, the one path a
+task of any substrate takes to a worker and back,
+:mod:`repro.runtime.pool` for the :class:`TaskPool` abstraction and
+its serial / fork backends, :mod:`repro.runtime.shipping` for
 the observability capture protocol that keeps pooled runs byte-identical
 to serial ones, :mod:`repro.runtime.config` for the unified
 :class:`RuntimeConfig` knob surface, and :mod:`repro.runtime.faults` /
@@ -10,6 +12,7 @@ retry / speculation / blacklisting machinery that survives it.
 """
 
 from repro.runtime.config import RuntimeConfig
+from repro.runtime.dispatch import run_tasks, runs_inline
 from repro.runtime.faults import (
     DEFAULT_KINDS,
     FAULT_KINDS,
@@ -28,7 +31,6 @@ from repro.runtime.pool import (
     ProcessBackend,
     SerialBackend,
     TaskPool,
-    get_payload,
     make_pool,
     validate_executors,
 )
@@ -45,7 +47,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskPool",
-    "get_payload",
     "make_pool",
     "validate_executors",
     "ObsCapture",
@@ -67,4 +68,6 @@ __all__ = [
     "RecoveryContext",
     "resolve_faults",
     "run_recovered",
+    "run_tasks",
+    "runs_inline",
 ]

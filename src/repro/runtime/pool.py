@@ -3,17 +3,17 @@
 Until this layer existed, every Spark task and every Impala plan fragment
 ran serially in one Python process — parallelism lived only in the
 simulated-time accounting.  :class:`TaskPool` is the shared abstraction
-both substrates dispatch through:
+both substrates dispatch through (by way of
+:func:`repro.runtime.dispatch.run_tasks`):
 
 * :class:`SerialBackend` — the default: tasks run inline, in submission
   order, on the driver.  The schedulers hand it the same task thunks a
   process pool gets, so there is one task body whatever the pool.
-* :class:`ProcessBackend` — ``multiprocessing`` workers.  Dispatch is
-  *pickle-once*: on platforms with ``fork`` (Linux), task closures and
-  every broadcast/index payload they capture are inherited by the worker
-  processes at fork time and never serialised at all; elsewhere payloads
-  registered via :meth:`TaskPool.install_payload` are pickled once and
-  installed into each worker exactly once, never re-pickled per task.
+* :class:`ProcessBackend` — ``multiprocessing`` workers started with
+  ``fork``: task closures and every broadcast/index payload they capture
+  are inherited by the worker processes at fork time and never
+  serialised at all.  Where ``fork`` is missing, :func:`make_pool` gives
+  the serial backend instead.
 
 Workers pull task indices from a shared queue — free worker takes the
 next task, i.e. *dynamic* placement — and the driver consumes completed
@@ -30,6 +30,7 @@ real parallelism is purely a wall-clock win.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import queue as queue_mod
 import traceback
@@ -53,18 +54,13 @@ class PoolError(ReproError):
     """Task-pool failure: bad configuration, dead worker, unpicklable data."""
 
 
-# Worker-side state.  Under ``fork`` the dict is populated on the driver
-# and inherited by the workers (zero serialisation); under ``spawn`` each
-# worker's initializer unpickles the install blob into it exactly once.
-_PAYLOADS: dict[str, Any] = {}
-
-# Tasks for the current fork-mode run; workers inherit the reference at
+# Tasks for the current run; workers inherit the reference at
 # fork time, so closures (and everything they capture) cross the process
 # boundary without ever touching pickle.
 _FORK_TASKS: Sequence[Callable[[], Any]] | None = None
 
 # This process's worker index within its pool (None on the driver).  Set
-# by the worker mains before the task loop; observability shipping reads
+# by the worker main before the task loop; observability shipping reads
 # it to label captured spans and events with their physical executor.
 _WORKER_ID: int | None = None
 
@@ -72,14 +68,6 @@ _WORKER_ID: int | None = None
 def current_worker_id() -> int | None:
     """This process's pool worker index, or ``None`` on the driver."""
     return _WORKER_ID
-
-
-def get_payload(key: str) -> Any:
-    """Worker-side accessor for a payload installed with ``install_payload``."""
-    try:
-        return _PAYLOADS[key]
-    except KeyError:
-        raise PoolError(f"no payload installed under {key!r}") from None
 
 
 def validate_executors(executors, what: str = "executors") -> int:
@@ -105,13 +93,15 @@ def make_pool(executors=None) -> "TaskPool":
     """Build the pool for an ``executors`` knob value.
 
     ``None``/``"serial"``/``1`` give the inline :class:`SerialBackend`;
-    larger integers give a :class:`ProcessBackend` with that many workers.
-    An existing :class:`TaskPool` instance passes through unchanged.
+    larger integers give a :class:`ProcessBackend` with that many workers
+    where ``fork`` is available, and the serial backend elsewhere (the
+    same results, without the parallelism).  An existing
+    :class:`TaskPool` instance passes through unchanged.
     """
     if isinstance(executors, TaskPool):
         return executors
     workers = validate_executors(executors)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return SerialBackend()
     return ProcessBackend(workers)
 
@@ -125,20 +115,6 @@ class TaskPool:
     @property
     def is_serial(self) -> bool:
         return self.workers <= 1
-
-    @property
-    def supports_closures(self) -> bool:
-        """True when tasks may be arbitrary closures (inline or fork)."""
-        return True
-
-    def install_payload(self, key: str, value: Any) -> None:
-        """Register a heavy read-only payload for worker-side access.
-
-        The payload is shipped to workers at most once (inherited for
-        free under ``fork``); tasks retrieve it with
-        :func:`get_payload` instead of capturing it per task.
-        """
-        _PAYLOADS[key] = value
 
     def run(
         self,
@@ -209,22 +185,16 @@ def picklable_error(error: BaseException) -> BaseException:
         )
 
 
-def _ship_error(exc: BaseException, tb: str):
-    """Best-effort picklable form of a worker exception."""
-    try:
-        pickle.dumps(exc)
-    except Exception:
-        exc = PoolError(f"task raised unpicklable {type(exc).__name__}: {exc}")
-    return (exc, tb)
-
-
-def _worker_loop(tasks, task_queue, result_queue) -> None:
+def _worker_main(worker_id, task_queue, result_queue) -> None:
     """Pull task indices until the poison pill; ship pre-pickled results.
 
     Results are pickled *in this thread* (not ``mp.Queue``'s feeder
     thread) so serialisation failures are catchable and shipped as
     errors instead of hanging the driver.
     """
+    global _WORKER_ID
+    _WORKER_ID = worker_id
+    tasks = _FORK_TASKS
     while True:
         index = task_queue.get()
         if index is None:
@@ -234,116 +204,45 @@ def _worker_loop(tasks, task_queue, result_queue) -> None:
             blob = pickle.dumps((index, True, value))
         except BaseException as exc:  # noqa: BLE001 - everything ships back
             blob = pickle.dumps(
-                (index, False, _ship_error(exc, traceback.format_exc()))
+                (index, False, (picklable_error(exc), traceback.format_exc()))
             )
         result_queue.put(blob)
 
 
-def _fork_worker_main(worker_id, task_queue, result_queue) -> None:
-    global _WORKER_ID
-    _WORKER_ID = worker_id
-    _worker_loop(_FORK_TASKS, task_queue, result_queue)
-
-
-class _SpawnTask:
-    """A pickled task for spawn-mode dispatch (must be a picklable callable)."""
-
-    __slots__ = ("blob",)
-
-    def __init__(self, func: Callable[[], Any]):
-        try:
-            self.blob = pickle.dumps(func)
-        except Exception as exc:
-            raise PoolError(
-                "ProcessBackend without fork requires picklable tasks "
-                f"(module-level functions / functools.partial): {exc}"
-            ) from exc
-
-    def __call__(self):
-        return pickle.loads(self.blob)()
-
-
-def _spawn_worker_main(worker_id, payload_blobs, task_queue, result_queue) -> None:
-    global _WORKER_ID
-    _WORKER_ID = worker_id
-    # Each value was pickled exactly once on the driver; the bytes cross
-    # the process boundary verbatim and are unpickled here exactly once.
-    for key, blob in payload_blobs.items():
-        _PAYLOADS[key] = pickle.loads(blob)
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        index, blob = item
-        try:
-            value = pickle.loads(blob)()
-            out = pickle.dumps((index, True, value))
-        except BaseException as exc:  # noqa: BLE001
-            out = pickle.dumps(
-                (index, False, _ship_error(exc, traceback.format_exc()))
-            )
-        result_queue.put(out)
-
-
 class ProcessBackend(TaskPool):
-    """``multiprocessing`` workers with pickle-once dispatch.
+    """``multiprocessing`` workers forked per :meth:`run` call.
 
-    Workers are forked (or spawned) per :meth:`run` call so they always
-    see the driver's current state — shuffle blocks, caches, broadcast
-    values — without any per-task serialisation.  The fork cost is paid
-    once per stage and amortised by PR 3's coarse batch tasks.
+    Forking per run means workers always see the driver's current state —
+    shuffle blocks, caches, broadcast values — without any per-task
+    serialisation.  The fork cost is paid once per stage and amortised by
+    coarse batch tasks.
     """
 
     name = "process"
 
-    def __init__(self, workers: int, start_method: str | None = None):
+    def __init__(self, workers: int):
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise PoolError(f"workers must be an integer >= 1, got {workers!r}")
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        if start_method not in mp.get_all_start_methods():
-            raise PoolError(f"start method {start_method!r} not available")
         self.workers = workers
-        self._ctx = mp.get_context(start_method)
-        self._start_method = start_method
-        self._payload_blobs: dict[str, bytes] = {}
-
-    @property
-    def supports_closures(self) -> bool:
-        return self._start_method == "fork"
-
-    def install_payload(self, key: str, value: Any) -> None:
-        _PAYLOADS[key] = value
-        if not self.supports_closures:
-            # Pickled exactly once, ever; reused for every worker and run.
-            self._payload_blobs[key] = pickle.dumps(value)
 
     def run(self, tasks, on_result=None) -> list:
+        global _FORK_TASKS
         tasks = list(tasks)
         if not tasks:
             return []
-        if self.supports_closures:
-            return self._run_fork(tasks, on_result)
-        return self._run_spawn(tasks, on_result)
-
-    # -- fork dispatch ---------------------------------------------------------
-
-    def _run_fork(self, tasks, on_result) -> list:
-        global _FORK_TASKS
+        ctx = mp.get_context("fork")
         n = len(tasks)
         workers = min(self.workers, n)
-        task_queue = self._ctx.Queue()
-        result_queue = self._ctx.Queue()
+        task_queue = ctx.Queue()
+        result_queue = ctx.Queue()
         for index in range(n):
             task_queue.put(index)
         for _ in range(workers):
             task_queue.put(None)
         _FORK_TASKS = tasks
         procs = [
-            self._ctx.Process(
-                target=_fork_worker_main,
+            ctx.Process(
+                target=_worker_main,
                 args=(worker_id, task_queue, result_queue),
                 daemon=True,
             )
@@ -353,30 +252,6 @@ class ProcessBackend(TaskPool):
             self._start_all(procs)
         finally:
             _FORK_TASKS = None
-        return self._collect(n, task_queue, result_queue, procs, on_result)
-
-    # -- spawn dispatch --------------------------------------------------------
-
-    def _run_spawn(self, tasks, on_result) -> list:
-        n = len(tasks)
-        workers = min(self.workers, n)
-        blobs = [task.blob if isinstance(task, _SpawnTask) else _SpawnTask(task).blob
-                 for task in tasks]
-        task_queue = self._ctx.Queue()
-        result_queue = self._ctx.Queue()
-        for index, blob in enumerate(blobs):
-            task_queue.put((index, blob))
-        for _ in range(workers):
-            task_queue.put(None)
-        procs = [
-            self._ctx.Process(
-                target=_spawn_worker_main,
-                args=(worker_id, dict(self._payload_blobs), task_queue, result_queue),
-                daemon=True,
-            )
-            for worker_id in range(workers)
-        ]
-        self._start_all(procs)
         return self._collect(n, task_queue, result_queue, procs, on_result)
 
     # -- lifecycle --------------------------------------------------------------
@@ -442,7 +317,12 @@ class ProcessBackend(TaskPool):
                 try:
                     blob = result_queue.get(timeout=1.0)
                 except queue_mod.Empty:
-                    if not any(proc.is_alive() for proc in procs):
+                    # A worker that died abnormally (SIGKILL, OOM) lost its
+                    # task, and may have died holding a queue lock the
+                    # survivors wait on.
+                    if any(proc.exitcode for proc in procs) or not any(
+                        proc.is_alive() for proc in procs
+                    ):
                         raise PoolError(
                             f"{remaining} task(s) lost: worker process(es) "
                             "died without reporting results"

@@ -3,9 +3,9 @@
 This is the half of the fault-tolerance story that *survives* the faults
 :mod:`repro.runtime.faults` injects.  The entry point is
 :func:`run_recovered`, which takes the place of a bare ``pool.run``
-whenever a :class:`~repro.runtime.faults.FaultPlan` is active (the Spark
-scheduler and the core join API choose between the two in
-:func:`run_tasks`):
+whenever a :class:`~repro.runtime.faults.FaultPlan` is active (the one
+dispatch path, :func:`repro.runtime.dispatch.run_tasks`, chooses between
+the two):
 
 * each task attempt first consults the plan; injected crashes/transients/
   hangs/heartbeat losses are retried with exponential backoff + seeded
@@ -50,7 +50,6 @@ __all__ = [
     "RecoveryContext",
     "resolve_faults",
     "run_recovered",
-    "run_tasks",
 ]
 
 
@@ -305,45 +304,3 @@ def run_recovered(
             )
     return outcomes
 
-
-def run_tasks(
-    pool,
-    thunks: Sequence[Callable[[], Any]],
-    recovery: RecoveryContext,
-    absorb: Callable[[int, Any], None],
-    *,
-    scope: str,
-    events: tuple | None = None,
-    sim_seconds: Callable[[int, Any], float] | None = None,
-    repair: Callable[[int, Fault], None] | None = None,
-) -> None:
-    """Run ``thunks`` and hand each result to ``absorb(index, value)`` in
-    task order — the one dispatch the Spark scheduler and the core join
-    API share.
-
-    Under an active fault plan the batch goes through
-    :func:`run_recovered` (``scope`` / ``events`` / ``sim_seconds`` /
-    ``repair`` are its arguments) and is absorbed once every task's
-    winning attempt is settled.  A real pool completes out of order, so
-    its batch is absorbed after it drains.  An inline pool absorbs each
-    task as it finishes: an ``absorb`` that raises (a terminal task
-    failure) stops the batch before the next task runs.
-    """
-    if recovery.active:
-        outcomes = run_recovered(
-            pool,
-            thunks,
-            recovery,
-            scope=scope,
-            events=events,
-            sim_seconds=sim_seconds,
-            repair=repair,
-        )
-        values = [outcome.value for outcome in outcomes]
-    elif pool.is_serial:
-        pool.run(thunks, on_result=absorb)
-        return
-    else:
-        values = pool.run(thunks)
-    for index, value in enumerate(values):
-        absorb(index, value)

@@ -44,7 +44,12 @@ from repro.obs.events import EventLog, get_event_log, set_event_log
 from repro.obs.registry import REGISTRY
 from repro.obs.tracer import Span, Tracer, get_tracer, set_tracer
 
-__all__ = ["ObsCapture", "capture_observability", "apply_capture"]
+__all__ = [
+    "ObsCapture",
+    "capture_observability",
+    "apply_capture",
+    "discard_observability",
+]
 
 # Per-worker count of captured tasks, reported in WorkerHeartbeat events.
 _TASKS_DONE = 0
@@ -65,13 +70,12 @@ class ObsCapture:
 def capture_observability(capture: ObsCapture) -> Iterator[ObsCapture]:
     """Redirect spans, registry writes and events into ``capture``.
 
-    The substrates' schedulers capture exactly when a task's result
-    crosses a process boundary (a real pool) or may be discarded (a fault
-    plan is active: a losing speculative attempt leaves nothing behind);
-    otherwise the same task body runs inline against the real driver
-    state, which is what the equivalence suite pins the captured runs
-    to.  The core join API is the exception: with the event log on it
-    frames every task in a capture, inline or pooled.
+    :func:`repro.runtime.dispatch.run_tasks` captures exactly when a
+    task's result crosses a process boundary (a real pool) or may be
+    discarded (a fault plan is active: a losing speculative attempt
+    leaves nothing behind); otherwise the same task body runs inline
+    against the real driver state, which is what the equivalence suite
+    pins the captured runs to.
     """
     global _TASKS_DONE
     from repro.runtime.pool import current_worker_id
@@ -118,3 +122,9 @@ def apply_capture(capture: ObsCapture) -> None:
     sink = get_event_log()
     for record in capture.events:
         sink.emit_raw(record)
+
+
+def discard_observability():
+    """A block whose spans, registry writes and events are dropped (lineage
+    repair restores lost state without billing the work again)."""
+    return capture_observability(ObsCapture())

@@ -9,6 +9,11 @@ shuffling", with overhead proportional to the partition count — both
 charged here per shuffle stage, which is what the partition-count ablation
 (a1) measures.
 
+Tasks reach the pool through :func:`repro.runtime.dispatch.run_tasks`,
+the dispatch path the Impala coordinator and the core join API share;
+what is Spark's own is the retry body (:meth:`DAGScheduler._run_task`)
+and the shipping of RDD-cache fills made in a worker.
+
 A result stage whose pipeline holds a
 :class:`~repro.spark.rdd.FusedPartitionsRDD` (the broadcast join's probe)
 runs that step once for the whole stage when its tasks run inline: each
@@ -21,7 +26,6 @@ either way.
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from typing import Callable, Sequence
 
@@ -30,16 +34,19 @@ from repro.cluster.model import Resource
 from repro.columnar.block import ColumnBlock, RoutedRows
 from repro.errors import SparkError
 from repro.obs.events import (
+    emit_query_end,
+    emit_query_start,
+    emit_stage_submitted,
     emit_task_end,
     emit_task_start,
     get_event_log,
     install_event_log,
 )
 from repro.obs.tracer import get_tracer
+from repro.runtime.dispatch import run_tasks, runs_inline
 from repro.runtime.faults import InjectedFaultError
-from repro.runtime.pool import SerialBackend, picklable_error
-from repro.runtime.recovery import run_tasks
-from repro.runtime.shipping import ObsCapture, apply_capture, capture_observability
+from repro.runtime.pool import current_worker_id, picklable_error
+from repro.runtime.shipping import discard_observability
 from repro.spark.rdd import (
     RDD,
     FusedPartitionsRDD,
@@ -60,17 +67,15 @@ class _TaskShipment:
     A task never touches scheduler state: its value, metrics, failed
     attempts and terminal error ride here and the stage loop absorbs them
     in deterministic task order — the same for a task run inline and one
-    run in a worker process.  ``capture`` and ``cache_entries`` are set
-    only for a task run by :meth:`DAGScheduler._run_task_captured`.
-    Fields a task leaves alone stay class defaults: one is built per
-    task, on the scheduler's hottest path.
+    run in a worker process.  ``cache_entries`` is set only for a task
+    run in a worker.  Fields a task leaves alone stay class defaults: one
+    is built per task, on the scheduler's hottest path.
     """
 
     value: object = None
     seconds: float = 0.0
     failures: int = 0  # failed attempts (the driver's task_failures delta)
     error: BaseException | None = None  # fatal/terminal error to re-raise
-    capture: ObsCapture | None = None
     cache_entries: dict | None = None
 
     def __init__(self, task: TaskMetrics):
@@ -100,28 +105,6 @@ class DAGScheduler:
         self.stage_summaries: list[dict] = []
         self.max_task_attempts = sc.runtime.max_task_attempts
 
-    # -- event emission ---------------------------------------------------------
-    #
-    # Ids (query, stage, task index) are always allocated on the driver so
-    # they are identical whether tasks run inline or on a pool; a captured
-    # task emits into the capture's buffering sink, which ships back and
-    # replays in task order.
-
-    def _emit_stage(self, name: str, num_tasks: int) -> int | None:
-        """Allocate a stage id and emit StageSubmitted (None while disabled)."""
-        log = get_event_log()
-        if not log.enabled or self._events_query is None:
-            return None
-        stage_id = log.next_id("stage")
-        log.emit(
-            "StageSubmitted",
-            query=self._events_query,
-            stage=stage_id,
-            name=name,
-            num_tasks=num_tasks,
-        )
-        return stage_id
-
     # -- task execution ---------------------------------------------------------
 
     def _run_task(
@@ -135,12 +118,16 @@ class DAGScheduler:
         and not retried; any other crash is, and the last one ends up as
         the cause of the terminal :class:`SparkError`.  Errors never
         raise here — the stage loop re-raises at absorb time, so they
-        surface the same from a worker process.  ``ids`` is the
+        surface the same from a worker process, and RDD-cache fills made
+        in a worker ride home in the shipment.  ``ids`` is the
         ``(query, stage, task)`` triple for TaskStart / TaskEnd (None
         while the event sink is disabled).  ``task`` is given when a
         batched stage already charged the task's upstream work to it.
         """
         model = self.sc.cost_model
+        cache = self.sc._cache
+        in_worker = current_worker_id() is not None
+        cache_before = set(cache) if in_worker else None
         if task is None:
             task = TaskMetrics()
         shipment = _TaskShipment(task)
@@ -175,26 +162,14 @@ class DAGScheduler:
             emit_task_end(
                 ids, partition, label, shipment.seconds, task.counts, shipment.failures
             )
-        return shipment
-
-    def _run_task_captured(
-        self, ids, label: str, body, partition, task: TaskMetrics | None = None
-    ) -> _TaskShipment:
-        """:meth:`_run_task` for a result that crosses a process boundary
-        or may be discarded (a losing speculative duplicate): spans,
-        registry writes, events and RDD-cache fills ride in the shipment
-        instead of landing on (a forked copy of) driver state."""
-        cache = self.sc._cache
-        cache_before = set(cache)
-        capture = ObsCapture()
-        with capture_observability(capture):
-            shipment = self._run_task(ids, label, body, partition, task)
-        shipment.capture = capture
-        shipment.cache_entries = {
-            key: cache[key] for key in cache.keys() - cache_before
-        }
-        if shipment.error is not None:
-            shipment.error = picklable_error(shipment.error)
+        if in_worker:
+            # The shipment crosses a process boundary: the worker's
+            # RDD-cache fills ride along, and the error must pickle.
+            shipment.cache_entries = {
+                key: cache[key] for key in cache.keys() - cache_before
+            }
+            if shipment.error is not None:
+                shipment.error = picklable_error(shipment.error)
         return shipment
 
     def _run_stage_tasks(
@@ -204,34 +179,34 @@ class DAGScheduler:
         """Run ``body(task, partition)`` over ``partitions`` as the stage's
         tasks, labelled ``<prefix>-<partition>``.
 
-        Shipments are absorbed in task order — failure counts, captured
-        observability, cache fills, the terminal error, ``stage.tasks``,
-        then ``absorb_value(index, shipment)`` — and the tasks' simulated
-        seconds are returned.  Tasks are captured only when the pool is
-        real or a fault plan is active; otherwise they run inline against
-        the driver's tracer, registry and event sink.  With a plan,
-        injected faults are retried / speculated / blacklisted
-        driver-side under the stage's logical scope, ``repair`` restores
-        lost shuffle output from lineage, and an exhausted budget
-        surfaces as :class:`SparkError` like any terminal task failure.
+        Shipments are absorbed in task order — failure counts, cache
+        fills, the terminal error, ``stage.tasks``, then
+        ``absorb_value(index, shipment)`` — and the tasks' simulated
+        seconds are returned.  :func:`~repro.runtime.dispatch.run_tasks`
+        decides where they run and replays what captured tasks did to
+        observability.  With a fault plan, injected faults are retried /
+        speculated / blacklisted driver-side under the stage's logical
+        scope, ``repair`` restores lost shuffle output from lineage, and
+        an exhausted budget surfaces as :class:`SparkError` like any
+        terminal task failure.
 
         ``fused`` is the pipeline's batchable step: inline tasks of
         distinct partitions have it prefetched as one batch, each
         partition's preparation charged to its task's metrics.
         """
         pool = self.sc.task_pool
-        if pool.is_serial or not pool.supports_closures:
-            pool = SerialBackend()
         recovery = self.sc.recovery
-        inline = pool.is_serial and not recovery.active
-        run = self._run_task if inline else self._run_task_captured
         tasks = [None] * len(partitions)
-        if fused is not None and inline and len(set(partitions)) == len(partitions):
+        if (
+            fused is not None
+            and runs_inline(pool, len(partitions), recovery)
+            and len(set(partitions)) == len(partitions)
+        ):
             tasks = [TaskMetrics() for _ in partitions]
             fused.prefetch(partitions, tasks)
         thunks = [
             partial(
-                run,
+                self._run_task,
                 None if stage_id is None else (self._events_query, stage_id, index),
                 f"{prefix}-{partition}",
                 body,
@@ -244,8 +219,7 @@ class DAGScheduler:
 
         def absorb(index: int, shipment: _TaskShipment) -> None:
             self.task_failures += shipment.failures
-            if shipment.capture is not None:
-                apply_capture(shipment.capture)
+            if shipment.cache_entries:
                 for key, value in shipment.cache_entries.items():
                     self.sc._cache.setdefault(key, value)
             if shipment.error is not None:
@@ -292,16 +266,7 @@ class DAGScheduler:
         self._job_counter += 1
         metrics = QueryMetrics(name=f"job-{self._job_counter}")
         with install_event_log(self.sc._event_log):
-            log = get_event_log()
-            self._events_query = log.next_id("query") if log.enabled else None
-            if self._events_query is not None:
-                log.emit(
-                    "QueryStart",
-                    query=self._events_query,
-                    name=metrics.name,
-                    engine="spark",
-                    wall_start=time.perf_counter(),
-                )
+            self._events_query = emit_query_start(metrics.name, "spark")
             try:
                 with get_tracer().span(metrics.name, category="job") as span:
                     if self.sc._charge_jar_ship():
@@ -311,15 +276,10 @@ class DAGScheduler:
                     results = self._run_result_stage(rdd, func, partitions, metrics)
                     span.add_sim(metrics.simulated_seconds)
                     span.set_attr("stages", len(metrics.stages))
-                if self._events_query is not None:
-                    log.emit(
-                        "QueryEnd",
-                        query=self._events_query,
-                        name=metrics.name,
-                        sim_seconds=metrics.simulated_seconds,
-                        rows=len(results),
-                        wall_end=time.perf_counter(),
-                    )
+                emit_query_end(
+                    self._events_query, metrics.name, metrics.simulated_seconds,
+                    len(results),
+                )
             finally:
                 self._events_query = None
         self.sc._record_job(metrics)
@@ -356,7 +316,9 @@ class DAGScheduler:
         store = self.sc._shuffle_store
         dep.shuffle_id = store.new_shuffle_id()
         stage = StageMetrics(name=f"shuffle-{dep.shuffle_id}")
-        stage_id = self._emit_stage(stage.name, dep.parent.num_partitions)
+        stage_id = emit_stage_submitted(
+            self._events_query, stage.name, dep.parent.num_partitions
+        )
 
         def map_body(task: TaskMetrics, split: int):
             bucketed = self._map_output(dep, split)
@@ -441,7 +403,10 @@ class DAGScheduler:
     ) -> list:
         stage = StageMetrics(name="result")
         results: list = []
-        stage_id = self._emit_stage(stage.name, len(partitions))
+        stage_id = emit_stage_submitted(self._events_query, stage.name, len(partitions))
+        # Every shuffle the pipeline reads was materialised before this
+        # stage, so these are all of them.
+        shuffle_deps = self._pipeline_shuffle_deps(rdd)
         with get_tracer().span(stage.name, category="stage"):
             task_seconds = self._run_stage_tasks(
                 "task",
@@ -451,14 +416,11 @@ class DAGScheduler:
                 stage_id,
                 metrics,
                 lambda index, shipment: results.append(shipment.value),
-                repair=self._make_repair(rdd, stage_id),
+                repair=self._make_repair(shuffle_deps, stage_id),
                 fused=self._fused_step(rdd),
             )
             self._finish_stage(
-                stage,
-                task_seconds,
-                shuffling=self._pipeline_reads_shuffle(rdd),
-                metrics=metrics,
+                stage, task_seconds, shuffling=bool(shuffle_deps), metrics=metrics
             )
         return results
 
@@ -476,21 +438,6 @@ class DAGScheduler:
                 return None
             node = node._narrow_parent()
         return None
-
-    def _pipeline_reads_shuffle(self, rdd: RDD) -> bool:
-        """True when the result stage's pipeline starts at a shuffle read."""
-        node = rdd
-        while True:
-            narrow_parents = [
-                dep for dep in node.dependencies if isinstance(dep, NarrowDependency)
-            ]
-            if any(
-                isinstance(dep, ShuffleDependency) for dep in node.dependencies
-            ):
-                return True
-            if not narrow_parents:
-                return False
-            node = narrow_parents[0].parent
 
     # -- lineage recovery --------------------------------------------------------
 
@@ -512,7 +459,7 @@ class DAGScheduler:
                 return []
             node = narrow_parents[0].parent
 
-    def _make_repair(self, rdd: RDD, stage_id):
+    def _make_repair(self, deps: list[ShuffleDependency], stage_id):
         """Lineage-based recovery hook for ``shuffle_loss`` faults.
 
         This is Spark's answer to the static model's whole-query restart
@@ -523,11 +470,10 @@ class DAGScheduler:
         under a discarded observability capture and writes back via
         :meth:`ShuffleStore.restore` — recovery restores state, it never
         re-bills counters or simulated time, which keeps chaos runs
-        byte-identical to fault-free ones.  Returns ``None`` when the
-        pipeline reads no shuffle (the fault then degrades to a
-        transient).
+        byte-identical to fault-free ones.  ``deps`` are the shuffles the
+        result pipeline reads; with none, returns ``None`` (the fault then
+        degrades to a transient).
         """
-        deps = self._pipeline_shuffle_deps(rdd)
         if not deps:
             return None
         store = self.sc._shuffle_store
@@ -537,7 +483,7 @@ class DAGScheduler:
                 parent = dep.parent
                 map_split = task_index % parent.num_partitions
                 store.drop_map_output(dep.shuffle_id, map_split)
-                with capture_observability(ObsCapture()):
+                with discard_observability():
                     bucketed = self._map_output(dep, map_split)
                 store.restore(dep.shuffle_id, map_split, bucketed)
                 log = get_event_log()

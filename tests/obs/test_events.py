@@ -1,6 +1,7 @@
 """The structured event log: schema, pairing, pool-equivalence, no-op off."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -20,10 +21,10 @@ from repro.obs.events import (
     normalize_events,
     read_events,
 )
-from repro.runtime import ProcessBackend, RuntimeConfig
+from repro.runtime import RuntimeConfig
 from repro.spark import SparkContext
 
-HAS_FORK = ProcessBackend(2).supports_closures
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="fork start method unavailable"
 )

@@ -1,5 +1,7 @@
 """The replay-driven monitor: timelines, stage tables, stragglers."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core import JoinConfig, spatial_join
@@ -16,9 +18,9 @@ from repro.obs.monitor import (
     render_utilization,
     stage_names,
 )
-from repro.runtime import ProcessBackend, RuntimeConfig
+from repro.runtime import RuntimeConfig
 
-HAS_FORK = ProcessBackend(2).supports_closures
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="fork start method unavailable"
 )

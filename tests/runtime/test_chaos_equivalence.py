@@ -15,6 +15,7 @@ Acceptance matrix for the fault-injection layer, across substrates
   exhaustion fails loudly.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -35,10 +36,10 @@ from repro.obs.events import (
     read_events,
 )
 from repro.obs.registry import collecting
-from repro.runtime import FaultPlan, ProcessBackend, RuntimeConfig
+from repro.runtime import FaultPlan, RuntimeConfig
 from repro.spark import SparkContext
 
-HAS_FORK = ProcessBackend(2).supports_closures
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="fork start method unavailable"
 )

@@ -8,6 +8,7 @@ mini-Impala), both predicates (within, nearestd), the core join API, and
 the crash-retry semantics under pool execution.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -21,9 +22,9 @@ from repro.impala import ColumnType, ImpalaBackend
 from repro.obs.registry import collecting
 from repro.spark import SparkContext
 
-from repro.runtime import ProcessBackend, RuntimeConfig
+from repro.runtime import RuntimeConfig
 
-HAS_FORK = ProcessBackend(2).supports_closures
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="fork start method unavailable"
 )

@@ -1,6 +1,5 @@
 """Unit tests for the executor-pool layer itself (no substrates)."""
 
-import functools
 import multiprocessing as mp
 import os
 
@@ -12,7 +11,6 @@ from repro.runtime import (
     ProcessBackend,
     SerialBackend,
     TaskPool,
-    get_payload,
     make_pool,
     validate_executors,
 )
@@ -126,7 +124,6 @@ class TestProcessBackendFork:
     def test_closures_capture_driver_state(self):
         big = {"lookup": list(range(1000))}
         pool = ProcessBackend(2)
-        assert pool.supports_closures
         assert pool.run([lambda: big["lookup"][-1]]) == [999]
 
     def test_on_result_sees_every_completion(self):
@@ -176,11 +173,6 @@ class TestProcessBackendFork:
     def test_more_workers_than_tasks(self):
         assert ProcessBackend(8).run([lambda: 42]) == [42]
 
-    def test_payload_inherited_by_fork(self):
-        pool = ProcessBackend(2)
-        pool.install_payload("index", {"tree": [1, 2, 3]})
-        assert pool.run([lambda: get_payload("index")["tree"]]) == [[1, 2, 3]]
-
 
 @needs_fork
 class TestTeardownOnDriverError:
@@ -228,53 +220,11 @@ class TestTeardownOnDriverError:
         assert pool.run([(lambda i=i: i * 2) for i in range(4)]) == [0, 2, 4, 6]
 
 
-def _square(x):
-    return x * x
-
-
-def _crash(msg):
-    raise RuntimeError(msg)
-
-
-def _read_payload(key):
-    return get_payload(key)
-
-
-class TestProcessBackendSpawn:
-    """Spawn dispatch: picklable tasks, payloads installed once per worker."""
-
-    def test_results_in_task_order(self):
-        pool = ProcessBackend(2, start_method="spawn")
-        assert not pool.supports_closures
-        tasks = [functools.partial(_square, i) for i in range(5)]
-        assert pool.run(tasks) == [0, 1, 4, 9, 16]
-
-    def test_closure_rejected_with_clear_error(self):
-        pool = ProcessBackend(2, start_method="spawn")
-        with pytest.raises(PoolError, match="picklable tasks"):
-            pool.run([lambda: 1])
-
-    def test_error_propagates(self):
-        pool = ProcessBackend(2, start_method="spawn")
-        with pytest.raises(RuntimeError, match="spawn boom"):
-            pool.run([functools.partial(_crash, "spawn boom")])
-
-    def test_installed_payload_reaches_workers(self):
-        pool = ProcessBackend(2, start_method="spawn")
-        pool.install_payload("cfg", {"radius": 2.5})
-        results = pool.run([functools.partial(_read_payload, "cfg")] * 3)
-        assert results == [{"radius": 2.5}] * 3
-
-
 class TestProcessBackendConfig:
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
     def test_bad_worker_counts(self, bad):
         with pytest.raises(PoolError, match="workers must be"):
             ProcessBackend(bad)
-
-    def test_unknown_start_method(self):
-        with pytest.raises(PoolError, match="not available"):
-            ProcessBackend(2, start_method="teleport")
 
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):

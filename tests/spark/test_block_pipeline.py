@@ -15,6 +15,7 @@ plan, must reproduce them.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import random
 
 import pytest
@@ -27,11 +28,11 @@ from repro.core.probe import BroadcastIndex
 from repro.hdfs import SimulatedHDFS, read_split_lines, split_boundaries, write_text
 from repro.obs.events import normalize_events, read_events
 from repro.obs.registry import collecting
-from repro.runtime import FaultPlan, ProcessBackend, RuntimeConfig
+from repro.runtime import FaultPlan, RuntimeConfig
 from repro.spark import SparkContext
 
 needs_fork = pytest.mark.skipif(
-    not ProcessBackend(2).supports_closures, reason="fork start method unavailable"
+    "fork" not in multiprocessing.get_all_start_methods(), reason="fork start method unavailable"
 )
 
 SPEC = ClusterSpec(num_nodes=2, cores_per_node=2, mem_per_node_gb=4.0)

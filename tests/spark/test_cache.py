@@ -7,6 +7,8 @@ lineage.  The pool variant checks that partitions computed inside pool
 workers land in the driver cache all the same.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.cluster import ClusterSpec
@@ -64,7 +66,7 @@ class TestCacheUnderPool:
             ClusterSpec(num_nodes=2, cores_per_node=2),
             runtime=RuntimeConfig(executors=2),
         )
-        if not sc.task_pool.supports_closures:
+        if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         rdd = sc.parallelize([1, 2, 3, 4], 2).map(lambda x: x * 2).cache()
         assert rdd.collect() == [2, 4, 6, 8]
@@ -79,7 +81,7 @@ class TestCacheUnderPool:
             ClusterSpec(num_nodes=2, cores_per_node=2),
             runtime=RuntimeConfig(executors=2),
         )
-        if not sc.task_pool.supports_closures:
+        if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         rdd = sc.parallelize([1, 2, 3, 4], 2).map(lambda x: x).cache()
         rdd.collect()

@@ -6,11 +6,13 @@ scheduler retries a crashing task up to 4 times (Spark's
 still cost simulated time.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.cluster import ClusterSpec, Resource
 from repro.errors import SparkError
-from repro.runtime import FaultPlan, ProcessBackend, RuntimeConfig
+from repro.runtime import FaultPlan, RuntimeConfig
 from repro.spark import SparkContext, current_task
 
 
@@ -62,7 +64,7 @@ class TestTaskRetry:
                 RuntimeConfig(executors=2),
                 id="pool",
                 marks=pytest.mark.skipif(
-                    not ProcessBackend(2).supports_closures, reason="needs fork"
+                    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
                 ),
             ),
         ],

@@ -20,6 +20,7 @@ layout's extent that only ``cover_plane``'s unbounded outer tiles reach.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import random
 
 import pytest
@@ -35,11 +36,11 @@ from repro.hdfs import SimulatedHDFS, write_text
 from repro.index.partitioner import FixedGridPartitioner, cover_plane
 from repro.obs.events import normalize_events, read_events
 from repro.obs.registry import collecting
-from repro.runtime import FaultPlan, ProcessBackend, RuntimeConfig
+from repro.runtime import FaultPlan, RuntimeConfig
 from repro.spark import SparkContext
 
 needs_fork = pytest.mark.skipif(
-    not ProcessBackend(2).supports_closures, reason="fork start method unavailable"
+    "fork" not in multiprocessing.get_all_start_methods(), reason="fork start method unavailable"
 )
 
 SPEC = ClusterSpec(num_nodes=2, cores_per_node=2, mem_per_node_gb=4.0)
