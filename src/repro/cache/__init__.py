@@ -1,15 +1,12 @@
 """Cross-query caching layer (see DESIGN.md section 12).
 
-Two process-wide managers live here:
-
-* :func:`get_cache` — the query-artifact cache (indexes, parsed columns,
-  partitionings, Impala build bundles).  It is **off** unless a query runs
-  with ``RuntimeConfig.cache_budget_bytes`` set; :func:`cache_for` applies
-  the runtime's budget and returns ``None`` when caching is disabled, so
-  call sites stay one-``if`` no-ops on the cold path.
-* the prepared-geometry handle cache inside
-  :mod:`repro.geometry.prepared`, which is always on (it replaced the
-  PR-3 identity memo with fingerprint keys) and never emits events.
+:func:`get_cache` is the query-artifact cache (indexes, parsed columns,
+partitionings, Impala build bundles).  It is **off** unless a query runs
+with ``RuntimeConfig.cache_budget_bytes`` set; :func:`cache_for` applies
+the runtime's budget and returns ``None`` when caching is disabled.
+Joins reach it only through :mod:`repro.cache.artifacts`.  Prepared
+geometry handles live in :mod:`repro.geometry.prepared`'s own always-on
+LRU, keyed by :func:`fingerprint_geometry`, which emits no events.
 """
 
 from __future__ import annotations
@@ -74,6 +71,5 @@ def cache_for(runtime) -> CacheManager | None:
     if not budget:
         return None
     cache = get_cache()
-    cache.budget_bytes = int(budget)
-    cache._shrink_to_budget()
+    cache.set_budget(int(budget))
     return cache

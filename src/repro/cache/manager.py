@@ -1,14 +1,15 @@
 """Memory-budgeted cross-query cache with cost-aware LRU eviction.
 
 One process-wide :class:`CacheManager` holds every reusable artifact the
-join paths produce: built broadcast/STR-tree indexes, parsed geometry
-columns, skew-aware partitioning layouts, prepared-geometry handles, and
-Impala build-side bundles.  Entries are keyed by content fingerprints
-(:mod:`repro.cache.fingerprint`), sized with
-:func:`repro.spark.shuffle.estimate_bytes`, and evicted against a byte
-budget by *cost-aware LRU*: the victim is the entry with the lowest
-``build_cost / size`` density, oldest-access first on ties, so a cheap
-bulky parse column is dropped before an expensive compact index.
+join paths produce: built broadcast indexes, parsed geometry columns,
+skew-aware partitioning layouts and Impala build-side bundles (the
+kinds of :data:`repro.cache.artifacts.KINDS`; prepared-geometry handles
+live in :mod:`repro.geometry.prepared`'s own LRU).  Entries are keyed by
+content fingerprints (:mod:`repro.cache.fingerprint`), sized per kind,
+and evicted against a byte budget by *cost-aware LRU*: the victim is the
+entry with the lowest ``build_cost / size`` density, oldest-access first
+on ties, so a cheap bulky parse column is dropped before an expensive
+compact index.
 
 The hard invariant (DESIGN.md section 12): a cache hit changes **nothing**
 observable about a query except wall-clock.  All bookkeeping lives in the
@@ -20,7 +21,6 @@ profiles, or simulated costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.cache.fingerprint import Fingerprint
 
@@ -178,26 +178,10 @@ class CacheManager:
         self._emit("CacheMiss", kind=kind, key=key.hex())
         return None
 
-    def get_or_build(self, key: Fingerprint, kind: str,
-                     build: Callable[[], object], *,
-                     size_bytes: int | None = None,
-                     build_cost: float = 1.0):
-        """Convenience: hit, or build + insert and return the fresh value."""
-        value = self.get(key, kind)
-        if value is not None:
-            return value
-        value = build()
-        self.put(key, kind, value, size_bytes=size_bytes, build_cost=build_cost)
-        return value
-
     def put(self, key: Fingerprint, kind: str, value: object, *,
-            size_bytes: int | None = None, build_cost: float = 1.0) -> bool:
+            size_bytes: int, build_cost: float = 1.0) -> bool:
         """Insert an entry, evicting as needed.  Returns False when the
         entry alone exceeds the whole budget (it is not cached)."""
-        if size_bytes is None:
-            from repro.spark.shuffle import estimate_bytes
-
-            size_bytes = estimate_bytes(value)
         size_bytes = int(size_bytes)
         if self.budget_bytes is not None and size_bytes > self.budget_bytes:
             self.stats.rejected += 1
@@ -213,6 +197,11 @@ class CacheManager:
         self.stats.puts += 1
         self._shrink_to_budget(protect=key)
         return key in self._entries
+
+    def set_budget(self, budget_bytes: int | None) -> None:
+        """Apply a new byte budget, evicting down to it at once."""
+        self.budget_bytes = budget_bytes
+        self._shrink_to_budget()
 
     def _shrink_to_budget(self, protect: Fingerprint | None = None) -> None:
         if self.budget_bytes is None:

@@ -22,7 +22,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.cache import cache_for, fingerprint_entries, fingerprint_rows
+from repro.cache import cache_for
+from repro.cache.artifacts import fetch, resident, slot_for
 from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
 from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_dynamic
@@ -30,13 +31,7 @@ from repro.columnar.block import positions_by_value
 from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column, refuse_wkt_row
 from repro.core.operators import SpatialOperator
-from repro.core.probe import (
-    PreparedBuild,
-    cached_index,
-    gather,
-    index_cache_key,
-    naive_spatial_join,
-)
+from repro.core.probe import BroadcastIndex, PreparedBuild, gather, naive_spatial_join
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.index.rtree import STRtree
@@ -246,6 +241,7 @@ class JoinResult(_SequenceABC):
 def _normalise(
     entries: Iterable[tuple[Any, Geometry | str]],
     metrics: TaskMetrics | None = None,
+    cache=None,
 ) -> GeometryColumn:
     """Pack ``(payload, Geometry | WKT)`` rows into a column, ids as payloads.
 
@@ -256,9 +252,21 @@ def _normalise(
     row for a ``GeometryCollection`` (object or WKT), a ``ReproError`` for
     a value that is neither a geometry nor a string.  A table of WKT
     points and / or linestrings comes back without one geometry object
-    built.
+    built.  With ``cache`` on, a WKT table's parse is a cached artifact
+    that keeps the ``WKT_BYTES`` it charged, and a hit charges them too.
     """
     entries = list(entries)
+    if cache is not None and any(isinstance(geometry, str) for _, geometry in entries):
+
+        def parse():
+            parse_metrics = TaskMetrics()
+            column = _normalise(entries, parse_metrics)
+            return column, parse_metrics.counts.get(Resource.WKT_BYTES, 0.0)
+
+        column, wkt_chars = fetch(slot_for(cache, "parsed-column", entries), parse)
+        if metrics is not None and wkt_chars:
+            metrics.add(Resource.WKT_BYTES, wkt_chars)
+        return column
     rows = [i for i, (_, geometry) in enumerate(entries) if isinstance(geometry, str)]
     if rows:
         texts = [entries[i][1] for i in rows]
@@ -278,41 +286,6 @@ def _normalise(
                 f"expected Geometry or WKT string, got {type(geometry).__name__}"
             )
     return GeometryColumn.from_entries(entries)
-
-
-def _normalise_cached(entries, metrics, cache) -> GeometryColumn:
-    """`_normalise` through the cross-query parsed-column cache.
-
-    The key is a content fingerprint of the *raw* rows (payloads plus WKT
-    strings / geometry coordinates), so re-submitting the same table skips
-    the WKT parse while a mutated or different table misses.  Counter
-    identity: the entry stores the exact ``WKT_BYTES`` total the parse
-    accrued, and a hit charges that same total — profiles and simulated
-    seconds cannot tell the difference.  Inputs whose payloads the
-    fingerprinter does not understand simply bypass the cache.
-    """
-    if cache is None:
-        return _normalise(entries, metrics)
-    entries = entries if isinstance(entries, list) else list(entries)
-    if not any(isinstance(geometry, str) for _, geometry in entries):
-        # Nothing to parse: caching would only add hashing overhead.
-        return _normalise(entries, metrics)
-    try:
-        key = fingerprint_rows(entries, "parsed-column")
-    except TypeError:
-        return _normalise(entries, metrics)
-    cached = cache.get(key, "parsed-column")
-    if cached is None:
-        parse_metrics = TaskMetrics()
-        column = _normalise(entries, parse_metrics)
-        wkt_chars = parse_metrics.counts.get(Resource.WKT_BYTES, 0.0)
-        cache.put(key, "parsed-column", (column, wkt_chars),
-                  build_cost=float(wkt_chars))
-    else:
-        column, wkt_chars = cached
-    if metrics is not None and wkt_chars:
-        metrics.add(Resource.WKT_BYTES, wkt_chars)
-    return column
 
 
 def _coerce_operator(operator: SpatialOperator | str) -> SpatialOperator:
@@ -469,36 +442,32 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
     if query is not None:
         parse_metrics = TaskMetrics()
         with tracer.span("parse", category="phase") as span:
-            left_column = _normalise_cached(left, parse_metrics, cache)
-            right_column = _normalise_cached(right, parse_metrics, cache)
+            left_column = _normalise(left, parse_metrics, cache)
+            right_column = _normalise(right, parse_metrics, cache)
             span.add_sim(parse_metrics.seconds(model))
         _add_stage(query, "parse", [parse_metrics], model)
     else:
-        left_column = _normalise_cached(left, None, cache)
-        right_column = _normalise_cached(right, None, cache)
+        left_column = _normalise(left, None, cache)
+        right_column = _normalise(right, None, cache)
 
     method = cfg.method
     plan = None
     stats = None
-    bindex_key = None
-    if cache is not None:
-        bindex_key = index_cache_key(
-            "broadcast-index", right_column, op, cfg.radius, cfg.engine
-        )
-    # Residency of the broadcast build side *at planning time* — a plain
-    # containment peek (counts neither hit nor miss), recorded for the
-    # explain report before execution can warm the cache.
-    explain_resident = (
-        explain_on and bindex_key is not None and bindex_key in cache
+    build_slot = slot_for(
+        cache, "broadcast-index", right_column,
+        operator=op, radius=cfg.radius, engine=cfg.engine,
     )
+    # Residency of the broadcast build side *at planning time* (a peek
+    # that counts neither hit nor miss), recorded for the explain report
+    # before execution can warm the cache.
+    explain_resident = explain_on and resident(build_slot)
     if method == "auto":
         # A cache-resident build side makes broadcast (nearly) free to set
-        # up; tell the planner so a warm cache can flip the plan.  The
-        # residency peek is a plain containment test — it must not count a
-        # hit/miss the subsequent build lookup will count again.
-        cached_build = bindex_key is not None and bindex_key in cache
+        # up; tell the planner so a warm cache can flip the plan.
         with tracer.span("plan", category="phase") as span:
-            plan = _choose_plan(cfg, op, model, left_column, right_column, cached_build)
+            plan = _choose_plan(
+                cfg, op, model, left_column, right_column, resident(build_slot)
+            )
             span.set_attr("method", plan.method)
         stats = plan.stats
         method = plan.method
@@ -508,7 +477,7 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
     elif method == "broadcast":
         pairs = _broadcast_join(
             left_column, right_column, op, cfg, model, query, events_query,
-            recovery, cache=cache, cache_key=bindex_key,
+            recovery, build_slot,
         )
     elif method == "dual-tree":
         pairs = _dual_tree_join(left_column, right_column, op, cfg, model, query)
@@ -537,7 +506,7 @@ def _run_join(left, right, cfg: JoinConfig, runtime: RuntimeConfig) -> JoinResul
     if explain_on:
         report = _build_explain_report(
             cfg, op, model, plan, method, left_column, right_column,
-            raw_wkt, cache, bindex_key, explain_resident, cache_before,
+            raw_wkt, cache, explain_resident, cache_before,
             profile_obj,
         )
     return JoinResult(
@@ -568,7 +537,7 @@ def _choose_plan(cfg: JoinConfig, op, model, left_column, right_column, cached_b
 
 def _build_explain_report(
     cfg, op, model, plan, method, left_column, right_column, raw_wkt,
-    cache, bindex_key, explain_resident, cache_before, profile_obj,
+    cache, explain_resident, cache_before, profile_obj,
 ):
     """Price the executed plan and (for ANALYZE) overlay measured actuals.
 
@@ -688,8 +657,7 @@ def _run_stage(pool, tasks, model, events, recovery, scope):
 
 
 def _broadcast_join(
-    left_column, right_column, op, cfg, model, query, events_query, recovery,
-    cache=None, cache_key=None,
+    left_column, right_column, op, cfg, model, query, events_query, recovery, build_slot,
 ):
     """The paper's broadcast join: index the right side, probe with the
     left in ``batch_size`` chunks — each a zero-copy slice of the left
@@ -703,9 +671,9 @@ def _broadcast_join(
         # The build stage charges index.build_cost_units() whether the
         # index was rebuilt or reused — a warm query simulates the same
         # cluster, it just skips the real STR-tree construction.
-        index = cached_index(
-            cache, "broadcast-index", right_column, op, cfg.radius, cfg.engine,
-            key=cache_key,
+        index = fetch(
+            build_slot,
+            lambda: BroadcastIndex(right_column, op, radius=cfg.radius, engine=cfg.engine),
         )
         for resource, amount in index.build_cost_units().items():
             build_metrics.add(resource, amount)
@@ -803,7 +771,7 @@ def _route_side(tiles, column, expand, shuffle_metrics):
 
 def _partitioned_join_local(
     left_column, right_column, op, cfg, model, query, plan,
-    events_query, recovery, cache=None,
+    events_query, recovery, cache,
 ):
     """Skew-aware tiled join over in-memory collections.
 
@@ -822,21 +790,8 @@ def _partitioned_join_local(
     partitioning = plan.partitioning if plan is not None else None
     if partitioning is None:
         num_tiles = cfg.num_tiles or max(4, 2 * cfg.workers)
-        layout_key = None
-        if cache is not None:
-            # Both sides shape the sampled stats and the tile layout, so
-            # both belong in the key, along with every deriving knob.
-            layout_key = fingerprint_entries(
-                left_column.entries(), "partition-layout", float(expand),
-                num_tiles, float(cfg.skew_factor), cfg.engine,
-                cfg.sample_size, fingerprint_entries(right_column.entries()),
-            )
-            layout = cache.get(layout_key, "partition-layout")
-            if layout is not None:
-                stats, partitioning = layout
-                if not (stats.left.count and stats.right.count):
-                    return []
-        if partitioning is None:
+
+        def derive():
             sample_kwargs = (
                 {"sample_size": cfg.sample_size} if cfg.sample_size else {}
             )
@@ -844,9 +799,7 @@ def _partitioned_join_local(
                 left_column, right_column, radius=expand, **sample_kwargs
             )
             if not (stats.left.count and stats.right.count):
-                if layout_key is not None:
-                    cache.put(layout_key, "partition-layout", (stats, None))
-                return []
+                return stats, None
             with tracer.span("derive-partitioning", category="phase") as span:
                 partitioning, _, _ = derive_skew_aware_partitioning(
                     stats,
@@ -856,11 +809,18 @@ def _partitioned_join_local(
                     engine=cfg.engine,
                 )
                 span.set_attr("tiles", len(partitioning))
-            if layout_key is not None:
-                cache.put(
-                    layout_key, "partition-layout", (stats, partitioning),
-                    build_cost=float(stats.left.count + stats.right.count),
-                )
+            return stats, partitioning
+
+        # Both sides shape the sampled stats and the tile layout, so both
+        # belong in the key, along with every deriving knob.
+        layout_slot = slot_for(
+            cache, "partition-layout", left_column, right=right_column,
+            expand=expand, num_tiles=num_tiles, skew_factor=cfg.skew_factor,
+            engine=cfg.engine, sample_size=cfg.sample_size,
+        )
+        _, partitioning = fetch(layout_slot, derive)
+        if partitioning is None:  # a side is empty
+            return []
     tiles = partitioning
 
     shuffle_metrics = TaskMetrics() if query is not None else None

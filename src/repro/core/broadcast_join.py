@@ -36,12 +36,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.cache.artifacts import fetch, slot_for
 from repro.cluster.model import Resource
 from repro.columnar.block import ColumnRecords, partition_column
 from repro.columnar.column import GeometryColumn
 from repro.columnar.io import parse_wkt_column
 from repro.core.operators import SpatialOperator
-from repro.core.probe import cached_index, gather, index_cache_key
+from repro.core.probe import BroadcastIndex, gather
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry import wkb as wkb_mod
@@ -189,20 +190,17 @@ def broadcast_spatial_join(
     # is billed either way, so simulated seconds never see the cache.
     with tracer.span("collect-build-side", category="phase"):
         right_local = right.collect()
-    cache = sc.cache
-    kind = "spark-broadcast-index"
-    cache_key = (
-        index_cache_key(kind, right_local, operator, radius, engine)
-        if cache is not None
-        else None
+    slot = slot_for(
+        sc.cache, "spark-broadcast-index", right_local,
+        operator=operator, radius=radius, engine=engine,
     )
     with tracer.span("build-index", category="phase") as build_span:
         # The scheduler installs the context's event log only inside
         # run_job; this driver-side section installs it too so cache
         # hit/miss events reach the same events.jsonl stream.
         with install_event_log(sc.event_log):
-            index = cached_index(
-                cache, kind, right_local, operator, radius, engine, key=cache_key
+            index = fetch(
+                slot, lambda: BroadcastIndex(right_local, operator, radius=radius, engine=engine)
             )
         build_units = {
             resource: units * build_cost_weight
@@ -217,7 +215,7 @@ def broadcast_spatial_join(
     with tracer.span("broadcast", category="phase") as bc_span:
         ship_before = sc.broadcast_overhead_seconds
         index_broadcast = sc.broadcast(
-            index, cost_weight=build_cost_weight, fingerprint=cache_key
+            index, cost_weight=build_cost_weight, fingerprint=slot.key if slot else None
         )
         bc_span.add_sim(sc.broadcast_overhead_seconds - ship_before)
 

@@ -22,7 +22,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.cache import estimate_index_bytes, fingerprint_entries
 from repro.cluster.metrics import scatter_units
 from repro.cluster.model import Resource
 from repro.columnar.column import _POINT as _POINT_CODE
@@ -42,9 +41,7 @@ from repro.core.operators import SpatialOperator
 __all__ = [
     "BroadcastIndex",
     "PreparedBuild",
-    "cached_index",
     "gather",
-    "index_cache_key",
     "naive_spatial_join",
     "refine_pair",
 ]
@@ -478,53 +475,6 @@ class BroadcastIndex(PreparedBuild):
         )
         payloads = self._entry_payloads
         return [(payloads[entry], dist) for entry, dist in found]
-
-
-def index_cache_key(
-    kind: str,
-    build: Iterable[tuple[Any, Geometry]] | GeometryColumn,
-    operator: SpatialOperator,
-    radius: float,
-    engine: str,
-):
-    """Cross-query cache key of the index :func:`cached_index` builds over
-    ``build``: the dataset's content plus the predicate context."""
-    entries = build.entries() if isinstance(build, GeometryColumn) else build
-    return fingerprint_entries(entries, kind, operator.value, float(radius), engine)
-
-
-def cached_index(
-    cache,
-    kind: str,
-    build: Iterable[tuple[Any, Geometry]] | GeometryColumn,
-    operator: SpatialOperator,
-    radius: float,
-    engine: str,
-    key=None,
-) -> BroadcastIndex:
-    """Build the index over ``build``, or reuse the cache-resident one.
-
-    ``cache`` is the cross-query :class:`~repro.cache.CacheManager` or
-    ``None``; ``key`` is :func:`index_cache_key` of the same arguments,
-    for a caller that already computed it.  A hit returns the very index
-    a cold build would have produced from equal content — probes charge
-    delta-based units and every caller bills ``build_cost_units()``
-    either way, so counters, profiles and pairs cannot tell; only the
-    STR-tree construction wall-clock is saved.
-    """
-    if cache is None:
-        return BroadcastIndex(build, operator, radius=radius, engine=engine)
-    if key is None:
-        key = index_cache_key(kind, build, operator, radius, engine)
-    index = cache.get(key, kind)
-    if index is None:
-        index = BroadcastIndex(build, operator, radius=radius, engine=engine)
-        cache.put(
-            key, kind, index,
-            size_bytes=estimate_index_bytes(index),
-            build_cost=sum(index.build_cost_units().values()),
-        )
-    return index
 
 
 def _cut_blocks(

@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.cache import cache_for, estimate_index_bytes, fingerprint_rows
+from repro.cache import cache_for
+from repro.cache.artifacts import fetch, slot_for
 from repro.cluster.model import ClusterSpec, CostModel, Resource
 from repro.errors import ImpalaError, PlanError
 from repro.hdfs import SimulatedHDFS, split_boundaries
@@ -652,47 +653,24 @@ class ImpalaBackend:
         # reused.  The cached bundle carries the *unweighted* totals so
         # one entry serves backends with different build_cost_weight.
         radius = join.predicate.radius or 0.0
-        bundle_key = None
-        if self.cache is not None:
-            try:
-                bundle_key = fingerprint_rows(
-                    all_rows, "impala-build-side", geometry_slot,
-                    operator.value, float(radius), self.engine_name,
-                )
-            except TypeError:
-                bundle_key = None
-        bundle = (
-            self.cache.get(bundle_key, "impala-build-side")
-            if bundle_key is not None
-            else None
-        )
-        if bundle is None:
+
+        def build():
             index, wkt_bytes, dropped = build_spatial_index(
                 all_rows, geometry_slot, operator, radius, self.engine_name
             )
-            raw_build_bytes = sum(estimate_bytes(r) for r in all_rows)
-            if bundle_key is not None:
-                self.cache.put(
-                    bundle_key, "impala-build-side",
-                    (index, wkt_bytes, raw_build_bytes, dropped),
-                    size_bytes=estimate_index_bytes(index) + 16,
-                    build_cost=float(wkt_bytes)
-                    + sum(index.build_cost_units().values()),
-                )
-        else:
-            index, wkt_bytes, raw_build_bytes, dropped = bundle
+            return index, wkt_bytes, sum(estimate_bytes(r) for r in all_rows), dropped
+
+        index, wkt_bytes, raw_build_bytes, dropped = fetch(slot_for(
+            self.cache, "impala-build-side", all_rows, column=geometry_slot,
+            operator=operator, radius=radius, engine=self.engine_name,
+        ), build)
         if dropped:
             REGISTRY.inc("impala.rows_skipped", dropped)
         weight = self.build_cost_weight
         build_bytes = raw_build_bytes * weight
         if join.distribution == "partitioned" and self.cluster.num_nodes > 1:
             share = len(instances)
-            try:
-                probe_bytes = float(
-                    self.metastore.table_bytes(plan.probe.table.name)
-                )
-            except Exception:
-                probe_bytes = 0.0
+            probe_bytes = float(self.metastore.table_bytes(plan.probe.table.name))
             for instance in instances:
                 instance.charge_serial(
                     Resource.SHUFFLE_BYTES, (build_bytes + probe_bytes) / share

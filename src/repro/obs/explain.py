@@ -549,9 +549,9 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     see it.
     """
     from repro.cache import cache_for
+    from repro.cache.artifacts import resident, slot_for
     from repro.cluster.model import CostModel
     from repro.core.api import JoinConfig, _choose_plan, _coerce_operator, _normalise
-    from repro.core.probe import index_cache_key
 
     if config is not None:
         cfg = config
@@ -568,17 +568,11 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
     right_column = _normalise(right)
     model = cfg.cost_model or CostModel()
     cache = cache_for(cfg.runtime)
-    cached_build = False
-    if cache is not None:
-        key = index_cache_key(
-            "broadcast-index", right_column, op, cfg.radius, cfg.engine
-        )
-        cached_build = key in cache
+    cached_build = resident(slot_for(
+        cache, "broadcast-index", right_column,
+        operator=op, radius=cfg.radius, engine=cfg.engine,
+    ))
     plan = _choose_plan(cfg, op, model, left_column, right_column, cached_build)
-    cache_info = {
-        "enabled": cache is not None,
-        "build_resident": cached_build,
-    }
     return build_plan_report(
         plan,
         method=None if cfg.method == "auto" else cfg.method,
@@ -586,5 +580,5 @@ def explain(left, right, config=None, **kwargs) -> ExplainReport:
         engine=cfg.engine,
         parse_wkt=parse_wkt,
         ratio=cfg.explain_ratio,
-        cache_info=cache_info,
+        cache_info={"enabled": cache is not None, "build_resident": cached_build},
     )

@@ -54,8 +54,7 @@ class SparkContext:
         # blacklist); inert unless the runtime carries a FaultPlan.
         self.recovery = RecoveryContext(runtime)
         # Cross-query cache handle (None unless the runtime sets
-        # cache_budget_bytes); the broadcast/partitioned joins reuse
-        # built indexes through it.
+        # cache_budget_bytes); the broadcast join reuses its index.
         self.cache = cache_for(runtime)
         # Structured event log: given a JSONL path (runtime.events_out),
         # every job emits the QueryStart/StageSubmitted/TaskStart/...
@@ -136,8 +135,9 @@ class SparkContext:
 
     @staticmethod
     def _broadcast_size(value) -> int:
-        # Spatial indexes expose their entries; other values use the
-        # generic estimator.
+        # Only a value with ``iter_all`` is charged per entry.  A
+        # BroadcastIndex has none and is charged as an opaque 64-byte
+        # object: the wrong charge of ROADMAP item 1(a).
         iter_all = getattr(value, "iter_all", None)
         if iter_all is not None:
             total = 0
