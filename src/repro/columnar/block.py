@@ -4,7 +4,9 @@ A parsed partition is :class:`ColumnRecords`: its rows' column.  Three
 more shapes, one per hop of a keyed geometry shuffle:
 
 * :class:`RoutedRows` — a routed *partition* on the map side: the
-  partition's column, the rows the router selected and their keys;
+  partition's column, the rows the router selected and their keys,
+  bucketed by key (a whole map stage's partitions route and bucket in
+  one call, :meth:`RoutedRows.route`);
 * :class:`ColumnBlock` — one (map, reduce) bucket in the shuffle store: a
   zero-copy slice of that column plus the rows' keys;
 * :class:`EntryChunks` — one key's values on the reduce side: the column
@@ -148,20 +150,53 @@ class RoutedRows:
     """One routed partition: ``column.entry(rows[k])`` under key ``keys[k]``.
 
     ``rows`` and ``keys`` are the router's parallel index arrays (a row
-    routed to several keys appears once per key).  Like a freshly parsed
-    partition it is its own iterator, so it survives
+    routed to several keys appears once per key).  ``buckets`` holds the
+    routed positions bucketed by key, keys in first-arrival order, each
+    with the ``records_bytes`` of its records — given by
+    :meth:`route`, which buckets a whole stage's partitions in one pass,
+    or computed here by the same pass over this partition alone.  Like a
+    freshly parsed partition it is its own iterator, so it survives
     ``MapPartitionsRDD.compute``'s ``iter()``: a generic operator just
     iterates ``(key, (id, geometry))`` records, and a shuffle's map side
     takes :meth:`shuffle_blocks` without building one.
     """
 
-    __slots__ = ("column", "rows", "keys", "_records")
+    __slots__ = ("column", "rows", "keys", "buckets", "_records")
 
-    def __init__(self, column: GeometryColumn, rows: np.ndarray, keys: np.ndarray):
+    def __init__(
+        self,
+        column: GeometryColumn,
+        rows: np.ndarray,
+        keys: np.ndarray,
+        buckets: list[tuple[int, np.ndarray, int]] | None = None,
+    ):
         self.column = column
         self.rows = rows
         self.keys = keys
+        if buckets is None:
+            [buckets] = _bucket_by_key([column], rows, keys, [0, len(rows)])
+        self.buckets = buckets
         self._records = self._iter_records()
+
+    @classmethod
+    def route(
+        cls,
+        columns: Sequence[GeometryColumn],
+        route: Callable[..., tuple[np.ndarray, np.ndarray]],
+    ) -> list["RoutedRows"]:
+        """Route several partitions' columns with one
+        ``route(min_x, min_y, max_x, max_y)`` call over their
+        concatenated bounds — it returns ``(rows, keys)``, rows ascending
+        — and bucket every partition's routed rows in one pass."""
+        bounds = [column.bounds() for column in columns]
+        rows, keys = route(*(np.concatenate(side) for side in zip(*bounds)))
+        row_stops = np.cumsum([0] + [len(column) for column in columns])
+        cuts = np.searchsorted(rows, row_stops).tolist()
+        buckets = _bucket_by_key(columns, rows, keys, cuts)
+        return [
+            cls(column, rows[lo:hi] - row_stops[b], keys[lo:hi], buckets[b])
+            for b, (column, lo, hi) in enumerate(zip(columns, cuts, cuts[1:]))
+        ]
 
     def _iter_records(self) -> Iterator[tuple[int, tuple[object, Geometry]]]:
         entry = self.column.entry
@@ -179,43 +214,71 @@ class RoutedRows:
     ) -> dict[int, ColumnBlock]:
         """One :class:`ColumnBlock` per reduce partition ``partition(key)``.
 
-        Buckets come in first-arrival order with their records in routed
-        order — what bucketing the records one at a time yields — and
-        each block's ``charge_bytes`` is ``records_bytes`` of the records
-        it stands for, computed from per-row sizes.
+        Maps each bucket's key to its reduce partition.  Buckets come in
+        first-arrival order with their records in routed order — what
+        bucketing the records one at a time yields — and each block's
+        ``charge_bytes`` is ``records_bytes`` of the records it stands
+        for; keys that share a reduce partition share its block, their
+        records merged back into routed order.
         """
-        from repro.spark.shuffle import estimate_bytes
-
+        targets: dict[int, tuple[np.ndarray, int]] = {}
+        for key, positions, charge in self.buckets:
+            target = partition(key)
+            if target in targets:
+                merged, total = targets[target]
+                positions = np.sort(np.concatenate((merged, positions)))
+                charge += total
+            targets[target] = (positions, charge)
         column, rows, keys = self.column, self.rows, self.keys
-        if not len(rows):
-            return {}
-        id_bytes = np.fromiter(
-            (
-                8 if type(rid) in (int, float, bool) else estimate_bytes(rid)
-                for rid in column.payloads()
-            ),
-            dtype=np.int64,
-            count=len(column),
-        )
-        # estimate_bytes((key, (id, geometry))) with an int key: two tuple
-        # headers, the key, the id, and 24 + 16 bytes per vertex.
-        record_bytes = (48 + id_bytes + 16 * column.num_points_array())[rows]
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        targets = np.fromiter(
-            (partition(key) for key in distinct.tolist()),
-            dtype=np.int64,
-            count=len(distinct),
-        )[inverse]
-        buckets = positions_by_value(targets)
-        buckets.sort(key=lambda bucket: bucket[0])  # first arrival
         return {
-            int(targets[bucket[0]]): ColumnBlock(
-                column.take(rows[bucket]),
-                keys[bucket].tolist(),
-                int(record_bytes[bucket].sum()),
-            )
-            for bucket in buckets
+            target: ColumnBlock(column.take(rows[positions]), keys[positions].tolist(), charge)
+            for target, (positions, charge) in targets.items()
         }
+
+
+def _bucket_by_key(
+    columns: Sequence[GeometryColumn], rows: np.ndarray, keys: np.ndarray, cuts: Sequence[int]
+) -> list[list[tuple[int, np.ndarray, int]]]:
+    """Every partition's routed positions bucketed by key, in one pass.
+
+    Partition ``b`` owns routed positions ``cuts[b]:cuts[b + 1]`` of
+    ``rows`` (its own row numbers offset by the rows of the partitions
+    before it) and ``keys``.  One ``lexsort`` by (partition, key) groups
+    them, routed order kept within a group; groups come back per
+    partition in first-arrival order as ``(key, positions, charge)``,
+    positions counted from the partition's first, and ``charge`` the
+    ``records_bytes`` of the group's ``(key, (id, geometry))`` records
+    from one ``np.add.reduceat`` of per-row sizes.
+    """
+    from repro.spark.shuffle import estimate_bytes
+
+    buckets: list[list] = [[] for _ in columns]
+    if not len(rows):
+        return buckets
+    payloads = [rid for column in columns for rid in column.payloads()]
+    id_bytes = np.fromiter(
+        (8 if type(rid) in (int, float, bool) else estimate_bytes(rid) for rid in payloads),
+        dtype=np.int64,
+        count=len(payloads),
+    )
+    num_points = np.concatenate([column.num_points_array() for column in columns])
+    # estimate_bytes((key, (id, geometry))) with an int key: two tuple
+    # headers, the key, the id, and 24 + 16 bytes per vertex.
+    record_bytes = (48 + id_bytes + 16 * num_points)[rows]
+    owner = np.repeat(np.arange(len(columns)), np.diff(cuts))
+    order = np.lexsort((keys, owner))
+    owner, sorted_keys = owner[order], keys[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (owner[1:] != owner[:-1]) | (sorted_keys[1:] != sorted_keys[:-1])))
+    )
+    charges = np.add.reduceat(record_bytes[order], starts).tolist()
+    groups = np.split(order, starts[1:])
+    # A group's first position is its first arrival; positions grow
+    # partition by partition, so this order is partition-major too.
+    for g in np.argsort(order[starts], kind="stable").tolist():
+        b = int(owner[starts[g]])
+        buckets[b].append((int(sorted_keys[starts[g]]), groups[g] - cuts[b], charges[g]))
+    return buckets
 
 
 class EntryChunks(Sequence):

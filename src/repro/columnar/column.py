@@ -607,6 +607,43 @@ class GeometryColumn:
         stop = min(stop, self._data.count)
         return self.take(np.arange(start, max(start, stop), dtype=np.int64))
 
+    def cut(self, stops: Sequence[int]) -> list["GeometryColumn"]:
+        """This column's rows cut at ``stops`` (ascending, the last one its
+        length) into standalone columns, each over its own buffer set:
+        the buffers, payloads and point-only layout of a column built
+        from that piece's rows alone.  Contiguous buffer slices, no
+        geometry built; a materialised geometry is carried over."""
+        if self._sel is not None:
+            return self.compact().cut(stops)
+        data, payloads = self._data, self._payloads
+        if len(stops) == 1:
+            return [self]
+        pieces = []
+        start = 0
+        for stop in stops:
+            if data.is_point_only:
+                piece = _point_only_data(data.coords[start:stop])
+            else:
+                part0, part1 = data.geoms[start], data.geoms[stop]
+                ring0, ring1 = data.parts[part0], data.parts[part1]
+                coord0, coord1 = data.rings[ring0], data.rings[ring1]
+                piece = _ColumnData(
+                    data.coords[coord0:coord1],
+                    data.rings[ring0 : ring1 + 1] - coord0,
+                    data.parts[part0 : part1 + 1] - ring0,
+                    data.geoms[start : stop + 1] - part0,
+                    data.types[start:stop],
+                    data.bbox[start:stop],
+                )
+            cache = data._geom_cache
+            if cache:
+                for j in range(start, stop):
+                    if j in cache:
+                        piece._geom_cache[j - start] = cache[j]
+            pieces.append(GeometryColumn(piece, payloads[start:stop]))
+            start = stop
+        return pieces
+
     def non_empty(self) -> "GeometryColumn":
         """The rows holding at least one coordinate (``num_points > 0 <=>
         not is_empty``) — this column itself when that is every row."""
@@ -671,11 +708,19 @@ class GeometryColumn:
         """Exact geometry-buffer bytes of this column's binary encoding.
 
         Matches ``len(to_bytes())`` minus the payload framing — the honest
-        size of what ships for the geometry side of the selected rows.
+        size of what ships for the geometry side of the selected rows,
+        for a view too: ``to_bytes()`` encodes the compacted rows.
         """
         n = len(self)
-        coord_bytes = 16 * int(self.num_points_array().sum())
-        if self._data.is_point_only:
+        ncoords = int(self.num_points_array().sum())
+        coord_bytes = 16 * ncoords
+        if self._data.is_point_only or (
+            # A view whose rows are all one-coordinate points (or none)
+            # ships the compact layout, whatever its buffer set holds.
+            self._sel is not None
+            and ncoords == n
+            and bool(np.all(self.types_array() == _POINT))
+        ):
             return 12 + coord_bytes
         geoms = self._data.geoms
         parts = self._data.parts

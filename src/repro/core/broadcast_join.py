@@ -13,9 +13,10 @@ Fig 2 (Scala)                          here
                                        per split
 ``.zipWithIndex()``                    ``.zip_with_index()``: a ``len`` per
                                        split, then a base index per block
-``.map(_.split)``                      :func:`read_geometry_pairs`' block
-                                       parse: split and number the lines
-``Try(new WKTReader().read(...))``     ``parse_wkt_column`` (drops counted)
+``.map(_.split)``                      :func:`read_geometry_pairs`' split
+                                       step: split and number the lines
+``Try(new WKTReader().read(...))``     ``parse_wkt_column`` (drops counted),
+                                       one call per inline stage
 ``val strtree = new STRtree()``        :class:`~repro.core.probe.BroadcastIndex`
 ``y.expandBy(radius)``                 ``BroadcastIndex(radius=...)``
 ``sc.broadcast(strtree)``              ``sc.broadcast(index)``
@@ -25,6 +26,9 @@ Fig 2 (Scala)                          here
                                        per result stage
 =====================================  =====================================
 
+Both the parse and the probe are fused steps
+(:class:`~repro.spark.rdd.FusedPartitionsRDD`): a stage whose tasks run
+inline makes one parse call and one probe call for all its partitions.
 Every charge is the record-at-a-time pipeline's: per-row ``WKT_BYTES`` /
 ``RDD_RECORDS`` and probe units reach each task as unit columns through
 :meth:`~repro.cluster.metrics.TaskMetrics.add_columns`.
@@ -40,7 +44,7 @@ from repro.cache.artifacts import fetch, slot_for
 from repro.cluster.model import Resource
 from repro.columnar.block import ColumnRecords, partition_column
 from repro.columnar.column import GeometryColumn
-from repro.columnar.io import parse_wkt_column
+from repro.columnar.io import parse_wkt_blocks
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex, gather
 from repro.errors import ReproError
@@ -78,15 +82,20 @@ def read_geometry_pairs(
     join can evaluate (a ``GEOMETRYCOLLECTION``) is dropped the same way.
     Every dropped row is counted in ``spark.rows_skipped``.
 
-    Each text split arrives as its line list and is split, numbered and
-    parsed in one task body (:func:`~repro.columnar.io.parse_wkt_column`);
-    the per-row charges go to the task as unit columns.  Every partition
-    comes back as :class:`~repro.columnar.block.ColumnRecords` — it
-    iterates as ``(record_id, geometry)`` records for any RDD operator,
-    and the joins read its column directly.
+    The parse is a fused step (:class:`~repro.spark.rdd.FusedPartitionsRDD`):
+    each text split arrives as its line list and is split and numbered
+    in its own task, then every split of an inline stage is parsed with
+    one :func:`~repro.columnar.io.parse_wkt_blocks` call (a batch of one
+    under a pool or a fault plan) and cut back per split — each split's
+    column, unit columns and ``spark.rows_skipped`` those of parsing it
+    alone.  Every partition comes back as
+    :class:`~repro.columnar.block.ColumnRecords` — it iterates as
+    ``(record_id, geometry)`` records for any RDD operator, and the joins
+    read its column directly.
     """
 
-    def parse_partition(numbered):
+    def split_block(numbered):
+        """One split's lines, split and numbered (read in its task)."""
         texts: list[str] = []
         record_ids: list[int] = []
         lines = 0
@@ -96,26 +105,33 @@ def read_geometry_pairs(
             if geometry_index < len(fields):
                 texts.append(fields[geometry_index])
                 record_ids.append(record_id)
-        # Two pipeline hops per record (zipWithIndex pass + parse pass).
-        current_task().add_columns(
-            {
+        return texts, record_ids, lines
+
+    def parse_blocks(blocks):
+        """Every block's texts parsed in one call, cut back per block."""
+        parsed = parse_wkt_blocks(
+            [texts for texts, _, _ in blocks], [record_ids for _, record_ids, _ in blocks]
+        )
+        outcomes = []
+        for (texts, _, lines), (column, dropped) in zip(blocks, parsed):
+            skipped = lines - len(texts) + len(dropped)
+            if skipped:
+                REGISTRY.inc("spark.rows_skipped", skipped)
+            # Two pipeline hops per record (zipWithIndex pass + parse pass).
+            units = {
                 Resource.WKT_BYTES: np.fromiter(map(len, texts), np.float64, len(texts))
                 * cost_weight,
                 Resource.RDD_RECORDS: np.full(len(texts), 2.0),
             }
-        )
-        column, dropped = parse_wkt_column(texts, record_ids)
-        skipped = lines - len(texts) + len(dropped)
-        if skipped:
-            REGISTRY.inc("spark.rows_skipped", skipped)
-        return ColumnRecords(column)
+            outcomes.append((ColumnRecords(column), units))
+        return outcomes
 
     if num_partitions is None:
         # Spark's rule of thumb: ~2 tasks per core keeps the dynamic
         # scheduler's waves balanced (the a1 ablation varies this).
         num_partitions = sc.default_parallelism
-    return sc.text_file(path, num_partitions).zip_with_index().map_partitions(
-        parse_partition
+    return FusedPartitionsRDD(
+        sc.text_file(path, num_partitions).zip_with_index(), split_block, parse_blocks
     )
 
 

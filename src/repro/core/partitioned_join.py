@@ -8,12 +8,16 @@ pairs — possible because objects of either side are replicated to every
 tile they overlap — are suppressed with the owner rule: of the tiles both
 sides of a pair reach, only the lowest-indexed one emits it.
 
-Rows move a block at a time: each scanned partition is routed with one
-batch-router call over its column's bounding boxes and the shuffle carries
-column slices.  The tile stage is a :class:`~repro.spark.rdd.FusedPartitionsRDD`:
-run inline, it prepares the distinct right rows its tiles slice once and
-probes every tile in one :meth:`~repro.core.probe.PreparedBuild.probe_tiles`
-call; under a pool or a fault plan each tile is a batch of one.
+Rows move a block at a time, and every stage batches its blocks when its
+tasks run inline (:class:`~repro.spark.rdd.FusedPartitionsRDD`; under a
+pool or a fault plan each partition is a batch of one).  A map stage
+parses its side with one call and routes it with one batch-router call
+over every partition's bounding boxes, bucketing all the routed rows by
+(partition, tile) in one pass (:meth:`RoutedRows.route
+<repro.columnar.block.RoutedRows.route>`); each map task then cuts its
+own column-slice shuffle blocks.  The tile stage prepares the distinct
+right rows its tiles slice once and probes every tile in one
+:meth:`~repro.core.probe.PreparedBuild.probe_tiles` call.
 """
 
 from __future__ import annotations
@@ -134,17 +138,18 @@ def partitioned_spatial_join(
     expand = radius if operator.needs_radius else 0.0
 
     def route_by(grow: float):
-        def route_partition(records):
-            """Route one partition to ``(tile, (id, geometry))`` records,
-            empty geometries dropped."""
-            column = partition_column(records)
-            rows, tile_ids = tiles.route_rows(*column.bounds(), expand=grow)
-            return RoutedRows(column, rows, tile_ids)
+        def route_partitions(columns):
+            """Route partitions to ``(tile, (id, geometry))`` records,
+            empty geometries dropped: one router call, one bucketing pass."""
+            routed = RoutedRows.route(
+                columns, lambda *bounds: tiles.route_rows(*bounds, expand=grow)
+            )
+            return [(partition, {}) for partition in routed]
 
-        return route_partition
+        return route_partitions
 
-    left_routed = left.map_partitions(route_by(0.0))
-    right_routed = right.map_partitions(route_by(expand))
+    left_routed = FusedPartitionsRDD(left, partition_column, route_by(0.0))
+    right_routed = FusedPartitionsRDD(right, partition_column, route_by(expand))
     grouped = left_routed.cogroup(right_routed, num_partitions=max(1, len(tiles)))
 
     def prepare_tile(records):

@@ -509,6 +509,21 @@ class IndexedRecords:
         return next(self._pairs)
 
 
+def fused_step(rdd: RDD) -> "FusedPartitionsRDD | None":
+    """The batchable step of ``rdd``'s pipeline: a
+    :class:`FusedPartitionsRDD` reached from ``rdd`` through
+    partition-preserving maps, none of them cached (a cached partition is
+    never recomputed, so it must not be prefetched)."""
+    node = rdd
+    while not node.cached:
+        if isinstance(node, FusedPartitionsRDD):
+            return node
+        if type(node) is not MapPartitionsRDD:
+            return None
+        node = node._narrow_parent()
+    return None
+
+
 class FusedPartitionsRDD(RDD[U]):
     """Narrow transformation whose partitions are computed in one call.
 
@@ -520,9 +535,10 @@ class FusedPartitionsRDD(RDD[U]):
     partition's charges do not depend on which blocks shared its call.
 
     A partition computed on its own is a batch of one.  The scheduler
-    batches a result stage (:meth:`prefetch`) when its tasks run inline;
-    each task then finds its partition's outcome waiting and is charged
-    it where it would have computed it.
+    batches every stage whose tasks run inline (:meth:`prefetch`) —
+    this step and, first, the fused steps upstream of it on the narrow
+    chain; each task then finds its partition's outcome waiting and is
+    charged it where it would have computed it.
     """
 
     def __init__(
@@ -535,6 +551,7 @@ class FusedPartitionsRDD(RDD[U]):
         self._prepare = prepare
         self._run = run
         self._prefetched: dict[int, Any] = {}
+        self._upstream: FusedPartitionsRDD | None = None  # prefetched with this step
 
     @property
     def num_partitions(self) -> int:
@@ -554,12 +571,18 @@ class FusedPartitionsRDD(RDD[U]):
         """Prepare ``partitions`` in order, each under its own task's
         metrics, then run them as one batch.
 
+        The nearest uncached fused step upstream (:func:`fused_step`) is
+        prefetched first, over the same partitions and tasks, so each
+        preparation here finds its parent partition's outcome waiting.
         A partition's outcome — or the error its preparation or the batch
         raised — waits for that partition's first :meth:`compute`, which
         is its task's first attempt; a retry computes it alone.  The
         first preparation that fails ends the batch there.
         """
         parent = self._narrow_parent()
+        self._upstream = fused_step(parent)
+        if self._upstream is not None:
+            self._upstream.prefetch(partitions, tasks)
         blocks = []
         for split, task in zip(partitions, tasks):
             try:
@@ -577,8 +600,12 @@ class FusedPartitionsRDD(RDD[U]):
         self._prefetched.update(zip(partitions, outcomes))
 
     def release(self) -> None:
-        """Drop outcomes no task collected (a stage that failed early)."""
+        """Drop outcomes no task collected (a stage that failed early),
+        here and upstream."""
         self._prefetched.clear()
+        if self._upstream is not None:
+            self._upstream.release()
+            self._upstream = None
 
 
 class ShuffledRDD(RDD[tuple]):

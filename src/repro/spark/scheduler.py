@@ -14,14 +14,16 @@ the dispatch path the Impala coordinator and the core join API share;
 what is Spark's own is the retry body (:meth:`DAGScheduler._run_task`)
 and the shipping of RDD-cache fills made in a worker.
 
-A result stage whose pipeline holds a
-:class:`~repro.spark.rdd.FusedPartitionsRDD` (the broadcast join's probe)
-runs that step once for the whole stage when its tasks run inline: each
-task's upstream pipeline first runs under the task's own metrics, then
-one batch call computes every partition, and each task is charged its
-own slice.  Under a real pool or an active fault plan a batch is a
-single task, so the tasks' charges, events and results are the same
-either way.
+Every stage whose pipeline holds a
+:class:`~repro.spark.rdd.FusedPartitionsRDD` — the loader's WKT parse,
+the partitioned join's route, the broadcast join's probe, the tile
+stage — runs that chain of fused steps once for the whole stage when
+its tasks run inline, result and shuffle map stages alike: each task's
+upstream pipeline first runs under the task's own metrics, then one
+batch call per fused step computes every partition, and each task is
+charged its own slice.  Under a real pool or an active fault plan a
+batch is a single task, so the tasks' charges, events and results are
+the same either way.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from repro.runtime.shipping import discard_observability
 from repro.spark.rdd import (
     RDD,
     FusedPartitionsRDD,
-    MapPartitionsRDD,
     NarrowDependency,
     ShuffleDependency,
+    fused_step,
 )
 from repro.spark.shuffle import ShuffleStore
 from repro.spark.taskcontext import task_scope
@@ -191,19 +193,19 @@ class DAGScheduler:
         terminal task failure.
 
         ``fused`` is the pipeline's batchable step: inline tasks of
-        distinct partitions have it prefetched as one batch, each
-        partition's preparation charged to its task's metrics.
+        distinct partitions have it (and the fused steps upstream of it)
+        prefetched as one batch, each partition's preparation charged to
+        its task's metrics.  Whatever no task collected is released when
+        the stage ends, however it ends.
         """
         pool = self.sc.task_pool
         recovery = self.sc.recovery
-        tasks = [None] * len(partitions)
-        if (
+        batched = (
             fused is not None
             and runs_inline(pool, len(partitions), recovery)
             and len(set(partitions)) == len(partitions)
-        ):
-            tasks = [TaskMetrics() for _ in partitions]
-            fused.prefetch(partitions, tasks)
+        )
+        tasks = [TaskMetrics() for _ in partitions] if batched else [None] * len(partitions)
         thunks = [
             partial(
                 self._run_task,
@@ -230,6 +232,8 @@ class DAGScheduler:
 
         scope = f"{metrics.name}:{stage.name}"
         try:
+            if batched:
+                fused.prefetch(partitions, tasks)
             run_tasks(
                 pool,
                 thunks,
@@ -243,7 +247,7 @@ class DAGScheduler:
         except InjectedFaultError as error:
             raise SparkError(f"{scope}: {error}") from error
         finally:
-            if fused is not None:
+            if batched:
                 fused.release()
         return task_seconds
 
@@ -311,7 +315,10 @@ class DAGScheduler:
 
         The store and its registry counters only ever mutate here, in task
         order, and ShuffleWrite is emitted driver-side, so inline and
-        pooled runs agree on both.
+        pooled runs agree on both.  Run inline, the stage batches the
+        fused steps of the map side's pipeline as a result stage does
+        (the partitioned join's parse and route: one call each for every
+        map partition), and each map task then cuts its own buckets.
         """
         store = self.sc._shuffle_store
         dep.shuffle_id = store.new_shuffle_id()
@@ -347,6 +354,7 @@ class DAGScheduler:
                 stage_id,
                 metrics,
                 write_output,
+                fused=fused_step(dep.parent),
             )
             self._finish_stage(stage, task_seconds, shuffling=True, metrics=metrics)
 
@@ -357,9 +365,11 @@ class DAGScheduler:
         The one definition of what a map task writes — shared by the
         map task and lineage repair, so a recovered output has the
         representation of the one that was lost.  A routed
-        column partition (:class:`~repro.columnar.block.RoutedRows`) is
-        sliced straight into one :class:`~repro.columnar.block.ColumnBlock`
-        per bucket; any other partition is bucketed record by record, and
+        column partition (:class:`~repro.columnar.block.RoutedRows`)
+        arrives already bucketed by key — by its own batch or by the
+        stage's — and its buckets are sliced straight into one
+        :class:`~repro.columnar.block.ColumnBlock` per reduce partition;
+        any other partition is bucketed record by record, and
         buckets of ``(key, (id, geometry))`` records are then packed into
         blocks too — iterating a block yields value-identical records,
         the store charges the same byte total, and pickling it (map
@@ -417,27 +427,12 @@ class DAGScheduler:
                 metrics,
                 lambda index, shipment: results.append(shipment.value),
                 repair=self._make_repair(shuffle_deps, stage_id),
-                fused=self._fused_step(rdd),
+                fused=fused_step(rdd),
             )
             self._finish_stage(
                 stage, task_seconds, shuffling=bool(shuffle_deps), metrics=metrics
             )
         return results
-
-    @staticmethod
-    def _fused_step(rdd: RDD) -> FusedPartitionsRDD | None:
-        """The batchable step of a result pipeline: a
-        :class:`FusedPartitionsRDD` reached from ``rdd`` through
-        partition-preserving maps, none of them cached (a cached partition
-        is never recomputed, so it must not be prefetched)."""
-        node = rdd
-        while not node.cached:
-            if isinstance(node, FusedPartitionsRDD):
-                return node
-            if type(node) is not MapPartitionsRDD:
-                return None
-            node = node._narrow_parent()
-        return None
 
     # -- lineage recovery --------------------------------------------------------
 

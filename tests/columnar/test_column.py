@@ -247,6 +247,37 @@ class TestSizingAndPickle:
             # encoding is the geometry buffers plus the 4-byte payload frame.
             assert len(column.to_bytes()) == column.nbytes + 4
 
+    def test_nbytes_matches_encoding_of_a_view(self):
+        mixed = parse_wkt_column(["POINT (1 2)", "POINT (3 4)", "LINESTRING (0 0, 1 1)"])[0]
+        for view, compact in ((mixed.slice(0, 2), True), (mixed.take([]), True),
+                              (mixed.slice(1, 3), False)):
+            blob = view.to_bytes()
+            assert bool(blob[5] & 0x01) is compact
+            assert len(blob) == view.nbytes + 4
+        assert mixed.slice(0, 2).nbytes == 12 + 2 * 16
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [Point(1.5, -2.0), Point(0.0, 3.0), Point.empty(), LineString.empty(),
+                 LineString([(0, 0), (1, 1), (2, 0)]), square(4, 4), donut(0, 0),
+                 Polygon.empty(), MultiPoint([Point(1, 1), Point(2, 2)]), MultiPoint([]),
+                 MultiLineString([LineString([(0, 0), (1, 1)]), LineString.empty()]),
+                 MultiPolygon([square(0, 0), Polygon.empty()])]
+            ),
+            max_size=12,
+        ),
+        st.data(),
+    )
+    def test_nbytes_matches_encoding_of_any_selection(self, geometries, data):
+        column = GeometryColumn.from_geometries(geometries)
+        rows = data.draw(st.lists(st.integers(0, max(0, len(column) - 1)), max_size=8)
+                         if len(column) else st.just([]))
+        for view in (column, column.take(rows), column.take(rows).take(range(0, len(rows), 2))):
+            assert len(view.to_bytes()) == view.nbytes + 4
+            assert view.compact().nbytes == view.nbytes
+
     def test_pickle_ships_binary_encoding(self):
         column = GeometryColumn.from_entries(
             [(i, Point(float(i), float(i))) for i in range(100)]

@@ -8,8 +8,13 @@ fixed scenarios of the other test modules.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import ClusterSpec
 from repro.core import JoinConfig, SpatialOperator, naive_spatial_join, spatial_join
+from repro.core.broadcast_join import broadcast_spatial_join
+from repro.core.partitioned_join import partitioned_spatial_join
+from repro.errors import ReproError
 from repro.geometry import LineString, Point, Polygon
+from repro.spark import SparkContext
 
 coordinate = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
@@ -158,20 +163,38 @@ _PLANS = [
     pytest.param({"method": "broadcast"}, id="broadcast"),
     pytest.param({"method": "dual-tree"}, id="dual-tree"),
     pytest.param({"method": "partitioned", "num_tiles": 4}, id="partitioned"),
+    pytest.param({"spark": broadcast_spatial_join}, id="spark-broadcast"),
+    pytest.param({"spark": partitioned_spatial_join}, id="spark-partitioned"),
 ]
+_SPARK_CLUSTER = ClusterSpec(num_nodes=1, cores_per_node=2, mem_per_node_gb=1.0)
+
+
+def _spark_join(join, left, right, operator, radius):
+    """SpatialSpark's join on a small serial context: the left side in
+    three partitions, the right in two."""
+    sc = SparkContext(_SPARK_CLUSTER)
+    joined = join(sc, sc.parallelize(left, 3), sc.parallelize(right, 2), operator, radius=radius)
+    return joined.collect()
 
 
 def _plan_equals_naive(left, right, plan, operator, radius=0.0):
-    config = JoinConfig(operator=operator, radius=radius, **plan)
-    got = sorted(spatial_join(left, right, config=config))
-    assert got == sorted(naive_spatial_join(left, right, operator, radius=radius))
+    want = sorted(naive_spatial_join(left, right, operator, radius=radius))
+    if "spark" not in plan:
+        config = JoinConfig(operator=operator, radius=radius, **plan)
+        assert sorted(spatial_join(left, right, config=config)) == want
+    elif plan["spark"] is partitioned_spatial_join and not left:
+        # The tile layout is sampled from the left side: none, no layout.
+        with pytest.raises(ReproError, match="empty left side"):
+            _spark_join(plan["spark"], left, right, operator, radius)
+    else:
+        assert sorted(_spark_join(plan["spark"], left, right, operator, radius)) == want
 
 
 @pytest.mark.parametrize("plan", _PLANS)
 class TestLatticeJoinsEqualNaive:
-    """Every plan, whole joins, against the nested loop on lattice inputs
-    (points on edges and vertices, duplicates, a probe outside the build
-    extent, empty sides)."""
+    """Every plan — the API's three and SpatialSpark's two — whole joins,
+    against the nested loop on lattice inputs (points on edges and
+    vertices, duplicates, a probe outside the build extent, empty sides)."""
 
     @given(lattice_points(), lattice_boxes())
     @settings(max_examples=150, deadline=None)
