@@ -33,7 +33,7 @@ a dropped position.  Rows the bulk path takes neither read nor
 fill the reader's process-wide parse memo, so a build side's
 reader-parsed polygons stay warm in it however many probe batches go by.
 :func:`parse_wkt_column` is called by the Spark loader
-(``read_geometry_pairs``), the Impala probe (``core.isp.probe_wkt_rows``)
+(``read_geometry_pairs``), the Impala probe (``core.isp.probe_wkt_blocks``)
 and the API (``core.api``); :func:`column_from_wkt` is its strict wrapper.
 """
 

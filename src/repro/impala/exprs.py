@@ -26,7 +26,7 @@ from repro.impala.ast_nodes import (
 )
 from repro.impala.udf import evaluate_spatial, is_spatial_function
 
-__all__ = ["Slot", "TupleDescriptor", "compile_expr", "vectorize_conjuncts"]
+__all__ = ["Slot", "TupleDescriptor", "calls_function", "compile_expr", "vectorize_conjuncts"]
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,18 @@ def _compile_function(expr: FunctionCall, descriptor: TupleDescriptor):
             "not compiled as a scalar"
         )
     raise PlanError(f"unknown function {expr.name!r}")
+
+
+def calls_function(expr: Expr) -> bool:
+    """Whether ``expr`` calls a function anywhere (only a call can charge
+    the running task: a spatial UDF charges its WKT parse)."""
+    if isinstance(expr, FunctionCall):
+        return True
+    if isinstance(expr, UnaryOp):
+        return calls_function(expr.operand)
+    if isinstance(expr, BinaryOp):
+        return calls_function(expr.left) or calls_function(expr.right)
+    return False
 
 
 _VECTOR_COMPARATORS = {

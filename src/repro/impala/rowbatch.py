@@ -9,16 +9,19 @@ Two batch shapes flow between nodes and answer the same questions —
 ``len``, ``rows``, iteration, ``column`` / ``columns``, ``take`` and
 ``chunks`` — so a consumer cannot tell them apart:
 
-* :class:`RowBatch` — a list of row tuples, what scans and the cross join
-  produce;
-* :class:`PairBatch` — a spatial join's output as columns: one object
-  array per slot, the probe batch's columns gathered at the matching
-  probe rows and the build rows' columns at the matching build rows.  Its
-  row tuples are built only if a consumer asks for them.
+* :class:`ColumnBatch` — rows held as columns, what scans and the
+  spatial join produce.  A scan's columns are typed (an int64 array per
+  BIGINT column, a list of strings per STRING column, ...); a spatial
+  join's are the probe batch's columns gathered at the matching probe
+  rows beside the build rows' columns gathered at the matching build
+  rows.  Its row tuples are built only if a consumer asks for them (a
+  filter's row predicate, an aggregator, the cross join);
+* :class:`RowBatch` — a list of row tuples, what the cross join produces.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,7 +30,7 @@ from repro.errors import ImpalaError
 
 __all__ = [
     "RowBatch",
-    "PairBatch",
+    "ColumnBatch",
     "BATCH_SIZE",
     "batches_of",
     "object_column",
@@ -38,7 +41,10 @@ BATCH_SIZE = 1024  # Impala's default row-batch capacity
 
 
 def object_column(values: Sequence) -> np.ndarray:
-    """``values`` as a 1-D object array holding the very same objects."""
+    """``values`` as a 1-D object array: the very same objects, or a typed
+    array's values as Python scalars."""
+    if isinstance(values, np.ndarray):
+        return values.astype(object)
     column = np.empty(len(values), dtype=object)
     column[:] = values
     return column
@@ -101,17 +107,19 @@ class RowBatch:
         return batches_of(self.rows, batch_size)
 
 
-class PairBatch:
-    """A join's output rows held as columns: one object array per slot.
+class ColumnBatch:
+    """Rows held as columns: one numpy array or list per slot.
 
     Answers every :class:`RowBatch` question with the rows a
-    :class:`RowBatch` of the same tuples would give; :attr:`rows` builds
-    those tuples once, the first time a consumer asks.
+    :class:`RowBatch` of the same tuples would give — a typed array's
+    values read back as Python ``int`` / ``float`` / ``bool`` — and
+    :attr:`rows` builds those tuples once, the first time a consumer
+    asks.
     """
 
     __slots__ = ("_columns", "_rows")
 
-    def __init__(self, columns: list[np.ndarray]):
+    def __init__(self, columns: list):
         self._columns = columns
         self._rows: list[tuple] | None = None
 
@@ -121,38 +129,80 @@ class PairBatch:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
 
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """The rows of ``batches``, in order (the first batch itself when
+        there is one)."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls([_concat_columns(columns) for columns in zip(*(b._columns for b in batches))])
+
     @property
     def rows(self) -> list[tuple]:
         """The row tuples, built from the columns on first use."""
         if self._rows is None:
-            self._rows = list(zip(*(column.tolist() for column in self._columns)))
+            self._rows = list(zip(*map(_values, self._columns)))
         return self._rows
 
     def column(self, slot: int) -> list:
         """One slot's values across the whole batch."""
-        return self._columns[slot].tolist()
+        return _values(self._columns[slot])
 
     def columns(self) -> list[list]:
         """All slots as column lists; empty list for an empty batch."""
         if not len(self):
             return []
-        return [column.tolist() for column in self._columns]
+        return [_values(column) for column in self._columns]
 
     def column_array(self, slot: int) -> np.ndarray:
-        """One slot's values as an object array (no copy)."""
-        return self._columns[slot]
+        """One slot's values as an object array (no copy if it is one)."""
+        column = self._columns[slot]
+        if isinstance(column, np.ndarray) and column.dtype == object:
+            return column
+        return object_column(column)
 
-    def take(self, positions: Iterable[int]) -> "PairBatch":
+    def take(self, positions: Iterable[int]) -> "ColumnBatch":
         """The rows at ``positions``, in that order."""
         positions = np.asarray(positions, dtype=np.int64)
-        return PairBatch([column[positions] for column in self._columns])
+        return ColumnBatch([_gather(column, positions) for column in self._columns])
 
-    def chunks(self, batch_size: int) -> Iterator["PairBatch"]:
+    def beside(self, columns: list) -> "ColumnBatch":
+        """These rows with ``columns`` appended as further slots."""
+        return ColumnBatch(self._columns + columns)
+
+    def chunks(self, batch_size: int) -> Iterator["ColumnBatch"]:
         """This batch re-batched into ``batch_size`` slices."""
         if batch_size < 1:
             raise ImpalaError(f"batch_size must be positive, got {batch_size}")
         for start in range(0, len(self), batch_size):
-            yield PairBatch([column[start : start + batch_size] for column in self._columns])
+            yield self.slice(start, start + batch_size)
+
+    def slice(self, start: int, stop: int) -> "ColumnBatch":
+        """Rows ``start:stop``."""
+        return ColumnBatch([column[start:stop] for column in self._columns])
+
+
+def _values(column) -> list:
+    """A column's values as a list of Python values."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _gather(column, positions: np.ndarray):
+    """A column's values at ``positions``, as the same kind of column."""
+    if isinstance(column, np.ndarray):
+        return column[positions]
+    return list(map(column.__getitem__, positions.tolist()))
+
+
+def _concat_columns(columns: Sequence) -> np.ndarray | list:
+    """One slot's pieces end to end: a list when every piece is one, else
+    an array (object dtype once the pieces' types differ)."""
+    if all(isinstance(column, list) for column in columns):
+        return list(chain.from_iterable(columns))
+    arrays = [c if isinstance(c, np.ndarray) else object_column(c) for c in columns]
+    if len({array.dtype for array in arrays}) > 1:
+        arrays = [array.astype(object) for array in arrays]
+    return np.concatenate(arrays)
 
 
 def batches_of(rows: Iterable[tuple], batch_size: int = BATCH_SIZE) -> Iterator[RowBatch]:

@@ -276,7 +276,7 @@ class TestSQLPathChargesArePinned:
 class TestNoScalarWorkOnTheProbeSide:
     """Tier-1 guard: a lion x nycb Intersects query builds no probe-side
     geometry, runs no scalar segment predicate, and enters the pair kernel
-    at most once per result stage / row batch / chunk."""
+    at most once per result stage / inline SQL query / chunk."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -300,7 +300,8 @@ class TestNoScalarWorkOnTheProbeSide:
         import repro.core.probe as probe_module
 
         counted(probe_module, "intersects_pairs", "kernel")
-        # One probe_pairs call is one Spark result stage / row batch / API chunk.
+        # One probe_pairs call is one Spark result stage / inline SQL query /
+        # API chunk.
         counted(BroadcastIndex, "probe_pairs", "batches")
         return seen
 
@@ -308,7 +309,7 @@ class TestNoScalarWorkOnTheProbeSide:
         "path,args,units",
         [
             ("spark", ("broadcast",), 1),  # 16 inline tasks, one fused probe
-            ("impala", (), 2),  # one row batch per fragment instance (2 nodes)
+            ("impala", (), 1),  # one probe over both instances' row batches
             ("api", ("broadcast",), 1),  # 240 rows < batch_size
         ],
     )

@@ -84,6 +84,36 @@ class TestRowParsing:
     def test_bad_double_skipped(self, table):
         assert table.parse_row("7\tzzz\thello\ttrue") is None
 
+    @pytest.mark.parametrize(
+        "text", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"]
+    )
+    def test_bigint_outside_int64_skipped(self, table, text):
+        assert table.parse_row(f"{text}\t2.5\thello\ttrue") is None
+
+    def test_bigint_int64_bounds_kept(self, table):
+        assert table.parse_row("9223372036854775807\t2.5\th\ttrue")[0] == 2**63 - 1
+        assert table.parse_row("-9223372036854775808\t2.5\th\ttrue")[0] == -(2**63)
+
+    def test_bigint_overflow_counted_as_a_skipped_row(self):
+        from repro.cluster import CostModel
+        from repro.impala.exec_nodes import InstanceContext, ScanNode
+        from repro.obs.registry import collecting
+
+        fs = SimulatedHDFS()
+        write_text(fs, "/ids.txt", ["1\ta", "99999999999999999999\tb", "3\tc"])
+        table = Metastore(fs).create_table(
+            "ids", [("id", ColumnType.BIGINT), ("name", ColumnType.STRING)], "/ids.txt"
+        )
+        ctx = InstanceContext(node_id=0, cores=2, cost_model=CostModel())
+        with collecting() as registry:
+            scan = ScanNode(ctx, fs, table, [(0, fs.status("/ids.txt").size)])
+            assert list(scan.rows()) == [(1, "a"), (3, "c")]
+            assert registry.counter("impala.rows_skipped") == 1.0
+
+    def test_null_text_reads_as_null_in_every_type(self, table):
+        assert table.parse_row("\\N\t\\N\t\\N\t\\N") == (None, None, None, None)
+        assert table.parse_row("7\t\\N\thello\tfalse") == (7, None, "hello", False)
+
     def test_boolean_variants(self, table):
         assert table.parse_row("1\t1.0\tn\t1")[3] is True
         assert table.parse_row("1\t1.0\tn\tFalse")[3] is False

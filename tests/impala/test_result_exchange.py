@@ -22,13 +22,12 @@ from hypothesis import strategies as st
 from repro.cluster.model import ClusterSpec
 from repro.hdfs import SimulatedHDFS, write_text
 from repro.impala import ColumnType, ImpalaBackend
-from repro.impala.catalog import Table
 from repro.runtime.config import RuntimeConfig
 from repro.spark.shuffle import estimate_bytes, records_bytes
 from tests.columnar.test_byte_identity import digest
 
 CLUSTER = ClusterSpec(num_nodes=3, cores_per_node=4, mem_per_node_gb=15.0)
-NULL = "\\N"
+NULL = "\\N"  # the scanners read it as NULL, so a column can hold NULLs
 NAMES = ["ash", "birch", "cedar", "déjà vu", "横浜", ""]
 
 
@@ -60,21 +59,6 @@ def tables() -> dict[str, tuple[list[tuple[str, ColumnType]], list[str]]]:
             cells,
         ),
     }
-
-
-@pytest.fixture(autouse=True)
-def nullable_fields(monkeypatch):
-    """Scanners read ``\\N`` as NULL, so a column can hold NULLs."""
-    parse = Table.parse_row
-
-    def parse_row(table, line):
-        fields = line.split(table.delimiter)
-        row = parse(table, table.delimiter.join("0" if f == NULL else f for f in fields))
-        if row is None:
-            return None
-        return tuple(None if f == NULL else value for f, value in zip(fields, row))
-
-    monkeypatch.setattr(Table, "parse_row", parse_row)
 
 
 @pytest.fixture(scope="module")
