@@ -585,7 +585,7 @@ class GeometryColumn:
     def payloads(self) -> list[object]:
         if self._sel is None:
             return list(self._payloads)
-        return [self._payloads[int(j)] for j in self._sel]
+        return list(map(self._payloads.__getitem__, self._sel.tolist()))
 
     # -- zero-copy slicing ----------------------------------------------
 

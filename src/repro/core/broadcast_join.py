@@ -92,37 +92,63 @@ def read_geometry_pairs(
     :class:`~repro.columnar.block.ColumnRecords` — it iterates as
     ``(record_id, geometry)`` records for any RDD operator, and the joins
     read its column directly.
+
+    A split is parsed once per RDD: the partitioned join's sample job and
+    its left map stage, say, run over one parse.  The RDD keeps each
+    successful parse by the split's base record index, and a later task
+    of the split still reads its lines (``HDFS_BYTES`` and the ``hdfs.*``
+    counters as before); if they equal the kept lines it is charged the
+    kept parse's unit columns and ``spark.rows_skipped`` again, as if it
+    had parsed them, otherwise (the file was rewritten) it parses anew.
+    Under a pool a parse is kept in the worker that made it.
     """
 
+    # Each successful parse, by its split's base record index: ``(lines,
+    # column, units, skipped)``.  A later job over this RDD that reads the
+    # same lines takes it instead of parsing again.
+    parsed: dict[int, tuple] = {}
+
     def split_block(numbered):
-        """One split's lines, split and numbered (read in its task)."""
+        """One split's lines, split and numbered (read in its task) — or
+        the kept parse of these very lines, as ``(None, kept)``."""
+        lines, base = numbered.records, numbered.base
+        kept = parsed.get(base)
+        if kept is not None and kept[0] == lines:
+            return None, kept
         texts: list[str] = []
         record_ids: list[int] = []
-        lines = 0
-        for record_id, line in enumerate(numbered.records, numbered.base):
+        for record_id, line in enumerate(lines, base):
             fields = line.split(separator)
-            lines += 1
             if geometry_index < len(fields):
                 texts.append(fields[geometry_index])
                 record_ids.append(record_id)
-        return texts, record_ids, lines
+        return (lines, base, texts, record_ids), None
 
     def parse_blocks(blocks):
-        """Every block's texts parsed in one call, cut back per block."""
-        parsed = parse_wkt_blocks(
-            [texts for texts, _, _ in blocks], [record_ids for _, record_ids, _ in blocks]
+        """Every fresh block's texts parsed in one call, cut back per
+        block; a kept parse passes through and is charged again."""
+        fresh = [split for split, _ in blocks if split is not None]
+        parsed_blocks = iter(
+            parse_wkt_blocks(
+                [texts for _, _, texts, _ in fresh], [ids for _, _, _, ids in fresh]
+            ) if fresh else ()
         )
         outcomes = []
-        for (texts, _, lines), (column, dropped) in zip(blocks, parsed):
-            skipped = lines - len(texts) + len(dropped)
+        for split, kept in blocks:
+            if kept is None:
+                lines, base, texts, _ = split
+                column, dropped = next(parsed_blocks)
+                # Two pipeline hops per record (zipWithIndex pass + parse pass).
+                units = {
+                    Resource.WKT_BYTES: np.fromiter(map(len, texts), np.float64, len(texts))
+                    * cost_weight,
+                    Resource.RDD_RECORDS: np.full(len(texts), 2.0),
+                }
+                skipped = len(lines) - len(texts) + len(dropped)
+                kept = parsed[base] = (lines, column, units, skipped)
+            _, column, units, skipped = kept
             if skipped:
                 REGISTRY.inc("spark.rows_skipped", skipped)
-            # Two pipeline hops per record (zipWithIndex pass + parse pass).
-            units = {
-                Resource.WKT_BYTES: np.fromiter(map(len, texts), np.float64, len(texts))
-                * cost_weight,
-                Resource.RDD_RECORDS: np.full(len(texts), 2.0),
-            }
             outcomes.append((ColumnRecords(column), units))
         return outcomes
 

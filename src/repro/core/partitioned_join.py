@@ -15,9 +15,13 @@ parses its side with one call and routes it with one batch-router call
 over every partition's bounding boxes, bucketing all the routed rows by
 (partition, tile) in one pass (:meth:`RoutedRows.route
 <repro.columnar.block.RoutedRows.route>`); each map task then cuts its
-own column-slice shuffle blocks.  The tile stage prepares the distinct
-right rows its tiles slice once and probes every tile in one
-:meth:`~repro.core.probe.PreparedBuild.probe_tiles` call.
+own column-slice shuffle blocks.  A side read by
+:func:`~repro.core.broadcast_join.read_geometry_pairs` is parsed once
+for the sample job and its map stage together.  The tile stage prepares
+the distinct right rows its tiles slice once and probes every tile in
+one :meth:`~repro.core.probe.PreparedBuild.probe_tiles` call: every
+tile's STR-tree is packed into one
+:class:`~repro.index.rtree.STRForest` and walked in one query.
 """
 
 from __future__ import annotations
@@ -64,12 +68,18 @@ def derive_partitioning(
     median``) are recursively split before any task is formed, which is
     what flattens the straggler tail of clustered workloads.
     """
-    left_sample = left.sample(sample_fraction).collect()
-    if not left_sample:
-        left_sample = left.take(1000)
+    skewed = right is not None and skew_factor is not None
+
+    def sampled(rows):
+        # The plain layout tiles the rows' centres.  An empty row has none
+        # (and routes to no tile anyway): a sample of empty rows only is
+        # an empty sample.
+        return rows if skewed else [(key, g) for key, g in rows if not g.is_empty]
+
+    left_sample = sampled(left.sample(sample_fraction).collect()) or sampled(left.take(1000))
     if not left_sample:
         raise ReproError("cannot partition an empty left side")
-    if right is not None and skew_factor is not None:
+    if skewed:
         from repro.optimizer import collect_join_stats
         from repro.optimizer.planner import derive_skew_aware_partitioning
 

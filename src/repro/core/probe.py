@@ -34,7 +34,7 @@ from repro.geometry.algorithms import distance as distance_mod
 from repro.geometry.algorithms import predicates
 from repro.geometry.algorithms.pairwise import PAIR_TYPES, intersects_pairs
 from repro.index.partitioner import SpatialPartitioning
-from repro.index.rtree import STRtree
+from repro.index.rtree import STRForest, STRtree
 from repro.obs.registry import REGISTRY
 from repro.core.operators import SpatialOperator
 
@@ -276,7 +276,9 @@ class PreparedBuild:
         Tile ``tile_ids[i]`` probes the routed (so non-empty) rows of
         ``columns[i]`` as a :class:`BroadcastIndex` over build rows
         ``tile_rows[i]`` would — same tree, candidate order and
-        ``INDEX_VISIT`` — but every tile's candidates are refined in one
+        ``INDEX_VISIT`` — but every tile's tree is packed into one
+        :class:`~repro.index.rtree.STRForest` and walked in one query,
+        every tile's candidates are refined in one
         :meth:`refine_candidates` call, then ``tiles.owned_pairs`` drops
         the pairs another tile emits.  Returns one ``(rows, entries,
         units)`` per tile, as :meth:`BroadcastIndex.probe_blocks` does;
@@ -287,14 +289,12 @@ class PreparedBuild:
         cuts = np.cumsum([0] + [len(column) for column in columns]).tolist()
         column = GeometryColumn.concat(columns)
         left_bounds, build_bounds = column.bounds(), self._column.bounds()
-        found = []
-        for rows, start, stop in zip(tile_rows, cuts, cuts[1:]):
-            tree = STRtree.from_bounds([bound[rows] for bound in build_bounds], self.radius)
-            probes, entries, visits = tree._query_batch_arrays(
-                *(bound[start:stop] for bound in left_bounds)
-            )
-            found.append((probes + start, rows[entries], visits))
-        probes, entries, visits = map(np.concatenate, zip(*found))
+        build_rows = np.concatenate(tile_rows)
+        forest = STRForest(
+            [bound[build_rows] for bound in build_bounds], list(map(len, tile_rows)), self.radius
+        )
+        probes, entries, visits = forest.query(*left_bounds, cuts)
+        entries = build_rows[entries]
         row_tiles = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
         kernel_builds = None
         if self._pair_typed is not None and not self._pair_typed.all():

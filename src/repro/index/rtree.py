@@ -1,16 +1,18 @@
-"""STR-packed static R-tree — the paper's ``STRtree`` filtering index.
+"""STR-packed static R-trees — the paper's ``STRtree`` filtering index.
 
 Fig 2 of the paper builds a JTS ``STRtree`` over the broadcast right side
 and probes it with every left-side envelope; ISP-MC does the same in its
 SpatialJoin node.  This implementation uses Sort-Tile-Recursive bulk
 loading (Leutenegger et al.) and supports envelope queries, point queries,
 nearest-neighbour search with envelope-distance pruning and the dual-tree
-join.
+join.  :class:`STRForest` packs many small trees at once — one per tile
+of the partitioned join.
 
-A built tree is one packed node table, made straight from the entries'
-bounds arrays and read by every traversal.  Nodes are numbered
-breadth-first from the root (node 0), so a node's children are
-consecutive:
+Built trees live in one packed node table, made straight from the
+entries' bounds arrays in one segmented STR pass over every tree and read
+by every traversal.  A tree's nodes are numbered breadth-first from its
+root, so a node's children are consecutive; a lone :class:`STRtree`'s
+root is node 0:
 
 - ``box`` — ``(4, nodes)`` min_x / min_y / max_x / max_y rows;
 - ``first`` — an interior node's first child, a leaf's row in the leaf
@@ -19,7 +21,8 @@ consecutive:
 - ``leaf_entries`` — ``(leaves, capacity)`` entry ids (positions in
   insertion order, empty boxes not counted), -1 past a leaf's last item;
 - ``leaf_boxes`` — ``(4, leaves, capacity)`` those entries' boxes, the
-  empty box past the last item.
+  empty box past the last item;
+- ``roots`` — each tree's root node, -1 for a tree of no entries.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.geometry.algorithms.pairwise import _ranges
 from repro.geometry.envelope import Envelope, bounds_rows
 from repro.index.morton import morton_codes
 
-__all__ = ["STRtree"]
+__all__ = ["STRForest", "STRtree"]
 
 T = TypeVar("T")
 
@@ -54,28 +57,126 @@ def _expanded(boxes: np.ndarray, distance: float) -> np.ndarray:
     return grown
 
 
-def _str_groups(boxes: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    """One Sort-Tile-Recursive level over ``(4, n)`` boxes.
+def _kept_boxes(min_x, min_y, max_x, max_y) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(kept, boxes)``: the ``(4, n)`` boxes that are not empty (``min >
+    max`` on either axis, which the ``Envelope.empty()`` sentinel is) and
+    their positions, None when every box is kept.  A NaN bound of a kept
+    box raises :class:`GeometryError`, as building its ``Envelope`` would."""
+    boxes = np.array([min_x, min_y, max_x, max_y], dtype=np.float64).reshape(4, -1)
+    keep = ~((boxes[0] > boxes[2]) | (boxes[1] > boxes[3]))
+    kept = None
+    if not keep.all():
+        kept = np.flatnonzero(keep)
+        boxes = boxes[:, kept]
+    if np.isnan(boxes).any():
+        raise GeometryError("envelope coordinates may not be NaN")
+    return kept, boxes
 
-    Stable sort by x-centre, cut into ``ceil(sqrt(ceil(n / capacity)))``
-    vertical slices, stable sort each slice by y-centre, chunk it by
-    ``capacity``.  Returns ``(order, starts, sizes)``: group ``g`` holds
-    the ``sizes[g]`` boxes ``order[starts[g]:]``, groups numbered slice
-    by slice.
+
+def _str_groups(
+    boxes: np.ndarray, counts: np.ndarray, capacity: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Sort-Tile-Recursive level over several trees' ``(4, n)`` boxes:
+    tree ``t``'s are ``counts[t]`` consecutive ones, tree after tree.
+
+    Per tree: stable sort by x-centre, cut into ``ceil(sqrt(ceil(count /
+    capacity)))`` vertical slices, stable sort each slice by y-centre,
+    chunk it by ``capacity``.  Returns ``(order, starts, sizes)``: group
+    ``g`` holds the ``sizes[g]`` boxes ``order[starts[g]:]``, groups
+    numbered tree by tree, slice by slice.
     """
     n = boxes.shape[1]
-    slice_count = max(1, math.ceil(math.sqrt(math.ceil(n / capacity))))
-    slice_size = max(1, math.ceil(n / slice_count))
+    tree = np.repeat(np.arange(len(counts)), counts)
+    slice_count = np.maximum(1, np.ceil(np.sqrt(np.ceil(counts / capacity))))
+    slice_size = np.maximum(1, np.ceil(counts / slice_count)).astype(np.int64)
     # A box unbounded both ways along an axis has a NaN centre there;
     # the sorts put NaN keys last, which is as good a place as any.
     with np.errstate(invalid="ignore"):
         x_centres, y_centres = boxes[0] + boxes[2], boxes[1] + boxes[3]
-    by_x = np.argsort(x_centres, kind="stable")
-    slice_of, within = np.divmod(np.arange(n), slice_size)
-    # lexsort is stable: within a slice, y-centre ties keep their x order.
-    order = by_x[np.lexsort((y_centres[by_x], slice_of))]
+    # lexsort is stable: x-centre ties keep their order, and within a
+    # slice y-centre ties keep their x order.  The boxes are in tree
+    # order, so ``tree`` is also the sorted boxes' tree.
+    by_x = np.lexsort((x_centres, tree))
+    rank = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    slice_of, within = np.divmod(rank, np.repeat(slice_size, counts))
+    order = by_x[np.lexsort((y_centres[by_x], slice_of, tree))]
     starts = np.flatnonzero(within % capacity == 0)
     return order, starts, np.concatenate((starts[1:], [n])) - starts
+
+
+def _pack(boxes: np.ndarray, counts, capacity: int) -> tuple[np.ndarray, ...]:
+    """The node table of one STR tree per ``counts[t]`` consecutive boxes
+    of ``boxes``: ``(box, first, fanout, leaf_entries, leaf_boxes,
+    roots)``, as the module docstring lays it out.
+
+    Every level is one pass over all the trees still growing.  Level 0
+    groups each tree's entries into leaves, each further level groups
+    the level below of every tree that has more than one node there, and
+    a tree down to one node has its root.  A lone tree's table is the one
+    the recursion over that tree alone packs.
+    """
+    if capacity < 2:  # a level of one-box groups would never shrink
+        raise SpatialIndexError(f"node_capacity must be >= 2, got {capacity}")
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    roots = np.full(len(counts), -1, dtype=np.int64)
+    if not counts.any():
+        return (
+            np.empty((4, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            np.empty((0, capacity), dtype=np.int64), np.empty((4, 0, capacity)), roots,
+        )
+    # Bottom-up.  ``trees[level]`` is the tree of each box of that level,
+    # ``levels[level]`` how that level groups into the next one, and
+    # ``tops[level]`` the boxes of the level that are roots.
+    boxes_at, trees = [boxes], [np.repeat(np.arange(len(counts)), counts)]
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    tops = [np.empty(0, dtype=np.int64)]
+    growing = counts > 0
+    while growing.any():
+        below = np.flatnonzero(growing[trees[-1]])
+        order, starts, sizes = _str_groups(boxes_at[-1][:, below], counts[growing], capacity)
+        order = below[order]
+        grouped = boxes_at[-1][:, order]
+        levels.append((order, starts, sizes))
+        boxes_at.append(np.concatenate([
+            np.minimum.reduceat(grouped[:2], starts, axis=1),
+            np.maximum.reduceat(grouped[2:], starts, axis=1),
+        ]))
+        trees.append(trees[-1][order[starts]])
+        counts = np.bincount(trees[-1], minlength=len(counts))
+        tops.append(np.flatnonzero(counts[trees[-1]] == 1))
+        growing = counts > 1
+    # Top-down: number the nodes breadth-first, a level's roots after the
+    # children of the level above, a parent's children consecutive and in
+    # packing order.  ``ids`` lists one level's boxes in that order.
+    ids = np.empty(0, dtype=np.int64)
+    numbered = 0
+    node_box, first, fanout = [], [], []
+    for level in range(len(levels), 0, -1):
+        roots[trees[level][tops[level]]] = numbered + len(ids) + np.arange(len(tops[level]))
+        ids = np.concatenate((ids, tops[level]))
+        order, starts, sizes = levels[level - 1]
+        sizes = sizes[ids]
+        parent, slot = _ranges(sizes)
+        node_box.append(boxes_at[level][:, ids])
+        numbered += len(ids)
+        if level > 1:
+            first.append(numbered + np.cumsum(sizes) - sizes)
+            fanout.append(sizes)
+        else:  # a leaf's ``first`` is its row in the leaf tables
+            first.append(np.arange(len(ids)))
+            fanout.append(np.zeros(len(ids), dtype=np.int64))
+        ids = order[starts[ids][parent] + slot]
+    leaf_entries = np.full((len(sizes), capacity), -1, dtype=np.int64)
+    leaf_entries[parent, slot] = ids
+    # A slot past a leaf's last item holds the empty box.
+    leaf_boxes = np.empty((4, len(sizes), capacity))
+    leaf_boxes[:2] = np.inf
+    leaf_boxes[2:] = -np.inf
+    leaf_boxes[:, parent, slot] = boxes[:, ids]
+    return (
+        np.concatenate(node_box, axis=1), np.concatenate(first), np.concatenate(fanout),
+        leaf_entries, leaf_boxes, roots,
+    )
 
 
 def _box_distance(x: float, y: float, min_x, min_y, max_x, max_y) -> float:
@@ -83,7 +184,197 @@ def _box_distance(x: float, y: float, min_x, min_y, max_x, max_y) -> float:
     return math.hypot(max(min_x - x, x - max_x, 0.0), max(min_y - y, y - max_y, 0.0))
 
 
-class STRtree(Generic[T]):
+class _NodeTable:
+    """A packed node table (module docstring) and the batched walk over it.
+
+    ``nodes_visited`` accrues across queries and feeds the cluster cost
+    model; call :meth:`reset_stats` between measured phases.
+    """
+
+    _node_capacity: int
+    nodes_visited: int
+
+    def _set_table(self, boxes: np.ndarray, counts) -> None:
+        """Pack one tree per ``counts[t]`` consecutive boxes (:func:`_pack`)."""
+        (
+            self._box, self._first, self._fanout,
+            self._leaf_entries, self._leaf_boxes, self._roots,
+        ) = _pack(boxes, counts, self._node_capacity)
+        self._lists = None
+        # The probes' Morton frame: the box of every root.
+        tops = self._box[:, self._roots[self._roots >= 0]]
+        low_x, low_y = tops[:2].min(axis=1, initial=np.inf).tolist()
+        high_x, high_y = tops[2:].max(axis=1, initial=-np.inf).tolist()
+        self._frame = (low_x, low_y, high_x - low_x, high_y - low_y)
+
+    def _walk_lists(self):
+        """The node table as the traversals read it, taken once per table:
+        the per-node scalars as lists, so the per-node reads are no
+        numpy-scalar indexing, and per leaf row its entry ids and its
+        items' ``(items, 1)`` min_x / min_y / max_x / max_y columns."""
+        if self._lists is None:
+            sizes = (self._leaf_entries >= 0).sum(axis=1).tolist()
+            self._lists = (
+                *self._box.tolist(),
+                self._first.tolist(),
+                self._fanout.tolist(),
+                [
+                    (self._leaf_entries[row, :size], *self._leaf_boxes[:, row, :size, None])
+                    for row, size in enumerate(sizes)
+                ],
+            )
+        return self._lists
+
+    def reset_stats(self) -> None:
+        """Zero the node-visit counter."""
+        self.nodes_visited = 0
+
+    def _walk(self, pmin_x, pmin_y, pmax_x, pmax_y, cuts, visits: np.ndarray):
+        """The (node id, probe-subset) stack walk of every batched query:
+        probes ``cuts[t]:cuts[t + 1]`` walk tree ``t``.
+
+        Live probe boxes (inverted ones, and those of an empty tree, visit
+        nothing) are sorted by the Morton code of their centres over the
+        box of every root, so probes descending the same subtrees stay
+        adjacent, and start as one ``(root, probes)`` stack entry per
+        tree.  A pop counts one visit for each of its probes into
+        ``visits``; a node's children are pushed in order, so the last
+        pops first.  Yields ``(leaf, probes)`` for every leaf some probe
+        reaches, each tree's in DFS order: the leaf's ``(entry ids, min_x,
+        min_y, max_x, max_y)`` columns and the probes that reached it, in
+        Morton order.
+        """
+        roots = self._roots
+        live = ~((pmin_x > pmax_x) | (pmin_y > pmax_y))
+        if (roots < 0).any():
+            live &= np.repeat(roots >= 0, np.diff(cuts))
+        # The live probes before each cut: tree t's lie between cuts t and t + 1.
+        ends = np.concatenate(([0], np.cumsum(live)))[list(cuts)].tolist()
+        live = np.flatnonzero(live)
+        if not live.size:
+            return
+        min_x, min_y, max_x, max_y, first, fanout, leaves = self._walk_lists()
+        order = live
+        if len(live) > 1:  # one probe, as query() sends, has nothing to order
+            # A probe box unbounded both ways (a cover_plane tile) has a
+            # NaN centre, which morton_codes puts in the first cell.
+            with np.errstate(invalid="ignore"):
+                centre_x = (pmin_x[live] + pmax_x[live]) / 2.0
+                centre_y = (pmin_y[live] + pmax_y[live]) / 2.0
+            codes = morton_codes(centre_x, centre_y, *self._frame)
+            if len(roots) > 1:
+                # A code fits 32 bits: above them, the probe's tree keeps
+                # each tree's probes together.
+                tree = np.searchsorted(cuts, live, side="right") - 1
+                codes |= tree.astype(np.uint64) << np.uint64(32)
+            order = live[np.argsort(codes, kind="stable")]
+        stack = [
+            (root, order[start:stop])
+            for root, start, stop in zip(roots.tolist(), ends, ends[1:])
+            if stop > start
+        ]
+        while stack:
+            node, idx = stack.pop()
+            visits[idx] += 1
+            alive = idx[
+                (min_x[node] <= pmax_x[idx])
+                & (pmin_x[idx] <= max_x[node])
+                & (min_y[node] <= pmax_y[idx])
+                & (pmin_y[idx] <= max_y[node])
+            ]
+            if not alive.size:
+                continue
+            start = first[node]
+            if fanout[node]:
+                stack.extend((child, alive) for child in range(start, start + fanout[node]))
+            else:
+                yield leaves[start], alive
+
+    def _query_arrays(
+        self, pmin_x: np.ndarray, pmin_y: np.ndarray, pmax_x: np.ndarray, pmax_y: np.ndarray,
+        cuts,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The batched envelope traversal: every probe box in one
+        :meth:`_walk`, probes ``cuts[t]:cuts[t + 1]`` against tree ``t``.
+
+        Returns ``(probes, entry_ids, visits)``.  Candidate pair ``k`` is
+        probe ``probes[k]`` against entry ``entry_ids[k]``; pairs are
+        grouped by ascending probe and, within a probe, come in its own
+        tree's DFS order, a leaf's items in slot order — the order one
+        scalar query of that tree finds them.  ``visits[i]`` is the number
+        of nodes probe ``i``'s own query visits, and ``nodes_visited``
+        advances by their sum.  An inverted box (an empty envelope)
+        visits nothing and matches nothing.
+        """
+        visits = np.zeros(len(pmin_x), dtype=np.int64)
+        found_probes: list[np.ndarray] = []
+        found_entries: list[np.ndarray] = []
+        for (entries, imin_x, imin_y, imax_x, imax_y), alive in self._walk(
+            pmin_x, pmin_y, pmax_x, pmax_y, cuts, visits
+        ):
+            # Row-major nonzero lists a leaf's hits item by item, the
+            # order its scalar loop finds them.
+            item, probe = np.nonzero(
+                (imin_x <= pmax_x[alive])
+                & (pmin_x[alive] <= imax_x)
+                & (imin_y <= pmax_y[alive])
+                & (pmin_y[alive] <= imax_y)
+            )
+            found_probes.append(alive[probe])
+            found_entries.append(entries[item])
+        self.nodes_visited += int(visits.sum())
+        if not found_probes:
+            none = np.empty(0, dtype=np.int64)
+            return none, none, visits
+        probes = np.concatenate(found_probes)
+        # Leaves arrive in DFS order, a probe's all from its own tree; a
+        # stable sort by probe restores each probe's own candidate order.
+        by_probe = np.argsort(probes, kind="stable")
+        return probes[by_probe], np.concatenate(found_entries)[by_probe], visits
+
+
+class STRForest(_NodeTable):
+    """One STR tree per group of entries, all packed in one node table.
+
+    Tree ``t`` holds the ``counts[t]`` consecutive rows of the ``(min_x,
+    min_y, max_x, max_y)`` arrays ``bounds`` that follow tree ``t - 1``'s,
+    each box grown by ``expand`` as :meth:`STRtree.from_bounds` grows it;
+    its node table is the one ``STRtree.from_bounds`` packs over those
+    rows alone.  The partitioned join's tile stage builds one forest over
+    every tile's build rows and answers every tile's probes with one
+    :meth:`query`.  Entry ids are positions in ``bounds`` (empty boxes
+    are skipped, as :meth:`STRtree.bulk_load_arrays` skips them).
+    """
+
+    def __init__(self, bounds, counts, expand: float = 0.0, node_capacity: int = 10):
+        min_x, min_y, max_x, max_y = bounds
+        kept, boxes = _kept_boxes(
+            min_x - expand, min_y - expand, max_x + expand, max_y + expand
+        )
+        counts = np.asarray(counts, dtype=np.int64)
+        if kept is not None:
+            tree = np.repeat(np.arange(len(counts)), counts)
+            counts = np.bincount(tree[kept], minlength=len(counts))
+        self._node_capacity = node_capacity
+        self.nodes_visited = 0
+        self._set_table(boxes, counts)
+        if kept is not None:
+            held = self._leaf_entries >= 0
+            self._leaf_entries[held] = kept[self._leaf_entries[held]]
+
+    def query(
+        self, pmin_x: np.ndarray, pmin_y: np.ndarray, pmax_x: np.ndarray, pmax_y: np.ndarray,
+        cuts,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Probes ``cuts[t]:cuts[t + 1]`` of the probe-box arrays against
+        tree ``t``, every tree in one walk: ``(probes, entry_ids, visits)``,
+        each probe's pairs and visits those of
+        ``STRtree._query_batch_arrays`` on its own tree (see
+        :meth:`_NodeTable._query_arrays`)."""
+        return self._query_arrays(pmin_x, pmin_y, pmax_x, pmax_y, cuts)
+
+
+class STRtree(_NodeTable, Generic[T]):
     """Sort-Tile-Recursive bulk-loaded R-tree over (item, envelope) pairs.
 
     The tree is immutable once built.  ``node_capacity`` defaults to 10,
@@ -97,19 +388,13 @@ class STRtree(Generic[T]):
         entries: Iterable[tuple[T, Envelope]] = (),
         node_capacity: int = 10,
     ):
-        if node_capacity < 2:
-            raise SpatialIndexError(f"node_capacity must be >= 2, got {node_capacity}")
         self._node_capacity = node_capacity
         self._items: list[T] = []
         self._bounds = np.empty((4, 0))  # the entries' boxes, in insertion order
         self._built = False
         self.nodes_visited = 0
         # The node table (module docstring), empty until build() packs it.
-        self._box = np.empty((4, 0))
-        self._first = self._fanout = np.empty(0, dtype=np.int64)
-        self._leaf_entries = np.empty((0, node_capacity), dtype=np.int64)
-        self._leaf_boxes = np.empty((4, 0, node_capacity))
-        self._lists = None
+        self._set_table(self._bounds, [0])
         entries = list(entries)
         if entries:
             self.bulk_load_arrays(
@@ -143,14 +428,9 @@ class STRtree(Generic[T]):
         """
         if self._built:
             raise SpatialIndexError("STRtree cannot be modified after it has been built")
-        bounds = np.array([min_x, min_y, max_x, max_y], dtype=np.float64).reshape(4, -1)
-        keep = ~((bounds[0] > bounds[2]) | (bounds[1] > bounds[3]))
-        if not keep.all():
-            kept = np.flatnonzero(keep)
+        kept, bounds = _kept_boxes(min_x, min_y, max_x, max_y)
+        if kept is not None:
             items = [items[i] for i in kept.tolist()]
-            bounds = bounds[:, kept]
-        if np.isnan(bounds).any():
-            raise GeometryError("envelope coordinates may not be NaN")
         self._items.extend(items)
         self._bounds = np.concatenate([self._bounds, bounds], axis=1)
 
@@ -162,72 +442,7 @@ class STRtree(Generic[T]):
         if self._built:
             return
         self._built = True
-        if not self._items:
-            return
-        capacity = self._node_capacity
-        # Bottom-up: level 0 groups the entries into leaves, each further
-        # level groups the one below, until one root remains.
-        boxes = [self._bounds]
-        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        while not levels or boxes[-1].shape[1] > 1:
-            order, starts, sizes = _str_groups(boxes[-1], capacity)
-            below = boxes[-1][:, order]
-            levels.append((order, starts, sizes))
-            boxes.append(np.concatenate([
-                np.minimum.reduceat(below[:2], starts, axis=1),
-                np.maximum.reduceat(below[2:], starts, axis=1),
-            ]))
-        # Top-down: number the nodes breadth-first, a parent's children
-        # consecutive and in packing order.  ``ids`` lists one level in
-        # that order: the root, ..., the leaves, then the entries.
-        ids = np.zeros(1, dtype=np.int64)
-        numbered = 1
-        node_box, first, fanout = [], [], []
-        for depth in range(len(levels) - 1, -1, -1):
-            order, starts, sizes = levels[depth]
-            sizes = sizes[ids]
-            parent, slot = _ranges(sizes)
-            node_box.append(boxes[depth + 1][:, ids])
-            if depth:
-                first.append(numbered + np.cumsum(sizes) - sizes)
-                fanout.append(sizes)
-            else:  # a leaf's ``first`` is its row in the leaf tables
-                first.append(np.arange(len(ids)))
-                fanout.append(np.zeros(len(ids), dtype=np.int64))
-            numbered += len(parent)
-            ids = order[starts[ids][parent] + slot]
-        self._box = np.concatenate(node_box, axis=1)
-        self._first = np.concatenate(first)
-        self._fanout = np.concatenate(fanout)
-        self._leaf_entries = np.full((len(sizes), capacity), -1, dtype=np.int64)
-        self._leaf_entries[parent, slot] = ids
-        # A slot past a leaf's last item holds the empty box.
-        self._leaf_boxes = np.empty((4, len(sizes), capacity))
-        self._leaf_boxes[:2] = np.inf
-        self._leaf_boxes[2:] = -np.inf
-        self._leaf_boxes[:, parent, slot] = self._bounds[:, ids]
-
-    def _walk_lists(self):
-        """The node table as the traversals read it, taken once per tree:
-        the per-node scalars as lists, so the per-node reads are no
-        numpy-scalar indexing, and per leaf row its entry ids and its
-        items' ``(items, 1)`` min_x / min_y / max_x / max_y columns."""
-        if self._lists is None:
-            sizes = (self._leaf_entries >= 0).sum(axis=1).tolist()
-            self._lists = (
-                *self._box.tolist(),
-                self._first.tolist(),
-                self._fanout.tolist(),
-                [
-                    (self._leaf_entries[row, :size], *self._leaf_boxes[:, row, :size, None])
-                    for row, size in enumerate(sizes)
-                ],
-            )
-        return self._lists
-
-    def reset_stats(self) -> None:
-        """Zero the node-visit counter."""
-        self.nodes_visited = 0
+        self._set_table(self._bounds, [len(self._items)])
 
     def query(self, envelope: Envelope) -> list[T]:
         """Return items whose envelopes intersect the query envelope."""
@@ -281,52 +496,6 @@ class STRtree(Generic[T]):
             results[probe].append(items[entry])
         return (results, visits) if with_visits else results
 
-    def _walk(self, pmin_x, pmin_y, pmax_x, pmax_y, visits: np.ndarray):
-        """The (node id, probe-subset) stack walk of every batched query.
-
-        Live probe boxes (inverted ones visit nothing) are sorted by the
-        Morton code of their centres over the root box, so probes
-        descending the same subtrees stay adjacent.  A pop counts one
-        visit for each of its probes into ``visits``; a node's children
-        are pushed in order, so the last pops first.  Yields ``(leaf,
-        probes)`` for every leaf some probe reaches, in DFS order: the
-        leaf's ``(entry ids, min_x, min_y, max_x, max_y)`` columns and the
-        probes that reached it, in Morton order.
-        """
-        live = np.flatnonzero(~((pmin_x > pmax_x) | (pmin_y > pmax_y)))
-        if not self._items or not live.size:
-            return
-        min_x, min_y, max_x, max_y, first, fanout, leaves = self._walk_lists()
-        order = live
-        if len(live) > 1:  # one probe, as query() sends, has nothing to order
-            # A probe box unbounded both ways (a cover_plane tile) has a
-            # NaN centre, which morton_codes puts in the first cell.
-            with np.errstate(invalid="ignore"):
-                centre_x = (pmin_x[live] + pmax_x[live]) / 2.0
-                centre_y = (pmin_y[live] + pmax_y[live]) / 2.0
-            codes = morton_codes(
-                centre_x, centre_y,
-                min_x[0], min_y[0], max_x[0] - min_x[0], max_y[0] - min_y[0],
-            )
-            order = live[np.argsort(codes, kind="stable")]
-        stack = [(0, order)]
-        while stack:
-            node, idx = stack.pop()
-            visits[idx] += 1
-            alive = idx[
-                (min_x[node] <= pmax_x[idx])
-                & (pmin_x[idx] <= max_x[node])
-                & (min_y[node] <= pmax_y[idx])
-                & (pmin_y[idx] <= max_y[node])
-            ]
-            if not alive.size:
-                continue
-            start = first[node]
-            if fanout[node]:
-                stack.extend((child, alive) for child in range(start, start + fanout[node]))
-            else:
-                yield leaves[start], alive
-
     def query_batch_points_chunks(
         self, xs, ys
     ) -> tuple[list[tuple[T, np.ndarray]], np.ndarray]:
@@ -353,7 +522,9 @@ class STRtree(Generic[T]):
         visits = np.zeros(len(xs), dtype=np.int64)
         chunks: list[tuple[T, np.ndarray]] = []
         items = self._items
-        for (entries, imin_x, imin_y, imax_x, imax_y), alive in self._walk(xs, ys, xs, ys, visits):
+        for (entries, imin_x, imin_y, imax_x, imax_y), alive in self._walk(
+            xs, ys, xs, ys, (0, len(xs)), visits
+        ):
             ax = xs[alive]
             ay = ys[alive]
             hits = (imin_x <= ax) & (ax <= imax_x) & (imin_y <= ay) & (ay <= imax_y)
@@ -384,31 +555,7 @@ class STRtree(Generic[T]):
         comparison grid.
         """
         self.build()
-        visits = np.zeros(len(pmin_x), dtype=np.int64)
-        found_probes: list[np.ndarray] = []
-        found_entries: list[np.ndarray] = []
-        for (entries, imin_x, imin_y, imax_x, imax_y), alive in self._walk(
-            pmin_x, pmin_y, pmax_x, pmax_y, visits
-        ):
-            # Row-major nonzero lists a leaf's hits item by item, the
-            # order its scalar loop finds them.
-            item, probe = np.nonzero(
-                (imin_x <= pmax_x[alive])
-                & (pmin_x[alive] <= imax_x)
-                & (imin_y <= pmax_y[alive])
-                & (pmin_y[alive] <= imax_y)
-            )
-            found_probes.append(alive[probe])
-            found_entries.append(entries[item])
-        self.nodes_visited += int(visits.sum())
-        if not found_probes:
-            none = np.empty(0, dtype=np.int64)
-            return none, none, visits
-        probes = np.concatenate(found_probes)
-        # Leaves arrive in DFS order; a stable sort by probe restores each
-        # probe's own DFS candidate order.
-        by_probe = np.argsort(probes, kind="stable")
-        return probes[by_probe], np.concatenate(found_entries)[by_probe], visits
+        return self._query_arrays(pmin_x, pmin_y, pmax_x, pmax_y, (0, len(pmin_x)))
 
     def iter_all(self) -> Iterator[tuple[T, Envelope]]:
         """Iterate over every stored (item, envelope) entry in insertion

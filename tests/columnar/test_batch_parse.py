@@ -148,7 +148,12 @@ class TestFusedParseRun:
             # split have no geometry field at all.
             rows = [row for row in rows if isinstance(row, str)]
             short = data.draw(st.integers(0, 2))
-            blocks.append((list(rows), list(range(base, base + len(rows))), len(rows) + short))
+            # A fresh block (no kept parse): the split's lines, of which
+            # the parse reads only how many there are, its base, its
+            # geometry fields and their record ids.
+            lines = [""] * (len(rows) + short)
+            ids = list(range(base, base + len(rows)))
+            blocks.append(((lines, base, list(rows), ids), None))
             base += len(rows) + short
         alone = [_outcome(run, block) for block in blocks]
         skips = []

@@ -331,6 +331,42 @@ class TestPartitionedJoin:
         with pytest.raises(ReproError):
             derive_partitioning(empty, 4)
 
+    @staticmethod
+    def _empty_point_context(left_lines):
+        fs = SimulatedHDFS(datanodes=("node0", "node1"), replication=1)
+        write_text(fs, "/left.txt", left_lines, block_size=1024)
+        write_text(fs, "/right.txt", [
+            "0\tPOLYGON ((10 10, 45 10, 45 40, 10 40, 10 10))",
+            "1\tPOLYGON ((55 50, 90 50, 90 95, 55 95, 55 50))",
+        ])
+        sc = SparkContext(ClusterSpec(num_nodes=2, cores_per_node=2, mem_per_node_gb=4.0), hdfs=fs)
+        return sc, read_geometry_pairs(sc, "/left.txt", 1), read_geometry_pairs(sc, "/right.txt", 1)
+
+    def test_plain_layout_skips_empty_left_rows(self):
+        # The WKT reader keeps POINT EMPTY rows; the plain sort-tile
+        # layout must tile the other rows' centres and join like the
+        # broadcast plan.
+        rng = random.Random(8)
+        lines = [
+            f"{k}\tPOINT EMPTY" if k % 3 == 0
+            else f"{k}\tPOINT ({rng.uniform(0, 100):.3f} {rng.uniform(0, 100):.3f})"
+            for k in range(300)
+        ]
+        sc, left, right = self._empty_point_context(lines)
+        want = broadcast_spatial_join(sc, left, right, SpatialOperator.WITHIN).collect()
+        assert len(want) > 40
+        for skew_factor in (None, 2.0):
+            sc, left, right = self._empty_point_context(lines)
+            got = partitioned_spatial_join(
+                sc, left, right, SpatialOperator.WITHIN, num_tiles=4, skew_factor=skew_factor
+            ).collect()
+            assert sorted(got) == sorted(want)
+
+    def test_a_left_side_of_empty_rows_only_is_an_empty_sample(self):
+        sc, left, _ = self._empty_point_context([f"{k}\tPOINT EMPTY" for k in range(50)])
+        with pytest.raises(ReproError, match="empty left side"):
+            derive_partitioning(left, 4)
+
 
 class TestStandalone:
     def test_within(self, scenario):

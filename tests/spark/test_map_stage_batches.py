@@ -1,15 +1,21 @@
-"""Shuffle map stages run their fused chain as one batch.
+"""Shuffle map stages run their fused chain as one batch, over one parse.
 
 Run inline, a stage batches every fused step of its pipeline: the
 partitioned join's sample job parses each side with one
 ``parse_wkt_column`` call, and each map stage parses and routes its side
 with one ``parse_wkt_column`` and one ``route_rows`` call before its
-tasks cut their own buckets.  Under a real pool or a fault plan every
-task computes its partition alone.  Either way the shuffle moves the
-same bytes: the store's blocks (keys, ``charge_bytes`` and row ids per
-map / reduce pair), the ``ShuffleWrite`` events, each task's
-``SHUFFLE_BYTES`` and the ``shuffle.*`` / ``spark.rows_skipped``
-counters are pinned to the per-partition pipeline.
+tasks cut their own buckets.  A split is parsed once per
+``read_geometry_pairs`` RDD: a map stage over the RDD the sample job
+parsed reads its splits again but takes the kept parses, charged as if
+it had parsed them.  Under a real pool or a fault plan every task
+computes its partition alone (a pool's workers keep their parses to
+themselves).  Either way the shuffle moves the same bytes: the store's
+blocks (keys, ``charge_bytes`` and row ids per map / reduce pair), the
+``ShuffleWrite`` events, each task's ``SHUFFLE_BYTES`` and the
+``shuffle.*`` / ``spark.rows_skipped`` counters are pinned to the
+per-partition pipeline, and a sample job plus a join over one RDD to
+the pipeline that parsed every split in every job: simulated seconds,
+every task's counts, ``spark.rows_skipped`` and the ``hdfs.*`` reads.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.errors import SparkError
 from repro.geometry.envelope import Envelope
 from repro.hdfs import SimulatedHDFS, split_boundaries, write_text
 from repro.index.partitioner import FixedGridPartitioner, SpatialPartitioning, cover_plane
+from repro.index.rtree import STRForest, STRtree
 from repro.obs.events import normalize_events, read_events
 from repro.obs.registry import collecting
 from repro.runtime import FaultPlan, RuntimeConfig
@@ -310,3 +317,193 @@ class TestFailuresAndCaches:
             read_geometry_pairs(uncached, RIGHT, 1),
             SpatialOperator.INTERSECTS,
         ).collect()
+
+
+# -- one parse per split, per RDD --------------------------------------------
+
+
+def _sample_then_join(sc, variant):
+    """An ``ss_part``-shaped query: jobs over one parse of each side."""
+    left = read_geometry_pairs(sc, LEFT, 1)
+    right = read_geometry_pairs(sc, RIGHT, 1)
+    if variant == "derived":
+        # The skew-aware layout samples both sides first.
+        return partitioned_spatial_join(sc, left, right, SpatialOperator.INTERSECTS).collect()
+    assert left.sample(0.3).collect()
+    return partitioned_spatial_join(
+        sc, left, right, SpatialOperator.NEAREST_D, radius=0.7, partitioning=LAYOUT
+    ).collect()
+
+
+def parse_once_snapshot(runtime: RuntimeConfig, variant: str) -> dict:
+    with collecting() as registry:
+        sc = SparkContext(SPEC, hdfs=_hdfs(), runtime=runtime)
+        pairs = _sample_then_join(sc, variant)
+        counters = [
+            (name, registry.counter(name))
+            for name in ("spark.rows_skipped", "hdfs.reads", "hdfs.bytes_read")
+        ]
+    return {
+        "pairs": _digest(pairs),
+        "simulated_seconds": sc.simulated_seconds().hex(),
+        "task_counts": _digest(
+            [[task.counts for task in stage.tasks] for job in sc.job_log for stage in job.stages]
+        ),
+        "counters": counters,
+    }
+
+
+# Taken from the pipeline that parses every split in every job.
+PARSE_ONCE_PINNED = {
+    "derived": {
+        "pairs": "a819270aeddf0172",
+        "simulated_seconds": "0x1.4f0e59ca76b14p+4",
+        "task_counts": "84e7e2f5b4622cb2",
+        "counters": [
+            ("spark.rows_skipped", 9.0),
+            ("hdfs.reads", 203.0),
+            ("hdfs.bytes_read", 88978.0),
+        ],
+    },
+    "layout": {
+        "pairs": "252f8ca380c5cdc8",
+        "simulated_seconds": "0x1.21db4a3e11b38p+4",
+        "task_counts": "f9033dd20b4431a3",
+        "counters": [
+            ("spark.rows_skipped", 7.0),
+            ("hdfs.reads", 145.0),
+            ("hdfs.bytes_read", 78680.0),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("variant", ["derived", "layout"])
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_parse_once_charges_pinned_across_runtimes(runtime, variant):
+    assert parse_once_snapshot(runtime, variant) == PARSE_ONCE_PINNED[variant]
+
+
+class TestOneParsePerSplit:
+    def test_serial_sample_job_and_join_parse_each_side_once(self, monkeypatch, tmp_path):
+        calls = _spy_calls(monkeypatch, tmp_path / "calls.log")
+        sc = SparkContext(SPEC, hdfs=_hdfs())
+        left_rows, right_rows = len(_left_lines()) - 1, len(_right_lines())
+        _sample_then_join(sc, "layout")
+        # The sample job parses the left side; its map stage reads the
+        # splits again and takes that parse; the right side is parsed by
+        # its own map stage.
+        assert calls("parse") == [left_rows, right_rows]
+        assert calls("route") == [left_rows - 2, right_rows - 1]
+
+    def test_derived_layout_samples_and_maps_over_one_parse(self, monkeypatch, tmp_path):
+        calls = _spy_calls(monkeypatch, tmp_path / "calls.log")
+        sc = SparkContext(SPEC, hdfs=_hdfs())
+        _sample_then_join(sc, "derived")
+        assert calls("parse") == [len(_left_lines()) - 1, len(_right_lines())]
+
+    @pytest.mark.parametrize(
+        "runtime, left_parses",
+        [
+            # A pool's workers keep their parses to themselves: every map
+            # task parses its split again, as every task did before.
+            pytest.param(RuntimeConfig(executors=2), 2, id="pool2", marks=needs_fork),
+            # Tasks run one by one in this process: the sample job's
+            # parses are kept for the map stage.
+            pytest.param(RuntimeConfig(fault_plan=FaultPlan()), 1, id="empty-plan"),
+        ],
+    )
+    def test_a_pool_or_plan_parses_once_per_task(self, monkeypatch, tmp_path, runtime, left_parses):
+        calls = _spy_calls(monkeypatch, tmp_path / "calls.log")
+        hdfs = _hdfs()
+        sc = SparkContext(SPEC, hdfs=hdfs, runtime=runtime)
+        _sample_then_join(sc, "layout")
+        left_splits = len(split_boundaries(hdfs, LEFT, sc.default_parallelism))
+        right_splits = len(split_boundaries(hdfs, RIGHT, sc.default_parallelism))
+        parses = calls("parse")
+        assert len(parses) == left_parses * left_splits + right_splits
+        # Each call is one split's rows: no task parses another's.
+        assert sum(parses) == left_parses * (len(_left_lines()) - 1) + len(_right_lines())
+
+    def test_a_failed_parse_is_not_kept(self, monkeypatch, tmp_path):
+        hdfs = _hdfs()
+        sc = SparkContext(SPEC, hdfs=hdfs)
+        left = read_geometry_pairs(sc, LEFT, 1)
+        parse = columnar_io.parse_wkt_column
+
+        def broken(texts, payloads=None):
+            raise SparkError("parse failed")
+
+        monkeypatch.setattr(columnar_io, "parse_wkt_column", broken)
+        with pytest.raises(SparkError, match="parse failed"):
+            left.count()
+        monkeypatch.setattr(columnar_io, "parse_wkt_column", parse)
+        calls = _spy_calls(monkeypatch, tmp_path / "calls.log")
+        assert left.count() == len(_left_lines()) - 3
+        assert calls("parse") == [len(_left_lines()) - 1]
+
+
+class TestOneForestPerTileStage:
+    def test_the_tile_stage_builds_one_forest_and_no_tree(self, monkeypatch):
+        built = []
+        forest_init, from_bounds = STRForest.__init__, STRtree.from_bounds.__func__
+
+        def forest_spy(self, bounds, counts, *args, **kwargs):
+            built.append(("forest", len(counts)))
+            forest_init(self, bounds, counts, *args, **kwargs)
+
+        def tree_spy(cls, *args, **kwargs):
+            built.append(("tree", 1))
+            return from_bounds(cls, *args, **kwargs)
+
+        monkeypatch.setattr(STRForest, "__init__", forest_spy)
+        monkeypatch.setattr(STRtree, "from_bounds", classmethod(tree_spy))
+        with collecting() as registry:
+            _sample_then_join(SparkContext(SPEC, hdfs=_hdfs()), "layout")
+            joined = registry.counter("partitioned.tiles_joined")
+        # One forest of one tree per joined tile, in place of a tree per tile.
+        assert joined > 1 and built == [("forest", joined)]
+
+
+def _swapped(line: str) -> str:
+    """A POINT line with its coordinates swapped: the same length, so
+    the file's other splits keep their lines."""
+    record, wkt = line.split("\t")
+    x, y = wkt[len("POINT (") : -1].split()
+    return f"{record}\tPOINT ({y} {x})"
+
+
+def test_a_file_replaced_between_jobs_reads_the_new_lines(monkeypatch, tmp_path):
+    calls = _spy_calls(monkeypatch, tmp_path / "calls.log")
+    hdfs = _hdfs()
+    with collecting() as registry:
+        sc = SparkContext(SPEC, hdfs=hdfs)
+        left = read_geometry_pairs(sc, LEFT, 1)
+        before = left.collect()
+        lines = _left_lines()
+        lines[40] = _swapped(lines[40])
+        write_text(hdfs, LEFT, lines, block_size=BLOCK_SIZE)
+        after = left.collect()
+        skipped = registry.counter("spark.rows_skipped")
+    assert after != before
+    fresh = SparkContext(SPEC, hdfs=hdfs)
+    assert after == read_geometry_pairs(fresh, LEFT, 1).collect()
+    # The split holding the rewritten line is parsed anew, no other.
+    assert len(calls("parse")) == 3 and calls("parse")[0] == len(_left_lines()) - 1
+    assert {
+        "rows": _digest((before, after)),
+        "simulated_seconds": sc.simulated_seconds().hex(),
+        "task_counts": _digest(
+            [[task.counts for task in stage.tasks] for job in sc.job_log for stage in job.stages]
+        ),
+        "rows_skipped": skipped,
+    } == REPLACED_PINNED
+
+
+# Taken from the pipeline that parses every split in every job.
+REPLACED_PINNED = {
+    "rows": "f2599ceefa9d53d3",
+    "simulated_seconds": "0x1.c9f5dfeb8d823p+3",
+    "task_counts": "a680e83857d2149a",
+    "rows_skipped": 6.0,
+}
