@@ -1,12 +1,12 @@
 """Columnar shuffle blocks: routed rows move as column slices, not records.
 
-A parsed partition is :class:`ColumnRecords`: its rows' column.  Three
-more shapes, one per hop of a keyed geometry shuffle:
+A parsed partition is :class:`ColumnRecords`: its rows of a column.
+Three more shapes, one per hop of a keyed geometry shuffle:
 
-* :class:`RoutedRows` — a routed *partition* on the map side: the
-  partition's column, the rows the router selected and their keys,
-  bucketed by key (a whole map stage's partitions route and bucket in
-  one call, :meth:`RoutedRows.route`);
+* :class:`RoutedRows` — a routed *partition* on the map side: a column
+  (a whole map stage's, which routes and buckets in one call,
+  :meth:`RoutedRows.route`), the rows of it the router selected for the
+  partition and their keys, bucketed by key;
 * :class:`ColumnBlock` — one (map, reduce) bucket in the shuffle store: a
   zero-copy slice of that column plus the rows' keys;
 * :class:`EntryChunks` — one key's values on the reduce side: the column
@@ -39,6 +39,7 @@ __all__ = [
     "ColumnRecords",
     "EntryChunks",
     "RoutedRows",
+    "batch_column",
     "distinct_rows",
     "partition_column",
     "positions_by_value",
@@ -55,19 +56,39 @@ def positions_by_value(values: np.ndarray) -> list[np.ndarray]:
 
 
 class ColumnRecords:
-    """A parsed partition: ``(record_id, geometry)`` records over a column.
+    """A parsed partition: ``(record_id, geometry)`` records over rows
+    ``start:stop`` of a column — the partition's own, or the one column
+    a whole stage batch was parsed into.
 
     It is its own iterator, so it survives ``MapPartitionsRDD.compute``'s
     ``iter()`` and reaches the next operator as itself: one that wants
-    the rows packed reads ``column`` (the whole partition), any other
-    just iterates, and gets one geometry built per record consumed.
+    the rows packed reads ``column`` (the partition's rows as a column
+    of their own, cut from the batch's the first time it is read) or
+    takes some of them (:meth:`take`), any other just iterates, and gets
+    one geometry built per record consumed.
     """
 
-    __slots__ = ("column", "_records")
+    __slots__ = ("_source", "_start", "_stop", "_column", "_records")
 
-    def __init__(self, column: GeometryColumn):
-        self.column = column
-        self._records = column.entries()
+    def __init__(self, column: GeometryColumn, start: int = 0, stop: int | None = None):
+        stop = len(column) if stop is None else stop
+        self._source, self._start, self._stop = column, start, stop
+        self._column = column if (start, stop) == (0, len(column)) else None
+        self._records = map(column.entry, range(start, stop))
+
+    @property
+    def column(self) -> GeometryColumn:
+        if self._column is None:
+            self._column = self._source.cut(self._start, self._stop)
+        return self._column
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def take(self, rows: Sequence[int]) -> "ColumnRecords":
+        """The records at positions ``rows`` of this partition, over the
+        same buffers."""
+        return ColumnRecords(self._source.take(np.asarray(rows, dtype=np.int64) + self._start))
 
     def __iter__(self) -> "ColumnRecords":
         return self
@@ -82,6 +103,17 @@ def partition_column(records) -> GeometryColumn:
     if isinstance(records, ColumnRecords):
         return records.column
     return GeometryColumn.from_entries(records)
+
+
+def batch_column(batch) -> tuple[GeometryColumn, Sequence[int]]:
+    """A stage batch's rows (:class:`~repro.spark.rdd.StageBatch`) as
+    one column, and each member's row stops: a parse's column as it came
+    out, or the members' own columns (:func:`partition_column`)
+    concatenated."""
+    rows = batch.rows
+    if isinstance(rows, GeometryColumn):
+        return rows, batch.stops
+    return GeometryColumn.concat(rows), np.cumsum([0] + [len(column) for column in rows]).tolist()
 
 
 class ColumnBlock:
@@ -150,7 +182,8 @@ class RoutedRows:
     """One routed partition: ``column.entry(rows[k])`` under key ``keys[k]``.
 
     ``rows`` and ``keys`` are the router's parallel index arrays (a row
-    routed to several keys appears once per key).  ``buckets`` holds the
+    routed to several keys appears once per key); ``column`` may hold
+    other partitions' rows too.  ``buckets`` holds the
     routed positions bucketed by key, keys in first-arrival order, each
     with the ``records_bytes`` of its records — given by
     :meth:`route`, which buckets a whole stage's partitions in one pass,
@@ -174,28 +207,29 @@ class RoutedRows:
         self.rows = rows
         self.keys = keys
         if buckets is None:
-            [buckets] = _bucket_by_key([column], rows, keys, [0, len(rows)])
+            [buckets] = _bucket_by_key(column, rows, keys, [0, len(rows)])
         self.buckets = buckets
         self._records = self._iter_records()
 
     @classmethod
     def route(
         cls,
-        columns: Sequence[GeometryColumn],
+        column: GeometryColumn,
+        stops: Sequence[int],
         route: Callable[..., tuple[np.ndarray, np.ndarray]],
     ) -> list["RoutedRows"]:
-        """Route several partitions' columns with one
-        ``route(min_x, min_y, max_x, max_y)`` call over their
-        concatenated bounds — it returns ``(rows, keys)``, rows ascending
-        — and bucket every partition's routed rows in one pass."""
-        bounds = [column.bounds() for column in columns]
-        rows, keys = route(*(np.concatenate(side) for side in zip(*bounds)))
-        row_stops = np.cumsum([0] + [len(column) for column in columns])
-        cuts = np.searchsorted(rows, row_stops).tolist()
-        buckets = _bucket_by_key(columns, rows, keys, cuts)
+        """Route a stage batch's column, partition ``b`` its rows
+        ``stops[b]:stops[b + 1]``, with one ``route(min_x, min_y, max_x,
+        max_y)`` call over its bounds — it returns ``(rows, keys)``, rows
+        ascending — and bucket every partition's routed rows in one pass.
+        Each partition's :class:`RoutedRows` selects its rows of the
+        shared column."""
+        rows, keys = route(*column.bounds())
+        cuts = np.searchsorted(rows, stops).tolist()
+        buckets = _bucket_by_key(column, rows, keys, cuts)
         return [
-            cls(column, rows[lo:hi] - row_stops[b], keys[lo:hi], buckets[b])
-            for b, (column, lo, hi) in enumerate(zip(columns, cuts, cuts[1:]))
+            cls(column, rows[lo:hi], keys[lo:hi], buckets[b])
+            for b, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
         ]
 
     def _iter_records(self) -> Iterator[tuple[int, tuple[object, Geometry]]]:
@@ -237,13 +271,12 @@ class RoutedRows:
 
 
 def _bucket_by_key(
-    columns: Sequence[GeometryColumn], rows: np.ndarray, keys: np.ndarray, cuts: Sequence[int]
+    column: GeometryColumn, rows: np.ndarray, keys: np.ndarray, cuts: Sequence[int]
 ) -> list[list[tuple[int, np.ndarray, int]]]:
     """Every partition's routed positions bucketed by key, in one pass.
 
     Partition ``b`` owns routed positions ``cuts[b]:cuts[b + 1]`` of
-    ``rows`` (its own row numbers offset by the rows of the partitions
-    before it) and ``keys``.  One ``lexsort`` by (partition, key) groups
+    ``rows`` (rows of ``column``) and ``keys``.  One ``lexsort`` by (partition, key) groups
     them, routed order kept within a group; groups come back per
     partition in first-arrival order as ``(key, positions, charge)``,
     positions counted from the partition's first, and ``charge`` the
@@ -252,20 +285,20 @@ def _bucket_by_key(
     """
     from repro.spark.shuffle import estimate_bytes
 
-    buckets: list[list] = [[] for _ in columns]
+    buckets: list[list] = [[] for _ in cuts[1:]]
     if not len(rows):
         return buckets
-    payloads = [rid for column in columns for rid in column.payloads()]
+    payloads = column.payloads()
     id_bytes = np.fromiter(
         (8 if type(rid) in (int, float, bool) else estimate_bytes(rid) for rid in payloads),
         dtype=np.int64,
         count=len(payloads),
     )
-    num_points = np.concatenate([column.num_points_array() for column in columns])
+    num_points = column.num_points_array()
     # estimate_bytes((key, (id, geometry))) with an int key: two tuple
     # headers, the key, the id, and 24 + 16 bytes per vertex.
     record_bytes = (48 + id_bytes + 16 * num_points)[rows]
-    owner = np.repeat(np.arange(len(columns)), np.diff(cuts))
+    owner = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
     order = np.lexsort((keys, owner))
     owner, sorted_keys = owner[order], keys[order]
     starts = np.flatnonzero(

@@ -607,42 +607,34 @@ class GeometryColumn:
         stop = min(stop, self._data.count)
         return self.take(np.arange(start, max(start, stop), dtype=np.int64))
 
-    def cut(self, stops: Sequence[int]) -> list["GeometryColumn"]:
-        """This column's rows cut at ``stops`` (ascending, the last one its
-        length) into standalone columns, each over its own buffer set:
-        the buffers, payloads and point-only layout of a column built
-        from that piece's rows alone.  Contiguous buffer slices, no
+    def cut(self, start: int, stop: int) -> "GeometryColumn":
+        """Rows ``start:stop`` as a standalone column over its own buffer
+        set: the buffers, payloads and point-only layout of a column
+        built from those rows alone.  Contiguous buffer slices, no
         geometry built; a materialised geometry is carried over."""
         if self._sel is not None:
-            return self.compact().cut(stops)
-        data, payloads = self._data, self._payloads
-        if len(stops) == 1:
-            return [self]
-        pieces = []
-        start = 0
-        for stop in stops:
-            if data.is_point_only:
-                piece = _point_only_data(data.coords[start:stop])
-            else:
-                part0, part1 = data.geoms[start], data.geoms[stop]
-                ring0, ring1 = data.parts[part0], data.parts[part1]
-                coord0, coord1 = data.rings[ring0], data.rings[ring1]
-                piece = _ColumnData(
-                    data.coords[coord0:coord1],
-                    data.rings[ring0 : ring1 + 1] - coord0,
-                    data.parts[part0 : part1 + 1] - ring0,
-                    data.geoms[start : stop + 1] - part0,
-                    data.types[start:stop],
-                    data.bbox[start:stop],
-                )
-            cache = data._geom_cache
-            if cache:
-                for j in range(start, stop):
-                    if j in cache:
-                        piece._geom_cache[j - start] = cache[j]
-            pieces.append(GeometryColumn(piece, payloads[start:stop]))
-            start = stop
-        return pieces
+            return self.compact().cut(start, stop)
+        data = self._data
+        if data.is_point_only:
+            piece = _point_only_data(data.coords[start:stop])
+        else:
+            part0, part1 = data.geoms[start], data.geoms[stop]
+            ring0, ring1 = data.parts[part0], data.parts[part1]
+            coord0, coord1 = data.rings[ring0], data.rings[ring1]
+            piece = _ColumnData(
+                data.coords[coord0:coord1],
+                data.rings[ring0 : ring1 + 1] - coord0,
+                data.parts[part0 : part1 + 1] - ring0,
+                data.geoms[start : stop + 1] - part0,
+                data.types[start:stop],
+                data.bbox[start:stop],
+            )
+        cache = data._geom_cache
+        if cache:
+            for j in range(start, stop):
+                if j in cache:
+                    piece._geom_cache[j - start] = cache[j]
+        return GeometryColumn(piece, self._payloads[start:stop])
 
     def non_empty(self) -> "GeometryColumn":
         """The rows holding at least one coordinate (``num_points > 0 <=>

@@ -55,7 +55,7 @@ from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.wkt import _NUMBER_CHARS, WKTReader
 
-__all__ = ["column_from_wkt", "parse_wkt_blocks", "parse_wkt_column", "refuse_wkt_row"]
+__all__ = ["column_from_wkt", "parse_wkt_column", "refuse_wkt_row"]
 
 _NUMBER = "[" + "".join(re.escape(ch) for ch in sorted(_NUMBER_CHARS)) + "]+"
 _POINT_ROW = re.compile(
@@ -164,33 +164,6 @@ def parse_wkt_column(
         GeometryColumn.from_entries((payloads[i], geometries[i]) for i in sorted(geometries)),
         dropped,
     )
-
-
-def parse_wkt_blocks(
-    texts: Sequence[Sequence[object]], payloads: Sequence[Sequence[object]]
-) -> list[tuple[GeometryColumn, list[int]]]:
-    """:func:`parse_wkt_column` over several blocks' rows in one call.
-
-    ``texts[b]`` / ``payloads[b]`` are block ``b``'s rows.  Returns one
-    ``(column, dropped)`` per block, each what :func:`parse_wkt_column`
-    gives that block alone: its own column
-    (:meth:`~GeometryColumn.cut`, so a block of points is point-only
-    whatever its neighbours hold) and its dropped positions, counted
-    from the block's first row.
-    """
-    column, dropped = parse_wkt_column(
-        [text for block in texts for text in block],
-        [payload for block in payloads for payload in block],
-    )
-    stops = np.cumsum([len(block) for block in texts])
-    drop_stops = np.searchsorted(dropped, stops)
-    pieces = column.cut((stops - drop_stops).tolist())
-    starts = [0, *stops.tolist()]
-    drop_starts = [0, *drop_stops.tolist()]
-    return [
-        (piece, [row - starts[b] for row in dropped[drop_starts[b] : drop_starts[b + 1]]])
-        for b, piece in enumerate(pieces)
-    ]
 
 
 def _line_safe(values: np.ndarray) -> bool:

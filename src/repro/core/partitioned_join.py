@@ -11,9 +11,9 @@ sides of a pair reach, only the lowest-indexed one emits it.
 Rows move a block at a time, and every stage batches its blocks when its
 tasks run inline (:class:`~repro.spark.rdd.FusedPartitionsRDD`; under a
 pool or a fault plan each partition is a batch of one).  A map stage
-parses its side with one call and routes it with one batch-router call
-over every partition's bounding boxes, bucketing all the routed rows by
-(partition, tile) in one pass (:meth:`RoutedRows.route
+parses its side into one column and routes that column as it is, with
+one batch-router call over its bounding boxes, bucketing all the routed
+rows by (partition, tile) in one pass (:meth:`RoutedRows.route
 <repro.columnar.block.RoutedRows.route>`); each map task then cuts its
 own column-slice shuffle blocks.  A side read by
 :func:`~repro.core.broadcast_join.read_geometry_pairs` is parsed once
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.model import Resource
-from repro.columnar.block import RoutedRows, distinct_rows, partition_column
+from repro.columnar.block import RoutedRows, batch_column, distinct_rows, partition_column
 from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
 from repro.core.probe import PreparedBuild, gather
@@ -40,7 +40,7 @@ from repro.index.partitioner import SortTilePartitioner, SpatialPartitioning, co
 from repro.obs.registry import REGISTRY
 from repro.obs.tracer import get_tracer
 from repro.spark.context import SparkContext
-from repro.spark.rdd import RDD, FusedPartitionsRDD
+from repro.spark.rdd import RDD, FusedPartitionsRDD, StageBatch
 from repro.spark.taskcontext import current_task
 
 __all__ = ["partitioned_spatial_join", "derive_partitioning"]
@@ -148,13 +148,14 @@ def partitioned_spatial_join(
     expand = radius if operator.needs_radius else 0.0
 
     def route_by(grow: float):
-        def route_partitions(columns):
+        def route_partitions(batch):
             """Route partitions to ``(tile, (id, geometry))`` records,
             empty geometries dropped: one router call, one bucketing pass."""
+            column, stops = batch_column(batch)
             routed = RoutedRows.route(
-                columns, lambda *bounds: tiles.route_rows(*bounds, expand=grow)
+                column, stops, lambda *bounds: tiles.route_rows(*bounds, expand=grow)
             )
-            return [(partition, {}) for partition in routed]
+            return StageBatch(routed, range(len(routed) + 1), _member, batch.charges)
 
         return route_partitions
 
@@ -179,8 +180,9 @@ def partitioned_spatial_join(
         # has rows has them as EntryChunks.
         return tile_id, left_entries.chunks, right_entries.chunks
 
-    def run_tiles(blocks):
-        """Probe every tile of ``blocks`` against one prepared build side."""
+    def run_tiles(batch):
+        """Probe every tile of the batch against one prepared build side."""
+        blocks = batch.rows
         joined = [tile for tile in blocks if tile is not None]
         if joined:
             build_column, tile_rows = distinct_rows([right for _, _, right in joined])
@@ -192,6 +194,15 @@ def partitioned_spatial_join(
                 (list(zip(gather(left.payloads(), rows), gather(right_ids, entries))), units)
                 for left, (rows, entries, units) in zip(lefts, probed)
             )
-        return [([], {}) if tile is None else next(found) for tile in blocks]
+        outcomes = [([], {}) if tile is None else next(found) for tile in blocks]
+        charges = [units for _, units in outcomes]
+        return StageBatch(
+            [pairs for pairs, _ in outcomes], batch.stops, _member, (charges.__getitem__,)
+        )
 
     return FusedPartitionsRDD(grouped, prepare_tile, run_tiles)
+
+
+def _member(rows: list, start: int, _stop: int):
+    """Member ``start``'s own part of a batch held one entry per member."""
+    return rows[start]

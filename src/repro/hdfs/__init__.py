@@ -14,6 +14,7 @@ from repro.hdfs.recordfile import (
     write_records,
 )
 from repro.hdfs.textfile import (
+    SplitLines,
     read_lines,
     read_split_lines,
     split_boundaries,
@@ -25,6 +26,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "FileStatus",
     "SimulatedHDFS",
+    "SplitLines",
     "read_lines",
     "read_split_lines",
     "split_boundaries",

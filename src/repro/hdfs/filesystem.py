@@ -153,6 +153,16 @@ class SimulatedHDFS:
         REGISTRY.inc("hdfs.bytes_read", len(chunk))
         return chunk
 
+    def buffer(self, path: str) -> bytes:
+        """The file's stored bytes, counting no read: for a reader that
+        counts the fetches it stands for itself
+        (:func:`~repro.hdfs.textfile.read_split_lines`)."""
+        path = self._normalise(path)
+        try:
+            return self._files[path]
+        except KeyError:
+            raise HDFSError(f"no such file: {path}") from None
+
     def status(self, path: str) -> FileStatus:
         """Return the file's metadata (size, blocks, locality)."""
         path = self._normalise(path)

@@ -9,9 +9,23 @@ so both engines see the identical record stream for a given file.
 
 from __future__ import annotations
 
-from repro.hdfs.filesystem import SimulatedHDFS
+from repro.hdfs.filesystem import FileStatus, SimulatedHDFS
+from repro.obs.registry import REGISTRY
 
-__all__ = ["write_text", "read_lines", "read_split_lines", "split_boundaries"]
+__all__ = ["SplitLines", "write_text", "read_lines", "read_split_lines", "split_boundaries"]
+
+
+class SplitLines(list):
+    """A split's lines, and where they were read: ``status`` is the file's
+    :class:`~repro.hdfs.filesystem.FileStatus` at the read (a rewrite
+    makes a new one) and ``split`` the split's ``(offset, length)``."""
+
+    __slots__ = ("status", "split")
+
+    def __init__(self, lines: list[str], status: FileStatus, split: tuple[int, int]):
+        super().__init__(lines)
+        self.status = status
+        self.split = split
 
 
 def write_text(
@@ -69,55 +83,77 @@ def split_boundaries(fs: SimulatedHDFS, path: str, min_splits: int = 1) -> list[
 
 def read_split_lines(
     fs: SimulatedHDFS, path: str, offset: int, length: int
-) -> list[str]:
+) -> SplitLines:
     """Return the complete lines owned by the split ``[offset, offset+length)``.
 
     Ownership follows the TextInputFormat rule: a line belongs to the split
     containing its first byte; a split that starts mid-line skips forward
     to the next newline, and every split reads past its end to complete its
     final line.
+
+    The newlines are found in the stored bytes in place and only the
+    owned range is decoded.  ``hdfs.reads`` / ``hdfs.bytes_read`` count
+    what a buffered reader fetches for it: 64 KiB chunks from the byte
+    before the split until the first newline, the split's last byte, 64
+    KiB chunks from the split's end until its last line ends, and the
+    owned range.
     """
     status = fs.status(path)
+    return SplitLines(_owned_lines(fs, status, offset, length), status, (offset, length))
+
+
+def _owned_lines(fs: SimulatedHDFS, status: FileStatus, offset: int, length: int) -> list[str]:
     size = status.size
-    if size == 0 or length <= 0:
+    if size == 0 or length <= 0 or offset > size:
         return []
-    start = offset
+    data = fs.buffer(status.path)
+    start, end = offset, offset + length
+    reads = fetched = 0
     if start > 0:
         # Skip the partial line: find the first newline at or after start-1.
-        probe = start - 1
-        chunk = b""
-        while probe < size:
-            chunk = fs.read_range(path, probe, min(64 * 1024, size - probe))
-            newline = chunk.find(b"\n")
-            if newline >= 0:
-                start = probe + newline + 1
-                break
-            probe += len(chunk)
-        else:
+        newline = data.find(b"\n", start - 1, size)
+        reads, fetched = _fetches(start - 1, newline, size)
+        start = newline + 1
+        if newline < 0 or start >= end:
+            # No line starts inside this split.
+            _count(reads, fetched)
             return []
-        if start >= offset + length and start >= size:
-            return []
-        if start >= offset + length:
-            # The whole split was inside one line owned by a predecessor…
-            # …unless the line *starts* inside this split, handled above.
-            return []
-    end = offset + length
     if start >= size:
+        _count(reads, fetched)
         return []
     # Read from start to the end of the line containing byte end-1; when
     # the split already ends on a newline there is nothing to extend.
-    stop = end
-    if stop < size and fs.read_range(path, stop - 1, 1) != b"\n":
-        while stop < size:
-            chunk = fs.read_range(path, stop, min(64 * 1024, size - stop))
-            newline = chunk.find(b"\n")
-            if newline >= 0:
-                stop = stop + newline + 1
-                break
-            stop += len(chunk)
-    data = fs.read_range(path, start, stop - start).decode("utf-8")
-    if not data:
+    stop = min(end, size)
+    if stop < size:
+        reads += 1
+        fetched += 1
+        if data[stop - 1] != _NEWLINE:
+            newline = data.find(b"\n", stop, size)
+            more_reads, more_fetched = _fetches(stop, newline, size)
+            reads += more_reads
+            fetched += more_fetched
+            stop = size if newline < 0 else newline + 1
+    _count(reads + 1, fetched + stop - start)
+    text = str(memoryview(data)[start:stop], "utf-8")
+    if not text:
         return []
-    if data.endswith("\n"):
-        data = data[:-1]
-    return data.split("\n")
+    if text.endswith("\n"):
+        text = text[:-1]
+    return text.split("\n")
+
+
+_NEWLINE = ord("\n")
+_FETCH = 64 * 1024  # a buffered reader's chunk
+
+
+def _fetches(pos: int, newline: int, size: int) -> tuple[int, int]:
+    """The reads and bytes of the ``_FETCH``-byte chunks a reader fetches
+    from ``pos`` until the one holding ``newline`` (the file's end when
+    it is -1)."""
+    chunks = ((size - 1 if newline < 0 else newline) - pos) // _FETCH + 1
+    return chunks, min(chunks * _FETCH, size - pos)
+
+
+def _count(reads: int, fetched: int) -> None:
+    REGISTRY.inc("hdfs.reads", reads)
+    REGISTRY.inc("hdfs.bytes_read", fetched)

@@ -20,10 +20,11 @@ the partitioned join's route, the broadcast join's probe, the tile
 stage — runs that chain of fused steps once for the whole stage when
 its tasks run inline, result and shuffle map stages alike: each task's
 upstream pipeline first runs under the task's own metrics, then one
-batch call per fused step computes every partition, and each task is
-charged its own slice.  Under a real pool or an active fault plan a
-batch is a single task, so the tasks' charges, events and results are
-the same either way.
+batch call per fused step computes every partition, one
+:class:`~repro.spark.rdd.StageBatch` handed from step to step, and each
+task takes its own part and is charged every step's units at once.
+Under a real pool or an active fault plan a batch is a single task, so
+the tasks' charges, events and results are the same either way.
 """
 
 from __future__ import annotations

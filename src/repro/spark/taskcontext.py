@@ -8,9 +8,7 @@ call — mirroring how Spark's ``TaskContext.get()`` works.
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from typing import Iterator
 
 from repro.cluster.metrics import TaskMetrics
 
@@ -31,12 +29,19 @@ def current_task() -> TaskMetrics:
     return task
 
 
-@contextlib.contextmanager
-def task_scope(task: TaskMetrics) -> Iterator[TaskMetrics]:
-    """Install ``task`` as the current task for the duration of the block."""
-    previous = getattr(_LOCAL, "task", None)
-    _LOCAL.task = task
-    try:
-        yield task
-    finally:
-        _LOCAL.task = previous
+class task_scope:
+    """Install ``task`` as the current task for the duration of the block
+    (a plain context manager: it is entered several times per task)."""
+
+    __slots__ = ("task", "previous")
+
+    def __init__(self, task: TaskMetrics):
+        self.task = task
+
+    def __enter__(self) -> TaskMetrics:
+        self.previous = getattr(_LOCAL, "task", None)
+        _LOCAL.task = self.task
+        return self.task
+
+    def __exit__(self, *exc) -> None:
+        _LOCAL.task = self.previous

@@ -1,11 +1,11 @@
 """Batch parse identity: a stage's partitions parsed in one call.
 
 ``read_geometry_pairs`` parses every partition of an inline stage with
-one ``parse_wkt_column`` call (``parse_wkt_blocks``) and cuts the result
-back per partition.  Each partition's outcome must be exactly what
+one ``parse_wkt_column`` call into one column, and each task takes its
+partition's rows of it.  Each partition's outcome must be exactly what
 parsing that partition alone gives — its own column (point-only layout,
-``to_bytes()``, ``nbytes``, bounds, payloads, geometries), its dropped
-rows, its ``WKT_BYTES`` / ``RDD_RECORDS`` unit columns and its
+``to_bytes()``, ``nbytes``, bounds, payloads, geometries), its
+``WKT_BYTES`` / ``RDD_RECORDS`` unit columns and its
 ``spark.rows_skipped`` — whatever its neighbours in the batch hold.  A
 points-only partition batched beside a line partition must not come
 back as a view of the mixed batch.
@@ -21,13 +21,13 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import ClusterSpec
 from repro.columnar import GeometryColumn, parse_wkt_column
 from repro.columnar.block import ColumnRecords
-from repro.columnar.io import parse_wkt_blocks
 from repro.core.broadcast_join import read_geometry_pairs
 from repro.geometry import LineString, MultiLineString, MultiPoint, MultiPolygon, Point, Polygon
 from repro.geometry.wkt import dumps
 from repro.hdfs import SimulatedHDFS, write_text
 from repro.obs.registry import MetricsRegistry, collecting
 from repro.spark import SparkContext
+from repro.spark.rdd import IndexedRecords, SplitLines, StageBatch
 
 _COORD = st.integers(-50, 50).map(lambda v: v / 4)
 
@@ -97,36 +97,21 @@ def assert_same_column(got: GeometryColumn, want: GeometryColumn) -> None:
         assert a.is_empty or a.wkb() == b.wkb()
 
 
-class TestParseWktBlocks:
-    @settings(max_examples=200, deadline=None)
-    @given(_PARTITIONS)
-    def test_each_block_is_its_lone_parse(self, partitions):
-        payloads = [[(b, i) for i in range(len(rows))] for b, rows in enumerate(partitions)]
-        batched = parse_wkt_blocks(partitions, payloads)
-        assert len(batched) == len(partitions)
-        for rows, ids, (column, dropped) in zip(partitions, payloads, batched):
-            alone, alone_dropped = parse_wkt_column(rows, ids)
-            assert dropped == alone_dropped
-            assert_same_column(column, alone)
-
-    def test_points_beside_lines_stay_point_only(self):
-        points = ["POINT (1 2)", "POINT (3 4)"]
-        (column, _), (lines, _) = parse_wkt_blocks(
-            [points, ["LINESTRING (0 0, 1 1)"]], [[0, 1], [2]]
-        )
-        assert column._data.is_point_only and not lines._data.is_point_only
-        assert column.nbytes == 44 == len(column.to_bytes()) - 4 - 16
-        assert_same_column(column, parse_wkt_column(points, [0, 1])[0])
-
-
 SPEC = ClusterSpec(num_nodes=1, cores_per_node=2, mem_per_node_gb=4.0)
 
 
 def _fused_parse():
-    """The fused parse step of ``read_geometry_pairs`` (its ``run``)."""
+    """The fused parse step of ``read_geometry_pairs`` (its ``run``), as
+    a function from prepared blocks to each one's ``(records, units)``."""
     hdfs = SimulatedHDFS(datanodes=("node0",), replication=1)
     write_text(hdfs, "/rows.txt", ["0\tPOINT (0 0)"])
-    return read_geometry_pairs(SparkContext(SPEC, hdfs=hdfs), "/rows.txt", 1)._run
+    run = read_geometry_pairs(SparkContext(SPEC, hdfs=hdfs), "/rows.txt", 1)._run
+
+    def outcomes(blocks):
+        batch = run(StageBatch(blocks, range(len(blocks) + 1)))
+        return [(batch.records(b), batch.units(b)) for b in range(len(batch))]
+
+    return outcomes
 
 
 def _outcome(run, block):
@@ -134,6 +119,15 @@ def _outcome(run, block):
     with collecting() as registry:
         [(records, units)] = run([block])
         return records, units, registry.counter("spark.rows_skipped")
+
+
+def _fresh_block(rows, base, short=0):
+    """A fresh block (no kept parse), as the step prepares a split: its
+    numbered lines, one geometry field each and then ``short`` lines
+    without one, read from a file version of their own."""
+    lines = [f"{base + k}\t{row}" for k, row in enumerate(rows)]
+    lines += [str(base + len(lines) + k) for k in range(short)]
+    return IndexedRecords(SplitLines(lines, object(), (base, len(lines))), base), None
 
 
 class TestFusedParseRun:
@@ -148,12 +142,7 @@ class TestFusedParseRun:
             # split have no geometry field at all.
             rows = [row for row in rows if isinstance(row, str)]
             short = data.draw(st.integers(0, 2))
-            # A fresh block (no kept parse): the split's lines, of which
-            # the parse reads only how many there are, its base, its
-            # geometry fields and their record ids.
-            lines = [""] * (len(rows) + short)
-            ids = list(range(base, base + len(rows)))
-            blocks.append(((lines, base, list(rows), ids), None))
+            blocks.append(_fresh_block(rows, base, short))
             base += len(rows) + short
         alone = [_outcome(run, block) for block in blocks]
         skips = []
@@ -176,3 +165,14 @@ class TestFusedParseRun:
             assert list(units) == list(want_units)
             for resource, column in units.items():
                 assert column.tobytes() == want_units[resource].tobytes()
+
+    def test_points_beside_lines_stay_point_only(self):
+        run = _fused_parse()
+        points = ["POINT (1 2)", "POINT (3 4)"]
+        (records, _), (lines, _) = run(
+            [_fresh_block(points, 0), _fresh_block(["LINESTRING (0 0, 1 1)"], 2)]
+        )
+        column = records.column
+        assert column._data.is_point_only and not lines.column._data.is_point_only
+        assert column.nbytes == 44 == len(column.to_bytes()) - 4 - 16
+        assert_same_column(column, parse_wkt_column(points, [0, 1])[0])

@@ -65,7 +65,7 @@ def _assert_lost_and_reaped(run):
 
 def test_broadcast_spatial_join(monkeypatch):
     monkeypatch.setattr(
-        BroadcastIndex, "probe_blocks", _dies_in_worker(BroadcastIndex.probe_blocks)
+        BroadcastIndex, "probe_pairs", _dies_in_worker(BroadcastIndex.probe_pairs)
     )
     sc = SparkContext(ClusterSpec(2, 2), runtime=RuntimeConfig(executors=2))
     left = sc.parallelize(_points(), 4)

@@ -488,7 +488,8 @@ def test_a_file_replaced_between_jobs_reads_the_new_lines(monkeypatch, tmp_path)
     assert after != before
     fresh = SparkContext(SPEC, hdfs=hdfs)
     assert after == read_geometry_pairs(fresh, LEFT, 1).collect()
-    # The split holding the rewritten line is parsed anew, no other.
+    # The rewrite made a new FileStatus, so the second job parses every
+    # split anew, in one call.
     assert len(calls("parse")) == 3 and calls("parse")[0] == len(_left_lines()) - 1
     assert {
         "rows": _digest((before, after)),
