@@ -64,7 +64,14 @@ def unit_rows(draw):
             row[Resource.REFINE_ALLOC] = draw_row(CHARGED)
         return row
 
-    kinds = draw(st.lists(st.sampled_from(["none", "empty", "dropped", "probed"]), max_size=60))
+    # Batch sizes are drawn evenly up to 100, so columns on both sides of
+    # add_columns' short-column cutoff (64) are common.
+    size = draw(st.integers(0, 100))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["none", "empty", "dropped", "probed"]), min_size=size, max_size=size
+        )
+    )
     rows = []
     for kind in kinds:
         if kind == "none":
