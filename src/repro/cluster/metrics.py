@@ -17,7 +17,7 @@ import numpy as np
 from repro.cluster.model import CostModel
 from repro.obs.profile import ProfileNode, QueryProfile
 
-__all__ = ["TaskMetrics", "StageMetrics", "QueryMetrics", "scatter_units"]
+__all__ = ["TaskMetrics", "StageMetrics", "QueryMetrics", "scatter_units", "straggler_stats"]
 
 # Up to this many entries a unit column is summed in Python, beyond it
 # by ``cumsum``: the same left-to-right sum.  The two cost the same near
@@ -34,6 +34,25 @@ def scatter_units(units: dict[str, np.ndarray], rows, size: int) -> dict[str, np
     for resource, column in units.items():
         placed[resource][rows] = column
     return placed
+
+
+def straggler_stats(seconds: list[float]) -> dict[str, float]:
+    """The straggler statistics from one pass over task durations:
+    ``max_task_seconds`` (0.0 with no tasks), ``median_task_seconds``
+    (0.0 with no tasks) and ``skew``, max/median — the paper's straggler
+    diagnostic.
+
+    A skew of 1.0 means perfectly balanced; the static-scheduling runs of
+    Section V show it climbing well past 1 on spatially-ordered inputs.
+    It is 1.0 when there are no tasks or the median is 0.
+    """
+    longest = max(seconds, default=0.0)
+    median = statistics.median(seconds) if seconds else 0.0
+    return {
+        "max_task_seconds": longest,
+        "median_task_seconds": median,
+        "skew": longest / median if median > 0.0 else 1.0,
+    }
 
 
 @dataclass
@@ -99,23 +118,8 @@ class StageMetrics:
         return [task.seconds(model) for task in self.tasks]
 
     def task_stats(self, model: CostModel) -> dict[str, float]:
-        """The straggler statistics from one pass over the task durations:
-        ``max_task_seconds`` (0.0 with no tasks), ``median_task_seconds``
-        (0.0 with no tasks) and ``skew``, max/median — the paper's
-        straggler diagnostic.
-
-        A skew of 1.0 means perfectly balanced; the static-scheduling runs
-        of Section V show it climbing well past 1 on spatially-ordered
-        inputs.  It is 1.0 when there are no tasks or the median is 0.
-        """
-        seconds = self.task_seconds(model)
-        longest = max(seconds, default=0.0)
-        median = statistics.median(seconds) if seconds else 0.0
-        return {
-            "max_task_seconds": longest,
-            "median_task_seconds": median,
-            "skew": longest / median if median > 0.0 else 1.0,
-        }
+        """:func:`straggler_stats` of the task durations."""
+        return straggler_stats(self.task_seconds(model))
 
     def max_task_seconds(self, model: CostModel) -> float:
         """The straggler task's duration (0.0 with no tasks)."""

@@ -3,11 +3,13 @@
 The paper stores every dataset as WKT on HDFS and parses it row by row;
 here a partition / row batch is parsed at a time.  The hot cases — point
 rows like the paper's taxi pickups, polyline rows like its LION streets —
-take a few vectorised steps (one anchored regex per row, one
-``np.asarray(..., dtype=float64)``, ring offsets from a ``cumsum`` of the
-rows' coordinate counts, line bounding boxes from
-``minimum/maximum.reduceat``) instead of a tokenizer pass and a Python
-object per row.  Each regex accepts a strict subset of what
+are tokenised run by run: the batch is joined into one newline-ended
+text, at each row start one anchored regex match takes every following
+row of its kind (a clean batch is one match), and the runs' text makes
+one ``str.translate`` + ``split`` and one ``np.asarray(..., float64)``.
+A line's coordinate count is one more than its commas; ring offsets come
+from their ``cumsum``, line bounding boxes from ``minimum/maximum.reduceat``.
+Each run regex takes a strict subset of what
 :class:`~repro.geometry.wkt.WKTReader` accepts, its numbers being runs of
 the tokenizer's own number characters:
 
@@ -17,21 +19,16 @@ the tokenizer's own number characters:
   datasets spell it — upper-case tag, plain spaces, two or more
   two-number coordinates — whose values are all finite and hold no
   negative zero (``1e999`` reads as inf, and a min / max reduction does
-  not define ``min(-0.0, 0.0)``'s bits, so such a row's bounding box
-  could differ from the reader's).
+  not define ``min(-0.0, 0.0)``'s bits).
 
-numpy's string→float64 conversion is Python's ``float``, so the
-coordinates — and with them the buffers, ``nbytes`` and ``to_bytes()`` of
-the column — are bit-identical to ``GeometryColumn.from_entries`` over the
-scalar reader's objects.
-
-Every other row — another type, another spelling, a value the conversion
-refuses — gets a per-row ``WKTReader.try_read``, the only per-row parse on
-a probe side, and is either packed beside the bulk rows or — when it does
-not parse, or parses to a type the column model cannot hold — reported as
-a dropped position.  Rows the bulk path takes neither read nor
-fill the reader's process-wide parse memo, so a build side's
-reader-parsed polygons stay warm in it however many probe batches go by.
+numpy's string→float64 conversion is Python's ``float``, so the column's
+buffers, ``nbytes`` and ``to_bytes()`` are bit-identical to
+``GeometryColumn.from_entries`` over the scalar reader's objects.  Every
+other row — another type or spelling, a value that is no string or holds
+a newline, a number ``float`` refuses — gets a per-row
+``WKTReader.try_read`` and is packed beside the bulk rows or reported as
+dropped.  Rows the bulk path takes neither read nor fill the reader's
+parse memo, so a build side's polygons stay warm in it.
 :func:`parse_wkt_column` is called by the Spark loader
 (``read_geometry_pairs``), the Impala probe (``core.isp.probe_wkt_blocks``)
 and the API (``core.api``); :func:`column_from_wkt` is its strict wrapper.
@@ -57,15 +54,22 @@ from repro.geometry.wkt import _NUMBER_CHARS, WKTReader
 
 __all__ = ["column_from_wkt", "parse_wkt_column", "refuse_wkt_row"]
 
-_NUMBER = "[" + "".join(re.escape(ch) for ch in sorted(_NUMBER_CHARS)) + "]+"
-_POINT_ROW = re.compile(
-    rf"\s*[Pp][Oo][Ii][Nn][Tt]\s*\(\s*({_NUMBER})\s+({_NUMBER})\s*\)\s*"
+# Possessive throughout: no part gives back a character its neighbour
+# could take.  A row ends in a newline; a gap is any other whitespace.
+_NUMBER = "[" + "".join(re.escape(ch) for ch in sorted(_NUMBER_CHARS)) + "]++"
+_GAP = r"[^\S\n]*+"
+# Point rows: the writer's spelling (the quick try), else any case and gaps.
+_POINT_RUN = re.compile(
+    rf"(?:(?:POINT \({_NUMBER} {_NUMBER}\)|{_GAP}[Pp][Oo][Ii][Nn][Tt]{_GAP}\("
+    rf"{_GAP}{_NUMBER}[^\S\n]++{_NUMBER}{_GAP}\){_GAP})\n)++"
 )
-# Upper-case tag, plain spaces: what the repo's writer and the paper's
-# datasets emit.  Any other spelling is the reader's.
-_LINE_ROW = re.compile(
-    rf" *LINESTRING *\( *({_NUMBER} +{_NUMBER}(?: *, *{_NUMBER} +{_NUMBER})+) *\) *"
+# Line rows as the writer spells them; any other spelling is the reader's.
+_LINE_RUN = re.compile(
+    rf"(?: *+LINESTRING *+\( *+{_NUMBER} ++{_NUMBER}(?: *+, *+{_NUMBER} ++{_NUMBER})++"
+    r" *+\) *+\n)++"
 )
+# A run's point tags and punctuation; line tags go first (E is a number).
+_SPACED = str.maketrans("PpOoIiNnTt(),\n", " " * 14)
 _READER = WKTReader()
 
 
@@ -91,51 +95,35 @@ def parse_wkt_column(
     payloads = [None] * n if payloads is None else list(payloads)
     if len(payloads) != n:
         raise ValueError("payloads length does not match texts")
-    tokens: list[str] = []
-    others: list[int] = []
-    fullmatch = _POINT_ROW.fullmatch
-    for i, text in enumerate(texts):
-        try:
-            match = fullmatch(text)
-        except TypeError:  # not a string: the reader's to refuse
-            match = None
-        if match is None:
-            others.append(i)
-        else:
-            tokens += match.groups()
-    lines: dict[int, list[str]] = {}
-    if others:
-        fullmatch = _LINE_ROW.fullmatch
-        for i in others:
-            match = fullmatch(texts[i]) if isinstance(texts[i], str) else None
-            if match is not None:
-                lines[i] = match.group(1).replace(",", " ").split()
-        if lines:
-            others = [i for i in others if i not in lines]
-    matched: Sequence[int] = (
-        sorted(set(range(n)).difference(others)) if others else range(n)
-    )
-    # Coordinates per bulk row, aligned with ``matched``; None: all points.
-    sizes: list[int] | None = None
+    pieces, lines, others = _runs(texts)
+    body = "".join(pieces)
+    del pieces
+    sizes = None  # coordinates per bulk row, in row order; None: all points
     if lines:
-        if len(lines) < len(matched):
-            points = iter(zip(tokens[::2], tokens[1::2]))
-            row_tokens = [lines[i] if i in lines else next(points) for i in matched]
-        else:
-            row_tokens = list(lines.values())
-        sizes = [len(row) // 2 for row in row_tokens]
-        tokens = [token for row in row_tokens for token in row]
-    try:
-        values = np.asarray(tokens, dtype=np.float64)
-        if sizes is not None and not _line_safe(values):
-            raise ValueError
-    except ValueError:
-        # Some captured run is no number ("1e", "+-1"), or a line holds a
-        # value min/max cannot order bit-for-bit: sort those rows out one
-        # at a time, then convert the rest.
-        matched, tokens, sizes = _convertible(matched, tokens, sizes, others)
-        values = np.asarray(tokens, dtype=np.float64)
-    coords = values.reshape(len(values) // 2, 2)
+        chars = np.frombuffer(body.encode(), dtype=np.uint8)
+        commas = np.flatnonzero(chars == ord(","))
+        sizes = np.diff(np.searchsorted(commas, np.flatnonzero(chars == ord("\n"))), prepend=0) + 1
+        del chars
+        body = body.replace("LINESTRING", "")
+    values = _floats(body.translate(_SPACED).split())
+    del body
+    # A number ``float`` refuses (NaN) takes its row to the reader, and so
+    # does a line's inf or negative zero: one reduceat finds the rows.
+    bad = np.isnan(values)
+    if sizes is not None:
+        odd = np.isinf(values) | ((values == 0.0) & np.signbit(values))
+        bad |= odd & np.repeat(sizes > 1, 2 * sizes)
+    matched = np.ones(n, dtype=bool)
+    matched[others] = False
+    if bad.any():
+        counts = np.ones(len(values) // 2, dtype=np.int64) if sizes is None else sizes
+        row_bad = np.logical_or.reduceat(bad, 2 * (np.cumsum(counts) - counts))
+        values = values[np.repeat(~row_bad, 2 * counts)]
+        sizes = None if sizes is None else sizes[~row_bad]
+        matched[np.flatnonzero(matched)[row_bad]] = False
+        others = np.flatnonzero(~matched).tolist()
+    coords = values.reshape(-1, 2)
+    rows = range(n) if not others else np.flatnonzero(matched).tolist()
     geometries: dict[int, Geometry] = {}
     dropped: list[int] = []
     for i in others:
@@ -146,66 +134,68 @@ def parse_wkt_column(
             dropped.append(i)
     if not geometries:
         if dropped:
-            payloads = [payloads[i] for i in matched]
+            payloads = [payloads[i] for i in rows]
         data = _point_only_data(coords) if sizes is None else _point_line_data(coords, sizes)
         return GeometryColumn(data, payloads), dropped
-    if sizes is None:
-        for i, (x, y) in zip(matched, coords.tolist()):
-            geometries[i] = Point(x, y)
-    else:
-        stop = 0
-        for i, size in zip(matched, sizes):
-            start, stop = stop, stop + size
-            if i in lines:
-                geometries[i] = LineString(coords[start:stop])
-            else:
-                geometries[i] = Point(*coords[start].tolist())
+    xy = coords.tolist()
+    stop = 0
+    for i, size in zip(rows, [1] * len(xy) if sizes is None else sizes.tolist()):
+        start, stop = stop, stop + size
+        geometries[i] = Point(*xy[start]) if size == 1 else LineString(coords[start:stop])
     return (
         GeometryColumn.from_entries((payloads[i], geometries[i]) for i in sorted(geometries)),
         dropped,
     )
 
 
-def _line_safe(values: np.ndarray) -> bool:
-    """Whether a line row may keep these values: all finite (``1e999``
-    reads as inf) and no negative zero, whose order against ``0.0`` a
-    min / max reduction does not define — so the row's bounding box is
-    the reader's bit for bit."""
-    return bool(np.isfinite(values).all()) and not bool(
-        np.signbit(values[values == 0.0]).any()
-    )
+def _runs(texts: list) -> tuple[list[str], bool, list[int]]:
+    """The text of each point or line run of the batch, in row order,
+    whether one is a line run, and the rows no run takes.  A value that
+    is no string, or holds a newline, stands in as an empty row."""
+    try:
+        runs = _scan("\n".join([*texts, ""]), len(texts))
+    except TypeError:
+        runs = None
+    if runs is None:
+        joined = "".join(t + "\n" if isinstance(t, str) and "\n" not in t else "\n" for t in texts)
+        runs = _scan(joined, len(texts))
+    return runs
 
 
-def _convertible(
-    matched: Sequence[int],
-    tokens: list[str],
-    sizes: list[int] | None,
-    others: list[int],
-) -> tuple[list[int], list[str], list[int] | None]:
-    """Split regex-matched rows by whether ``float`` takes every capture
-    (and, for a line, every value is :func:`_line_safe`); the rows that
-    fail join ``others`` (kept ascending)."""
-    good_rows: list[int] = []
-    good_tokens: list[str] = []
-    good_sizes: list[int] = []
-    stop = 0
-    for k, i in enumerate(matched):
-        size = 1 if sizes is None else sizes[k]
-        start, stop = stop, stop + 2 * size
-        row = tokens[start:stop]
-        try:
-            values = [float(token) for token in row]
-        except ValueError:
-            others.append(i)
+def _scan(joined: str, n: int) -> tuple[list[str], bool, list[int]] | None:
+    """:func:`_runs` over ``n`` newline-ended rows; None when ``joined``
+    holds more newlines than rows."""
+    pieces: list[str] = []
+    others: list[int] = []
+    lines = False
+    row = pos = 0
+    while row < n:
+        match = _POINT_RUN.match(joined, pos)
+        if match is None:
+            match = _LINE_RUN.match(joined, pos)
+            lines = lines or match is not None
+        if match is None:
+            others.append(row)
+            row, pos = row + 1, joined.index("\n", pos) + 1
             continue
-        if size > 1 and not _line_safe(np.asarray(values)):
-            others.append(i)
-            continue
-        good_rows.append(i)
-        good_tokens += row
-        good_sizes.append(size)
-    others.sort()
-    return good_rows, good_tokens, None if sizes is None else good_sizes
+        end = match.end()
+        row += joined.count("\n", pos, end)
+        pieces.append(joined[pos:end])
+        pos = end
+    return (pieces, lines, others) if row == n and pos == len(joined) else None
+
+
+def _floats(tokens: list[str]) -> np.ndarray:
+    """The tokens as float64, NaN for one ``float`` refuses ("1e", "+-1";
+    no run of number characters reads as NaN): a run that does not
+    convert is halved until its refused tokens stand alone."""
+    try:
+        return np.asarray(tokens, dtype=np.float64)
+    except ValueError:
+        if len(tokens) == 1:
+            return np.array([np.nan])
+        half = len(tokens) // 2
+        return np.concatenate((_floats(tokens[:half]), _floats(tokens[half:])))
 
 
 def refuse_wkt_row(text: object, row: int) -> NoReturn:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -256,7 +257,9 @@ def _normalise(
     that keeps the ``WKT_BYTES`` it charged, and a hit charges them too.
     """
     entries = list(entries)
-    if cache is not None and any(isinstance(geometry, str) for _, geometry in entries):
+    ids, values = zip(*entries, strict=True) if entries else ((), ())
+    strings = list(map(isinstance, values, repeat(str)))
+    if cache is not None and any(strings):
 
         def parse():
             parse_metrics = TaskMetrics()
@@ -267,13 +270,14 @@ def _normalise(
         if metrics is not None and wkt_chars:
             metrics.add(Resource.WKT_BYTES, wkt_chars)
         return column
-    rows = [i for i, (_, geometry) in enumerate(entries) if isinstance(geometry, str)]
+    rows = list(compress(range(len(entries)), strings))
     if rows:
-        texts = [entries[i][1] for i in rows]
+        texts = list(compress(values, strings))
         if metrics is not None:
-            for text in texts:
-                metrics.add(Resource.WKT_BYTES, float(len(text)))
-        column, dropped = parse_wkt_column(texts, [entries[i][0] for i in rows])
+            metrics.add_columns(
+                {Resource.WKT_BYTES: np.fromiter(map(len, texts), np.float64, len(texts))}
+            )
+        column, dropped = parse_wkt_column(texts, list(compress(ids, strings)))
         if dropped:
             refuse_wkt_row(texts[dropped[0]], rows[dropped[0]])
         if len(rows) == len(entries):

@@ -41,6 +41,7 @@ the record-at-a-time pipeline's, bit for bit.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -55,6 +56,7 @@ from repro.core.probe import BroadcastIndex, gather, unit_slices
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry import wkb as wkb_mod
+from repro.hdfs import split_fields
 from repro.obs.events import install_event_log
 from repro.obs.registry import REGISTRY
 from repro.obs.tracer import get_tracer
@@ -148,18 +150,7 @@ def read_geometry_pairs(
     def parse_fresh(blocks):
         """Parse ``blocks`` into one batch; keep and return each one's
         ``(status, batch, member, skipped)``."""
-        texts: list[str] = []
-        record_ids: list[int] = []
-        text_stops = [0]
-        for numbered in blocks:
-            fields = [line.split(separator, geometry_index + 1) for line in numbered.records]
-            texts += [row[geometry_index] for row in fields if geometry_index < len(row)]
-            record_ids += [
-                record_id
-                for record_id, row in enumerate(fields, numbered.base)
-                if geometry_index < len(row)
-            ]
-            text_stops.append(len(texts))
+        texts, record_ids, text_stops = _geometry_texts(blocks, separator, geometry_index)
         column, dropped = columnar_io.parse_wkt_column(texts, record_ids)
         drop_stops = np.searchsorted(dropped, text_stops)
         # Two pipeline hops per record (zipWithIndex pass + parse pass).
@@ -191,6 +182,38 @@ def read_geometry_pairs(
     return FusedPartitionsRDD(
         sc.text_file(path, num_partitions).zip_with_index(), split_block, parse_blocks
     )
+
+
+def _geometry_texts(
+    blocks: list, separator: str, geometry_index: int
+) -> tuple[list[str], list[int], list[int]]:
+    """The WKT field of every numbered line of ``blocks`` that has one,
+    its record id, and each block's stop in that list.
+
+    When every line has exactly the fields up to the geometry's, all the
+    blocks' lines are split at once (:func:`~repro.hdfs.split_fields`,
+    the Impala scan's splitter); otherwise each line is split on its own,
+    and a line with too few fields has no geometry.
+    """
+    lines = [numbered.records for numbered in blocks]
+    fields = split_fields(list(chain.from_iterable(lines)), separator, geometry_index + 1)
+    if fields is not None:
+        record_ids = chain.from_iterable(
+            range(numbered.base, numbered.base + len(numbered.records)) for numbered in blocks
+        )
+        text_stops = np.cumsum([0, *map(len, lines)]).tolist()
+        return fields[geometry_index], list(record_ids), text_stops
+    texts: list[str] = []
+    record_ids: list[int] = []
+    text_stops = [0]
+    for numbered in blocks:
+        for record_id, line in enumerate(numbered.records, numbered.base):
+            row = line.split(separator, geometry_index + 1)
+            if geometry_index < len(row):
+                texts.append(row[geometry_index])
+                record_ids.append(record_id)
+        text_stops.append(len(texts))
+    return texts, record_ids, text_stops
 
 
 def _members(parse: StageBatch, first: int, count: int) -> StageBatch:

@@ -11,7 +11,7 @@ batches.  The frontend keyword and plan wiring live in
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,16 +105,15 @@ def probe_wkt_blocks(
     parsed, and a vertex or allocation column only when one of its rows
     is charged one.
     """
-    texts = [text for block in blocks for text in block]
+    texts = list(chain.from_iterable(blocks))
     # Row positions ride along as payloads, so the kept rows say where
     # they came from.
     column, _ = columnar_io.parse_wkt_column(texts, range(len(texts)))
     rows, entries, probe_units = index.probe_pairs(column)
     kept = np.array(column.payloads(), dtype=np.int64)
-    strings = np.array([isinstance(text, str) for text in texts], dtype=bool)
-    lengths = np.array(
-        [float(len(text)) if string else 0.0 for text, string in zip(texts, strings)]
-    )
+    strings = np.fromiter(map(isinstance, texts, repeat(str)), dtype=bool, count=len(texts))
+    lengths = np.zeros(len(texts))
+    lengths[strings] = np.fromiter(map(len, compress(texts, strings)), dtype=np.float64)
     stops = np.cumsum([0] + [len(block) for block in blocks]).tolist()
     charge = unit_slices(scatter_units(probe_units, kept, len(texts)), stops)
     kept_stops = np.searchsorted(kept, stops).tolist()

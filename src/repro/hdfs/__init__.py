@@ -15,9 +15,11 @@ from repro.hdfs.recordfile import (
 )
 from repro.hdfs.textfile import (
     SplitLines,
+    count_split_lines,
     read_lines,
     read_split_lines,
     split_boundaries,
+    split_fields,
     write_text,
 )
 
@@ -27,9 +29,11 @@ __all__ = [
     "FileStatus",
     "SimulatedHDFS",
     "SplitLines",
+    "count_split_lines",
     "read_lines",
     "read_split_lines",
     "split_boundaries",
+    "split_fields",
     "write_text",
     "DEFAULT_PAGE_SIZE",
     "read_records",

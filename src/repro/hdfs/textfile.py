@@ -9,10 +9,20 @@ so both engines see the identical record stream for a given file.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.hdfs.filesystem import FileStatus, SimulatedHDFS
 from repro.obs.registry import REGISTRY
 
-__all__ = ["SplitLines", "write_text", "read_lines", "read_split_lines", "split_boundaries"]
+__all__ = [
+    "SplitLines",
+    "count_split_lines",
+    "read_lines",
+    "read_split_lines",
+    "split_boundaries",
+    "split_fields",
+    "write_text",
+]
 
 
 class SplitLines(list):
@@ -99,13 +109,48 @@ def read_split_lines(
     owned range.
     """
     status = fs.status(path)
-    return SplitLines(_owned_lines(fs, status, offset, length), status, (offset, length))
+    data, start, stop = _owned_range(fs, status, offset, length)
+    text = str(memoryview(data)[start:stop], "utf-8")
+    if not text:
+        lines = []
+    else:
+        lines = (text[:-1] if text.endswith("\n") else text).split("\n")
+    return SplitLines(lines, status, (offset, length))
 
 
-def _owned_lines(fs: SimulatedHDFS, status: FileStatus, offset: int, length: int) -> list[str]:
+def count_split_lines(fs: SimulatedHDFS, path: str, offset: int, length: int) -> int:
+    """``len(read_split_lines(fs, path, offset, length))``, counted in the
+    stored bytes without decoding them: the owned range's newlines, plus
+    a last line the file's end cuts off.  The ``hdfs.*`` counters move as
+    :func:`read_split_lines` moves them."""
+    data, start, stop = _owned_range(fs, fs.status(path), offset, length)
+    if start == stop:
+        return 0
+    return data.count(b"\n", start, stop) + (data[stop - 1] != _NEWLINE)
+
+
+def split_fields(lines: list[str], delimiter: str, width: int) -> list[list[str]] | None:
+    """The lines' fields column by column, when every line has exactly
+    ``width`` fields split on a one-character ``delimiter``; else None.
+
+    One join and one split over all the lines, once each line's
+    delimiters are counted.
+    """
+    if len(delimiter) != 1 or set(map(str.count, lines, repeat(delimiter))) - {width - 1}:
+        return None
+    fields = delimiter.join(lines).split(delimiter) if lines else []
+    return [fields[k::width] for k in range(width)]
+
+
+def _owned_range(
+    fs: SimulatedHDFS, status: FileStatus, offset: int, length: int
+) -> tuple[bytes, int, int]:
+    """The file's stored bytes and the range ``[start, stop)`` of the
+    lines the split owns in them (empty when it owns none); counts the
+    reads that find it and fetch it."""
     size = status.size
     if size == 0 or length <= 0 or offset > size:
-        return []
+        return b"", 0, 0
     data = fs.buffer(status.path)
     start, end = offset, offset + length
     reads = fetched = 0
@@ -117,10 +162,10 @@ def _owned_lines(fs: SimulatedHDFS, status: FileStatus, offset: int, length: int
         if newline < 0 or start >= end:
             # No line starts inside this split.
             _count(reads, fetched)
-            return []
+            return b"", 0, 0
     if start >= size:
         _count(reads, fetched)
-        return []
+        return b"", 0, 0
     # Read from start to the end of the line containing byte end-1; when
     # the split already ends on a newline there is nothing to extend.
     stop = min(end, size)
@@ -134,12 +179,7 @@ def _owned_lines(fs: SimulatedHDFS, status: FileStatus, offset: int, length: int
             fetched += more_fetched
             stop = size if newline < 0 else newline + 1
     _count(reads + 1, fetched + stop - start)
-    text = str(memoryview(data)[start:stop], "utf-8")
-    if not text:
-        return []
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n")
+    return data, start, stop
 
 
 _NEWLINE = ord("\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PlanError
-from repro.hdfs import SimulatedHDFS
+from repro.hdfs import SimulatedHDFS, split_fields
 from repro.impala.rowbatch import object_column
 
 __all__ = ["ColumnType", "Column", "Table", "Metastore", "NULL_TEXT"]
@@ -116,22 +116,8 @@ class Table:
     def _fields_by_column(self, lines: list[str]) -> list[list[str]] | None:
         """The range's fields column by column, when every line has the
         right field count and no field is NULL; else None."""
-        width, delimiter = len(self.columns), self.delimiter
-        if len(delimiter) != 1:
-            return None
-        fields = delimiter.join(lines).split(delimiter) if lines else []
-        if len(fields) != len(lines) * width:
-            return None
-        # The field count is right for every line exactly when each line
-        # is its own fields and delimiters, laid end to end.
-        line_lengths = np.fromiter(map(len, lines), np.int64, len(lines))
-        field_lengths = np.fromiter(map(len, fields), np.int64, len(fields))
-        if not np.array_equal(
-            field_lengths.reshape(-1, width).sum(axis=1) + (width - 1), line_lengths
-        ):
-            return None
-        texts = [fields[k::width] for k in range(width)]
-        if any(NULL_TEXT in values for values in texts):
+        texts = split_fields(lines, self.delimiter, len(self.columns))
+        if texts is None or any(NULL_TEXT in values for values in texts):
             return None
         return texts
 

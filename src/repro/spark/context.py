@@ -231,8 +231,12 @@ class SparkContext:
         return self._cache[key]
 
     def _run_partition_sizes_job(self, rdd: RDD) -> list[int]:
-        """Count records per partition (zipWithIndex's helper job); a
-        text split's line list is counted with ``len``."""
+        """Count records per partition (zipWithIndex's helper job): an
+        uncached text file's splits by their newlines, never decoded
+        (:meth:`TextFileRDD.count_lines`); any other list block with
+        ``len``."""
+        if isinstance(rdd, TextFileRDD) and not rdd.cached:
+            return self._scheduler.run_job(rdd, lambda size: size, read=rdd.count_lines)
         return self._scheduler.run_job(
             rdd, lambda it: len(it) if isinstance(it, list) else sum(1 for _ in it)
         )

@@ -31,7 +31,7 @@ from repro.cluster.metrics import TaskMetrics
 from repro.cluster.model import Resource
 from repro.columnar.block import ColumnBlock, ColumnRecords, EntryChunks
 from repro.errors import SparkError
-from repro.hdfs import SplitLines, read_split_lines
+from repro.hdfs import SplitLines, count_split_lines, read_split_lines
 from repro.spark.shuffle import HashPartitioner, estimate_bytes, records_bytes
 from repro.spark.taskcontext import current_task, task_scope
 
@@ -435,6 +435,13 @@ class TextFileRDD(RDD[str]):
         offset, length = self._splits[split]
         current_task().add(Resource.HDFS_BYTES, length)
         return read_split_lines(self.sc.hdfs, self.path, offset, length)
+
+    def count_lines(self, split: int) -> int:
+        """``len(self.compute(split))``, charged and counted as it is,
+        without decoding the split."""
+        offset, length = self._splits[split]
+        current_task().add(Resource.HDFS_BYTES, length)
+        return count_split_lines(self.sc.hdfs, self.path, offset, length)
 
     def preferred_hosts(self, split: int) -> tuple[str, ...]:
         """Datanodes holding the split's first block (locality hint)."""

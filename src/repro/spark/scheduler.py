@@ -30,9 +30,9 @@ the tasks' charges, events and results are the same either way.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics
+from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics, straggler_stats
 from repro.cluster.model import Resource
 from repro.columnar.block import ColumnBlock, RoutedRows
 from repro.errors import SparkError
@@ -76,7 +76,8 @@ class _TaskShipment:
     """
 
     value: object = None
-    seconds: float = 0.0
+    seconds: float = 0.0  # simulated, JVM factor included
+    work_seconds: float = 0.0  # the task's priced counts alone
     failures: int = 0  # failed attempts (the driver's task_failures delta)
     error: BaseException | None = None  # fatal/terminal error to re-raise
     cache_entries: dict | None = None
@@ -149,7 +150,8 @@ class DAGScheduler:
                     shipment.failures += 1
                     last_error = error
                     continue
-                shipment.seconds = task.seconds(model) * model.spark_jvm_factor
+                shipment.work_seconds = task.seconds(model)
+                shipment.seconds = shipment.work_seconds * model.spark_jvm_factor
                 span.add_sim(shipment.seconds)
                 span.add_counts(task.counts)
                 if attempt:
@@ -178,14 +180,15 @@ class DAGScheduler:
     def _run_stage_tasks(
         self, prefix: str, body, partitions, stage: StageMetrics, stage_id,
         metrics, absorb_value, repair=None, fused: FusedPartitionsRDD | None = None,
-    ) -> list[float]:
+    ) -> tuple[list[float], list[float]]:
         """Run ``body(task, partition)`` over ``partitions`` as the stage's
         tasks, labelled ``<prefix>-<partition>``.
 
         Shipments are absorbed in task order — failure counts, cache
         fills, the terminal error, ``stage.tasks``, then
         ``absorb_value(index, shipment)`` — and the tasks' simulated
-        seconds are returned.  :func:`~repro.runtime.dispatch.run_tasks`
+        seconds and work seconds (their counts priced once, without the
+        JVM factor) are returned.  :func:`~repro.runtime.dispatch.run_tasks`
         decides where they run and replays what captured tasks did to
         observability.  With a fault plan, injected faults are retried /
         speculated / blacklisted driver-side under the stage's logical
@@ -219,6 +222,7 @@ class DAGScheduler:
             for index, (partition, task) in enumerate(zip(partitions, tasks))
         ]
         task_seconds: list[float] = []
+        work_seconds: list[float] = []
 
         def absorb(index: int, shipment: _TaskShipment) -> None:
             self.task_failures += shipment.failures
@@ -229,6 +233,7 @@ class DAGScheduler:
                 raise shipment.error
             stage.tasks.append(shipment.task)
             task_seconds.append(shipment.seconds)
+            work_seconds.append(shipment.work_seconds)
             absorb_value(index, shipment)
 
         scope = f"{metrics.name}:{stage.name}"
@@ -250,7 +255,7 @@ class DAGScheduler:
         finally:
             if batched:
                 fused.release()
-        return task_seconds
+        return task_seconds, work_seconds
 
     # -- public entry ---------------------------------------------------------
 
@@ -259,8 +264,14 @@ class DAGScheduler:
         rdd: RDD,
         func: Callable,
         partitions: Sequence[int] | None = None,
+        *,
+        read: Callable[[int], Any] | None = None,
     ) -> list:
         """Run ``func`` over each requested partition; returns its results.
+
+        A task hands ``func`` its partition, ``rdd.iterator(split)``, or
+        ``read(split)`` when ``read`` is given (zipWithIndex's size job
+        counts a text split's lines without decoding them).
 
         Side effects: shuffle map stages for unmaterialised shuffle
         dependencies are executed first, and a :class:`QueryMetrics` entry
@@ -278,7 +289,9 @@ class DAGScheduler:
                         metrics.overhead_seconds += self.sc.cost_model.spark_jar_ship
                     for dep in self._unmaterialised_shuffles(rdd):
                         self._run_shuffle_stage(dep, metrics)
-                    results = self._run_result_stage(rdd, func, partitions, metrics)
+                    results = self._run_result_stage(
+                        rdd, func, partitions, metrics, rdd.iterator if read is None else read
+                    )
                     span.add_sim(metrics.simulated_seconds)
                     span.set_attr("stages", len(metrics.stages))
                 emit_query_end(
@@ -347,7 +360,7 @@ class DAGScheduler:
                 )
 
         with get_tracer().span(stage.name, category="stage"):
-            task_seconds = self._run_stage_tasks(
+            task_seconds, work_seconds = self._run_stage_tasks(
                 "map",
                 map_body,
                 range(dep.parent.num_partitions),
@@ -357,7 +370,9 @@ class DAGScheduler:
                 write_output,
                 fused=fused_step(dep.parent),
             )
-            self._finish_stage(stage, task_seconds, shuffling=True, metrics=metrics)
+            self._finish_stage(
+                stage, task_seconds, work_seconds, shuffling=True, metrics=metrics
+            )
 
     @staticmethod
     def _map_output(dep: ShuffleDependency, split: int) -> dict[int, object]:
@@ -411,6 +426,7 @@ class DAGScheduler:
         func: Callable,
         partitions: Sequence[int],
         metrics: QueryMetrics,
+        read: Callable[[int], Any],
     ) -> list:
         stage = StageMetrics(name="result")
         results: list = []
@@ -419,9 +435,9 @@ class DAGScheduler:
         # stage, so these are all of them.
         shuffle_deps = self._pipeline_shuffle_deps(rdd)
         with get_tracer().span(stage.name, category="stage"):
-            task_seconds = self._run_stage_tasks(
+            task_seconds, work_seconds = self._run_stage_tasks(
                 "task",
-                lambda task, split: func(rdd.iterator(split)),
+                lambda task, split: func(read(split)),
                 partitions,
                 stage,
                 stage_id,
@@ -431,7 +447,11 @@ class DAGScheduler:
                 fused=fused_step(rdd),
             )
             self._finish_stage(
-                stage, task_seconds, shuffling=bool(shuffle_deps), metrics=metrics
+                stage,
+                task_seconds,
+                work_seconds,
+                shuffling=bool(shuffle_deps),
+                metrics=metrics,
             )
         return results
 
@@ -499,11 +519,15 @@ class DAGScheduler:
         self,
         stage: StageMetrics,
         task_seconds: list[float],
+        work_seconds: list[float],
         shuffling: bool,
         metrics: QueryMetrics,
     ) -> None:
+        """Schedule the stage's tasks and record its outcome; the
+        straggler statistics come from ``work_seconds``, each task's
+        counts as :meth:`_run_task` priced them."""
         model = self.sc.cost_model
-        stats = stage.task_stats(model)
+        stats = straggler_stats(work_seconds)
         stage.makespan_seconds = simulate_dynamic(
             task_seconds,
             workers=self.sc.cluster.total_cores,

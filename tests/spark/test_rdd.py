@@ -188,6 +188,35 @@ class TestTextFile:
         assert rdd.num_partitions >= 8
         assert rdd.count() == 100
 
+    def test_size_job_counts_without_decoding(self, sc, monkeypatch):
+        # zipWithIndex's size job counts each split's newlines in place;
+        # a cached text RDD (whose size job fills the cache) still decodes
+        # its splits, and is charged and counted the same.
+        from repro.obs.registry import collecting
+        from repro.spark import rdd as rdd_module
+
+        write_text(sc.hdfs, "/in.txt", [f"line-{i}" * (i % 7) for i in range(300)])
+        outcomes = []
+        for cached in (False, True):
+            decoded = []
+            read = rdd_module.read_split_lines
+            monkeypatch.setattr(
+                rdd_module, "read_split_lines", lambda *a: decoded.append(a) or read(*a)
+            )
+            text = sc.text_file("/in.txt", min_partitions=7)
+            if cached:
+                text.cache()
+            with collecting() as registry:
+                indexed = text.zip_with_index()
+                counters = registry.snapshot()["counters"]
+            size_job = sc.job_log[-1]
+            assert len(decoded) == (text.num_partitions if cached else 0)
+            seconds = [(s.makespan_seconds, s.overhead_seconds) for s in size_job.stages]
+            outcomes.append((counters, size_job.totals(), seconds))
+            monkeypatch.undo()
+            assert [i for _, i in indexed.collect()] == list(range(300))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestCaching:
     def test_cache_computes_once(self, sc):

@@ -121,6 +121,35 @@ class TestTaskMetricsFlow:
         assert first > 0
         assert first == second
 
+    def test_each_task_priced_once(self, sc, monkeypatch):
+        # _run_task prices a task once; the stage's straggler statistics
+        # are read from that price, not priced again.
+        calls = []
+        price = CostModel.task_seconds
+        monkeypatch.setattr(
+            CostModel, "task_seconds", lambda self, counts: calls.append(1) or price(self, counts)
+        )
+        failed = []
+
+        def flaky(x):
+            if x == 3 and not failed:
+                failed.append(x)
+                raise RuntimeError("first attempt")
+            current_task().add(Resource.WKT_BYTES, 10 * x + 0.1)
+            return x % 3, x
+
+        sc.parallelize(list(range(12)), 4).map(flaky).reduce_by_key(
+            lambda a, b: a + b, 3
+        ).collect()
+        stages = sc.job_log[-1].stages
+        assert failed and sc._scheduler.task_failures == 1
+        assert len(calls) == sum(stage.num_tasks for stage in stages) == 7
+        monkeypatch.undo()
+        summaries = sc._scheduler.stage_summaries[-len(stages):]
+        for stage, summary in zip(stages, summaries):
+            stats = stage.task_stats(sc.cost_model)
+            assert {key: summary[key] for key in stats} == stats
+
     def test_current_task_outside_scope_is_sink(self):
         task = current_task()
         task.add(Resource.WKT_BYTES, 1)  # must not raise
