@@ -35,7 +35,7 @@ def gbif_wwf():
 
 def probe_all(points, index):
     """Matches of every point, one scalar engine predicate per candidate
-    (the engines' batch kernels would charge the churn, not perform it)."""
+    (the engines' pair kernels would charge the churn, not perform it)."""
     total = 0
     for _, point in points:
         for k in index.tree.query(point.envelope):

@@ -24,12 +24,15 @@ Modelled work is *charged*, not *performed*, on the query paths.  The
 cost model bills the library the paper ran — JTS's full edge scan for the
 fast engine (whose strip index does less), GEOS's clone-and-walk for the
 slow one — through the ``vertex_ops`` / ``allocations`` counters, and the
-batch kernels every join calls advance those counters arithmetically
-around vectorised numpy code.  The slow engine's churn is acted out only
-by its scalar predicates (``point_within``, ``point_within_distance``,
-``point_distance``): they are the reference its batch kernels are tested
-against, counter for counter, and the engine the Section V.B wall-clock
-micro-benchmark (``benchmarks/test_geometry_engines.py``) measures.
+pair kernels every join calls (``contains_pairs_counted`` /
+``within_distance_pairs_counted`` over :mod:`repro.geometry.point_pairs`)
+advance those counters arithmetically around vectorised numpy code.  The
+per-handle ``*_batch_counted`` calls are one-entry pair-kernel calls.  The
+slow engine's churn is acted out only by its scalar predicates
+(``point_within``, ``point_within_distance``, ``point_distance``): they
+are the reference every kernel is tested against, counter for counter,
+and the engine the Section V.B wall-clock micro-benchmark
+(``benchmarks/test_geometry_engines.py``) measures.
 """
 
 from __future__ import annotations
@@ -48,14 +51,7 @@ from repro.geometry.linestring import LineString
 from repro.geometry.multi import MultiLineString, MultiPolygon
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.prepared import (
-    _BATCH_CELL_BUDGET,
-    PreparedLineString,
-    PreparedPolygon,
-    _edges_contain_batch,
-    _envelope_within_distance,
-    prepare_cached,
-)
+from repro.geometry.prepared import PreparedLineString, PreparedPolygon, prepare_cached
 from repro.geometry.algorithms import distance as distance_mod
 from repro.geometry import point_pairs
 
@@ -125,18 +121,21 @@ class GeometryEngine(Protocol):
     def contains_batch_counted(
         self, handle: object, xs, ys
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Batched Within: (results, vertex_ops, allocations) per point.
+        """Within for many points against one handle: (results, vertex_ops,
+        allocations) per point, as N scalar :meth:`point_within` calls.
 
-        Counter totals accrued by one batch call equal those of N scalar
-        :meth:`point_within` calls; the per-point arrays carry each point's
-        share, for schedulers that charge per row.
+        One :meth:`contains_pairs_counted` call over the handle packed
+        alone, or :meth:`point_within` point by point when the handle has
+        no pair tables.  No join calls it.
         """
         ...
 
     def within_distance_batch_counted(
         self, handle: object, xs, ys, d: float
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Batched NearestD threshold test with per-point counter shares."""
+        """NearestD for many points against one handle, as N scalar
+        :meth:`point_within_distance` calls: the one-entry
+        :meth:`within_distance_pairs_counted` call, or the scalar loop."""
         ...
 
     def contains_pair_tables(self, handles: Sequence[object]) -> point_pairs.PolygonParts:
@@ -170,7 +169,55 @@ class GeometryEngine(Protocol):
         ...
 
 
-class FastGeometryEngine:
+class _PerHandleKernels:
+    """An engine's per-handle batch calls, as one-entry pair-kernel calls.
+
+    The handle is packed alone and every point is paired with entry 0, so
+    answers and charges are the pair kernel's.  A handle the pair tables
+    do not take runs the scalar predicate once per point.  No join calls
+    these; the pair kernels serve every join directly.
+    """
+
+    def contains_batch_counted(self, handle, xs, ys):
+        return self._one_entry(
+            self.contains_pair_tables, self.contains_pairs_counted, self.point_within,
+            handle, xs, ys,
+        )
+
+    def within_distance_batch_counted(self, handle, xs, ys, d):
+        return self._one_entry(
+            self.within_distance_pair_tables, self.within_distance_pairs_counted,
+            self.point_within_distance, handle, xs, ys, d,
+        )
+
+    def _one_entry(self, pack, pairs_counted, predicate, handle, xs, ys, *args):
+        xs = np.ascontiguousarray(xs, dtype=np.float64)
+        ys = np.ascontiguousarray(ys, dtype=np.float64)
+        tables = pack([handle])
+        if tables.tabled[0]:
+            return pairs_counted(tables, xs, ys, np.zeros(len(xs), dtype=np.int64), *args)
+        return _scalar_batch(
+            self.counters, lambda point: predicate(point, handle, *args), xs, ys
+        )
+
+
+def _scalar_batch(counters: EngineCounters, call, xs, ys):
+    """``call`` once per point: (results, vertex_ops, allocations) per point,
+    each point's share read off the counters around its call."""
+    n = len(xs)
+    results = np.zeros(n, dtype=bool)
+    vertex = np.zeros(n, dtype=np.int64)
+    alloc = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        vertex_before = counters.vertex_ops
+        alloc_before = counters.allocations
+        results[i] = call(Point(float(xs[i]), float(ys[i])))
+        vertex[i] = counters.vertex_ops - vertex_before
+        alloc[i] = counters.allocations - alloc_before
+    return results, vertex, alloc
+
+
+class FastGeometryEngine(_PerHandleKernels):
     """Prepared-geometry engine (the JTS-like fast path)."""
 
     name = "fast"
@@ -182,8 +229,9 @@ class FastGeometryEngine:
         if isinstance(
             geometry, (Polygon, LineString, MultiPolygon, MultiLineString, Point)
         ):
-            # Shared identity-keyed cache: tasks probing the same broadcast
-            # or tile geometry reuse one strip index instead of rebuilding.
+            # Shared content-keyed cache: tasks probing the same broadcast
+            # or tile geometry, or an equal one reloaded, reuse one strip
+            # index instead of rebuilding.
             return prepare_cached(geometry)
         raise GeometryError(f"fast engine cannot prepare {geometry.geometry_type}")
 
@@ -240,102 +288,15 @@ class FastGeometryEngine:
             return math.hypot(point.x - handle.x, point.y - handle.y)
         raise GeometryError(f"point_distance against {type(handle).__name__}")
 
-    # -- batch kernels ----------------------------------------------------
-    #
-    # One numpy dispatch refines a whole coordinate batch against a handle.
-    # Results are bit-identical to N scalar calls (the prepared kernels
-    # evaluate the same IEEE expressions) and the counter totals match,
-    # including the early-exit accounting on Multi* handles: a point stops
-    # being charged for later parts once an earlier part matched it.
-
-    def contains_batch_counted(self, handle, xs, ys):
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        results, vertex, pred = self._contains_arrays(handle, xs, ys)
-        self.counters.predicate_calls += int(pred.sum())
-        self.counters.vertex_ops += int(vertex.sum())
-        return results, vertex, np.zeros(len(xs), dtype=np.int64)
-
-    def within_distance_batch_counted(self, handle, xs, ys, d):
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        results, vertex, pred = self._within_distance_arrays(handle, xs, ys, d)
-        self.counters.predicate_calls += int(pred.sum())
-        self.counters.vertex_ops += int(vertex.sum())
-        return results, vertex, np.zeros(len(xs), dtype=np.int64)
-
-    def _contains_arrays(self, handle, xs, ys):
-        n = len(xs)
-        pred = np.ones(n, dtype=np.int64)
-        vertex = np.zeros(n, dtype=np.int64)
-        if isinstance(handle, PreparedPolygon):
-            vertex += handle.edge_count
-            return handle.contains_batch(xs, ys), vertex, pred
-        if isinstance(handle, list):
-            results = np.zeros(n, dtype=bool)
-            active = np.arange(n)
-            for part in handle:
-                if active.size == 0:
-                    break
-                hit, part_vertex, part_pred = self._contains_arrays(
-                    part, xs[active], ys[active]
-                )
-                pred[active] += part_pred
-                vertex[active] += part_vertex
-                results[active[hit]] = True
-                active = active[~hit]
-            return results, vertex, pred
-        raise GeometryError(f"point_within against {type(handle).__name__}")
-
-    def _within_distance_arrays(self, handle, xs, ys, d):
-        n = len(xs)
-        pred = np.ones(n, dtype=np.int64)
-        vertex = np.zeros(n, dtype=np.int64)
-        if isinstance(handle, PreparedLineString):
-            results, examined = handle.within_distance_batch_counted(xs, ys, d)
-            vertex += examined
-            return results, vertex, pred
-        if isinstance(handle, PreparedPolygon):
-            vertex += handle.edge_count
-            results = handle.contains_batch(xs, ys)
-            for i in np.flatnonzero(~results):
-                point = Point(float(xs[i]), float(ys[i]))
-                results[i] = distance_mod.distance(point, handle.polygon) <= d
-            return results, vertex, pred
-        if isinstance(handle, list):
-            results = np.zeros(n, dtype=bool)
-            active = np.arange(n)
-            for part in handle:
-                if active.size == 0:
-                    break
-                hit, part_vertex, part_pred = self._within_distance_arrays(
-                    part, xs[active], ys[active], d
-                )
-                pred[active] += part_pred
-                vertex[active] += part_vertex
-                results[active[hit]] = True
-                active = active[~hit]
-            return results, vertex, pred
-        if isinstance(handle, Point):
-            results = np.fromiter(
-                (
-                    math.hypot(float(x) - handle.x, float(y) - handle.y) <= d
-                    for x, y in zip(xs, ys)
-                ),
-                dtype=bool,
-                count=n,
-            )
-            return results, vertex, pred
-        raise GeometryError(f"point_within_distance against {type(handle).__name__}")
-
     # -- pair kernels -------------------------------------------------------
     #
     # One dispatch refines a whole array of (point, build entry) candidate
     # pairs against the prepared handles' own tables, packed once per build
-    # side.  A pair's answer and charges are those of the per-handle batch
-    # kernels above: ``edge_count`` (Within) or the segments examined
-    # (NearestD) per part reached, and one predicate call per part reached
-    # on top of the pair's own under a Multi* handle.
+    # side.  A pair's answer and charges are those of one scalar
+    # ``point_within`` / ``point_within_distance`` call: ``edge_count``
+    # (Within) or the segments examined (NearestD) per part reached, and one
+    # predicate call per part reached on top of the pair's own under a
+    # Multi* handle.
 
     def contains_pair_tables(self, handles):
         return point_pairs.pack_polygon_parts(
@@ -416,7 +377,7 @@ class _Coordinate:
         self.y = y
 
 
-class SlowGeometryEngine:
+class SlowGeometryEngine(_PerHandleKernels):
     """Object-churning engine (the GEOS-like slow path).
 
     ``prepare`` returns the raw geometry; every scalar predicate call then
@@ -424,8 +385,8 @@ class SlowGeometryEngine:
     a scalar loop — reproducing the allocate/compute/destroy pattern the
     paper identified as GEOS's bottleneck.  The churn factor is real work
     (not a sleep), so wall-clock microbenchmarks show the same 3-4x gap
-    the paper measured.  The batch kernels the joins call charge that
-    work (same counters, same per-point shares) without performing it.
+    the paper measured.  The pair kernels the joins call charge that work
+    (same counters, same per-pair shares) without performing it.
     """
 
     name = "slow"
@@ -567,51 +528,18 @@ class SlowGeometryEngine:
             return math.hypot(point.x - handle.x, point.y - handle.y)
         raise GeometryError(f"point_distance against {type(handle).__name__}")
 
-    # -- batch kernels ----------------------------------------------------
+    # -- pair kernels -------------------------------------------------------
     #
     # GEOS has no columnar path, and the cost model does not need one acted
     # out: the two kernels (Within on polygons, NearestD on polylines)
-    # evaluate the churn loop's *own* IEEE expressions over arrays and
-    # advance the counters arithmetically, so results, per-point charges
-    # and totals are those of N scalar calls while no ``_Coordinate`` is
-    # ever built.  The scalar predicates above stay the reference (and
-    # the engine the Section V.B micro-benchmark times); every other
-    # handle type keeps the per-point scalar loop.  The handle's type
-    # picks the route.
-
-    def contains_batch_counted(self, handle, xs, ys):
-        if isinstance(handle, Polygon):
-            parts = (handle,)
-        elif isinstance(handle, MultiPolygon):
-            parts = handle.parts
-        else:
-            return self._scalar_batch(lambda point: self.point_within(point, handle), xs, ys)
-        results, churned, _ = _first_hit_over_parts(parts, xs, ys, _polygon_hits)
-        return self._charged(len(results), results, churned)
-
-    def within_distance_batch_counted(self, handle, xs, ys, d):
-        multi = isinstance(handle, MultiLineString)
-        if not multi and (not isinstance(handle, LineString) or handle.is_empty):
-            return self._scalar_batch(
-                lambda point: self.point_within_distance(point, handle, d), xs, ys
-            )
-        results, churned, reached = _first_hit_over_parts(
-            handle.parts if multi else (handle,),
-            xs,
-            ys,
-            lambda part, px, py: _line_hits(part, px, py, d),
-        )
-        # The scalar any() re-enters point_within_distance once per part
-        # a point reaches.
-        calls = len(results) + (reached if multi else 0)
-        return self._charged(calls, results, churned)
-
-    # -- pair kernels -------------------------------------------------------
-    #
-    # The same two kernels over (point, build entry) candidate-pair arrays
-    # and the churn tables of a whole build side, packed once: a pair is
-    # charged the ring vertices (Within) or, past the envelope prune, the
-    # coordinates (NearestD) of every part it reaches.
+    # evaluate the churn loop's *own* IEEE expressions over (point, build
+    # entry) candidate-pair arrays and the churn tables of a whole build
+    # side, packed once, and advance the counters arithmetically, so
+    # results, per-pair charges and totals are those of one scalar call per
+    # pair while no ``_Coordinate`` is ever built.  A pair is charged the
+    # ring vertices (Within) or, past the envelope prune, the coordinates
+    # (NearestD) of every part it reaches.  Every other handle type is
+    # untabled: its pairs take the scalar predicates.
 
     def contains_pair_tables(self, handles):
         def parts_of(handle):
@@ -662,70 +590,7 @@ class SlowGeometryEngine:
         self.counters.allocations += total
         return results, churned, churned.copy()
 
-    def _scalar_batch(self, call, xs, ys):
-        n = len(xs)
-        results = np.zeros(n, dtype=bool)
-        vertex = np.zeros(n, dtype=np.int64)
-        alloc = np.zeros(n, dtype=np.int64)
-        counters = self.counters
-        for i in range(n):
-            vertex_before = counters.vertex_ops
-            alloc_before = counters.allocations
-            results[i] = call(Point(float(xs[i]), float(ys[i])))
-            vertex[i] = counters.vertex_ops - vertex_before
-            alloc[i] = counters.allocations - alloc_before
-        return results, vertex, alloc
-
-
-def _first_hit_over_parts(parts, xs, ys, part_hits):
-    """``any(hit(point, part) for part in parts if not part.is_empty)``
-    for many points, with any()'s early exit.
-
-    ``part_hits(part, px, py)`` answers one part for the points still
-    active and says what the churn loop would have cloned for each (a
-    count, or an array of counts); a point leaves the active set at its
-    first hit, so later parts neither test nor charge it.  Returns
-    ``(results, churned per point, part evaluations summed over points)``.
-    """
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    results = np.zeros(len(xs), dtype=bool)
-    churned = np.zeros(len(xs), dtype=np.int64)
-    reached = 0
-    active = np.arange(len(xs))
-    for part in parts:
-        if active.size == 0:
-            break
-        if part.is_empty:
-            continue
-        reached += len(active)
-        hit, cloned = part_hits(part, xs[active], ys[active])
-        churned[active] += cloned
-        results[active[hit]] = True
-        active = active[~hit]
-    return results, churned, reached
-
-
-def _polygon_hits(polygon: Polygon, px: np.ndarray, py: np.ndarray):
-    """``_point_in_churned_polygon`` for many points: every ring is
-    cloned for every point, then the shell's envelope gates the edge walk."""
-    table, num_vertices, (min_x, min_y, max_x, max_y) = _churn_tables(polygon)
-    inside = np.flatnonzero((min_x <= px) & (px <= max_x) & (min_y <= py) & (py <= max_y))
-    hit = np.zeros(len(px), dtype=bool)
-    hit[inside] = _edges_contain_batch(table, px[inside], py[inside])
-    return hit, num_vertices
-
-
-def _line_hits(line: LineString, px: np.ndarray, py: np.ndarray, d: float):
-    """``point_within_distance`` against one polyline for many points: an
-    envelope-pruned line is never cloned, so it charges nothing."""
-    near = _envelope_within_distance(line.envelope, px, py, d)
-    hit = np.zeros(len(px), dtype=bool)
-    hit[near] = _segments_within(_churn_tables(line), px[near], py[near], d)
-    return hit, near * len(line.coords)
-
-
-# Edge / segment tables behind the slow engine's vector kernels, memoised
+# Edge / segment tables behind the slow engine's pair kernels, memoised
 # per process by geometry identity (the entry pins its geometry, so an id
 # cannot be recycled while it is a key; coordinate buffers are read-only).
 _CHURN_TABLE_CAPACITY = 4096
@@ -786,42 +651,6 @@ def _line_tables(line: LineString) -> tuple:
     dx = coords[1:, 0] - x1
     dy = coords[1:, 1] - y1
     return x1, y1, dx, dy, dx * dx + dy * dy
-
-
-def _segments_within(tables: tuple, px: np.ndarray, py: np.ndarray, d: float) -> np.ndarray:
-    """``_churned_line_distance(px, py, line) <= d`` for many points.
-
-    Everything up to the hypot is the loop's own arithmetic, elementwise;
-    np.hypot and math.hypot may differ in the last ulp, so a point whose
-    minimum lands within rounding reach of ``d`` is re-decided with
-    math.hypot over the same hypot arguments.
-    """
-    x1, y1, dx, dy, seg_len_sq = tables
-    degenerate = seg_len_sq == 0.0
-    out = np.empty(len(px), dtype=bool)
-    chunk = max(1, _BATCH_CELL_BUDGET // len(x1))
-    tolerance = 1e-9 * max(abs(d), 1.0)
-    for lo in range(0, len(px), chunk):
-        X = px[lo : lo + chunk, None]
-        Y = py[lo : lo + chunk, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = ((X - x1) * dx + (Y - y1) * dy) / seg_len_sq
-        # A zero-length segment measures to its start point: x1 + 0 * dx.
-        t = np.where(degenerate, 0.0, np.clip(t, 0.0, 1.0))
-        off_x = X - (x1 + t * dx)
-        off_y = Y - (y1 + t * dy)
-        # fmin skips NaN candidates, as the loop's ``candidate < best`` does.
-        best = np.fmin.reduce(np.hypot(off_x, off_y), axis=1, initial=np.inf)
-        within = best <= d
-        for i in np.flatnonzero(np.abs(best - d) <= tolerance):
-            exact = math.inf
-            for a, b in zip(off_x[i].tolist(), off_y[i].tolist()):
-                candidate = math.hypot(a, b)
-                if candidate < exact:
-                    exact = candidate
-            within[i] = exact <= d
-        out[lo : lo + chunk] = within
-    return out
 
 
 _ENGINES = {

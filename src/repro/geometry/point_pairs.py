@@ -1,24 +1,24 @@
 """Pair-major point refinement: one vector pass over candidate-pair arrays.
 
-The per-handle batch kernels (``PreparedPolygon.contains_batch``,
-``PreparedLineString.within_distance_batch_counted``, the slow engine's
-``_polygon_hits`` / ``_line_hits``) answer *one* build geometry for many
-points per call, which costs a join with many small tasks thousands of
-numpy dispatches on a dozen points each.  The kernels here answer a whole
-array of ``(point, build entry)`` candidate pairs at once, against the
-build side's part tables concatenated into flat arrays
-(:func:`pack_polygon_parts`, :func:`pack_line_parts`).  They are the only
-point refinement a join runs: a pair against a build handle with no part
-tables takes the scalar ``repro.core.probe.refine_pair``, and the
-per-handle kernels stay as the reference these are tested against.
+The kernels here answer a whole array of ``(point, build entry)``
+candidate pairs at once, against the build side's part tables
+concatenated into flat arrays (:func:`pack_polygon_parts`,
+:func:`pack_line_parts`) — one numpy pass per task, where refining one
+build geometry per call would cost a join with many small tasks thousands
+of dispatches on a dozen points each.  They are the only point refinement
+a join runs: a pair against a build handle with no part tables takes the
+scalar ``repro.core.probe.refine_pair``.  An engine's per-handle
+``*_batch_counted`` call is one of these calls over its handle packed
+alone.
 
 The tables are the handles' *own* — a prepared polygon's strip tables, a
 prepared polyline's segment arrays, the slow engine's churn tables — and
-every float expression is the per-handle kernel's, evaluated elementwise
-in the same IEEE order over a ragged ``(pair, edge-or-segment)`` grid, so
-each answer and each charge is bit-for-bit the per-handle one.  The grid
-is walked in blocks of ``pairwise._BLOCK_CELLS`` cells; a block may end in
-the middle of a pair.
+every float expression is the engine's scalar predicate's, evaluated
+elementwise in the same IEEE order over a ragged ``(pair,
+edge-or-segment)`` grid, so each answer and each charge is bit-for-bit
+that of one scalar call per pair (the reference these are tested
+against).  The grid is walked in blocks of ``pairwise._BLOCK_CELLS``
+cells; a block may end in the middle of a pair.
 
 A Multi* build entry keeps ``any()``'s early exit: :func:`first_hit_rounds`
 runs one round per part ordinal over the pairs still active, so a pair is
@@ -208,9 +208,10 @@ def points_in_parts(
     tables: PolygonParts, px: np.ndarray, py: np.ndarray, parts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether point ``k`` lies in polygon part ``parts[k]`` — the
-    envelope gate, strip choice and ``_edges_contain_batch`` crossing test
-    of the per-handle kernels, one cell per (pair, strip edge) — and the
-    part's charge, which reaching it costs whatever the answer."""
+    envelope gate, strip choice, and boundary and crossing-parity tests of
+    ``PreparedPolygon.contains_point`` (or of the churn loop, over its one
+    unstripped strip), one cell per (pair, strip edge) — and the part's
+    charge, which reaching it costs whatever the answer."""
     box = tables.box[parts]
     hit = np.zeros(len(parts), dtype=bool)
     charged = tables.charge[parts]
@@ -265,7 +266,7 @@ def _near_segments(tables: LineParts, px, py, parts, d: float):
 def first_segment_within(
     tables: LineParts, px: np.ndarray, py: np.ndarray, parts: np.ndarray, d: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``PreparedLineString.within_distance_batch_counted`` for point ``k``
+    """``PreparedLineString.within_distance_counted`` for point ``k``
     against polyline part ``parts[k]``: ``(within, segments examined)`` —
     one for an envelope-pruned pair, the 1-based index of the first
     segment within ``d``, the segment count on a miss."""
@@ -301,11 +302,12 @@ def first_segment_within(
 def min_distance_within(
     tables: LineParts, px: np.ndarray, py: np.ndarray, parts: np.ndarray, d: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The slow engine's ``_line_hits`` for point ``k`` against polyline
-    part ``parts[k]``: ``(full minimum distance <= d, coordinates
+    """The slow engine's ``point_within_distance`` for point ``k`` against
+    polyline part ``parts[k]``: ``(full minimum distance <= d, coordinates
     cloned)`` — a part's charge, or nothing when the envelope prune stops
-    the pair.  A minimum within rounding reach of ``d`` is re-decided
-    with math.hypot, as ``_segments_within`` does."""
+    the pair.  np.hypot and math.hypot may differ in the last ulp, so a
+    minimum within rounding reach of ``d`` is re-decided with math.hypot,
+    the churn loop's own."""
     hit = np.zeros(len(parts), dtype=bool)
     near, at, start, count, x, y = _near_segments(tables, px, py, parts, d)
     best = np.full(len(at), np.inf)

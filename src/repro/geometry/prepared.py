@@ -33,9 +33,6 @@ __all__ = [
 
 _EPS = 1e-12
 
-# Budget for one broadcasted (points x edges) kernel evaluation; batches are
-# chunked so intermediate matrices stay cache- and memory-friendly.
-_BATCH_CELL_BUDGET = 1 << 22
 
 
 class PreparedPolygon:
@@ -205,13 +202,14 @@ class PreparedPolygon:
         return len(self._strip_for(y))
 
     def _batch_tables(self) -> list[np.ndarray]:
-        """Per-strip edge tables for the batch kernel, built lazily.
+        """Per-strip edge tables for the pair kernels, built lazily.
 
         Each table row is ``(x1, y1, x2, y2, bx0, by0, bx1, by1, ceps)``;
         the boundary test is ``in-bbox AND |cross| <= ceps`` for both of
         the scalar code paths, they only bake different epsilons into the
-        bbox — so the tables reuse the exact per-path constants and the
-        batch kernel reproduces either path bit-for-bit.
+        bbox — so the tables reuse the exact per-path constants and
+        :func:`repro.geometry.point_pairs.points_in_parts` reproduces
+        either path bit-for-bit.
         """
         tables = self._batch_tables_cache
         if tables is None:
@@ -244,77 +242,6 @@ class PreparedPolygon:
                 _EPS * scale,
             ]
         )
-
-    def contains_batch(self, xs, ys) -> np.ndarray:
-        """Vectorised :meth:`contains_point` over coordinate arrays.
-
-        Answers are bit-identical to N scalar calls: the kernel evaluates
-        the same boundary and crossing-parity expressions in the same IEEE
-        double order, just for a whole strip's worth of points per numpy
-        dispatch instead of one.
-        """
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        result = np.zeros(len(xs), dtype=bool)
-        if len(xs) == 0:
-            return result
-        env = self.envelope
-        in_env = (
-            (env.min_x <= xs)
-            & (xs <= env.max_x)
-            & (env.min_y <= ys)
-            & (ys <= env.max_y)
-        )
-        if not bool(in_env.any()):
-            return result
-        idx = np.flatnonzero(in_env)
-        sx = xs[idx]
-        sy = ys[idx]
-        # int() truncation equals floor here: the envelope check guarantees
-        # sy >= y_min, so the quotient is never negative.
-        strips = np.clip(
-            ((sy - self._y_min) / self._strip_height).astype(np.int64),
-            0,
-            self._num_strips - 1,
-        )
-        tables = self._batch_tables()
-        for strip in np.unique(strips):
-            table = tables[strip]
-            if table.shape[0] == 0:
-                continue
-            sel = strips == strip
-            result[idx[sel]] = _edges_contain_batch(table, sx[sel], sy[sel])
-        return result
-
-
-def _edges_contain_batch(table: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Crossing-count containment of many points against one edge table."""
-    x1, y1, x2, y2 = table[:, 0], table[:, 1], table[:, 2], table[:, 3]
-    bx0, by0, bx1, by1 = table[:, 4], table[:, 5], table[:, 6], table[:, 7]
-    ceps = table[:, 8]
-    n = len(px)
-    out = np.empty(n, dtype=bool)
-    chunk = max(1, _BATCH_CELL_BUDGET // max(table.shape[0], 1))
-    for lo in range(0, n, chunk):
-        X = px[lo : lo + chunk, None]
-        Y = py[lo : lo + chunk, None]
-        cross = (x2 - x1) * (Y - y1) - (y2 - y1) * (X - x1)
-        on_edge = (
-            (by0 <= Y)
-            & (Y <= by1)
-            & (bx0 <= X)
-            & (X <= bx1)
-            & (-ceps <= cross)
-            & (cross <= ceps)
-        )
-        straddles = (y1 > Y) != (y2 > Y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = x1 + (Y - y1) * (x2 - x1) / (y2 - y1)
-        crossings = straddles & (X < x_cross)
-        out[lo : lo + chunk] = on_edge.any(axis=1) | (
-            crossings.sum(axis=1) % 2 == 1
-        )
-    return out
 
 
 def _envelope_within_distance(envelope, xs: np.ndarray, ys: np.ndarray, d: float) -> np.ndarray:
@@ -478,57 +405,6 @@ class PreparedLineString:
         dx = rel_x - t * self._deltas[:, 0]
         dy = rel_y - t * self._deltas[:, 1]
         return dx * dx + dy * dy
-
-    def _segment_distances_sq_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Squared point-to-segment distances for a (points, 1) column pair.
-
-        Broadcasts the exact per-element operation sequence of
-        :meth:`_segment_distances_sq`, so every cell equals the scalar
-        value bit-for-bit.
-        """
-        rel_x = X - self._starts[:, 0]
-        rel_y = Y - self._starts[:, 1]
-        dot = rel_x * self._deltas[:, 0] + rel_y * self._deltas[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(self._seg_len_sq > 0.0, dot / self._seg_len_sq, 0.0)
-        t = np.clip(t, 0.0, 1.0)
-        dx = rel_x - t * self._deltas[:, 0]
-        dy = rel_y - t * self._deltas[:, 1]
-        return dx * dx + dy * dy
-
-    def within_distance_batch_counted(
-        self, xs, ys, d: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`within_distance_counted` over coordinate arrays.
-
-        Returns (within, segments_examined) arrays with the exact values N
-        scalar calls would produce: the envelope prune reports one examined
-        segment, an in-threshold point reports the 1-based index of its
-        first matching segment, a miss reports the full segment count.
-        """
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        n = len(xs)
-        within = np.zeros(n, dtype=bool)
-        examined = np.ones(n, dtype=np.int64)
-        if n == 0:
-            return within, examined
-        idx = np.flatnonzero(_envelope_within_distance(self.envelope, xs, ys, d))
-        if len(idx) == 0:
-            return within, examined
-        d_sq = d * d
-        nsegs = len(self._starts)
-        chunk = max(1, _BATCH_CELL_BUDGET // max(nsegs, 1))
-        for lo in range(0, len(idx), chunk):
-            sub = idx[lo : lo + chunk]
-            dist_sq = self._segment_distances_sq_batch(
-                xs[sub, None], ys[sub, None]
-            )
-            hit = dist_sq <= d_sq
-            any_hit = hit.any(axis=1)
-            within[sub] = any_hit
-            examined[sub] = np.where(any_hit, np.argmax(hit, axis=1) + 1, nsegs)
-        return within, examined
 
 
 def prepare(geometry: Geometry):

@@ -501,7 +501,7 @@ class STRtree(_NodeTable, Generic[T]):
     ) -> tuple[list[tuple[T, np.ndarray]], np.ndarray]:
         """Bulk point queries returning per-item probe chunks.
 
-        The item-major traversal behind the per-handle batch kernels; the
+        The item-major traversal behind the per-handle batch calls; the
         joins now flatten candidates with :meth:`_query_batch_arrays`, so
         its remaining caller is the traced benchmark's ``index.filter_s``
         stage (``benchmarks/e2e/layers.py``).

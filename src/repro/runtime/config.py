@@ -1,7 +1,7 @@
 """`RuntimeConfig`: one value for every execution-runtime knob.
 
 The pool size (``executors``), the event-log path (``events_out``), the
-fault-tolerance policy (retry/timeout/backoff, speculation,
+fault-tolerance policy (retry/backoff, speculation,
 blacklisting, restart budget, the injected
 :class:`~repro.runtime.faults.FaultPlan`) and the cross-query cache
 budget live here and nowhere else;
@@ -10,11 +10,11 @@ budget live here and nowhere else;
 :class:`~repro.impala.coordinator.ImpalaBackend` and the bench runner
 take one through their ``runtime=`` keyword.
 
-Timeouts and backoff delays are *simulated* quantities: they classify
-hangs and are recorded in recovery events, but never sleep the driver
-and never charge the cost model — recovery bookkeeping must not perturb
-the byte-identity invariant (pairs, counters, profiles and simulated
-seconds match the fault-free run exactly).
+Backoff delays are *simulated* quantities: they are recorded in recovery
+events, but never sleep the driver and never charge the cost model —
+recovery bookkeeping must not perturb the byte-identity invariant (pairs,
+counters, profiles and simulated seconds match the fault-free run
+exactly).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class RuntimeConfig:
     ==================== =======================================================
     executors            pool size: ``None``/``"serial"``/int >= 1/`TaskPool`
     max_task_attempts    Spark-side attempts per task (injected + real errors)
-    task_timeout         simulated seconds before an attempt counts as hung
     backoff_base         first retry delay (simulated seconds)
     backoff_factor       exponential growth per further retry
     backoff_jitter       +/- fraction of deterministic jitter on each delay
@@ -56,7 +55,6 @@ class RuntimeConfig:
 
     executors: Any = None
     max_task_attempts: int = 4
-    task_timeout: float = 30.0
     backoff_base: float = 0.5
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.1
@@ -80,10 +78,6 @@ class RuntimeConfig:
             raise ReproError(
                 "RuntimeConfig.max_task_attempts must be an integer >= 1, "
                 f"got {self.max_task_attempts!r}"
-            )
-        if self.task_timeout <= 0:
-            raise ReproError(
-                f"RuntimeConfig.task_timeout must be > 0, got {self.task_timeout!r}"
             )
         if self.backoff_base < 0:
             raise ReproError(

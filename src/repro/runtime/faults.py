@@ -103,7 +103,7 @@ class WorkerCrash(InjectedFaultError):
 
 
 class TaskHang(InjectedFaultError):
-    """The attempt exceeded the per-task timeout and was declared hung."""
+    """The attempt hung and was declared lost (an injected hang)."""
 
 
 class ShuffleLost(InjectedFaultError):

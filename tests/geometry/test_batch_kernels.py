@@ -636,6 +636,90 @@ class TestSlowEngineRoutes:
             engine.point_within(random_points[0], square_with_hole)
 
 
+def spy_on(monkeypatch, engine):
+    """Record, in order, every pack, pair-kernel and scalar-predicate call
+    made on ``engine``: the packed handle count, the pairs' entries, or
+    ``None`` for a scalar call."""
+    calls = []
+
+    def spy(method, record):
+        original = getattr(engine, method)
+
+        def wrapper(*args):
+            calls.append((method, record(*args)))
+            return original(*args)
+
+        monkeypatch.setattr(engine, method, wrapper)
+
+    for method in ("contains_pair_tables", "within_distance_pair_tables"):
+        spy(method, lambda handles: len(handles))
+    for method in ("contains_pairs_counted", "within_distance_pairs_counted"):
+        spy(method, lambda tables, px, py, entries, *d: entries.tolist())
+    for method in ("point_within", "point_within_distance"):
+        spy(method, lambda *args: None)
+    return calls
+
+
+SPY_POINTS = [Point(2, 2), Point(4, 4), Point(5, 0.5), Point(9, 9)]
+SQUARE = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+
+
+@pytest.mark.parametrize("name", ["fast", "slow"])
+class TestPerHandleCallsArePairKernelCalls:
+    """A per-handle ``*_batch_counted`` call packs its one handle and makes
+    one pair-kernel call over entry 0, or, for a handle the pair tables do
+    not take, one scalar predicate call per point."""
+
+    @pytest.mark.parametrize(
+        "geometry, d",
+        [
+            (SQUARE, None),
+            (MultiPolygon([Polygon.empty(), SQUARE]), None),
+            (LineString([(0, 0), (4, 4), (8, 0)]), 1.0),
+            (MultiLineString([LineString([(0, 0), (4, 4)]), LineString([(5, 0), (9, 0)])]), 1.0),
+        ],
+        ids=["polygon", "multipolygon-with-an-empty-part", "polyline", "multilinestring"],
+    )
+    def test_a_tabled_handle_takes_one_pair_kernel_call(self, name, monkeypatch, geometry, d):
+        engine = create_engine(name)
+        handle = engine.prepare(geometry)
+        calls = spy_on(monkeypatch, engine)
+        xs, ys = batch_xy(SPY_POINTS)
+        if d is None:
+            engine.contains_batch_counted(handle, xs, ys)
+            kind = "contains"
+        else:
+            engine.within_distance_batch_counted(handle, xs, ys, d)
+            kind = "within_distance"
+        assert calls == [
+            (f"{kind}_pair_tables", 1),
+            (f"{kind}_pairs_counted", [0] * len(SPY_POINTS)),
+        ]
+
+    def test_an_untabled_handle_takes_the_scalar_predicate(self, name, monkeypatch):
+        geometries = [Point(1, 1), SQUARE] if name == "fast" else [LineString.empty()]
+        xs, ys = batch_xy(SPY_POINTS)
+        for geometry in geometries:
+            engine = create_engine(name)
+            handle = engine.prepare(geometry)
+            calls = spy_on(monkeypatch, engine)
+            engine.within_distance_batch_counted(handle, xs, ys, 1.0)
+            assert calls == [("within_distance_pair_tables", 1)] + [
+                ("point_within_distance", None)
+            ] * len(SPY_POINTS)
+
+    def test_a_handle_neither_path_takes_raises_the_predicates_error(self, name, monkeypatch):
+        from repro.errors import GeometryError
+
+        engine = create_engine(name)
+        handle = engine.prepare(LineString([(0, 0), (4, 4)]))
+        calls = spy_on(monkeypatch, engine)
+        xs, ys = batch_xy(SPY_POINTS)
+        with pytest.raises(GeometryError, match="^point_within against"):
+            engine.contains_batch_counted(handle, xs, ys)
+        assert calls == [("contains_pair_tables", 1), ("point_within", None)]
+
+
 class TestPreparedCache:
     def test_identity_memoisation(self, unit_square):
         clear_prepared_cache()

@@ -4,10 +4,11 @@
 array of ``(point, build entry)`` candidate pairs in one call.  Every
 output — hits, the per-pair vertex / allocation shares and the engine's
 three counter totals — must equal (i) the per-handle ``*_batch_counted``
-call over each entry's own pairs and (ii) one scalar ``point_within`` /
-``point_within_distance`` call per pair, on both engines, wherever an
-epsilon, a strip boundary, an envelope, a hypot's last ulp or any()'s
-early exit decides.
+call over each entry's own pairs, which packs that entry alone, so many
+entries packed together must answer as each packed by itself, and (ii)
+the reference: one scalar ``point_within`` / ``point_within_distance``
+call per pair, on both engines, wherever an epsilon, a strip boundary,
+an envelope, a hypot's last ulp or any()'s early exit decides.
 """
 
 from __future__ import annotations

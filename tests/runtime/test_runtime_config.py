@@ -44,7 +44,6 @@ class TestValidation:
             {"executors": 0},
             {"max_task_attempts": 0},
             {"max_task_attempts": True},
-            {"task_timeout": 0},
             {"backoff_base": -1.0},
             {"backoff_factor": 0.5},
             {"backoff_jitter": 1.5},
