@@ -33,10 +33,10 @@ Both the parse and the probe are fused steps
 run inline hands one :class:`~repro.spark.rdd.StageBatch` from the parse
 to the probe: one parse call, one probe call, no column cut or glued
 back between them.  The stage is cut per task at the end — each task
-takes its slice of the pair list — and each task is charged its rows'
-``WKT_BYTES`` / ``RDD_RECORDS`` and probe units in one
-:meth:`~repro.cluster.metrics.TaskMetrics.add_columns` call, every count
-the record-at-a-time pipeline's, bit for bit.
+takes its slice of the pair list — and every task is charged its rows'
+``WKT_BYTES`` / ``RDD_RECORDS`` and probe units at once, as one table
+(:func:`~repro.cluster.metrics.charge_members`), every count the
+record-at-a-time pipeline's, bit for bit.
 """
 
 from __future__ import annotations
@@ -221,12 +221,12 @@ def _members(parse: StageBatch, first: int, count: int) -> StageBatch:
     rows of its column, each charged as in the parse — for a job over
     some of its splits (``take`` computes one partition per job)."""
     stops = parse.stops[first : first + count + 1]
-    charge = parse.charges[0]
+    [charge] = parse.charges
     return StageBatch(
         parse.rows.slice(stops[0], stops[-1]),
         [stop - stops[0] for stop in stops],
         ColumnRecords,
-        (lambda member: charge(first + member),),
+        (charge.cut(charge.stops[first : first + count + 1]),),
     )
 
 

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.cluster.model import Resource
 from repro.columnar.block import RoutedRows, batch_column, distinct_rows, partition_column
 from repro.columnar.column import GeometryColumn
 from repro.core.operators import SpatialOperator
-from repro.core.probe import PreparedBuild, gather
+from repro.core.probe import PreparedBuild, gather, unit_slices
 from repro.errors import ReproError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
@@ -184,21 +186,24 @@ def partitioned_spatial_join(
         """Probe every tile of the batch against one prepared build side."""
         blocks = batch.rows
         joined = [tile for tile in blocks if tile is not None]
+        found, charge = iter(()), unit_slices({}, [0])
         if joined:
             build_column, tile_rows = distinct_rows([right for _, _, right in joined])
             build = PreparedBuild(build_column, operator, radius, engine)
             right_ids = build_column.payloads()
             lefts = [GeometryColumn.concat(left) for _, left, _ in joined]
-            probed = build.probe_tiles(tile_rows, lefts, tiles, [t for t, _, _ in joined])
-            found = iter(
-                (list(zip(gather(left.payloads(), rows), gather(right_ids, entries))), units)
-                for left, (rows, entries, units) in zip(lefts, probed)
+            probed, charge = build.probe_tile_table(
+                tile_rows, lefts, tiles, [t for t, _, _ in joined]
             )
-        outcomes = [([], {}) if tile is None else next(found) for tile in blocks]
-        charges = [units for _, units in outcomes]
-        return StageBatch(
-            [pairs for pairs, _ in outcomes], batch.stops, _member, (charges.__getitem__,)
-        )
+            found = iter(
+                list(zip(gather(left.payloads(), rows), gather(right_ids, entries)))
+                for left, (rows, entries) in zip(lefts, probed)
+            )
+        pairs = [[] if tile is None else next(found) for tile in blocks]
+        # A member without a tile to join owns no row of the tiles' units.
+        joined_before = np.cumsum([0] + [tile is not None for tile in blocks]).tolist()
+        member_stops = [charge.stops[j] for j in joined_before]
+        return StageBatch(pairs, batch.stops, _member, (charge.cut(member_stops),))
 
     return FusedPartitionsRDD(grouped, prepare_tile, run_tiles)
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.cluster.metrics import scatter_units
+from repro.cluster.metrics import UnitSlices, scatter_units
 from repro.cluster.model import Resource
 from repro.columnar.column import _POINT as _POINT_CODE
 from repro.columnar.column import GeometryColumn
@@ -55,23 +55,12 @@ SPARSE_UNITS = frozenset(
 )
 
 
-def unit_slices(
-    units: dict[str, np.ndarray], stops: Sequence[int]
-) -> Callable[[int], dict[str, np.ndarray]]:
+def unit_slices(units: dict[str, np.ndarray], stops: Sequence[int]) -> UnitSlices:
     """Per-row unit columns cut at ``stops``: member ``b`` is charged rows
     ``stops[b]:stops[b + 1]`` of every column, but a
     :data:`SPARSE_UNITS` column only when one of those rows is charged
     one — the work done on the member alone would not have made it."""
-
-    def charge(member: int) -> dict[str, np.ndarray]:
-        start, stop = stops[member], stops[member + 1]
-        return {
-            resource: column[start:stop]
-            for resource, column in units.items()
-            if resource not in SPARSE_UNITS or column[start:stop].any()
-        }
-
-    return charge
+    return UnitSlices(units, stops, SPARSE_UNITS)
 
 
 # Candidate pairs one pair-kernel call refines: the kernels hold a dozen
@@ -294,6 +283,15 @@ class PreparedBuild:
         self, tile_rows: Sequence[np.ndarray], columns: Sequence[GeometryColumn],
         tiles: SpatialPartitioning, tile_ids: Sequence[int],
     ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
+        """:meth:`probe_tile_table` with each tile's units cut out: one
+        ``(rows, entries, units)`` per tile."""
+        pairs, charge = self.probe_tile_table(tile_rows, columns, tiles, tile_ids)
+        return [(rows, entries, charge(tile)) for tile, (rows, entries) in enumerate(pairs)]
+
+    def probe_tile_table(
+        self, tile_rows: Sequence[np.ndarray], columns: Sequence[GeometryColumn],
+        tiles: SpatialPartitioning, tile_ids: Sequence[int],
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], UnitSlices]:
         """The partitioned join's tile stage in one call.
 
         Tile ``tile_ids[i]`` probes the routed (so non-empty) rows of
@@ -303,12 +301,13 @@ class PreparedBuild:
         :class:`~repro.index.rtree.STRForest` and walked in one query,
         every tile's candidates are refined in one
         :meth:`refine_candidates` call, then ``tiles.owned_pairs`` drops
-        the pairs another tile emits.  Returns one ``(rows, entries,
-        units)`` per tile, rows numbered within it;
-        ``units`` charge every match, owned or not.
+        the pairs another tile emits.  Returns one ``(rows, entries)``
+        per tile, rows numbered within it, and every tile's units as
+        one :class:`~repro.cluster.metrics.UnitSlices` cut at the tiles;
+        the units charge every match, owned or not.
         """
         if not columns:
-            return []
+            return [], unit_slices({}, [0])
         cuts = np.cumsum([0] + [len(column) for column in columns]).tolist()
         column = GeometryColumn.concat(columns)
         left_bounds, build_bounds = column.bounds(), self._column.bounds()
@@ -486,17 +485,17 @@ class BroadcastIndex(PreparedBuild):
 
 def _cut_blocks(
     cuts: list[int], rows: np.ndarray, entries: np.ndarray, units: dict[str, np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
-    """Pairs grouped by ascending row, and per-row unit columns, cut into
-    the blocks of rows ``cuts[i]:cuts[i + 1]``: one ``(rows, entries,
-    units)`` per block, rows numbered within it, units by
-    :func:`unit_slices`."""
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], UnitSlices]:
+    """Pairs grouped by ascending row cut into the blocks of rows
+    ``cuts[i]:cuts[i + 1]`` — one ``(rows, entries)`` per block, rows
+    numbered within it — and the per-row unit columns cut at the same
+    rows by :func:`unit_slices`."""
     pair_cuts = np.searchsorted(rows, cuts).tolist()
-    charge = unit_slices(units, cuts)
-    return [
-        (rows[lo:hi] - start, entries[lo:hi], charge(block))
-        for block, (start, lo, hi) in enumerate(zip(cuts, pair_cuts, pair_cuts[1:]))
+    blocks = [
+        (rows[lo:hi] - start, entries[lo:hi])
+        for start, lo, hi in zip(cuts, pair_cuts, pair_cuts[1:])
     ]
+    return blocks, unit_slices(units, cuts)
 
 
 def naive_spatial_join(

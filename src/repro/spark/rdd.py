@@ -25,9 +25,7 @@ import itertools
 import random as _random_mod
 from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
-import numpy as np
-
-from repro.cluster.metrics import TaskMetrics
+from repro.cluster.metrics import TaskMetrics, UnitSlices, charge_members
 from repro.cluster.model import Resource
 from repro.columnar.block import ColumnBlock, ColumnRecords, EntryChunks
 from repro.errors import SparkError
@@ -541,10 +539,10 @@ class StageBatch:
     ``rows`` holds every member partition's rows at once — a parse's one
     column, a probe's pairs — and member ``b`` owns rows
     ``stops[b]:stops[b + 1]``; ``take(rows, start, stop)`` makes a
-    member's records from them.  ``charges`` holds one charge per step
-    the batch went through, upstream first: a function from a member to
-    the unit columns that step charges it
-    (:func:`~repro.core.probe.unit_slices`).
+    member's records from them.  ``charges`` holds one
+    :class:`~repro.cluster.metrics.UnitSlices` per step the batch went
+    through, upstream first: the unit columns that step charges each
+    member.
     """
 
     __slots__ = ("rows", "stops", "take", "charges")
@@ -554,7 +552,7 @@ class StageBatch:
         rows: Any,
         stops: Sequence[int],
         take: Callable[[Any, int, int], Iterable] | None = None,
-        charges: tuple[Callable[[int], dict[str, np.ndarray]], ...] = (),
+        charges: tuple[UnitSlices, ...] = (),
     ):
         self.rows = rows
         self.stops = stops
@@ -568,18 +566,14 @@ class StageBatch:
         """Member ``member``'s records."""
         return self.take(self.rows, self.stops[member], self.stops[member + 1])
 
-    def units(self, member: int) -> dict[str, np.ndarray]:
-        """Member ``member``'s one charge: every step's unit columns, keys
-        in the order the steps made them.  A key two steps share holds
-        both steps' entries in step order, so
-        :meth:`~repro.cluster.metrics.TaskMetrics.add_columns` sums it
-        as the two charges in turn would."""
-        merged: dict[str, np.ndarray] = {}
-        for charge in self.charges:
-            for resource, column in charge(member).items():
-                held = merged.get(resource)
-                merged[resource] = column if held is None else np.concatenate((held, column))
-        return merged
+    def charge(self, tasks: Sequence[TaskMetrics]) -> None:
+        """Charge ``tasks[b]`` every step's units of member ``b``
+        (:func:`~repro.cluster.metrics.charge_members`: one table for a
+        stage's many members): each task's counts are
+        :meth:`~repro.cluster.metrics.TaskMetrics.add_columns` of its
+        member's columns, a key two steps share summed as the two
+        charges in turn would."""
+        charge_members(tasks, self.charges)
 
 
 class FusedPartitionsRDD(RDD[U]):
@@ -595,14 +589,14 @@ class FusedPartitionsRDD(RDD[U]):
     parse, then a join's probe or route) hands one batch from step to
     step, nothing prepared, cut or charged per partition in between.
 
-    A task takes its partition's records from the last step's batch and
-    is charged every step's units at once
-    (:meth:`~repro.cluster.metrics.TaskMetrics.add_columns` of
-    :meth:`StageBatch.units`), so its charges do not depend on which
-    partitions shared the batch.  The scheduler batches every stage whose
-    tasks run inline (:meth:`prefetch`); a partition computed on its own
-    — under a pool or a fault plan, or a retry — is a batch of one
-    through the same code.
+    Every member's task is charged every step's units as soon as the
+    batch is computed, all members as one table
+    (:meth:`StageBatch.charge`), and the task then takes its partition's
+    records from the last step's batch; its charges do not depend on
+    which partitions shared the batch.  The scheduler batches every stage
+    whose tasks run inline (:meth:`prefetch`); a partition computed on
+    its own — under a pool or a fault plan, or a retry — is a batch of
+    one through the same code.
     """
 
     def __init__(
@@ -622,14 +616,12 @@ class FusedPartitionsRDD(RDD[U]):
         return self._narrow_parent().num_partitions
 
     def compute(self, split: int) -> Iterator[U]:
-        task = current_task()
         if split not in self._prefetched:
-            self._batch([split], [task])
+            self._batch([split], [current_task()])
         outcome = self._prefetched.pop(split)
         if isinstance(outcome, Exception):
             raise outcome
         batch, member = outcome
-        task.add_columns(batch.units(member))
         return iter(batch.records(member))
 
     def _source(self) -> "FusedPartitionsRDD | None":
@@ -642,7 +634,7 @@ class FusedPartitionsRDD(RDD[U]):
 
     def prefetch(self, partitions: Sequence[int], tasks: Sequence[TaskMetrics]) -> None:
         """Compute ``partitions`` as one batch, each prepared under its own
-        task's metrics.
+        task's metrics and then charged its units with the others.
 
         The nearest uncached fused step above this chain
         (:func:`fused_step`, reached through maps) is prefetched first,
@@ -662,10 +654,12 @@ class FusedPartitionsRDD(RDD[U]):
         self._batch(partitions, tasks)
 
     def _batch(self, partitions: Sequence[int], tasks: Sequence[TaskMetrics]) -> None:
-        """Compute ``partitions`` and leave each one's outcome waiting:
-        ``(batch, member)``, or the error its attempt raises."""
+        """Compute ``partitions``, charge each computed one's task, and
+        leave each one's outcome waiting: ``(batch, member)``, or the
+        error its attempt raises."""
         batch, failed = self._run_batch(partitions, tasks)
         if batch is not None:
+            batch.charge(tasks[: len(batch)])
             self._prefetched.update(zip(partitions, ((batch, b) for b in range(len(batch)))))
         self._prefetched.update(failed)
 
@@ -698,8 +692,7 @@ class FusedPartitionsRDD(RDD[U]):
         except Exception as error:  # noqa: BLE001 - every member's attempt fails
             # The steps upstream did their work: each member keeps their
             # charges, as it would have computing alone.
-            for member, task in enumerate(tasks[: len(given)]):
-                task.add_columns(given.units(member))
+            given.charge(tasks[: len(given)])
             return None, {**dict.fromkeys(partitions[: len(given)], error), **failed}
 
     def release(self) -> None:

@@ -9,10 +9,18 @@ shuffling", with overhead proportional to the partition count — both
 charged here per shuffle stage, which is what the partition-count ablation
 (a1) measures.
 
-Tasks reach the pool through :func:`repro.runtime.dispatch.run_tasks`,
-the dispatch path the Impala coordinator and the core join API share;
-what is Spark's own is the retry body (:meth:`DAGScheduler._run_task`)
-and the shipping of RDD-cache fills made in a worker.
+A stage with nothing to hand per task to anyone — inline (a serial
+pool, or one task), no fault plan, no tracer and no event log — runs as
+one table (:meth:`DAGScheduler._run_stage_table`): one loop computes
+each task's value with the retry rules of :meth:`DAGScheduler._attempts`,
+and one :func:`~repro.cluster.metrics.price_tasks` call prices every
+task, a task being a row of the (task x resource) table rather than a
+Python call of its own.  Any other stage goes task by task through
+:meth:`DAGScheduler._run_task` (spans, TaskStart / TaskEnd, shipments)
+and :func:`repro.runtime.dispatch.run_tasks`, the dispatch path the
+Impala coordinator and the core join API share; what is Spark's own is
+the retry body and the shipping of RDD-cache fills made in a worker.
+Both paths leave every count, price, summary and counter the same.
 
 Every stage whose pipeline holds a
 :class:`~repro.spark.rdd.FusedPartitionsRDD` — the loader's WKT parse,
@@ -21,10 +29,11 @@ stage — runs that chain of fused steps once for the whole stage when
 its tasks run inline, result and shuffle map stages alike: each task's
 upstream pipeline first runs under the task's own metrics, then one
 batch call per fused step computes every partition, one
-:class:`~repro.spark.rdd.StageBatch` handed from step to step, and each
-task takes its own part and is charged every step's units at once.
-Under a real pool or an active fault plan a batch is a single task, so
-the tasks' charges, events and results are the same either way.
+:class:`~repro.spark.rdd.StageBatch` handed from step to step, every
+task is charged every step's units at once, as one table, and each task
+then takes its own part.  Under a real pool or an active fault plan a
+batch is a single task, so the tasks' charges, events and results are
+the same either way.
 """
 
 from __future__ import annotations
@@ -32,7 +41,13 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Sequence
 
-from repro.cluster.metrics import QueryMetrics, StageMetrics, TaskMetrics, straggler_stats
+from repro.cluster.metrics import (
+    QueryMetrics,
+    StageMetrics,
+    TaskMetrics,
+    price_tasks,
+    straggler_stats,
+)
 from repro.cluster.model import Resource
 from repro.columnar.block import ColumnBlock, RoutedRows
 from repro.errors import SparkError
@@ -111,22 +126,45 @@ class DAGScheduler:
 
     # -- task execution ---------------------------------------------------------
 
-    def _run_task(
-        self, ids, label: str, body, partition, task: TaskMetrics | None = None
-    ) -> _TaskShipment:
-        """The one task runner: ``body(task, partition)`` with retries, as
-        a shipment.
+    def _attempts(
+        self, body, partition, task: TaskMetrics
+    ) -> tuple[object, int, Exception | None]:
+        """``body(task, partition)`` under the task's scope, retried:
+        ``(value, failed attempts, terminal error)``.
 
         Each attempt accrues into the task's metrics (lineage
         recomputation repeats the work).  A :class:`SparkError` is fatal
         and not retried; any other crash is, and the last one ends up as
-        the cause of the terminal :class:`SparkError`.  Errors never
-        raise here — the stage loop re-raises at absorb time, so they
-        surface the same from a worker process, and RDD-cache fills made
-        in a worker ride home in the shipment.  ``ids`` is the
-        ``(query, stage, task)`` triple for TaskStart / TaskEnd (None
-        while the event sink is disabled).  ``task`` is given when a
-        batched stage already charged the task's upstream work to it.
+        the cause of the terminal :class:`SparkError`.
+        """
+        last_error: Exception | None = None
+        for attempt in range(self.max_task_attempts):
+            try:
+                with task_scope(task):
+                    return body(task, partition), attempt, None
+            except SparkError as error:
+                return None, attempt, error
+            except Exception as error:  # noqa: BLE001 - any task crash retries
+                last_error = error
+        error = SparkError(
+            f"task failed {self.max_task_attempts} times; last error: {last_error!r}"
+        )
+        error.__cause__ = last_error
+        return None, self.max_task_attempts, error
+
+    def _run_task(
+        self, ids, label: str, body, partition, task: TaskMetrics | None = None
+    ) -> _TaskShipment:
+        """The per-task runner: :meth:`_attempts` as a shipment, in a task
+        span, between TaskStart and TaskEnd.
+
+        Errors never raise here — the stage loop re-raises at absorb
+        time, so they surface the same from a worker process, and
+        RDD-cache fills made in a worker ride home in the shipment.
+        ``ids`` is the ``(query, stage, task)`` triple for TaskStart /
+        TaskEnd (None while the event sink is disabled).  ``task`` is
+        given when a batched stage already charged the task's upstream
+        work to it.
         """
         model = self.sc.cost_model
         cache = self.sc._cache
@@ -138,31 +176,16 @@ class DAGScheduler:
         if ids is not None:
             emit_task_start(ids, partition, label)
         with get_tracer().span(label, category="task") as span:
-            last_error: Exception | None = None
-            for attempt in range(self.max_task_attempts):
-                try:
-                    with task_scope(task):
-                        shipment.value = body(task, partition)
-                except SparkError as error:
-                    shipment.error = error
-                    break
-                except Exception as error:  # noqa: BLE001 - any task crash retries
-                    shipment.failures += 1
-                    last_error = error
-                    continue
+            shipment.value, shipment.failures, shipment.error = self._attempts(
+                body, partition, task
+            )
+            if shipment.error is None:
                 shipment.work_seconds = task.seconds(model)
                 shipment.seconds = shipment.work_seconds * model.spark_jvm_factor
                 span.add_sim(shipment.seconds)
                 span.add_counts(task.counts)
-                if attempt:
-                    span.set_attr("attempts", attempt + 1)
-                break
-            else:
-                shipment.error = SparkError(
-                    f"task failed {self.max_task_attempts} times; "
-                    f"last error: {last_error!r}"
-                )
-                shipment.error.__cause__ = last_error
+                if shipment.failures:
+                    span.set_attr("attempts", shipment.failures + 1)
         if ids is not None and shipment.error is None:
             emit_task_end(
                 ids, partition, label, shipment.seconds, task.counts, shipment.failures
@@ -177,6 +200,36 @@ class DAGScheduler:
                 shipment.error = picklable_error(shipment.error)
         return shipment
 
+    def _run_stage_table(
+        self, body, partitions, stage: StageMetrics, absorb_value,
+        fused: FusedPartitionsRDD | None,
+    ) -> tuple[list[float], list[float]]:
+        """:meth:`_run_stage_tasks` for a stage that runs as one table.
+
+        One loop computes each task's value (:meth:`_attempts`) and
+        absorbs it in task order; a fused stage has every member charged
+        at once by its prefetch; and one
+        :func:`~repro.cluster.metrics.price_tasks` call prices every
+        task once the stage is done.
+        """
+        tasks = [TaskMetrics() for _ in partitions]
+        try:
+            if fused is not None:
+                fused.prefetch(partitions, tasks)
+            for index, (partition, task) in enumerate(zip(partitions, tasks)):
+                value, failures, error = self._attempts(body, partition, task)
+                self.task_failures += failures
+                if error is not None:
+                    raise error
+                stage.tasks.append(task)
+                absorb_value(index, value, task)
+        finally:
+            if fused is not None:
+                fused.release()
+        model = self.sc.cost_model
+        work = price_tasks(model, tasks)
+        return (work * model.spark_jvm_factor).tolist(), work.tolist()
+
     def _run_stage_tasks(
         self, prefix: str, body, partitions, stage: StageMetrics, stage_id,
         metrics, absorb_value, repair=None, fused: FusedPartitionsRDD | None = None,
@@ -184,31 +237,43 @@ class DAGScheduler:
         """Run ``body(task, partition)`` over ``partitions`` as the stage's
         tasks, labelled ``<prefix>-<partition>``.
 
-        Shipments are absorbed in task order — failure counts, cache
+        Values are absorbed in task order — failure counts, cache
         fills, the terminal error, ``stage.tasks``, then
-        ``absorb_value(index, shipment)`` — and the tasks' simulated
+        ``absorb_value(index, value, task)`` — and the tasks' simulated
         seconds and work seconds (their counts priced once, without the
-        JVM factor) are returned.  :func:`~repro.runtime.dispatch.run_tasks`
-        decides where they run and replays what captured tasks did to
-        observability.  With a fault plan, injected faults are retried /
-        speculated / blacklisted driver-side under the stage's logical
-        scope, ``repair`` restores lost shuffle output from lineage, and
-        an exhausted budget surfaces as :class:`SparkError` like any
-        terminal task failure.
+        JVM factor) are returned.
 
         ``fused`` is the pipeline's batchable step: inline tasks of
         distinct partitions have it (and the fused steps upstream of it)
-        prefetched as one batch, each partition's preparation charged to
-        its task's metrics.  Whatever no task collected is released when
-        the stage ends, however it ends.
+        prefetched as one batch, each partition's preparation and units
+        charged to its task's metrics.  Whatever no task collected is
+        released when the stage ends, however it ends.
+
+        A stage with nothing to hand per task to a pool, a fault plan, a
+        tracer or an event log runs as one table
+        (:meth:`_run_stage_table`).  Any other goes task by task through
+        :meth:`_run_task` and
+        :func:`~repro.runtime.dispatch.run_tasks`, which decides where
+        they run and replays what captured tasks did to observability.
+        With a fault plan, injected faults are retried / speculated /
+        blacklisted driver-side under the stage's logical scope,
+        ``repair`` restores lost shuffle output from lineage, and an
+        exhausted budget surfaces as :class:`SparkError` like any
+        terminal task failure.
         """
         pool = self.sc.task_pool
         recovery = self.sc.recovery
-        batched = (
-            fused is not None
-            and runs_inline(pool, len(partitions), recovery)
-            and len(set(partitions)) == len(partitions)
-        )
+        inline = runs_inline(pool, len(partitions), recovery)
+        batched = fused is not None and inline and len(set(partitions)) == len(partitions)
+        if (
+            inline
+            and not get_tracer().enabled
+            and not (self.sc._event_log or get_event_log()).enabled
+            and current_worker_id() is None
+        ):
+            return self._run_stage_table(
+                body, partitions, stage, absorb_value, fused if batched else None
+            )
         tasks = [TaskMetrics() for _ in partitions] if batched else [None] * len(partitions)
         thunks = [
             partial(
@@ -234,7 +299,7 @@ class DAGScheduler:
             stage.tasks.append(shipment.task)
             task_seconds.append(shipment.seconds)
             work_seconds.append(shipment.work_seconds)
-            absorb_value(index, shipment)
+            absorb_value(index, shipment.value, shipment.task)
 
         scope = f"{metrics.name}:{stage.name}"
         try:
@@ -347,8 +412,8 @@ class DAGScheduler:
             task.add(Resource.SHUFFLE_BYTES, written)
             return bucketed, written
 
-        def write_output(split: int, shipment: _TaskShipment) -> None:
-            store.write(dep.shuffle_id, split, *shipment.value)
+        def write_output(split: int, value, task: TaskMetrics) -> None:
+            store.write(dep.shuffle_id, split, *value)
             if stage_id is not None:
                 get_event_log().emit(
                     "ShuffleWrite",
@@ -356,7 +421,7 @@ class DAGScheduler:
                     stage=stage_id,
                     task=split,
                     shuffle_id=dep.shuffle_id,
-                    bytes=shipment.task.get(Resource.SHUFFLE_BYTES),
+                    bytes=task.get(Resource.SHUFFLE_BYTES),
                 )
 
         with get_tracer().span(stage.name, category="stage"):
@@ -442,7 +507,7 @@ class DAGScheduler:
                 stage,
                 stage_id,
                 metrics,
-                lambda index, shipment: results.append(shipment.value),
+                lambda index, value, task: results.append(value),
                 repair=self._make_repair(shuffle_deps, stage_id),
                 fused=fused_step(rdd),
             )

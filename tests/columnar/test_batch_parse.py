@@ -109,7 +109,8 @@ def _fused_parse():
 
     def outcomes(blocks):
         batch = run(StageBatch(blocks, range(len(blocks) + 1)))
-        return [(batch.records(b), batch.units(b)) for b in range(len(batch))]
+        [charge] = batch.charges  # the parse is the batch's one step
+        return [(batch.records(b), charge(b)) for b in range(len(batch))]
 
     return outcomes
 

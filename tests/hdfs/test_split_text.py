@@ -33,6 +33,13 @@ _FILES = st.lists(
     st.sampled_from(["\n", "\n", "x", "yz", "é", "€", "POINT (1 2)", "\t"]), max_size=80
 ).map(lambda parts: "".join(parts).encode("utf-8"))
 
+# Lines longer than a reader's 64 KiB fetch, so a split's skip and its
+# read past the end take several chunks.
+_LONG = 64 * 1024 + 5
+_LONG_FILES = st.lists(
+    st.sampled_from(["\n", "x", "é", "L" * _LONG, "M" * (3 * _LONG)]), max_size=12
+).map(lambda parts: "".join(parts).encode("utf-8"))
+
 
 class TestCountSplitLines:
     @settings(max_examples=300, deadline=None)
@@ -47,6 +54,19 @@ class TestCountSplitLines:
             (draw.draw(st.integers(0, len(data) + 3)), draw.draw(st.integers(-2, len(data) + 3)))
         )
         for offset, length in splits:
+            read, counted = _read_and_count(fs, offset, length)
+            assert counted == read
+
+    @settings(max_examples=60, deadline=None)
+    @given(_LONG_FILES, st.integers(1, 12), st.integers(1, 40), st.booleans())
+    def test_lines_longer_than_a_fetch(self, data, blocks, min_splits, newline_end):
+        # Every split of a file, as many as the block size and the
+        # requested partitions make; with or without a final newline.
+        if newline_end and data and not data.endswith(b"\n"):
+            data += b"\n"
+        fs = SimulatedHDFS(block_size=max(1, len(data) // blocks))
+        fs.write("/f.txt", data)
+        for offset, length in split_boundaries(fs, "/f.txt", min_splits):
             read, counted = _read_and_count(fs, offset, length)
             assert counted == read
 

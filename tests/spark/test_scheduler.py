@@ -122,12 +122,18 @@ class TestTaskMetricsFlow:
         assert first == second
 
     def test_each_task_priced_once(self, sc, monkeypatch):
-        # _run_task prices a task once; the stage's straggler statistics
-        # are read from that price, not priced again.
+        # A stage prices each task once — one row of a row_seconds table
+        # inline, one task_seconds call per task otherwise; the stage's
+        # straggler statistics are read from that price, not priced again.
         calls = []
-        price = CostModel.task_seconds
+        price, price_rows = CostModel.task_seconds, CostModel.row_seconds
         monkeypatch.setattr(
             CostModel, "task_seconds", lambda self, counts: calls.append(1) or price(self, counts)
+        )
+        monkeypatch.setattr(
+            CostModel,
+            "row_seconds",
+            lambda self, units, rows: calls.append(rows) or price_rows(self, units, rows),
         )
         failed = []
 
@@ -143,7 +149,7 @@ class TestTaskMetricsFlow:
         ).collect()
         stages = sc.job_log[-1].stages
         assert failed and sc._scheduler.task_failures == 1
-        assert len(calls) == sum(stage.num_tasks for stage in stages) == 7
+        assert sum(calls) == sum(stage.num_tasks for stage in stages) == 7
         monkeypatch.undo()
         summaries = sc._scheduler.stage_summaries[-len(stages):]
         for stage, summary in zip(stages, summaries):

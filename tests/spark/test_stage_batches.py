@@ -2,15 +2,18 @@
 
 The loader's parse hands its one column straight to the broadcast
 join's probe (``ss``) or the partitioned join's route (``ss_part``'s map
-side); the stage is cut per task once, at the end, and each task is
-charged every step's units in one ``add_columns`` call.  Whatever the
+side); every task is charged every step's units at once, as one table,
+and the stage is cut per task once, at the end.  Whatever the
 partitioning — empty partitions, partitions whose every row is dropped,
 malformed WKT, mixed geometry types, a fractional ``cost_weight`` — each
 task's records and ``TaskMetrics.counts`` (keys in order, float bits)
 must be those of its partition computed alone, as a task under a fault
 plan computes it.  An inline serial ``ss`` query cuts and concatenates
 no column, and a 2-worker pool or an empty fault plan computes every
-task as before.
+task as before.  An inline serial untraced ``ss`` or ``ss_part`` query
+runs no task on its own (no ``_run_task`` call); with an event log or a
+tracer every task runs on its own again, and its TaskEnd, ShuffleWrite
+and span carry the counts and prices the table made.
 """
 
 from __future__ import annotations
@@ -31,9 +34,13 @@ from repro.core.partitioned_join import partitioned_spatial_join
 from repro.geometry.envelope import Envelope
 from repro.hdfs import SimulatedHDFS, write_text
 from repro.index.partitioner import FixedGridPartitioner, cover_plane
+from repro.obs.events import read_events
 from repro.obs.registry import collecting
+from repro.obs.tracer import tracing
 from repro.runtime import FaultPlan, RuntimeConfig
 from repro.spark import SparkContext
+from repro.spark.rdd import StageBatch
+from repro.spark.scheduler import DAGScheduler
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="fork start method unavailable"
@@ -191,24 +198,32 @@ class TestOneBatchPerInlineStage:
         assert pairs and calls == Counter()
 
     def test_each_task_is_charged_once(self, monkeypatch):
-        charges = Counter()
-        add_columns = TaskMetrics.add_columns
+        # One table charge per fused stage covers every task; no task is
+        # charged on its own with add_columns.
+        tables = []
+        per_task = Counter()
+        charge, add_columns = StageBatch.charge, TaskMetrics.add_columns
 
-        def spy(self, units):
-            charges[id(self)] += 1
+        def charge_spy(self, tasks):
+            tables.append([id(task) for task in tasks])
+            return charge(self, tasks)
+
+        def add_columns_spy(self, units):
+            per_task[id(self)] += 1
             return add_columns(self, units)
 
-        monkeypatch.setattr(TaskMetrics, "add_columns", spy)
+        monkeypatch.setattr(StageBatch, "charge", charge_spy)
+        monkeypatch.setattr(TaskMetrics, "add_columns", add_columns_spy)
         sc = SparkContext(SPEC, hdfs=_hdfs(_fixed_lines(), 64))
         _ss_chain(sc, 1.0, SpatialOperator.INTERSECTS).collect()
         # Four jobs: a size job per side, the right side's collect, the join.
-        sizes_left, sizes_right, collect, join = sc.job_log
-        for job in (sizes_left, sizes_right):
-            assert not any(id(task) in charges for task in job.stages[-1].tasks)
-        for job in (collect, join):
+        _, _, collect, join = sc.job_log
+        assert not per_task
+        assert len(tables) == 2
+        for job, table in zip((collect, join), tables):
             tasks = job.stages[-1].tasks
             assert len(tasks) > 4
-            assert [charges[id(task)] for task in tasks] == [1] * len(tasks)
+            assert table == [id(task) for task in tasks]
 
 
 @pytest.mark.parametrize(
@@ -254,3 +269,102 @@ def test_a_stage_over_part_of_a_kept_batch_parses_anew(monkeypatch):
     # The right side, the two splits, then every left split again.
     texts = len(lines) - 1
     assert calls[texts] == 1 and sum(calls.values()) == 3
+
+
+def _ss_query(sc):
+    return _ss_chain(sc, 1.0, SpatialOperator.WITHIN).collect()
+
+
+def _ss_part_query(sc):
+    """The partitioned join as a query runs it: a sample job over the
+    left side, then the join over both sides' parses."""
+    left = read_geometry_pairs(sc, LEFT, 1)
+    right = read_geometry_pairs(sc, RIGHT, 1)
+    left.sample(0.3).collect()
+    return partitioned_spatial_join(
+        sc, left, right, SpatialOperator.WITHIN, partitioning=LAYOUT
+    ).collect()
+
+
+QUERIES = [pytest.param(_ss_query, id="ss"), pytest.param(_ss_part_query, id="ss_part")]
+
+
+def _run_query(query, runtime=SERIAL):
+    """The query's pairs, and every task of every stage of its jobs in
+    order: ``(stage name, task index, counts as bits, seconds as bits)``,
+    seconds with the JVM factor, as a TaskEnd carries them."""
+    sc = SparkContext(SPEC, hdfs=_hdfs(_fixed_lines(), 64), runtime=runtime)
+    pairs = query(sc)
+    sc.close_events()
+    jvm = sc.cost_model.spark_jvm_factor
+    tasks = [
+        (stage.name, index, [(k, v.hex()) for k, v in task.counts.items()], (s * jvm).hex())
+        for job in sc.job_log
+        for stage in job.stages
+        for index, (task, s) in enumerate(zip(stage.tasks, stage.task_seconds(sc.cost_model)))
+    ]
+    return sc, pairs, tasks
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_an_inline_serial_query_runs_no_task_on_its_own(query, monkeypatch):
+    calls = Counter()
+    run_task = DAGScheduler._run_task
+    monkeypatch.setattr(
+        DAGScheduler,
+        "_run_task",
+        lambda self, *args: calls.update(["_run_task"]) or run_task(self, *args),
+    )
+    sc, pairs, tasks = _run_query(query)
+    assert pairs and len(tasks) > 20
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_an_event_log_sees_every_task_the_table_ran(query, tmp_path):
+    table, pairs, tasks = _run_query(query)
+    path = str(tmp_path / "events.jsonl")
+    logged, logged_pairs, logged_tasks = _run_query(query, SERIAL.with_(events_out=path))
+    assert logged_pairs == pairs and logged_tasks == tasks
+    assert logged._scheduler.stage_summaries == table._scheduler.stage_summaries
+    assert logged.simulated_seconds().hex() == table.simulated_seconds().hex()
+    events = read_events(path)
+    starts = [e for e in events if e["event"] == "TaskStart"]
+    ends = [
+        ([(k, float(v).hex()) for k, v in e["counters"].items()], float(e["sim_seconds"]).hex())
+        for e in events
+        if e["event"] == "TaskEnd"
+    ]
+    assert len(starts) == len(tasks)
+    assert ends == [(counts, seconds) for _, _, counts, seconds in tasks]
+    writes = [(e["task"], float(e["bytes"])) for e in events if e["event"] == "ShuffleWrite"]
+    shuffled = [
+        (index, float.fromhex(dict(counts).get("shuffle_bytes", "0x0.0p+0")))
+        for name, index, counts, _ in tasks
+        if name.startswith("shuffle-")
+    ]
+    assert writes == shuffled
+    assert bool(writes) == (query is _ss_part_query)
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_a_tracer_sees_every_task_the_table_ran(query):
+    _, pairs, tasks = _run_query(query)
+    with tracing() as tracer:
+        _, traced_pairs, traced_tasks = _run_query(query)
+    assert traced_pairs == pairs and traced_tasks == tasks
+
+    def task_spans(spans):
+        for span in spans:
+            if span.category == "task":
+                yield span
+            yield from task_spans(span.children)
+
+    spans = [
+        (span.name, [(k, v.hex()) for k, v in span.attrs.items()], span.sim_seconds.hex())
+        for span in task_spans(tracer.roots)
+    ]
+    assert spans == [
+        (f"{'map' if name.startswith('shuffle-') else 'task'}-{index}", counts, seconds)
+        for name, index, counts, seconds in tasks
+    ]
