@@ -9,18 +9,16 @@ shuffling", with overhead proportional to the partition count — both
 charged here per shuffle stage, which is what the partition-count ablation
 (a1) measures.
 
-A stage with nothing to hand per task to anyone — inline (a serial
-pool, or one task), no fault plan, no tracer and no event log — runs as
-one table (:meth:`DAGScheduler._run_stage_table`): one loop computes
-each task's value with the retry rules of :meth:`DAGScheduler._attempts`,
-and one :func:`~repro.cluster.metrics.price_tasks` call prices every
-task, a task being a row of the (task x resource) table rather than a
-Python call of its own.  Any other stage goes task by task through
-:meth:`DAGScheduler._run_task` (spans, TaskStart / TaskEnd, shipments)
-and :func:`repro.runtime.dispatch.run_tasks`, the dispatch path the
-Impala coordinator and the core join API share; what is Spark's own is
-the retry body and the shipping of RDD-cache fills made in a worker.
-Both paths leave every count, price, summary and counter the same.
+Every stage runs one task body, :meth:`DAGScheduler._run_task`: the
+retry rules of :meth:`DAGScheduler._attempts`, in a task span between
+TaskStart and TaskEnd only while a tracer or an event log is on, its
+RDD-cache fills shipped home only from a pool worker.  An inline stage
+(:func:`~repro.runtime.dispatch.runs_inline`) calls it in a plain loop;
+any other hands it to :func:`repro.runtime.dispatch.run_tasks`, the
+dispatch path the Impala coordinator and the core join API share.
+Either way one :func:`~repro.cluster.metrics.price_tasks` call prices
+every task of the stage once it is done, a task being a row of the
+(task x resource) table rather than a Python call of its own.
 
 Every stage whose pipeline holds a
 :class:`~repro.spark.rdd.FusedPartitionsRDD` — the loader's WKT parse,
@@ -79,28 +77,6 @@ from repro.cluster.simulation import simulate_dynamic
 __all__ = ["DAGScheduler"]
 
 
-class _TaskShipment:
-    """Everything one task hands back to the driver.
-
-    A task never touches scheduler state: its value, metrics, failed
-    attempts and terminal error ride here and the stage loop absorbs them
-    in deterministic task order — the same for a task run inline and one
-    run in a worker process.  ``cache_entries`` is set only for a task
-    run in a worker.  Fields a task leaves alone stay class defaults: one
-    is built per task, on the scheduler's hottest path.
-    """
-
-    value: object = None
-    seconds: float = 0.0  # simulated, JVM factor included
-    work_seconds: float = 0.0  # the task's priced counts alone
-    failures: int = 0  # failed attempts (the driver's task_failures delta)
-    error: BaseException | None = None  # fatal/terminal error to re-raise
-    cache_entries: dict | None = None
-
-    def __init__(self, task: TaskMetrics):
-        self.task = task
-
-
 class DAGScheduler:
     """Executes RDD jobs stage by stage with simulated-time accounting.
 
@@ -153,109 +129,76 @@ class DAGScheduler:
         return None, self.max_task_attempts, error
 
     def _run_task(
-        self, ids, label: str, body, partition, task: TaskMetrics | None = None
-    ) -> _TaskShipment:
-        """The per-task runner: :meth:`_attempts` as a shipment, in a task
-        span, between TaskStart and TaskEnd.
+        self, ids, prefix: str, body, partition, task: TaskMetrics | None = None
+    ) -> tuple:
+        """The one task body: :meth:`_attempts` as a shipment, ``(value,
+        task, failed attempts, terminal error, cache fills)``.
 
-        Errors never raise here — the stage loop re-raises at absorb
-        time, so they surface the same from a worker process, and
-        RDD-cache fills made in a worker ride home in the shipment.
-        ``ids`` is the ``(query, stage, task)`` triple for TaskStart /
-        TaskEnd (None while the event sink is disabled).  ``task`` is
-        given when a batched stage already charged the task's upstream
-        work to it.
+        Errors never raise here — the stage re-raises at absorb time, so
+        they surface the same from a worker process.  Only while a tracer
+        or an event log is on does the task run in a span labelled
+        ``<prefix>-<partition>``, between TaskStart and TaskEnd (``ids``,
+        the ``(query, stage, task)`` triple, is None while the event sink
+        is disabled) — the one place a task is priced on its own.  Only in
+        a worker do its RDD-cache fills ride home.  ``task`` is given when
+        the stage already charged the task's upstream work to it.
         """
-        model = self.sc.cost_model
-        cache = self.sc._cache
-        in_worker = current_worker_id() is not None
-        cache_before = set(cache) if in_worker else None
         if task is None:
             task = TaskMetrics()
-        shipment = _TaskShipment(task)
-        if ids is not None:
-            emit_task_start(ids, partition, label)
-        with get_tracer().span(label, category="task") as span:
-            shipment.value, shipment.failures, shipment.error = self._attempts(
-                body, partition, task
-            )
-            if shipment.error is None:
-                shipment.work_seconds = task.seconds(model)
-                shipment.seconds = shipment.work_seconds * model.spark_jvm_factor
-                span.add_sim(shipment.seconds)
-                span.add_counts(task.counts)
-                if shipment.failures:
-                    span.set_attr("attempts", shipment.failures + 1)
-        if ids is not None and shipment.error is None:
-            emit_task_end(
-                ids, partition, label, shipment.seconds, task.counts, shipment.failures
-            )
+        in_worker = current_worker_id() is not None
+        if in_worker:
+            cache = self.sc._cache
+            cache_before = set(cache)
+        tracer = get_tracer()
+        if ids is None and not tracer.enabled:
+            value, failures, error = self._attempts(body, partition, task)
+        else:
+            label = f"{prefix}-{partition}"
+            if ids is not None:
+                emit_task_start(ids, partition, label)
+            with tracer.span(label, category="task") as span:
+                value, failures, error = self._attempts(body, partition, task)
+                if error is None:
+                    model = self.sc.cost_model
+                    seconds = task.seconds(model) * model.spark_jvm_factor
+                    span.add_sim(seconds)
+                    span.add_counts(task.counts)
+                    if failures:
+                        span.set_attr("attempts", failures + 1)
+            if ids is not None and error is None:
+                emit_task_end(ids, partition, label, seconds, task.counts, failures)
+        fills = None
         if in_worker:
             # The shipment crosses a process boundary: the worker's
             # RDD-cache fills ride along, and the error must pickle.
-            shipment.cache_entries = {
-                key: cache[key] for key in cache.keys() - cache_before
-            }
-            if shipment.error is not None:
-                shipment.error = picklable_error(shipment.error)
-        return shipment
-
-    def _run_stage_table(
-        self, body, partitions, stage: StageMetrics, absorb_value,
-        fused: FusedPartitionsRDD | None,
-    ) -> tuple[list[float], list[float]]:
-        """:meth:`_run_stage_tasks` for a stage that runs as one table.
-
-        One loop computes each task's value (:meth:`_attempts`) and
-        absorbs it in task order; a fused stage has every member charged
-        at once by its prefetch; and one
-        :func:`~repro.cluster.metrics.price_tasks` call prices every
-        task once the stage is done.
-        """
-        tasks = [TaskMetrics() for _ in partitions]
-        try:
-            if fused is not None:
-                fused.prefetch(partitions, tasks)
-            for index, (partition, task) in enumerate(zip(partitions, tasks)):
-                value, failures, error = self._attempts(body, partition, task)
-                self.task_failures += failures
-                if error is not None:
-                    raise error
-                stage.tasks.append(task)
-                absorb_value(index, value, task)
-        finally:
-            if fused is not None:
-                fused.release()
-        model = self.sc.cost_model
-        work = price_tasks(model, tasks)
-        return (work * model.spark_jvm_factor).tolist(), work.tolist()
+            fills = {key: cache[key] for key in cache.keys() - cache_before}
+            if error is not None:
+                error = picklable_error(error)
+        return value, task, failures, error, fills
 
     def _run_stage_tasks(
         self, prefix: str, body, partitions, stage: StageMetrics, stage_id,
         metrics, absorb_value, repair=None, fused: FusedPartitionsRDD | None = None,
-    ) -> tuple[list[float], list[float]]:
+    ) -> None:
         """Run ``body(task, partition)`` over ``partitions`` as the stage's
-        tasks, labelled ``<prefix>-<partition>``.
+        tasks, each through :meth:`_run_task`.
 
-        Values are absorbed in task order — failure counts, cache
+        Shipments are absorbed in task order — failure counts, cache
         fills, the terminal error, ``stage.tasks``, then
-        ``absorb_value(index, value, task)`` — and the tasks' simulated
-        seconds and work seconds (their counts priced once, without the
-        JVM factor) are returned.
+        ``absorb_value(index, value, task)``.
 
-        ``fused`` is the pipeline's batchable step: inline tasks of
-        distinct partitions have it (and the fused steps upstream of it)
+        An inline stage runs its tasks in a plain loop; ``fused`` is the
+        pipeline's batchable step, and inline tasks of distinct
+        partitions have it (and the fused steps upstream of it)
         prefetched as one batch, each partition's preparation and units
         charged to its task's metrics.  Whatever no task collected is
         released when the stage ends, however it ends.
 
-        A stage with nothing to hand per task to a pool, a fault plan, a
-        tracer or an event log runs as one table
-        (:meth:`_run_stage_table`).  Any other goes task by task through
-        :meth:`_run_task` and
+        Any other stage goes through
         :func:`~repro.runtime.dispatch.run_tasks`, which decides where
-        they run and replays what captured tasks did to observability.
-        With a fault plan, injected faults are retried / speculated /
+        the tasks run and replays what captured tasks did to
+        observability.  With a fault plan, injected faults are retried /
+        speculated (a task priced from its shipped metrics) /
         blacklisted driver-side under the stage's logical scope,
         ``repair`` restores lost shuffle output from lineage, and an
         exhausted budget surfaces as :class:`SparkError` like any
@@ -265,62 +208,53 @@ class DAGScheduler:
         recovery = self.sc.recovery
         inline = runs_inline(pool, len(partitions), recovery)
         batched = fused is not None and inline and len(set(partitions)) == len(partitions)
-        if (
-            inline
-            and not get_tracer().enabled
-            and not (self.sc._event_log or get_event_log()).enabled
-            and current_worker_id() is None
-        ):
-            return self._run_stage_table(
-                body, partitions, stage, absorb_value, fused if batched else None
-            )
-        tasks = [TaskMetrics() for _ in partitions] if batched else [None] * len(partitions)
-        thunks = [
-            partial(
-                self._run_task,
-                None if stage_id is None else (self._events_query, stage_id, index),
-                f"{prefix}-{partition}",
-                body,
-                partition,
-                task,
-            )
+        query = self._events_query
+
+        def absorb(index: int, shipment: tuple) -> None:
+            value, task, failures, error, fills = shipment
+            self.task_failures += failures
+            if fills:
+                for key, fill in fills.items():
+                    self.sc._cache.setdefault(key, fill)
+            if error is not None:
+                raise error
+            stage.tasks.append(task)
+            absorb_value(index, value, task)
+
+        # A task under a pool or a fault plan gets fresh metrics where it
+        # runs: a speculative duplicate must not add to the original's.
+        tasks = [TaskMetrics() for _ in partitions] if inline else [None] * len(partitions)
+        calls = [
+            (None if stage_id is None else (query, stage_id, index), prefix, body, partition, task)
             for index, (partition, task) in enumerate(zip(partitions, tasks))
         ]
-        task_seconds: list[float] = []
-        work_seconds: list[float] = []
-
-        def absorb(index: int, shipment: _TaskShipment) -> None:
-            self.task_failures += shipment.failures
-            if shipment.cache_entries:
-                for key, value in shipment.cache_entries.items():
-                    self.sc._cache.setdefault(key, value)
-            if shipment.error is not None:
-                raise shipment.error
-            stage.tasks.append(shipment.task)
-            task_seconds.append(shipment.seconds)
-            work_seconds.append(shipment.work_seconds)
-            absorb_value(index, shipment.value, shipment.task)
-
         scope = f"{metrics.name}:{stage.name}"
+        model = self.sc.cost_model
         try:
             if batched:
                 fused.prefetch(partitions, tasks)
-            run_tasks(
-                pool,
-                thunks,
-                recovery,
-                absorb,
-                scope=scope,
-                events=(self._events_query, stage_id),
-                sim_seconds=lambda index, shipment: shipment.seconds,
-                repair=repair,
-            )
+            if inline:
+                for index, call in enumerate(calls):
+                    absorb(index, self._run_task(*call))
+            else:
+                run_tasks(
+                    pool,
+                    [partial(self._run_task, *call) for call in calls],
+                    recovery,
+                    absorb,
+                    scope=scope,
+                    events=(query, stage_id),
+                    sim_seconds=lambda index, shipment: (
+                        0.0 if shipment[3] is not None
+                        else shipment[1].seconds(model) * model.spark_jvm_factor
+                    ),
+                    repair=repair,
+                )
         except InjectedFaultError as error:
             raise SparkError(f"{scope}: {error}") from error
         finally:
             if batched:
                 fused.release()
-        return task_seconds, work_seconds
 
     # -- public entry ---------------------------------------------------------
 
@@ -425,7 +359,7 @@ class DAGScheduler:
                 )
 
         with get_tracer().span(stage.name, category="stage"):
-            task_seconds, work_seconds = self._run_stage_tasks(
+            self._run_stage_tasks(
                 "map",
                 map_body,
                 range(dep.parent.num_partitions),
@@ -435,9 +369,7 @@ class DAGScheduler:
                 write_output,
                 fused=fused_step(dep.parent),
             )
-            self._finish_stage(
-                stage, task_seconds, work_seconds, shuffling=True, metrics=metrics
-            )
+            self._finish_stage(stage, shuffling=True, metrics=metrics)
 
     @staticmethod
     def _map_output(dep: ShuffleDependency, split: int) -> dict[int, object]:
@@ -500,7 +432,7 @@ class DAGScheduler:
         # stage, so these are all of them.
         shuffle_deps = self._pipeline_shuffle_deps(rdd)
         with get_tracer().span(stage.name, category="stage"):
-            task_seconds, work_seconds = self._run_stage_tasks(
+            self._run_stage_tasks(
                 "task",
                 lambda task, split: func(read(split)),
                 partitions,
@@ -511,13 +443,7 @@ class DAGScheduler:
                 repair=self._make_repair(shuffle_deps, stage_id),
                 fused=fused_step(rdd),
             )
-            self._finish_stage(
-                stage,
-                task_seconds,
-                work_seconds,
-                shuffling=bool(shuffle_deps),
-                metrics=metrics,
-            )
+            self._finish_stage(stage, shuffling=bool(shuffle_deps), metrics=metrics)
         return results
 
     # -- lineage recovery --------------------------------------------------------
@@ -581,20 +507,20 @@ class DAGScheduler:
         return repair
 
     def _finish_stage(
-        self,
-        stage: StageMetrics,
-        task_seconds: list[float],
-        work_seconds: list[float],
-        shuffling: bool,
-        metrics: QueryMetrics,
+        self, stage: StageMetrics, shuffling: bool, metrics: QueryMetrics
     ) -> None:
-        """Schedule the stage's tasks and record its outcome; the
-        straggler statistics come from ``work_seconds``, each task's
-        counts as :meth:`_run_task` priced them."""
+        """Price the stage's tasks, schedule them and record its outcome.
+
+        One :func:`~repro.cluster.metrics.price_tasks` call prices every
+        task, a row of the (task x resource) table; the straggler
+        statistics read those prices, the schedule the same with the
+        JVM factor.
+        """
         model = self.sc.cost_model
-        stats = straggler_stats(work_seconds)
+        work = price_tasks(model, stage.tasks)
+        stats = straggler_stats(work.tolist())
         stage.makespan_seconds = simulate_dynamic(
-            task_seconds,
+            (work * model.spark_jvm_factor).tolist(),
             workers=self.sc.cluster.total_cores,
             per_task_overhead=model.spark_task_launch,
         )

@@ -1,10 +1,17 @@
 """DAG scheduler: stages, metrics, overheads, shuffle reuse."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cluster import ClusterSpec, CostModel, Resource
+from repro.runtime import RuntimeConfig
 from repro.spark import SparkContext, current_task, task_scope
 from repro.cluster.metrics import TaskMetrics
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="fork start method unavailable"
+)
 
 
 @pytest.fixture
@@ -150,6 +157,42 @@ class TestTaskMetricsFlow:
         stages = sc.job_log[-1].stages
         assert failed and sc._scheduler.task_failures == 1
         assert sum(calls) == sum(stage.num_tasks for stage in stages) == 7
+        monkeypatch.undo()
+        summaries = sc._scheduler.stage_summaries[-len(stages):]
+        for stage, summary in zip(stages, summaries):
+            stats = stage.task_stats(sc.cost_model)
+            assert {key: summary[key] for key in stats} == stats
+
+    @needs_fork
+    def test_a_pooled_stage_is_priced_once_in_the_driver(self, monkeypatch):
+        # Tasks run in two workers, but the driver prices them: each
+        # stage's tasks are rows of a row_seconds table, none priced on
+        # its own.  No retry here — what a forked worker does to the spy
+        # lists never reaches the driver.
+        rows, alone = [], []
+        price, price_rows = CostModel.task_seconds, CostModel.row_seconds
+        monkeypatch.setattr(
+            CostModel, "task_seconds", lambda self, counts: alone.append(1) or price(self, counts)
+        )
+        monkeypatch.setattr(
+            CostModel,
+            "row_seconds",
+            lambda self, units, n: rows.append(n) or price_rows(self, units, n),
+        )
+
+        def charge(x):
+            current_task().add(Resource.WKT_BYTES, 10 * x + 0.1)
+            return x % 3, x
+
+        sc = SparkContext(
+            ClusterSpec(num_nodes=2, cores_per_node=4), runtime=RuntimeConfig(executors=2)
+        )
+        sc.parallelize(list(range(12)), 4).map(charge).reduce_by_key(
+            lambda a, b: a + b, 3
+        ).collect()
+        stages = sc.job_log[-1].stages
+        assert sum(rows) == sum(stage.num_tasks for stage in stages) == 7
+        assert alone == []
         monkeypatch.undo()
         summaries = sc._scheduler.stage_summaries[-len(stages):]
         for stage, summary in zip(stages, summaries):

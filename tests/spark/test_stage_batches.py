@@ -10,10 +10,10 @@ task's records and ``TaskMetrics.counts`` (keys in order, float bits)
 must be those of its partition computed alone, as a task under a fault
 plan computes it.  An inline serial ``ss`` query cuts and concatenates
 no column, and a 2-worker pool or an empty fault plan computes every
-task as before.  An inline serial untraced ``ss`` or ``ss_part`` query
-runs no task on its own (no ``_run_task`` call); with an event log or a
-tracer every task runs on its own again, and its TaskEnd, ShuffleWrite
-and span carry the counts and prices the table made.
+task as before.  An inline serial ``ss`` or ``ss_part`` query hands
+no task to the dispatcher (no ``run_tasks`` call), with an event log or
+a tracer on as well; their TaskEnd, ShuffleWrite and span carry the
+counts and prices the stage's one pricing table made.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from repro.obs.events import read_events
 from repro.obs.registry import collecting
 from repro.obs.tracer import tracing
 from repro.runtime import FaultPlan, RuntimeConfig
-from repro.spark import SparkContext
+from repro.spark import SparkContext, scheduler
 from repro.spark.rdd import StageBatch
-from repro.spark.scheduler import DAGScheduler
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="fork start method unavailable"
@@ -306,16 +305,41 @@ def _run_query(query, runtime=SERIAL):
     return sc, pairs, tasks
 
 
-@pytest.mark.parametrize("query", QUERIES)
-def test_an_inline_serial_query_runs_no_task_on_its_own(query, monkeypatch):
+def _plain(query, tmp_path):
+    return _run_query(query)
+
+
+def _event_logged(query, tmp_path):
+    return _run_query(query, SERIAL.with_(events_out=str(tmp_path / "events.jsonl")))
+
+
+def _traced(query, tmp_path):
+    with tracing():
+        return _run_query(query)
+
+
+@pytest.mark.parametrize(
+    "query, observe",
+    [
+        pytest.param(_ss_query, _plain, id="ss"),
+        pytest.param(_ss_part_query, _plain, id="ss_part"),
+        pytest.param(_ss_query, _event_logged, id="ss-events"),
+        pytest.param(_ss_part_query, _event_logged, id="ss_part-events"),
+        pytest.param(_ss_query, _traced, id="ss-traced"),
+        pytest.param(_ss_part_query, _traced, id="ss_part-traced"),
+    ],
+)
+def test_an_inline_serial_query_runs_no_task_on_its_own(query, observe, monkeypatch, tmp_path):
+    # An event log or a tracer adds a span and TaskStart / TaskEnd to
+    # each task; the stage still runs its tasks in the inline loop.
     calls = Counter()
-    run_task = DAGScheduler._run_task
+    dispatch = scheduler.run_tasks
     monkeypatch.setattr(
-        DAGScheduler,
-        "_run_task",
-        lambda self, *args: calls.update(["_run_task"]) or run_task(self, *args),
+        scheduler,
+        "run_tasks",
+        lambda *args, **kwargs: calls.update(["run_tasks"]) or dispatch(*args, **kwargs),
     )
-    sc, pairs, tasks = _run_query(query)
+    sc, pairs, tasks = observe(query, tmp_path)
     assert pairs and len(tasks) > 20
     assert calls == Counter()
 
