@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = [
+    "AGGREGATES",
     "Expr",
     "ColumnRef",
     "Literal",
@@ -23,6 +24,9 @@ __all__ = [
     "OrderItem",
     "SelectStatement",
 ]
+
+
+AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX", "AVG"})
 
 
 class Expr:
@@ -80,6 +84,11 @@ class FunctionCall(Expr):
         for arg in self.args:
             found.extend(arg.columns())
         return found
+
+    @property
+    def is_aggregate(self) -> bool:
+        """Whether this calls one of the :data:`AGGREGATES`."""
+        return self.name.upper() in AGGREGATES
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)

@@ -13,10 +13,17 @@ Execution follows Section IV of the paper:
    the coordinator, which merges/sorts/limits.  Rows travel as column
    batches from the scan on — results as one object array per ORDER BY
    key and per SELECT item — and become row tuples once, in
-   :attr:`QueryResult.rows`.  The batches' WKT is parsed and probed
+   :attr:`QueryResult.rows`.  The coordinator builds every instance's
+   exec-node pipeline, whether its fragment runs inline or on the pool
+   (a forked worker inherits it).  The batches' WKT is parsed and probed
    ahead in one call: over every instance's batches when the fragments
    run inline, over its own batches in each fragment otherwise; every
    charge stays with its batch, in order.
+5. partial aggregates merge into rows already in SELECT order; HAVING
+   and the ORDER BY keys compile over them through
+   :func:`~repro.impala.exprs.compile_expr`, with the SELECT items bound
+   to their output positions.  Aggregated and plain output then share
+   one ORDER BY / LIMIT routine.
 
 The query's simulated runtime is frontend planning + fragment startup
 (LLVM JIT et al.) + the *maximum* instance time (static inter-node
@@ -47,14 +54,14 @@ from repro.impala.exec_nodes import (
     InstanceContext,
     ScanNode,
 )
-from repro.impala.ast_nodes import ColumnRef
+from repro.impala.ast_nodes import ColumnRef, FunctionCall, Literal
 from repro.impala.exprs import (
     TupleDescriptor,
     calls_function,
     compile_expr,
     vectorize_conjuncts,
 )
-from repro.impala.rowbatch import BATCH_SIZE, object_column
+from repro.impala.rowbatch import BATCH_SIZE, object_column, object_columns
 from repro.impala.parser import parse
 from repro.impala.planner import PhysicalPlan, Planner
 from repro.obs.events import (
@@ -394,18 +401,11 @@ class ImpalaBackend:
         ]
         tracer = get_tracer()
         probe_ranges = self._assign_ranges(plan.probe.table.path, instances)
-        row_descriptor = plan.row_descriptor
         shared_index = None
         if plan.join is not None:
             with tracer.span("build-side", category="phase") as build_span:
                 shared_index = self._build_side(plan, instances)
                 build_span.set_attr("index_entries", len(shared_index))
-        # Probe fragments: real execution once per instance's ranges.
-        residual_eval = self._compile_conjuncts(plan.residual, row_descriptor)
-        # One entry per instance: its materialised partial-aggregate pairs
-        # (a plain list so pooled fragments can ship it — the Aggregator
-        # itself holds compiled expressions and stays worker-side).
-        aggregators: list[list] = []
         # Projection pushdown: instances materialise only the ORDER BY
         # keys and the SELECT columns, not whole joined rows (which would
         # re-ship every WKT string to the coordinator).  Aggregated
@@ -413,21 +413,23 @@ class ImpalaBackend:
         # aggregate-bearing projections never compile as row scalars.
         fields = (
             _result_fields(
-                [item.expr for item in (*plan.order_by, *plan.projection)], row_descriptor
+                [item.expr for item in (*plan.order_by, *plan.projection)],
+                plan.row_descriptor,
             )
             if plan.aggregate is None
             else []
         )
-        # One entry per instance: its result columns, ORDER BY keys first.
-        instance_columns: list[list[np.ndarray]] = []
         # Static binding is preserved by construction: each fragment is
         # bound to one ``(instance, scan_ranges)`` pair fixed at plan time
         # — the pool only decides *when* a fragment runs, never *what* it
-        # runs.  Faults were resolved above, so none are drawn here.
-        pipelines: list = [None] * len(instances)
-        if self._probes_ahead(plan) and runs_inline(
-            self.task_pool, len(instances), self.recovery
-        ):
+        # runs; pooled workers inherit their pipelines at fork time.
+        # Faults were resolved above, so none are drawn here.
+        pipelines = [
+            self._instance_pipeline(plan, instance, probe_ranges[instance.node_id], shared_index)
+            for instance in instances
+        ]
+        joins = [join for _, join in pipelines if join is not None]
+        if joins and runs_inline(self.task_pool, len(instances), self.recovery):
             from repro.core.isp import SpatialJoinNode
 
             # Inline fragments share one parse and one probe of every
@@ -435,72 +437,21 @@ class ImpalaBackend:
             # fragment probes would save no call); each fragment still
             # charges its own.  The span keeps the scan, parse and probe
             # wall time, which no fragment span covers.
-            pipelines = [
-                self._instance_pipeline(
-                    plan, instance, probe_ranges[instance.node_id], shared_index, residual_eval
-                )
-                for instance in instances
-            ]
             with tracer.span("probe-ahead", category="phase"):
-                SpatialJoinNode.probe_ahead([join for _, join in pipelines])
-        merged: list[InstanceContext] = []
-
-        def absorb(index, shipment) -> None:
-            instance, (kind, value) = shipment
-            merged.append(instance)
-            (aggregators if kind == "agg" else instance_columns).append(value)
-
+                SpatialJoinNode.probe_ahead(joins)
+            pipelines = [(root, None) for root, _ in pipelines]
+        shipments: list[tuple] = []
         run_tasks(
             self.task_pool,
             [
-                partial(
-                    self._run_fragment, plan, instance,
-                    probe_ranges[instance.node_id], shared_index, residual_eval,
-                    fields, pipeline,
-                )
+                partial(self._run_fragment, plan, instance, pipeline, fields)
                 for instance, pipeline in zip(instances, pipelines)
             ],
             None,
-            absorb,
+            lambda index, shipment: shipments.append(shipment),
         )
-        instances = merged
-        # Coordinator: merge, sort, limit, project.
-        coordinator_seconds = 0.0
-        if plan.aggregate is not None:
-            final = self._new_aggregator(plan, row_descriptor)
-            for partials in aggregators:
-                for key, states in partials:
-                    final.merge(key, states)
-            output_rows = list(final.finalize())
-            output_rows = self._project_aggregate(plan, output_rows)
-            if plan.having is not None:
-                having = self._compile_output_expr(plan, plan.having)
-                output_rows = [row for row in output_rows if having(row) is True]
-            coordinator_seconds += model.task_seconds(
-                {Resource.ROWS_OUT: len(output_rows) * 4.0}
-            )
-            output_rows = self._order_and_limit_agg(plan, output_rows)
-        else:
-            columns = [np.concatenate(parts) for parts in zip(*instance_columns)]
-            rows = len(columns[0])
-            coordinator_seconds += model.task_seconds({Resource.ROWS_OUT: float(rows)})
-            # Stable sorts of a row permutation, last key first.
-            order = None
-            for i in reversed(range(len(plan.order_by))):
-                keys = columns[i].tolist()
-                if order is None:
-                    order = list(range(rows))
-                order.sort(
-                    key=lambda row: _null_safe_key(keys[row]),
-                    reverse=not plan.order_by[i].ascending,
-                )
-            selected = columns[len(plan.order_by) :]
-            if order is not None:
-                positions = np.array(order[: plan.limit], dtype=np.int64)
-                selected = [column[positions] for column in selected]
-            elif plan.limit is not None:
-                selected = [column[: plan.limit] for column in selected]
-            output_rows = list(zip(*(column.tolist() for column in selected)))
+        instances = [instance for instance, _ in shipments]
+        output_rows, coordinator_seconds = self._merge(plan, [p for _, p in shipments])
         pressure = (
             model.impala_memory_pressure_factor
             if self.cluster.mem_per_node_gb
@@ -537,27 +488,25 @@ class ImpalaBackend:
 
     # -- fragment execution -----------------------------------------------------
 
-    def _run_fragment(
-        self, plan, instance, scan_ranges, shared_index, residual_eval, fields, pipeline=None,
-    ) -> tuple:
+    def _run_fragment(self, plan, instance, pipeline, fields) -> tuple:
         """Execute one fragment instance; returns ``(instance, payload)``.
 
-        ``pipeline`` is the instance's :meth:`_instance_pipeline`, built
-        and probed ahead by the coordinator for inline fragments; without
-        it the fragment builds its own and probes its own row batches
-        ahead in one call.
+        ``pipeline`` is the instance's :meth:`_instance_pipeline`, built by
+        the coordinator.  Its join, when set, has not been probed ahead
+        with the other instances' (a fragment that does not run inline),
+        so the fragment probes its own row batches ahead in one call.
 
-        The payload is ``("agg", partials)`` for aggregated queries (the
-        materialised partial-state pairs the coordinator merges), else
-        ``("rows", columns)``: the ORDER BY keys' and SELECT items' values,
-        one object array per :func:`_result_fields` field.  The instance
-        rides along because a pool worker mutates its forked copy (a
-        picklable dataclass of floats and counter dicts).  Runs identically
-        inline (serial path, driver tracer) and inside a pool worker
-        (capture tracer) — the span, charging and byte-accounting
-        arithmetic is shared, which is what keeps the two modes
-        byte-identical.
+        The payload is the materialised partial-state pairs the
+        coordinator merges for aggregated queries, else the ORDER BY keys'
+        and SELECT items' values, one object array per
+        :func:`_result_fields` field.  The instance rides along because a
+        pool worker mutates its forked copy (a picklable dataclass of
+        floats and counter dicts).  Runs identically inline (serial path,
+        driver tracer) and inside a pool worker (capture tracer) — the
+        span, charging and byte-accounting arithmetic is shared, which is
+        what keeps the two modes byte-identical.
         """
+        root, ahead = pipeline
         log = get_event_log()
         emit_events = log.enabled and self._events_query is not None
         if emit_events:
@@ -574,27 +523,20 @@ class ImpalaBackend:
         )
         seconds_before = instance.total_seconds
         with fragment_span as span, task_scope(instance.metrics):
-            if pipeline is None:
-                pipeline = self._instance_pipeline(
-                    plan, instance, scan_ranges, shared_index, residual_eval
-                )
-                if self._probes_ahead(plan):
-                    from repro.core.isp import SpatialJoinNode
+            if ahead is not None:
+                from repro.core.isp import SpatialJoinNode
 
-                    SpatialJoinNode.probe_ahead([pipeline[1]])
-            root = pipeline[0]
+                SpatialJoinNode.probe_ahead([ahead])
             if plan.aggregate is not None:
-                aggregator = self._new_aggregator(plan, plan.row_descriptor)
+                aggregator = self._new_aggregator(plan)
                 for batch in root.batches():
                     for row in batch:
                         aggregator.accumulate(row)
-                partials = list(aggregator.partials())
-                exchange = sum(estimate_bytes((k, s)) for k, s in partials)
-                payload = ("agg", partials)
+                payload = list(aggregator.partials())
+                exchange = sum(estimate_bytes((k, s)) for k, s in payload)
             else:
-                columns = _result_columns(root, fields)
-                exchange = exchange_bytes(columns)
-                payload = ("rows", columns)
+                payload = _result_columns(root, fields)
+                exchange = exchange_bytes(payload)
             # Result exchange crosses the network only on a real
             # cluster; single-node results land in a local buffer.
             if self.cluster.num_nodes > 1:
@@ -722,27 +664,18 @@ class ImpalaBackend:
                 instance.charge_serial(Resource.WKT_BYTES, wkt_bytes * weight)
         return index
 
-    @staticmethod
-    def _probes_ahead(plan: PhysicalPlan) -> bool:
-        """Whether the probe scan's batches can be probed before its
-        fragment charges anything: an indexed join, and no pushed-down
-        conjunct calls a spatial UDF (which charges the running task)."""
-        return (
-            plan.join is not None
-            and plan.join.indexed
-            and not any(calls_function(c) for c in plan.probe.conjuncts)
-        )
-
     def _instance_pipeline(
         self,
         plan: PhysicalPlan,
         instance: InstanceContext,
         scan_ranges: list[tuple[int, int]],
         shared_index,
-        residual_eval,
     ) -> tuple:
         """The instance's exec-node tree: ``(root, join)``, ``join`` the
-        indexed spatial join node when the plan has one, else None."""
+        indexed spatial join node when its probe scan's batches can be
+        probed before the fragment charges anything, else None.  They can
+        unless a pushed-down conjunct calls a spatial UDF (which charges
+        the running task)."""
         scan = ScanNode(
             instance,
             self.hdfs,
@@ -758,7 +691,7 @@ class ImpalaBackend:
             if plan.join.indexed:
                 from repro.core.isp import SpatialJoinNode
 
-                root = join = SpatialJoinNode(
+                root = SpatialJoinNode(
                     instance,
                     root,
                     shared_index,
@@ -766,9 +699,11 @@ class ImpalaBackend:
                     build_cost_weight=self.build_cost_weight,
                     batch_size=self.batch_size,
                 )
+                if not any(calls_function(c) for c in plan.probe.conjuncts):
+                    join = root
             else:
-                # Naive fallback: Impala's single-core cross join + UDF filter.
                 root = self._cross_join(plan, instance, root, shared_index)
+        residual_eval = self._compile_conjuncts(plan.residual, plan.row_descriptor)
         if residual_eval is not None:
             vector_residual = vectorize_conjuncts(plan.residual, plan.row_descriptor)
             root = FilterNode(
@@ -777,21 +712,15 @@ class ImpalaBackend:
         return root, join
 
     def _cross_join(self, plan, instance, probe_node, shared_index) -> ExecNode:
-        join = plan.join
-        build_rows = list(shared_index._entry_payloads)
-        predicate = self._join_predicate_eval(plan)
-        return CrossJoinNode(instance, probe_node, build_rows, residual=predicate)
-
-    def _join_predicate_eval(self, plan: PhysicalPlan):
-        """Compile the spatial predicate as a scalar over joined rows."""
-        from repro.impala.ast_nodes import FunctionCall, Literal
-
+        """Impala's naive fallback: a single-core cross join filtered by
+        the spatial predicate, compiled as a scalar over joined rows."""
         pred = plan.join.predicate
         args: list = [pred.probe_column, pred.build_column]
         if pred.function == "ST_NEARESTD":
             args.append(Literal(pred.radius))
-        call = FunctionCall(pred.function, tuple(args))
-        return compile_expr(call, plan.row_descriptor)
+        predicate = compile_expr(FunctionCall(pred.function, tuple(args)), plan.row_descriptor)
+        build_rows = list(shared_index._entry_payloads)
+        return CrossJoinNode(instance, probe_node, build_rows, residual=predicate)
 
     # -- expression plumbing --------------------------------------------------------
 
@@ -811,111 +740,90 @@ class ImpalaBackend:
 
         return evaluate
 
-    def _new_aggregator(self, plan: PhysicalPlan, descriptor: TupleDescriptor):
+    @staticmethod
+    def _new_aggregator(plan: PhysicalPlan) -> Aggregator:
         spec = plan.aggregate
+        descriptor = plan.row_descriptor
         key_getters = [compile_expr(e, descriptor) for e in spec.key_exprs]
         agg_specs = []
         for name, arg, distinct in spec.functions:
             getter = compile_expr(arg, descriptor) if arg is not None else None
             agg_specs.append((name, getter, distinct))
-        return Aggregator(key_getters, agg_specs)
+        return Aggregator(key_getters, agg_specs, spec.layout)
 
-    def _project_aggregate(self, plan: PhysicalPlan, rows: list[tuple]) -> list[tuple]:
-        """Reorder (keys..., aggs...) rows into SELECT-list order."""
-        from repro.impala.ast_nodes import FunctionCall
+    def _merge(self, plan: PhysicalPlan, payloads: list) -> tuple[list[tuple], float]:
+        """The coordinator's part: the output rows and their seconds.
 
-        spec = plan.aggregate
-        layout: list[tuple[str, int]] = []
-        key_cursor = 0
-        agg_cursor = 0
-        num_keys = len(spec.key_exprs)
-        for item in plan.projection:
-            expr = item.expr
-            if isinstance(expr, FunctionCall) and expr.name in (
-                "COUNT", "SUM", "MIN", "MAX", "AVG",
-            ):
-                layout.append(("agg", num_keys + agg_cursor))
-                agg_cursor += 1
-            else:
-                layout.append(("key", key_cursor))
-                key_cursor += 1
-        return [tuple(row[idx] for _, idx in layout) for row in rows]
-
-    def _order_and_limit_agg(self, plan: PhysicalPlan, rows: list[tuple]) -> list[tuple]:
-        if plan.order_by:
-            for item in reversed(plan.order_by):
-                index = self._output_position(plan, item.expr)
-                rows.sort(key=lambda r: _null_safe_key(r[index]), reverse=not item.ascending)
-        if plan.limit is not None:
-            rows = rows[: plan.limit]
-        return rows
-
-    def _compile_output_expr(self, plan: PhysicalPlan, expr):
-        """Compile an expression over the *output* rows of an aggregation.
-
-        Any subexpression matching a SELECT item (by structure) or an
-        output alias collapses to a positional reference; the remainder
-        must be literals and scalar operators.
+        Partial aggregates are merged and finalized in SELECT order, then
+        HAVING and the ORDER BY keys compile over those rows
+        (:func:`_output_binding`); plain results arrive as columns, ORDER
+        BY keys first.  Either way :func:`_order_and_limit` finishes.
         """
-        from repro.impala.ast_nodes import BinaryOp, ColumnRef, Literal, UnaryOp
+        model = self.cost_model
+        if plan.aggregate is None:
+            columns = [np.concatenate(parts) for parts in zip(*payloads)]
+            seconds = model.task_seconds({Resource.ROWS_OUT: float(len(columns[0]))})
+            keys = [column.tolist() for column in columns[: len(plan.order_by)]]
+            return _order_and_limit(plan, keys, columns[len(plan.order_by) :]), seconds
+        final = self._new_aggregator(plan)
+        for partials in payloads:
+            for key, states in partials:
+                final.merge(key, states)
+        rows = list(final.finalize())
+        if plan.having is not None:
+            having = compile_expr(plan.having, _NO_SLOTS, _output_binding(plan, False))
+            rows = [row for row in rows if having(row) is True]
+        seconds = model.task_seconds({Resource.ROWS_OUT: len(rows) * 4.0})
+        binding = _output_binding(plan, True)
+        for item in plan.order_by:
+            if isinstance(item.expr, Literal):
+                # A constant sorts nothing (Impala would read it as an ordinal).
+                raise PlanError(f"ORDER BY {item.expr} does not match any output column")
+        keys = [
+            list(map(compile_expr(item.expr, _NO_SLOTS, binding), rows))
+            for item in plan.order_by
+        ]
+        columns = object_columns(rows, len(plan.output_names))
+        return _order_and_limit(plan, keys, columns), seconds
 
-        for i, item in enumerate(plan.projection):
-            if item.expr == expr:
-                return lambda row, i=i: row[i]
-        if isinstance(expr, ColumnRef) and expr.table is None:
-            for i, name in enumerate(plan.output_names):
-                if name == expr.column:
-                    return lambda row, i=i: row[i]
-        if isinstance(expr, Literal):
-            return lambda row, value=expr.value: value
-        if isinstance(expr, UnaryOp):
-            operand = self._compile_output_expr(plan, expr.operand)
-            if expr.op == "NOT":
-                return lambda row: None if operand(row) is None else not operand(row)
-            if expr.op == "-":
-                return lambda row: None if operand(row) is None else -operand(row)
-        if isinstance(expr, BinaryOp):
-            left = self._compile_output_expr(plan, expr.left)
-            right = self._compile_output_expr(plan, expr.right)
-            from repro.impala.exprs import _sql_and, _sql_or
 
-            ops = {
-                "=": lambda a, b: a == b, "<>": lambda a, b: a != b,
-                "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-                "+": lambda a, b: a + b, "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b, "/": lambda a, b: a / b,
-            }
-            if expr.op == "AND":
-                return lambda row: _sql_and(left(row), right(row))
-            if expr.op == "OR":
-                return lambda row: _sql_or(left(row), right(row))
-            if expr.op in ops:
-                func = ops[expr.op]
+_NO_SLOTS = TupleDescriptor([])
 
-                def evaluate(row, func=func, left=left, right=right):
-                    a = left(row)
-                    b = right(row)
-                    if a is None or b is None:
-                        return None
-                    return func(a, b)
 
-                return evaluate
-        raise PlanError(
-            f"HAVING/output expression {expr} must reference grouped output"
-        )
+def _output_binding(plan: PhysicalPlan, names_first: bool) -> dict:
+    """Output positions for expressions over aggregated output rows.
 
-    def _output_position(self, plan: PhysicalPlan, expr) -> int:
-        from repro.impala.ast_nodes import ColumnRef
+    Each SELECT item's expression, and each output name as an unqualified
+    column, binds the first position it takes.  Where a name shadows
+    another item's expression, ``names_first`` decides: ORDER BY resolves
+    the name, HAVING the expression.
+    """
+    items: dict = {}
+    names: dict = {}
+    for i, (item, name) in enumerate(zip(plan.projection, plan.output_names)):
+        items.setdefault(item.expr, i)
+        names.setdefault(ColumnRef(None, name), i)
+    return {**items, **names} if names_first else {**names, **items}
 
-        if isinstance(expr, ColumnRef) and expr.table is None:
-            for i, name in enumerate(plan.output_names):
-                if name == expr.column:
-                    return i
-        for i, item in enumerate(plan.projection):
-            if item.expr == expr:
-                return i
-        raise PlanError(f"ORDER BY {expr} does not match any output column")
+
+def _order_and_limit(plan: PhysicalPlan, keys: list[list], columns: list[np.ndarray]) -> list[tuple]:
+    """The output rows of ``columns`` (one per SELECT item), in ORDER BY
+    order and cut at LIMIT.
+
+    ``keys`` holds one value list per ORDER BY item; the rows are stable-
+    sorted by each, last key first, NULLs last ascending and first
+    descending (Impala's default).
+    """
+    picked = slice(plan.limit)
+    if plan.order_by:
+        order = list(range(len(keys[0])))
+        for item, values in reversed(list(zip(plan.order_by, keys))):
+            order.sort(
+                key=lambda row: (values[row] is None, values[row]),
+                reverse=not item.ascending,
+            )
+        picked = order[: plan.limit]
+    return list(zip(*(column[picked].tolist() for column in columns)))
 
 
 def _result_fields(exprs, descriptor: TupleDescriptor) -> list[int | Callable]:
@@ -958,8 +866,3 @@ def exchange_bytes(columns: list[np.ndarray]) -> int:
     :func:`~repro.spark.shuffle.estimate_bytes`, summed column by column.
     """
     return 24 * len(columns[0]) + sum(values_bytes(column) for column in columns)
-
-
-def _null_safe_key(value):
-    """NULLs sort last ascending and first descending (Impala's default)."""
-    return (value is None, value)

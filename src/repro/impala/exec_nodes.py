@@ -16,7 +16,10 @@ simulated makespan.
 
 The indexed ``SpatialJoinNode`` — the paper's contribution — lives in
 :mod:`repro.core.isp` and subclasses :class:`BlockingJoinNode` from here,
-mirroring how ISP-MC subclasses Impala's ``BlockingJoinNode``.
+mirroring how ISP-MC subclasses Impala's ``BlockingJoinNode``.  The
+:class:`Aggregator` folds an input row and a partial state with one
+per-function fold and finalizes rows in the SELECT order the planner
+records.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.cluster.model import CostModel, Resource
 from repro.cluster.simulation import simulate_static_chunked
 from repro.errors import ImpalaError
 from repro.hdfs import SimulatedHDFS, read_split_lines
+from repro.impala.ast_nodes import AGGREGATES
 from repro.impala.catalog import Table
 from repro.impala.rowbatch import BATCH_SIZE, ColumnBatch, RowBatch
 from repro.obs.registry import REGISTRY
@@ -348,55 +352,31 @@ class Aggregator:
     ``specs`` is a list of (func_name, value_getter_or_None, distinct)
     triples; group keys are computed by ``key_getters``.  Partial states:
     COUNT -> int, SUM -> number, MIN/MAX -> value, AVG -> (sum, count),
-    COUNT DISTINCT -> set.
+    COUNT DISTINCT -> set.  An input row folds in as the partial state of
+    that row alone, so accumulating and merging share one fold.
+    ``layout`` (the planner's :attr:`AggregateSpec.layout`) orders each
+    finalized ``(keys..., aggregates...)`` row; by default it stays so.
     """
 
-    def __init__(self, key_getters, specs):
+    def __init__(self, key_getters, specs, layout: list[int] | None = None):
+        unknown = {name for name, _, _ in specs} - AGGREGATES
+        if unknown:
+            raise ImpalaError(f"unknown aggregate {sorted(unknown)[0]!r}")
         self.key_getters = key_getters
         self.specs = specs
+        self.layout = layout
         self.groups: dict[tuple, list] = {}
-
-    def _new_states(self) -> list:
-        states = []
-        for name, _, distinct in self.specs:
-            if name == "COUNT" and distinct:
-                states.append(set())
-            elif name == "COUNT":
-                states.append(0)
-            elif name == "AVG":
-                states.append((0.0, 0))
-            else:
-                states.append(None)  # SUM/MIN/MAX start empty
-        return states
 
     def accumulate(self, row: tuple) -> None:
         """Fold one input row into its group's states."""
         key = tuple(getter(row) for getter in self.key_getters)
-        states = self.groups.get(key)
-        if states is None:
-            states = self._new_states()
-            self.groups[key] = states
-        for i, (name, getter, distinct) in enumerate(self.specs):
-            value = getter(row) if getter is not None else 1
-            if name == "COUNT":
-                if distinct:
-                    if value is not None:
-                        states[i].add(value)
-                elif getter is None or value is not None:
-                    states[i] += 1
-            elif value is None:
-                continue
-            elif name == "SUM":
-                states[i] = value if states[i] is None else states[i] + value
-            elif name == "MIN":
-                states[i] = value if states[i] is None else min(states[i], value)
-            elif name == "MAX":
-                states[i] = value if states[i] is None else max(states[i], value)
-            elif name == "AVG":
-                total, count = states[i]
-                states[i] = (total + value, count + 1)
-            else:
-                raise ImpalaError(f"unknown aggregate {name!r}")
+        self.merge(
+            key,
+            [
+                _row_state(name, distinct, 1 if getter is None else getter(row))
+                for name, getter, distinct in self.specs
+            ],
+        )
 
     def merge(self, key: tuple, states: list) -> None:
         """Fold another aggregator's partial states (the merge phase)."""
@@ -405,29 +385,15 @@ class Aggregator:
             self.groups[key] = list(states)
             return
         for i, (name, _, distinct) in enumerate(self.specs):
-            theirs = states[i]
-            if name == "COUNT" and distinct:
-                mine[i] |= theirs
-            elif name == "COUNT":
-                mine[i] += theirs
-            elif theirs is None:
-                continue
-            elif name == "SUM":
-                mine[i] = theirs if mine[i] is None else mine[i] + theirs
-            elif name == "MIN":
-                mine[i] = theirs if mine[i] is None else min(mine[i], theirs)
-            elif name == "MAX":
-                mine[i] = theirs if mine[i] is None else max(mine[i], theirs)
-            elif name == "AVG":
-                total, count = mine[i]
-                mine[i] = (total + theirs[0], count + theirs[1])
+            mine[i] = _fold(name, distinct, mine[i], states[i])
 
     def partials(self) -> Iterator[tuple[tuple, list]]:
         """Yield (group_key, states) pairs for the exchange."""
         yield from self.groups.items()
 
     def finalize(self) -> Iterator[tuple]:
-        """Yield final output rows: group key values then aggregate values."""
+        """Yield final output rows: group key values then aggregate
+        values, in ``layout`` order when one is given."""
         for key, states in self.groups.items():
             values = []
             for i, (name, _, distinct) in enumerate(self.specs):
@@ -439,4 +405,35 @@ class Aggregator:
                     values.append(total / count if count else None)
                 else:
                     values.append(state)
-            yield key + tuple(values)
+            row = key + tuple(values)
+            yield row if self.layout is None else tuple(row[i] for i in self.layout)
+
+
+def _row_state(name: str, distinct: bool, value):
+    """The partial state of one input row holding ``value`` (NULL: None)."""
+    if name == "COUNT":
+        if distinct:
+            return set() if value is None else {value}
+        return int(value is not None)
+    if name == "AVG":
+        return (0.0, 0) if value is None else (0.0 + value, 1)
+    return value
+
+
+def _fold(name: str, distinct: bool, mine, theirs):
+    """Two partial states of one aggregate, combined (``mine`` may be
+    updated in place)."""
+    if name == "COUNT" and distinct:
+        mine |= theirs
+        return mine
+    if name == "COUNT":
+        return mine + theirs
+    if name == "AVG":
+        return (mine[0] + theirs[0], mine[1] + theirs[1])
+    if theirs is None:
+        return mine
+    if mine is None:
+        return theirs
+    if name == "SUM":
+        return mine + theirs
+    return min(mine, theirs) if name == "MIN" else max(mine, theirs)

@@ -4,7 +4,10 @@ The planner flattens each operator's output schema into a *tuple
 descriptor* — an ordered list of (table, column) slots — and compiles AST
 expressions into Python closures over row tuples, the moral equivalent of
 Impala's codegen'd expression trees (the real system JIT-compiles them
-with LLVM; we close over slot indexes).
+with LLVM; we close over slot indexes).  :func:`compile_expr` is the one
+compiler: scan filters, join residuals, projections, aggregate inputs,
+and — with the SELECT items bound to their output positions — HAVING and
+ORDER BY over aggregated output all go through it.
 """
 
 from __future__ import annotations
@@ -68,12 +71,19 @@ class TupleDescriptor:
         return TupleDescriptor(self.slots + other.slots)
 
 
-def compile_expr(expr: Expr, descriptor: TupleDescriptor) -> Callable[[tuple], object]:
+def compile_expr(
+    expr: Expr, descriptor: TupleDescriptor, bound: dict[Expr, int] | None = None
+) -> Callable[[tuple], object]:
     """Compile an expression AST into ``row -> value``.
 
     NULL (None) propagates through comparisons and arithmetic the SQL way:
     any operation on NULL yields NULL, and WHERE treats NULL as false.
+    Any subexpression equal to a key of ``bound`` reads the row position
+    it maps to — how HAVING and ORDER BY see an aggregation's output.
     """
+    if bound and expr in bound:
+        position = bound[expr]
+        return lambda row: row[position]
     if isinstance(expr, Literal):
         value = expr.value
         return lambda row: value
@@ -83,22 +93,22 @@ def compile_expr(expr: Expr, descriptor: TupleDescriptor) -> Callable[[tuple], o
     if isinstance(expr, Star):
         raise PlanError("* is only legal in SELECT lists and COUNT(*)")
     if isinstance(expr, UnaryOp):
-        operand = compile_expr(expr.operand, descriptor)
+        operand = compile_expr(expr.operand, descriptor, bound)
         if expr.op == "NOT":
             return lambda row: None if operand(row) is None else not operand(row)
         if expr.op == "-":
             return lambda row: None if operand(row) is None else -operand(row)
         raise PlanError(f"unknown unary operator {expr.op!r}")
     if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, descriptor)
+        return _compile_binary(expr, descriptor, bound)
     if isinstance(expr, FunctionCall):
-        return _compile_function(expr, descriptor)
+        return _compile_function(expr, descriptor, bound)
     raise PlanError(f"cannot compile expression {expr!r}")
 
 
-def _compile_binary(expr: BinaryOp, descriptor: TupleDescriptor):
-    left = compile_expr(expr.left, descriptor)
-    right = compile_expr(expr.right, descriptor)
+def _compile_binary(expr: BinaryOp, descriptor: TupleDescriptor, bound):
+    left = compile_expr(expr.left, descriptor, bound)
+    right = compile_expr(expr.right, descriptor, bound)
     op = expr.op
     if op == "AND":
         return lambda row: _sql_and(left(row), right(row))
@@ -133,10 +143,10 @@ def _compile_binary(expr: BinaryOp, descriptor: TupleDescriptor):
     return evaluate
 
 
-def _compile_function(expr: FunctionCall, descriptor: TupleDescriptor):
+def _compile_function(expr: FunctionCall, descriptor: TupleDescriptor, bound):
     name = expr.name.upper()
     if is_spatial_function(name):
-        arg_funcs = [compile_expr(arg, descriptor) for arg in expr.args]
+        arg_funcs = [compile_expr(arg, descriptor, bound) for arg in expr.args]
 
         def evaluate(row):
             args = [f(row) for f in arg_funcs]
@@ -145,7 +155,7 @@ def _compile_function(expr: FunctionCall, descriptor: TupleDescriptor):
             return evaluate_spatial(name, args)
 
         return evaluate
-    if name in ("COUNT", "SUM", "MIN", "MAX", "AVG"):
+    if expr.is_aggregate:
         raise PlanError(
             f"aggregate {name} must be handled by an aggregation node, "
             "not compiled as a scalar"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.errors import SQLParseError
 from repro.impala.ast_nodes import (
+    AGGREGATES,
     BinaryOp,
     ColumnRef,
     FunctionCall,
@@ -32,9 +33,6 @@ from repro.impala.ast_nodes import (
 from repro.impala.lexer import Token, TokenType, tokenize
 
 __all__ = ["parse"]
-
-_AGGREGATES = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
-
 
 def parse(sql: str) -> SelectStatement:
     """Parse one SELECT statement; raises :class:`SQLParseError`."""
@@ -266,7 +264,7 @@ class _Parser:
             inner = self._expr()
             self._expect_symbol(")")
             return inner
-        if token.type is TokenType.KEYWORD and token.value in _AGGREGATES:
+        if token.type is TokenType.KEYWORD and token.value in AGGREGATES:
             return self._function_call(token.value)
         if token.type is TokenType.IDENTIFIER:
             if self._peek().type is TokenType.SYMBOL and self._peek().value == "(":

@@ -95,13 +95,14 @@ class JoinSpec:
 
 @dataclass
 class AggregateSpec:
-    """Aggregation output = group keys then aggregate values, in the order
-    the SELECT list names them."""
+    """An aggregation's group keys and functions, each in the order the
+    SELECT list names them; ``layout[i]`` is where SELECT item ``i`` sits
+    in a ``(keys..., aggregates...)`` row."""
 
     key_exprs: list[Expr]
     # (func_name, value_expr_or_None_for_COUNT(*), distinct)
     functions: list[tuple[str, Expr | None, bool]]
-    output_names: list[str]
+    layout: list[int]
 
 
 @dataclass
@@ -352,10 +353,11 @@ class Planner:
         group_keys = list(statement.group_by)
         key_exprs: list[Expr] = []
         functions: list[tuple[str, Expr | None, bool]] = []
-        ordered_names: list[str] = []
-        for item, name in zip(items, output_names):
+        aggregated: list[bool] = []
+        for item in items:
             expr = item.expr
-            if isinstance(expr, FunctionCall) and expr.name in _AGG_NAMES:
+            aggregated.append(isinstance(expr, FunctionCall) and expr.is_aggregate)
+            if aggregated[-1]:
                 arg: Expr | None
                 if len(expr.args) == 1 and isinstance(expr.args[0], Star):
                     if expr.name != "COUNT":
@@ -372,12 +374,13 @@ class Planner:
                         f"non-aggregate SELECT item {expr} must appear in GROUP BY"
                     )
                 key_exprs.append(expr)
-            ordered_names.append(name)
         for key in group_keys:
             if not any(key == e for e in key_exprs):
                 raise PlanError(f"GROUP BY key {key} must appear in the SELECT list")
-        spec = AggregateSpec(key_exprs, functions, ordered_names)
-        return spec, items, output_names
+        keys = iter(range(len(key_exprs)))
+        aggregates = iter(range(len(key_exprs), len(items)))
+        layout = [next(aggregates if agg else keys) for agg in aggregated]
+        return AggregateSpec(key_exprs, functions, layout), items, output_names
 
     def _expand_stars(
         self, items: list[SelectItem], probe: ScanSpec, build: ScanSpec | None
@@ -404,12 +407,9 @@ class Planner:
         return expanded
 
 
-_AGG_NAMES = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
-
-
 def _contains_aggregate(expr: Expr) -> bool:
     if isinstance(expr, FunctionCall):
-        if expr.name in _AGG_NAMES:
+        if expr.is_aggregate:
             return True
         return any(_contains_aggregate(a) for a in expr.args)
     if isinstance(expr, BinaryOp):

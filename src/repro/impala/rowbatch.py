@@ -74,11 +74,6 @@ class RowBatch:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
 
-    @property
-    def is_full(self) -> bool:
-        """True once the batch reaches its capacity."""
-        return len(self.rows) >= self.capacity
-
     def add(self, row: tuple) -> None:
         """Append one row tuple."""
         self.rows.append(row)

@@ -441,15 +441,6 @@ class TextFileRDD(RDD[str]):
         current_task().add(Resource.HDFS_BYTES, length)
         return count_split_lines(self.sc.hdfs, self.path, offset, length)
 
-    def preferred_hosts(self, split: int) -> tuple[str, ...]:
-        """Datanodes holding the split's first block (locality hint)."""
-        status = self.sc.hdfs.status(self.path)
-        offset, _ = self._splits[split]
-        for block in status.blocks:
-            if block.offset <= offset < block.offset + max(block.length, 1):
-                return block.hosts
-        return ()
-
 
 class BinaryRecordsRDD(RDD[bytes]):
     """Records of a paged binary HDFS file, one partition per split.

@@ -121,3 +121,48 @@ class TestExplain:
         text = "\n".join(row[0] for row in result.rows)
         assert "SCAN p" in text
         assert "JOIN" not in text
+
+
+@pytest.fixture(scope="module")
+def nullable():
+    """``t(k, v)``: group 2's values are all NULL, so its SUM and MAX are."""
+    fs = SimulatedHDFS()
+    write_text(fs, "/t.txt", ["1\t5", "1\t\\N", "2\t\\N", "2\t\\N", "3\t7", "3\t2"])
+    backend = ImpalaBackend(ClusterSpec(2, 4), hdfs=fs)
+    backend.metastore.create_table(
+        "t", [("k", ColumnType.BIGINT), ("v", ColumnType.BIGINT)], "/t.txt"
+    )
+    return backend
+
+
+class TestHavingOverAggregatedOutput:
+    def test_is_null_on_an_aggregate_alias(self, nullable):
+        result = nullable.execute(
+            "SELECT k, MAX(v) AS m FROM t GROUP BY k HAVING m IS NULL"
+        )
+        assert result.rows == [(2, None)]
+
+    def test_is_not_null_on_an_aggregate_call(self, nullable):
+        result = nullable.execute(
+            "SELECT k, MAX(v) AS m FROM t GROUP BY k HAVING MAX(v) IS NOT NULL ORDER BY k"
+        )
+        assert result.rows == [(1, 5), (3, 7)]
+
+    def test_order_by_resolves_a_shadowing_alias_first(self, nullable):
+        # ``k`` names the SUM; the SELECT item ``k`` (the key) is shadowed.
+        result = nullable.execute(
+            "SELECT k AS v, SUM(v) AS k FROM t GROUP BY k ORDER BY k"
+        )
+        assert result.rows == [(1, 5), (3, 9), (2, None)]
+
+    def test_having_resolves_the_select_item_first(self, nullable):
+        # ``k`` is the SELECT item ``k`` (the key), not the SUM aliased k.
+        result = nullable.execute(
+            "SELECT k AS v, SUM(v) AS k FROM t GROUP BY k HAVING k > 1 ORDER BY v"
+        )
+        assert result.rows == [(2, None), (3, 9)]
+
+    def test_order_by_a_constant_is_refused(self, nullable):
+        # Not an ordinal: a constant key would leave the rows unsorted.
+        with pytest.raises(PlanError, match="does not match any output column"):
+            nullable.execute("SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY 2")
