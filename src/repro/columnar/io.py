@@ -30,8 +30,10 @@ a newline, a number ``float`` refuses — gets a per-row
 dropped.  Rows the bulk path takes neither read nor fill the reader's
 parse memo, so a build side's polygons stay warm in it.
 :func:`parse_wkt_column` is called by the Spark loader
-(``read_geometry_pairs``), the Impala probe (``core.isp.probe_wkt_blocks``)
-and the API (``core.api``); :func:`column_from_wkt` is its strict wrapper.
+(``read_geometry_pairs``), ISP-MC's build side
+(``core.isp.build_spatial_index``) and probe
+(``core.isp.probe_wkt_blocks``), both Impala and standalone, and the API
+(``core.api``); :func:`column_from_wkt` is its strict wrapper.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Fig 2 (Scala)                          here
 ``.map(_.split)``                      :func:`read_geometry_pairs`: every
                                        split's lines split and numbered
                                        in one pass per inline stage
-``Try(new WKTReader().read(...))``     ``parse_wkt_column`` (drops counted)
+the ``Try(...)``-wrapped WKT read      ``parse_wkt_column`` (drops counted)
                                        into one column per inline stage
 ``val strtree = new STRtree()``        :class:`~repro.core.probe.BroadcastIndex`
 ``y.expandBy(radius)``                 ``BroadcastIndex(radius=...)``

@@ -4,9 +4,11 @@ Fig 3 of the paper shows the four ISP-MC components; this module is the
 third and fourth: the ``SpatialJoin`` subclass of Impala's blocking join
 (build an in-memory R-tree from the broadcast right side, probe it with
 every left row batch) and the OpenMP-style multi-core refinement over row
-batches.  The frontend keyword and plan wiring live in
-:mod:`repro.impala.planner`; the static inter-node scheduling lives in
-:mod:`repro.impala.coordinator`.
+batches.  Both sides parse WKT a column at a time, through
+:func:`~repro.columnar.io.parse_wkt_column` (:func:`build_spatial_index`,
+:func:`probe_wkt_blocks`), as standalone ISP-MC does.  The frontend
+keyword and plan wiring live in :mod:`repro.impala.planner`; the static
+inter-node scheduling lives in :mod:`repro.impala.coordinator`.
 """
 
 from __future__ import annotations
@@ -18,18 +20,14 @@ import numpy as np
 
 from repro.cluster.metrics import scatter_units
 from repro.cluster.model import Resource
-from repro.columnar.column import GeometryColumn
 from repro.columnar import io as columnar_io
 from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex, unit_slices
-from repro.geometry.wkt import WKTReader
 from repro.impala.exec_nodes import BlockingJoinNode, ExecNode, InstanceContext
-from repro.impala.rowbatch import BATCH_SIZE, ColumnBatch, object_columns
+from repro.impala.rowbatch import BATCH_SIZE, ColumnBatch
 from repro.obs.registry import REGISTRY
 
 __all__ = ["build_spatial_index", "probe_wkt_blocks", "probe_wkt_rows", "SpatialJoinNode"]
-
-_READER = WKTReader()
 
 
 def build_spatial_index(
@@ -41,30 +39,25 @@ def build_spatial_index(
 ) -> tuple[BroadcastIndex, int, int]:
     """Build the broadcast R-tree over the right side's WKT geometry column.
 
-    Returns ``(index, wkt_bytes_parsed, rows_dropped)``.  Rows whose WKT
-    fails to parse, or parses to a type no join can evaluate (a
-    ``GEOMETRYCOLLECTION``), are dropped, matching the scanners'
-    dirty-row policy.
+    Returns ``(index, wkt_bytes_parsed, rows_dropped)``; an entry's
+    payload is its row's position in ``build_rows`` (a
+    :class:`~repro.impala.rowbatch.ColumnBatch` hands its column over
+    whole).  A row too short for the slot, a value that is no string or
+    no WKT, and a type no join can evaluate (a ``GEOMETRYCOLLECTION``)
+    are dropped, matching the scanners' dirty-row policy.
     The paper notes this parse ("building an R-Tree for all tuples of the
     table on the right side") is one of ISP-MC's three string-parsing
     costs — the byte count lets the coordinator charge it per instance.
     """
-    entries = []
-    wkt_bytes = 0
-    dropped = 0
-    for row in build_rows:
-        text = row[geometry_slot]
-        if not isinstance(text, str):
-            dropped += 1
-            continue
-        wkt_bytes += len(text)
-        geometry = _READER.try_read(text)
-        if not GeometryColumn.holds(geometry):
-            dropped += 1
-            continue
-        entries.append((row, geometry))
-    index = BroadcastIndex(entries, operator, radius=radius, engine=engine)
-    return index, wkt_bytes, dropped
+    if isinstance(build_rows, ColumnBatch):
+        # A batch of no rows (no scan batch at all) holds no columns.
+        texts = build_rows.column(geometry_slot) if len(build_rows) else []
+    else:
+        texts = [row[geometry_slot] if len(row) > geometry_slot else None for row in build_rows]
+    column, dropped = columnar_io.parse_wkt_column(texts, range(len(texts)))
+    wkt_bytes = sum(len(text) for text in texts if isinstance(text, str))
+    index = BroadcastIndex(column, operator, radius=radius, engine=engine)
+    return index, wkt_bytes, len(dropped)
 
 
 def probe_wkt_rows(
@@ -150,9 +143,10 @@ class SpatialJoinNode(BlockingJoinNode):
     nodes' batches at once, leaving each node only to charge and gather.
     The joined rows leave as a :class:`~repro.impala.rowbatch.ColumnBatch`:
     the probe batch's columns taken at the matching probe rows beside
-    the build rows' columns (materialised once, in :meth:`build`) taken
-    at the matching build rows.  Rows whose WKT is dropped are counted in
-    ``rows_dropped`` and in the ``impala.rows_skipped`` registry counter.
+    the columns of ``build`` — the build rows the index holds, row ``k``
+    its entry ``k`` — taken at the matching entries.  Rows whose WKT is
+    dropped are counted in ``rows_dropped`` and in the
+    ``impala.rows_skipped`` registry counter.
     """
 
     def __init__(
@@ -160,16 +154,16 @@ class SpatialJoinNode(BlockingJoinNode):
         ctx: InstanceContext,
         probe: ExecNode,
         index: BroadcastIndex,
+        build: ColumnBatch,
         probe_geometry_slot: int,
         build_cost_weight: float = 1.0,
         batch_size: int = BATCH_SIZE,
     ):
-        super().__init__(ctx, probe, build_rows=[], batch_size=batch_size)
+        super().__init__(ctx, probe, build_rows=build, batch_size=batch_size)
         self.index = index
         self.probe_geometry_slot = probe_geometry_slot
         self.build_cost_weight = build_cost_weight
         self.rows_dropped = 0
-        self._build_columns: list[np.ndarray] = []
         self._probes: Iterator[tuple] | None = None
 
     @staticmethod
@@ -198,14 +192,10 @@ class SpatialJoinNode(BlockingJoinNode):
             join._probes = iter(list(islice(outcomes, len(group))))
 
     def build(self) -> None:
-        """Charge this instance for its copy of the broadcast index, and
-        lay the build rows out as columns."""
+        """Charge this instance for its copy of the broadcast index."""
         self.ctx.charge_serial(
             Resource.INDEX_BUILD, len(self.index) * self.build_cost_weight
         )
-        build_rows = self.index.entry_payloads(np.arange(len(self.index)))
-        if build_rows:
-            self._build_columns = object_columns(build_rows, len(build_rows[0]))
 
     def probe_batch(self, batch: ColumnBatch) -> ColumnBatch:
         if self._probes is not None:
@@ -219,4 +209,4 @@ class SpatialJoinNode(BlockingJoinNode):
             self.rows_dropped += dropped
             REGISTRY.inc("impala.rows_skipped", dropped)
         self.ctx.charge_batch(units, len(batch))
-        return batch.take(rows).beside([column[entries] for column in self._build_columns])
+        return batch.take(rows).beside(self.build_rows.take(entries))

@@ -61,7 +61,7 @@ from repro.impala.exprs import (
     compile_expr,
     vectorize_conjuncts,
 )
-from repro.impala.rowbatch import BATCH_SIZE, object_column, object_columns
+from repro.impala.rowbatch import BATCH_SIZE, ColumnBatch, object_column
 from repro.impala.parser import parse
 from repro.impala.planner import PhysicalPlan, Planner
 from repro.obs.events import (
@@ -401,11 +401,11 @@ class ImpalaBackend:
         ]
         tracer = get_tracer()
         probe_ranges = self._assign_ranges(plan.probe.table.path, instances)
-        shared_index = None
+        build_side = None
         if plan.join is not None:
             with tracer.span("build-side", category="phase") as build_span:
-                shared_index = self._build_side(plan, instances)
-                build_span.set_attr("index_entries", len(shared_index))
+                build_side = self._build_side(plan, instances)
+                build_span.set_attr("index_entries", len(build_side[0]))
         # Projection pushdown: instances materialise only the ORDER BY
         # keys and the SELECT columns, not whole joined rows (which would
         # re-ship every WKT string to the coordinator).  Aggregated
@@ -413,7 +413,7 @@ class ImpalaBackend:
         # aggregate-bearing projections never compile as row scalars.
         fields = (
             _result_fields(
-                [item.expr for item in (*plan.order_by, *plan.projection)],
+                [*_input_order_keys(plan), *(item.expr for item in plan.projection)],
                 plan.row_descriptor,
             )
             if plan.aggregate is None
@@ -425,7 +425,7 @@ class ImpalaBackend:
         # runs; pooled workers inherit their pipelines at fork time.
         # Faults were resolved above, so none are drawn here.
         pipelines = [
-            self._instance_pipeline(plan, instance, probe_ranges[instance.node_id], shared_index)
+            self._instance_pipeline(plan, instance, probe_ranges[instance.node_id], build_side)
             for instance in instances
         ]
         joins = [join for _, join in pipelines if join is not None]
@@ -591,8 +591,9 @@ class ImpalaBackend:
 
     def _build_side(
         self, plan: PhysicalPlan, instances: list[InstanceContext]
-    ):
-        """Scan + distribute + index the right side.
+    ) -> tuple:
+        """Scan + distribute + index the right side; returns ``(index,
+        build)``, ``build`` the rows the index holds, row ``k`` its entry ``k``.
 
         The scan is distributed (each instance reads its own ranges).
         Under ``broadcast`` distribution *every* instance is charged for
@@ -611,7 +612,7 @@ class ImpalaBackend:
         build_filter = self._compile_conjuncts(
             join.build.conjuncts, join.build.descriptor
         )
-        all_rows: list[tuple] = []
+        batches: list[ColumnBatch] = []
         for instance in instances:
             with task_scope(instance.metrics):
                 scan = ScanNode(
@@ -622,29 +623,29 @@ class ImpalaBackend:
                     row_filter=build_filter,
                     batch_size=self.batch_size,
                 )
-                for batch in scan.batches():
-                    all_rows.extend(batch.rows)
+                batches.extend(scan.batches())
+        build = ColumnBatch.concat(batches)
         geometry_slot = join.build.descriptor.resolve(join.predicate.build_column)
         from repro.core.operators import SpatialOperator
 
         operator = SpatialOperator.from_sql(join.predicate.function)
         # Cross-query cache: the scan above always runs (it charges each
         # instance's HDFS/scan metrics and produced the rows we key on);
-        # only the R-tree construction and the byte-estimation walk are
-        # reused.  The cached bundle carries the *unweighted* totals so
-        # one entry serves backends with different build_cost_weight.
+        # only the R-tree construction and the byte count are reused.  The
+        # cached bundle carries the *unweighted* totals so one entry
+        # serves backends with different build_cost_weight.
         radius = join.predicate.radius or 0.0
 
-        def build():
+        def index_build_side():
             index, wkt_bytes, dropped = build_spatial_index(
-                all_rows, geometry_slot, operator, radius, self.engine_name
+                build, geometry_slot, operator, radius, self.engine_name
             )
-            return index, wkt_bytes, sum(estimate_bytes(r) for r in all_rows), dropped
+            return index, wkt_bytes, rows_bytes(build), dropped
 
         index, wkt_bytes, raw_build_bytes, dropped = fetch(slot_for(
-            self.cache, "impala-build-side", all_rows, column=geometry_slot,
+            self.cache, "impala-build-side", build, column=geometry_slot,
             operator=operator, radius=radius, engine=self.engine_name,
-        ), build)
+        ), index_build_side)
         if dropped:
             REGISTRY.inc("impala.rows_skipped", dropped)
         weight = self.build_cost_weight
@@ -662,14 +663,14 @@ class ImpalaBackend:
                 if self.cluster.num_nodes > 1:
                     instance.charge_serial(Resource.BROADCAST_BYTES, build_bytes)
                 instance.charge_serial(Resource.WKT_BYTES, wkt_bytes * weight)
-        return index
+        return index, build.take(index.entry_payloads(np.arange(len(index))))
 
     def _instance_pipeline(
         self,
         plan: PhysicalPlan,
         instance: InstanceContext,
         scan_ranges: list[tuple[int, int]],
-        shared_index,
+        build_side: tuple | None,
     ) -> tuple:
         """The instance's exec-node tree: ``(root, join)``, ``join`` the
         indexed spatial join node when its probe scan's batches can be
@@ -687,22 +688,19 @@ class ImpalaBackend:
         root: ExecNode = scan
         join = None
         if plan.join is not None:
+            index, build = build_side
             probe_slot = plan.probe.descriptor.resolve(plan.join.predicate.probe_column)
             if plan.join.indexed:
                 from repro.core.isp import SpatialJoinNode
 
                 root = SpatialJoinNode(
-                    instance,
-                    root,
-                    shared_index,
-                    probe_slot,
-                    build_cost_weight=self.build_cost_weight,
-                    batch_size=self.batch_size,
+                    instance, root, index, build, probe_slot,
+                    build_cost_weight=self.build_cost_weight, batch_size=self.batch_size,
                 )
                 if not any(calls_function(c) for c in plan.probe.conjuncts):
                     join = root
             else:
-                root = self._cross_join(plan, instance, root, shared_index)
+                root = self._cross_join(plan, instance, root, build)
         residual_eval = self._compile_conjuncts(plan.residual, plan.row_descriptor)
         if residual_eval is not None:
             vector_residual = vectorize_conjuncts(plan.residual, plan.row_descriptor)
@@ -711,7 +709,7 @@ class ImpalaBackend:
             )
         return root, join
 
-    def _cross_join(self, plan, instance, probe_node, shared_index) -> ExecNode:
+    def _cross_join(self, plan, instance, probe_node, build) -> ExecNode:
         """Impala's naive fallback: a single-core cross join filtered by
         the spatial predicate, compiled as a scalar over joined rows."""
         pred = plan.join.predicate
@@ -719,8 +717,7 @@ class ImpalaBackend:
         if pred.function == "ST_NEARESTD":
             args.append(Literal(pred.radius))
         predicate = compile_expr(FunctionCall(pred.function, tuple(args)), plan.row_descriptor)
-        build_rows = list(shared_index._entry_payloads)
-        return CrossJoinNode(instance, probe_node, build_rows, residual=predicate)
+        return CrossJoinNode(instance, probe_node, build.rows, residual=predicate)
 
     # -- expression plumbing --------------------------------------------------------
 
@@ -775,15 +772,8 @@ class ImpalaBackend:
             rows = [row for row in rows if having(row) is True]
         seconds = model.task_seconds({Resource.ROWS_OUT: len(rows) * 4.0})
         binding = _output_binding(plan, True)
-        for item in plan.order_by:
-            if isinstance(item.expr, Literal):
-                # A constant sorts nothing (Impala would read it as an ordinal).
-                raise PlanError(f"ORDER BY {item.expr} does not match any output column")
-        keys = [
-            list(map(compile_expr(item.expr, _NO_SLOTS, binding), rows))
-            for item in plan.order_by
-        ]
-        columns = object_columns(rows, len(plan.output_names))
+        keys = [list(map(compile_expr(key, _NO_SLOTS, binding), rows)) for key in _order_keys(plan)]
+        columns = [object_column(values) for values in zip(*rows)]
         return _order_and_limit(plan, keys, columns), seconds
 
 
@@ -804,6 +794,22 @@ def _output_binding(plan: PhysicalPlan, names_first: bool) -> dict:
         items.setdefault(item.expr, i)
         names.setdefault(ColumnRef(None, name), i)
     return {**items, **names} if names_first else {**names, **items}
+
+
+def _order_keys(plan: PhysicalPlan) -> list:
+    """The ORDER BY keys; a constant sorts nothing (Impala would read it
+    as an ordinal), so it raises."""
+    for item in plan.order_by:
+        if isinstance(item.expr, Literal):
+            raise PlanError(f"ORDER BY {item.expr} does not match any output column")
+    return [item.expr for item in plan.order_by]
+
+
+def _input_order_keys(plan: PhysicalPlan) -> list:
+    """Plain output's ORDER BY keys over the input rows: a key bound to a
+    SELECT item (:func:`_output_binding`) as the item's expression."""
+    binding = _output_binding(plan, True)
+    return [plan.projection[binding[k]].expr if k in binding else k for k in _order_keys(plan)]
 
 
 def _order_and_limit(plan: PhysicalPlan, keys: list[list], columns: list[np.ndarray]) -> list[tuple]:
@@ -866,3 +872,9 @@ def exchange_bytes(columns: list[np.ndarray]) -> int:
     :func:`~repro.spark.shuffle.estimate_bytes`, summed column by column.
     """
     return 24 * len(columns[0]) + sum(values_bytes(column) for column in columns)
+
+
+def rows_bytes(batch: ColumnBatch) -> int:
+    """``sum(estimate_bytes(row) for row in batch)``, by column: 8 bytes a
+    row tuple plus each value's."""
+    return 8 * len(batch) + sum(map(values_bytes, batch.columns()))

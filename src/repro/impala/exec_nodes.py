@@ -279,7 +279,7 @@ class BlockingJoinNode(ExecNode):
         self,
         ctx: InstanceContext,
         probe: ExecNode,
-        build_rows: list[tuple],
+        build_rows: list[tuple] | ColumnBatch,
         batch_size: int = BATCH_SIZE,
     ):
         if batch_size < 1:
@@ -393,8 +393,10 @@ class Aggregator:
 
     def finalize(self) -> Iterator[tuple]:
         """Yield final output rows: group key values then aggregate
-        values, in ``layout`` order when one is given."""
-        for key, states in self.groups.items():
+        values, in ``layout`` order when one is given.  Without group keys
+        there is one row even over no input: each aggregate of no values."""
+        empty = {(): [_row_state(name, distinct, None) for name, _, distinct in self.specs]}
+        for key, states in (self.groups or ({} if self.key_getters else empty)).items():
             values = []
             for i, (name, _, distinct) in enumerate(self.specs):
                 state = states[i]

@@ -34,7 +34,6 @@ __all__ = [
     "BATCH_SIZE",
     "batches_of",
     "object_column",
-    "object_columns",
 ]
 
 BATCH_SIZE = 1024  # Impala's default row-batch capacity
@@ -48,13 +47,6 @@ def object_column(values: Sequence) -> np.ndarray:
     column = np.empty(len(values), dtype=object)
     column[:] = values
     return column
-
-
-def object_columns(rows: Sequence[tuple], width: int) -> list[np.ndarray]:
-    """The slots of ``width``-slot row tuples, one object array each."""
-    if not rows:
-        return [np.empty(0, dtype=object) for _ in range(width)]
-    return [object_column(values) for values in zip(*rows)]
 
 
 class RowBatch:
@@ -161,9 +153,9 @@ class ColumnBatch:
         positions = np.asarray(positions, dtype=np.int64)
         return ColumnBatch([_gather(column, positions) for column in self._columns])
 
-    def beside(self, columns: list) -> "ColumnBatch":
-        """These rows with ``columns`` appended as further slots."""
-        return ColumnBatch(self._columns + columns)
+    def beside(self, other: "ColumnBatch") -> "ColumnBatch":
+        """These rows with ``other``'s slots appended (as many rows)."""
+        return ColumnBatch(self._columns + other._columns)
 
     def chunks(self, batch_size: int) -> Iterator["ColumnBatch"]:
         """This batch re-batched into ``batch_size`` slices."""

@@ -70,7 +70,7 @@ class TestRecordsBytes:
         # weigh; number and ASCII-string columns without the per-value walk.
         import repro.spark.shuffle as shuffle
         from repro.impala.coordinator import exchange_bytes
-        from repro.impala.rowbatch import object_columns
+        from repro.impala.rowbatch import object_column
 
         rows = [(17, 4.25, True, "cell-3"), (1, 0.5, False, ""), (2, 1e300, True, "x")]
         keys = [(name, flag) for _, _, flag, name in rows]
@@ -82,7 +82,8 @@ class TestRecordsBytes:
         monkeypatch.setattr(
             shuffle, "estimate_bytes", lambda record: walked.append(record) or real(record)
         )
-        assert exchange_bytes(object_columns(keys, 2) + object_columns(rows, 4)) == want
+        columns = [object_column(values) for values in (*zip(*keys), *zip(*rows))]
+        assert exchange_bytes(columns) == want
         assert walked == []  # none of them took the per-value walk
         assert values_bytes(mixed) == mixed_want
         assert walked == mixed

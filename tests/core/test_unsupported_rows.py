@@ -62,12 +62,13 @@ def clean_table() -> tuple[list[str], list[str]]:
 
 
 def run_path(path: str, left: list[str], right: list[str], operator="within"):
-    """One query over the WKT tables; returns ``(pairs in emission order,
-    simulated seconds, registry counters, rows dropped, task failures)``."""
+    """One query over the WKT tables (a ``None`` row is a line holding
+    only its id); returns ``(pairs in emission order, simulated seconds,
+    registry counters, rows dropped, task failures)``."""
     op = SpatialOperator(operator)
     hdfs = SimulatedHDFS(datanodes=("node0", "node1"), replication=2)
     for name, rows in (("/left.txt", left), ("/right.txt", right)):
-        lines = [f"{i}\t{text}" for i, text in enumerate(rows)]
+        lines = [str(i) if text is None else f"{i}\t{text}" for i, text in enumerate(rows)]
         size = sum(len(line) + 1 for line in lines)
         write_text(hdfs, name, lines, block_size=max(1024, size // 4))
     failures = 0
@@ -142,6 +143,20 @@ class TestFileDoorsCountTheDrop:
         assert (dropped, failures) == (1, 0)
         # Pairs, clock, registry counters and the drop count: all equal.
         assert observed["collection"] == observed["malformed"]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_standalone_line_without_its_geometry_is_dropped(self, side):
+        # A line too short to hold the geometry field: dropped and counted
+        # on either side, as a malformed value is.
+        left, right = clean_table()
+        clean_pairs = run_path("standalone", left, right)[0]
+        tables = {"left": left, "right": right}
+        tables[side] = replaced(tables[side], 12, None)
+        pairs, _, _, dropped, _ = run_path("standalone", tables["left"], tables["right"])
+        column = 0 if side == "left" else 1
+        assert pairs == [pair for pair in clean_pairs if pair[column] != 12]
+        assert len(pairs) < len(clean_pairs)
+        assert dropped == 1
 
     def test_the_binary_loader_drops_and_counts_too(self):
         hdfs = SimulatedHDFS(datanodes=("node0",), replication=1)

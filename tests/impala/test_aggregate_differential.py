@@ -1,10 +1,12 @@
 """GROUP BY / HAVING / ORDER BY / LIMIT against a plain-Python reference.
 
-Hypothesis draws small tables with NULLs and ties and runs each query on
-one node and on four (where every instance ships partial aggregates the
-coordinator merges).  Both must return what the reference computes:
-COUNT, COUNT DISTINCT, SUM, MIN, MAX and AVG per group with NULLs
-ignored, the HAVING filter under SQL's three-valued logic, and the
+Hypothesis draws small tables with NULLs and ties — empty ones too, and
+WHERE clauses that keep no row — and runs each query on one node and on
+four (where every instance ships partial aggregates the coordinator
+merges).  Both must return what the reference computes: COUNT, COUNT
+DISTINCT, SUM, MIN, MAX and AVG per group with NULLs ignored (without
+GROUP BY, one row even over no input rows: counts 0, the others NULL),
+the HAVING filter under SQL's three-valued logic, and the
 ORDER BY keys in Impala's NULL order (last ascending, first descending)
 cut at the LIMIT.  Rows that tie on every ORDER BY key may come in any
 order, so the check is on the sequence of sort keys plus the rows picked.
@@ -25,11 +27,18 @@ NODES = (1, 4)
 SCHEMA = [("id", ColumnType.BIGINT), ("k", ColumnType.BIGINT), ("v", ColumnType.BIGINT)]
 NULL = "\\N"
 
-AGGREGATED = (
-    "SELECT k, COUNT(*) AS n, COUNT(v) AS nv, COUNT(DISTINCT v) AS d, SUM(v) AS s, "
-    "MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS a FROM t GROUP BY k"
+AGGREGATES = (
+    "COUNT(*) AS n, COUNT(v) AS nv, COUNT(DISTINCT v) AS d, SUM(v) AS s, "
+    "MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS a"
 )
 OUTPUT = ["k", "n", "nv", "d", "s", "lo", "hi", "a"]
+
+# (WHERE clause, whether it keeps a row (id, k, v))
+WHERE = [
+    ("", lambda row: True),
+    (" WHERE id > 1000", lambda row: False),  # keeps no row
+    (" WHERE v >= 0", lambda row: row[2] is not None and row[2] >= 0),
+]
 
 
 def _cmp(a, op, b):
@@ -52,8 +61,8 @@ HAVING = [
     ("MAX(v) IS NOT NULL", lambda r: r["hi"] is not None),
     ("hi >= 2 OR lo < 0", lambda r: _or(_cmp(r["hi"], ">=", 2), _cmp(r["lo"], "<", 0))),
     ("a * 2 > s", lambda r: _cmp(None if r["a"] is None else r["a"] * 2, ">", r["s"])),
-    ("k = 1", lambda r: _cmp(r["k"], "=", 1)),
 ]
+KEY_HAVING = ("k = 1", lambda r: _cmp(r["k"], "=", 1))
 
 nullable = st.one_of(st.none(), st.integers(-2, 3))
 
@@ -61,8 +70,8 @@ nullable = st.one_of(st.none(), st.integers(-2, 3))
 @st.composite
 def tables(draw):
     """Rows ``(id, k, v)``: few distinct keys and values, so groups and
-    sort keys tie; NULLs in both."""
-    pairs = draw(st.lists(st.tuples(nullable, nullable), max_size=30))
+    sort keys tie; NULLs in both; now and then no row at all."""
+    pairs = draw(st.one_of(st.just([]), st.lists(st.tuples(nullable, nullable), max_size=30)))
     return [(i, k, v) for i, (k, v) in enumerate(pairs)]
 
 
@@ -81,10 +90,12 @@ def run(rows, sql: str, nodes: int) -> list[tuple]:
     return backend.execute(sql).rows
 
 
-def reference_groups(rows) -> list[dict]:
-    groups: dict = {}
+def reference_groups(rows, grouped: bool = True) -> list[dict]:
+    """One record per ``k`` group, or with ``grouped`` off one record
+    (``k`` None) over every row, even none."""
+    groups: dict = {} if grouped else {None: []}
     for _, k, v in rows:
-        groups.setdefault(k, []).append(v)
+        groups.setdefault(k if grouped else None, []).append(v)
     out = []
     for k, values in groups.items():
         present = [v for v in values if v is not None]
@@ -140,19 +151,46 @@ def order_sql(order, limit) -> str:
 @settings(max_examples=40, deadline=None)
 @given(
     rows=tables(),
-    having=st.one_of(st.none(), st.sampled_from(HAVING)),
+    where=st.sampled_from(WHERE),
+    having=st.one_of(st.none(), st.sampled_from([*HAVING, KEY_HAVING])),
     order=order_items,
     limit=limits,
 )
-def test_grouped_queries_match_the_reference(rows, having, order, limit):
-    sql = AGGREGATED
-    want = reference_groups(rows)
+def test_grouped_queries_match_the_reference(rows, where, having, order, limit):
+    sql = f"SELECT k, {AGGREGATES} FROM t{where[0]} GROUP BY k"
+    want = reference_groups([row for row in rows if where[1](row)])
     if having is not None:
         sql += f" HAVING {having[0]}"
         want = [row for row in want if having[1](row) is True]
     sql += order_sql(order, limit)
     for nodes in NODES:
         check(run(rows, sql, nodes), want, OUTPUT, order, limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=tables(),
+    where=st.sampled_from(WHERE),
+    having=st.one_of(st.none(), st.sampled_from(HAVING)),
+    order=st.one_of(
+        st.just([]), st.lists(st.tuples(st.sampled_from(OUTPUT[1:]), st.booleans()), max_size=2)
+    ),
+    limit=limits,
+)
+def test_global_aggregates_match_the_reference(rows, where, having, order, limit):
+    # No GROUP BY: one row however many rows the WHERE keeps, HAVING
+    # alone may remove it.
+    sql = f"SELECT {AGGREGATES} FROM t{where[0]}"
+    want = reference_groups([row for row in rows if where[1](row)], grouped=False)
+    if having is not None:
+        sql += f" HAVING {having[0]}"
+        want = [row for row in want if having[1](row) is True]
+    if order:
+        sql += order_sql(order, limit)
+    elif limit is not None:
+        sql += f" LIMIT {limit}"
+    for nodes in NODES:
+        check(run(rows, sql, nodes), want, OUTPUT[1:], order, limit)
 
 
 @settings(max_examples=40, deadline=None)

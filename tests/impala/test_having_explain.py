@@ -166,3 +166,47 @@ class TestHavingOverAggregatedOutput:
         # Not an ordinal: a constant key would leave the rows unsorted.
         with pytest.raises(PlanError, match="does not match any output column"):
             nullable.execute("SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY 2")
+
+
+class TestOrderByOverPlainOutput:
+    def test_an_alias_resolves_to_its_select_item(self, nullable):
+        result = nullable.execute(
+            "SELECT k, v * 2 AS d FROM t WHERE v IS NOT NULL ORDER BY d DESC"
+        )
+        assert result.rows == [(3, 14), (1, 10), (3, 4)]
+
+    def test_a_column_not_in_select_resolves_against_the_input_row(self, nullable):
+        result = nullable.execute("SELECT k FROM t WHERE v IS NOT NULL ORDER BY v")
+        assert result.rows == [(3,), (1,), (3,)]
+
+    def test_a_shadowing_alias_resolves_first(self, nullable):
+        # Each alias names the other input column, which it shadows:
+        # the rows sort by the input ``k`` descending, then by ``v``.
+        result = nullable.execute(
+            "SELECT v AS k, k AS v FROM t WHERE v IS NOT NULL ORDER BY v DESC, k"
+        )
+        assert result.rows == [(2, 3), (7, 3), (5, 1)]
+
+    def test_order_by_a_constant_is_refused(self, nullable):
+        with pytest.raises(PlanError, match="does not match any output column"):
+            nullable.execute("SELECT k, v FROM t ORDER BY 2")
+
+
+class TestGlobalAggregateOverNoRows:
+    @pytest.mark.parametrize("nodes", [1, 4])
+    def test_is_one_row_of_empty_aggregates(self, nodes):
+        fs = SimulatedHDFS(datanodes=tuple(f"node{i}" for i in range(nodes)))
+        write_text(fs, "/t.txt", [f"{i}\t{i % 3}" for i in range(40)], block_size=64)
+        backend = ImpalaBackend(ClusterSpec(nodes, 2), hdfs=fs)
+        backend.metastore.create_table(
+            "t", [("k", ColumnType.BIGINT), ("v", ColumnType.BIGINT)], "/t.txt"
+        )
+        none = "FROM t WHERE k > 100"
+        assert backend.execute(f"SELECT COUNT(*) {none}").rows == [(0,)]
+        assert backend.execute(
+            f"SELECT COUNT(v), COUNT(DISTINCT v), SUM(v), MIN(v), MAX(v), AVG(v) {none}"
+        ).rows == [(0, 0, None, None, None, None)]
+        assert backend.execute(f"SELECT v, COUNT(*) {none} GROUP BY v").rows == []
+        assert backend.execute(f"SELECT COUNT(*) {none} HAVING COUNT(*) > 0").rows == []
+        result = backend.execute(f"SELECT COUNT(*) {none}")
+        assert len(result.instances) == nodes

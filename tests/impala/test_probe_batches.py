@@ -3,7 +3,8 @@
 Run inline, the coordinator scans every fragment instance's ranges first
 and probes all their row batches with one ``parse_wkt_column`` and one
 ``probe_pairs`` call (one block per row batch); on a real pool or under a
-fault plan each fragment makes one such call over its own batches.  Each
+fault plan each fragment makes one such call over its own batches.  The
+build side is parsed before them, in one ``parse_wkt_column`` call.  Each
 fragment still makes every charge itself, in the order the batch-at-a-
 time pipeline made it: ``HDFS_BYTES`` for a scan range, then each batch
 completed before the next range starts.  Pinned against that pipeline,
@@ -251,20 +252,27 @@ class TestOneProbePerQuery:
         with collecting() as registry:
             _backend(RuntimeConfig()).execute(SHAPES["ids"])
             scanned = registry.counter("impala.rows_scanned") - len(_cells())
-        # Every probe row the scans kept, parsed once; all but the
-        # malformed one probed once.
-        assert calls("parse") == [scanned]
+        # The build side's rows parsed in one call first; then every probe
+        # row the scans kept, parsed once; all but the malformed one probed
+        # once.
+        build, *probes = calls("parse")
+        assert build == len(_cells())
+        assert probes == [scanned]
         assert calls("probe") == [scanned - 1]
 
     @pytest.mark.parametrize("runtime", RUNTIMES[1:])
     def test_each_fragment_probes_once_on_a_pool_or_plan(self, monkeypatch, tmp_path, runtime):
         calls = _spy_calls(monkeypatch, tmp_path / "calls.log")
         _backend(runtime).execute(SHAPES["ids"])
-        assert len(calls("parse")) == CLUSTER.num_nodes
+        build, *probes = calls("parse")
+        assert build == len(_cells())
+        assert len(probes) == CLUSTER.num_nodes
         assert len(calls("probe")) == CLUSTER.num_nodes
 
     def test_a_charging_pushed_down_filter_probes_batch_by_batch(self, monkeypatch, tmp_path):
         calls = _spy_calls(monkeypatch, tmp_path / "calls.log")
         result = _backend(RuntimeConfig()).execute(SHAPES["udf-pushed-down"])
         batches = sum(instance.row_batches for instance in result.instances)
-        assert len(calls("parse")) == batches
+        build, *probes = calls("parse")
+        assert build == len(_cells())
+        assert len(probes) == batches

@@ -7,7 +7,8 @@ the coordinator returned when instances shipped one ``(order key tuple,
 row tuple)`` record per row — the rows (values, each value's type, their
 order), the simulated seconds and their breakdown by the bits, and each
 instance's counters in first-touch order, ``shuffle_bytes`` included —
-serially and on a two-worker pool.
+serially and on a two-worker pool.  The build side's broadcast bytes are
+sized by column the same way.
 """
 
 from __future__ import annotations
@@ -258,11 +259,45 @@ SCALARS = st.one_of(
 )
 def test_column_bytes_are_the_keyed_records_bytes(shape):
     from repro.impala.coordinator import exchange_bytes
-    from repro.impala.rowbatch import object_columns
+    from repro.impala.rowbatch import object_column
 
     keys, items, records = shape
-    columns = object_columns([key for key, _ in records], keys) + object_columns(
-        [row for _, row in records], items
-    )
+    columns = [object_column([key[i] for key, _ in records]) for i in range(keys)] + [
+        object_column([row[i] for _, row in records]) for i in range(items)
+    ]
     assert exchange_bytes(columns) == records_bytes(records)
     assert records_bytes(records) == sum(estimate_bytes(record) for record in records)
+
+
+# One build-side column of ``n`` rows, as a scan types it: an int64,
+# float64 or bool array, a list of strings, or an object array of mixed
+# values with NULLs.
+def build_columns(n: int) -> st.SearchStrategy:
+    def exactly(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    return st.one_of(
+        exactly(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        exactly(st.floats()).map(lambda v: np.array(v, dtype=np.float64)),
+        exactly(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+        exactly(st.text(max_size=8)),
+        exactly(st.one_of(st.none(), st.text(max_size=8), st.integers(), st.floats())).map(
+            lambda v: np.array(v, dtype=object)
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.lists(build_columns(n), min_size=1, max_size=5)
+    )
+)
+def test_build_bytes_by_column_are_the_rows_bytes(columns):
+    # The broadcast build side is charged by column what its row tuples
+    # weigh.
+    from repro.impala.coordinator import rows_bytes
+    from repro.impala.rowbatch import ColumnBatch
+
+    batch = ColumnBatch(columns)
+    assert rows_bytes(batch) == sum(estimate_bytes(row) for row in batch.rows)
