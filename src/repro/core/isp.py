@@ -145,8 +145,7 @@ class SpatialJoinNode(BlockingJoinNode):
     the probe batch's columns taken at the matching probe rows beside
     the columns of ``build`` — the build rows the index holds, row ``k``
     its entry ``k`` — taken at the matching entries.  Rows whose WKT is
-    dropped are counted in ``rows_dropped`` and in the
-    ``impala.rows_skipped`` registry counter.
+    dropped are counted in the ``impala.rows_skipped`` registry counter.
     """
 
     def __init__(
@@ -163,7 +162,6 @@ class SpatialJoinNode(BlockingJoinNode):
         self.index = index
         self.probe_geometry_slot = probe_geometry_slot
         self.build_cost_weight = build_cost_weight
-        self.rows_dropped = 0
         self._probes: Iterator[tuple] | None = None
 
     @staticmethod
@@ -206,7 +204,6 @@ class SpatialJoinNode(BlockingJoinNode):
             )
         dropped = len(batch) - len(kept)
         if dropped:
-            self.rows_dropped += dropped
             REGISTRY.inc("impala.rows_skipped", dropped)
         self.ctx.charge_batch(units, len(batch))
         return batch.take(rows).beside(self.build_rows.take(entries))

@@ -26,7 +26,10 @@ fast engine (whose strip index does less), GEOS's clone-and-walk for the
 slow one — through the ``vertex_ops`` / ``allocations`` counters, and the
 pair kernels every join calls (``contains_pairs_counted`` /
 ``within_distance_pairs_counted`` over :mod:`repro.geometry.point_pairs`)
-advance those counters arithmetically around vectorised numpy code.  The
+advance those counters arithmetically around vectorised numpy code; both
+engines' Within kernels walk strip-cut edge tables
+(:func:`repro.geometry.prepared.strip_cut`), so a point tests only its
+strip's edges while the charge stays the library's.  The
 per-handle ``*_batch_counted`` calls are one-entry pair-kernel calls.  The
 slow engine's churn is acted out only by its scalar predicates
 (``point_within``, ``point_within_distance``, ``point_distance``): they
@@ -51,7 +54,7 @@ from repro.geometry.linestring import LineString
 from repro.geometry.multi import MultiLineString, MultiPolygon
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.prepared import PreparedLineString, PreparedPolygon, prepare_cached
+from repro.geometry.prepared import PreparedLineString, PreparedPolygon, prepare_cached, strip_cut
 from repro.geometry.algorithms import distance as distance_mod
 from repro.geometry import point_pairs
 
@@ -345,7 +348,7 @@ def _bounds(envelope: Envelope) -> tuple[float, float, float, float]:
 
 def _strip_spec(polygon: PreparedPolygon) -> tuple:
     return (
-        polygon._batch_tables(),
+        polygon._strip_edges,
         polygon._y_min,
         polygon._strip_height,
         _bounds(polygon.envelope),
@@ -533,22 +536,21 @@ class SlowGeometryEngine(_PerHandleKernels):
     # GEOS has no columnar path, and the cost model does not need one acted
     # out: the two kernels (Within on polygons, NearestD on polylines)
     # evaluate the churn loop's *own* IEEE expressions over (point, build
-    # entry) candidate-pair arrays and the churn tables of a whole build
-    # side, packed once, and advance the counters arithmetically, so
-    # results, per-pair charges and totals are those of one scalar call per
-    # pair while no ``_Coordinate`` is ever built.  A pair is charged the
-    # ring vertices (Within) or, past the envelope prune, the coordinates
-    # (NearestD) of every part it reaches.  Every other handle type is
-    # untabled: its pairs take the scalar predicates.
+    # entry) candidate-pair arrays and the strip-cut churn tables of a
+    # whole build side, packed once, and advance the counters
+    # arithmetically, so results, per-pair charges and totals are those of
+    # one scalar call per pair while no ``_Coordinate`` is ever built.  A
+    # pair is charged the ring vertices (Within) or, past the envelope
+    # prune, the coordinates (NearestD) of every part it reaches, whichever
+    # strip it walks.  Every other handle type is untabled: its pairs take
+    # the scalar predicates.
 
     def contains_pair_tables(self, handles):
         def parts_of(handle):
             if isinstance(handle, Polygon):
-                return False, [] if handle.is_empty else [_churn_strip_spec(handle)]
+                return False, [] if handle.is_empty else [_churn_tables(handle)]
             if isinstance(handle, MultiPolygon):
-                return True, [
-                    _churn_strip_spec(part) for part in handle.parts if not part.is_empty
-                ]
+                return True, [_churn_tables(part) for part in handle.parts if not part.is_empty]
             return None
 
         return point_pairs.pack_polygon_parts([parts_of(handle) for handle in handles])
@@ -562,11 +564,9 @@ class SlowGeometryEngine(_PerHandleKernels):
     def within_distance_pair_tables(self, handles):
         def parts_of(handle):
             if isinstance(handle, MultiLineString):
-                return True, [
-                    _churn_segment_spec(part) for part in handle.parts if not part.is_empty
-                ]
+                return True, [_churn_tables(part) for part in handle.parts if not part.is_empty]
             if isinstance(handle, LineString) and not handle.is_empty:
-                return False, [_churn_segment_spec(handle)]
+                return False, [_churn_tables(handle)]
             return None
 
         return point_pairs.pack_line_parts([parts_of(handle) for handle in handles])
@@ -590,9 +590,10 @@ class SlowGeometryEngine(_PerHandleKernels):
         self.counters.allocations += total
         return results, churned, churned.copy()
 
-# Edge / segment tables behind the slow engine's pair kernels, memoised
-# per process by geometry identity (the entry pins its geometry, so an id
-# cannot be recycled while it is a key; coordinate buffers are read-only).
+# Edge strips / segment tables behind the slow engine's pair kernels, as
+# packer part specs, memoised per process by geometry identity (the entry
+# pins its geometry, so an id cannot be recycled while it is a key;
+# coordinate buffers are read-only).
 _CHURN_TABLE_CAPACITY = 4096
 _churn_table_cache: OrderedDict[int, tuple[Geometry, tuple]] = OrderedDict()
 
@@ -609,24 +610,13 @@ def _churn_tables(part: Polygon | LineString) -> tuple:
     return tables
 
 
-def _churn_strip_spec(polygon: Polygon) -> tuple:
-    """A polygon's churn tables as a ``pack_polygon_parts`` part: the
-    unstripped edge table is the one strip, spanning the shell envelope."""
-    table, num_vertices, envelope = _churn_tables(polygon)
-    height = max(envelope[3] - envelope[1], 1e-300)
-    return [table], envelope[1], height, envelope, num_vertices
-
-
-def _churn_segment_spec(line: LineString) -> tuple:
-    return *_churn_tables(line), _bounds(line.envelope), len(line.coords)
-
-
 def _polygon_tables(polygon: Polygon) -> tuple:
-    """``(edge table, ring-vertex count, shell envelope)`` of one polygon.
+    """One polygon as a ``pack_polygon_parts`` part: ``(edge strips,
+    y_min, strip height, shell envelope, ring-vertex count)``.
 
-    One *unstripped* table over every ring's edges, with the constants of
-    ``_point_in_churned_polygon``: an unscaled +-1e-12 box and a
-    ``1e-12 * scale`` cross bound per edge.
+    Every ring's edges, with the constants of ``_point_in_churned_polygon``
+    (an unscaled +-1e-12 box and a ``1e-12 * scale`` cross bound per
+    edge), strip-cut over the shell envelope the loop gates on.
     """
     edges = np.concatenate(
         [np.hstack([ring.coords[:-1], ring.coords[1:]]) for ring in polygon.rings]
@@ -638,19 +628,23 @@ def _polygon_tables(polygon: Polygon) -> tuple:
         float(shell[:, 0].max()),
         float(shell[:, 1].max()),
     )
+    strips, strip_height = strip_cut(
+        PreparedPolygon._numpy_strip_table(edges), envelope[1], envelope[3] - envelope[1]
+    )
     num_vertices = sum(len(ring.coords) for ring in polygon.rings)
-    return PreparedPolygon._numpy_strip_table(edges), num_vertices, envelope
+    return strips, envelope[1], strip_height, envelope, num_vertices
 
 
 def _line_tables(line: LineString) -> tuple:
-    """``(x1, y1, dx, dy, seg_len_sq)`` per segment of one (non-empty,
-    so two-or-more-vertex) polyline."""
+    """One (non-empty, so two-or-more-vertex) polyline as a
+    ``pack_line_parts`` part: ``(x1, y1, dx, dy, seg_len_sq)`` per
+    segment, its envelope and its coordinate count."""
     coords = line.coords
     x1 = np.ascontiguousarray(coords[:-1, 0])
     y1 = np.ascontiguousarray(coords[:-1, 1])
     dx = coords[1:, 0] - x1
     dy = coords[1:, 1] - y1
-    return x1, y1, dx, dy, dx * dx + dy * dy
+    return x1, y1, dx, dy, dx * dx + dy * dy, _bounds(line.envelope), len(coords)
 
 
 _ENGINES = {

@@ -65,7 +65,7 @@ class PolygonParts(NamedTuple):
     per-part arrays; part ``p``'s strips are ``num_strips[p]`` consecutive
     strips from ``first_strip[p]``; strip ``s`` holds the ``edges`` rows
     ``strip_start[s]:strip_start[s + 1]``, each ``(x1, y1, x2, y2, bx0,
-    by0, bx1, by1, ceps)`` as ``PreparedPolygon._batch_tables`` lays it out.
+    by0, bx1, by1, ceps)`` as ``prepared.strip_cut`` takes and cuts it.
     """
 
     first_part: np.ndarray  # (entries + 1,)
@@ -209,8 +209,8 @@ def points_in_parts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether point ``k`` lies in polygon part ``parts[k]`` — the
     envelope gate, strip choice, and boundary and crossing-parity tests of
-    ``PreparedPolygon.contains_point`` (or of the churn loop, over its one
-    unstripped strip), one cell per (pair, strip edge) — and the part's
+    ``PreparedPolygon.contains_point`` (or of the churn loop, over its
+    strip-cut churn table), one cell per (pair, strip edge) — and the part's
     charge, which reaching it costs whatever the answer."""
     box = tables.box[parts]
     hit = np.zeros(len(parts), dtype=bool)

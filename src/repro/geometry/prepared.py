@@ -34,6 +34,35 @@ __all__ = [
 _EPS = 1e-12
 
 
+def strip_cut(
+    table: np.ndarray, y_min: float, height: float, num_strips: int | None = None
+) -> tuple[list[np.ndarray], float]:
+    """Cut a polygon's edge table into horizontal strips of ``height /
+    num_strips`` from ``y_min``: ``(strips, strip height)``.
+
+    ``table`` rows are ``(x1, y1, x2, y2, bx0, by0, bx1, by1, ceps)``.  A
+    point at ``y`` walks strip ``s(y) = trunc((y - y_min) / strip
+    height)``, clipped to the strips; an edge goes to every strip from
+    ``s(by0)`` to ``s(by1)``.  ``s`` is monotone and both the boundary test
+    (``by0 <= y <= by1``) and the crossing test (``min(y1, y2) <= y <
+    max(y1, y2)``) lie inside that range, so an edge that can fire for a
+    point is in the point's strip: answers equal one walk of the whole
+    table.  The default count is ``max(1, min(16, edges // 8))``; a
+    polygon whose strip height is not finite keeps one strip.
+    """
+    if num_strips is None:
+        num_strips = max(1, min(16, len(table) // 8))
+    strip_height = max(height, 1e-300) / num_strips
+    if num_strips == 1 or not math.isfinite(strip_height):
+        return [table], strip_height
+    top = num_strips - 1
+    # Clip in float before the int cast: an edge's strip ordinal may not
+    # fit in an int64 when the strip height is tiny.
+    with np.errstate(over="ignore"):
+        lo = np.clip((table[:, 5] - y_min) / strip_height, 0, top).astype(np.int64)
+        hi = np.clip((table[:, 7] - y_min) / strip_height, 0, top).astype(np.int64)
+    return [table[(lo <= k) & (k <= hi)] for k in range(num_strips)], strip_height
+
 
 class PreparedPolygon:
     """A polygon preprocessed for fast repeated point-in-polygon tests.
@@ -41,7 +70,7 @@ class PreparedPolygon:
     All ring edges (shell and holes together — crossing parity over the
     union of rings gives the even-odd interior, which for valid polygons
     with properly-oriented holes equals shell-minus-holes) are stored in
-    flat numpy arrays sorted into ``num_strips`` horizontal strips.
+    9-column edge tables cut into horizontal strips by :func:`strip_cut`.
     """
 
     __slots__ = (
@@ -49,12 +78,10 @@ class PreparedPolygon:
         "envelope",
         "_strip_edges",
         "_strip_edge_lists",
-        "_batch_tables_cache",
         "_y_min",
         "_strip_height",
         "_num_strips",
         "edge_count",
-        "mean_edges_per_strip",
     )
 
     # Below this edge count a scalar loop over precomputed tuples beats
@@ -67,53 +94,32 @@ class PreparedPolygon:
             raise GeometryError("cannot prepare an empty polygon")
         self.polygon = polygon
         self.envelope = polygon.envelope
-        edges = []
-        for ring in polygon.rings:
-            coords = ring.coords
-            for i in range(len(coords) - 1):
-                edges.append(
-                    (coords[i, 0], coords[i, 1], coords[i + 1, 0], coords[i + 1, 1])
-                )
-        edge_array = np.asarray(edges, dtype=np.float64)
-        self.edge_count = len(edge_array)
-        if num_strips is None:
-            num_strips = max(1, min(16, self.edge_count // 8))
-        self._num_strips = num_strips
-        self._y_min = self.envelope.min_y
-        height = max(self.envelope.height, 1e-300)
-        self._strip_height = height / num_strips
-        # Assign each edge to every strip its y-interval overlaps.
-        strip_edges: list[list[int]] = [[] for _ in range(num_strips)]
-        y_lo = np.minimum(edge_array[:, 1], edge_array[:, 3])
-        y_hi = np.maximum(edge_array[:, 1], edge_array[:, 3])
-        lo_strip = np.clip(
-            ((y_lo - self._y_min) / self._strip_height).astype(int), 0, num_strips - 1
+        edges = np.concatenate(
+            [np.hstack([ring.coords[:-1], ring.coords[1:]]) for ring in polygon.rings]
         )
-        hi_strip = np.clip(
-            ((y_hi - self._y_min) / self._strip_height).astype(int), 0, num_strips - 1
-        )
-        for edge_idx in range(self.edge_count):
-            for strip in range(lo_strip[edge_idx], hi_strip[edge_idx] + 1):
-                strip_edges[strip].append(edge_idx)
-        self._strip_edges = [
-            edge_array[indices] if indices else np.empty((0, 4), dtype=np.float64)
-            for indices in strip_edges
-        ]
-        self.mean_edges_per_strip = max(
-            1, sum(len(s) for s in self._strip_edges) // num_strips
-        )
-        if self.edge_count <= self._SCALAR_THRESHOLD:
-            # Plain-tuple edge lists for the scalar fast path.  Each tuple
-            # carries the edge endpoints plus a precomputed bbox and the
-            # scaled epsilon for its boundary test, so the per-probe loop
-            # does only comparisons and one multiply in the common case.
-            self._strip_edge_lists = [
-                [self._edge_tuple(edge) for edge in strip]
-                for strip in self._strip_edges
-            ]
+        self.edge_count = len(edges)
+        scalar = self.edge_count <= self._SCALAR_THRESHOLD
+        if scalar:
+            # The scalar path's edge rows carry the endpoints plus a bbox
+            # and the scaled epsilon for its boundary test, so the
+            # per-probe loop does only comparisons and one multiply in
+            # the common case.
+            table = np.array([self._edge_tuple(edge) for edge in edges]).reshape(-1, 9)
         else:
-            self._strip_edge_lists = None
-        self._batch_tables_cache = None
+            table = self._numpy_strip_table(edges)
+        self._y_min = self.envelope.min_y
+        self._strip_edges, self._strip_height = strip_cut(
+            table, self._y_min, self.envelope.height, num_strips
+        )
+        self._num_strips = len(self._strip_edges)
+        # Plain-float rows for the scalar fast path, as tuples: the cache
+        # keeps prepared polygons across queries, and the collector stops
+        # tracking a tuple of floats but walks a list of them every pass.
+        self._strip_edge_lists = (
+            [list(map(tuple, strip.tolist())) for strip in self._strip_edges]
+            if scalar
+            else None
+        )
 
     @staticmethod
     def _edge_tuple(edge) -> tuple:
@@ -154,23 +160,10 @@ class PreparedPolygon:
             return False
         if self._strip_edge_lists is not None:
             return self._contains_point_scalar(x, y)
-        edges = self._strip_for(y)
-        if len(edges) == 0:
-            return False
-        x1 = edges[:, 0]
-        y1 = edges[:, 1]
-        x2 = edges[:, 2]
-        y2 = edges[:, 3]
+        x1, y1, x2, y2, bx0, by0, bx1, by1, ceps = self._strip_for(y).T
         # Boundary test: |cross| small and point within the segment box.
         cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        scale = np.maximum(np.abs(x2 - x1) + np.abs(y2 - y1), 1.0)
-        on_edge = (
-            (np.abs(cross) <= _EPS * scale)
-            & (np.minimum(x1, x2) - _EPS <= x)
-            & (x <= np.maximum(x1, x2) + _EPS)
-            & (np.minimum(y1, y2) - _EPS <= y)
-            & (y <= np.maximum(y1, y2) + _EPS)
-        )
+        on_edge = (np.abs(cross) <= ceps) & (bx0 <= x) & (x <= bx1) & (by0 <= y) & (y <= by1)
         if bool(on_edge.any()):
             return True
         straddles = (y1 > y) != (y2 > y)
@@ -201,32 +194,14 @@ class PreparedPolygon:
         """Number of edges a query at ``y`` inspects (for cost accounting)."""
         return len(self._strip_for(y))
 
-    def _batch_tables(self) -> list[np.ndarray]:
-        """Per-strip edge tables for the pair kernels, built lazily.
-
-        Each table row is ``(x1, y1, x2, y2, bx0, by0, bx1, by1, ceps)``;
-        the boundary test is ``in-bbox AND |cross| <= ceps`` for both of
-        the scalar code paths, they only bake different epsilons into the
-        bbox — so the tables reuse the exact per-path constants and
-        :func:`repro.geometry.point_pairs.points_in_parts` reproduces
-        either path bit-for-bit.
-        """
-        tables = self._batch_tables_cache
-        if tables is None:
-            if self._strip_edge_lists is not None:
-                tables = [
-                    np.asarray(strip, dtype=np.float64).reshape(-1, 9)
-                    for strip in self._strip_edge_lists
-                ]
-            else:
-                tables = [
-                    self._numpy_strip_table(edges) for edges in self._strip_edges
-                ]
-            self._batch_tables_cache = tables
-        return tables
-
     @staticmethod
     def _numpy_strip_table(edges: np.ndarray) -> np.ndarray:
+        """The numpy path's edge table, one ``(x1, y1, x2, y2, bx0, by0,
+        bx1, by1, ceps)`` row per edge: an unscaled +-1e-12 box and a
+        ``1e-12 * scale`` cross bound.  The boundary test is ``in-bbox AND
+        |cross| <= ceps`` on both paths, which bake different epsilons into
+        the bbox, so :func:`repro.geometry.point_pairs.points_in_parts`
+        reproduces either path bit-for-bit over its own strips."""
         x1, y1, x2, y2 = edges[:, 0], edges[:, 1], edges[:, 2], edges[:, 3]
         scale = np.maximum(np.abs(x2 - x1) + np.abs(y2 - y1), 1.0)
         return np.column_stack(

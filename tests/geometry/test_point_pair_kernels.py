@@ -14,6 +14,7 @@ an envelope, a hypot's last ulp or any()'s early exit decides.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from repro.core.operators import SpatialOperator
 from repro.core.probe import BroadcastIndex
 from repro.geometry import LineString, MultiLineString, MultiPolygon, Point, Polygon
 from repro.geometry.algorithms import pairwise
-from repro.geometry.engine import EngineCounters, create_engine
-from repro.geometry.prepared import PreparedPolygon
+from repro.geometry.engine import EngineCounters, _churn_tables, create_engine
+from repro.geometry.prepared import PreparedPolygon, strip_cut
 from tests.cluster.test_unit_columns import same_units, unit_columns
 from tests.core.test_probe import probe_with_cost
 from tests.geometry.test_batch_kernels import (
@@ -90,15 +91,20 @@ def assert_pair_parity(name, geometries, points, d=None, seed=0):
 
 
 def strip_boundary_probes(polygon):
-    """Points on, and a hair either side of, every strip boundary of the
-    polygon's prepared strip index."""
+    """Points on, and one ulp either side of, every strip boundary of the
+    polygon's prepared strip index and of its churn-table strips."""
     prepared = PreparedPolygon(polygon)
+    strips, y_min, strip_height, _, _ = _churn_tables(polygon)
     env = polygon.envelope
     probes = []
-    for k in range(prepared._num_strips + 1):
-        y = prepared._y_min + k * prepared._strip_height
-        for x in (env.min_x, (env.min_x + env.max_x) / 2, env.max_x - 0.25):
-            probes += [(x, y), (x, np.nextafter(y, np.inf)), (x, np.nextafter(y, -np.inf))]
+    for low, height, count in (
+        (prepared._y_min, prepared._strip_height, prepared._num_strips),
+        (y_min, strip_height, len(strips)),
+    ):
+        for k in range(count + 1):
+            y = low + k * height
+            for x in (env.min_x, (env.min_x + env.max_x) / 2, env.max_x - 0.25):
+                probes += [(x, y), (x, np.nextafter(y, np.inf)), (x, np.nextafter(y, -np.inf))]
     return probes
 
 
@@ -327,3 +333,125 @@ class TestUntabledBuildRows:
         assert same_units(units, unit_columns([cost for _, cost in want]))  # key order too
         assert index.engine.counters == reference.engine.counters
         assert (Resource.REFINE_ALLOC in units) == (name == "slow")
+
+
+def notched(top, along):
+    """A shell whose spike dips to a local-minimum vertex at (5, 4) between
+    horizontal edges at y = 6, closed by ``along`` vertices on y = ``top``:
+    ``9 + along`` edges, so ``top = 16, along = 59`` gives 68 edges in 8
+    strips of height 2 (the numpy path) and ``top = 12, along = 39`` gives
+    48 edges in 6 (the scalar path) — strip boundaries at y = 4 and 6."""
+    shell = [(0, 0), (1, 0), (1, 6), (4.9, 6), (5, 4), (5.1, 6), (10, 6), (10, top)]
+    shell += [(10 - 10 * (k + 1) / (along + 1), top) for k in range(along)]
+    return Polygon(shell + [(0, top)])
+
+
+NOTCHED = [notched(16, 59), notched(12, 39)]
+BELOW_THE_TIP = [(5.0, 4.0 - dy) for dy in np.linspace(1e-13, 1e-12, 10).tolist()]
+
+
+def sliver(num_edges):
+    """A 1e-300-high strip 1e20 wide: the scalar path's edge-scaled box
+    margin puts ``(by1 - y_min) / strip height`` past the float range."""
+    half = num_edges // 2
+    bottom = [(1e20 * k / half, 0.0) for k in range(half + 1)]
+    top = [(1e20 * (half - k) / half, 1e-300) for k in range(half - 1)] + [(0.0, 1e-300)]
+    return Polygon(bottom + top[1:])
+
+
+def assert_engines_agree(geometries, points):
+    """Both engines' pair kernels, each equal to its scalar reference, give
+    the same answers."""
+    fast = assert_pair_parity("fast", geometries, points)[0]
+    slow = assert_pair_parity("slow", geometries, points)[0]
+    assert fast.tolist() == slow.tolist()
+    return fast
+
+
+class TestStripCut:
+    """Both engines walk only the strip a point lands in; the cut keeps
+    every edge whose boundary or crossing test can fire there, so answers
+    and charges stay those of the whole-table scalar walk."""
+
+    def test_the_slow_engine_walks_strips(self):
+        strips, _, _, _, num_vertices = _churn_tables(NOTCHED[0])
+        assert len(strips) == 8 and num_vertices == 69
+        assert max(len(strip) for strip in strips) < 68
+
+    @pytest.mark.parametrize("polygon", NOTCHED, ids=["numpy-path", "scalar-path"])
+    def test_fast_engine_finds_the_boundary_below_a_strip_boundary(self, polygon):
+        fast, slow = create_engine("fast"), create_engine("slow")
+        handle = fast.prepare(polygon)
+        assert handle._num_strips in (6, 8) and handle._strip_height == 2.0
+        for dy in (1e-13, 5e-13, 9e-13):
+            point = Point(5.0, 4.0 - dy)
+            assert fast.point_within(point, handle)
+            assert slow.point_within(point, slow.prepare(polygon))
+
+    def test_below_a_local_minimum_on_a_strip_boundary(self):
+        # 3e-12 below clears the scalar path's box too: its margin is
+        # 1e-12 scaled by the edge's length, 2.1e-12 for these two edges.
+        points = BELOW_THE_TIP + [(5.0, 4.0 - 3e-12), (5.0, 4.0), (5.0, 4.0 + 1e-12)]
+        hit = assert_engines_agree(NOTCHED, points)
+        assert hit[: len(BELOW_THE_TIP)].all()
+        assert not hit[len(BELOW_THE_TIP)].any()
+
+    def test_horizontal_edge_on_a_strip_boundary(self):
+        points = [
+            (x, y)
+            for x in (1.0, 2.5, 4.9, 5.1, 7.0, 10.0)
+            for y in (
+                6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0),
+                6.0 - 1e-12, 6.0 + 1e-12, 6.0 - 1e-9,
+            )
+        ]
+        assert_engines_agree(NOTCHED, points + strip_boundary_probes(NOTCHED[0]))
+
+    def test_holes_and_empty_parts(self):
+        holed = Polygon(
+            ring(40, radius=8.0).rings[0].coords[:-1].tolist(),
+            holes=[ring(24, radius=4.0).rings[0].coords[:-1].tolist()],
+        )
+        assert len(_churn_tables(holed)[0]) == 8
+        multi = MultiPolygon([Polygon.empty(), holed, Polygon.empty(), NOTCHED[1]])
+        points = (
+            strip_boundary_probes(holed) + boundary_probes(holed)
+            + strip_boundary_probes(NOTCHED[1]) + BELOW_THE_TIP
+        )
+        assert_engines_agree([holed, multi], points)
+
+    @pytest.mark.parametrize("num_edges", [16, 40, 64])
+    def test_a_1e_300_high_sliver_cuts_without_warnings(self, num_edges):
+        polygon = sliver(num_edges)
+        points = strip_boundary_probes(polygon) + [
+            (x, y) for x in (0.0, 3e19, 1e20) for y in (0.0, 5e-301, 1e-300, 2e-300)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prepared = PreparedPolygon(polygon)
+            hit = assert_engines_agree([polygon], points)
+        assert prepared._num_strips == num_edges // 8
+        assert hit.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9)), min_size=1, max_size=40),
+        st.floats(-1e6, 1e6),
+        st.floats(0.0, 1e6),
+        st.integers(1, 16),
+        st.lists(st.floats(-2e9, 2e9), min_size=1, max_size=20),
+    )
+    def test_every_edge_that_can_fire_is_in_the_points_strip(
+        self, spans, y_min, height, num_strips, ys
+    ):
+        lo = np.array([min(a, b) for a, b in spans])
+        hi = np.array([max(a, b) for a, b in spans])
+        table = np.zeros((len(spans), 9))
+        table[:, 5], table[:, 7] = lo - 1e-12, hi + 1e-12
+        strips, strip_height = strip_cut(table, y_min, height, num_strips)
+        assert sum(len(strip) for strip in strips) >= len(table)
+        for y in ys:
+            strip = int(np.clip(np.trunc((y - y_min) / strip_height), 0, len(strips) - 1))
+            fires = table[(table[:, 5] <= y) & (y <= table[:, 7])]
+            kept = {tuple(row) for row in strips[strip].tolist()}
+            assert all(tuple(row) in kept for row in fires.tolist())
